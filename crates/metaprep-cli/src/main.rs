@@ -357,7 +357,6 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .tasks(args.get_or("tasks", 1usize)?)
         .threads(args.get_or("threads", 1usize)?)
         .merge_sparse(args.flag("sparse"))
-        .x4_kmergen(args.flag("x4"))
         .index_window(args.get_or("index-window", 0usize)?)
         .sort_digit_bits(args.get_or("sort-digit-bits", 8u32)?);
     // `.passes()` marks the pass count *explicit*, which changes how the

@@ -6,9 +6,12 @@
 //! for this task) and after each merge round a receiver absorbs. At
 //! those points the task's entire restartable state is:
 //!
-//! * which boundary comes next ([`CkptPhase`]),
-//! * the accumulated scalar counters (tuples, peaks, LocalCC stats),
+//! * which [`Boundary`] to resume at,
+//! * the accumulated scalar counters ([`Progress`]),
 //! * the **raw, uncompressed** union-find parent array.
+//!
+//! In memory that is a `TaskState`; `TaskState::checkpoint` and
+//! `TaskState::restore` are the only writer and reader of a rank's file.
 //!
 //! Storing the raw parents (not the compressed component array) is what
 //! makes a restart replay *byte-identical*: later path compression on a
@@ -21,7 +24,7 @@
 //! magic    [u8; 4] = "MPCK"
 //! version  u32     = 2
 //! rank     u32
-//! phase    u8      (0 = Pass, 1 = Merge) + u32 payload
+//! resume   u8      (0 = Pass, 1 = MergeRound) + u32 index
 //! tuples_emitted, peak_tuples,
 //! presolve_dropped                       3 × u64
 //! localcc  groups, filtered_groups, edges, union_edges,
@@ -49,8 +52,10 @@
 //! (plus any per-rank state) cannot be trusted.
 
 use crate::localcc::LocalCcStats;
-use metaprep_cc::UfOpStats;
-use std::io::{self, Read, Write};
+use metaprep_cc::{ConcurrentDisjointSet, DisjointSet, UfOpStats};
+use metaprep_dist::Boundary;
+use metaprep_sort::{Keyed, PassBuffers};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic: identifies a METAPREP checkpoint.
@@ -61,37 +66,20 @@ pub const MAGIC: [u8; 4] = *b"MPCK";
 /// (v2 added the `presolve_dropped` counter.)
 pub const VERSION: u32 = 2;
 
-/// Which boundary the checkpointed task should resume *at*.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CkptPhase {
-    /// Resume at the top of KmerGen pass `next_pass` (all passes before
-    /// it are folded into the saved parent array).
-    Pass {
-        /// First pass that has NOT yet run.
-        next_pass: u32,
-    },
-    /// All passes done; resume at merge round `next_round` (every round
-    /// before it has been absorbed into the saved parent array).
-    Merge {
-        /// First merge round that has NOT yet been absorbed.
-        next_round: u32,
-    },
-}
-
-impl CkptPhase {
-    fn tag(&self) -> u8 {
-        match self {
-            CkptPhase::Pass { .. } => 0,
-            CkptPhase::Merge { .. } => 1,
-        }
-    }
-
-    fn payload(&self) -> u32 {
-        match self {
-            CkptPhase::Pass { next_pass } => *next_pass,
-            CkptPhase::Merge { next_round } => *next_round,
-        }
-    }
+/// A task's running totals: what it carries from one boundary to the
+/// next besides the forest, and what it reports when it finishes.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Tuples emitted so far (accumulated across completed passes).
+    pub tuples_emitted: u64,
+    /// Peak per-pass tuple residency observed so far.
+    pub peak_tuples: u64,
+    /// K-mers dropped by the presolve filter so far. Checkpointed so the
+    /// pipeline's `emitted + dropped == enumerated` conservation check
+    /// holds across crash/replay.
+    pub presolve_dropped: u64,
+    /// LocalCC counters accumulated across completed passes.
+    pub localcc: LocalCcStats,
 }
 
 /// One task's complete restartable state at a quiescent boundary.
@@ -99,20 +87,103 @@ impl CkptPhase {
 pub struct Checkpoint {
     /// Task (MPI rank) the state belongs to.
     pub rank: u32,
-    /// Where to resume.
-    pub phase: CkptPhase,
-    /// Tuples emitted so far (accumulated across completed passes).
-    pub tuples_emitted: u64,
-    /// Peak per-pass tuple residency observed so far.
-    pub peak_tuples: u64,
-    /// K-mers dropped by the presolve filter so far. Restored on restart
-    /// so the pipeline's `emitted + dropped == enumerated` conservation
-    /// check holds across crash/replay.
-    pub presolve_dropped: u64,
-    /// LocalCC counters accumulated across completed passes.
-    pub localcc: LocalCcStats,
+    /// The first boundary whose work is NOT yet folded into `parents`:
+    /// `Pass(s)` resumes at the top of KmerGen pass `s` (`s` may equal the
+    /// pass count — all passes done, no merge round absorbed yet),
+    /// `MergeRound(r)` at the top of merge round `r`.
+    pub resume_at: Boundary,
+    /// Running totals at that boundary.
+    pub progress: Progress,
     /// RAW union-find parent array (uncompressed — see module docs).
     pub parents: Vec<u32>,
+}
+
+/// A task's union-find forest: concurrent while passes fold tuples in,
+/// sequential once the merge tree (or CC-I/O) starts.
+pub(crate) enum Forest {
+    Concurrent(ConcurrentDisjointSet),
+    Sequential(DisjointSet),
+}
+
+impl Forest {
+    pub(crate) fn concurrent(&self) -> &ConcurrentDisjointSet {
+        match self {
+            Forest::Concurrent(ds) => ds,
+            Forest::Sequential(_) => unreachable!("every pass precedes the first merge round"),
+        }
+    }
+
+    pub(crate) fn into_sequential(self) -> DisjointSet {
+        match self {
+            Forest::Concurrent(ds) => ds.into_disjoint_set(),
+            Forest::Sequential(ds) => ds,
+        }
+    }
+}
+
+/// What a task carries from one boundary to the next: exactly what a
+/// [`Checkpoint`] holds, plus the pooled LocalSort buffers (destination,
+/// radix scratch and the debug-build scatter tracker are allocated on the
+/// first pass and recycled by every later one).
+pub(crate) struct TaskState<T> {
+    pub(crate) forest: Forest,
+    pub(crate) progress: Progress,
+    pub(crate) sort_bufs: PassBuffers<T>,
+}
+
+impl<T: Keyed + Default> TaskState<T> {
+    /// The state of a task that has done nothing yet.
+    pub(crate) fn fresh(fragments: usize) -> Self {
+        Self {
+            forest: Forest::Concurrent(ConcurrentDisjointSet::new(fragments)),
+            progress: Progress::default(),
+            sort_bufs: PassBuffers::new(),
+        }
+    }
+
+    /// Reload `rank`'s checkpoint from `dir`: the state it holds and the
+    /// boundary to resume at, or `None` when the rank never wrote one.
+    pub(crate) fn restore(dir: &Path, rank: u32) -> Result<Option<(Self, Boundary)>, CkptError> {
+        let Some(ck) = Checkpoint::load(dir, rank)? else {
+            return Ok(None);
+        };
+        let forest = match ck.resume_at {
+            Boundary::Pass(_) => {
+                Forest::Concurrent(ConcurrentDisjointSet::from_parent_array(ck.parents))
+            }
+            Boundary::MergeRound(_) => {
+                Forest::Sequential(DisjointSet::from_parent_array(ck.parents))
+            }
+        };
+        let st = Self {
+            forest,
+            progress: ck.progress,
+            sort_bufs: PassBuffers::new(),
+        };
+        Ok(Some((st, ck.resume_at)))
+    }
+
+    /// Persist the state under `dir` as the point `rank` resumes from at
+    /// `resume_at`. The parents are stored RAW (no compression): restoring
+    /// that exact tree is what makes a replay byte-identical.
+    pub(crate) fn checkpoint(
+        &self,
+        dir: &Path,
+        rank: u32,
+        resume_at: Boundary,
+    ) -> Result<(), CkptError> {
+        let parents = match &self.forest {
+            Forest::Concurrent(ds) => ds.parent_snapshot(),
+            Forest::Sequential(ds) => ds.raw_parents().to_vec(),
+        };
+        Checkpoint {
+            rank,
+            resume_at,
+            progress: self.progress,
+            parents,
+        }
+        .store(dir)
+    }
 }
 
 /// Why a checkpoint failed to load or store.
@@ -200,6 +271,74 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Verify the envelope both artifacts share — length, trailing FNV-1a
+/// checksum, magic, version — and return a cursor over what follows the
+/// version. `what` prefixes the error texts (`""` or `"plan "`).
+fn open_envelope<'a>(
+    bytes: &'a [u8],
+    magic: [u8; 4],
+    version: u32,
+    what: &str,
+) -> Result<Cursor<'a>, CkptError> {
+    if bytes.len() < magic.len() + 8 {
+        return Err(CkptError::Corrupt(format!(
+            "{what}file too short ({} bytes)",
+            bytes.len()
+        )));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    // EXPECT: split_at(len - 8) yields an 8-byte tail.
+    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
+    let computed = fnv1a(body);
+    if stored != computed {
+        return Err(CkptError::Corrupt(format!(
+            "{what}checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
+    }
+    let mut c = Cursor {
+        bytes: body,
+        pos: 0,
+    };
+    let found = c.take(4)?;
+    if found != magic {
+        return Err(CkptError::Corrupt(format!("bad {what}magic {found:02x?}")));
+    }
+    let found = c.u32()?;
+    if found != version {
+        return Err(CkptError::Corrupt(format!(
+            "{what}version {found} (this build reads {version})"
+        )));
+    }
+    Ok(c)
+}
+
+/// Atomically replace `path` with `bytes`: they land in a `.tmp` sibling
+/// first and are renamed over the live file, so a crash mid-write can
+/// never corrupt the previous artifact.
+fn store_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let tmp = path.with_extension("ckpt.tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
+/// The bytes of `path`, or `None` when it does not exist (a fresh start,
+/// not an error).
+fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, CkptError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 impl Checkpoint {
     /// Checkpoint file path for `rank` under `dir`.
     pub fn path_for(dir: &Path, rank: u32) -> PathBuf {
@@ -212,13 +351,17 @@ impl Checkpoint {
         buf.extend_from_slice(&MAGIC);
         push_u32(&mut buf, VERSION);
         push_u32(&mut buf, self.rank);
-        buf.push(self.phase.tag());
-        push_u32(&mut buf, self.phase.payload());
-        push_u64(&mut buf, self.tuples_emitted);
-        push_u64(&mut buf, self.peak_tuples);
-        push_u64(&mut buf, self.presolve_dropped);
-        let cc = &self.localcc;
+        let (tag, index) = match self.resume_at {
+            Boundary::Pass(s) => (0u8, s),
+            Boundary::MergeRound(r) => (1, r),
+        };
+        buf.push(tag);
+        push_u32(&mut buf, index);
+        let (p, cc) = (&self.progress, &self.progress.localcc);
         for v in [
+            p.tuples_emitted,
+            p.peak_tuples,
+            p.presolve_dropped,
             cc.groups,
             cc.filtered_groups,
             cc.edges,
@@ -241,58 +384,30 @@ impl Checkpoint {
 
     /// Parse and verify the on-disk byte layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(CkptError::Corrupt(format!(
-                "file too short ({} bytes)",
-                bytes.len()
-            )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        // EXPECT: split_at(len - 8) yields an 8-byte tail.
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(CkptError::Corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-        let mut c = Cursor {
-            bytes: body,
-            pos: 0,
-        };
-        let magic = c.take(4)?;
-        if magic != MAGIC {
-            return Err(CkptError::Corrupt(format!("bad magic {magic:02x?}")));
-        }
-        let version = c.u32()?;
-        if version != VERSION {
-            return Err(CkptError::Corrupt(format!(
-                "version {version} (this build reads {VERSION})"
-            )));
-        }
+        let mut c = open_envelope(bytes, MAGIC, VERSION, "")?;
         let rank = c.u32()?;
         let tag = c.u8()?;
-        let payload = c.u32()?;
-        let phase = match tag {
-            0 => CkptPhase::Pass { next_pass: payload },
-            1 => CkptPhase::Merge {
-                next_round: payload,
-            },
+        let index = c.u32()?;
+        let resume_at = match tag {
+            0 => Boundary::Pass(index),
+            1 => Boundary::MergeRound(index),
             other => return Err(CkptError::Corrupt(format!("unknown phase tag {other}"))),
         };
-        let tuples_emitted = c.u64()?;
-        let peak_tuples = c.u64()?;
-        let presolve_dropped = c.u64()?;
-        let localcc = LocalCcStats {
-            groups: c.u64()?,
-            filtered_groups: c.u64()?,
-            edges: c.u64()?,
-            union_edges: c.u64()?,
-            verify_iterations: c.u64()?,
-            uf: UfOpStats {
-                finds: c.u64()?,
-                path_splits: c.u64()?,
-                unions: c.u64()?,
+        let progress = Progress {
+            tuples_emitted: c.u64()?,
+            peak_tuples: c.u64()?,
+            presolve_dropped: c.u64()?,
+            localcc: LocalCcStats {
+                groups: c.u64()?,
+                filtered_groups: c.u64()?,
+                edges: c.u64()?,
+                union_edges: c.u64()?,
+                verify_iterations: c.u64()?,
+                uf: UfOpStats {
+                    finds: c.u64()?,
+                    path_splits: c.u64()?,
+                    unions: c.u64()?,
+                },
             },
         };
         let len = c.u64()?;
@@ -301,7 +416,7 @@ impl Checkpoint {
         };
         // Length sanity before allocating: the remaining body must hold
         // exactly `len` u32s.
-        let remaining = body.len() - c.pos;
+        let remaining = c.bytes.len() - c.pos;
         if remaining != len * 4 {
             return Err(CkptError::Corrupt(format!(
                 "parent array claims {len} entries ({} bytes) but {remaining} remain",
@@ -318,46 +433,24 @@ impl Checkpoint {
         }
         Ok(Checkpoint {
             rank,
-            phase,
-            tuples_emitted,
-            peak_tuples,
-            presolve_dropped,
-            localcc,
+            resume_at,
+            progress,
             parents,
         })
     }
 
     /// Atomically write this checkpoint as `dir/rank{rank}.ckpt`.
-    ///
-    /// The bytes land in a `.tmp` sibling first and are renamed over the
-    /// live file, so a crash mid-write can never corrupt the previous
-    /// checkpoint.
     pub fn store(&self, dir: &Path) -> Result<(), CkptError> {
-        std::fs::create_dir_all(dir)?;
-        let path = Self::path_for(dir, self.rank);
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        store_atomic(&Self::path_for(dir, self.rank), &self.to_bytes())
     }
 
     /// Load `dir/rank{rank}.ckpt`, verifying magic, version, structure,
     /// and checksum. `Ok(None)` when no checkpoint exists for the rank
     /// (a fresh start, not an error).
     pub fn load(dir: &Path, rank: u32) -> Result<Option<Checkpoint>, CkptError> {
-        let path = Self::path_for(dir, rank);
-        let mut f = match std::fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes).map(Some)
+        read_if_exists(&Self::path_for(dir, rank))?
+            .map(|bytes| Self::from_bytes(&bytes))
+            .transpose()
     }
 }
 
@@ -422,35 +515,7 @@ impl PlanCheckpoint {
 
     /// Parse and verify the on-disk byte layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<PlanCheckpoint, CkptError> {
-        if bytes.len() < PLAN_MAGIC.len() + 8 {
-            return Err(CkptError::Corrupt(format!(
-                "plan file too short ({} bytes)",
-                bytes.len()
-            )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        // EXPECT: split_at(len - 8) yields an 8-byte tail.
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(CkptError::Corrupt(format!(
-                "plan checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-        let mut c = Cursor {
-            bytes: body,
-            pos: 0,
-        };
-        let magic = c.take(4)?;
-        if magic != PLAN_MAGIC {
-            return Err(CkptError::Corrupt(format!("bad plan magic {magic:02x?}")));
-        }
-        let version = c.u32()?;
-        if version != PLAN_VERSION {
-            return Err(CkptError::Corrupt(format!(
-                "plan version {version} (this build reads {PLAN_VERSION})"
-            )));
-        }
+        let mut c = open_envelope(bytes, PLAN_MAGIC, PLAN_VERSION, "plan ")?;
         let passes = c.u32()?;
         let tasks = c.u32()?;
         let threads = c.u32()?;
@@ -459,7 +524,7 @@ impl PlanCheckpoint {
         let Ok(len) = usize::try_from(len) else {
             return Err(CkptError::Corrupt(format!("bound count {len} overflows")));
         };
-        let remaining = body.len() - c.pos;
+        let remaining = c.bytes.len() - c.pos;
         if remaining != len * 16 {
             return Err(CkptError::Corrupt(format!(
                 "plan claims {len} bounds ({} bytes) but {remaining} remain",
@@ -490,29 +555,37 @@ impl PlanCheckpoint {
     /// Atomically write this plan as `dir/plan.ckpt` (same tmp + rename
     /// protocol as the per-rank checkpoints).
     pub fn store(&self, dir: &Path) -> Result<(), CkptError> {
-        std::fs::create_dir_all(dir)?;
-        let path = Self::path_for(dir);
-        let tmp = path.with_extension("ckpt.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        store_atomic(&Self::path_for(dir), &self.to_bytes())
     }
 
     /// Load `dir/plan.ckpt`; `Ok(None)` when no plan artifact exists.
     pub fn load(dir: &Path) -> Result<Option<PlanCheckpoint>, CkptError> {
-        let path = Self::path_for(dir);
-        let mut f = match std::fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes).map(Some)
+        read_if_exists(&Self::path_for(dir))?
+            .map(|bytes| Self::from_bytes(&bytes))
+            .transpose()
+    }
+
+    /// Persist this (just recomputed) plan under `dir`, or — when an
+    /// artifact with the same input fingerprint already exists (a
+    /// restarted run) — verify it matches byte for byte. A same-fingerprint
+    /// mismatch means planning was not a pure function of its inputs, which
+    /// would silently break checkpoint replay; fail loudly instead. A
+    /// different fingerprint is just a stale artifact from another run and
+    /// is overwritten.
+    pub fn verify_or_store(&self, dir: &Path) -> Result<(), CkptError> {
+        match Self::load(dir)? {
+            Some(prev) if prev.fingerprint == self.fingerprint => {
+                if prev != *self {
+                    return Err(CkptError::Corrupt(format!(
+                        "stored plan disagrees with the recomputed plan for the same inputs \
+                         (stored {} passes, recomputed {})",
+                        prev.passes, self.passes
+                    )));
+                }
+                Ok(())
+            }
+            _ => self.store(dir),
+        }
     }
 }
 
@@ -552,20 +625,22 @@ mod tests {
     fn sample(rank: u32) -> Checkpoint {
         Checkpoint {
             rank,
-            phase: CkptPhase::Pass { next_pass: 2 },
-            tuples_emitted: 12_345,
-            peak_tuples: 6_789,
-            presolve_dropped: 321,
-            localcc: LocalCcStats {
-                groups: 10,
-                filtered_groups: 1,
-                edges: 33,
-                union_edges: 7,
-                verify_iterations: 2,
-                uf: UfOpStats {
-                    finds: 100,
-                    path_splits: 5,
-                    unions: 42,
+            resume_at: Boundary::Pass(2),
+            progress: Progress {
+                tuples_emitted: 12_345,
+                peak_tuples: 6_789,
+                presolve_dropped: 321,
+                localcc: LocalCcStats {
+                    groups: 10,
+                    filtered_groups: 1,
+                    edges: 33,
+                    union_edges: 7,
+                    verify_iterations: 2,
+                    uf: UfOpStats {
+                        finds: 100,
+                        path_splits: 5,
+                        unions: 42,
+                    },
                 },
             },
             parents: vec![1, 1, 2, 3, 3],
@@ -584,7 +659,7 @@ mod tests {
         let got = Checkpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert_eq!(got, ck);
         let merge = Checkpoint {
-            phase: CkptPhase::Merge { next_round: 1 },
+            resume_at: Boundary::MergeRound(1),
             ..sample(0)
         };
         assert_eq!(Checkpoint::from_bytes(&merge.to_bytes()).unwrap(), merge);
@@ -605,10 +680,8 @@ mod tests {
     fn store_overwrites_atomically() {
         let dir = tmpdir("overwrite");
         sample(1).store(&dir).unwrap();
-        let newer = Checkpoint {
-            tuples_emitted: 99,
-            ..sample(1)
-        };
+        let mut newer = sample(1);
+        newer.progress.tuples_emitted = 99;
         newer.store(&dir).unwrap();
         assert_eq!(Checkpoint::load(&dir, 1).unwrap(), Some(newer));
         // No tmp residue.

@@ -72,9 +72,6 @@ pub struct PipelineConfig {
     /// `(k-mer, component id)` instead of `(k-mer, read id)` to improve
     /// locality in the component array.
     pub cc_opt: bool,
-    /// Use the 4-lane batched k-mer generator (§3.2.1) instead of the
-    /// scalar rolling generator.
-    pub use_x4_kmergen: bool,
     /// Send component arrays in sparse `(vertex, root)` form during the
     /// MergeCC rounds — the communication-contraction direction the paper's
     /// §5 cites (Iverson et al.). Reduces Merge-Comm bytes when tasks touch
@@ -120,7 +117,6 @@ impl Default for PipelineConfig {
             chunks: 0,
             kf_filter: None,
             cc_opt: true,
-            use_x4_kmergen: false,
             merge_sparse: false,
             index_window: 0,
             sort_digit_bits: 8,
@@ -291,12 +287,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Enable/disable 4-lane KmerGen.
-    pub fn x4_kmergen(mut self, on: bool) -> Self {
-        self.cfg.use_x4_kmergen = on;
-        self
-    }
-
     /// Enable/disable sparse Merge-Comm payloads.
     pub fn merge_sparse(mut self, on: bool) -> Self {
         self.cfg.merge_sparse = on;
@@ -365,7 +355,6 @@ mod tests {
             .chunks(96)
             .kf_filter(10, 29)
             .cc_opt(false)
-            .x4_kmergen(true)
             .index_window(1 << 20)
             .sort_digit_bits(11)
             .build();
@@ -377,7 +366,6 @@ mod tests {
         assert_eq!(c.chunks, 96);
         assert_eq!(c.kf_filter, Some((10, 29)));
         assert!(!c.cc_opt);
-        assert!(c.use_x4_kmergen);
         assert_eq!(c.index_window, 1 << 20);
         assert_eq!(c.sort_digit_bits, 11);
         assert!(c.validate().is_ok());

@@ -1,12 +1,11 @@
 //! KmerGen: per-task tuple enumeration (paper §3.2).
 
+use crate::pipeline::RunCtx;
 use crate::source::ChunkSource;
 use metaprep_index::{FastqPart, RangePlan};
 use metaprep_kmer::{
-    fold_kmer_key, for_each_canonical_kmer, lanes::for_each_canonical_kmer_x4, Kmer, Kmer128,
-    Kmer64, KmerReadTuple, KmerReadTuple128,
+    fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, KmerReadTuple, KmerReadTuple128,
 };
-use metaprep_norm::HighFreqFilter;
 use metaprep_sort::Keyed;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -99,7 +98,6 @@ pub struct KmerGenOutput<T> {
 /// Enumerate this task's tuples for `pass`.
 ///
 /// * `my_chunks` — chunk indices this task owns;
-/// * `bin_owner` — the plan's m-mer-bin → `pass * P + task` table;
 /// * `read_label` — identity for plain LocalCC; the task's current
 ///   `Find(read)` for LocalCC-Opt passes (paper §3.5.1).
 ///
@@ -107,21 +105,17 @@ pub struct KmerGenOutput<T> {
 /// from the `FASTQPart` chunk histograms (the paper's offset precomputation,
 /// §3.2.2) — an assertion checks the histogram arithmetic agrees with the
 /// enumeration.
-#[allow(clippy::too_many_arguments)]
-pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
+pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
     pool: &rayon::ThreadPool,
-    source: &S,
-    fastqpart: &FastqPart,
-    plan: &RangePlan,
+    run: &RunCtx<'_, S>,
     my_chunks: &[usize],
-    bin_owner: &[u32],
     pass: usize,
-    use_x4: bool,
-    filter: Option<&HighFreqFilter>,
     read_label: impl Fn(u32) -> u32 + Sync,
 ) -> KmerGenOutput<K::Tuple> {
     use rayon::prelude::*;
 
+    let (source, fastqpart, plan, filter) = (run.source, run.fastqpart, run.plan, run.filter);
+    let bin_owner = &run.bin_owner;
     let tasks = plan.tasks();
     let k = plan.k();
     let space = fastqpart.space();
@@ -153,7 +147,7 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
                 let mut dropped_per_dest = vec![0u64; tasks];
                 for (seq, frag) in &buffer {
                     let label = read_label(*frag);
-                    emit_kmers::<K>(seq, k, use_x4, |v| {
+                    for_each_canonical_kmer::<K>(seq, k, |v, _| {
                         let bin = space.bin_of(K::repr_to_u128(v));
                         let owner = bin_owner[bin as usize] as usize;
                         if owner / tasks == pass {
@@ -207,16 +201,6 @@ pub fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
     }
 }
 
-/// Dispatch between the scalar and 4-lane generators.
-#[inline]
-fn emit_kmers<K: PipelineKmer>(seq: &[u8], k: usize, use_x4: bool, mut f: impl FnMut(K::Repr)) {
-    if use_x4 {
-        for_each_canonical_kmer_x4::<K>(seq, k, |v, _| f(v));
-    } else {
-        for_each_canonical_kmer::<K>(seq, k, |v, _| f(v));
-    }
-}
-
 /// Expected tuples task `rank` receives from all chunks in `pass` —
 /// the receive-count precomputation of paper §3.3. With a presolve
 /// filter active this is an **upper bound** (drops are value-granular,
@@ -231,12 +215,38 @@ pub fn expected_incoming(fastqpart: &FastqPart, plan: &RangePlan, pass: usize, r
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PipelineConfig;
     use crate::source::MemorySource;
     use metaprep_index::MerHist;
     use metaprep_io::ReadStore;
+    use metaprep_norm::HighFreqFilter;
 
-    fn mem_source<'a>(s: &'a ReadStore, fp: &FastqPart) -> MemorySource<'a> {
-        MemorySource::new(s, fp.chunks().iter().map(|r| r.spec).collect())
+    /// One task owning every chunk runs KmerGen for `pass` on `threads`.
+    fn run_kmergen<K: PipelineKmer>(
+        s: &ReadStore,
+        fp: &FastqPart,
+        plan: &RangePlan,
+        threads: usize,
+        pass: usize,
+        filter: Option<&HighFreqFilter>,
+        read_label: impl Fn(u32) -> u32 + Sync,
+    ) -> KmerGenOutput<K::Tuple> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let src = MemorySource::new(s, fp.chunks().iter().map(|r| r.spec).collect());
+        let cfg = PipelineConfig::default();
+        let run = RunCtx {
+            cfg: &cfg,
+            source: &src,
+            fastqpart: fp,
+            plan,
+            bin_owner: plan.bin_owner_table(),
+            filter,
+        };
+        let all_chunks: Vec<usize> = (0..fp.len()).collect();
+        kmergen_pass::<K, _>(&pool, &run, &all_chunks, pass, read_label)
     }
 
     fn store() -> ReadStore {
@@ -265,27 +275,9 @@ mod tests {
     #[test]
     fn all_tuples_emitted_across_passes_and_tasks() {
         let (s, fp, plan) = setup(11, 2, 3);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
         let mut total = 0u64;
         for pass in 0..2 {
-            let src = mem_source(&s, &fp);
-            let out = kmergen_pass::<Kmer64, _>(
-                &pool,
-                &src,
-                &fp,
-                &plan,
-                &all_chunks,
-                &table,
-                pass,
-                false,
-                None,
-                |r| r,
-            );
+            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, None, |r| r);
             total += out.outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
         }
         assert_eq!(total, fp.total());
@@ -294,25 +286,7 @@ mod tests {
     #[test]
     fn tuples_land_in_owner_range() {
         let (s, fp, plan) = setup(11, 1, 4);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
-        let src = mem_source(&s, &fp);
-        let out = kmergen_pass::<Kmer64, _>(
-            &pool,
-            &src,
-            &fp,
-            &plan,
-            &all_chunks,
-            &table,
-            0,
-            false,
-            None,
-            |r| r,
-        );
+        let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 1, 0, None, |r| r);
         for (q, buf) in out.outgoing.iter().enumerate() {
             let (lo, hi) = plan.task_range(0, q);
             for t in buf {
@@ -325,26 +299,8 @@ mod tests {
     #[test]
     fn expected_incoming_matches_actual() {
         let (s, fp, plan) = setup(11, 2, 3);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
         for pass in 0..2 {
-            let src = mem_source(&s, &fp);
-            let out = kmergen_pass::<Kmer64, _>(
-                &pool,
-                &src,
-                &fp,
-                &plan,
-                &all_chunks,
-                &table,
-                pass,
-                false,
-                None,
-                |r| r,
-            );
+            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, None, |r| r);
             for q in 0..3 {
                 assert_eq!(
                     out.outgoing[q].len() as u64,
@@ -356,71 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn x4_matches_scalar_multiset() {
-        let (s, fp, plan) = setup(11, 1, 2);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
-        let src = mem_source(&s, &fp);
-        let a = kmergen_pass::<Kmer64, _>(
-            &pool,
-            &src,
-            &fp,
-            &plan,
-            &all_chunks,
-            &table,
-            0,
-            false,
-            None,
-            |r| r,
-        );
-        let b = kmergen_pass::<Kmer64, _>(
-            &pool,
-            &src,
-            &fp,
-            &plan,
-            &all_chunks,
-            &table,
-            0,
-            true,
-            None,
-            |r| r,
-        );
-        for q in 0..2 {
-            let mut x: Vec<_> = a.outgoing[q].iter().map(|t| (t.kmer, t.read)).collect();
-            let mut y: Vec<_> = b.outgoing[q].iter().map(|t| (t.kmer, t.read)).collect();
-            x.sort_unstable();
-            y.sort_unstable();
-            assert_eq!(x, y, "task {q}");
-        }
-    }
-
-    #[test]
     fn read_label_substitution_applies() {
         let (s, fp, plan) = setup(11, 1, 1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
         // Map every read to label 0 (as an extreme LocalCC-Opt would).
-        let src = mem_source(&s, &fp);
-        let out = kmergen_pass::<Kmer64, _>(
-            &pool,
-            &src,
-            &fp,
-            &plan,
-            &all_chunks,
-            &table,
-            0,
-            false,
-            None,
-            |_| 0,
-        );
+        let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 1, 0, None, |_| 0);
         assert!(out.outgoing[0].iter().all(|t| t.read == 0));
     }
 
@@ -439,12 +334,6 @@ mod tests {
         let mh = MerHist::build(&s, 11, 4);
         let fp = FastqPart::build(&s, 6, 11, 4);
         let plan = RangePlan::build(&mh, 2, 3, 2);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
 
         // Exact truth and a generous sketch over the same enumeration.
         let mut truth: HashMap<u64, u64> = HashMap::new();
@@ -465,19 +354,7 @@ mod tests {
         let mut emitted = 0u64;
         let mut dropped = 0u64;
         for pass in 0..2 {
-            let src = mem_source(&s, &fp);
-            let out = kmergen_pass::<Kmer64, _>(
-                &pool,
-                &src,
-                &fp,
-                &plan,
-                &all_chunks,
-                &table,
-                pass,
-                false,
-                Some(&filter),
-                |r| r,
-            );
+            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, Some(&filter), |r| r);
             emitted += out.outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
             dropped += out.dropped;
             // No surviving tuple's k-mer may be truly frequent: estimates
@@ -504,25 +381,7 @@ mod tests {
             let plan = RangePlan::build(&mh, 1, 2, 2);
             (s, fp, plan)
         };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let table = plan.bin_owner_table();
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
-        let src = mem_source(&s, &fp);
-        let out = kmergen_pass::<Kmer128, _>(
-            &pool,
-            &src,
-            &fp,
-            &plan,
-            &all_chunks,
-            &table,
-            0,
-            false,
-            None,
-            |r| r,
-        );
+        let out = run_kmergen::<Kmer128>(&s, &fp, &plan, 1, 0, None, |r| r);
         let total: u64 = out.outgoing.iter().map(|v| v.len() as u64).sum();
         assert_eq!(total, fp.total());
     }

@@ -17,9 +17,9 @@
 //! ```
 //!
 //! Entry point: [`Pipeline::run_reads`]. Configuration: [`PipelineConfig`]
-//! (k, m, passes, tasks, threads, k-mer frequency filter, LocalCC-Opt,
-//! 4-lane KmerGen). Results carry component labels, per-task per-step
-//! timings, communication volumes and both modeled and measured memory.
+//! (k, m, passes, tasks, threads, k-mer frequency filter, LocalCC-Opt).
+//! Results carry component labels, per-task per-step timings,
+//! communication volumes and both modeled and measured memory.
 
 pub mod checkpoint;
 pub mod config;
@@ -32,7 +32,7 @@ pub mod planner;
 pub mod source;
 pub mod timings;
 
-pub use checkpoint::{plan_fingerprint, Checkpoint, CkptError, CkptPhase, PlanCheckpoint};
+pub use checkpoint::{plan_fingerprint, Checkpoint, CkptError, PlanCheckpoint, Progress};
 pub use config::{PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use memmodel::MemoryReport;
 pub use output::{

@@ -19,9 +19,10 @@
 //! received per-sender parts plus the partitioned destination during the
 //! scatter, then the destination plus its radix scratch (`2 × kmer_in`),
 //! with the all-to-all moment (`kmer_out + kmer_in`) as the other
-//! candidate. The unfused path's third concat copy no longer exists;
-//! capacity the pooled pass buffers carry between passes is covered by
-//! the allocator-measured footprint, not this model.
+//! candidate. Capacity the pooled pass buffers carry between passes is
+//! covered by the allocator-measured footprint, not this model.
+
+use crate::planner::PlanInputs;
 
 /// Per-task memory report.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
@@ -45,34 +46,21 @@ pub struct MemoryReport {
 }
 
 impl MemoryReport {
-    /// Build the modeled part.
-    ///
-    /// * `m` — m-mer prefix length; `c` — chunk count; `t` — threads/task;
-    /// * `s_c` — average chunk size in bytes;
-    /// * `total_tuples` — dataset k-mer count (`M` upper bound);
-    /// * `packed_tuple_bytes` — 12 for `k <= 32`, 20 above;
-    /// * `passes`/`tasks` — `S`/`P`; `reads` — fragment count `R`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn model(
-        m: usize,
-        c: usize,
-        t: usize,
-        s_c: u64,
-        total_tuples: u64,
-        packed_tuple_bytes: usize,
-        passes: usize,
-        tasks: usize,
-        reads: u64,
-    ) -> Self {
-        let table = 4u64.pow(m as u32 + 1);
-        let per_pass_task = total_tuples.div_ceil(passes as u64 * tasks as u64);
+    /// Evaluate the §3.7 model for `inputs` at `passes` passes (`S`) — the
+    /// single entrance to the model, shared by the planner and the run's
+    /// report.
+    pub fn model(inputs: &PlanInputs, passes: usize) -> Self {
+        let table = 4u64.pow(inputs.m as u32 + 1);
+        let per_pass_task = inputs
+            .total_tuples
+            .div_ceil(passes as u64 * inputs.tasks as u64);
         Self {
             merhist_bytes: table,
-            fastqpart_bytes: table * c as u64,
-            fastq_buffer_bytes: t as u64 * s_c,
-            kmer_out_bytes: per_pass_task * packed_tuple_bytes as u64,
-            kmer_in_bytes: per_pass_task * packed_tuple_bytes as u64,
-            component_bytes: 8 * reads,
+            fastqpart_bytes: table * inputs.chunks as u64,
+            fastq_buffer_bytes: inputs.threads as u64 * inputs.avg_chunk_bytes,
+            kmer_out_bytes: per_pass_task * inputs.packed_tuple_bytes as u64,
+            kmer_in_bytes: per_pass_task * inputs.packed_tuple_bytes as u64,
+            component_bytes: 8 * inputs.reads,
             measured_peak_tuples: 0,
             measured_peak_tuple_bytes: 0,
         }
@@ -108,17 +96,17 @@ mod tests {
         // per-task totals of ~49 GB. Check the model reproduces those
         // magnitudes with the paper's inputs.
         let tuples_total: u64 = 8 * 16 * 1_300_000_000; // per paper's ~1.3B/task/pass
-        let r = MemoryReport::model(
-            10,            // m = 10
-            1536,          // C
-            24,            // T
-            300_000_000,   // s_c ≈ 0.3 GB
-            tuples_total,  // M
-            12,            // 12-byte tuples
-            8,             // S
-            16,            // P
-            1_130_000_000, // R = 1.13e9
-        );
+        let inputs = PlanInputs {
+            m: 10,
+            chunks: 1536,
+            threads: 24,
+            avg_chunk_bytes: 300_000_000, // s_c ≈ 0.3 GB
+            total_tuples: tuples_total,
+            packed_tuple_bytes: 12,
+            tasks: 16,
+            reads: 1_130_000_000, // R = 1.13e9
+        };
+        let r = MemoryReport::model(&inputs, 8);
         let gb = |x: u64| x as f64 / 1e9;
         assert!(
             (gb(r.fastqpart_bytes) - 6.4).abs() < 1.0,
@@ -134,9 +122,17 @@ mod tests {
 
     #[test]
     fn more_passes_less_memory() {
-        let mk = |s: usize| {
-            MemoryReport::model(8, 64, 4, 1 << 20, 100_000_000, 12, s, 4, 1_000_000).total_modeled()
+        let inputs = PlanInputs {
+            m: 8,
+            chunks: 64,
+            threads: 4,
+            avg_chunk_bytes: 1 << 20,
+            total_tuples: 100_000_000,
+            packed_tuple_bytes: 12,
+            tasks: 4,
+            reads: 1_000_000,
         };
+        let mk = |s: usize| MemoryReport::model(&inputs, s).total_modeled();
         assert!(mk(2) < mk(1));
         assert!(mk(8) < mk(2));
     }
@@ -152,7 +148,17 @@ mod tests {
 
     #[test]
     fn total_sums_components() {
-        let r = MemoryReport::model(4, 2, 1, 10, 100, 12, 1, 1, 5);
+        let inputs = PlanInputs {
+            m: 4,
+            chunks: 2,
+            threads: 1,
+            avg_chunk_bytes: 10,
+            total_tuples: 100,
+            packed_tuple_bytes: 12,
+            tasks: 1,
+            reads: 5,
+        };
+        let r = MemoryReport::model(&inputs, 1);
         assert_eq!(
             r.total_modeled(),
             r.merhist_bytes

@@ -1,8 +1,15 @@
 //! Pipeline orchestration: the distributed METAPREP flow.
+//!
+//! A task's timeline is a sequence of [`Boundary`] values — `Pass(s)` for
+//! every planned pass, then `MergeRound(r)` for every level of the merge
+//! tree — each a quiescent point where the task may crash and where what
+//! it carries onward (`TaskState`) is exactly what a checkpoint stores.
+//! `Task::drive` walks that sequence; the stage functions after it each
+//! do one step's work and hand typed values to the next.
 
-use crate::checkpoint::{plan_fingerprint, Checkpoint, CkptPhase, PlanCheckpoint};
+use crate::checkpoint::{plan_fingerprint, Forest, PlanCheckpoint, Progress, TaskState};
 use crate::config::{PipelineConfig, PipelineError};
-use crate::kmergen::{expected_incoming, kmergen_pass, PipelineKmer};
+use crate::kmergen::{expected_incoming, kmergen_pass, KmerGenOutput, PipelineKmer};
 use crate::localcc::{localcc_pass, thread_offsets_of, LocalCcStats};
 use crate::memmodel::MemoryReport;
 use crate::planner::{plan_passes, PlanInputs};
@@ -12,7 +19,7 @@ use metaprep_cc::{
     absorb_parent_array, absorb_sparse_pairs, sparse_pairs, ComponentStats, ConcurrentDisjointSet,
     DisjointSet,
 };
-use metaprep_dist::collectives::{alltoall_obs, broadcast_obs};
+use metaprep_dist::collectives::{alltoall_obs, broadcast};
 use metaprep_dist::{
     run_cluster, run_cluster_faulted, run_supervised, Boundary, ClusterConfig, CommStats, Payload,
     TaskCtx,
@@ -20,14 +27,17 @@ use metaprep_dist::{
 use metaprep_index::{FastqPart, MerHist, RangePlan};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
-use metaprep_norm::{HighFreqFilter, SketchParams};
+use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
 use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent, TaskObs};
 use metaprep_sort::{fused_local_sort, PassBuffers};
 use std::path::Path;
 use std::time::Duration;
 
-/// Message type moved between simulated tasks.
+/// Message type moved between simulated tasks. One enum for all phases:
+/// a channel matrix per phase would cost more than the `unreachable!`
+/// arms below, which guard a case `drive` cannot produce.
+#[derive(Clone)]
 enum Msg<T> {
     /// k-mer tuples (KmerGen-Comm).
     Tuples(Vec<T>),
@@ -36,19 +46,6 @@ enum Msg<T> {
     /// Sparse `(vertex, root)` component pairs (Merge-Comm with the
     /// `merge_sparse` option).
     SparseParents(Vec<(u32, u32)>),
-}
-
-impl<T> Clone for Msg<T>
-where
-    T: Clone,
-{
-    fn clone(&self) -> Self {
-        match self {
-            Msg::Tuples(v) => Msg::Tuples(v.clone()),
-            Msg::Parents(v) => Msg::Parents(v.clone()),
-            Msg::SparseParents(v) => Msg::SparseParents(v.clone()),
-        }
-    }
 }
 
 impl<T: Send + 'static> Payload for Msg<T> {
@@ -98,6 +95,14 @@ impl PipelineResult {
     }
 }
 
+/// What IndexCreate builds: the two histogram tables, plus the presolve
+/// sketch when that tier is on.
+struct IndexTables {
+    merhist: MerHist,
+    fastqpart: FastqPart,
+    sketch: Option<CountMinSketch>,
+}
+
 /// A configured METAPREP pipeline.
 pub struct Pipeline {
     cfg: PipelineConfig,
@@ -137,61 +142,28 @@ impl Pipeline {
                 "fragment count must be < u32::MAX".into(),
             ));
         }
-        // ---- IndexCreate (sequential, timed; paper Table 5) ----
-        let clock = rec.clock();
-        let t0_ns = clock.now_ns();
-        let c = self.cfg.effective_chunks();
-        // With the presolve tier on, the same IndexCreate scan also feeds
-        // the count-min sketch — no extra pass over the reads.
-        let (merhist, sketch) = match self.cfg.presolve_threshold {
+        // IndexCreate (sequential, timed; paper Table 5). With the
+        // presolve tier on, the same scan also feeds the count-min sketch —
+        // no extra pass over the reads.
+        let cfg = &self.cfg;
+        let t0_ns = rec.clock().now_ns();
+        let (merhist, sketch) = match cfg.presolve_threshold {
             Some(_) => {
-                let (h, s) =
-                    MerHist::build_sketched(reads, self.cfg.k, self.cfg.m, self.cfg.sketch);
+                let (h, s) = MerHist::build_sketched(reads, cfg.k, cfg.m, cfg.sketch);
                 (h, Some(s))
             }
-            None => (MerHist::build(reads, self.cfg.k, self.cfg.m), None),
+            None => (MerHist::build(reads, cfg.k, cfg.m), None),
         };
-        let fastqpart = FastqPart::build(reads, c, self.cfg.k, self.cfg.m);
-        let t1_ns = clock.now_ns();
-        // Derive the duration from the span's own endpoints so a report
-        // built from the exported events reproduces it exactly.
-        let index_create = Duration::from_nanos(t1_ns.saturating_sub(t0_ns));
-        rec.record_span(SpanEvent {
-            task: 0,
-            name: INDEX_CREATE,
-            pass: None,
-            detail: None,
-            start_ns: t0_ns,
-            end_ns: t1_ns,
-            // Driver-side span, outside any task's causal timeline.
-            lamport: 0,
-        });
-        let filter = sketch
-            .zip(self.cfg.presolve_threshold)
-            .map(|(s, t)| HighFreqFilter::new(s, t));
-        let specs = fastqpart.chunks().iter().map(|r| r.spec).collect();
+        let fastqpart = FastqPart::build(reads, cfg.effective_chunks(), cfg.k, cfg.m);
+        let t1_ns = rec.clock().now_ns();
+        let tables = IndexTables {
+            merhist,
+            fastqpart,
+            sketch,
+        };
+        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
         let source = MemorySource::new(reads, specs);
-        if self.cfg.k <= 32 {
-            run_generic::<Kmer64, _>(
-                &self.cfg,
-                &source,
-                &merhist,
-                &fastqpart,
-                filter.as_ref(),
-                index_create,
-                rec,
-            )
-        } else {
-            run_generic::<Kmer128, _>(
-                &self.cfg,
-                &source,
-                &merhist,
-                &fastqpart,
-                filter.as_ref(),
-                index_create,
-                rec,
-            )
-        }
+        self.run_indexed(tables, &source, (t0_ns, t1_ns), rec)
     }
 
     /// Run the pipeline directly over a FASTQ *file*: IndexCreate scans the
@@ -218,61 +190,55 @@ impl Pipeline {
             .validate()
             .map_err(|e| PipelineError::InvalidConfig(e.to_string()))?;
         let path = path.as_ref();
+        // IndexCreate from the file (streaming, thread-parallel).
+        let t0_ns = rec.clock().now_ns();
+        let (tables, total_seqs) = index_fastq_file(path, paired, &self.cfg, rec)?;
+        let t1_ns = rec.clock().now_ns();
+        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
+        let source = FileSource::new(path.to_path_buf(), specs, paired, total_seqs);
+        self.run_indexed(tables, &source, (t0_ns, t1_ns), rec)
+    }
 
-        // ---- IndexCreate from the file (streaming, thread-parallel) ----
-        let clock = rec.clock();
-        let t0_ns = clock.now_ns();
-        let (merhist, fastqpart, total_seqs, sketch) = index_fastq_file(
-            path,
-            paired,
-            self.cfg.effective_chunks(),
-            self.cfg.k,
-            self.cfg.m,
-            self.cfg.index_window,
-            self.cfg.tasks * self.cfg.threads,
-            self.cfg.presolve_threshold.map(|_| self.cfg.sketch),
-            rec,
-        )?;
-        let t1_ns = clock.now_ns();
-        let index_create = Duration::from_nanos(t1_ns.saturating_sub(t0_ns));
-        rec.record_span(SpanEvent {
-            task: 0,
-            name: INDEX_CREATE,
-            pass: None,
-            detail: None,
-            start_ns: t0_ns,
-            end_ns: t1_ns,
-            // Driver-side span, outside any task's causal timeline.
-            lamport: 0,
-        });
-
-        let filter = sketch
+    /// Everything after IndexCreate, for either chunk source: record its
+    /// span, arm the presolve filter, and pick the tuple width for `k`.
+    fn run_indexed<S: ChunkSource>(
+        &self,
+        mut tables: IndexTables,
+        source: &S,
+        (start_ns, end_ns): (u64, u64),
+        rec: &dyn Recorder,
+    ) -> Result<PipelineResult, PipelineError> {
+        record_driver_span(rec, INDEX_CREATE, start_ns, end_ns);
+        // Derive the duration from the span's own endpoints so a report
+        // built from the exported events reproduces it exactly.
+        let index_create = Duration::from_nanos(end_ns.saturating_sub(start_ns));
+        let filter = tables
+            .sketch
+            .take()
             .zip(self.cfg.presolve_threshold)
             .map(|(s, t)| HighFreqFilter::new(s, t));
-        let specs = fastqpart.chunks().iter().map(|r| r.spec).collect();
-        let source = FileSource::new(path.to_path_buf(), specs, paired, total_seqs);
-        if self.cfg.k <= 32 {
-            run_generic::<Kmer64, _>(
-                &self.cfg,
-                &source,
-                &merhist,
-                &fastqpart,
-                filter.as_ref(),
-                index_create,
-                rec,
-            )
+        let (cfg, filter) = (&self.cfg, filter.as_ref());
+        let run = if cfg.k <= 32 {
+            run_generic::<Kmer64, S>
         } else {
-            run_generic::<Kmer128, _>(
-                &self.cfg,
-                &source,
-                &merhist,
-                &fastqpart,
-                filter.as_ref(),
-                index_create,
-                rec,
-            )
-        }
+            run_generic::<Kmer128, S>
+        };
+        run(cfg, source, &tables, filter, index_create, rec)
     }
+}
+
+/// Record a span of the driver thread on task 0's timeline. Lamport 0:
+/// it lies outside every task's causal timeline.
+fn record_driver_span(rec: &dyn Recorder, name: &'static str, start_ns: u64, end_ns: u64) {
+    rec.record_span(SpanEvent {
+        task: 0,
+        name,
+        pass: None,
+        detail: None,
+        start_ns,
+        end_ns,
+        lamport: 0,
+    });
 }
 
 /// Build the index tables by scanning a FASTQ file once with the streaming
@@ -280,46 +246,38 @@ impl Pipeline {
 /// are histogrammed thread-parallel from byte-range reads, and the file is
 /// never materialized whole (`metaprep_index::index_fastq_file_streaming`).
 /// The sequence count is range-checked into the pipeline's 32-bit id space.
-#[allow(clippy::too_many_arguments)]
 fn index_fastq_file(
-    path: &std::path::Path,
+    path: &Path,
     paired: bool,
-    c: usize,
-    k: usize,
-    m: usize,
-    window: usize,
-    threads: usize,
-    sketch: Option<SketchParams>,
+    cfg: &PipelineConfig,
     rec: &dyn Recorder,
-) -> Result<
-    (
-        MerHist,
-        FastqPart,
-        u32,
-        Option<metaprep_norm::CountMinSketch>,
-    ),
-    PipelineError,
-> {
+) -> Result<(IndexTables, u32), PipelineError> {
     use metaprep_index::{index_fastq_file_streaming_sketched_recorded, StreamingOptions};
-    let (merhist, fastqpart, total_seqs, cms) = index_fastq_file_streaming_sketched_recorded(
+    let (merhist, fastqpart, total_seqs, sketch) = index_fastq_file_streaming_sketched_recorded(
         path,
         paired,
-        c,
-        k,
-        m,
-        StreamingOptions { window, threads },
-        sketch,
+        cfg.effective_chunks(),
+        cfg.k,
+        cfg.m,
+        StreamingOptions {
+            window: cfg.index_window,
+            threads: cfg.tasks * cfg.threads,
+        },
+        cfg.presolve_threshold.map(|_| cfg.sketch),
         rec,
     )
     .map_err(|e| PipelineError::InvalidInput(format!("index {path:?}: {e}")))?;
-    let total_seqs = guard_total_seqs(total_seqs, paired)?;
-    Ok((merhist, fastqpart, total_seqs, cms))
+    let tables = IndexTables {
+        merhist,
+        fastqpart,
+        sketch,
+    };
+    Ok((tables, guard_total_seqs(total_seqs, paired)?))
 }
 
 /// Checked conversion of a streamed sequence count into the pipeline's
-/// 32-bit id space, mirroring `run_reads`' `u32::MAX` fragment guard. The
-/// old code accumulated `total_seqs += store.len() as u32`, which silently
-/// wrapped in release builds on >4Gi-read inputs.
+/// 32-bit id space, mirroring `run_reads`' `u32::MAX` fragment guard: an
+/// unchecked `as u32` would silently wrap on >4Gi-read inputs.
 fn guard_total_seqs(total_seqs: u64, paired: bool) -> Result<u32, PipelineError> {
     let fragments = if paired { total_seqs / 2 } else { total_seqs };
     if total_seqs > u32::MAX as u64 || fragments >= u32::MAX as u64 {
@@ -331,124 +289,109 @@ fn guard_total_seqs(total_seqs: u64, paired: bool) -> Result<u32, PipelineError>
     Ok(total_seqs as u32)
 }
 
-/// Per-task return value from the cluster run.
-struct TaskOutput {
-    timings: TaskTimings,
-    labels: Option<Vec<u32>>,
-    tuples_emitted: u64,
-    peak_tuples: u64,
-    presolve_dropped: u64,
-    localcc: LocalCcStats,
-    lc_reads: u64,
-    other_reads: u64,
+/// Everything about a run that every rank reads and none mutates: built
+/// once by `run_generic`, borrowed by every task.
+pub(crate) struct RunCtx<'a, S> {
+    pub(crate) cfg: &'a PipelineConfig,
+    pub(crate) source: &'a S,
+    pub(crate) fastqpart: &'a FastqPart,
+    /// The pass/task/thread k-mer ranges. Its pass count is the one that
+    /// runs — it differs from `cfg.passes` when the planner chose it.
+    pub(crate) plan: &'a RangePlan,
+    /// The plan's m-mer-bin → `pass * P + task` table.
+    pub(crate) bin_owner: Vec<u32>,
+    pub(crate) filter: Option<&'a HighFreqFilter>,
 }
 
-#[allow(clippy::too_many_arguments)]
+impl<S> RunCtx<'_, S> {
+    /// The task timeline from `resume_at` on: the remaining passes, then
+    /// the remaining `ceil(log2 P)` merge rounds (Figure 4).
+    fn boundaries_from(&self, resume_at: Boundary) -> impl Iterator<Item = Boundary> {
+        let passes = self.plan.passes() as u32;
+        let rounds = self.plan.tasks().next_power_of_two().trailing_zeros();
+        let (pass, round) = match resume_at {
+            Boundary::Pass(s) => (s, 0),
+            Boundary::MergeRound(r) => (passes, r),
+        };
+        let merge = (round..rounds).map(Boundary::MergeRound);
+        (pass..passes).map(Boundary::Pass).chain(merge)
+    }
+}
+
 fn run_generic<K: PipelineKmer, S: ChunkSource>(
     cfg: &PipelineConfig,
     source: &S,
-    merhist: &MerHist,
-    fastqpart: &FastqPart,
+    tables: &IndexTables,
     filter: Option<&HighFreqFilter>,
-    index_create: std::time::Duration,
+    index_create: Duration,
     rec: &dyn Recorder,
 ) -> Result<PipelineResult, PipelineError> {
-    let r = source.num_fragments() as usize;
-    let avg_chunk_bytes = if fastqpart.is_empty() {
-        0
-    } else {
-        fastqpart
-            .chunks()
-            .iter()
-            .map(|ch| ch.spec.bytes)
-            .sum::<u64>()
-            / fastqpart.len() as u64
+    let (merhist, fastqpart) = (&tables.merhist, &tables.fastqpart);
+    let chunk_bytes: u64 = fastqpart.chunks().iter().map(|ch| ch.spec.bytes).sum();
+    // The §3.7 model's inputs, shared by the planner and the report.
+    let inputs = PlanInputs {
+        m: cfg.m,
+        chunks: fastqpart.len(),
+        threads: cfg.threads,
+        avg_chunk_bytes: chunk_bytes.checked_div(fastqpart.len() as u64).unwrap_or(0),
+        total_tuples: merhist.total(),
+        packed_tuple_bytes: K::PACKED_TUPLE_BYTES,
+        tasks: cfg.tasks,
+        reads: u64::from(source.num_fragments()),
     };
 
     // ---- Pass planning: invert the §3.7 memory model for the budget ----
-    let clock = rec.clock();
-    let plan_t0_ns = clock.now_ns();
+    let plan_t0_ns = rec.clock().now_ns();
     let passes = match cfg.memory_budget {
-        Some(budget) => {
-            let inputs = PlanInputs {
-                m: cfg.m,
-                chunks: fastqpart.len(),
-                threads: cfg.threads,
-                avg_chunk_bytes,
-                total_tuples: merhist.total(),
-                packed_tuple_bytes: K::PACKED_TUPLE_BYTES,
-                tasks: cfg.tasks,
-                reads: r as u64,
-            };
-            if cfg.passes_explicit {
-                // An explicit --passes wins over the planner, but it still
-                // has to fit the budget it was paired with.
-                let modeled = inputs.modeled_at(cfg.passes);
-                if modeled > budget {
-                    return Err(PipelineError::InvalidConfig(format!(
-                        "explicit passes={} models {modeled} B/task, over the {budget} B \
-                         memory budget; drop --passes to let the planner choose, or \
-                         raise the budget",
-                        cfg.passes
-                    )));
-                }
-                cfg.passes
-            } else {
-                plan_passes(&inputs, budget)?.passes
+        // An explicit --passes wins over the planner, but it still has to
+        // fit the budget it was paired with.
+        Some(budget) if cfg.passes_explicit => {
+            let modeled = inputs.modeled_at(cfg.passes);
+            if modeled > budget {
+                return Err(PipelineError::InvalidConfig(format!(
+                    "explicit passes={} models {modeled} B/task, over the {budget} B \
+                     memory budget; drop --passes to let the planner choose, or \
+                     raise the budget",
+                    cfg.passes
+                )));
             }
+            cfg.passes
         }
+        Some(budget) => plan_passes(&inputs, budget)?.passes,
         None => cfg.passes,
     };
     let plan = RangePlan::build(merhist, passes, cfg.tasks, cfg.threads);
     // Persist (or verify) the plan artifact so a crash-restarted run
     // provably replays the same pass geometry.
     if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-        verify_or_store_plan(dir, cfg, merhist, &plan, passes)?;
+        plan_artifact(cfg, merhist, &plan)
+            .verify_or_store(dir)
+            .map_err(|e| PipelineError::InvalidInput(format!("plan.ckpt: {e}")))?;
     }
-    let plan_t1_ns = clock.now_ns();
-    rec.record_span(SpanEvent {
-        task: 0,
-        name: PASS_PLAN,
-        pass: None,
-        detail: None,
-        start_ns: plan_t0_ns,
-        end_ns: plan_t1_ns,
-        // Driver-side span, outside any task's causal timeline.
-        lamport: 0,
-    });
-    let bin_owner = plan.bin_owner_table();
+    record_driver_span(rec, PASS_PLAN, plan_t0_ns, rec.clock().now_ns());
 
-    // Chunk ownership: round-robin over tasks (chunks are size-balanced by
-    // construction, so this is the paper's static assignment).
-    let owner_of_chunk: Vec<usize> = (0..fastqpart.len()).map(|i| i % cfg.tasks).collect();
-
+    let run_ctx = RunCtx {
+        cfg,
+        source,
+        fastqpart,
+        plan: &plan,
+        bin_owner: plan.bin_owner_table(),
+        filter,
+    };
     let mut cluster = ClusterConfig::new(cfg.tasks, cfg.threads);
     if let Some(ms) = cfg.watchdog_timeout_ms {
         cluster = cluster.with_watchdog_timeout(Duration::from_millis(ms));
     }
-    let body = |ctx: &mut TaskCtx<Msg<K::Tuple>>| {
-        task_body::<K, S>(
-            ctx,
-            cfg,
-            source,
-            fastqpart,
-            &plan,
-            &bin_owner,
-            &owner_of_chunk,
-            filter,
-            r,
-            rec,
-        )
-    };
+    let body = |ctx: &mut TaskCtx<Msg<K::Tuple>>| run_task::<K, S>(ctx, &run_ctx, rec);
     let run = match &cfg.fault_plan {
         Some(fault_plan) => {
             let mut fault_plan = fault_plan.clone();
             if let Some(n) = cfg.max_retries {
                 fault_plan.delivery.max_retries = n;
             }
-            run_cluster_faulted::<Msg<K::Tuple>, TaskOutput, _>(cluster, &fault_plan, body)
+            run_cluster_faulted(cluster, &fault_plan, body)
         }
-        None => run_cluster::<Msg<K::Tuple>, TaskOutput, _>(cluster, body),
+        None => run_cluster(cluster, body),
     };
 
     // ---- assemble the result ----
@@ -457,49 +400,34 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
     debug_assert_eq!(metaprep_dist::check_conservation(&run.stats), Ok(()));
     let mut labels = None;
     let mut per_task = Vec::with_capacity(cfg.tasks);
-    let mut tuples_total = 0u64;
-    let mut presolve_dropped = 0u64;
-    let mut localcc = LocalCcStats::default();
-    let mut peak_tuples = 0u64;
+    let mut total = Progress::default();
     let (mut lc_reads_written, mut other_reads_written) = (0u64, 0u64);
     for out in run.results {
         per_task.push(out.timings);
-        tuples_total += out.tuples_emitted;
-        presolve_dropped += out.presolve_dropped;
-        localcc.merge(out.localcc);
-        peak_tuples = peak_tuples.max(out.peak_tuples);
+        total.tuples_emitted += out.progress.tuples_emitted;
+        total.presolve_dropped += out.progress.presolve_dropped;
+        total.localcc.merge(out.progress.localcc);
+        total.peak_tuples = total.peak_tuples.max(out.progress.peak_tuples);
         lc_reads_written += out.lc_reads;
         other_reads_written += out.other_reads;
-        if let Some(l) = out.labels {
-            labels = Some(l);
-        }
+        labels = labels.or(out.labels);
     }
-    // EXPECT: the CC phase gathers component labels to rank 0, so exactly one task output carries `Some`.
+    // EXPECT: CC-I/O broadcasts the labels from rank 0, so exactly one task result carries `Some`.
     let labels = labels.expect("rank 0 must produce labels");
     let components = ComponentStats::from_component_array(&labels);
 
     // The differential guarantee of the presolve tier: every enumerated
     // k-mer occurrence was either shipped as a tuple or explicitly dropped
-    // by the filter — never silently lost. Promoted to a release assert
-    // like the receive-count check.
+    // by the filter — never silently lost. A release assert, like the
+    // receive-count check.
     assert_eq!(
-        tuples_total + presolve_dropped,
+        total.tuples_emitted + total.presolve_dropped,
         merhist.total(),
         "presolve conservation: emitted + dropped must equal the merHist total"
     );
 
-    let mut memory = MemoryReport::model(
-        cfg.m,
-        fastqpart.len(),
-        cfg.threads,
-        avg_chunk_bytes,
-        merhist.total(),
-        K::PACKED_TUPLE_BYTES,
-        passes,
-        cfg.tasks,
-        r as u64,
-    );
-    memory.record_peak(peak_tuples, std::mem::size_of::<K::Tuple>());
+    let mut memory = MemoryReport::model(&inputs, passes);
+    memory.record_peak(total.peak_tuples, std::mem::size_of::<K::Tuple>());
 
     // Driver-side counters: communication volume comes from the cluster's
     // own byte/message accounting (the single source of truth — the
@@ -541,483 +469,396 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
         },
         comm: run.stats,
         memory,
-        tuples_total,
-        localcc,
+        tuples_total: total.tuples_emitted,
+        localcc: total.localcc,
         lc_reads_written,
         other_reads_written,
-        presolve_dropped,
+        presolve_dropped: total.presolve_dropped,
         planned_passes: passes,
     })
 }
 
-/// Persist the adaptive pass plan under `dir`, or — when an artifact with
-/// the same input fingerprint already exists (a restarted run) — verify
-/// the recomputed plan matches it byte for byte. A same-fingerprint
-/// mismatch means planning was not a pure function of its inputs, which
-/// would silently break checkpoint replay; fail loudly instead. A
-/// different fingerprint is just a stale artifact from another run and is
-/// overwritten.
-fn verify_or_store_plan(
-    dir: &Path,
-    cfg: &PipelineConfig,
-    merhist: &MerHist,
-    plan: &RangePlan,
-    passes: usize,
-) -> Result<(), PipelineError> {
-    let fingerprint = plan_fingerprint(
-        merhist.counts(),
-        cfg.k,
-        cfg.m,
-        cfg.tasks,
-        cfg.threads,
-        cfg.memory_budget,
-    );
+/// The pass plan as persisted next to the per-rank checkpoints.
+fn plan_artifact(cfg: &PipelineConfig, merhist: &MerHist, plan: &RangePlan) -> PlanCheckpoint {
+    let passes = plan.passes();
     let mut bounds: Vec<u128> = (0..passes).map(|s| plan.pass_range(s).0).collect();
     bounds.push(plan.pass_range(passes - 1).1);
-    let ck = PlanCheckpoint {
+    let (k, m, tasks, threads) = (cfg.k, cfg.m, cfg.tasks, cfg.threads);
+    PlanCheckpoint {
         passes: passes as u32,
-        tasks: cfg.tasks as u32,
-        threads: cfg.threads as u32,
-        fingerprint,
+        tasks: tasks as u32,
+        threads: threads as u32,
+        fingerprint: plan_fingerprint(merhist.counts(), k, m, tasks, threads, cfg.memory_budget),
         bounds,
-    };
-    let to_err =
-        |e: crate::checkpoint::CkptError| PipelineError::InvalidInput(format!("plan.ckpt: {e}"));
-    match PlanCheckpoint::load(dir).map_err(to_err)? {
-        Some(prev) if prev.fingerprint == fingerprint => {
-            if prev != ck {
-                return Err(PipelineError::InvalidInput(format!(
-                    "plan.ckpt disagrees with the recomputed plan for the same inputs \
-                     (stored {} passes, recomputed {})",
-                    prev.passes, ck.passes
-                )));
-            }
-            Ok(())
-        }
-        _ => ck.store(dir).map_err(to_err),
     }
 }
 
-/// What one (possibly restarted) attempt of a task's body produces —
-/// [`TaskOutput`] minus the span-derived timings, which are computed
-/// once after the supervisor loop settles.
-struct AttemptOutput {
+/// Per-task return value from the cluster run.
+struct TaskResult {
+    timings: TaskTimings,
     labels: Option<Vec<u32>>,
-    tuples_emitted: u64,
-    peak_tuples: u64,
-    presolve_dropped: u64,
-    localcc: LocalCcStats,
+    progress: Progress,
     lc_reads: u64,
     other_reads: u64,
 }
 
-/// Persist `ck` under `dir`, recording the write as a [`CHECKPOINT`]
-/// span (`pass`/`detail` name the boundary) and bumping the counter.
-fn write_checkpoint(obs: &mut TaskObs<'_>, dir: &Path, ck: &Checkpoint, detail: Option<u32>) {
-    let t0 = obs.open();
-    // EXPECT: a checkpoint that cannot be persisted would leave a later restart silently unprotected — abort the run instead.
-    ck.store(dir).expect("checkpoint write failed");
-    obs.close_detail(t0, CHECKPOINT, None, detail);
-    obs.add(CounterKind::CheckpointWrites, 1);
+/// What a merge round did to this task.
+enum MergeOutcome {
+    /// Received and absorbed a peer's components: the forest changed.
+    Absorbed,
+    /// No partner at this level of the tree.
+    Idle,
+    /// Sent its components downhill; takes no part in later rounds.
+    Retired,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn task_body<K: PipelineKmer, S: ChunkSource>(
-    ctx: &mut TaskCtx<Msg<K::Tuple>>,
-    cfg: &PipelineConfig,
-    source: &S,
-    fastqpart: &FastqPart,
-    plan: &RangePlan,
-    bin_owner: &[u32],
-    owner_of_chunk: &[usize],
-    filter: Option<&HighFreqFilter>,
-    r: usize,
-    rec: &dyn Recorder,
-) -> TaskOutput {
-    let rank = ctx.rank();
-    // Every step is recorded as a span; `TaskTimings` is derived from the
-    // spans at the end so the exported trace and the in-process timings
-    // can never disagree. The observer lives OUTSIDE the supervised
-    // restart loop: spans and counters from work completed before a crash
-    // really happened and stay in the trace, and the task's Lamport clock
-    // keeps its continuity across restarts.
-    let mut obs = TaskObs::new(rec, rank as u32);
-    let my_chunks: Vec<usize> = (0..fastqpart.len())
-        .filter(|&i| owner_of_chunk[i] == rank)
-        .collect();
+/// Run `work` as a span named `name`; `pass`/`detail` say which pass or
+/// round it belongs to.
+fn in_span<R>(
+    obs: &mut TaskObs<'_>,
+    name: &'static str,
+    pass: Option<u32>,
+    detail: Option<u32>,
+    work: impl FnOnce(&mut TaskObs<'_>) -> R,
+) -> R {
+    let open = obs.open();
+    let out = work(obs);
+    obs.close_detail(open, name, pass, detail);
+    out
+}
 
+/// One rank's handles on the run, shared by the driver and every stage.
+struct Task<'t, K: PipelineKmer, S> {
+    ctx: &'t TaskCtx<Msg<K::Tuple>>,
+    run: &'t RunCtx<'t, S>,
+    my_chunks: Vec<usize>,
+    /// Lives OUTSIDE the supervised restart loop: spans and counters from
+    /// work completed before a crash really happened and stay in the
+    /// trace, and the task's Lamport clock keeps its continuity across
+    /// restarts.
+    obs: TaskObs<'t>,
+}
+
+/// One rank's whole run: `Task::drive` under the crash supervisor, then
+/// the recovery counters.
+fn run_task<K: PipelineKmer, S: ChunkSource>(
+    ctx: &TaskCtx<Msg<K::Tuple>>,
+    run: &RunCtx<'_, S>,
+    rec: &dyn Recorder,
+) -> TaskResult {
+    let mut task = Task::<K, S> {
+        ctx,
+        run,
+        // Chunk ownership is round-robin over tasks (chunks are
+        // size-balanced by construction, so this is the paper's static
+        // assignment).
+        my_chunks: (ctx.rank()..run.fastqpart.len())
+            .step_by(ctx.size())
+            .collect(),
+        obs: TaskObs::new(rec, ctx.rank() as u32),
+    };
     // Each planned crash fires at most once (the context remembers), so
     // the crash count bounds the restarts a task can ever need.
-    let max_restarts = cfg
-        .fault_plan
-        .as_ref()
-        .map(|fp| fp.crashes.len() as u32)
-        .unwrap_or(0);
-    let (out, restarts) = run_supervised(max_restarts, |restart_no| {
-        attempt_body::<K, S>(
-            ctx, cfg, source, fastqpart, plan, bin_owner, &my_chunks, filter, r, &mut obs,
-            restart_no,
-        )
-    });
+    let crashes = run.cfg.fault_plan.as_ref().map_or(0, |fp| fp.crashes.len());
+    let (out, restarts) = run_supervised(crashes as u32, |restart_no| task.drive(restart_no));
 
     if restarts > 0 {
-        obs.add(CounterKind::TaskRestarts, restarts as u64);
+        task.obs.add(CounterKind::TaskRestarts, restarts as u64);
     }
     if let Some(tally) = ctx.fault_tally() {
         if tally.injected > 0 {
-            obs.add(CounterKind::FaultsInjected, tally.injected);
+            task.obs.add(CounterKind::FaultsInjected, tally.injected);
         }
         if tally.retries > 0 {
-            obs.add(CounterKind::RetryAttempts, tally.retries);
+            task.obs.add(CounterKind::RetryAttempts, tally.retries);
         }
     }
-
-    let tm = TaskTimings::from_spans(obs.spans());
-    obs.finish();
-
-    TaskOutput {
-        timings: tm,
-        labels: out.labels,
-        tuples_emitted: out.tuples_emitted,
-        peak_tuples: out.peak_tuples,
-        presolve_dropped: out.presolve_dropped,
-        localcc: out.localcc,
-        lc_reads: out.lc_reads,
-        other_reads: out.other_reads,
-    }
+    task.obs.finish();
+    out
 }
 
-/// One attempt at the task's pipeline work. On a fresh start
-/// (`restart_no == 0`) this is the whole METAPREP flow; after a
-/// supervised restart it reloads the last checkpoint and resumes at the
-/// boundary the crash interrupted. Crashes only ever fire at boundary
-/// tops — quiescent points where this task owes no in-flight message —
-/// so resuming from the matching checkpoint re-sends nothing and the
-/// replay is exact.
-#[allow(clippy::too_many_arguments)]
-fn attempt_body<K: PipelineKmer, S: ChunkSource>(
-    ctx: &mut TaskCtx<Msg<K::Tuple>>,
-    cfg: &PipelineConfig,
-    source: &S,
-    fastqpart: &FastqPart,
-    plan: &RangePlan,
-    bin_owner: &[u32],
-    my_chunks: &[usize],
-    filter: Option<&HighFreqFilter>,
-    r: usize,
-    obs: &mut TaskObs<'_>,
-    restart_no: u32,
-) -> AttemptOutput {
-    let rank = ctx.rank();
-    let p = ctx.size();
-    let ckpt_dir = cfg.checkpoint_dir.as_deref();
-
-    let mut ds = ConcurrentDisjointSet::new(r);
-    let mut start_pass = 0usize;
-    // `Some(next_round)` when the checkpoint says every pass is folded in
-    // and the merge tree should resume at `next_round`.
-    let mut resume_merge: Option<(u32, Vec<u32>)> = None;
-    let mut tuples_emitted = 0u64;
-    let mut peak_tuples = 0u64;
-    let mut presolve_dropped = 0u64;
-    let mut cc_stats = LocalCcStats::default();
-
-    if restart_no > 0 {
-        let t0 = obs.open();
-        let loaded = match ckpt_dir {
-            Some(dir) => {
-                // EXPECT: an unreadable/corrupt checkpoint after a crash cannot be replayed safely (a from-scratch rerun would re-send consumed messages) — abort.
-                Checkpoint::load(dir, rank as u32).expect("checkpoint load after restart")
-            }
-            None => None,
-        };
-        // No checkpoint on disk means the crash hit the very first
-        // boundary, before any work or sends — a fresh start IS the
-        // exact replay.
-        if let Some(ck) = loaded {
-            tuples_emitted = ck.tuples_emitted;
-            peak_tuples = ck.peak_tuples;
-            presolve_dropped = ck.presolve_dropped;
-            cc_stats = ck.localcc;
-            match ck.phase {
-                CkptPhase::Pass { next_pass } => {
-                    start_pass = next_pass as usize;
-                    ds = ConcurrentDisjointSet::from_parent_array(ck.parents);
+impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
+    /// One attempt at the task's work: start (or, after a supervised
+    /// restart, resume from the last checkpoint) and walk the remaining
+    /// boundaries. Crashes only ever fire at a boundary top — a quiescent
+    /// point where this task owes no in-flight message — so resuming from
+    /// the checkpoint written for that boundary re-sends nothing and the
+    /// replay is exact.
+    fn drive(&mut self, restart_no: u32) -> TaskResult {
+        let (mut st, resume_at) = self.resume(restart_no);
+        for boundary in self.run.boundaries_from(resume_at) {
+            self.ctx.maybe_crash(boundary);
+            // Work that changed the state names the boundary to resume at
+            // and the index its checkpoint span is filed under.
+            let (next, index) = match boundary {
+                Boundary::Pass(s) => {
+                    self.run_pass(&mut st, s);
+                    (Boundary::Pass(s + 1), s)
                 }
-                CkptPhase::Merge { next_round } => {
-                    resume_merge = Some((next_round, ck.parents));
+                Boundary::MergeRound(r) => {
+                    let mut local = st.forest.into_sequential();
+                    let outcome = self.merge_round(&mut local, r);
+                    st.forest = Forest::Sequential(local);
+                    match outcome {
+                        MergeOutcome::Absorbed => (Boundary::MergeRound(r + 1), r),
+                        MergeOutcome::Idle => continue,
+                        MergeOutcome::Retired => break,
+                    }
                 }
+            };
+            if let Some(dir) = self.run.cfg.checkpoint_dir.as_deref() {
+                let rank = self.ctx.rank() as u32;
+                in_span(&mut self.obs, CHECKPOINT, None, Some(index), |_| {
+                    // EXPECT: a checkpoint that cannot be persisted would leave a later restart silently unprotected — abort the run instead.
+                    st.checkpoint(dir, rank, next)
+                        .expect("checkpoint write failed")
+                });
+                self.obs.add(CounterKind::CheckpointWrites, 1);
             }
         }
-        obs.close(t0, TASK_RESTART, None);
+        let (labels, lc_reads, other_reads) = self.cc_io(st.forest.into_sequential());
+        TaskResult {
+            // Derived from the spans, so the exported trace and the
+            // in-process timings can never disagree.
+            timings: TaskTimings::from_spans(self.obs.spans()),
+            labels,
+            progress: st.progress,
+            lc_reads,
+            other_reads,
+        }
     }
 
-    let key_bits = 2 * cfg.k as u32;
-    // Pooled LocalSort buffers: destination, radix scratch, and the
-    // debug-build scatter tracker are allocated on the first pass and
-    // recycled across all passes (the unfused path re-allocated and
-    // zero-initialized both big vectors every pass).
-    let mut sort_bufs: PassBuffers<K::Tuple> = PassBuffers::new();
+    /// The state an attempt starts from and the boundary it starts at: a
+    /// fresh forest at `Pass(0)`, or — on a restart — what the rank's
+    /// checkpoint holds. No checkpoint on disk after a crash means the
+    /// crash hit the very first boundary, before any work or sends, so a
+    /// fresh start IS the exact replay.
+    fn resume(&mut self, restart_no: u32) -> (TaskState<K::Tuple>, Boundary) {
+        let rank = self.ctx.rank() as u32;
+        let restored = match self.run.cfg.checkpoint_dir.as_deref() {
+            Some(dir) if restart_no > 0 => in_span(&mut self.obs, TASK_RESTART, None, None, |_| {
+                // EXPECT: an unreadable/corrupt checkpoint after a crash cannot be replayed safely (a from-scratch rerun would re-send consumed messages) — abort.
+                TaskState::restore(dir, rank).expect("checkpoint load after restart")
+            }),
+            _ => None,
+        };
+        restored.unwrap_or_else(|| {
+            let fragments = self.run.source.num_fragments() as usize;
+            (TaskState::fresh(fragments), Boundary::Pass(0))
+        })
+    }
 
-    let pass_range = if resume_merge.is_some() {
-        // All passes are folded into the checkpointed parent array.
-        0..0
-    } else {
-        // The plan's pass count, not `cfg.passes` — they differ when the
-        // adaptive planner solved `--memory-budget` for the pass count.
-        start_pass..plan.passes()
-    };
-    for pass in pass_range {
-        let pass_u32 = pass as u32;
-        ctx.maybe_crash(Boundary::Pass(pass_u32));
-        // ---- KmerGen (+ simulated I/O) ----
+    /// One pass: the four stages in order, each handing its output to the
+    /// next, and the running totals a checkpoint will need.
+    fn run_pass(&mut self, st: &mut TaskState<K::Tuple>, pass: u32) {
+        let forest = st.forest.concurrent();
+        let gen = self.kmergen(forest, pass);
+        let emitted = tuple_count(&gen.outgoing);
+        st.progress.tuples_emitted += emitted;
+        st.progress.presolve_dropped += gen.dropped;
+
+        let parts = self.exchange(gen.outgoing, pass);
+        let received = tuple_count(&parts);
+        // Per-pass tuple residency peaks twice: during the all-to-all the
+        // outgoing send buffers coexist with the received parts (out + in),
+        // and during the fused LocalSort the received parts coexist with
+        // the partitioned destination during the scatter, then the
+        // destination with its radix scratch (2 * in either way). Capacity
+        // the pooled buffers carry between passes is deliberately not
+        // modeled — the measured allocator peak covers it.
+        let peak = (emitted + received).max(2 * received);
+        st.progress.peak_tuples = st.progress.peak_tuples.max(peak);
+
+        let offsets = self.local_sort(parts, &mut st.sort_bufs, pass);
+        let stats = self.local_cc(forest, st.sort_bufs.sorted(), &offsets, pass);
+        st.progress.localcc.merge(stats);
+    }
+
+    /// KmerGen (+ chunk I/O): enumerate this task's tuples for `pass`.
+    fn kmergen(&mut self, forest: &ConcurrentDisjointSet, pass: u32) -> KmerGenOutput<K::Tuple> {
+        let pass_start = self.obs.open();
+        let use_opt = self.run.cfg.cc_opt && pass > 0;
+        let read_label = |frag| if use_opt { forest.find(frag) } else { frag };
+        let (pool, chunks) = (self.ctx.pool(), &self.my_chunks);
+        let gen = kmergen_pass::<K, S>(pool, self.run, chunks, pass as usize, read_label);
         // I/O and generation time are CPU-nanos summed across the pool's
         // threads, not one wall interval — anchor them back-to-back at the
         // pass start so the trace still shows where the pass's time went.
-        let pass_start = obs.open();
-        let use_opt = cfg.cc_opt && pass > 0;
-        let gen = kmergen_pass::<K, S>(
-            ctx.pool(),
-            source,
-            fastqpart,
-            plan,
-            my_chunks,
-            bin_owner,
-            pass,
-            cfg.use_x4_kmergen,
-            filter,
-            |frag| if use_opt { ds.find(frag) } else { frag },
-        );
-        let after_io = obs.span_with_dur(
-            pass_start,
-            gen.io_nanos,
-            Step::KmerGenIo.name(),
-            Some(pass_u32),
-        );
-        obs.span_with_dur(
-            after_io,
-            gen.gen_nanos,
-            Step::KmerGen.name(),
-            Some(pass_u32),
-        );
-        let out_tuples: u64 = gen.outgoing.iter().map(|v| v.len() as u64).sum();
-        tuples_emitted += out_tuples;
-        presolve_dropped += gen.dropped;
-        obs.add(CounterKind::TuplesEmitted, out_tuples);
+        let (obs, pass) = (&mut self.obs, Some(pass));
+        let after_io = obs.span_with_dur(pass_start, gen.io_nanos, Step::KmerGenIo.name(), pass);
+        obs.span_with_dur(after_io, gen.gen_nanos, Step::KmerGen.name(), pass);
+        obs.add(CounterKind::TuplesEmitted, tuple_count(&gen.outgoing));
         if gen.dropped > 0 {
             obs.add(CounterKind::PresolveDroppedKmers, gen.dropped);
         }
+        gen
+    }
 
-        // ---- KmerGen-Comm: the P-stage all-to-all ----
-        let t0 = obs.open();
-        let outgoing: Vec<Msg<K::Tuple>> = gen.outgoing.into_iter().map(Msg::Tuples).collect();
-        let incoming = alltoall_obs(ctx, outgoing, obs, Some(pass_u32), Step::KmerGenComm.name());
-        let expected = expected_incoming(fastqpart, plan, pass, rank);
-        // Checked conversion: a u64 receive count that doesn't fit the
-        // address space must fail loudly, not silently truncate a buffer
-        // size on 32-bit targets.
-        let Ok(expected_len) = usize::try_from(expected) else {
-            panic!("receive count {expected} overflows usize on this target")
-        };
-        // Keep the per-sender buffers as-is: the fused LocalSort scatters
-        // straight out of them, so the old concat copy never happens.
-        let parts: Vec<Vec<K::Tuple>> = incoming
-            .into_iter()
-            .map(|msg| match msg {
-                Msg::Tuples(v) => v,
-                _ => unreachable!("no parent arrays during KmerGen-Comm"),
-            })
-            .collect();
-        let received: usize = parts.iter().map(Vec::len).sum();
-        // Release-mode check (promoted from a debug assert, in the spirit
-        // of the cluster's message-conservation accounting): the FASTQPart
-        // receive-count precomputation is what lets buffers be sized and
-        // scatter offsets trusted, so a mismatch must abort the run. With
-        // the presolve filter active the bin-granular precomputation is an
-        // upper bound (drops are value-granular), so the check relaxes to
-        // `<=` — the exact balance is enforced globally by the driver's
-        // `emitted + dropped == enumerated` conservation assert.
-        if filter.is_some() {
+    /// KmerGen-Comm: the P-stage all-to-all. Returns the per-sender
+    /// buffers as received — the fused LocalSort scatters straight out of
+    /// them.
+    fn exchange(&mut self, outgoing: Vec<Vec<K::Tuple>>, pass: u32) -> Vec<Vec<K::Tuple>> {
+        let (ctx, run, name) = (self.ctx, self.run, Step::KmerGenComm.name());
+        let (parts, received) = in_span(&mut self.obs, name, Some(pass), None, |obs| {
+            let outgoing = outgoing.into_iter().map(Msg::Tuples).collect();
+            let parts: Vec<Vec<K::Tuple>> = alltoall_obs(ctx, outgoing, obs, Some(pass), name)
+                .into_iter()
+                .map(|msg| match msg {
+                    Msg::Tuples(v) => v,
+                    _ => unreachable!("no parent arrays during KmerGen-Comm"),
+                })
+                .collect();
+            let received = tuple_count(&parts);
+            let rank = ctx.rank();
+            let expected = expected_incoming(run.fastqpart, run.plan, pass as usize, rank);
+            // A release-mode check: the FASTQPart receive-count
+            // precomputation is what lets buffers be sized and scatter
+            // offsets trusted, so a mismatch must abort the run. With the
+            // presolve filter active the bin-granular precomputation is an
+            // upper bound (drops are value-granular), so the check relaxes
+            // to `<=` — the exact balance is enforced globally by the
+            // driver's `emitted + dropped == enumerated` conservation
+            // assert.
+            let holds = match run.filter {
+                Some(_) => received <= expected,
+                None => received == expected,
+            };
             assert!(
-                received <= expected_len,
+                holds,
                 "receive-count precomputation: task {rank} pass {pass} got {received} \
-                 tuples but FASTQPart bounds {expected_len}"
+                 tuples but FASTQPart predicts {expected}"
             );
-        } else {
-            assert_eq!(
-                received, expected_len,
-                "receive-count precomputation: task {rank} pass {pass} got {received} \
-                 tuples but FASTQPart predicts {expected_len}"
-            );
-        }
-        obs.close(t0, Step::KmerGenComm.name(), Some(pass_u32));
-        obs.add(CounterKind::TuplesReceived, received as u64);
-        // Per-pass tuple residency peaks twice: during the all-to-all the
-        // outgoing send buffers coexist with the received parts (out + in
-        // — the old `2 * in` accounting missed the send side and under-
-        // reported), and during the fused LocalSort the received parts
-        // coexist with the partitioned destination during the scatter,
-        // then the destination with its radix scratch (2 * in either way;
-        // the unfused third concat copy is gone). Capacity the pooled
-        // buffers carry between passes is deliberately not modeled — the
-        // measured allocator peak covers it.
-        peak_tuples = peak_tuples.max(out_tuples + received as u64);
-        peak_tuples = peak_tuples.max(2 * received as u64);
-
-        // ---- LocalSort (fused: scatter-on-receive + pruned radix) ----
-        let t0 = obs.open();
-        let boundaries: Vec<<K as metaprep_kmer::Kmer>::Repr> = plan
-            .thread_boundaries(pass, rank)
-            .into_iter()
-            .map(K::repr_from_u128)
-            .collect();
-        let res = ctx.pool().install(|| {
-            fused_local_sort(
-                parts,
-                &mut sort_bufs,
-                &boundaries,
-                cfg.sort_digit_bits,
-                key_bits,
-            )
+            (parts, received)
         });
-        let tuples = sort_bufs.sorted();
-        obs.close(t0, Step::LocalSort.name(), Some(pass_u32));
-        obs.add(CounterKind::SortElements, received as u64);
+        self.obs.add(CounterKind::TuplesReceived, received);
+        parts
+    }
+
+    /// LocalSort (fused: scatter-on-receive + pruned radix) into `bufs`;
+    /// returns the per-thread sub-range offsets within `bufs.sorted()`.
+    fn local_sort(
+        &mut self,
+        parts: Vec<Vec<K::Tuple>>,
+        bufs: &mut PassBuffers<K::Tuple>,
+        pass: u32,
+    ) -> Vec<usize> {
+        let (ctx, cfg, plan) = (self.ctx, self.run.cfg, self.run.plan);
+        let (obs, name) = (&mut self.obs, Step::LocalSort.name());
+        let received = tuple_count(&parts);
+        let res = in_span(obs, name, Some(pass), None, |_| {
+            let boundaries: Vec<<K as metaprep_kmer::Kmer>::Repr> = plan
+                .thread_boundaries(pass as usize, ctx.rank())
+                .into_iter()
+                .map(K::repr_from_u128)
+                .collect();
+            let (bits, key_bits) = (cfg.sort_digit_bits, 2 * cfg.k as u32);
+            let sort = || fused_local_sort(parts, bufs, &boundaries, bits, key_bits);
+            let res = ctx.pool().install(sort);
+            // The fused scatter already knows the per-thread sub-range
+            // offsets; they must agree with the binary-search derivation.
+            debug_assert_eq!(
+                res.offsets,
+                thread_offsets_of::<K>(bufs.sorted(), &boundaries)
+            );
+            res
+        });
+        obs.add(CounterKind::SortElements, received);
         obs.add(CounterKind::RadixPassesRun, res.stats.passes_run);
         obs.add(CounterKind::RadixPassesPruned, res.stats.passes_pruned);
-        obs.add(
-            CounterKind::ScatterBytes,
-            (received * std::mem::size_of::<K::Tuple>()) as u64,
-        );
+        let tuple_bytes = std::mem::size_of::<K::Tuple>() as u64;
+        obs.add(CounterKind::ScatterBytes, received * tuple_bytes);
+        res.offsets
+    }
 
-        // ---- LocalCC ----
-        let t0 = obs.open();
-        // The fused scatter already knows the per-thread sub-range offsets;
-        // debug-check them against the binary-search derivation they
-        // replace.
-        debug_assert_eq!(res.offsets, thread_offsets_of::<K>(tuples, &boundaries));
-        let stats = localcc_pass::<K>(ctx.pool(), &ds, tuples, &res.offsets, cfg.kf_filter);
-        obs.close(t0, Step::LocalCc.name(), Some(pass_u32));
+    /// LocalCC: fold the sorted tuples' implicit edges into the forest.
+    fn local_cc(
+        &mut self,
+        forest: &ConcurrentDisjointSet,
+        tuples: &[K::Tuple],
+        offsets: &[usize],
+        pass: u32,
+    ) -> LocalCcStats {
+        let (pool, kf_filter) = (self.ctx.pool(), self.run.cfg.kf_filter);
+        let (obs, name) = (&mut self.obs, Step::LocalCc.name());
+        let stats = in_span(obs, name, Some(pass), None, |_| {
+            localcc_pass::<K>(pool, forest, tuples, offsets, kf_filter)
+        });
         obs.add(CounterKind::UfFinds, stats.uf.finds);
         obs.add(CounterKind::UfUnions, stats.uf.unions);
         obs.add(CounterKind::UfPathSplits, stats.uf.path_splits);
-        cc_stats.merge(stats);
-
-        if let Some(dir) = ckpt_dir {
-            let ck = Checkpoint {
-                rank: rank as u32,
-                phase: CkptPhase::Pass {
-                    next_pass: pass_u32 + 1,
-                },
-                tuples_emitted,
-                peak_tuples,
-                presolve_dropped,
-                localcc: cc_stats,
-                // RAW parents (no compression): restoring this exact tree
-                // is what makes the replay byte-identical.
-                parents: ds.parent_snapshot(),
-            };
-            write_checkpoint(obs, dir, &ck, Some(pass_u32));
-        }
+        stats
     }
 
-    // ---- MergeCC: ceil(log2 P) pairwise rounds (Figure 4) ----
-    let (mut local, mut stride, mut round) = match resume_merge {
-        Some((next_round, parents)) => (
-            DisjointSet::from_parent_array(parents),
-            1usize << next_round,
-            next_round,
-        ),
-        None => (ds.into_disjoint_set(), 1usize, 0u32),
-    };
-    while stride < p {
-        ctx.maybe_crash(Boundary::MergeRound(round));
+    /// MergeCC round `round`: ranks `stride = 2^round` apart pair up
+    /// (Figure 4); the upper one sends its components down and retires.
+    fn merge_round(&mut self, local: &mut DisjointSet, round: u32) -> MergeOutcome {
+        let (ctx, rank, stride) = (self.ctx, self.ctx.rank(), 1usize << round);
+        let (comm, merge, at) = (Step::MergeComm.name(), Step::MergeCc.name(), Some(round));
+        let obs = &mut self.obs;
         if rank % (2 * stride) == stride {
-            // Send the compressed component information downhill, then
-            // retire from the merge.
-            let t0 = obs.open();
-            let msg = if cfg.merge_sparse {
-                Msg::SparseParents(sparse_pairs(&mut local))
-            } else {
-                Msg::Parents(local.component_array().to_vec())
-            };
-            obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
-            ctx.send_traced(rank - stride, msg, obs, Step::MergeComm.name(), Some(round));
-            obs.close_detail(t0, Step::MergeComm.name(), None, Some(round));
-            break;
-        } else if rank % (2 * stride) == 0 && rank + stride < p {
-            let t0 = obs.open();
-            let msg = ctx.recv_from_traced(rank + stride, obs, Step::MergeComm.name(), Some(round));
-            obs.close_detail(t0, Step::MergeComm.name(), None, Some(round));
-            obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
-            let t0 = obs.open();
-            match msg {
-                Msg::Parents(arr) => absorb_parent_array(&mut local, &arr),
-                Msg::SparseParents(pairs) => absorb_sparse_pairs(&mut local, &pairs),
-                Msg::Tuples(_) => unreachable!("no tuples during MergeCC"),
-            }
-            obs.close_detail(t0, Step::MergeCc.name(), None, Some(round));
-
-            if let Some(dir) = ckpt_dir {
-                let ck = Checkpoint {
-                    rank: rank as u32,
-                    phase: CkptPhase::Merge {
-                        next_round: round + 1,
-                    },
-                    tuples_emitted,
-                    peak_tuples,
-                    presolve_dropped,
-                    localcc: cc_stats,
-                    parents: local.raw_parents().to_vec(),
+            let sparse = self.run.cfg.merge_sparse;
+            in_span(obs, comm, None, at, |obs| {
+                let msg = if sparse {
+                    Msg::SparseParents(sparse_pairs(local))
+                } else {
+                    Msg::Parents(local.component_array().to_vec())
                 };
-                write_checkpoint(obs, dir, &ck, Some(round));
-            }
-        }
-        stride *= 2;
-        round += 1;
-    }
-
-    // ---- CC-I/O: broadcast final labels; partition own chunks' reads ----
-    let t0 = obs.open();
-    let final_labels = if rank == 0 {
-        let arr = local.component_array().to_vec();
-        broadcast_obs(ctx, 0, Some(Msg::Parents(arr)), obs, Step::CcIo.name())
-    } else {
-        broadcast_obs(ctx, 0, None, obs, Step::CcIo.name())
-    };
-    let final_labels = match final_labels {
-        Msg::Parents(arr) => arr,
-        _ => unreachable!("broadcast carries parent arrays"),
-    };
-    // Simulate the parallel FASTQ write: each task walks the reads of its
-    // own chunks and buckets them by component (the actual file write is
-    // `output::write_partitions`, outside the timed region in the paper's
-    // harness too — CC-I/O covers the broadcast + extraction).
-    let largest_root = largest_root_of(&final_labels);
-    let mut lc_reads = 0u64;
-    let mut other_reads = 0u64;
-    for &c in my_chunks {
-        let spec = fastqpart.chunks()[c].spec;
-        let lo = spec.first_seq as usize;
-        for i in lo..lo + spec.seqs as usize {
-            if final_labels[source.frag_of_seq(i) as usize] == largest_root {
-                lc_reads += 1;
-            } else {
-                other_reads += 1;
-            }
+                obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
+                ctx.send_traced(rank - stride, msg, obs, comm, at);
+            });
+            MergeOutcome::Retired
+        } else if rank % (2 * stride) == 0 && rank + stride < ctx.size() {
+            let recv = |obs: &mut TaskObs<'_>| ctx.recv_from_traced(rank + stride, obs, comm, at);
+            let msg = in_span(obs, comm, None, at, recv);
+            obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
+            in_span(obs, merge, None, at, |_| match msg {
+                Msg::Parents(arr) => absorb_parent_array(local, &arr),
+                Msg::SparseParents(pairs) => absorb_sparse_pairs(local, &pairs),
+                Msg::Tuples(_) => unreachable!("no tuples during MergeCC"),
+            });
+            MergeOutcome::Absorbed
+        } else {
+            MergeOutcome::Idle
         }
     }
-    obs.close(t0, Step::CcIo.name(), None);
 
-    AttemptOutput {
-        labels: (rank == 0).then_some(final_labels),
-        tuples_emitted,
-        peak_tuples,
-        presolve_dropped,
-        localcc: cc_stats,
-        lc_reads,
-        other_reads,
+    /// CC-I/O: broadcast the final labels from rank 0, then bucket this
+    /// task's reads by component. Returns the labels on rank 0 and the
+    /// `(largest component, other)` read counts.
+    fn cc_io(&mut self, mut local: DisjointSet) -> (Option<Vec<u32>>, u64, u64) {
+        let (ctx, run, chunks) = (self.ctx, self.run, &self.my_chunks);
+        let name = Step::CcIo.name();
+        in_span(&mut self.obs, name, None, None, |obs| {
+            let root = (ctx.rank() == 0).then(|| Msg::Parents(local.component_array().to_vec()));
+            let Msg::Parents(labels) = broadcast(ctx, 0, root, obs, name) else {
+                unreachable!("the broadcast carries a parent array")
+            };
+            // Simulate the parallel FASTQ write: each task walks the reads
+            // of its own chunks and buckets them by component (the actual
+            // file write is `output::write_partitions`, outside the timed
+            // region in the paper's harness too — CC-I/O covers broadcast +
+            // extraction).
+            let largest_root = largest_root_of(&labels);
+            let (mut lc_reads, mut other_reads) = (0u64, 0u64);
+            for &c in chunks {
+                let spec = run.fastqpart.chunks()[c].spec;
+                let lo = spec.first_seq as usize;
+                for i in lo..lo + spec.seqs as usize {
+                    if labels[run.source.frag_of_seq(i) as usize] == largest_root {
+                        lc_reads += 1;
+                    } else {
+                        other_reads += 1;
+                    }
+                }
+            }
+            ((ctx.rank() == 0).then_some(labels), lc_reads, other_reads)
+        })
     }
+}
+
+/// Tuples held across a set of per-peer buffers.
+fn tuple_count<T>(bufs: &[Vec<T>]) -> u64 {
+    bufs.iter().map(|v| v.len() as u64).sum()
 }
 
 /// Root label of the largest component in a compressed label array.
@@ -1039,6 +880,7 @@ mod tests {
     use crate::config::{PipelineConfig, PipelineConfigBuilder};
     use metaprep_cc::DisjointSet;
     use metaprep_kmer::{for_each_canonical_kmer, Kmer64 as K64};
+    use metaprep_norm::SketchParams;
     use metaprep_synth::{simulate_community, CommunityProfile};
     use std::collections::HashMap;
 
@@ -1167,22 +1009,6 @@ mod tests {
         let res = Pipeline::new(cfg).run_reads(&reads).unwrap();
         let want = reference_labels(&reads, 21, Some(kf));
         assert!(same_partition(&res.labels, &want));
-    }
-
-    #[test]
-    fn x4_kmergen_matches_scalar() {
-        let reads = small_reads();
-        let mk = |x4: bool| {
-            let cfg = PipelineConfig::builder()
-                .k(21)
-                .m(6)
-                .tasks(2)
-                .threads(2)
-                .x4_kmergen(x4)
-                .build();
-            Pipeline::new(cfg).run_reads(&reads).unwrap().labels
-        };
-        assert!(same_partition(&mk(true), &mk(false)));
     }
 
     #[test]
@@ -1907,8 +1733,8 @@ mod tests {
 
     #[test]
     fn guard_total_seqs_rejects_overflowing_counts() {
-        // Sequence count itself over u32::MAX: the old `as u32` accumulation
-        // silently wrapped here.
+        // Sequence count itself over u32::MAX: an unchecked `as u32` would
+        // silently wrap here.
         assert!(matches!(
             guard_total_seqs(u32::MAX as u64 + 1, true),
             Err(PipelineError::InvalidInput(_))
@@ -1928,19 +1754,18 @@ mod tests {
 
     #[test]
     fn measured_peak_covers_outgoing_and_incoming_tuples() {
-        // Regression for the peak-accounting bug: with a single task the
-        // KmerGen outgoing buffers hold every tuple of the pass at the
-        // moment the (local) exchange delivers them, so the true peak per
-        // pass is `out + in = 2 * pass_tuples`. The old accounting only
-        // tracked the received side (`pass_tuples`).
+        // With a single task the KmerGen outgoing buffers hold every tuple
+        // of the pass at the moment the (local) exchange delivers them, so
+        // the true peak per pass is `out + in = 2 * pass_tuples` — counting
+        // the received side alone (`pass_tuples`) under-reports it.
         let reads = small_reads();
         let cfg = PipelineConfig::builder().k(21).m(6).passes(2).build();
         let res = Pipeline::new(cfg).run_reads(&reads).unwrap();
         assert!(res.tuples_total > 0);
 
         // Pigeonhole: the heaviest of the 2 passes carries at least
-        // ceil(total / 2) tuples, so the fixed peak (2 * heaviest pass) is
-        // at least tuples_total. The buggy accounting reported roughly
+        // ceil(total / 2) tuples, so the peak (2 * heaviest pass) is at
+        // least tuples_total; the received side alone would be roughly
         // tuples_total / 2 on this evenly-distributed input.
         assert!(
             res.memory.measured_peak_tuples >= res.tuples_total,

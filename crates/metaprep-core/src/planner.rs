@@ -55,18 +55,7 @@ pub struct PlanInputs {
 impl PlanInputs {
     /// Modeled per-task bytes at a given pass count.
     pub fn modeled_at(&self, passes: usize) -> u64 {
-        MemoryReport::model(
-            self.m,
-            self.chunks,
-            self.threads,
-            self.avg_chunk_bytes,
-            self.total_tuples,
-            self.packed_tuple_bytes,
-            passes,
-            self.tasks,
-            self.reads,
-        )
-        .total_modeled()
+        MemoryReport::model(self, passes).total_modeled()
     }
 }
 

@@ -413,11 +413,6 @@ impl<M: Payload> TaskCtx<M> {
         &self.pool
     }
 
-    /// Is a fault plan active on this run?
-    pub fn faults_enabled(&self) -> bool {
-        self.fault_plan.is_some()
-    }
-
     /// This rank's injected-fault and retry tallies so far; `None`
     /// without a fault plan.
     pub fn fault_tally(&self) -> Option<FaultTally> {
@@ -812,23 +807,7 @@ where
     R: Send,
     F: Fn(&mut TaskCtx<M>) -> R + Sync,
 {
-    run_cluster_with_jitter(config, 0, body)
-}
-
-/// [`run_cluster`] with deterministic schedule jitter: when `seed != 0`,
-/// every task yields a pseudo-random number of times before each send,
-/// receive, and barrier, perturbing the interleaving reproducibly.
-pub fn run_cluster_with_jitter<M, R, F>(
-    config: ClusterConfig,
-    seed: u64,
-    body: F,
-) -> ClusterResult<R>
-where
-    M: Payload,
-    R: Send,
-    F: Fn(&mut TaskCtx<M>) -> R + Sync,
-{
-    run_cluster_inner(config, seed, None, body)
+    run_cluster_inner(config, 0, None, body)
 }
 
 /// [`run_cluster`] under a deterministic fault plan: every send/recv
@@ -1086,8 +1065,10 @@ where
     }
 }
 
-/// Run `body` once per seed under deterministic schedule jitter and
-/// return every run's result. The caller asserts cross-run invariants
+/// Run `body` once per seed under deterministic schedule jitter — every
+/// task yields a pseudo-random number of times before each send, receive,
+/// and barrier, perturbing the interleaving reproducibly — and return
+/// every run's result. The caller asserts cross-run invariants
 /// (e.g. that results are schedule-independent); the harness itself
 /// already enforces deadlock-freedom and message conservation on every
 /// run via the watchdog machinery above.
@@ -1103,7 +1084,7 @@ where
 {
     seeds
         .iter()
-        .map(|&s| run_cluster_with_jitter(config, s.max(1), &body))
+        .map(|&s| run_cluster_inner(config, s.max(1), None, &body))
         .collect()
 }
 

@@ -123,26 +123,11 @@ pub fn alltoall_naive<M: Payload>(ctx: &TaskCtx<M>, mut outgoing: Vec<M>) -> Vec
 }
 
 /// Broadcast `msg` from `root` to all tasks; every task returns its copy.
-/// `msg` is only inspected on the root (others pass `None`).
-pub fn broadcast<M: Payload + Clone>(ctx: &TaskCtx<M>, root: usize, msg: Option<M>) -> M {
-    if ctx.rank() == root {
-        // EXPECT: documented contract — the root caller passes `Some`; non-root `msg` is never read.
-        let m = msg.expect("root must provide the message");
-        for to in 0..ctx.size() {
-            if to != root {
-                ctx.send(to, m.clone());
-            }
-        }
-        m
-    } else {
-        ctx.recv_from(root)
-    }
-}
-
-/// [`broadcast`] with message tracing: every root→peer copy becomes a
-/// send/recv edge pair tagged `stage` so the fan-out shows up in the
-/// happens-before DAG (and as flow arrows in the Chrome export).
-pub fn broadcast_obs<M: Payload + Clone>(
+/// `msg` is only inspected on the root (others pass `None`). Every
+/// root→peer copy becomes a send/recv edge pair tagged `stage` so the
+/// fan-out shows up in the happens-before DAG (and as flow arrows in the
+/// Chrome export).
+pub fn broadcast<M: Payload + Clone>(
     ctx: &TaskCtx<M>,
     root: usize,
     msg: Option<M>,
@@ -349,19 +334,19 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone() {
-        let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(4, 1), |ctx| {
-            let msg = if ctx.rank() == 2 {
-                Some(vec![7u8, 8, 9])
-            } else {
-                None
-            };
-            broadcast(ctx, 2, msg)
+        use metaprep_obs::NoopRecorder;
+        let rec = NoopRecorder::new();
+        let rec_ref: &NoopRecorder = &rec;
+        let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(4, 1), move |ctx| {
+            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
+            let msg = (ctx.rank() == 2).then(|| vec![7u8, 8, 9]);
+            broadcast(ctx, 2, msg, &mut obs, "CC-I/O")
         });
         assert!(r.results.iter().all(|m| m == &vec![7u8, 8, 9]));
     }
 
     #[test]
-    fn broadcast_obs_traces_root_fanout() {
+    fn broadcast_traces_root_fanout() {
         use metaprep_obs::{EdgeDir, Event, MemRecorder};
         let p = 4usize;
         let rec = MemRecorder::new(p);
@@ -369,7 +354,7 @@ mod tests {
         let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
             let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
             let msg = (ctx.rank() == 0).then(|| vec![5u8; 16]);
-            let got = broadcast_obs(ctx, 0, msg, &mut obs, "CC-I/O");
+            let got = broadcast(ctx, 0, msg, &mut obs, "CC-I/O");
             obs.finish();
             got
         });

@@ -27,9 +27,7 @@ pub mod stats;
 pub mod supervisor;
 pub mod sync;
 
-pub use cluster::{
-    explore_schedules, run_cluster, run_cluster_with_jitter, ClusterConfig, ClusterResult, TaskCtx,
-};
+pub use cluster::{explore_schedules, run_cluster, ClusterConfig, ClusterResult, TaskCtx};
 #[cfg(not(loom))]
 pub use cluster::{run_cluster_faulted, FaultStats};
 pub use collectives::{alltoall, alltoall_naive, alltoall_obs, broadcast, gather, stage_peers};

@@ -7,7 +7,7 @@
 //! proptest choosing the cluster size, the number of rounds, the payload
 //! shapes, and the broadcast roots.
 
-use metaprep_dist::collectives::{alltoall_obs, broadcast_obs};
+use metaprep_dist::collectives::{alltoall_obs, broadcast};
 use metaprep_dist::{run_cluster, ClusterConfig};
 use metaprep_obs::{EdgeDir, Event, MemRecorder, TaskObs, TraceAnalysis};
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ fn run_script(p: usize, ops: &[Op]) -> Vec<Event> {
                 Op::Broadcast { root, len } => {
                     let root = root % ctx.size();
                     let msg = (ctx.rank() == root).then(|| vec![round as u64; len]);
-                    broadcast_obs(ctx, root, msg, &mut obs, "CC-I/O");
+                    broadcast(ctx, root, msg, &mut obs, "CC-I/O");
                 }
             }
         }

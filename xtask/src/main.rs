@@ -3,22 +3,16 @@
 //! Subcommands:
 //!
 //! * `check` — the full static gate: the custom concurrency/safety lint
-//!   pass (below), `cargo fmt --check`, and `cargo clippy -D warnings`;
+//!   pass (below), `cargo fmt --check`, `cargo clippy -D warnings`, and a
+//!   `cargo check` of the standalone `benchmark/` package (its own
+//!   workspace, so nothing else compiles it against the crates' API);
 //!   `--miri` / `--tsan` additionally run the gated dynamic checkers
 //!   when the toolchain provides them (skipped with a notice otherwise).
 //! * `lint` — just the custom lint pass.
-//! * `bench-smoke` — builds and runs the `index_create` experiment on a
-//!   small synthetic file and validates the emitted
-//!   `target/BENCH_index.json`, then runs the `trace_smoke` experiment,
-//!   which emits a Chrome `trace_event` run trace
-//!   (`target/BENCH_trace.json` + `.jsonl`) and schema-validates it,
-//!   then the `sort_throughput`, `kmergen`, `loom_dpor`, `faults` and
-//!   `presolve` experiments
-//!   (`target/BENCH_sort.json` gated on the fused-LocalSort ratio,
-//!   `target/BENCH_kmergen.json` gated on the dispatched-SIMD-vs-scalar
-//!   KmerGen ratio when a vector backend is active, `target/BENCH_loom.json`
-//!   gated on the DPOR reduction of the 3-task all-to-all model), and
-//!   finally `metaprep analyze --strict` over the JSONL run trace
+//! * `bench-smoke` — runs every experiment of the `SMOKE_RUNS` table at
+//!   smoke scale, checks the shape of the `target/BENCH_*.json` artifact
+//!   each writes and applies its `BENCH_METRICS` gates, and finally runs
+//!   `metaprep analyze --strict` over the JSONL run trace
 //!   (causal-analysis gate: matched send/recv edges, non-empty critical
 //!   path; report saved as `target/BENCH_analysis.txt`); CI
 //!   uploads all of them as artifacts so the perf and model-checking
@@ -132,6 +126,17 @@ fn run_check(flags: &[&str]) -> ExitCode {
         ]);
     }
 
+    // The benchmark is its own workspace: neither the root build, the lint
+    // walk nor Tier-1 compiles it, so an API break against it shows here.
+    eprintln!("== xtask: cargo check benchmark/ ==");
+    let manifest = workspace_root().join("benchmark").join("Cargo.toml");
+    failed |= !run_cargo(&[
+        "check",
+        "--offline",
+        "--manifest-path",
+        &manifest.to_string_lossy(),
+    ]);
+
     if flags.contains(&"--miri") {
         eprintln!("== xtask: miri (gated) ==");
         if tool_available(&["miri", "--version"]) {
@@ -163,434 +168,162 @@ fn run_check(flags: &[&str]) -> ExitCode {
     }
 }
 
-/// Run the `index_create` experiment on a small synthetic dataset and
-/// sanity-check the JSON it writes to `target/BENCH_index.json`.
+/// One experiment binary `bench-smoke` runs and the artifact it must write.
+struct SmokeRun {
+    /// `metaprep-bench` binary; the smoke section is named after it.
+    bin: &'static str,
+    /// `METAPREP_SCALE` for the run (`None`: the binary takes no scale).
+    scale: Option<&'static str>,
+    /// Artifact file name under `target/` (passed as `METAPREP_BENCH_OUT`);
+    /// its gates are the [`BENCH_METRICS`] rows naming it.
+    artifact: &'static str,
+    /// Substrings the artifact must contain (report shape).
+    needles: &'static [&'static str],
+}
+
+/// Every experiment asserts its own invariants before writing its
+/// artifact (byte-identical sort output, checksum-equal enumeration,
+/// schema-valid trace, byte-identical faulted labels, conservation); the
+/// smoke re-checks shape and gates from the JSON so a regression fails
+/// even if a binary's assert is edited away.
+const SMOKE_RUNS: &[SmokeRun] = &[
+    SmokeRun {
+        bin: "exp_index_create",
+        scale: Some("0.05"),
+        artifact: "BENCH_index.json",
+        needles: &["\"index_create\"", "\"runs\"", "\"stream-t4\""],
+    },
+    // Also writes the `.jsonl` sidecar the analyze step reads.
+    SmokeRun {
+        bin: "exp_trace_smoke",
+        scale: Some("0.05"),
+        artifact: "BENCH_trace.json",
+        needles: &["\"traceEvents\"", "\"process_name\"", "\"ph\":\"X\""],
+    },
+    SmokeRun {
+        bin: "exp_sort_throughput",
+        scale: Some("0.05"),
+        artifact: "BENCH_sort.json",
+        needles: &[
+            "\"sort_throughput\"",
+            "\"fused\"",
+            "\"radix_passes_pruned\"",
+        ],
+    },
+    SmokeRun {
+        bin: "exp_kmergen",
+        scale: Some("0.2"),
+        artifact: "BENCH_kmergen.json",
+        needles: &["\"kmergen\"", "\"backend\"", "\"classify\"", "\"scan\""],
+    },
+    SmokeRun {
+        bin: "exp_loom_dpor",
+        scale: None,
+        artifact: "BENCH_loom.json",
+        needles: &["\"loom_dpor\"", "\"models\"", "\"schedules_explored\""],
+    },
+    SmokeRun {
+        bin: "exp_faults",
+        scale: Some("0.05"),
+        artifact: "BENCH_faults.json",
+        needles: &["\"faults\"", "\"runs\"", "\"crash-replay-s42\""],
+    },
+    SmokeRun {
+        bin: "exp_presolve",
+        scale: Some("0.05"),
+        artifact: "BENCH_presolve.json",
+        needles: &["\"presolve\"", "\"threshold\"", "\"budget-planned\""],
+    },
+];
+
+/// Run every [`SMOKE_RUNS`] experiment at smoke scale, gate its artifact,
+/// then run `metaprep analyze --strict` over the smoke trace.
 fn run_bench_smoke() -> ExitCode {
-    let root = workspace_root();
-    let out = root.join("target").join("BENCH_index.json");
-    std::fs::remove_file(&out).ok();
-
-    eprintln!("== xtask: bench smoke (index_create) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_index_create",
-        ])
-        .env("METAPREP_SCALE", "0.05")
-        .env("METAPREP_BENCH_OUT", &out)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_index_create failed");
-        return ExitCode::FAILURE;
+    let target = workspace_root().join("target");
+    // A stale sidecar from an earlier run must not satisfy the analyze step.
+    let jsonl = target.join("BENCH_trace.jsonl");
+    std::fs::remove_file(&jsonl).ok();
+    let outcome = SMOKE_RUNS
+        .iter()
+        .try_for_each(|run| smoke_run(&target, run))
+        .and_then(|()| smoke_analyze(&target, &jsonl));
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("xtask bench-smoke: {msg}");
+            ExitCode::FAILURE
+        }
     }
+}
 
+fn smoke_run(target: &Path, run: &SmokeRun) -> Result<(), String> {
+    let out = target.join(run.artifact);
+    std::fs::remove_file(&out).ok();
+    let section = run.bin.trim_start_matches("exp_");
+    eprintln!("== xtask: bench smoke ({section}) ==");
+    let mut cmd = Command::new("cargo");
+    cmd.args(["run", "--release", "-p", "metaprep-bench", "--bin", run.bin])
+        .env("METAPREP_BENCH_OUT", &out);
+    if let Some(scale) = run.scale {
+        cmd.env("METAPREP_SCALE", scale);
+    }
+    if !matches!(cmd.status(), Ok(s) if s.success()) {
+        return Err(format!("{} failed", run.bin));
+    }
     let Ok(json) = std::fs::read_to_string(&out) else {
-        eprintln!("xtask bench-smoke: {} was not written", out.display());
-        return ExitCode::FAILURE;
+        return Err(format!("{} was not written", out.display()));
     };
-    for needle in ["\"index_create\"", "\"runs\"", "\"stream-t4\""] {
-        if !json.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", out.display());
-            return ExitCode::FAILURE;
+    if let Some(needle) = run.needles.iter().find(|n| !json.contains(**n)) {
+        return Err(format!("{} missing {needle}", out.display()));
+    }
+    for m in BENCH_METRICS.iter().filter(|m| m.artifact == run.artifact) {
+        match m.check(&json) {
+            (_, Gate::Pass) => {}
+            (_, Gate::Waived) => eprintln!("xtask bench-smoke: {} gate waived", m.key),
+            (value, _) => {
+                return Err(format!(
+                    "{}: {} is {value:?}, gate is {}",
+                    run.artifact,
+                    m.key,
+                    m.gate_str()
+                ));
+            }
         }
     }
     eprintln!("xtask bench-smoke: ok ({})", out.display());
+    Ok(())
+}
 
-    // Telemetry export: exp_trace_smoke validates the Chrome trace with
-    // the schema checker and asserts the report reproduces the run's
-    // timings exactly before writing the files checked here.
-    let trace = root.join("target").join("BENCH_trace.json");
-    std::fs::remove_file(&trace).ok();
-    std::fs::remove_file(trace.with_extension("jsonl")).ok();
-    eprintln!("== xtask: bench smoke (trace_smoke) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_trace_smoke",
-        ])
-        .env("METAPREP_SCALE", "0.05")
-        .env("METAPREP_BENCH_OUT", &trace)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_trace_smoke failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(chrome) = std::fs::read_to_string(&trace) else {
-        eprintln!("xtask bench-smoke: {} was not written", trace.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in ["\"traceEvents\"", "\"process_name\"", "\"ph\":\"X\""] {
-        if !chrome.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", trace.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if !trace.with_extension("jsonl").exists() {
-        eprintln!("xtask bench-smoke: JSONL trace was not written");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("xtask bench-smoke: ok ({})", trace.display());
-
-    // Fused LocalSort: the experiment itself asserts the fused result is
-    // byte-identical to the reference path and that radix passes were
-    // pruned; here we additionally gate on the reported throughput ratio
-    // so a fused-path regression fails CI. The acceptance target is
-    // >= 1.3x; the gate allows 1.1x of slack for shared-runner noise
-    // (observed smoke ratios: 1.4-1.9x).
-    let sort = root.join("target").join("BENCH_sort.json");
-    std::fs::remove_file(&sort).ok();
-    eprintln!("== xtask: bench smoke (sort_throughput) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_sort_throughput",
-        ])
-        .env("METAPREP_SCALE", "0.05")
-        .env("METAPREP_BENCH_OUT", &sort)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_sort_throughput failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(sjson) = std::fs::read_to_string(&sort) else {
-        eprintln!("xtask bench-smoke: {} was not written", sort.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in [
-        "\"sort_throughput\"",
-        "\"fused\"",
-        "\"radix_passes_pruned\"",
-    ] {
-        if !sjson.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", sort.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&sjson, "\"fused_over_reference\"") {
-        Some(ratio) if ratio >= 1.1 => {}
-        Some(ratio) => {
-            eprintln!(
-                "xtask bench-smoke: fused LocalSort only {ratio:.2}x the reference (need >= 1.1x)"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!(
-                "xtask bench-smoke: fused_over_reference missing from {}",
-                sort.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&sjson, "\"radix_passes_pruned\"") {
-        Some(pruned) if pruned > 0.0 => {}
-        _ => {
-            eprintln!("xtask bench-smoke: expected radix_passes_pruned > 0 in the fused path");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("xtask bench-smoke: ok ({})", sort.display());
-
-    // KmerGen SIMD lanes: the experiment itself asserts the dispatched
-    // enumeration checksum matches the scalar reference every round; the
-    // gate here requires the dispatched path >= 1.2x scalar whenever a
-    // vector backend resolved (observed smoke ratios: 1.3-1.6x on AVX2).
-    // On scalar-only boxes — and in the scalar-forced CI job, which runs
-    // with METAPREP_SIMD=scalar — the ratio is 1.0 by construction, so
-    // the throughput gate is skipped and only the report shape is checked.
-    let kmergen = root.join("target").join("BENCH_kmergen.json");
-    std::fs::remove_file(&kmergen).ok();
-    eprintln!("== xtask: bench smoke (kmergen) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_kmergen",
-        ])
-        .env("METAPREP_SCALE", "0.2")
-        .env("METAPREP_BENCH_OUT", &kmergen)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_kmergen failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(kjson) = std::fs::read_to_string(&kmergen) else {
-        eprintln!("xtask bench-smoke: {} was not written", kmergen.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in ["\"kmergen\"", "\"backend\"", "\"classify\"", "\"scan\""] {
-        if !kjson.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", kmergen.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let scalar_only = kjson.contains("\"backend\": \"scalar\"");
-    match json_number(&kjson, "\"dispatched_over_scalar\"") {
-        Some(_) if scalar_only => {
-            eprintln!("xtask bench-smoke: scalar backend active, speedup gate skipped");
-        }
-        Some(ratio) if ratio >= 1.2 => {}
-        Some(ratio) => {
-            eprintln!(
-                "xtask bench-smoke: dispatched KmerGen only {ratio:.2}x scalar (need >= 1.2x)"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!(
-                "xtask bench-smoke: dispatched_over_scalar missing from {}",
-                kmergen.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("xtask bench-smoke: ok ({})", kmergen.display());
-
-    // Loom DPOR exploration cost: the experiment runs the channel-matrix
-    // models under DPOR (and small brute-force references), asserts the
-    // 3-task round stays >= 100x reduced, and reports explored/pruned
-    // schedule counts; the gate here re-checks the bound from the JSON
-    // so a regression fails even if the binary's assert is edited away.
-    let loom = root.join("target").join("BENCH_loom.json");
-    std::fs::remove_file(&loom).ok();
-    eprintln!("== xtask: bench smoke (loom_dpor) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_loom_dpor",
-        ])
-        .env("METAPREP_BENCH_OUT", &loom)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_loom_dpor failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(ljson) = std::fs::read_to_string(&loom) else {
-        eprintln!("xtask bench-smoke: {} was not written", loom.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in ["\"loom_dpor\"", "\"models\"", "\"schedules_explored\""] {
-        if !ljson.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", loom.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&ljson, "\"alltoall3_explored\"") {
-        Some(explored) if explored <= 33_500.0 => {}
-        Some(explored) => {
-            eprintln!(
-                "xtask bench-smoke: DPOR explored {explored} schedules on the 3-task \
-                 round (gate: <= 33500, i.e. >= 100x reduction vs ~3.35M brute-force)"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!(
-                "xtask bench-smoke: alltoall3_explored missing from {}",
-                loom.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("xtask bench-smoke: ok ({})", loom.display());
-
-    // Chaos differential: the experiment partitions a fault-free
-    // baseline, replays it under generated fault plans (message faults
-    // and mid-run crashes restored from checkpoints), and asserts
-    // byte-identical labels itself; the gates here re-check identity and
-    // recovery activity from the JSON so a regression fails even if the
-    // binary's asserts are edited away.
-    let faults = root.join("target").join("BENCH_faults.json");
-    std::fs::remove_file(&faults).ok();
-    eprintln!("== xtask: bench smoke (faults) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_faults",
-        ])
-        .env("METAPREP_SCALE", "0.05")
-        .env("METAPREP_BENCH_OUT", &faults)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_faults failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(fjson) = std::fs::read_to_string(&faults) else {
-        eprintln!("xtask bench-smoke: {} was not written", faults.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in ["\"faults\"", "\"runs\"", "\"crash-replay-s42\""] {
-        if !fjson.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", faults.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    let identical = json_number(&fjson, "\"runs_identical\"");
-    let total = json_number(&fjson, "\"runs_total\"");
-    match (identical, total) {
-        (Some(i), Some(t)) if i == t && t >= 3.0 => {}
-        (Some(i), Some(t)) => {
-            eprintln!(
-                "xtask bench-smoke: only {i}/{t} faulted runs reproduced the \
-                 fault-free labels (need all of >= 3 plans byte-identical)"
-            );
-            return ExitCode::FAILURE;
-        }
-        _ => {
-            eprintln!(
-                "xtask bench-smoke: runs_identical/runs_total missing from {}",
-                faults.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&fjson, "\"task_restarts_total\"") {
-        Some(restarts) if restarts >= 2.0 => {}
-        _ => {
-            eprintln!(
-                "xtask bench-smoke: crash plan restarted < 2 tasks — the \
-                 checkpoint/restart path did not run"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("xtask bench-smoke: ok ({})", faults.display());
-
-    // Probabilistic presolve: the experiment picks a threshold from
-    // exact k-mer counts, runs baseline vs presolve with identical
-    // geometry, and asserts conservation + reductions itself; the gates
-    // here re-check the reported reductions from the JSON — the tier
-    // must cut the deterministic peak (max packed tuple bytes resident
-    // on any task in any pass) by >= 20% and measurably shrink tuple
-    // volume, or the claim in DESIGN.md §11 has regressed.
-    let presolve = root.join("target").join("BENCH_presolve.json");
-    std::fs::remove_file(&presolve).ok();
-    eprintln!("== xtask: bench smoke (presolve) ==");
-    let status = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-bench",
-            "--bin",
-            "exp_presolve",
-        ])
-        .env("METAPREP_SCALE", "0.05")
-        .env("METAPREP_BENCH_OUT", &presolve)
-        .status();
-    if !matches!(status, Ok(s) if s.success()) {
-        eprintln!("xtask bench-smoke: exp_presolve failed");
-        return ExitCode::FAILURE;
-    }
-    let Ok(pjson) = std::fs::read_to_string(&presolve) else {
-        eprintln!("xtask bench-smoke: {} was not written", presolve.display());
-        return ExitCode::FAILURE;
-    };
-    for needle in ["\"presolve\"", "\"threshold\"", "\"budget-planned\""] {
-        if !pjson.contains(needle) {
-            eprintln!("xtask bench-smoke: {} missing {needle}", presolve.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&pjson, "\"peak_reduction_pct\"") {
-        Some(pctg) if pctg >= 20.0 => {}
-        Some(pctg) => {
-            eprintln!(
-                "xtask bench-smoke: presolve cut peak tuple bytes only {pctg:.1}% (need >= 20%)"
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!(
-                "xtask bench-smoke: peak_reduction_pct missing from {}",
-                presolve.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    match json_number(&pjson, "\"tuple_reduction_pct\"") {
-        Some(pctg) if pctg > 0.0 => {}
-        _ => {
-            eprintln!(
-                "xtask bench-smoke: presolve did not shrink tuple volume \
-                 (tuple_reduction_pct must be > 0)"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("xtask bench-smoke: ok ({})", presolve.display());
-
-    // Causal trace analysis: `metaprep analyze` must digest the JSONL
-    // trace the smoke just wrote — schema problems, unmatched edges, or
-    // an empty critical path all exit non-zero under --strict. The text
-    // report lands in target/BENCH_analysis.txt for the CI artifact.
-    let jsonl = trace.with_extension("jsonl");
-    let analysis_out = root.join("target").join("BENCH_analysis.txt");
+/// Causal trace analysis: `metaprep analyze` must digest the JSONL trace
+/// the smoke just wrote — schema problems, unmatched edges, or an empty
+/// critical path all exit non-zero under --strict. The text report lands
+/// in target/BENCH_analysis.txt for the CI artifact.
+fn smoke_analyze(target: &Path, jsonl: &Path) -> Result<(), String> {
+    let analysis_out = target.join("BENCH_analysis.txt");
     std::fs::remove_file(&analysis_out).ok();
     eprintln!("== xtask: bench smoke (analyze) ==");
     let output = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "metaprep-cli",
-            "--",
-            "analyze",
-            "--strict",
-            "--trace",
-        ])
-        .arg(&jsonl)
-        .output();
-    let Ok(output) = output else {
-        eprintln!("xtask bench-smoke: failed to launch metaprep analyze");
-        return ExitCode::FAILURE;
-    };
+        .args(["run", "--release", "-p", "metaprep-cli", "--"])
+        .args(["analyze", "--strict", "--trace"])
+        .arg(jsonl)
+        .output()
+        .map_err(|_| "failed to launch metaprep analyze".to_string())?;
     if !output.status.success() {
-        eprintln!("xtask bench-smoke: metaprep analyze --strict failed");
-        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
-        return ExitCode::FAILURE;
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        return Err(format!("metaprep analyze --strict failed\n{stderr}"));
     }
-    let report = String::from_utf8_lossy(&output.stdout).to_string();
+    let report = String::from_utf8_lossy(&output.stdout);
     if !report.contains("critical path") || report.contains("critical path — 0 segment(s)") {
-        eprintln!("xtask bench-smoke: analyze report has no critical path");
-        return ExitCode::FAILURE;
+        return Err("analyze report has no critical path".to_string());
     }
-    if std::fs::write(&analysis_out, &report).is_err() {
-        eprintln!(
-            "xtask bench-smoke: could not write {}",
-            analysis_out.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&analysis_out, report.as_bytes())
+        .map_err(|_| format!("could not write {}", analysis_out.display()))?;
     eprintln!("xtask bench-smoke: ok ({})", analysis_out.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// One gated metric of a bench artifact, mirroring the absolute gates
-/// `bench-smoke` enforces (the diff adds the baseline delta next to them).
+/// One gated metric of a bench artifact: `bench-smoke` enforces the gate,
+/// `bench-diff` adds the baseline delta next to it.
 struct BenchMetric {
     /// Artifact file name under `target/`.
     artifact: &'static str,
@@ -603,15 +336,65 @@ struct BenchMetric {
     /// Substring of the artifact that disables the gate (e.g. the SIMD
     /// speedup gate is meaningless on a scalar-only box).
     gate_waiver: Option<&'static str>,
+    /// A second key of the same artifact whose value this one must equal
+    /// ("all of the N runs", on top of "at least `gate` of them").
+    must_equal: Option<&'static str>,
+}
+
+/// What a metric's gate says about an artifact.
+enum Gate {
+    /// The key is not in the artifact.
+    Missing,
+    Waived,
+    Pass,
+    Fail,
+}
+
+impl BenchMetric {
+    /// Read this metric from the artifact `text` and judge it.
+    fn check(&self, text: &str) -> (Option<f64>, Gate) {
+        let Some(v) = json_number(text, self.key) else {
+            return (None, Gate::Missing);
+        };
+        if self.gate_waiver.is_some_and(|w| text.contains(w)) {
+            return (Some(v), Gate::Waived);
+        }
+        let in_bound = if self.higher_is_better {
+            v >= self.gate
+        } else {
+            v <= self.gate
+        };
+        let equal = self
+            .must_equal
+            .is_none_or(|k| json_number(text, k) == Some(v));
+        let gate = if in_bound && equal {
+            Gate::Pass
+        } else {
+            Gate::Fail
+        };
+        (Some(v), gate)
+    }
+
+    fn gate_str(&self) -> String {
+        let op = if self.higher_is_better { ">=" } else { "<=" };
+        match self.must_equal {
+            Some(k) => format!("{op}{},=={}", self.gate, k.trim_matches('"')),
+            None => format!("{op}{}", self.gate),
+        }
+    }
 }
 
 const BENCH_METRICS: &[BenchMetric] = &[
+    // Fused LocalSort vs the reference path. The acceptance target is
+    // >= 1.3x; the gate allows 1.1x of slack for shared-runner noise
+    // (observed smoke ratios: 1.4-1.9x).
     BenchMetric {
         artifact: "BENCH_sort.json",
         key: "\"fused_over_reference\"",
         higher_is_better: true,
         gate: 1.1,
         gate_waiver: None,
+        must_equal: None,
     },
     BenchMetric {
         artifact: "BENCH_sort.json",
@@ -619,27 +402,40 @@ const BENCH_METRICS: &[BenchMetric] = &[
         higher_is_better: true,
         gate: 1.0,
         gate_waiver: None,
+        must_equal: None,
     },
+    // Dispatched SIMD KmerGen vs scalar (observed smoke ratios: 1.3-1.6x
+    // on AVX2). On scalar-only boxes — and in the scalar-forced CI job,
+    // which runs with METAPREP_SIMD=scalar — the ratio is 1.0 by
+    // construction, so only the report shape is checked.
     BenchMetric {
         artifact: "BENCH_kmergen.json",
         key: "\"dispatched_over_scalar\"",
         higher_is_better: true,
         gate: 1.2,
         gate_waiver: Some("\"backend\": \"scalar\""),
+        must_equal: None,
     },
+    // DPOR on the 3-task all-to-all round: >= 100x reduction vs the
+    // ~3.35M brute-force schedules.
     BenchMetric {
         artifact: "BENCH_loom.json",
         key: "\"alltoall3_explored\"",
         higher_is_better: false,
         gate: 33_500.0,
         gate_waiver: None,
+        must_equal: None,
     },
+    // Chaos differential: all of >= 3 fault plans reproduce the fault-free
+    // labels byte for byte, and the crash plan really restarted tasks
+    // (otherwise the checkpoint/restart path did not run).
     BenchMetric {
         artifact: "BENCH_faults.json",
         key: "\"runs_identical\"",
         higher_is_better: true,
         gate: 3.0,
         gate_waiver: None,
+        must_equal: Some("\"runs_total\""),
     },
     BenchMetric {
         artifact: "BENCH_faults.json",
@@ -647,13 +443,19 @@ const BENCH_METRICS: &[BenchMetric] = &[
         higher_is_better: true,
         gate: 2.0,
         gate_waiver: None,
+        must_equal: None,
     },
+    // Probabilistic presolve: the tier must cut the deterministic peak
+    // (max packed tuple bytes resident on any task in any pass) by >= 20%
+    // and measurably shrink tuple volume, or the claim in DESIGN.md §11
+    // has regressed.
     BenchMetric {
         artifact: "BENCH_presolve.json",
         key: "\"peak_reduction_pct\"",
         higher_is_better: true,
         gate: 20.0,
         gate_waiver: None,
+        must_equal: None,
     },
     BenchMetric {
         artifact: "BENCH_presolve.json",
@@ -661,6 +463,7 @@ const BENCH_METRICS: &[BenchMetric] = &[
         higher_is_better: true,
         gate: 0.1,
         gate_waiver: None,
+        must_equal: None,
     },
 ];
 
@@ -717,35 +520,23 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
     let mut failed = false;
     for m in BENCH_METRICS {
         let cur_text = std::fs::read_to_string(root.join("target").join(m.artifact)).ok();
-        let cur = cur_text.as_deref().and_then(|t| json_number(t, m.key));
+        let (cur, gate) = cur_text
+            .as_deref()
+            .map_or((None, Gate::Missing), |t| m.check(t));
         let base = baseline_text(m.artifact)
             .as_deref()
             .and_then(|t| json_number(t, m.key));
-        let waived = match (m.gate_waiver, cur_text.as_deref()) {
-            (Some(needle), Some(t)) => t.contains(needle),
-            _ => false,
-        };
         let delta = match (base, cur) {
             (Some(b), Some(c)) if b != 0.0 => Some((c - b) * 100.0 / b),
             _ => None,
         };
-        let gate_str = format!("{}{}", if m.higher_is_better { ">=" } else { "<=" }, m.gate);
-        let status = match cur {
-            None => {
-                failed = true;
-                "MISSING (run `cargo xtask bench-smoke` first)"
-            }
-            Some(_) if waived => "waived",
-            Some(c)
-                if (m.higher_is_better && c >= m.gate) || (!m.higher_is_better && c <= m.gate) =>
-            {
-                "ok"
-            }
-            Some(_) => {
-                failed = true;
-                "FAIL"
-            }
+        let status = match gate {
+            Gate::Missing => "MISSING (run `cargo xtask bench-smoke` first)",
+            Gate::Waived => "waived",
+            Gate::Pass => "ok",
+            Gate::Fail => "FAIL",
         };
+        failed |= matches!(gate, Gate::Missing | Gate::Fail);
         eprintln!(
             "{:<18} {:<26} {} {} {:>8}  {:<8} {status}",
             m.artifact,
@@ -755,7 +546,7 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
             delta
                 .map(|d| format!("{d:+.1}%"))
                 .unwrap_or_else(|| "-".to_string()),
-            gate_str,
+            m.gate_str(),
         );
     }
     if baseline_dir.is_none() && git_ref.is_none() {
