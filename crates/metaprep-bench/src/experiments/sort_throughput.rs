@@ -2,7 +2,7 @@
 //! reference, plus the paper's comparison against a state-of-the-art
 //! parallel radix sort.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Fused vs reference LocalSort** on a pipeline-realistic receive-side
 //!    workload: per-sender message buffers as they come out of the
@@ -15,7 +15,13 @@
 //!    pipeline: concat → partition → full per-range radix. Both results
 //!    are asserted byte-identical every round, and the numbers go to
 //!    `BENCH_sort.json` (or `METAPREP_BENCH_OUT`) for the perf trajectory.
-//! 2. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
+//! 2. The same pair on an **out-of-cache** case: one sender, one range,
+//!    [`LARGE_TUPLES`] uniform keys whatever the scale — the shape of a
+//!    single-task single-pass run, where the reference streams the whole
+//!    range through DRAM once per digit and the fused path's cache-sized
+//!    buckets do not (`large_fused_over_reference`). The smoke-scale case
+//!    above fits in L2 and cannot see that difference.
+//! 3. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
 //!    LSB radix sort (the NUMA-aware-sort stand-in) vs `sort_unstable`.
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta per timed
@@ -46,6 +52,10 @@ const KEY_BITS: u32 = 54;
 /// (allocate once, reuse every pass) shows up the way it does across the
 /// pipeline's passes.
 const ROUNDS: usize = 4;
+/// Tuples of the out-of-cache case (64 MiB of tuples), fixed so the smoke
+/// run measures it too, and its timed rounds.
+const LARGE_TUPLES: usize = 1 << 22;
+const LARGE_ROUNDS: usize = 2;
 /// Abundance clusters ("dominant genomes") and their share of the tuples.
 const CLUSTERS: usize = 2;
 const CLUSTER_SHARE_PCT: u64 = 85;
@@ -90,13 +100,25 @@ struct PathResult {
     stats: RadixStats,
 }
 
-/// Run the experiment; writes `BENCH_sort.json` and returns its path.
-pub fn run(scale: f64) -> std::path::PathBuf {
-    let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
-    let parts = receive_side_parts(n, 42);
+/// One sender, one range, uniform 54-bit keys: what a single task with a
+/// single thread receives in a one-pass run.
+fn single_range_parts(n: usize, seed: u64) -> Vec<Vec<KmerReadTuple>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mask54 = (1u64 << KEY_BITS) - 1;
+    vec![(0..n)
+        .map(|i| KmerReadTuple::new(rng.gen::<u64>() & mask54, i as u32))
+        .collect()]
+}
+
+/// Time `rounds` rounds of the reference path (concat → partition → full
+/// per-range radix) and of the fused path over the same `parts`, asserting
+/// the outputs byte-identical every round. Returns `(fused, reference)`.
+fn fused_vs_reference(
+    parts: &[Vec<KmerReadTuple>],
+    boundaries: &[u64],
+    rounds: usize,
+) -> (PathResult, PathResult) {
     let n = parts.iter().map(Vec::len).sum::<usize>();
-    let all: Vec<KmerReadTuple> = parts.iter().flatten().copied().collect();
-    let boundaries = equal_boundaries_by_sample(&all, RANGES, 64 * RANGES);
 
     // Both paths get one untimed warm-up round: the pipeline runs S passes
     // per task with pooled buffers, so steady-state per-pass cost is the
@@ -106,27 +128,27 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     // same way its per-pass reallocations do mid-pipeline.
     {
         let mut tuples: Vec<KmerReadTuple> = Vec::with_capacity(n);
-        for p in &parts {
+        for p in parts {
             tuples.extend_from_slice(p);
         }
         let mut scratch = vec![KmerReadTuple::default(); n];
-        local_sort_with_boundaries(&mut tuples, &mut scratch, &boundaries, DIGIT_BITS, KEY_BITS);
+        local_sort_with_boundaries(&mut tuples, &mut scratch, boundaries, DIGIT_BITS, KEY_BITS);
     }
 
     // --- reference: concat -> partition -> full per-range radix ---------
     let mut ref_secs = 0.0;
     let mut ref_peak: Option<usize> = allocpeak::installed().then_some(0);
     let mut ref_sorted: Vec<KmerReadTuple> = Vec::new();
-    for _ in 0..ROUNDS {
+    for _ in 0..rounds {
         allocpeak::reset_peak();
         let before = allocpeak::peak_bytes();
         let t0 = Instant::now();
         let mut tuples: Vec<KmerReadTuple> = Vec::with_capacity(n);
-        for p in &parts {
+        for p in parts {
             tuples.extend_from_slice(p);
         }
         let mut scratch = vec![KmerReadTuple::default(); tuples.len()];
-        local_sort_with_boundaries(&mut tuples, &mut scratch, &boundaries, DIGIT_BITS, KEY_BITS);
+        local_sort_with_boundaries(&mut tuples, &mut scratch, boundaries, DIGIT_BITS, KEY_BITS);
         drop(scratch);
         ref_secs += t0.elapsed().as_secs_f64();
         if let Some(p) = ref_peak.as_mut() {
@@ -138,37 +160,37 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     // counting scan each; identity passes skip only the scatter half).
     let nonempty = {
         let mut dst = vec![KmerReadTuple::default(); n];
-        let offs = metaprep_sort::partition_by_ranges(&ref_sorted, &mut dst, &boundaries);
+        let offs = metaprep_sort::partition_by_ranges(&ref_sorted, &mut dst, boundaries);
         offs.windows(2).filter(|w| w[1] - w[0] > 1).count()
     };
     let ref_stats = RadixStats {
-        passes_run: (ROUNDS * nonempty) as u64 * u64::from(KEY_BITS.div_ceil(DIGIT_BITS)),
+        passes_run: (rounds * nonempty) as u64 * u64::from(KEY_BITS.div_ceil(DIGIT_BITS)),
         passes_pruned: 0,
     };
     let reference = PathResult {
         secs: ref_secs,
-        mtuples_per_s: (n * ROUNDS) as f64 / ref_secs / 1e6,
+        mtuples_per_s: (n * rounds) as f64 / ref_secs / 1e6,
         peak_alloc: ref_peak,
         stats: ref_stats,
     };
 
-    // --- fused: scatter-on-receive + pruned radix, pooled buffers -------
+    // --- fused: scatter-on-receive + in-cache radix, pooled buffers -----
     let mut bufs: PassBuffers<KmerReadTuple> = PassBuffers::new();
     // Untimed warm-up round: populates the pooled buffers once, as the
     // pipeline's first pass does (see the comment above the reference
     // warm-up).
-    fused_local_sort(parts.clone(), &mut bufs, &boundaries, DIGIT_BITS, KEY_BITS);
+    fused_local_sort(parts.to_vec(), &mut bufs, boundaries, DIGIT_BITS, KEY_BITS);
     let mut fused_secs = 0.0;
     let mut fused_peak: Option<usize> = allocpeak::installed().then_some(0);
     let mut fused_stats = RadixStats::default();
-    for round in 0..ROUNDS {
+    for round in 0..rounds {
         // The pipeline gets the parts from the all-to-all for free; the
         // clone standing in for them stays outside the timed region.
-        let round_parts = parts.clone();
+        let round_parts = parts.to_vec();
         allocpeak::reset_peak();
         let before = allocpeak::peak_bytes();
         let t0 = Instant::now();
-        let res = fused_local_sort(round_parts, &mut bufs, &boundaries, DIGIT_BITS, KEY_BITS);
+        let res = fused_local_sort(round_parts, &mut bufs, boundaries, DIGIT_BITS, KEY_BITS);
         fused_secs += t0.elapsed().as_secs_f64();
         if let Some(p) = fused_peak.as_mut() {
             *p = (*p).max(allocpeak::peak_bytes() - before);
@@ -182,53 +204,41 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     }
     let fused = PathResult {
         secs: fused_secs,
-        mtuples_per_s: (n * ROUNDS) as f64 / fused_secs / 1e6,
+        mtuples_per_s: (n * rounds) as f64 / fused_secs / 1e6,
         peak_alloc: fused_peak,
         stats: fused_stats,
     };
+    (fused, reference)
+}
+
+/// Run the experiment; writes `BENCH_sort.json` and returns its path.
+pub fn run(scale: f64) -> std::path::PathBuf {
+    let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
+    let parts = receive_side_parts(n, 42);
+    let n = parts.iter().map(Vec::len).sum::<usize>();
+    let all: Vec<KmerReadTuple> = parts.iter().flatten().copied().collect();
+    let boundaries = equal_boundaries_by_sample(&all, RANGES, 64 * RANGES);
+    let (fused, reference) = fused_vs_reference(&parts, &boundaries, ROUNDS);
     assert!(
         fused.stats.passes_pruned > 0,
         "skewed receive-side workload must prune radix passes"
     );
+    let (large_fused, large_reference) =
+        fused_vs_reference(&single_range_parts(LARGE_TUPLES, 43), &[], LARGE_ROUNDS);
 
-    let ratio = fused.mtuples_per_s / reference.mtuples_per_s;
-    let fmt_peak = |p: Option<usize>| {
-        p.map(|b| format!("{:.1}", b as f64 / 1e6))
-            .unwrap_or_else(|| "n/a".into())
-    };
-    print_table(
+    let ratio = print_case(
         &format!(
             "fused vs reference LocalSort, {n} tuples x {ROUNDS} rounds, \
              {SENDERS} senders, {RANGES} sub-ranges"
         ),
-        &[
-            "Path",
-            "Time (s)",
-            "Mtuples/s",
-            "Passes run",
-            "Pruned",
-            "Peak MB",
-        ],
-        &[
-            vec![
-                "fused (scatter-on-receive)".into(),
-                format!("{:.3}", fused.secs),
-                format!("{:.1}", fused.mtuples_per_s),
-                fused.stats.passes_run.to_string(),
-                fused.stats.passes_pruned.to_string(),
-                fmt_peak(fused.peak_alloc),
-            ],
-            vec![
-                "reference (concat+partition)".into(),
-                format!("{:.3}", reference.secs),
-                format!("{:.1}", reference.mtuples_per_s),
-                reference.stats.passes_run.to_string(),
-                reference.stats.passes_pruned.to_string(),
-                fmt_peak(reference.peak_alloc),
-            ],
-        ],
+        &fused,
+        &reference,
     );
-    println!("  fused is {ratio:.2}x the reference throughput");
+    let large_ratio = print_case(
+        &format!("out-of-cache: {LARGE_TUPLES} tuples x {LARGE_ROUNDS} rounds, 1 sender, 1 range"),
+        &large_fused,
+        &large_reference,
+    );
 
     // --- paper §4.2.2: LocalSort vs parallel radix vs std ---------------
     comparator_table(&all);
@@ -270,7 +280,20 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     ));
     json.push_str(&format!("  \"fused\": {},\n", path_json(&fused)));
     json.push_str(&format!("  \"reference\": {},\n", path_json(&reference)));
-    json.push_str(&format!("  \"fused_over_reference\": {ratio:.3}\n}}\n"));
+    json.push_str(&format!("  \"fused_over_reference\": {ratio:.3},\n"));
+    json.push_str(&format!("  \"large_tuples\": {LARGE_TUPLES},\n"));
+    json.push_str(&format!("  \"large_rounds\": {LARGE_ROUNDS},\n"));
+    json.push_str(&format!(
+        "  \"large_fused\": {},\n",
+        path_json(&large_fused)
+    ));
+    json.push_str(&format!(
+        "  \"large_reference\": {},\n",
+        path_json(&large_reference)
+    ));
+    json.push_str(&format!(
+        "  \"large_fused_over_reference\": {large_ratio:.3}\n}}\n"
+    ));
 
     let out = std::env::var("METAPREP_BENCH_OUT")
         .map(std::path::PathBuf::from)
@@ -278,6 +301,41 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     std::fs::write(&out, json).expect("write BENCH_sort.json");
     println!("wrote {}", out.display());
     out
+}
+
+/// Print one fused-vs-reference table; returns fused over reference
+/// throughput.
+fn print_case(title: &str, fused: &PathResult, reference: &PathResult) -> f64 {
+    let row = |name: &str, p: &PathResult| {
+        vec![
+            name.to_string(),
+            format!("{:.3}", p.secs),
+            format!("{:.1}", p.mtuples_per_s),
+            p.stats.passes_run.to_string(),
+            p.stats.passes_pruned.to_string(),
+            p.peak_alloc
+                .map(|b| format!("{:.1}", b as f64 / 1e6))
+                .unwrap_or_else(|| "n/a".into()),
+        ]
+    };
+    print_table(
+        title,
+        &[
+            "Path",
+            "Time (s)",
+            "Mtuples/s",
+            "Passes run",
+            "Pruned",
+            "Peak MB",
+        ],
+        &[
+            row("fused (scatter-on-receive)", fused),
+            row("reference (concat+partition)", reference),
+        ],
+    );
+    let ratio = fused.mtuples_per_s / reference.mtuples_per_s;
+    println!("  fused is {ratio:.2}x the reference throughput");
+    ratio
 }
 
 /// The original §4.2.2 comparison: LocalSort vs the fully-parallel LSB

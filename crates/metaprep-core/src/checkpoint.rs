@@ -123,7 +123,7 @@ impl Forest {
 
 /// What a task carries from one boundary to the next: exactly what a
 /// [`Checkpoint`] holds, plus the pooled LocalSort buffers (destination,
-/// radix scratch and the debug-build scatter tracker are allocated on the
+/// bucket scratch and the debug-build scatter tracker are allocated on the
 /// first pass and recycled by every later one).
 pub(crate) struct TaskState<T> {
     pub(crate) forest: Forest,

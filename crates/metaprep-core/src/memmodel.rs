@@ -17,10 +17,12 @@
 //! The measured per-pass tuple peak assumes the **fused** LocalSort
 //! (DESIGN.md §7.2): at most two tuple copies are ever resident — the
 //! received per-sender parts plus the partitioned destination during the
-//! scatter, then the destination plus its radix scratch (`2 × kmer_in`),
-//! with the all-to-all moment (`kmer_out + kmer_in`) as the other
-//! candidate. Capacity the pooled pass buffers carry between passes is
-//! covered by the allocator-measured footprint, not this model.
+//! scatter (`2 × kmer_in`; once the parts are dropped the radix sorts
+//! bucket by bucket against a scratch of a few hundred KiB per thread,
+//! which this model does not count), with the all-to-all moment
+//! (`kmer_out + kmer_in`) as the other candidate. Capacity the pooled pass
+//! buffers carry between passes is covered by the allocator-measured
+//! footprint, not this model.
 
 use crate::planner::PlanInputs;
 

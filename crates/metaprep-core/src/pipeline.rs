@@ -661,11 +661,11 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
         let received = tuple_count(&parts);
         // Per-pass tuple residency peaks twice: during the all-to-all the
         // outgoing send buffers coexist with the received parts (out + in),
-        // and during the fused LocalSort the received parts coexist with
-        // the partitioned destination during the scatter, then the
-        // destination with its radix scratch (2 * in either way). Capacity
-        // the pooled buffers carry between passes is deliberately not
-        // modeled — the measured allocator peak covers it.
+        // and during the fused LocalSort's scatter the received parts
+        // coexist with the partitioned destination (2 * in; the bucket
+        // scratch the radix then uses is cache-sized and not counted).
+        // Capacity the pooled buffers carry between passes is deliberately
+        // not modeled — the measured allocator peak covers it.
         let peak = (emitted + received).max(2 * received);
         st.progress.peak_tuples = st.progress.peak_tuples.max(peak);
 
@@ -734,7 +734,7 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
         parts
     }
 
-    /// LocalSort (fused: scatter-on-receive + pruned radix) into `bufs`;
+    /// LocalSort (fused: scatter-on-receive + in-cache radix) into `bufs`;
     /// returns the per-thread sub-range offsets within `bufs.sorted()`.
     fn local_sort(
         &mut self,

@@ -1,41 +1,42 @@
-//! Fused receive-side LocalSort: scatter-on-receive + pruned radix.
+//! Fused receive-side LocalSort: scatter-on-receive into cache-sized
+//! buckets + in-cache pruned radix.
 //!
-//! The unfused pipeline copied every received tuple three times per pass:
-//! concat the per-sender message buffers into one vector, range-partition
-//! that vector into a scratch buffer ([`crate::partition_by_ranges`]),
-//! then radix-sort each sub-range. [`fused_local_sort`] collapses the
-//! first two copies into one: [`scatter_from_parts`] histograms the
-//! per-sender buffers *in place* and scatters each tuple directly to its
-//! final partitioned slot, so the concat never materializes.
+//! The unfused pipeline copied every received tuple three times per pass
+//! (concat, [`crate::partition_by_ranges`], then one DRAM round trip per
+//! radix digit against a full-size scratch). [`fused_local_sort`] pays one
+//! histogram and one scatter pass over the per-sender buffers
+//! ([`scatter_from_parts`]) and nothing after that leaves cache: the `T - 1`
+//! thread boundaries are refined with fixed cuts on the top key digit, so
+//! the scatter lands tuples in buckets of about [`BUCKET_BYTES`], and each
+//! bucket is radix-sorted against a scratch window its own size.
 //!
-//! Three further savings ride on the same pass over the data:
+//! Riding on the same pass over the data:
 //!
-//! * the per-tuple `partition_point` binary search is replaced by a
-//!   [`BoundaryTable`] lookup — branchless, exact, and chosen by
-//!   measurement (see the type docs);
+//! * a tuple's range is its cut digit plus a [`BoundaryTable`] lookup among
+//!   the thread boundaries — no per-tuple binary search;
 //! * each tuple's range index is recorded in a pooled id buffer during the
 //!   histogram pass, so the scatter pass classifies nothing: it streams
 //!   tuples and ids and only performs the write (measured ~2.5x faster
 //!   than recomputing the range per tuple);
-//! * the histogram accumulates a per-sub-range *varying-bits mask*
+//! * the histogram accumulates a per-bucket *varying-bits mask*
 //!   (`OR(keys) ^ AND(keys)` — set exactly where two keys disagree), which
 //!   [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned) uses to skip
-//!   identity radix passes without the counting scan the unpruned sort
-//!   pays to detect them.
+//!   identity radix passes, and which tells a bucket that came out too big
+//!   where its next split digit is.
 //!
 //! **Stability / byte-identity.** Work units are ordered part-major
 //! (sender 0's tuples first, in order, then sender 1's, …) — exactly the
 //! order the old concat visited tuples — and the per-(unit, range) write
-//! cursors preserve that order within every sub-range. The scatter is
-//! therefore stable in concat order, and the pruned radix sort is stable
-//! and skips exactly the passes the unpruned sort's counting heuristic
-//! skips, so the fused result is byte-identical to the reference
-//! concat → partition → full-radix path. LocalCC's union anchor (first
-//! tuple of each equal-k-mer group) depends on this and a proptest pins
-//! it.
+//! cursors preserve that order within every bucket. Buckets are key
+//! intervals in key order, so the scatter is a stable MSD split; a stable
+//! split followed by a stable sort of each piece is *the* stable order of
+//! the whole, which is what the reference concat → partition → full-radix
+//! path produces. The result is byte-identical to it whatever the cuts.
+//! LocalCC's union anchor (first tuple of each equal-k-mer group) depends
+//! on this and a proptest pins it.
 
 use crate::partition::{ScatterTracker, SharedSlice};
-use crate::radix::{lsb_radix_sort_pruned, Keyed, RadixStats, SortKey};
+use crate::radix::{lsb_radix_sort_pruned, radix_pass, Keyed, RadixStats, SortKey};
 use rayon::prelude::*;
 
 /// Max table index width; 2^11 u32 entries = 8 KiB, comfortably L1-resident.
@@ -138,11 +139,22 @@ impl<'b, K: SortKey> BoundaryTable<'b, K> {
     }
 }
 
+/// Most fixed cuts the scatter refines with: up to `2^11` write streams the
+/// scatter pass measures flat (DESIGN.md §7.2), and the range ids still fit
+/// the `u16` id buffer with room for any thread count.
+const MAX_CUT_BITS: u32 = 11;
+
+/// `(shift, mask)` of the top `cut_bits`-bit digit of a `key_bits`-bit key;
+/// with no cuts the mask is zero, so the digit is 0 for every key.
+fn cut_digit(cut_bits: u32, key_bits: u32) -> (u32, u64) {
+    ((key_bits - cut_bits).min(key_bits - 1), (1 << cut_bits) - 1)
+}
+
 /// What [`scatter_from_parts`] learned while scattering.
 pub struct ScatterResult<K> {
-    /// The `ranges + 1` sub-range offsets within the destination buffer —
-    /// the same offsets LocalCC's per-thread walk needs, so the pipeline
-    /// skips its post-sort binary-search derivation.
+    /// The `ranges + 1` range offsets within the destination buffer; the
+    /// offsets LocalCC's per-thread walk needs are a subset of them, so the
+    /// pipeline skips its post-sort binary-search derivation.
     pub offsets: Vec<usize>,
     /// Per-range varying-bits mask: bit `i` is set iff two keys in the
     /// range differ in bit `i`. Feed to
@@ -153,9 +165,16 @@ pub struct ScatterResult<K> {
 /// Scatter the per-sender message buffers straight into `dst`, grouped by
 /// key range — the fused replacement for concat + [`crate::partition_by_ranges`].
 ///
+/// The ranges are those of `boundaries` refined by `2^cut_bits - 1` fixed
+/// cuts on the top `cut_bits` of the `key_bits` key bits (the keys
+/// `i << (key_bits - cut_bits)`). A cut needs no table: the number of cuts
+/// at or below a key is its top digit, so a tuple's range index is that
+/// digit plus its [`BoundaryTable`] index among `boundaries` — the position
+/// it would have in the merged sorted list of cuts and boundaries.
+///
 /// `dst.len()` must equal the total part length. Tuple order within each
 /// range is part-major input order (sender 0 first), i.e. exactly the
-/// order the concat-then-partition path produces. Returns the sub-range
+/// order the concat-then-partition path produces. Returns the range
 /// offsets and per-range varying-bits masks accumulated during the
 /// histogram pass.
 ///
@@ -164,11 +183,12 @@ pub struct ScatterResult<K> {
 /// range classification runs once per tuple, not twice); pass the same
 /// `Vec` every call to recycle its allocation, or an empty one for a
 /// one-off. At most `u16::MAX + 1` ranges are supported — far above the
-/// per-task thread counts that set the range count in the pipeline.
+/// cut count plus the per-task thread counts that set it in the pipeline.
 pub fn scatter_from_parts<T: Keyed>(
     parts: &[Vec<T>],
     dst: &mut [T],
     boundaries: &[T::Key],
+    cut_bits: u32,
     key_bits: u32,
     tracker: &mut ScatterTracker,
     ids: &mut Vec<u16>,
@@ -179,9 +199,11 @@ pub fn scatter_from_parts<T: Keyed>(
         boundaries.windows(2).all(|w| w[0] <= w[1]),
         "boundaries must be sorted"
     );
-    let ranges = boundaries.len() + 1;
+    assert!(cut_bits <= MAX_CUT_BITS.min(key_bits), "too many cuts");
+    let ranges = boundaries.len() + (1 << cut_bits);
     assert!(ranges <= usize::from(u16::MAX) + 1, "too many sub-ranges");
     let table = BoundaryTable::new(boundaries, key_bits);
+    let (cut_shift, cut_mask) = cut_digit(cut_bits, key_bits);
 
     // Work units: each part sub-chunked so threads stay busy even when
     // sender volumes are skewed. Units are ordered part-major (and
@@ -220,7 +242,7 @@ pub fn scatter_from_parts<T: Keyed>(
             let mut and_acc = vec![T::Key::ONES; ranges];
             for (t, id) in chunk.iter().zip(id_window.iter_mut()) {
                 let k = t.key();
-                let r = table.range_of(k);
+                let r = table.range_of(k) + k.digit(cut_shift, cut_mask);
                 *id = r as u16;
                 hist[r] += 1;
                 or_acc[r] = or_acc[r] | k;
@@ -289,12 +311,12 @@ pub fn scatter_from_parts<T: Keyed>(
 }
 
 /// Pooled per-task buffers for the fused LocalSort: the partitioned
-/// destination, the radix scratch, the per-tuple range-id buffer, and the
-/// debug-build scatter tracker are allocated once and recycled across
-/// passes (the unfused path re-allocated and zero-initialized both big
-/// vectors every pass — and on a cold pool, first-touch page faults cost
-/// as much as the scatter itself, so recycling is where the fused path's
-/// steady-state win comes from).
+/// destination, the per-worker bucket scratch, the per-tuple range-id
+/// buffer, and the debug-build scatter tracker are allocated once and
+/// recycled across passes (the unfused path re-allocated and
+/// zero-initialized two tuple-count-sized vectors every pass — and on a
+/// cold pool, first-touch page faults cost as much as the scatter itself,
+/// so recycling is where the fused path's steady-state win comes from).
 ///
 /// Reuse without re-zeroing is sound because the scatter writes every
 /// destination slot before anything reads it, each radix pass writes
@@ -303,6 +325,8 @@ pub fn scatter_from_parts<T: Keyed>(
 #[derive(Default)]
 pub struct PassBuffers<T> {
     dst: Vec<T>,
+    /// One window per thread sub-range, each as long as that sub-range's
+    /// largest bucket — a few hundred KiB, not a second copy of the tuples.
     scratch: Vec<T>,
     ids: Vec<u16>,
     tracker: ScatterTracker,
@@ -314,21 +338,6 @@ impl<T: Keyed + Default> PassBuffers<T> {
         Self::default()
     }
 
-    /// Pre-size both buffers for `n` tuples (e.g. from the `FASTQPart`
-    /// receive-count precomputation) so the first pass doesn't grow them
-    /// mid-flight.
-    pub fn reserve(&mut self, n: usize) {
-        if self.dst.len() < n {
-            self.dst.resize(n, T::default());
-        }
-        if self.scratch.len() < n {
-            self.scratch.resize(n, T::default());
-        }
-        if self.ids.len() < n {
-            self.ids.resize(n, 0);
-        }
-    }
-
     /// The sorted tuples after [`fused_local_sort`] (valid until the next
     /// call mutates the pool).
     pub fn sorted(&self) -> &[T] {
@@ -338,16 +347,22 @@ impl<T: Keyed + Default> PassBuffers<T> {
 
 /// What [`fused_local_sort`] did.
 pub struct FusedSortResult {
-    /// Sub-range offsets within [`PassBuffers::sorted`].
+    /// Thread sub-range offsets within [`PassBuffers::sorted`].
     pub offsets: Vec<usize>,
-    /// Radix passes run vs pruned, summed over sub-ranges.
+    /// Digit windows run vs pruned, summed over every radix call: one per
+    /// bucket, plus one per sub-bucket of a bucket that had to be split.
     pub stats: RadixStats,
 }
 
+/// Tuple bytes the average bucket may hold so that it, its scratch window
+/// and the digit counters stay cache-resident through every radix pass.
+/// Measured flat from 32 KiB to 512 KiB (DESIGN.md §7.2), so a constant.
+const BUCKET_BYTES: usize = 256 << 10;
+
 /// The fused LocalSort: scatter the per-sender buffers straight into the
-/// pooled destination, then sort each sub-range with the bit-pruned radix
-/// sort. Consumes `parts` so the received message buffers are freed before
-/// the radix scratch peaks.
+/// pooled destination *in cache-sized buckets*, then radix-sort each
+/// bucket while it is cache-resident. Consumes `parts` so the received
+/// message buffers are freed as soon as the scatter lands.
 ///
 /// The sorted tuples land in `bufs.sorted()[..total]`; the result is
 /// byte-identical to concat → [`crate::partition_by_ranges`] → per-range
@@ -359,43 +374,156 @@ pub fn fused_local_sort<T: Keyed + Default>(
     bits: u32,
     key_bits: u32,
 ) -> FusedSortResult {
+    let budget = (BUCKET_BYTES / std::mem::size_of::<T>()).max(1);
+    fused_local_sort_budgeted(parts, bufs, boundaries, bits, key_bits, budget)
+}
+
+/// [`fused_local_sort`] with the bucket budget (in tuples) as a parameter,
+/// so tests can force deep refinement and second-level splits on small
+/// inputs.
+pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
+    parts: Vec<Vec<T>>,
+    bufs: &mut PassBuffers<T>,
+    boundaries: &[T::Key],
+    bits: u32,
+    key_bits: u32,
+    budget: usize,
+) -> FusedSortResult {
     let total: usize = parts.iter().map(Vec::len).sum();
     bufs.dst.resize(total, T::default());
+
+    // Refine the thread boundaries with fixed cuts on the top key digit —
+    // enough that a bucket averages at most `budget` tuples. The one
+    // histogram + scatter pass then lands tuples in buckets the radix
+    // passes never leave cache for.
+    let cut_bits = (total.div_ceil(budget).min(1 << MAX_CUT_BITS))
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(key_bits);
     let sc = scatter_from_parts(
         &parts,
         &mut bufs.dst,
         boundaries,
+        cut_bits,
         key_bits,
         &mut bufs.tracker,
         &mut bufs.ids,
     );
-    // The received buffers are dead the moment the scatter lands; free
-    // them before the scratch buffer (re)grows so at most two tuple
-    // copies are ever resident.
     drop(parts);
-    bufs.scratch.resize(total, T::default());
 
-    // Disjoint (range, scratch-window, varying-mask) triples for rayon.
+    // Thread sub-range `j` is the run of buckets `first[j]..first[j + 1]`.
+    // A key below thread boundary `b` (the `j`-th) has at most `b`'s cut
+    // digit and at most `j` boundaries at or below it; a key from `b` up
+    // has at least that digit and at least `j + 1`: bucket `digit + j + 1`
+    // is the first of the next sub-range.
+    let (cut_shift, cut_mask) = cut_digit(cut_bits, key_bits);
+    let mut first = vec![0usize];
+    first.extend(
+        boundaries
+            .iter()
+            .enumerate()
+            .map(|(j, b)| b.digit(cut_shift, cut_mask) + j + 1),
+    );
+    first.push(boundaries.len() + (1 << cut_bits));
+    let offsets: Vec<usize> = first.iter().map(|&r| sc.offsets[r]).collect();
+
+    // Per-worker scratch: one window per thread sub-range, as long as its
+    // largest bucket.
+    let largest = |w: &[usize]| {
+        let lens = sc.offsets[w[0]..=w[1]].windows(2).map(|b| b[1] - b[0]);
+        lens.max().unwrap_or(0)
+    };
+    let windows: Vec<usize> = first.windows(2).map(largest).collect();
+    bufs.scratch.resize(windows.iter().sum(), T::default());
+
+    // Disjoint (tuples, scratch window, bucket run) triples for rayon: each
+    // worker walks its own sub-range's buckets in order.
     let mut rem_d: &mut [T] = &mut bufs.dst;
     let mut rem_s: &mut [T] = &mut bufs.scratch;
-    let mut work = Vec::with_capacity(sc.offsets.len() - 1);
-    for (r, w) in sc.offsets.windows(2).enumerate() {
-        let len = w[1] - w[0];
-        let (d, rd) = rem_d.split_at_mut(len);
-        let (s, rs) = rem_s.split_at_mut(len);
+    let mut work = Vec::with_capacity(windows.len());
+    for (w, &window) in first.windows(2).zip(&windows) {
+        let (d, rd) = rem_d.split_at_mut(sc.offsets[w[1]] - sc.offsets[w[0]]);
+        let (s, rs) = rem_s.split_at_mut(window);
         rem_d = rd;
         rem_s = rs;
-        work.push((d, s, sc.varying[r]));
+        work.push((d, s, w[0]..w[1]));
     }
     let stats = work
         .into_par_iter()
-        .map(|(d, s, v)| lsb_radix_sort_pruned(d, s, bits, key_bits, v))
+        .map(|(d, s, run)| {
+            let (mut counts, base) = (Vec::new(), sc.offsets[run.start]);
+            let sort = |r: usize| {
+                let (lo, hi) = (sc.offsets[r] - base, sc.offsets[r + 1] - base);
+                sort_bucket(
+                    &mut d[lo..hi],
+                    s,
+                    sc.varying[r],
+                    bits,
+                    key_bits,
+                    budget,
+                    &mut counts,
+                )
+            };
+            run.map(sort)
+                .fold(RadixStats::default(), RadixStats::merged)
+        })
         .reduce(RadixStats::default, RadixStats::merged);
 
-    FusedSortResult {
-        offsets: sc.offsets,
-        stats,
+    FusedSortResult { offsets, stats }
+}
+
+/// Sort one scattered bucket against (the front of) its worker's scratch
+/// window. A bucket up to twice the average `budget` goes straight to the
+/// pruned LSB sort. A larger one (keys denser than the
+/// fixed cuts assume) first takes a stable MSD split into `scratch` on the
+/// `bits` bits that end at its highest varying bit, and each sub-bucket is
+/// then LSB-sorted over the bits below — a stable split followed by a
+/// stable sort of the remaining bits is the unique stable order, so the
+/// output does not depend on which route a bucket took.
+fn sort_bucket<T: Keyed>(
+    data: &mut [T],
+    scratch: &mut [T],
+    varying: T::Key,
+    bits: u32,
+    key_bits: u32,
+    budget: usize,
+    counts: &mut Vec<usize>,
+) -> RadixStats {
+    let scratch = &mut scratch[..data.len()];
+    let buckets = 1usize << bits;
+    let mask = (buckets - 1) as u64;
+    let top = (0..key_bits.div_ceil(bits))
+        .map(|p| p * bits)
+        .rev()
+        .find(|&s| varying.digit(s, mask) != 0);
+    let Some(top) = top.filter(|_| data.len() > 2 * budget) else {
+        return lsb_radix_sort_pruned(data, scratch, bits, key_bits, varying, counts);
+    };
+
+    let highest = top + varying.digit(top, mask).ilog2();
+    let shift = (highest + 1).saturating_sub(bits);
+    counts.clear();
+    counts.resize(buckets, 0);
+    for t in data.iter() {
+        counts[t.key().digit(shift, mask)] += 1;
     }
+    radix_pass(data, scratch, shift, mask, counts);
+    let mut stats = RadixStats {
+        passes_run: 1,
+        passes_pruned: 0,
+    };
+    let ends = counts.clone();
+    let mut start = 0;
+    for end in ends {
+        // The sub-bucket sits in `scratch`; sort it there with the matching
+        // window of `data` as its scratch, then bring it home.
+        let (sub, home) = (&mut scratch[start..end], &mut data[start..end]);
+        let sub_stats = lsb_radix_sort_pruned(sub, home, bits, shift, varying, counts);
+        stats = stats.merged(sub_stats);
+        home.copy_from_slice(sub);
+        start = end;
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -403,10 +531,15 @@ mod tests {
     use super::*;
     use crate::partition::partition_by_ranges;
     use crate::radix::lsb_radix_sort;
-    use metaprep_kmer::KmerReadTuple;
+    use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The production bucket budget for 16-byte tuples, and small ones that
+    /// force deep refinement and second-level splits on test-sized inputs.
+    const PRODUCTION: usize = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple>();
+    const BUDGETS: [usize; 4] = [1, 8, 64, PRODUCTION];
 
     /// The unfused pipeline path: concat -> partition_by_ranges -> full
     /// per-range lsb_radix_sort. Returns the sorted tuples.
@@ -429,15 +562,43 @@ mod tests {
         (offsets, dst)
     }
 
-    fn fused_path<T: Keyed + Default>(
+    /// What the pipeline's `thread_offsets_of` derives from the sorted
+    /// tuples: where each thread boundary falls.
+    fn thread_offsets_of<T: Keyed>(sorted: &[T], boundaries: &[T::Key]) -> Vec<usize> {
+        let mut offs = vec![0];
+        offs.extend(
+            boundaries
+                .iter()
+                .map(|b| sorted.partition_point(|t| t.key() < *b)),
+        );
+        offs.push(sorted.len());
+        offs
+    }
+
+    /// Run the fused sort at `budget` and hold it to the reference path:
+    /// same bytes, same thread offsets, and offsets that are where the
+    /// boundaries fall in the output.
+    fn check<T: Keyed + Default + PartialEq + std::fmt::Debug>(
         parts: &[Vec<T>],
         boundaries: &[T::Key],
         bits: u32,
         key_bits: u32,
+        budget: usize,
     ) -> (FusedSortResult, Vec<T>) {
         let mut bufs = PassBuffers::new();
-        let res = fused_local_sort(parts.to_vec(), &mut bufs, boundaries, bits, key_bits);
+        let res = fused_local_sort_budgeted(
+            parts.to_vec(),
+            &mut bufs,
+            boundaries,
+            bits,
+            key_bits,
+            budget,
+        );
         let sorted = bufs.sorted().to_vec();
+        let (ref_offs, ref_sorted) = reference_path(parts, boundaries, bits, key_bits);
+        assert_eq!(sorted, ref_sorted, "budget {budget}");
+        assert_eq!(res.offsets, ref_offs, "budget {budget}");
+        assert_eq!(res.offsets, thread_offsets_of(&sorted, boundaries));
         (res, sorted)
     }
 
@@ -486,7 +647,7 @@ mod tests {
         let mut dst = vec![0u64; 6];
         let mut tracker = ScatterTracker::new();
         let mut ids = Vec::new();
-        let sc = scatter_from_parts(&parts, &mut dst, &boundaries, 64, &mut tracker, &mut ids);
+        let sc = scatter_from_parts(&parts, &mut dst, &boundaries, 0, 64, &mut tracker, &mut ids);
         assert_eq!(sc.offsets, vec![0, 3, 6]);
         // Range 0: {1010, 1000, 1110} -> bits 1 and 2 vary.
         assert_eq!(sc.varying[0], 0b0110);
@@ -494,6 +655,18 @@ mod tests {
         assert_eq!(sc.varying[1], (30 ^ 40) | (30 ^ 50));
         // Part-major stable order within ranges.
         assert_eq!(dst, vec![0b1010, 0b1000, 0b1110, 30, 40, 50]);
+    }
+
+    #[test]
+    fn scatter_cuts_refine_the_boundaries() {
+        // 6-bit keys, 2 cut bits (cuts at 16, 32, 48) and one boundary at
+        // 20: ranges [0,16) [16,20) [20,32) [32,48) [48,64).
+        let parts: Vec<Vec<u64>> = vec![vec![63, 19, 0, 20], vec![31, 16, 47, 48, 15]];
+        let mut dst = vec![0u64; 9];
+        let (mut tracker, mut ids) = (ScatterTracker::new(), Vec::new());
+        let sc = scatter_from_parts(&parts, &mut dst, &[20], 2, 6, &mut tracker, &mut ids);
+        assert_eq!(sc.offsets, vec![0, 2, 4, 6, 7, 9]);
+        assert_eq!(dst, vec![0, 15, 19, 16, 20, 31, 47, 63, 48]);
     }
 
     #[test]
@@ -510,13 +683,10 @@ mod tests {
             })
             .collect();
         let boundaries = [base + 0x400, base + 0x800, base + 0xC00];
-        let (res, sorted) = fused_path(&parts, &boundaries, 8, 54);
+        let (res, sorted) = check(&parts, &boundaries, 8, 54, PRODUCTION);
         assert!(crate::is_sorted_by_key(&sorted));
         assert_eq!(res.stats.passes_run, 4 * 2);
         assert_eq!(res.stats.passes_pruned, 4 * 5);
-        let (ref_offs, ref_sorted) = reference_path(&parts, &boundaries, 8, 54);
-        assert_eq!(res.offsets, ref_offs);
-        assert_eq!(sorted, ref_sorted);
     }
 
     #[test]
@@ -529,9 +699,29 @@ mod tests {
                 (0..500).map(|i| (i * 13 + round) << 30).collect(),
             ];
             let (_, want) = reference_path(&parts, &boundaries, 8, 64);
-            fused_local_sort(parts, &mut bufs, &boundaries, 8, 64);
+            // Alternate budgets so the pooled scratch both grows and is
+            // reused larger than needed.
+            let budget = if round % 2 == 0 { 16 } else { PRODUCTION };
+            fused_local_sort_budgeted(parts, &mut bufs, &boundaries, 8, 64, budget);
             assert_eq!(bufs.sorted(), &want[..], "round {round}");
         }
+    }
+
+    /// Senders holding equal k-mers in a fixed pattern; `spread` k-mers
+    /// share one first-level bucket so a small budget forces the
+    /// second-level split.
+    fn equal_kmer_parts(kmers: &[u64]) -> Vec<Vec<KmerReadTuple>> {
+        let mut read = 0;
+        (0..4)
+            .map(|sender| {
+                let mut part = Vec::new();
+                for &k in kmers.iter().cycle().skip(sender).take(3 * kmers.len()) {
+                    part.push(KmerReadTuple::new(k, read));
+                    read += 1;
+                }
+                part
+            })
+            .collect()
     }
 
     #[test]
@@ -545,43 +735,165 @@ mod tests {
             vec![],
             vec![KmerReadTuple::new(3, 4), KmerReadTuple::new(7, 5)],
         ];
-        let (_, sorted) = fused_path(&parts, &[5u64], 8, 54);
-        let order: Vec<(u64, u32)> = sorted.iter().map(|t| (t.kmer, t.read)).collect();
-        assert_eq!(order, vec![(3, 1), (3, 4), (7, 0), (7, 2), (7, 3), (7, 5)]);
+        for budget in BUDGETS {
+            let (_, sorted) = check(&parts, &[5u64], 8, 54, budget);
+            let order: Vec<(u64, u32)> = sorted.iter().map(|t| (t.kmer, t.read)).collect();
+            assert_eq!(order, vec![(3, 1), (3, 4), (7, 0), (7, 2), (7, 3), (7, 5)]);
+        }
+    }
+
+    #[test]
+    fn equal_kmer_tuples_keep_sender_order_across_a_second_level_split() {
+        // 40 distinct k-mers below 2^20 share every first-level bucket cut
+        // from a 54-bit key space, 12 tuples each: at budget 1 the bucket
+        // is far over budget and takes the MSD split.
+        let kmers: Vec<u64> = (0..40u64).map(|i| (i * 0x6_5432 + 9) & 0xF_FFFF).collect();
+        let parts = equal_kmer_parts(&kmers);
+        let (res, sorted) = check(&parts, &[], 8, 54, 1);
+        // Unsplit, the one bucket would account for exactly 7 digit windows.
+        let windows = res.stats.passes_run + res.stats.passes_pruned;
+        assert!(windows > 7, "the bucket must have been split");
+        for group in sorted.chunk_by(|a, b| a.kmer == b.kmer) {
+            assert_eq!(group.len(), 12);
+            assert!(group.windows(2).all(|w| w[0].read < w[1].read));
+        }
     }
 
     #[test]
     fn empty_parts_and_empty_input() {
-        let (res, sorted) = fused_path::<u64>(&[vec![], vec![], vec![]], &[10u64], 8, 64);
+        let (res, sorted) = check::<u64>(&[vec![], vec![], vec![]], &[10u64], 8, 64, PRODUCTION);
         assert!(sorted.is_empty());
         assert_eq!(res.offsets, vec![0, 0, 0]);
         assert_eq!(res.stats, RadixStats::default());
-        let (res, sorted) = fused_path::<u64>(&[], &[], 8, 64);
+        let (res, sorted) = check::<u64>(&[], &[], 8, 64, 1);
         assert!(sorted.is_empty());
         assert_eq!(res.offsets, vec![0, 0]);
         assert_eq!(res.stats, RadixStats::default());
     }
 
+    #[test]
+    fn thread_boundaries_on_cuts_duplicated_and_all_equal() {
+        // 4096 tuples at budget 8 take 9 cut bits: cuts at i << 45.
+        let mut rng = SmallRng::seed_from_u64(21);
+        let parts: Vec<Vec<KmerReadTuple>> = (0..4)
+            .map(|p| {
+                (0..1024)
+                    .map(|i| KmerReadTuple::new(rng.gen::<u64>() >> 10, p * 1024 + i))
+                    .collect()
+            })
+            .collect();
+        let cut = |i: u64| i << 45;
+        let cases: [&[u64]; 5] = [
+            &[cut(3)],
+            &[cut(3), cut(3), cut(7) + 5],
+            &[cut(100) - 1, cut(100), cut(100) + 1],
+            &[cut(9) + 77; 5],
+            &[0, 0, (1 << 54) - 1],
+        ];
+        for boundaries in cases {
+            for budget in [1, 8, PRODUCTION] {
+                check(&parts, boundaries, 8, 54, budget);
+            }
+        }
+    }
+
+    #[test]
+    fn all_equal_bucket_over_budget_runs_no_pass() {
+        let parts: Vec<Vec<KmerReadTuple>> = (0..3)
+            .map(|p| {
+                (0..500)
+                    .map(|i| KmerReadTuple::new(0xABCDE, p * 500 + i))
+                    .collect()
+            })
+            .collect();
+        let (res, sorted) = check(&parts, &[], 8, 54, 8);
+        assert_eq!(
+            res.stats.passes_run, 0,
+            "no varying bit: nothing to run or split"
+        );
+        assert!(sorted.iter().map(|t| t.read).eq(0..1500));
+    }
+
+    #[test]
+    fn one_hot_kmer_holding_most_tuples() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let hot = 0x12_3456_789Au64;
+        let parts: Vec<Vec<KmerReadTuple>> = (0..4)
+            .map(|p| {
+                (0..2_000)
+                    .map(|i| {
+                        let k = if rng.gen_range(0..10u32) < 6 {
+                            hot
+                        } else {
+                            rng.gen::<u64>() >> 10
+                        };
+                        KmerReadTuple::new(k, p * 2_000 + i)
+                    })
+                    .collect()
+            })
+            .collect();
+        for budget in BUDGETS {
+            check(&parts, &[hot, hot + 1], 8, 54, budget);
+            check(&parts, &[], 11, 54, budget);
+        }
+    }
+
+    #[test]
+    fn u128_keys_at_126_bits() {
+        let mut rng = SmallRng::seed_from_u64(63);
+        let key =
+            |rng: &mut SmallRng| ((rng.gen::<u64>() as u128) << 64 | rng.gen::<u64>() as u128) >> 2;
+        // Half the tuples in a 2^70 window so some buckets stay over budget.
+        let window = key(&mut rng) & !((1u128 << 70) - 1);
+        let parts: Vec<Vec<KmerReadTuple128>> = (0..3)
+            .map(|p| {
+                (0..1_000)
+                    .map(|i| {
+                        let k = key(&mut rng);
+                        let k = if i % 2 == 0 {
+                            k
+                        } else {
+                            window | (k & ((1u128 << 70) - 1))
+                        };
+                        KmerReadTuple128::new(k, p * 1_000 + i)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut boundaries: Vec<u128> = (0..3).map(|_| key(&mut rng)).collect();
+        boundaries.push(window);
+        boundaries.sort_unstable();
+        let production = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple128>();
+        for budget in [1, 8, 64, production] {
+            for bits in [8, 11, 16] {
+                check(&parts, &boundaries, bits, 126, budget);
+            }
+        }
+    }
+
     proptest! {
-        /// The tentpole invariant: fused scatter + pruned radix is
+        /// The tentpole invariant: fused scatter + in-cache radix is
         /// byte-identical to the reference path over random tuple sets,
         /// random part splits, boundary counts (including empty sub-ranges
-        /// and duplicate boundaries), and digit widths 8/11/16.
+        /// and duplicate boundaries), digit widths 8/11/16 and bucket
+        /// budgets from 1 tuple to the production constant.
         #[test]
         fn prop_fused_byte_identical_to_reference(
             keys in proptest::collection::vec(0u64..(1 << 54), 0..1500),
             cuts in proptest::collection::vec(0usize..1500, 0..6),
             mut bvals in proptest::collection::vec(0u64..(1 << 54), 0..7),
             dup in any::<bool>(),
+            narrow in any::<bool>(),
             bits_idx in 0usize..3,
         ) {
             let bits = [8u32, 11, 16][bits_idx];
             // Tuples tagged with their global index so stability differences
-            // are visible as value differences.
+            // are visible as value differences. `narrow` squeezes the keys
+            // into a 2^20 window, so first-level buckets overflow.
             let tuples: Vec<KmerReadTuple> = keys
                 .iter()
                 .enumerate()
-                .map(|(i, &k)| KmerReadTuple::new(k, i as u32))
+                .map(|(i, &k)| KmerReadTuple::new(if narrow { k >> 34 } else { k }, i as u32))
                 .collect();
             // Split into parts at the (sorted, clamped) cut points.
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
@@ -595,18 +907,16 @@ mod tests {
             parts.push(tuples[prev..].to_vec());
             // Sorted boundaries, optionally with a forced duplicate
             // (an empty sub-range).
+            if narrow {
+                bvals.iter_mut().for_each(|b| *b >>= 34);
+            }
             bvals.sort_unstable();
             if dup && bvals.len() >= 2 {
                 bvals[0] = bvals[1];
             }
-            let (ref_offs, ref_sorted) = reference_path(&parts, &bvals, bits, 54);
-            let (res, sorted) = fused_path(&parts, &bvals, bits, 54);
-            prop_assert_eq!(res.offsets, ref_offs);
-            prop_assert_eq!(sorted, ref_sorted);
-            prop_assert_eq!(
-                (res.stats.passes_run + res.stats.passes_pruned) % u64::from(54u32.div_ceil(bits)),
-                0
-            );
+            for budget in BUDGETS {
+                check(&parts, &bvals, bits, 54, budget);
+            }
         }
     }
 }

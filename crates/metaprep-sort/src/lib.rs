@@ -18,10 +18,18 @@
 //!
 //! The pipeline itself uses the **fused receive-side path**
 //! ([`fused::fused_local_sort`]): the per-sender all-to-all buffers are
-//! scattered straight into the final partitioned buffer (no concat copy),
-//! and each sub-range is sorted with [`radix::lsb_radix_sort_pruned`],
-//! which skips identity passes via a varying-bits mask accumulated during
-//! the scatter — byte-identical output to the two-stage path above.
+//! scattered straight into the final buffer (no concat copy), not into the
+//! `T` thread sub-ranges but into a refinement of them — the thread
+//! boundaries plus fixed cuts on the top key digit, enough that a bucket is
+//! about 256 KiB — and each bucket is then sorted while it is
+//! cache-resident with [`radix::lsb_radix_sort_pruned`], which skips
+//! identity passes via a varying-bits mask accumulated during the scatter.
+//! The two-stage path above streams every sub-range through DRAM once per
+//! digit; the fused path touches DRAM for one histogram and one scatter
+//! pass. A stable split by key interval followed by a stable sort of each
+//! piece is the unique stable order, so the output is byte-identical to the
+//! two-stage path, which the tests and `exp_sort_throughput` keep as the
+//! reference.
 
 pub mod fused;
 pub mod parallel;

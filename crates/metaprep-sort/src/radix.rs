@@ -168,18 +168,7 @@ pub fn lsb_radix_sort<T: Keyed>(data: &mut [T], scratch: &mut [T], bits: u32, ke
         if counts.contains(&src.len()) {
             continue;
         }
-        // Exclusive prefix sum -> write cursors.
-        let mut sum = 0usize;
-        for c in counts.iter_mut() {
-            let x = *c;
-            *c = sum;
-            sum += x;
-        }
-        for t in src.iter() {
-            let d = t.key().digit(shift, mask);
-            dst[counts[d]] = *t;
-            counts[d] += 1;
-        }
+        radix_pass(src, dst, shift, mask, &mut counts);
         src_is_data = !src_is_data;
     }
 
@@ -207,30 +196,54 @@ impl RadixStats {
     }
 }
 
-/// [`lsb_radix_sort`] with pass pruning driven by a precomputed
-/// *varying-bits mask* instead of a per-pass counting scan.
+/// One stable counting-sort pass: prefix-sum the digit histogram `hist`
+/// into write cursors and scatter `src` into `dst` by the digit at `shift`.
+/// On return `hist[d]` is where digit `d`'s run ends in `dst`.
+pub(crate) fn radix_pass<T: Keyed>(
+    src: &[T],
+    dst: &mut [T],
+    shift: u32,
+    mask: u64,
+    hist: &mut [usize],
+) {
+    let mut sum = 0usize;
+    for c in hist.iter_mut() {
+        let x = *c;
+        *c = sum;
+        sum += x;
+    }
+    for t in src {
+        let d = t.key().digit(shift, mask);
+        dst[hist[d]] = *t;
+        hist[d] += 1;
+    }
+}
+
+/// [`lsb_radix_sort`] for a cache-resident bucket, with pass pruning driven
+/// by a precomputed *varying-bits mask*.
 ///
 /// `varying` must have a bit set wherever any two keys in `data` differ —
-/// the fused scatter accumulates it as `OR(key ^ reference)` while it
+/// the fused scatter accumulates it as `OR(keys) ^ AND(keys)` while it
 /// histograms, so it arrives here for free. A digit window with no varying
 /// bits means every key shares that digit, the pass permutation would be
-/// the identity, and the pass is skipped *without* the full counting scan
-/// [`lsb_radix_sort`] pays to discover the same thing. Sub-ranges span
-/// narrow key windows in deep `S·P·T` configurations, so this typically
-/// cuts 7 passes (54-bit k-mer keys, 8-bit digits) down to 2–3.
+/// the identity, and the pass is skipped without even the counting read.
+/// The fused LocalSort calls this once per cache-sized bucket — thousands
+/// of times per pipeline pass — so the counter table comes from the caller
+/// (`counts`; resized and rewritten here, so any recycled `Vec` will do).
 ///
 /// Skipped passes are exactly the passes the unpruned sort's counting
 /// heuristic skips (a constant digit ⇔ one occupied bucket), and a stable
 /// sort's output is unique, so the result is byte-identical to
-/// [`lsb_radix_sort`] — including the ping-pong parity, hence the same
-/// number of copies. Overstating `varying` (extra bits set) only costs an
-/// identity pass; understating it breaks sorting, so don't.
+/// [`lsb_radix_sort`] and always ends in `data`. Overstating `varying`
+/// (extra bits set) only costs the counting read of a pass that then turns
+/// out to be the identity; understating it breaks sorting, so don't.
 pub fn lsb_radix_sort_pruned<T: Keyed>(
     data: &mut [T],
     scratch: &mut [T],
     bits: u32,
     key_bits: u32,
     varying: T::Key,
+    counts: &mut Vec<usize>,
 ) -> RadixStats {
     assert!((1..=16).contains(&bits), "digit width {bits} not in 1..=16");
     assert!(key_bits <= T::Key::BITS);
@@ -242,42 +255,31 @@ pub fn lsb_radix_sort_pruned<T: Keyed>(
 
     let buckets = 1usize << bits;
     let mask = (buckets - 1) as u64;
-    let passes = key_bits.div_ceil(bits);
+    counts.resize(buckets, 0);
 
     let mut src_is_data = true;
-    let mut counts = vec![0usize; buckets];
-    for p in 0..passes {
-        let shift = p * bits;
-        // No varying key bit in this digit window: every element would
-        // land in the single occupied bucket, i.e. the identity pass the
-        // unpruned sort pays a full counting scan to detect.
-        if varying.digit(shift, mask) == 0 {
-            stats.passes_pruned += 1;
-            continue;
-        }
-        stats.passes_run += 1;
+    for shift in (0..key_bits.div_ceil(bits)).map(|p| p * bits) {
         let (src, dst): (&mut [T], &mut [T]) = if src_is_data {
             (&mut *data, &mut *scratch)
         } else {
             (&mut *scratch, &mut *data)
         };
-
-        counts.iter_mut().for_each(|c| *c = 0);
+        // No varying key bit in this digit window: the identity pass.
+        if varying.digit(shift, mask) == 0 {
+            stats.passes_pruned += 1;
+            continue;
+        }
+        counts.fill(0);
         for t in src.iter() {
             counts[t.key().digit(shift, mask)] += 1;
         }
-        // Exclusive prefix sum -> write cursors.
-        let mut sum = 0usize;
-        for c in counts.iter_mut() {
-            let x = *c;
-            *c = sum;
-            sum += x;
+        // An overstated mask let a constant digit through: still the identity.
+        if counts[src[0].key().digit(shift, mask)] == src.len() {
+            stats.passes_pruned += 1;
+            continue;
         }
-        for t in src.iter() {
-            let d = t.key().digit(shift, mask);
-            dst[counts[d]] = *t;
-            counts[d] += 1;
-        }
+        stats.passes_run += 1;
+        radix_pass(src, dst, shift, mask, counts);
         src_is_data = !src_is_data;
     }
 
@@ -380,6 +382,26 @@ mod tests {
     fn all_equal_keys_skip_every_pass() {
         let v = vec![42u64; 512];
         assert_eq!(sort_u64(v.clone(), 8), v);
+    }
+
+    #[test]
+    fn pruned_sort_matches_unpruned_under_exact_and_overstated_masks() {
+        // Keys vary in bits 8..24 only; a counter table of the wrong size
+        // and stale contents is what a caller recycling it hands over.
+        let mut rng = SmallRng::seed_from_u64(4);
+        let v: Vec<u64> = (0..3_000)
+            .map(|_| 0x77_0000_0011 | (rng.gen::<u64>() & 0xFF_FF00))
+            .collect();
+        let mut want = v.clone();
+        let mut s = vec![0u64; v.len()];
+        lsb_radix_sort(&mut want, &mut s, 8, 54);
+        let mut counts = vec![99usize; 7];
+        for (varying, run) in [(0xFF_FF00u64, 2), (u64::MAX >> 10, 2), (0xFF_FF0F, 2)] {
+            let mut got = v.clone();
+            let stats = lsb_radix_sort_pruned(&mut got, &mut s, 8, 54, varying, &mut counts);
+            assert_eq!(got, want, "varying {varying:#x}");
+            assert_eq!((stats.passes_run, stats.passes_pruned), (run, 7 - run));
+        }
     }
 
     #[test]
