@@ -1,7 +1,7 @@
 //! KmerGen + FASTQ-scan throughput: runtime-dispatched SIMD lanes vs the
 //! scalar reference (§4.1 KmerGen, §4.3 record-boundary scanning).
 //!
-//! Three measurements on a simulated HG-profile read set:
+//! Four measurements on a simulated HG-profile read set:
 //!
 //! 1. **KmerGen end-to-end** — canonical 27-mer enumeration over every
 //!    read through [`metaprep_kmer::for_each_canonical_kmer`] (dispatched:
@@ -16,6 +16,13 @@
 //!    `metaprep-io`'s `find_record_start` / `count_record_starts` and the
 //!    `StreamChunker` probe ride, best backend vs scalar, hunting `\n`
 //!    across the serialized FASTQ image.
+//! 4. **Emit** — enumeration plus what KmerGen does with each k-mer: one
+//!    tuple written through [`metaprep_sort::SharedSlice`] at a
+//!    precomputed cursor of a freshly allocated, uninitialised buffer,
+//!    with the k-mers spread over 1, 2^9 and 2^11 write streams by their
+//!    top bits. One stream is the old per-destination push; the others
+//!    are the bucketed emit at a typical and at the maximal bucket count,
+//!    so the cost of scattering from KmerGen is on record.
 //!
 //! The headline `dispatched_over_scalar` in `BENCH_kmergen.json` is the
 //! end-to-end KmerGen ratio — the number `cargo xtask bench-smoke` gates
@@ -25,7 +32,10 @@
 use crate::harness::{dataset, print_table};
 use metaprep_io::{count_record_starts, write_fastq, ReadStore};
 use metaprep_kmer::simd::{self, Backend};
-use metaprep_kmer::{for_each_canonical_kmer, for_each_canonical_kmer_scalar, Kmer64};
+use metaprep_kmer::{
+    for_each_canonical_kmer, for_each_canonical_kmer_scalar, Kmer64, KmerReadTuple,
+};
+use metaprep_sort::{ScatterTracker, SharedSlice};
 use metaprep_synth::DatasetId;
 use std::time::Instant;
 
@@ -92,6 +102,51 @@ fn enumerate_all(reads: &ReadStore, dispatched: bool) -> Checksum {
         }
     }
     sum
+}
+
+/// Write-stream counts of the emit measurement, as powers of two.
+const EMIT_STREAM_BITS: [u32; 3] = [0, 9, 11];
+
+/// Enumerate every k-mer and write its tuple at the next free position of
+/// its stream (`cursors`, one per stream, laid out back to back) in a
+/// fresh buffer — allocation and first touch included, as in a pass.
+fn emit_all(reads: &ReadStore, stream_bits: u32, cursors: &[usize]) -> Vec<KmerReadTuple> {
+    let total = cursors.last().copied().unwrap_or(0);
+    let mut next = cursors.to_vec();
+    let mut out: Vec<KmerReadTuple> = Vec::with_capacity(total);
+    let mut tracker = ScatterTracker::new();
+    let dst = SharedSlice::uninit(&mut out.spare_capacity_mut()[..total], &mut tracker);
+    for (seq, frag) in reads.iter() {
+        for_each_canonical_kmer::<Kmer64>(seq, K, |v, _| {
+            let cur = &mut next[stream_of(v, stream_bits)];
+            // SAFETY: single writer; every position below a stream's end is handed out once.
+            unsafe { dst.write(*cur, KmerReadTuple::new(v, frag)) };
+            *cur += 1;
+        });
+    }
+    // SAFETY: the cursors are exact prefix sums of the stream sizes, so the enumeration above wrote every slot below `total` exactly once.
+    unsafe { out.set_len(total) };
+    out
+}
+
+/// Stream of a packed k-mer: its top `stream_bits` bits.
+#[inline(always)]
+fn stream_of(v: u64, stream_bits: u32) -> usize {
+    (v >> (2 * K as u32 - stream_bits)) as usize
+}
+
+/// Start of every stream (and the total, last) for `stream_bits`.
+fn emit_cursors(reads: &ReadStore, stream_bits: u32) -> Vec<usize> {
+    let mut starts = vec![0usize; (1 << stream_bits) + 1];
+    for (seq, _) in reads.iter() {
+        for_each_canonical_kmer::<Kmer64>(seq, K, |v, _| {
+            starts[stream_of(v, stream_bits) + 1] += 1;
+        });
+    }
+    for s in 1..starts.len() {
+        starts[s] += starts[s - 1];
+    }
+    starts
 }
 
 /// Count newlines by repeated `find_byte_with` — the exact scan shape of
@@ -161,6 +216,18 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     );
     let scan_ratio = scan_best.mbases_per_s / scan_scalar.mbases_per_s;
 
+    // --- 4. emit: enumeration + one scattered tuple write per k-mer ------
+    let emit: Vec<(u32, PathResult)> = EMIT_STREAM_BITS
+        .iter()
+        .map(|&bits| {
+            let cursors = emit_cursors(reads, bits);
+            let mut emitted = 0;
+            let res = measure(bases, || emitted = emit_all(reads, bits, &cursors).len());
+            assert_eq!(emitted as u64, sum_dispatched.count, "emit lost k-mers");
+            (bits, res)
+        })
+        .collect();
+
     print_table(
         &format!(
             "KmerGen + FASTQ scan, backend {backend}, {} reads / {:.1} Mbases, \
@@ -194,7 +261,17 @@ pub fn run(scale: f64) -> std::path::PathBuf {
                 format!("{:.1}", scan_best.mbases_per_s),
                 format!("{scan_ratio:.2}x"),
             ],
-        ],
+        ]
+        .into_iter()
+        .chain(emit.iter().map(|(bits, p)| {
+            vec![
+                format!("emit, 2^{bits} write streams"),
+                format!("{:.3}", p.secs),
+                format!("{:.1}", p.mbases_per_s),
+                "-".into(),
+            ]
+        }))
+        .collect::<Vec<_>>(),
     );
     println!(
         "  {} canonical {K}-mers per pass, checksums identical on both paths",
@@ -229,6 +306,11 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         path_json(&scan_best),
         path_json(&scan_scalar),
     ));
+    let emit_json: Vec<String> = emit
+        .iter()
+        .map(|(bits, p)| format!("\"streams_2^{bits}\": {}", path_json(p)))
+        .collect();
+    json.push_str(&format!("  \"emit\": {{{}}},\n", emit_json.join(", ")));
     json.push_str(&format!(
         "  \"dispatched_over_scalar\": {kmergen_ratio:.3}\n}}\n"
     ));

@@ -2,7 +2,7 @@
 //! reference, plus the paper's comparison against a state-of-the-art
 //! parallel radix sort.
 //!
-//! Three measurements:
+//! Four measurements:
 //!
 //! 1. **Fused vs reference LocalSort** on a pipeline-realistic receive-side
 //!    workload: per-sender message buffers as they come out of the
@@ -21,7 +21,14 @@
 //!    range through DRAM once per digit and the fused path's cache-sized
 //!    buckets do not (`large_fused_over_reference`). The smoke-scale case
 //!    above fits in L2 and cannot see that difference.
-//! 3. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
+//! 3. **Bucketed vs fused** on the same out-of-cache size, from one sender
+//!    and from four: the pipeline's LocalSort
+//!    ([`metaprep_sort::bucketed_local_sort`]) gets the parts as KmerGen
+//!    emits them — grouped by sort bucket — and only gathers and sorts;
+//!    the fused entry gets the same tuples ungrouped and pays its
+//!    histogram + scatter pass first. `bucketed_over_fused` is the smaller
+//!    of the two throughput ratios; outputs are asserted byte-identical.
+//! 4. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
 //!    LSB radix sort (the NUMA-aware-sort stand-in) vs `sort_unstable`.
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta per timed
@@ -33,8 +40,8 @@ use crate::allocpeak;
 use crate::harness::print_table;
 use metaprep_kmer::KmerReadTuple;
 use metaprep_sort::{
-    equal_boundaries_by_sample, fused_local_sort, local_sort, local_sort_with_boundaries,
-    parallel_lsb_sort, PassBuffers, RadixStats,
+    bucketed_local_sort, equal_boundaries_by_sample, fused_local_sort, local_sort,
+    local_sort_with_boundaries, parallel_lsb_sort, PassBuffers, RadixStats, BUCKET_BYTES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -211,6 +218,81 @@ fn fused_vs_reference(
     (fused, reference)
 }
 
+/// Time `LARGE_ROUNDS` warm rounds of the fused entry over `senders`
+/// ungrouped parts and of the bucketed entry over the same parts grouped by
+/// sort bucket (a stable partition, as KmerGen's emit produces), asserting
+/// equal output. Buckets are equal key intervals holding about
+/// `BUCKET_BYTES` of the uniform keys each, and both entries run on one
+/// thread: the comparison is of work done, not of how much of it each
+/// entry spreads over the cores. Returns `(bucketed, fused)`.
+fn bucketed_vs_fused(senders: usize, seed: u64) -> (PathResult, PathResult) {
+    let mut parts = single_range_parts(LARGE_TUPLES, seed);
+    let per_sender = LARGE_TUPLES / senders;
+    while parts.len() < senders {
+        let tail = parts.last_mut().expect("one part").split_off(per_sender);
+        parts.push(tail);
+    }
+    let bucket_tuples = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple>();
+    let cut_bits = (LARGE_TUPLES / bucket_tuples).ilog2();
+    let lower: Vec<u64> = (0..1u64 << cut_bits)
+        .map(|b| b << (KEY_BITS - cut_bits))
+        .collect();
+    let grouped: Vec<Vec<KmerReadTuple>> = parts
+        .iter()
+        .map(|p| {
+            let mut g = p.clone();
+            g.sort_by_key(|t| t.kmer >> (KEY_BITS - cut_bits)); // stable
+            g
+        })
+        .collect();
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let timed = |sort: &mut dyn FnMut(Vec<Vec<KmerReadTuple>>) -> RadixStats,
+                 input: &[Vec<KmerReadTuple>]| {
+        let mut sort = |parts| pool.install(|| sort(parts));
+        sort(input.to_vec()); // warm-up: populate the pooled buffers
+        let (mut secs, mut stats) = (0.0, RadixStats::default());
+        let mut peak: Option<usize> = allocpeak::installed().then_some(0);
+        for _ in 0..LARGE_ROUNDS {
+            let round_parts = input.to_vec();
+            allocpeak::reset_peak();
+            let before = allocpeak::peak_bytes();
+            let t0 = Instant::now();
+            stats = stats.merged(sort(round_parts));
+            secs += t0.elapsed().as_secs_f64();
+            if let Some(p) = peak.as_mut() {
+                *p = (*p).max(allocpeak::peak_bytes() - before);
+            }
+        }
+        PathResult {
+            secs,
+            mtuples_per_s: (LARGE_TUPLES * LARGE_ROUNDS) as f64 / secs / 1e6,
+            peak_alloc: peak,
+            stats,
+        }
+    };
+    let mut fused_bufs: PassBuffers<KmerReadTuple> = PassBuffers::new();
+    let fused = timed(
+        &mut |p| fused_local_sort(p, &mut fused_bufs, &[], DIGIT_BITS, KEY_BITS).stats,
+        &parts,
+    );
+    let mut bufs: PassBuffers<KmerReadTuple> = PassBuffers::new();
+    let first = [0, lower.len()];
+    let bucketed = timed(
+        &mut |p| bucketed_local_sort(p, &mut bufs, &lower, &first, DIGIT_BITS, KEY_BITS).stats,
+        &grouped,
+    );
+    assert_eq!(
+        bufs.sorted(),
+        fused_bufs.sorted(),
+        "bucketed LocalSort diverged from the fused entry ({senders} sender(s))"
+    );
+    (bucketed, fused)
+}
+
 /// Run the experiment; writes `BENCH_sort.json` and returns its path.
 pub fn run(scale: f64) -> std::path::PathBuf {
     let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
@@ -225,6 +307,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     );
     let (large_fused, large_reference) =
         fused_vs_reference(&single_range_parts(LARGE_TUPLES, 43), &[], LARGE_ROUNDS);
+    let bucketed_cases = [1usize, 4].map(|senders| (senders, bucketed_vs_fused(senders, 44)));
 
     let ratio = print_case(
         &format!(
@@ -239,6 +322,19 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         &large_fused,
         &large_reference,
     );
+
+    let mut bucketed_ratio = f64::INFINITY;
+    for (senders, (bucketed, fused)) in &bucketed_cases {
+        let title = format!(
+            "bucket-major parts: {LARGE_TUPLES} tuples x {LARGE_ROUNDS} rounds, \
+             {senders} sender(s), 1 range"
+        );
+        let rows = [
+            ("bucketed (gather + in-cache radix)", bucketed),
+            ("fused (scatter-on-receive)", fused),
+        ];
+        bucketed_ratio = bucketed_ratio.min(print_paths(&title, rows));
+    }
 
     // --- paper §4.2.2: LocalSort vs parallel radix vs std ---------------
     comparator_table(&all);
@@ -292,7 +388,17 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         path_json(&large_reference)
     ));
     json.push_str(&format!(
-        "  \"large_fused_over_reference\": {large_ratio:.3}\n}}\n"
+        "  \"large_fused_over_reference\": {large_ratio:.3},\n"
+    ));
+    for (senders, (bucketed, fused)) in &bucketed_cases {
+        json.push_str(&format!(
+            "  \"bucketed_{senders}_part\": {{\"bucketed\": {}, \"fused\": {}}},\n",
+            path_json(bucketed),
+            path_json(fused)
+        ));
+    }
+    json.push_str(&format!(
+        "  \"bucketed_over_fused\": {bucketed_ratio:.3}\n}}\n"
     ));
 
     let out = std::env::var("METAPREP_BENCH_OUT")
@@ -306,7 +412,17 @@ pub fn run(scale: f64) -> std::path::PathBuf {
 /// Print one fused-vs-reference table; returns fused over reference
 /// throughput.
 fn print_case(title: &str, fused: &PathResult, reference: &PathResult) -> f64 {
-    let row = |name: &str, p: &PathResult| {
+    let rows = [
+        ("fused (scatter-on-receive)", fused),
+        ("reference (concat+partition)", reference),
+    ];
+    print_paths(title, rows)
+}
+
+/// Print a two-path table; returns the first path's throughput over the
+/// second's.
+fn print_paths(title: &str, rows: [(&str, &PathResult); 2]) -> f64 {
+    let row = |(name, p): (&str, &PathResult)| {
         vec![
             name.to_string(),
             format!("{:.3}", p.secs),
@@ -328,13 +444,13 @@ fn print_case(title: &str, fused: &PathResult, reference: &PathResult) -> f64 {
             "Pruned",
             "Peak MB",
         ],
-        &[
-            row("fused (scatter-on-receive)", fused),
-            row("reference (concat+partition)", reference),
-        ],
+        &rows.map(row),
     );
-    let ratio = fused.mtuples_per_s / reference.mtuples_per_s;
-    println!("  fused is {ratio:.2}x the reference throughput");
+    let ratio = rows[0].1.mtuples_per_s / rows[1].1.mtuples_per_s;
+    println!(
+        "  {} is {ratio:.2}x the throughput of {}",
+        rows[0].0, rows[1].0
+    );
     ratio
 }
 

@@ -1,4 +1,16 @@
-//! KmerGen: per-task tuple enumeration (paper §3.2).
+//! KmerGen: per-task tuple enumeration (paper §3.2), each tuple written
+//! once, straight into its sort bucket.
+//!
+//! The `FASTQPart` chunk histograms exist so that every thread knows the
+//! final offset of every tuple it emits without synchronising (§3.2.2).
+//! `kmergen_pass` carries that precomputation one level below the
+//! destination task, to the cache-sized buckets of `RangePlan::bucket_plan`:
+//! a send buffer is allocated once at its exact size, laid out bucket-major
+//! and chunk-minor, and every (chunk, bucket) pair owns a window of it. The
+//! buffer is the message, and its grouping is what lets LocalSort on the
+//! receiving rank skip its counting and scatter passes. Order inside a
+//! bucket (chunk, then read order) is what per-chunk buffers + concat +
+//! stable scatter produced, so everything downstream is byte-identical.
 
 use crate::pipeline::RunCtx;
 use crate::source::ChunkSource;
@@ -6,7 +18,7 @@ use metaprep_index::{FastqPart, RangePlan};
 use metaprep_kmer::{
     fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, KmerReadTuple, KmerReadTuple128,
 };
-use metaprep_sort::Keyed;
+use metaprep_sort::{Keyed, ScatterTracker, SharedSlice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -81,18 +93,29 @@ impl PipelineKmer for Kmer128 {
 
 /// Output of one task's KmerGen for one pass.
 pub struct KmerGenOutput<T> {
-    /// `outgoing[q]` — tuples destined for task `q`, in chunk order.
+    /// `outgoing[q]` — tuples destined for task `q`, *bucket-major*: grouped
+    /// by `q`'s sort buckets of this pass in key order, and inside a bucket
+    /// in chunk order, then read order.
     pub outgoing: Vec<Vec<T>>,
     /// Simulated FASTQ-chunk load time ("KmerGen-I/O"): the time spent
     /// copying chunk bytes into thread-local buffers, CPU-time summed
     /// across threads.
     pub io_nanos: u64,
-    /// Enumeration time, CPU-time summed across threads.
+    /// Enumeration time, CPU-time summed across threads, plus the write
+    /// cursor build before it and the gap compaction after it.
     pub gen_nanos: u64,
     /// K-mer occurrences dropped by the presolve filter before any tuple
     /// was materialized (0 without a filter). Conservation:
     /// `sum(outgoing) + dropped == enumerated`.
     pub dropped: u64,
+}
+
+/// One (chunk, slot) write window of a destination buffer: `next..end` is
+/// still to be written.
+struct Window<'a, T> {
+    dst: &'a SharedSlice<'a, T>,
+    next: usize,
+    end: usize,
 }
 
 /// Enumerate this task's tuples for `pass`.
@@ -101,10 +124,12 @@ pub struct KmerGenOutput<T> {
 /// * `read_label` — identity for plain LocalCC; the task's current
 ///   `Find(read)` for LocalCC-Opt passes (paper §3.5.1).
 ///
-/// Per-destination buffers are preallocated to their *exact* sizes computed
-/// from the `FASTQPart` chunk histograms (the paper's offset precomputation,
-/// §3.2.2) — an assertion checks the histogram arithmetic agrees with the
-/// enumeration.
+/// Each `outgoing[q]` is allocated once, uninitialised, at the size the
+/// chunk histograms give it; the per-(chunk, bucket) windows are prefix
+/// sums of those histograms, so concurrent chunks never share a slot. A
+/// release assert holds every write inside its window; where the presolve
+/// filter left a window unfilled (the histogram count is then an upper
+/// bound) one left-compaction closes the gaps.
 pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
     pool: &rayon::ThreadPool,
     run: &RunCtx<'_, S>,
@@ -114,52 +139,100 @@ pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
 ) -> KmerGenOutput<K::Tuple> {
     use rayon::prelude::*;
 
-    let (source, fastqpart, plan, filter) = (run.source, run.fastqpart, run.plan, run.filter);
-    let bin_owner = &run.bin_owner;
-    let tasks = plan.tasks();
-    let k = plan.k();
+    let (source, fastqpart, buckets, filter) =
+        (run.source, run.fastqpart, &run.buckets, run.filter);
+    let tasks = run.plan.tasks();
+    let k = run.plan.k();
     let space = fastqpart.space();
     debug_assert_eq!(space.k(), k);
     let io_nanos = AtomicU64::new(0);
     let gen_nanos = AtomicU64::new(0);
     let dropped = AtomicU64::new(0);
 
-    let per_chunk: Vec<Vec<Vec<K::Tuple>>> = pool.install(|| {
+    // The pass's slots are one run of the global numbering; a bin of
+    // another pass maps outside it.
+    let slot_of_bin = buckets.slot_of_bin();
+    let pass_slots = buckets.pass_slots(pass);
+    let (base, slots) = (pass_slots.start, pass_slots.len());
+
+    // Write windows per (chunk, slot): the window sizes are the chunk
+    // histograms summed over each slot's bins, their positions the running
+    // sum in layout order — per destination, bucket-major and chunk-minor.
+    let t_plan = Instant::now();
+    let sizes: Vec<Vec<usize>> = pool.install(|| {
+        let of_chunk = |&c: &usize| {
+            let of_slot = |s| {
+                let (lo, hi) = buckets.slot_bins(s);
+                fastqpart.chunk_count_in_bins(c, lo, hi) as usize
+            };
+            pass_slots.clone().map(of_slot).collect()
+        };
+        my_chunks.par_iter().map(of_chunk).collect()
+    });
+    let mut outgoing: Vec<Vec<K::Tuple>> = (0..tasks)
+        .map(|q| {
+            let task = buckets.task_slots(pass, q);
+            let (lo, hi) = (task.start - base, task.end - base);
+            Vec::with_capacity(sizes.iter().flat_map(|chunk| &chunk[lo..hi]).sum())
+        })
+        .collect();
+    let mut trackers: Vec<ScatterTracker> = (0..tasks).map(|_| ScatterTracker::new()).collect();
+    let shared: Vec<SharedSlice<'_, K::Tuple>> = outgoing
+        .iter_mut()
+        .zip(&mut trackers)
+        .map(|(out, tracker)| SharedSlice::uninit(out.spare_capacity_mut(), tracker))
+        .collect();
+    let mut windows: Vec<Vec<Window<'_, K::Tuple>>> =
+        sizes.iter().map(|_| Vec::with_capacity(slots)).collect();
+    for (q, dst) in shared.iter().enumerate() {
+        let mut next = 0;
+        for s in buckets.task_slots(pass, q) {
+            for (chunk, sizes) in windows.iter_mut().zip(&sizes) {
+                let end = next + sizes[s - base];
+                chunk.push(Window { dst, next, end });
+                next = end;
+            }
+        }
+    }
+    let plan_nanos = t_plan.elapsed().as_nanos() as u64;
+
+    let cursors: Vec<Vec<[usize; 2]>> = pool.install(|| {
         my_chunks
             .par_iter()
-            .map(|&c| {
-                // Chunk load (KmerGen-I/O): a copy from the in-memory store
+            .zip(windows.into_par_iter())
+            .map(|(&c, mut cur)| {
+                // Chunk load (KmerGen-I/O): a borrow of the in-memory store
                 // (MemorySource) or a real seek+read+parse from the FASTQ
-                // file (FileSource) — either way, into this thread's
-                // FASTQBuffer.
+                // file (FileSource).
                 let t_io = Instant::now();
                 let buffer = source.load_chunk(c);
                 // ORDERING: Relaxed — profiling counter, summed after join.
                 io_nanos.fetch_add(t_io.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
                 let t_gen = Instant::now();
-                let mut bufs: Vec<Vec<K::Tuple>> = (0..tasks)
-                    .map(|q| {
-                        let (blo, bhi) = plan.task_bin_range(pass, q);
-                        Vec::with_capacity(fastqpart.chunk_count_in_bins(c, blo, bhi) as usize)
-                    })
-                    .collect();
-                let mut dropped_per_dest = vec![0u64; tasks];
-                for (seq, frag) in &buffer {
-                    let label = read_label(*frag);
+                let mut dropped_here = 0u64;
+                for (seq, frag) in buffer.iter() {
+                    let label = read_label(frag);
                     for_each_canonical_kmer::<K>(seq, k, |v, _| {
                         let bin = space.bin_of(K::repr_to_u128(v));
-                        let owner = bin_owner[bin as usize] as usize;
-                        if owner / tasks == pass {
-                            let dest = owner % tasks;
-                            if let Some(f) = filter {
-                                if f.drops(K::sketch_key(v)) {
-                                    dropped_per_dest[dest] += 1;
-                                    return;
-                                }
-                            }
-                            bufs[dest].push(K::make_tuple(v, label));
+                        let s = (slot_of_bin[bin as usize] as usize).wrapping_sub(base);
+                        // A slot of another pass is out of range.
+                        let Some(w) = cur.get_mut(s) else {
+                            return;
+                        };
+                        if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
+                            dropped_here += 1;
+                            return;
                         }
+                        // What keeps the windows of concurrent chunks
+                        // disjoint even if a histogram is wrong.
+                        assert!(
+                            w.next < w.end,
+                            "chunk {c}: more k-mers than its histogram counts in slot {s}"
+                        );
+                        // SAFETY: `[next, end)` is this chunk's own window of the destination — the windows are consecutive runs of one prefix sum — and `next` only ever advances, so no slot is written twice or by another chunk.
+                        unsafe { w.dst.write(w.next, K::make_tuple(v, label)) };
+                        w.next += 1;
                     });
                 }
                 // ORDERING: Relaxed — profiling counter, summed after join.
@@ -168,35 +241,56 @@ pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
                 // The index-table arithmetic must match the enumeration:
                 // every histogram-counted k-mer was either emitted or
                 // filter-dropped, never lost.
-                for (q, b) in bufs.iter().enumerate() {
-                    let (blo, bhi) = plan.task_bin_range(pass, q);
-                    debug_assert_eq!(
-                        b.len() as u64 + dropped_per_dest[q],
-                        fastqpart.chunk_count_in_bins(c, blo, bhi),
-                        "chunk {c} dest {q}: histogram disagrees with enumeration"
-                    );
-                }
+                debug_assert_eq!(
+                    cur.iter().map(|w| (w.end - w.next) as u64).sum::<u64>(),
+                    dropped_here,
+                    "chunk {c}: histogram disagrees with enumeration"
+                );
                 // ORDERING: Relaxed — conservation counter, summed after join.
-                dropped.fetch_add(dropped_per_dest.iter().sum::<u64>(), Ordering::Relaxed);
-                bufs
+                dropped.fetch_add(dropped_here, Ordering::Relaxed);
+                cur.iter().map(|w| [w.next, w.end]).collect()
             })
             .collect()
     });
 
-    // Concatenate per destination, in chunk order (stable).
-    let mut outgoing: Vec<Vec<K::Tuple>> = (0..tasks).map(|_| Vec::new()).collect();
-    for (q, out) in outgoing.iter_mut().enumerate() {
-        let total: usize = per_chunk.iter().map(|b| b[q].len()).sum();
-        out.reserve_exact(total);
-        for bufs in &per_chunk {
-            out.extend_from_slice(&bufs[q]);
+    // Close the gaps the filter left: each window's written prefix moves
+    // left onto the end of the one before it (nothing moves when every
+    // window was filled). Windows tile a destination in layout order, so a
+    // window starts where its predecessor ends.
+    let t_compact = Instant::now();
+    let layout = |q: usize| {
+        let of_slot = |s: usize| cursors.iter().map(move |cur| cur[s - base]);
+        let windows = buckets.task_slots(pass, q).flat_map(of_slot);
+        windows.scan(0, |start, [next, end]| {
+            let written = *start..next;
+            *start = end;
+            Some((written, end))
+        })
+    };
+    for (q, dst) in shared.iter().enumerate() {
+        for (written, end) in layout(q) {
+            dst.assert_prefix_written(written.start..end, written.len());
         }
     }
+    drop(shared);
+    for (q, out) in outgoing.iter_mut().enumerate() {
+        let mut kept = 0;
+        for (written, _) in layout(q) {
+            let len = written.len();
+            if kept != written.start {
+                out.spare_capacity_mut().copy_within(written, kept);
+            }
+            kept += len;
+        }
+        // SAFETY: the first `kept` slots are the written prefixes of all windows, moved together in order; each was initialised by exactly one `write` (asserted above in debug builds).
+        unsafe { out.set_len(kept) };
+    }
+    let serial_nanos = plan_nanos + t_compact.elapsed().as_nanos() as u64;
 
     KmerGenOutput {
         outgoing,
         io_nanos: io_nanos.into_inner(),
-        gen_nanos: gen_nanos.into_inner(),
+        gen_nanos: gen_nanos.into_inner() + serial_nanos,
         dropped: dropped.into_inner(),
     }
 }
@@ -217,36 +311,63 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::source::MemorySource;
-    use metaprep_index::MerHist;
+    use metaprep_index::{BucketPlan, MerHist};
     use metaprep_io::ReadStore;
-    use metaprep_norm::HighFreqFilter;
+    use metaprep_norm::{HighFreqFilter, SketchParams};
 
-    /// One task owning every chunk runs KmerGen for `pass` on `threads`.
-    fn run_kmergen<K: PipelineKmer>(
-        s: &ReadStore,
-        fp: &FastqPart,
-        plan: &RangePlan,
-        threads: usize,
-        pass: usize,
-        filter: Option<&HighFreqFilter>,
-        read_label: impl Fn(u32) -> u32 + Sync,
-    ) -> KmerGenOutput<K::Tuple> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let src = MemorySource::new(s, fp.chunks().iter().map(|r| r.spec).collect());
-        let cfg = PipelineConfig::default();
-        let run = RunCtx {
-            cfg: &cfg,
-            source: &src,
-            fastqpart: fp,
-            plan,
-            bin_owner: plan.bin_owner_table(),
-            filter,
-        };
-        let all_chunks: Vec<usize> = (0..fp.len()).collect();
-        kmergen_pass::<K, _>(&pool, &run, &all_chunks, pass, read_label)
+    /// Bucket budget of the tests, in tuples: small, so the few thousand
+    /// test tuples spread over many buckets.
+    const BUDGET: u64 = 24;
+
+    /// The index tables and plans of one test geometry.
+    struct Setup {
+        reads: ReadStore,
+        fp: FastqPart,
+        plan: RangePlan,
+        buckets: BucketPlan,
+    }
+
+    impl Setup {
+        fn new(
+            reads: ReadStore,
+            k: usize,
+            chunks: usize,
+            (s, p, t): (usize, usize, usize),
+        ) -> Self {
+            let mh = MerHist::build(&reads, k, 4);
+            let plan = RangePlan::build(&mh, s, p, t);
+            Setup {
+                fp: FastqPart::build(&reads, chunks, k, 4),
+                buckets: plan.bucket_plan(&mh, BUDGET),
+                plan,
+                reads,
+            }
+        }
+
+        /// One task owning every chunk runs KmerGen for `pass` on `threads`.
+        fn kmergen<K: PipelineKmer>(
+            &self,
+            threads: usize,
+            pass: usize,
+            filter: Option<&HighFreqFilter>,
+            read_label: impl Fn(u32) -> u32 + Sync,
+        ) -> KmerGenOutput<K::Tuple> {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let specs = self.fp.chunks().iter().map(|r| r.spec).collect();
+            let run = RunCtx {
+                cfg: &PipelineConfig::default(),
+                source: &MemorySource::new(&self.reads, specs),
+                fastqpart: &self.fp,
+                plan: &self.plan,
+                buckets: self.buckets.clone(),
+                filter,
+            };
+            let all_chunks: Vec<usize> = (0..self.fp.len()).collect();
+            kmergen_pass::<K, _>(&pool, &run, &all_chunks, pass, read_label)
+        }
     }
 
     fn store() -> ReadStore {
@@ -264,31 +385,49 @@ mod tests {
         s
     }
 
-    fn setup(k: usize, passes: usize, tasks: usize) -> (ReadStore, FastqPart, RangePlan) {
-        let s = store();
-        let mh = MerHist::build(&s, k, 4);
-        let fp = FastqPart::build(&s, 6, k, 4);
-        let plan = RangePlan::build(&mh, passes, tasks, 2);
-        (s, fp, plan)
+    /// `store()` with its first 30 pairs three more times: their k-mers
+    /// occur four times, the rest once, so a threshold of 2 drops > 90 %.
+    fn store_mostly_frequent() -> ReadStore {
+        let mut s = store();
+        for _ in 0..3 {
+            for i in 0..30 {
+                let (a, b) = (s.seq(2 * i).to_vec(), s.seq(2 * i + 1).to_vec());
+                s.push_pair(&a, &b);
+            }
+        }
+        s
+    }
+
+    /// Exact k-mer counts behind a sketch generous enough to be exact too.
+    fn exact_filter(s: &ReadStore, k: usize, threshold: u32) -> HighFreqFilter {
+        let mut sketch = SketchParams::default().build();
+        for (seq, _) in s.iter() {
+            for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| sketch.add(v));
+        }
+        HighFreqFilter::new(sketch, threshold)
+    }
+
+    fn setup(k: usize, passes: usize, tasks: usize) -> Setup {
+        Setup::new(store(), k, 6, (passes, tasks, 2))
     }
 
     #[test]
     fn all_tuples_emitted_across_passes_and_tasks() {
-        let (s, fp, plan) = setup(11, 2, 3);
+        let su = setup(11, 2, 3);
         let mut total = 0u64;
         for pass in 0..2 {
-            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, None, |r| r);
+            let out = su.kmergen::<Kmer64>(2, pass, None, |r| r);
             total += out.outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
         }
-        assert_eq!(total, fp.total());
+        assert_eq!(total, su.fp.total());
     }
 
     #[test]
     fn tuples_land_in_owner_range() {
-        let (s, fp, plan) = setup(11, 1, 4);
-        let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 1, 0, None, |r| r);
+        let su = setup(11, 1, 4);
+        let out = su.kmergen::<Kmer64>(1, 0, None, |r| r);
         for (q, buf) in out.outgoing.iter().enumerate() {
-            let (lo, hi) = plan.task_range(0, q);
+            let (lo, hi) = su.plan.task_range(0, q);
             for t in buf {
                 let v = t.kmer as u128;
                 assert!(v >= lo && v < hi, "task {q}: kmer out of range");
@@ -298,13 +437,13 @@ mod tests {
 
     #[test]
     fn expected_incoming_matches_actual() {
-        let (s, fp, plan) = setup(11, 2, 3);
+        let su = setup(11, 2, 3);
         for pass in 0..2 {
-            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, None, |r| r);
+            let out = su.kmergen::<Kmer64>(2, pass, None, |r| r);
             for q in 0..3 {
                 assert_eq!(
                     out.outgoing[q].len() as u64,
-                    expected_incoming(&fp, &plan, pass, q),
+                    expected_incoming(&su.fp, &su.plan, pass, q),
                     "pass {pass} task {q}"
                 );
             }
@@ -313,15 +452,78 @@ mod tests {
 
     #[test]
     fn read_label_substitution_applies() {
-        let (s, fp, plan) = setup(11, 1, 1);
+        let su = setup(11, 1, 1);
         // Map every read to label 0 (as an extreme LocalCC-Opt would).
-        let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 1, 0, None, |_| 0);
+        let out = su.kmergen::<Kmer64>(1, 0, None, |_| 0);
         assert!(out.outgoing[0].iter().all(|t| t.read == 0));
+    }
+
+    /// What `kmergen_pass` must produce for destination `q`: enumerate the
+    /// chunks in order, keep what the pass, the task and the filter let
+    /// through, and stable-partition it by sort bucket.
+    fn reference_outgoing(
+        su: &Setup,
+        k: usize,
+        pass: usize,
+        q: usize,
+        filter: Option<&HighFreqFilter>,
+    ) -> Vec<KmerReadTuple> {
+        let slots = su.buckets.task_slots(pass, q);
+        let mut tuples = Vec::new();
+        for (seq, frag) in su.reads.iter() {
+            for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
+                let slot = su.buckets.slot_of_bin()[su.fp.space().bin_of(v as u128) as usize];
+                let slot = slot as usize;
+                if slots.contains(&slot) && !filter.is_some_and(|f| f.drops(v)) {
+                    tuples.push((slot, KmerReadTuple::new(v, frag)));
+                }
+            });
+        }
+        tuples.sort_by_key(|&(slot, _)| slot); // stable
+        tuples.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn output_is_the_stable_partition_by_bucket_of_the_enumeration() {
+        let k = 11;
+        for reads in [store(), store_mostly_frequent()] {
+            let filter = exact_filter(&reads, k, 2);
+            for (tasks, threads) in [(1, 1), (1, 3), (3, 1), (3, 3)] {
+                // `threads` is both the plan's T (buckets nest in thread
+                // sub-ranges) and the pool size (chunks emit concurrently).
+                let su = Setup::new(reads.clone(), k, 5, (2, tasks, threads));
+                for filter in [None, Some(&filter)] {
+                    let (mut emitted, mut dropped) = (0, 0);
+                    for pass in 0..2 {
+                        let out = su.kmergen::<Kmer64>(threads, pass, filter, |r| r);
+                        for (q, got) in out.outgoing.iter().enumerate() {
+                            let want = reference_outgoing(&su, k, pass, q, filter);
+                            assert_eq!(got, &want, "P={tasks} T={threads} pass {pass} dest {q}");
+                            // Compaction left no gap: the buffer was sized
+                            // for the histogram's upper bound.
+                            assert!(
+                                got.capacity() as u64
+                                    >= expected_incoming(&su.fp, &su.plan, pass, q)
+                            );
+                        }
+                        emitted += out.outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
+                        dropped += out.dropped;
+                    }
+                    assert_eq!(emitted + dropped, su.fp.total(), "conservation");
+                    match filter {
+                        // The per-chunk `emitted + dropped == enumerated`
+                        // check is a debug assert inside `kmergen_pass`.
+                        Some(_) if su.reads.len() > 80 => assert!(dropped > su.fp.total() / 2),
+                        Some(_) => {}
+                        None => assert_eq!(dropped, 0),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn filter_drops_frequent_kmers_and_conserves_counts() {
-        use metaprep_norm::SketchParams;
         use std::collections::HashMap;
 
         // The random store plus a handful of duplicated reads, so some
@@ -331,30 +533,24 @@ mod tests {
         for _ in 0..5 {
             s.push_pair(&hot[..30], &hot[30..]);
         }
-        let mh = MerHist::build(&s, 11, 4);
-        let fp = FastqPart::build(&s, 6, 11, 4);
-        let plan = RangePlan::build(&mh, 2, 3, 2);
-
-        // Exact truth and a generous sketch over the same enumeration.
         let mut truth: HashMap<u64, u64> = HashMap::new();
-        let mut sketch = SketchParams::default().build();
         for (seq, _) in s.iter() {
             for_each_canonical_kmer::<Kmer64>(seq, 11, |v, _| {
                 *truth.entry(v).or_insert(0) += 1;
-                sketch.add(v);
             });
         }
         let threshold = 2u32;
-        let filter = HighFreqFilter::new(sketch, threshold);
+        let filter = exact_filter(&s, 11, threshold);
         assert!(
             truth.values().any(|&c| c > u64::from(threshold)),
             "test input must contain a frequent k-mer"
         );
+        let su = Setup::new(s, 11, 6, (2, 3, 2));
 
         let mut emitted = 0u64;
         let mut dropped = 0u64;
         for pass in 0..2 {
-            let out = run_kmergen::<Kmer64>(&s, &fp, &plan, 2, pass, Some(&filter), |r| r);
+            let out = su.kmergen::<Kmer64>(2, pass, Some(&filter), |r| r);
             emitted += out.outgoing.iter().map(|v| v.len() as u64).sum::<u64>();
             dropped += out.dropped;
             // No surviving tuple's k-mer may be truly frequent: estimates
@@ -369,20 +565,27 @@ mod tests {
             }
         }
         assert!(dropped > 0, "filter should have dropped something");
-        assert_eq!(emitted + dropped, fp.total(), "conservation");
+        assert_eq!(emitted + dropped, su.fp.total(), "conservation");
+    }
+
+    #[test]
+    #[should_panic] // re-raised by the pool under its own message
+    fn a_histogram_that_undercounts_aborts_the_emit() {
+        // The per-write window bound: a chunk histogram that misses a
+        // k-mer must stop the run before the writer leaves its window.
+        let mut su = setup(11, 1, 2);
+        let mut rows = su.fp.chunks().to_vec();
+        let bin = rows[0].hist.iter().position(|&n| n > 0).unwrap();
+        rows[0].hist[bin] -= 1;
+        su.fp = FastqPart::from_parts(su.fp.space(), rows);
+        su.kmergen::<Kmer64>(1, 0, None, |r| r);
     }
 
     #[test]
     fn kmer128_path_works() {
-        let (s, fp, plan) = {
-            let s = store();
-            let mh = MerHist::build(&s, 35, 4);
-            let fp = FastqPart::build(&s, 4, 35, 4);
-            let plan = RangePlan::build(&mh, 1, 2, 2);
-            (s, fp, plan)
-        };
-        let out = run_kmergen::<Kmer128>(&s, &fp, &plan, 1, 0, None, |r| r);
+        let su = Setup::new(store(), 35, 4, (1, 2, 2));
+        let out = su.kmergen::<Kmer128>(1, 0, None, |r| r);
         let total: u64 = out.outgoing.iter().map(|v| v.len() as u64).sum();
-        assert_eq!(total, fp.total());
+        assert_eq!(total, su.fp.total());
     }
 }

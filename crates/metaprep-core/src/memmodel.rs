@@ -14,15 +14,18 @@
 //! We report the model alongside *measured* tuple-buffer peaks so the two
 //! can be compared in EXPERIMENTS.md.
 //!
-//! The measured per-pass tuple peak assumes the **fused** LocalSort
-//! (DESIGN.md §7.2): at most two tuple copies are ever resident — the
-//! received per-sender parts plus the partitioned destination during the
-//! scatter (`2 × kmer_in`; once the parts are dropped the radix sorts
-//! bucket by bucket against a scratch of a few hundred KiB per thread,
-//! which this model does not count), with the all-to-all moment
-//! (`kmer_out + kmer_in`) as the other candidate. Capacity the pooled pass
-//! buffers carry between passes is covered by the allocator-measured
-//! footprint, not this model.
+//! The measured per-pass tuple peak (`peak_tuples`, serialized into the
+//! checkpoints, so its formula is fixed) charges what a message-passing run
+//! of the pass holds (DESIGN.md §7.2): distinct send and receive buffers
+//! during the all-to-all (`kmer_out + kmer_in`), or the received parts next
+//! to the destination they are gathered into (`2 × kmer_in`), whichever is
+//! larger; the bucket scratch of a few hundred KiB per thread is not
+//! counted. The in-process exchange undercuts that charge: the
+//! self-addressed buffer is moved, never copied, so it is not resident
+//! twice, and a single-task run sorts in the very buffer KmerGen wrote —
+//! one tuple copy where two are charged (DESIGN.md §7 records the gap).
+//! Capacity the pooled pass buffers carry between passes is covered by the
+//! allocator-measured footprint, not this model.
 
 use crate::planner::PlanInputs;
 

@@ -24,13 +24,13 @@ use metaprep_dist::{
     run_cluster, run_cluster_faulted, run_supervised, Boundary, ClusterConfig, CommStats, Payload,
     TaskCtx,
 };
-use metaprep_index::{FastqPart, MerHist, RangePlan};
+use metaprep_index::{BucketPlan, FastqPart, MerHist, RangePlan};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
 use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent, TaskObs};
-use metaprep_sort::{fused_local_sort, PassBuffers};
+use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
 use std::path::Path;
 use std::time::Duration;
 
@@ -298,8 +298,10 @@ pub(crate) struct RunCtx<'a, S> {
     /// The pass/task/thread k-mer ranges. Its pass count is the one that
     /// runs — it differs from `cfg.passes` when the planner chose it.
     pub(crate) plan: &'a RangePlan,
-    /// The plan's m-mer-bin → `pass * P + task` table.
-    pub(crate) bin_owner: Vec<u32>,
+    /// The sort buckets of every (pass, task), derived from the plan and
+    /// the global histogram — the same on every rank, so KmerGen can emit
+    /// into the buckets LocalSort on the receiving rank will sort.
+    pub(crate) buckets: BucketPlan,
     pub(crate) filter: Option<&'a HighFreqFilter>,
 }
 
@@ -375,7 +377,10 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
         source,
         fastqpart,
         plan: &plan,
-        bin_owner: plan.bin_owner_table(),
+        buckets: plan.bucket_plan(
+            merhist,
+            (BUCKET_BYTES / std::mem::size_of::<K::Tuple>()) as u64,
+        ),
         filter,
     };
     let mut cluster = ClusterConfig::new(cfg.tasks, cfg.threads);
@@ -659,13 +664,16 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
 
         let parts = self.exchange(gen.outgoing, pass);
         let received = tuple_count(&parts);
-        // Per-pass tuple residency peaks twice: during the all-to-all the
-        // outgoing send buffers coexist with the received parts (out + in),
-        // and during the fused LocalSort's scatter the received parts
-        // coexist with the partitioned destination (2 * in; the bucket
-        // scratch the radix then uses is cache-sized and not counted).
-        // Capacity the pooled buffers carry between passes is deliberately
-        // not modeled — the measured allocator peak covers it.
+        // What a message-passing run of this pass would hold at its two
+        // peaks: send buffers next to receive buffers during the all-to-all
+        // (out + in), and the received parts next to the destination they
+        // are gathered into during LocalSort (2 * in; the bucket scratch is
+        // cache-sized and not counted). The in-process exchange holds less
+        // — the self-addressed buffer is moved, and with one task it is
+        // also the sort destination — but the formula is serialized into
+        // the checkpoints and stays. Capacity the pooled buffers carry
+        // between passes is deliberately not modeled — the measured
+        // allocator peak covers it.
         let peak = (emitted + received).max(2 * received);
         st.progress.peak_tuples = st.progress.peak_tuples.max(peak);
 
@@ -695,8 +703,7 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
     }
 
     /// KmerGen-Comm: the P-stage all-to-all. Returns the per-sender
-    /// buffers as received — the fused LocalSort scatters straight out of
-    /// them.
+    /// buffers as received, each still grouped by this task's sort buckets.
     fn exchange(&mut self, outgoing: Vec<Vec<K::Tuple>>, pass: u32) -> Vec<Vec<K::Tuple>> {
         let (ctx, run, name) = (self.ctx, self.run, Step::KmerGenComm.name());
         let (parts, received) = in_span(&mut self.obs, name, Some(pass), None, |obs| {
@@ -734,32 +741,42 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
         parts
     }
 
-    /// LocalSort (fused: scatter-on-receive + in-cache radix) into `bufs`;
-    /// returns the per-thread sub-range offsets within `bufs.sorted()`.
+    /// LocalSort into `bufs`: the parts arrive grouped by this task's sort
+    /// buckets, so each bucket is gathered (or, for a single part, sorted
+    /// where it is) and radix-sorted while cache-resident. Returns the
+    /// per-thread sub-range offsets within `bufs.sorted()`.
     fn local_sort(
         &mut self,
         parts: Vec<Vec<K::Tuple>>,
         bufs: &mut PassBuffers<K::Tuple>,
         pass: u32,
     ) -> Vec<usize> {
-        let (ctx, cfg, plan) = (self.ctx, self.run.cfg, self.run.plan);
+        let (ctx, cfg, run) = (self.ctx, self.run.cfg, self.run);
         let (obs, name) = (&mut self.obs, Step::LocalSort.name());
         let received = tuple_count(&parts);
         let res = in_span(obs, name, Some(pass), None, |_| {
-            let boundaries: Vec<<K as metaprep_kmer::Kmer>::Repr> = plan
-                .thread_boundaries(pass as usize, ctx.rank())
-                .into_iter()
-                .map(K::repr_from_u128)
+            let (pass, rank) = (pass as usize, ctx.rank());
+            let slots = run.buckets.task_slots(pass, rank);
+            let lower: Vec<<K as metaprep_kmer::Kmer>::Repr> = slots
+                .clone()
+                .map(|s| K::repr_from_u128(run.buckets.slot_lower_bound(s)))
+                .collect();
+            let first: Vec<usize> = run
+                .buckets
+                .thread_slots(pass, rank)
+                .iter()
+                .map(|s| s - slots.start)
                 .collect();
             let (bits, key_bits) = (cfg.sort_digit_bits, 2 * cfg.k as u32);
-            let sort = || fused_local_sort(parts, bufs, &boundaries, bits, key_bits);
+            let sort = || bucketed_local_sort(parts, bufs, &lower, &first, bits, key_bits);
             let res = ctx.pool().install(sort);
-            // The fused scatter already knows the per-thread sub-range
-            // offsets; they must agree with the binary-search derivation.
-            debug_assert_eq!(
-                res.offsets,
+            // The thread sub-range offsets fall out of the bucket offsets;
+            // they must agree with the binary-search derivation.
+            debug_assert_eq!(res.offsets, {
+                let boundaries = run.plan.thread_boundaries(pass, rank);
+                let boundaries: Vec<_> = boundaries.into_iter().map(K::repr_from_u128).collect();
                 thread_offsets_of::<K>(bufs.sorted(), &boundaries)
-            );
+            });
             res
         });
         obs.add(CounterKind::SortElements, received);
@@ -1703,6 +1720,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic]
+    fn a_chunk_histogram_that_overcounts_aborts_the_run() {
+        // KmerGen sizes and lays out its send buffers from the chunk
+        // histograms. One phantom k-mer leaves a one-slot gap that the
+        // compaction closes, so nothing uninitialised is ever claimed — and
+        // the run still must not complete: debug builds trip the per-chunk
+        // conservation check, release builds the receive-count assert.
+        let reads = small_reads();
+        let cfg = PipelineConfig::builder().k(21).m(6).tasks(2).build();
+        let merhist = MerHist::build(&reads, cfg.k, cfg.m);
+        let fastqpart = FastqPart::build(&reads, cfg.effective_chunks(), cfg.k, cfg.m);
+        let mut rows = fastqpart.chunks().to_vec();
+        let bin = rows[1].hist.iter().position(|&n| n > 0).unwrap();
+        rows[1].hist[bin] += 1;
+        let tables = IndexTables {
+            merhist,
+            fastqpart: FastqPart::from_parts(fastqpart.space(), rows),
+            sketch: None,
+        };
+        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
+        let source = MemorySource::new(&reads, specs);
+        let _ = Pipeline::new(cfg).run_indexed(tables, &source, (0, 0), &NoopRecorder::new());
+    }
+
+    #[test]
     fn empty_input() {
         let cfg = PipelineConfig::builder().k(21).m(6).build();
         let res = Pipeline::new(cfg).run_reads(&ReadStore::new()).unwrap();
@@ -1754,10 +1796,11 @@ mod tests {
 
     #[test]
     fn measured_peak_covers_outgoing_and_incoming_tuples() {
-        // With a single task the KmerGen outgoing buffers hold every tuple
-        // of the pass at the moment the (local) exchange delivers them, so
-        // the true peak per pass is `out + in = 2 * pass_tuples` — counting
-        // the received side alone (`pass_tuples`) under-reports it.
+        // `peak_tuples` charges a message-passing run: distinct send and
+        // receive buffers, so `out + in = 2 * pass_tuples` per pass even
+        // with a single task — where this in-process run moves the one
+        // buffer through the exchange and sorts in it. Counting the
+        // received side alone (`pass_tuples`) would under-report the charge.
         let reads = small_reads();
         let cfg = PipelineConfig::builder().k(21).m(6).passes(2).build();
         let res = Pipeline::new(cfg).run_reads(&reads).unwrap();

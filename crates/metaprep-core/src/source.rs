@@ -12,12 +12,38 @@
 //!   reading behaves exactly as in the paper.
 
 use metaprep_io::{parse_fastq_chunk, ChunkSpec, ReadStore};
+use std::borrow::Cow;
 use std::path::PathBuf;
+
+/// One loaded chunk: the sequences `seqs` of `store` — the source's own
+/// store, or one just parsed from the file, never a copy of either — each
+/// paired with its *global* fragment id.
+pub struct ChunkReads<'a> {
+    store: Cow<'a, ReadStore>,
+    seqs: std::ops::Range<usize>,
+    /// Global index of `store`'s sequence 0, and whether consecutive global
+    /// sequences pair up into one fragment; `None` when `store` holds the
+    /// global fragment ids itself.
+    numbering: Option<(usize, bool)>,
+}
+
+impl ChunkReads<'_> {
+    /// The chunk's `(sequence, global fragment id)` entries, in file order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], u32)> + '_ {
+        self.seqs.clone().map(move |i| {
+            let frag = match self.numbering {
+                None => self.store.frag_id(i),
+                Some((first, paired)) => ((first + i) >> u32::from(paired)) as u32,
+            };
+            (self.store.seq(i), frag)
+        })
+    }
+}
 
 /// Provider of FASTQ chunks with *global* fragment ids.
 pub trait ChunkSource: Sync {
-    /// Load chunk `c`: each entry is `(sequence, global fragment id)`.
-    fn load_chunk(&self, c: usize) -> Vec<(Vec<u8>, u32)>;
+    /// Load chunk `c`: its `(sequence, global fragment id)` entries.
+    fn load_chunk(&self, c: usize) -> ChunkReads<'_>;
 
     /// Global fragment id of global sequence index `i` (used by the
     /// CC-I/O step, which walks a task's chunks to bucket output reads).
@@ -41,12 +67,14 @@ impl<'a> MemorySource<'a> {
 }
 
 impl ChunkSource for MemorySource<'_> {
-    fn load_chunk(&self, c: usize) -> Vec<(Vec<u8>, u32)> {
+    fn load_chunk(&self, c: usize) -> ChunkReads<'_> {
         let spec = &self.specs[c];
         let lo = spec.first_seq as usize;
-        (lo..lo + spec.seqs as usize)
-            .map(|i| (self.store.seq(i).to_vec(), self.store.frag_id(i)))
-            .collect()
+        ChunkReads {
+            store: Cow::Borrowed(self.store),
+            seqs: lo..lo + spec.seqs as usize,
+            numbering: None,
+        }
     }
 
     fn frag_of_seq(&self, i: usize) -> u32 {
@@ -96,18 +124,17 @@ impl FileSource {
 }
 
 impl ChunkSource for FileSource {
-    fn load_chunk(&self, c: usize) -> Vec<(Vec<u8>, u32)> {
+    fn load_chunk(&self, c: usize) -> ChunkReads<'_> {
         let spec = &self.specs[c];
         // Each load re-reads from disk — this IS the multi-pass I/O.
         let store = parse_fastq_chunk(&self.path, spec, false)
             // EXPECT: the file was indexed by this process; a failed re-read means it changed or vanished mid-run, unrecoverable for a multi-pass source.
             .expect("chunk read failed (file changed since indexing?)");
-        (0..store.len())
-            .map(|i| {
-                let global = spec.first_seq as usize + i;
-                (store.seq(i).to_vec(), self.frag_of_seq(global))
-            })
-            .collect()
+        ChunkReads {
+            seqs: 0..store.len(),
+            store: Cow::Owned(store),
+            numbering: Some((spec.first_seq as usize, self.paired)),
+        }
     }
 
     fn frag_of_seq(&self, i: usize) -> u32 {
@@ -155,13 +182,13 @@ mod tests {
         let mut total = 0;
         for (c, spec) in specs.iter().enumerate() {
             let chunk = src.load_chunk(c);
-            assert_eq!(chunk.len(), spec.seqs as usize);
+            assert_eq!(chunk.iter().len(), spec.seqs as usize);
             for (j, (seq, frag)) in chunk.iter().enumerate() {
                 let i = spec.first_seq as usize + j;
-                assert_eq!(&seq[..], s.seq(i));
-                assert_eq!(*frag, s.frag_id(i));
+                assert_eq!(seq, s.seq(i));
+                assert_eq!(frag, s.frag_id(i));
             }
-            total += chunk.len();
+            total += chunk.iter().len();
         }
         assert_eq!(total, s.len());
         assert_eq!(src.num_fragments(), s.num_fragments());
@@ -180,10 +207,10 @@ mod tests {
         let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1).unwrap(); // single chunk
         let src = FileSource::new(path, specs.clone(), true, s.len() as u32);
         let chunk = src.load_chunk(0);
-        assert_eq!(chunk.len(), s.len());
+        assert_eq!(chunk.iter().len(), s.len());
         for (i, (seq, frag)) in chunk.iter().enumerate() {
-            assert_eq!(&seq[..], s.seq(i));
-            assert_eq!(*frag, s.frag_id(i));
+            assert_eq!(seq, s.seq(i));
+            assert_eq!(frag, s.frag_id(i));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

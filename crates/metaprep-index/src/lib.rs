@@ -24,7 +24,7 @@ pub mod streaming;
 
 pub use fastqpart::{ChunkRecord, FastqPart};
 pub use merhist::MerHist;
-pub use plan::{split_bins_by_weight, RangePlan};
+pub use plan::{split_bins_by_weight, BucketPlan, RangePlan};
 pub use streaming::{
     index_fastq_bytes, index_fastq_file_streaming, index_fastq_file_streaming_recorded,
     index_fastq_file_streaming_sketched_recorded, StreamingOptions,

@@ -15,6 +15,7 @@
 //! the static load balancing that replaces dynamic scheduling in METAPREP.
 
 use crate::merhist::MerHist;
+use metaprep_kmer::MmerSpace;
 
 /// Split weighted bins into `units` contiguous groups of roughly equal
 /// total weight. Returns `units + 1` bin indices (first 0, last
@@ -169,24 +170,113 @@ impl RangePlan {
             .collect()
     }
 
-    /// Lookup table mapping every m-mer bin to its `(pass, task)` pair,
-    /// encoded as `pass * tasks + task`. KmerGen uses this for O(1) owner
-    /// dispatch per enumerated k-mer instead of a binary search.
-    pub fn bin_owner_table(&self) -> Vec<u32> {
-        // EXPECT: `bin_bounds` is built with a trailing total-bins bound, so it is never empty.
-        let bins = *self.bin_bounds.last().expect("nonempty");
-        let mut table = vec![0u32; bins];
-        for s in 0..self.passes {
-            for p in 0..self.tasks {
-                let u0 = self.unit(s, p, 0);
-                let (blo, bhi) = (self.bin_bounds[u0], self.bin_bounds[u0 + self.threads]);
-                let code = (s * self.tasks + p) as u32;
-                for b in table.iter_mut().take(bhi).skip(blo) {
-                    *b = code;
+    /// Derive the sort buckets of every `(pass, task)`: runs of m-mer bins
+    /// that nest inside the thread sub-ranges and hold about `budget` tuples
+    /// each by `hist` (the histogram this plan was built from). A bucket
+    /// closes before the bin that would take it over budget, so a heavier
+    /// bin is a bucket by itself; a task heavier than `2^11` budgets gets
+    /// the budget `weight / 2^11`, which bounds its bucket count by
+    /// `2^12 + T` (two consecutive buckets always outweigh one budget).
+    /// A pure function of its inputs: every rank derives the same buckets.
+    pub fn bucket_plan(&self, hist: &MerHist, budget: u64) -> BucketPlan {
+        let counts = hist.counts();
+        let mut starts = Vec::new();
+        let mut unit_slots = vec![0usize];
+        for task_units in self
+            .bin_bounds
+            .windows(self.threads + 1)
+            .step_by(self.threads)
+        {
+            let weight = hist.count_in_bins(task_units[0], task_units[self.threads]);
+            let budget = budget.max(weight.div_ceil(MAX_TASK_BUCKETS)).max(1);
+            for unit in task_units.windows(2) {
+                let mut acc = 0u64;
+                for (bin, &w) in (unit[0]..).zip(&counts[unit[0]..unit[1]]) {
+                    if bin == unit[0] || acc + u64::from(w) > budget {
+                        starts.push(bin);
+                        acc = 0;
+                    }
+                    acc += u64::from(w);
                 }
+                unit_slots.push(starts.len());
             }
         }
-        table
+        assert!(
+            u32::try_from(starts.len()).is_ok(),
+            "bucket count overflows the u32 slot table"
+        );
+        let mut slot_of_bin = vec![0u32; counts.len()];
+        starts.push(counts.len());
+        for (slot, run) in starts.windows(2).enumerate() {
+            slot_of_bin[run[0]..run[1]].fill(slot as u32);
+        }
+        BucketPlan {
+            space: hist.space(),
+            tasks: self.tasks,
+            threads: self.threads,
+            starts,
+            unit_slots,
+            slot_of_bin,
+        }
+    }
+}
+
+/// Most budgets' worth of tuples a task is cut into before the bucket
+/// budget is raised instead: up to `2^11` write streams KmerGen's emit
+/// measures flat (DESIGN.md §7.2).
+const MAX_TASK_BUCKETS: u64 = 1 << 11;
+
+/// The sort buckets [`RangePlan::bucket_plan`] derived: *slots*, numbered
+/// in key order across the whole run, so the slots of a pass, of a task and
+/// of a thread sub-range are each one contiguous run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BucketPlan {
+    space: MmerSpace,
+    tasks: usize,
+    threads: usize,
+    /// `slots + 1` bin indices: slot `s` is the bins `starts[s]..starts[s + 1]`.
+    starts: Vec<usize>,
+    /// `S·P·T + 1` slot indices: thread unit `u` (see [`RangePlan`]) owns
+    /// the slots `unit_slots[u]..unit_slots[u + 1]` — none, if it has no bins.
+    unit_slots: Vec<usize>,
+    slot_of_bin: Vec<u32>,
+}
+
+impl BucketPlan {
+    /// The m-mer bin → slot table: KmerGen's per-k-mer dispatch. A slot
+    /// outside [`Self::pass_slots`] belongs to another pass.
+    pub fn slot_of_bin(&self) -> &[u32] {
+        &self.slot_of_bin
+    }
+
+    /// The m-mer bins `[lo, hi)` of `slot`.
+    pub fn slot_bins(&self, slot: usize) -> (usize, usize) {
+        (self.starts[slot], self.starts[slot + 1])
+    }
+
+    /// Smallest k-mer value of `slot` — what the receiver searches a
+    /// bucket-major part for to find where the slot's run begins.
+    pub fn slot_lower_bound(&self, slot: usize) -> u128 {
+        self.space.bin_lower_bound(self.starts[slot] as u32)
+    }
+
+    /// Slots of one pass.
+    pub fn pass_slots(&self, pass: usize) -> std::ops::Range<usize> {
+        let u = pass * self.tasks * self.threads;
+        self.unit_slots[u]..self.unit_slots[u + self.tasks * self.threads]
+    }
+
+    /// Slots of one task within a pass.
+    pub fn task_slots(&self, pass: usize, task: usize) -> std::ops::Range<usize> {
+        let u = (pass * self.tasks + task) * self.threads;
+        self.unit_slots[u]..self.unit_slots[u + self.threads]
+    }
+
+    /// The `T + 1` slot indices at which the thread sub-ranges of a task
+    /// begin (the last entry closes the task).
+    pub fn thread_slots(&self, pass: usize, task: usize) -> &[usize] {
+        let u = (pass * self.tasks + task) * self.threads;
+        &self.unit_slots[u..=u + self.threads]
     }
 }
 
@@ -300,20 +390,126 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bin_owner_table_agrees_with_ranges() {
-        let h = sample_hist();
-        let plan = RangePlan::build(&h, 2, 3, 2);
-        let table = plan.bin_owner_table();
-        assert_eq!(table.len(), h.space().bins());
-        for s in 0..2 {
-            for p in 0..3 {
-                let (blo, bhi) = plan.task_bin_range(s, p);
-                for (b, &owner) in table.iter().enumerate().take(bhi).skip(blo) {
-                    assert_eq!(owner, (s * 3 + p) as u32, "bin {b}");
+    /// A histogram with the given bin counts over the `(k, m)` space whose
+    /// bin count matches.
+    fn hist_of(counts: Vec<u32>) -> MerHist {
+        let m = counts.len().ilog2() as usize / 2;
+        assert_eq!(counts.len(), 1 << (2 * m), "counts must fill 4^m bins");
+        MerHist::from_parts(MmerSpace::new(11, m), counts)
+    }
+
+    /// Everything a bucket plan promises, for every (pass, task): its slots
+    /// tile the task's bin range in order, nest in the thread sub-ranges,
+    /// agree with the bin → slot table, and are at most `2^12 + T` many.
+    fn check_bucket_plan(hist: &MerHist, plan: &RangePlan, budget: u64) -> BucketPlan {
+        let buckets = plan.bucket_plan(hist, budget);
+        let mut next_slot = 0;
+        for s in 0..plan.passes() {
+            assert_eq!(buckets.pass_slots(s).start, next_slot);
+            for p in 0..plan.tasks() {
+                let slots = buckets.task_slots(s, p);
+                assert_eq!(slots.start, next_slot, "slots are numbered in key order");
+                assert!(slots.len() <= (1 << 12) + plan.threads(), "{}", slots.len());
+                let thread_slots = buckets.thread_slots(s, p);
+                assert_eq!(thread_slots.len(), plan.threads() + 1);
+                assert_eq!(
+                    (thread_slots[0], thread_slots[plan.threads()]),
+                    (slots.start, slots.end)
+                );
+                for t in 0..plan.threads() {
+                    // The thread's slots tile its bin range exactly once.
+                    let (mut bin, hi) = plan.thread_bin_range(s, p, t);
+                    for slot in thread_slots[t]..thread_slots[t + 1] {
+                        let (lo, end) = buckets.slot_bins(slot);
+                        assert!(
+                            lo == bin && lo < end,
+                            "slot {slot}: {lo}..{end} after {bin}"
+                        );
+                        let table = &buckets.slot_of_bin()[lo..end];
+                        assert!(table.iter().all(|&x| x as usize == slot));
+                        let lower = buckets.slot_lower_bound(slot);
+                        assert_eq!(lower, hist.space().bin_lower_bound(lo as u32));
+                        // Over budget only as a single heavy bin (zero-weight
+                        // bins may ride along). The budget in force is the
+                        // caller's or the task's raised one.
+                        let weight = hist.count_in_bins(lo, end);
+                        let (tlo, thi) = plan.task_bin_range(s, p);
+                        let cap = budget.max(hist.count_in_bins(tlo, thi).div_ceil(1 << 11));
+                        let heavy = hist.counts()[lo..end].iter().filter(|&&c| c > 0).count();
+                        assert!(weight <= cap || heavy == 1, "slot {slot} weighs {weight}");
+                        bin = end;
+                    }
+                    assert_eq!(bin, hi, "pass {s} task {p} thread {t} not covered");
                 }
+                next_slot = slots.end;
             }
+            assert_eq!(buckets.pass_slots(s).end, next_slot);
         }
+        buckets
+    }
+
+    #[test]
+    fn bucket_plan_of_a_sampled_histogram() {
+        let h = sample_hist();
+        for budget in [1, 7, 100, 1 << 20] {
+            check_bucket_plan(&h, &RangePlan::build(&h, 2, 3, 2), budget);
+        }
+    }
+
+    #[test]
+    fn bucket_plan_gives_a_hot_bin_a_bucket_of_its_own() {
+        let mut counts = vec![3u32; 64];
+        counts[20] = 10_000;
+        let h = hist_of(counts);
+        let buckets = check_bucket_plan(&h, &RangePlan::build(&h, 1, 1, 1), 16);
+        let hot = buckets.slot_of_bin()[20] as usize;
+        assert_eq!(buckets.slot_bins(hot), (20, 21));
+    }
+
+    #[test]
+    fn bucket_plan_with_empty_thread_ranges_and_a_task_without_bins() {
+        // All the mass in one bin: the greedy split leaves most of the
+        // 2 x 3 x 2 units without a single bin.
+        let mut counts = vec![0u32; 16];
+        counts[5] = 1000;
+        let h = hist_of(counts);
+        let plan = RangePlan::build(&h, 2, 3, 2);
+        let buckets = check_bucket_plan(&h, &plan, 8);
+        let empty_tasks = (0..2)
+            .flat_map(|s| (0..3).map(move |p| (s, p)))
+            .filter(|&(s, p)| buckets.task_slots(s, p).is_empty())
+            .count();
+        assert!(
+            empty_tasks > 0,
+            "the test input must leave a task without bins"
+        );
+    }
+
+    #[test]
+    fn bucket_plan_on_coarse_bins() {
+        // m = 4: every one of the 256 bins outweighs the budget, so every
+        // bin that holds anything is a bucket.
+        let counts: Vec<u32> = (0..256u32).map(|b| (b % 7) * 1000).collect();
+        let h = hist_of(counts);
+        let buckets = check_bucket_plan(&h, &RangePlan::build(&h, 1, 2, 3), 100);
+        assert!(buckets.pass_slots(0).len() > 200);
+    }
+
+    #[test]
+    fn bucket_count_of_a_heavy_task_is_capped() {
+        // 4^7 bins of ~25 tuples at a budget of one tuple: uncapped, every
+        // bin would be a bucket.
+        let mut x = 9u64;
+        let counts: Vec<u32> = (0..1 << 14)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 59) as u32 + 9
+            })
+            .collect();
+        let h = hist_of(counts);
+        let buckets = check_bucket_plan(&h, &RangePlan::build(&h, 1, 1, 3), 1);
+        let n = buckets.task_slots(0, 0).len();
+        assert!(n > 1 << 10 && n <= (1 << 12) + 3, "{n} buckets");
     }
 
     #[test]
@@ -325,6 +521,32 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_bucket_plan_covers_and_nests(
+            m in 1usize..5,
+            seed in any::<u64>(),
+            zero_pct in 0u64..90,
+            hot in proptest::collection::vec((any::<u16>(), 1_000u32..100_000), 0..3),
+            (passes, tasks, threads) in (1usize..4, 1usize..5, 1usize..4),
+            (budget, small) in (1u64..5_000, any::<bool>()),
+        ) {
+            let mut x = seed | 1;
+            let mut counts: Vec<u32> = (0..1usize << (2 * m))
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if (x >> 33) % 100 < zero_pct { 0 } else { (x >> 56) as u32 }
+                })
+                .collect();
+            for (bin, weight) in hot {
+                let bins = counts.len();
+                counts[bin as usize % bins] = weight;
+            }
+            let h = hist_of(counts);
+            // Half the cases at a budget of a few tuples: many buckets.
+            let budget = if small { budget % 50 + 1 } else { budget };
+            check_bucket_plan(&h, &RangePlan::build(&h, passes, tasks, threads), budget);
+        }
+
         #[test]
         fn prop_split_bins_cover_and_monotone(
             weights in proptest::collection::vec(0u32..50, 1..64),

@@ -1,14 +1,16 @@
-//! Fused receive-side LocalSort: scatter-on-receive into cache-sized
-//! buckets + in-cache pruned radix.
+//! Receive-side LocalSort over cache-sized buckets: two entries, one
+//! per-bucket back half (`sort_buckets`, `sort_bucket`).
 //!
-//! The unfused pipeline copied every received tuple three times per pass
-//! (concat, [`crate::partition_by_ranges`], then one DRAM round trip per
-//! radix digit against a full-size scratch). [`fused_local_sort`] pays one
-//! histogram and one scatter pass over the per-sender buffers
-//! ([`scatter_from_parts`]) and nothing after that leaves cache: the `T - 1`
-//! thread boundaries are refined with fixed cuts on the top key digit, so
-//! the scatter lands tuples in buckets of about [`BUCKET_BYTES`], and each
-//! bucket is radix-sorted against a scratch window its own size.
+//! * [`bucketed_local_sort`] — the pipeline's entry — takes parts KmerGen
+//!   emitted bucket-major. It counts and scatters nothing: a bucket's run
+//!   in a part is found by binary search for its lower-bound key, the runs
+//!   are gathered sender by sender as the worker reaches the bucket, and a
+//!   single part is adopted as the destination and sorted where it is.
+//! * [`fused_local_sort`] takes parts in any order and pays one histogram
+//!   and one scatter pass ([`scatter_from_parts`]) into buckets made of the
+//!   thread boundaries refined by fixed cuts on the top key digit. The
+//!   benchmark's sort probe and `exp_sort_throughput` bind to it; the rest
+//!   of this header is about its scatter.
 //!
 //! Riding on the same pass over the data:
 //!
@@ -356,8 +358,10 @@ pub struct FusedSortResult {
 
 /// Tuple bytes the average bucket may hold so that it, its scratch window
 /// and the digit counters stay cache-resident through every radix pass.
-/// Measured flat from 32 KiB to 512 KiB (DESIGN.md §7.2), so a constant.
-const BUCKET_BYTES: usize = 256 << 10;
+/// Measured flat from 32 KiB to 512 KiB (DESIGN.md §7.2), so a constant —
+/// the one both sides of the exchange read: KmerGen's bucket plan fills
+/// buckets to it, LocalSort splits a bucket that came out over twice it.
+pub const BUCKET_BYTES: usize = 256 << 10;
 
 /// The fused LocalSort: scatter the per-sender buffers straight into the
 /// pooled destination *in cache-sized buckets*, then radix-sort each
@@ -425,12 +429,34 @@ pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
             .map(|(j, b)| b.digit(cut_shift, cut_mask) + j + 1),
     );
     first.push(boundaries.len() + (1 << cut_bits));
-    let offsets: Vec<usize> = first.iter().map(|&r| sc.offsets[r]).collect();
+    sort_buckets(
+        bufs,
+        &sc.offsets,
+        &first,
+        (bits, key_bits, budget),
+        |r, _| sc.varying[r],
+    )
+}
+
+/// The back half both LocalSort entries share: sort every bucket of
+/// `bufs.dst` while it is cache-resident. Bucket `b` is
+/// `dst[bucket_offsets[b]..bucket_offsets[b + 1]]`; thread sub-range `j` is
+/// the run of buckets `first[j]..first[j + 1]` and gets one worker, which
+/// walks its buckets in order. `bring_in(b, bucket)` runs first on each
+/// bucket — it may fill it — and returns its varying-bits mask.
+fn sort_buckets<T: Keyed + Default>(
+    bufs: &mut PassBuffers<T>,
+    bucket_offsets: &[usize],
+    first: &[usize],
+    (bits, key_bits, budget): (u32, u32, usize),
+    bring_in: impl Fn(usize, &mut [T]) -> T::Key + Sync,
+) -> FusedSortResult {
+    let offsets: Vec<usize> = first.iter().map(|&r| bucket_offsets[r]).collect();
 
     // Per-worker scratch: one window per thread sub-range, as long as its
     // largest bucket.
     let largest = |w: &[usize]| {
-        let lens = sc.offsets[w[0]..=w[1]].windows(2).map(|b| b[1] - b[0]);
+        let lens = bucket_offsets[w[0]..=w[1]].windows(2).map(|b| b[1] - b[0]);
         lens.max().unwrap_or(0)
     };
     let windows: Vec<usize> = first.windows(2).map(largest).collect();
@@ -442,7 +468,7 @@ pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
     let mut rem_s: &mut [T] = &mut bufs.scratch;
     let mut work = Vec::with_capacity(windows.len());
     for (w, &window) in first.windows(2).zip(&windows) {
-        let (d, rd) = rem_d.split_at_mut(sc.offsets[w[1]] - sc.offsets[w[0]]);
+        let (d, rd) = rem_d.split_at_mut(bucket_offsets[w[1]] - bucket_offsets[w[0]]);
         let (s, rs) = rem_s.split_at_mut(window);
         rem_d = rd;
         rem_s = rs;
@@ -451,18 +477,12 @@ pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
     let stats = work
         .into_par_iter()
         .map(|(d, s, run)| {
-            let (mut counts, base) = (Vec::new(), sc.offsets[run.start]);
+            let (mut counts, base) = (Vec::new(), bucket_offsets[run.start]);
             let sort = |r: usize| {
-                let (lo, hi) = (sc.offsets[r] - base, sc.offsets[r + 1] - base);
-                sort_bucket(
-                    &mut d[lo..hi],
-                    s,
-                    sc.varying[r],
-                    bits,
-                    key_bits,
-                    budget,
-                    &mut counts,
-                )
+                let (lo, hi) = (bucket_offsets[r] - base, bucket_offsets[r + 1] - base);
+                let bucket = &mut d[lo..hi];
+                let varying = bring_in(r, bucket);
+                sort_bucket(bucket, s, varying, bits, key_bits, budget, &mut counts)
             };
             run.map(sort)
                 .fold(RadixStats::default(), RadixStats::merged)
@@ -470,6 +490,112 @@ pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
         .reduce(RadixStats::default, RadixStats::merged);
 
     FusedSortResult { offsets, stats }
+}
+
+/// LocalSort for *bucket-major* parts: each part is already grouped, in
+/// bucket order, by the key intervals that start at `lower[0] < lower[1] <
+/// …` (the last one unbounded above), as KmerGen emits them. A bucket's run
+/// in a part is found by binary search for `lower[b]`; bucket `b` of the
+/// result is sender 0's run, then sender 1's, …, copied when the worker
+/// reaches it and swept once, cache-resident, for its varying-bits mask. A
+/// single part is not copied: its buffer is *adopted* as the destination.
+///
+/// `first` holds the `T + 1` bucket indices at which the thread sub-ranges
+/// begin. The result is byte-identical to [`fused_local_sort`] over the
+/// same parts with the thread boundaries `lower[first[1..T]]`.
+///
+/// # Panics
+///
+/// If a part is not bucket-major: the sweep holds every tuple to its
+/// bucket's key interval, so a misplaced one aborts instead of mis-sorting.
+pub fn bucketed_local_sort<T: Keyed + Default>(
+    parts: Vec<Vec<T>>,
+    bufs: &mut PassBuffers<T>,
+    lower: &[T::Key],
+    first: &[usize],
+    bits: u32,
+    key_bits: u32,
+) -> FusedSortResult {
+    let budget = (BUCKET_BYTES / std::mem::size_of::<T>()).max(1);
+    bucketed_local_sort_budgeted(parts, bufs, lower, first, bits, key_bits, budget)
+}
+
+/// [`bucketed_local_sort`] with the split threshold as a parameter, for
+/// tests.
+pub(crate) fn bucketed_local_sort_budgeted<T: Keyed + Default>(
+    mut parts: Vec<Vec<T>>,
+    bufs: &mut PassBuffers<T>,
+    lower: &[T::Key],
+    first: &[usize],
+    bits: u32,
+    key_bits: u32,
+    budget: usize,
+) -> FusedSortResult {
+    let buckets = lower.len();
+    assert!(
+        lower.windows(2).all(|w| w[0] < w[1]),
+        "bucket lower bounds must increase"
+    );
+    assert!(
+        first.len() >= 2 && first[0] == 0 && first[first.len() - 1] == buckets,
+        "thread sub-ranges must cover the buckets"
+    );
+    assert!(first.windows(2).all(|w| w[0] <= w[1]));
+
+    // Where each bucket's run starts in each part, and from those where
+    // the bucket starts in the destination.
+    let run_starts = |part: &Vec<T>| {
+        let mut starts = vec![0usize; buckets + 1];
+        for b in 1..buckets {
+            let from = starts[b - 1];
+            starts[b] = from + part[from..].partition_point(|t| t.key() < lower[b]);
+        }
+        starts[buckets] = part.len();
+        starts
+    };
+    let runs: Vec<Vec<usize>> = parts.iter().map(run_starts).collect();
+    let offsets: Vec<usize> = (0..=buckets)
+        .map(|b| runs.iter().map(|r| r[b]).sum())
+        .collect();
+    assert!(buckets > 0 || offsets[0] == 0, "tuples but no bucket");
+
+    // One part is the destination; several are gathered into the pooled one.
+    if parts.len() == 1 {
+        bufs.dst = parts.pop().unwrap_or_default();
+    } else {
+        bufs.dst.resize(offsets[buckets], T::default());
+    }
+    sort_buckets(bufs, &offsets, first, (bits, key_bits, budget), |b, d| {
+        let mut at = 0;
+        for (part, starts) in parts.iter().zip(&runs) {
+            let run = &part[starts[b]..starts[b + 1]];
+            d[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        }
+        bucket_mask(d, lower[b], lower.get(b + 1))
+    })
+}
+
+/// The varying-bits mask of one bucket (`OR(keys) ^ AND(keys)`), from the
+/// sweep that also holds every key to the bucket's interval `lo..hi`.
+fn bucket_mask<T: Keyed>(bucket: &[T], lo: T::Key, hi: Option<&T::Key>) -> T::Key {
+    let Some(head) = bucket.first() else {
+        return T::Key::ZERO;
+    };
+    let (mut or_acc, mut and_acc) = (T::Key::ZERO, T::Key::ONES);
+    let (mut min, mut max) = (head.key(), head.key());
+    for t in bucket {
+        let k = t.key();
+        or_acc = or_acc | k;
+        and_acc = and_acc & k;
+        min = min.min(k);
+        max = max.max(k);
+    }
+    assert!(
+        lo <= min && hi.is_none_or(|hi| max < *hi),
+        "part is not bucket-major: a tuple lies outside its bucket's key interval"
+    );
+    or_acc ^ and_acc
 }
 
 /// Sort one scattered bucket against (the front of) its worker's scratch
@@ -871,6 +997,170 @@ mod tests {
         }
     }
 
+    /// Group every part by the buckets `lower` starts (a stable partition —
+    /// what KmerGen's emit produces), run the bucketed entry at `budget`,
+    /// and hold it to the reference path over the ungrouped parts: same
+    /// bytes, same thread offsets, offsets where the boundaries fall.
+    fn check_bucketed<T: Keyed + Default + PartialEq + std::fmt::Debug>(
+        parts: &[Vec<T>],
+        lower: &[T::Key],
+        first: &[usize],
+        (bits, key_bits, budget): (u32, u32, usize),
+    ) -> FusedSortResult {
+        let grouped: Vec<Vec<T>> = parts
+            .iter()
+            .map(|p| {
+                let mut g = p.clone();
+                g.sort_by_key(|t| lower.partition_point(|l| *l <= t.key())); // stable
+                g
+            })
+            .collect();
+        let mut bufs = PassBuffers::new();
+        let res =
+            bucketed_local_sort_budgeted(grouped, &mut bufs, lower, first, bits, key_bits, budget);
+        let boundaries: Vec<T::Key> = first[1..first.len() - 1]
+            .iter()
+            .map(|&b| lower.get(b).copied().unwrap_or(T::Key::ONES))
+            .collect();
+        let (ref_offs, ref_sorted) = reference_path(parts, &boundaries, bits, key_bits);
+        assert_eq!(bufs.sorted(), &ref_sorted[..], "budget {budget}");
+        assert_eq!(res.offsets, ref_offs, "budget {budget}");
+        assert_eq!(res.offsets, thread_offsets_of(bufs.sorted(), &boundaries));
+        res
+    }
+
+    /// `n` tuples with random 54-bit keys, tagged with their index.
+    fn random_tuples(n: u32, seed: u64) -> Vec<KmerReadTuple> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| KmerReadTuple::new(rng.gen::<u64>() >> 10, i))
+            .collect()
+    }
+
+    #[test]
+    fn bucketed_matches_reference_for_one_two_and_three_parts() {
+        let tuples = random_tuples(6_000, 31);
+        // 64 equal buckets in three thread sub-ranges, one of them of a
+        // single bucket.
+        let lower: Vec<u64> = (0..64u64).map(|b| b << 48).collect();
+        let first = [0, 20, 21, 64];
+        for parts in 1..=3 {
+            let parts: Vec<Vec<KmerReadTuple>> = tuples
+                .chunks(tuples.len().div_ceil(parts))
+                .map(<[_]>::to_vec)
+                .collect();
+            for budget in BUDGETS {
+                for bits in [8, 11, 16] {
+                    check_bucketed(&parts, &lower, &first, (bits, 54, budget));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_adopts_a_single_part() {
+        // One part is sorted where it is: no second tuple buffer.
+        let mut part = random_tuples(4_000, 32);
+        part.sort_by_key(|t| t.kmer >> 52);
+        let at = part.as_ptr();
+        let lower: Vec<u64> = (0..4u64).map(|b| b << 52).collect();
+        let mut bufs = PassBuffers::new();
+        bucketed_local_sort(vec![part], &mut bufs, &lower, &[0, 4], 8, 54);
+        assert_eq!(bufs.sorted().as_ptr(), at);
+        assert!(crate::is_sorted_by_key(bufs.sorted()));
+    }
+
+    #[test]
+    fn bucketed_with_empty_parts_buckets_and_sub_ranges() {
+        let lower = [0u64, 10, 1 << 30, 1 << 40];
+        // Keys only in buckets 0 and 2; bucket 1, bucket 3 and the middle
+        // thread sub-range (no bucket at all) stay empty.
+        let parts: Vec<Vec<u64>> = vec![vec![3, (1 << 30) + 5, 1, 9], vec![], vec![1 << 31, 2, 0]];
+        let res = check_bucketed(&parts, &lower, &[0, 2, 2, 4], (8, 64, 1));
+        assert_eq!(res.offsets, vec![0, 5, 5, 7]);
+        // Nothing at all, with and without buckets.
+        let res = check_bucketed::<u64>(&[vec![], vec![]], &lower, &[0, 4], (8, 64, 8));
+        assert_eq!(
+            (res.offsets, res.stats),
+            (vec![0, 0], RadixStats::default())
+        );
+        let res = check_bucketed::<u64>(&[], &[], &[0, 0, 0], (8, 64, 8));
+        assert_eq!(res.offsets, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn bucketed_u128_keys_at_126_bits() {
+        let mut rng = SmallRng::seed_from_u64(64);
+        let key =
+            |rng: &mut SmallRng| ((rng.gen::<u64>() as u128) << 64 | rng.gen::<u64>() as u128) >> 2;
+        let parts: Vec<Vec<KmerReadTuple128>> = (0..3)
+            .map(|p| {
+                (0..1_000)
+                    .map(|i| KmerReadTuple128::new(key(&mut rng), p * 1_000 + i))
+                    .collect()
+            })
+            .collect();
+        let mut lower: Vec<u128> = (0..40).map(|_| key(&mut rng)).collect();
+        lower.push(0);
+        lower.sort_unstable();
+        let production = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple128>();
+        for budget in [1, 8, production] {
+            for bits in [8, 11, 16] {
+                check_bucketed(&parts, &lower, &[0, 13, 41], (bits, 126, budget));
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_all_equal_bucket_over_budget_runs_no_pass() {
+        let parts: Vec<Vec<KmerReadTuple>> = (0..3)
+            .map(|p| {
+                (0..500)
+                    .map(|i| KmerReadTuple::new(0xABCDE, p * 500 + i))
+                    .collect()
+            })
+            .collect();
+        let res = check_bucketed(&parts, &[0, 0xABCDE, 0xABCDF], &[0, 3], (8, 54, 8));
+        assert_eq!(res.stats.passes_run, 0, "no varying bit: nothing to run");
+    }
+
+    #[test]
+    fn bucketed_keeps_sender_order_of_equal_kmers_across_a_split() {
+        let kmers: Vec<u64> = (0..40u64).map(|i| (i * 0x6_5432 + 9) & 0xF_FFFF).collect();
+        let parts = equal_kmer_parts(&kmers);
+        let res = check_bucketed(&parts, &[0, 1 << 19], &[0, 2], (8, 54, 1));
+        assert!(
+            res.stats.passes_run + res.stats.passes_pruned > 2 * 7,
+            "the buckets must have been split"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not bucket-major")]
+    fn bucket_mask_rejects_a_key_outside_the_interval() {
+        bucket_mask(&[100u64, 101, 4, 102], 100, Some(&200));
+    }
+
+    // The pool re-raises a worker's panic under its own message, so the
+    // two end-to-end cases cannot name the one above.
+    #[test]
+    #[should_panic]
+    fn a_part_that_is_not_bucket_major_panics() {
+        // Sorted within each bucket's span, but one tuple of bucket 0 sits
+        // behind bucket 1's: the run search cannot see it, the sweep must.
+        let part: Vec<u64> = vec![1, 2, 3, 100, 101, 4, 102];
+        let mut bufs = PassBuffers::new();
+        bucketed_local_sort(vec![part], &mut bufs, &[0, 100], &[0, 2], 8, 64);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_gathered_part_that_is_not_bucket_major_panics() {
+        let parts: Vec<Vec<u64>> = vec![vec![1, 100], vec![100, 2, 101]];
+        let mut bufs = PassBuffers::new();
+        bucketed_local_sort(parts, &mut bufs, &[0, 100], &[0, 2], 8, 64);
+    }
+
     proptest! {
         /// The tentpole invariant: fused scatter + in-cache radix is
         /// byte-identical to the reference path over random tuple sets,
@@ -916,6 +1206,47 @@ mod tests {
             }
             for budget in BUDGETS {
                 check(&parts, &bvals, bits, 54, budget);
+            }
+        }
+
+        /// The bucketed entry over bucket-major parts is byte-identical to
+        /// the reference path over the same tuples, for random buckets
+        /// (some empty), thread groupings (some without a bucket), 1–4
+        /// parts (some empty), digit widths and split thresholds.
+        #[test]
+        fn prop_bucketed_byte_identical_to_reference(
+            keys in proptest::collection::vec(0u64..(1 << 54), 0..1500),
+            cuts in proptest::collection::vec(0usize..1500, 0..4),
+            mut lower in proptest::collection::vec(0u64..(1 << 54), 0..40),
+            thread_cuts in proptest::collection::vec(0usize..41, 0..4),
+            narrow in any::<bool>(),
+            bits_idx in 0usize..3,
+        ) {
+            let bits = [8u32, 11, 16][bits_idx];
+            let squeeze = |k: u64| if narrow { k >> 34 } else { k };
+            let tuples: Vec<KmerReadTuple> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| KmerReadTuple::new(squeeze(k), i as u32))
+                .collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
+            cuts.push(tuples.len());
+            cuts.sort_unstable();
+            let mut parts: Vec<Vec<KmerReadTuple>> = Vec::new();
+            let mut prev = 0;
+            for c in cuts {
+                parts.push(tuples[prev..c].to_vec());
+                prev = c;
+            }
+            lower.iter_mut().for_each(|l| *l = squeeze(*l));
+            lower.push(0);
+            lower.sort_unstable();
+            lower.dedup();
+            let mut first: Vec<usize> = thread_cuts.into_iter().map(|c| c.min(lower.len())).collect();
+            first.extend([0, lower.len()]);
+            first.sort_unstable();
+            for budget in BUDGETS {
+                check_bucketed(&parts, &lower, &first, (bits, 54, budget));
             }
         }
     }

@@ -16,20 +16,26 @@
 //! sort standing in for the NUMA-aware sort of Polychroniou & Ross that the
 //! paper benchmarks against (§4.2.2).
 //!
-//! The pipeline itself uses the **fused receive-side path**
-//! ([`fused::fused_local_sort`]): the per-sender all-to-all buffers are
-//! scattered straight into the final buffer (no concat copy), not into the
-//! `T` thread sub-ranges but into a refinement of them — the thread
-//! boundaries plus fixed cuts on the top key digit, enough that a bucket is
-//! about 256 KiB — and each bucket is then sorted while it is
-//! cache-resident with [`radix::lsb_radix_sort_pruned`], which skips
-//! identity passes via a varying-bits mask accumulated during the scatter.
-//! The two-stage path above streams every sub-range through DRAM once per
-//! digit; the fused path touches DRAM for one histogram and one scatter
-//! pass. A stable split by key interval followed by a stable sort of each
-//! piece is the unique stable order, so the output is byte-identical to the
-//! two-stage path, which the tests and `exp_sort_throughput` keep as the
-//! reference.
+//! The pipeline itself sorts **cache-sized buckets** and has no
+//! partitioning stage of its own left: KmerGen writes every tuple into
+//! the sort bucket it belongs to (runs of m-mer bins nested in the `T`
+//! thread sub-ranges, about [`BUCKET_BYTES`] each), so the parts that come
+//! out of the all-to-all are already grouped, and
+//! [`fused::bucketed_local_sort`] only finds each bucket's run in each part
+//! by binary search, gathers the runs sender by sender (or, with a single
+//! part, adopts the buffer and moves nothing) and sorts each bucket while
+//! it is cache-resident with [`radix::lsb_radix_sort_pruned`], which skips
+//! identity passes via a varying-bits mask taken in the sweep that brings
+//! the bucket into cache.
+//!
+//! [`fused::fused_local_sort`] is the entry for parts that are *not*
+//! grouped: it refines the thread boundaries with fixed cuts on the top key
+//! digit and pays one histogram and one scatter pass over DRAM to get the
+//! same buckets, then shares the per-bucket back half. The two-stage path
+//! at the top streams every sub-range through DRAM once per digit. A
+//! stable split by key interval followed by a stable sort of each piece is
+//! the unique stable order, so all three produce the same bytes; the tests
+//! and `exp_sort_throughput` keep the two-stage path as the reference.
 
 pub mod fused;
 pub mod parallel;
@@ -38,8 +44,8 @@ pub mod radix;
 pub mod sync;
 
 pub use fused::{
-    fused_local_sort, scatter_from_parts, BoundaryTable, FusedSortResult, PassBuffers,
-    ScatterResult,
+    bucketed_local_sort, fused_local_sort, scatter_from_parts, BoundaryTable, FusedSortResult,
+    PassBuffers, ScatterResult, BUCKET_BYTES,
 };
 pub use parallel::{local_sort, local_sort_with_boundaries, parallel_lsb_sort};
 pub use partition::{equal_boundaries_by_sample, partition_by_ranges, ScatterTracker, SharedSlice};

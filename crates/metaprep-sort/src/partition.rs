@@ -9,6 +9,7 @@
 use crate::radix::Keyed;
 use rayon::prelude::*;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 
 /// Recyclable home of the debug-build scatter "written" flags.
 ///
@@ -53,8 +54,13 @@ impl ScatterTracker {
 /// Safety contract: every index is written by at most one thread. The
 /// partitioning code guarantees this by construction — each (chunk, range)
 /// pair owns a precomputed, non-overlapping destination window.
+///
+/// The slice may be uninitialised ([`SharedSlice::uninit`], over a `Vec`'s
+/// `spare_capacity_mut()`): nothing is ever read through the wrapper, so a
+/// scatter that writes every slot it later claims with `set_len` needs no
+/// zero-fill first. `T: Copy` because a write overwrites without dropping.
 pub struct SharedSlice<'a, T> {
-    cell: &'a [UnsafeCell<T>],
+    cell: &'a [UnsafeCell<MaybeUninit<T>>],
     /// Debug-build scatter tracker: one "written" flag per slot, so the
     /// disjointness contract is *asserted* under `cfg(debug_assertions)`
     /// instead of merely trusted (two writers on one slot trip it in
@@ -74,18 +80,33 @@ unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
 // cells, so sharing the wrapper across threads is sound.
 unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
-impl<'a, T> SharedSlice<'a, T> {
+impl<'a, T: Copy> SharedSlice<'a, T> {
     /// Wrap `slice` for a scatter tracked by `tracker`. The tracker stays
     /// mutably borrowed for the slice's lifetime, so one tracker can't be
     /// shared by two concurrent scatters.
     pub fn new(slice: &'a mut [T], tracker: &'a mut ScatterTracker) -> Self {
+        // SAFETY: [T] and [MaybeUninit<T>] have identical layout, and the
+        // only thing ever stored through the wrapper is an initialised `T`,
+        // so `slice` is still fully initialised when the borrow ends.
+        Self::uninit(
+            unsafe { &mut *(slice as *mut [T] as *mut [MaybeUninit<T>]) },
+            tracker,
+        )
+    }
+
+    /// [`SharedSlice::new`] over memory that need not be initialised — a
+    /// `Vec`'s spare capacity. The caller may `set_len` over exactly the
+    /// slots that were written; [`SharedSlice::assert_prefix_written`]
+    /// checks that claim in debug builds.
+    pub fn uninit(slice: &'a mut [MaybeUninit<T>], tracker: &'a mut ScatterTracker) -> Self {
         tracker.prepare(slice.len());
         #[cfg(debug_assertions)]
         let written = &tracker.flags[..slice.len()];
-        // SAFETY: [T] and [UnsafeCell<T>] have identical layout, and the
-        // exclusive borrow of `slice` is held by `self` for 'a, so no
-        // other access to the underlying memory exists.
-        let cell = unsafe { &*(slice as *mut [T] as *const [UnsafeCell<T>]) };
+        // SAFETY: [MaybeUninit<T>] and [UnsafeCell<MaybeUninit<T>>] have
+        // identical layout, and the exclusive borrow of `slice` is held by
+        // `self` for 'a, so no other access to the underlying memory exists.
+        let cell =
+            unsafe { &*(slice as *mut [MaybeUninit<T>] as *const [UnsafeCell<MaybeUninit<T>>]) };
         Self {
             cell,
             #[cfg(debug_assertions)]
@@ -114,7 +135,30 @@ impl<'a, T> SharedSlice<'a, T> {
         }
         // SAFETY: per the caller contract, this thread exclusively owns
         // slot `i` for the duration of the scatter; `cell[i]` bounds-checks.
-        *self.cell[i].get() = value;
+        (*self.cell[i].get()).write(value);
+    }
+
+    /// Debug builds: assert that of the slots `window`, exactly the first
+    /// `kept` were written (each at most once, by `write`'s own check) —
+    /// what a caller about to compact the written prefixes together and
+    /// `set_len` over them relies on. Call after every writer has joined.
+    /// A no-op in release builds.
+    pub fn assert_prefix_written(&self, window: std::ops::Range<usize>, kept: usize) {
+        #[cfg(debug_assertions)]
+        for (i, flag) in self.written[window.clone()].iter().enumerate() {
+            // ORDERING: Relaxed — read after the writers joined; the join
+            // is the synchronisation.
+            let was = flag.load(crate::sync::Ordering::Relaxed);
+            let slot = window.start + i;
+            assert_eq!(
+                was,
+                i < kept,
+                "slot {slot}: written {was}, kept {}",
+                i < kept
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (window, kept);
     }
 }
 
@@ -233,6 +277,35 @@ mod tests {
         assert_eq!(range_of(&19u64, &b), 1);
         assert_eq!(range_of(&30u64, &b), 3);
         assert_eq!(range_of(&u64::MAX, &b), 3);
+    }
+
+    #[test]
+    fn uninit_scatter_claims_exactly_what_it_wrote() {
+        let mut out: Vec<u64> = Vec::with_capacity(5);
+        let mut tracker = ScatterTracker::new();
+        let shared = SharedSlice::uninit(&mut out.spare_capacity_mut()[..5], &mut tracker);
+        for (i, v) in [(0, 7u64), (1, 8), (3, 9)] {
+            // SAFETY: single thread, distinct slots.
+            unsafe { shared.write(i, v) };
+        }
+        shared.assert_prefix_written(0..3, 2);
+        shared.assert_prefix_written(3..5, 1);
+        out.spare_capacity_mut().copy_within(3..4, 2);
+        // SAFETY: slots 0, 1 were written and slot 3's value moved to 2.
+        unsafe { out.set_len(3) };
+        assert_eq!(out, vec![7, 8, 9]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slot 1: written false")]
+    fn claiming_an_unwritten_slot_trips_the_prefix_check() {
+        let mut out: Vec<u64> = Vec::with_capacity(2);
+        let mut tracker = ScatterTracker::new();
+        let shared = SharedSlice::uninit(&mut out.spare_capacity_mut()[..2], &mut tracker);
+        // SAFETY: single thread, one slot.
+        unsafe { shared.write(0, 1) };
+        shared.assert_prefix_written(0..2, 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Loom model tests for the fused-scatter single-writer contract
-//! (PR-4's [`metaprep_sort::fused`] scatter path).
+//! Loom model tests for the scatter single-writer contract: the fused
+//! receive-side scatter ([`metaprep_sort::fused`]) and KmerGen's emit into
+//! an uninitialised send buffer (`metaprep_core::kmergen`).
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -198,5 +199,69 @@ fn tracker_reuse_across_passes_stays_clean() {
     assert_eq!(
         report.schedules_explored, 1,
         "pool reuse must not introduce dependent operations"
+    );
+}
+
+/// KmerGen's emit, in miniature: two chunks write their windows of ONE
+/// sort bucket of an *uninitialised* buffer (a `Vec`'s spare capacity) —
+/// the bucket is laid out chunk-minor, so chunk 0 owns `[0, 2)` and chunk 1
+/// `[2, 4)`. Chunk 0 fills one slot of two (the presolve filter dropped
+/// its other k-mer). After the join the kept prefixes are checked, moved
+/// together, and claimed with `set_len`. The windows are disjoint, so DPOR
+/// needs one schedule, and no schedule reads a slot nobody wrote.
+#[test]
+fn two_chunks_fill_one_bucket_of_an_uninitialised_buffer() {
+    let report = Builder {
+        max_iters: 250_000,
+        dpor: true,
+    }
+    .check_report(|| {
+        let data_ptr = Box::into_raw(Box::new(Vec::<u64>::with_capacity(4)));
+        let tracker_ptr = Box::into_raw(Box::new(ScatterTracker::new()));
+        // SAFETY: both pointers come from Box::into_raw above, so they are
+        // valid and uniquely owned; the `'static` borrows live only inside
+        // the SharedSlice, whose last clone is dropped before the boxes
+        // are touched again.
+        let shared = Arc::new(unsafe {
+            SharedSlice::uninit(
+                &mut (*data_ptr).spare_capacity_mut()[..4],
+                &mut *tracker_ptr,
+            )
+        });
+        // (window start, k-mers kept, first value) per chunk.
+        let handles: Vec<_> = [(0usize, 1usize, 10u64), (2, 2, 30)]
+            .into_iter()
+            .map(|(start, kept, val)| {
+                let sh = Arc::clone(&shared);
+                thread::spawn(move || {
+                    for k in 0..kept {
+                        // SAFETY: the windows [0,2) and [2,4) are disjoint
+                        // and each writer stays inside its own.
+                        unsafe { sh.write(start + k, val + k as u64) };
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        shared.assert_prefix_written(0..2, 1);
+        shared.assert_prefix_written(2..4, 2);
+        drop(shared);
+        // SAFETY: the writers joined and the only SharedSlice is dropped,
+        // so the boxes are uniquely owned again; reclaimed exactly once.
+        let mut data = unsafe { *Box::from_raw(data_ptr) };
+        // SAFETY: same argument, for the tracker box.
+        drop(unsafe { Box::from_raw(tracker_ptr) });
+        // Close the gap chunk 0 left, then claim the three written slots.
+        data.spare_capacity_mut().copy_within(2..4, 1);
+        // SAFETY: slots 0..3 now hold chunk 0's one and chunk 1's two
+        // written values; slot 3 (stale) is not claimed.
+        unsafe { data.set_len(3) };
+        assert_eq!(data, vec![10, 30, 31]);
+    });
+    assert_eq!(
+        report.schedules_explored, 1,
+        "chunks of one bucket write disjoint windows; DPOR must not branch"
     );
 }

@@ -191,7 +191,7 @@ spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 K
 edges[1] n=10 fnv=21cd049cd2348e99
 spans[2] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#1:26 CC-I/O:37
 edges[2] n=10 fnv=ee82f5d3e09a1e43
-counters 0:tuples_emitted=106101 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4181 0:merge_bytes=16000 0:bytes_sent=1147744 0:bytes_received=1140688 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1694576 0:radix_passes_run=1266 0:scatter_bytes=1690560 0:checkpoint_writes=4 0:planned_passes=2 1:tuples_emitted=105952 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3792 1:merge_bytes=8000 1:bytes_sent=1138464 1:bytes_received=1133280 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=411 1:radix_passes_pruned=2 1:scatter_bytes=1690048 1:checkpoint_writes=2 2:tuples_emitted=104674 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5183 2:merge_bytes=8000 2:bytes_sent=1126208 2:bytes_received=1138448 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=552 2:radix_passes_pruned=3 2:scatter_bytes=1687024 2:checkpoint_writes=2
+counters 0:tuples_emitted=106101 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4181 0:merge_bytes=16000 0:bytes_sent=1147744 0:bytes_received=1140688 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1694576 0:radix_passes_run=40 0:radix_passes_pruned=8 0:scatter_bytes=1690560 0:checkpoint_writes=4 0:planned_passes=2 1:tuples_emitted=105952 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3792 1:merge_bytes=8000 1:bytes_sent=1138464 1:bytes_received=1133280 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=41 1:radix_passes_pruned=7 1:scatter_bytes=1690048 1:checkpoint_writes=2 2:tuples_emitted=104674 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5183 2:merge_bytes=8000 2:bytes_sent=1126208 2:bytes_received=1138448 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=42 2:radix_passes_pruned=6 2:scatter_bytes=1687024 2:checkpoint_writes=2
 ";
 
 const TWO_CRASHES: &str = "\
@@ -210,7 +210,7 @@ spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 K
 edges[1] n=10 fnv=22baf295d986e899
 spans[2] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:18 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#1:27 CC-I/O:39
 edges[2] n=10 fnv=ac6aa9aef9e336e6
-counters 0:tuples_emitted=106101 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4181 0:merge_bytes=16000 0:bytes_sent=1147744 0:bytes_received=1140688 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1694576 0:radix_passes_run=1266 0:scatter_bytes=1690560 0:faults_injected=1 0:checkpoint_writes=4 0:task_restarts=1 0:planned_passes=2 1:tuples_emitted=105952 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3792 1:merge_bytes=8000 1:bytes_sent=1138464 1:bytes_received=1133280 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=411 1:radix_passes_pruned=2 1:scatter_bytes=1690048 1:faults_injected=1 1:checkpoint_writes=2 1:task_restarts=1 2:tuples_emitted=104674 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5183 2:merge_bytes=8000 2:bytes_sent=1126208 2:bytes_received=1138448 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=552 2:radix_passes_pruned=3 2:scatter_bytes=1687024 2:checkpoint_writes=2
+counters 0:tuples_emitted=106101 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4181 0:merge_bytes=16000 0:bytes_sent=1147744 0:bytes_received=1140688 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1694576 0:radix_passes_run=40 0:radix_passes_pruned=8 0:scatter_bytes=1690560 0:faults_injected=1 0:checkpoint_writes=4 0:task_restarts=1 0:planned_passes=2 1:tuples_emitted=105952 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3792 1:merge_bytes=8000 1:bytes_sent=1138464 1:bytes_received=1133280 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=41 1:radix_passes_pruned=7 1:scatter_bytes=1690048 1:faults_injected=1 1:checkpoint_writes=2 1:task_restarts=1 2:tuples_emitted=104674 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5183 2:merge_bytes=8000 2:bytes_sent=1126208 2:bytes_received=1138448 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=42 2:radix_passes_pruned=6 2:scatter_bytes=1687024 2:checkpoint_writes=2
 ";
 
 #[test]

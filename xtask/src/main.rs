@@ -209,13 +209,20 @@ const SMOKE_RUNS: &[SmokeRun] = &[
             "\"fused\"",
             "\"radix_passes_pruned\"",
             "\"large_fused\"",
+            "\"bucketed_1_part\"",
         ],
     },
     SmokeRun {
         bin: "exp_kmergen",
         scale: Some("0.2"),
         artifact: "BENCH_kmergen.json",
-        needles: &["\"kmergen\"", "\"backend\"", "\"classify\"", "\"scan\""],
+        needles: &[
+            "\"kmergen\"",
+            "\"backend\"",
+            "\"classify\"",
+            "\"scan\"",
+            "\"emit\"",
+        ],
     },
     SmokeRun {
         bin: "exp_loom_dpor",
@@ -413,6 +420,18 @@ const BENCH_METRICS: &[BenchMetric] = &[
         key: "\"large_fused_over_reference\"",
         higher_is_better: true,
         gate: 1.5,
+        gate_waiver: None,
+        must_equal: None,
+    },
+    // The pipeline's LocalSort over bucket-major parts vs the fused entry
+    // over the same tuples ungrouped (one part and four, 4 M tuples at any
+    // scale, one thread each): with the counting and scattering done by
+    // KmerGen it must never be the slower one (observed 1.6-1.8x).
+    BenchMetric {
+        artifact: "BENCH_sort.json",
+        key: "\"bucketed_over_fused\"",
+        higher_is_better: true,
+        gate: 1.0,
         gate_waiver: None,
         must_equal: None,
     },
