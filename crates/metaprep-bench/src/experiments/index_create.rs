@@ -6,7 +6,11 @@
 //! in `METAPREP_BENCH_OUT`) with the in-memory slurp baseline and the
 //! streaming indexer at 1/2/4 threads on a file at least 10× larger than
 //! the probe window, asserting along the way that every configuration
-//! produces identical index tables.
+//! produces identical index tables. It also times what the file path's
+//! record reader saves per scan: `view_scan_over_parse` is one
+//! `parse_fastq` → `ReadStore` (+ drop) of the file's bytes over one
+//! in-place `record_views` walk of the same bytes, both making the same
+//! checks (best of [`SCAN_REPS`] each).
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta around each
 //! region when the experiment binary installs [`crate::allocpeak::PeakAlloc`]
@@ -18,11 +22,13 @@ use crate::allocpeak;
 use crate::harness::{dataset, fmt_dur, fmt_mb, print_table};
 use metaprep_index::{index_fastq_bytes, index_fastq_file_streaming, StreamingOptions};
 use metaprep_synth::DatasetId;
+use std::hint::black_box;
 use std::time::Instant;
 
 const K: usize = 27;
 const M: usize = 8;
 const CHUNKS: usize = 64;
+const SCAN_REPS: usize = 7;
 
 struct Measurement {
     label: String,
@@ -80,7 +86,37 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         streaming_secs.push((threads, m.secs));
         measurements.push(m);
     }
+    let bytes = std::fs::read(&path).expect("read bench FASTQ");
     std::fs::remove_dir_all(&dir).ok();
+    let best_of = |scan: &dyn Fn()| {
+        let secs = (0..SCAN_REPS).map(|_| {
+            let t0 = Instant::now();
+            scan();
+            t0.elapsed().as_secs_f64()
+        });
+        secs.fold(f64::INFINITY, f64::min)
+    };
+    let parse_secs = best_of(&|| {
+        let store = metaprep_io::parse_fastq(black_box(&bytes[..]), false).expect("parse");
+        assert_eq!(black_box(store).len(), data.reads.len());
+    });
+    let view_secs = best_of(&|| {
+        let mut walked = 0;
+        for view in metaprep_io::record_views(black_box(&bytes), 0) {
+            black_box(view.expect("walk"));
+            walked += 1;
+        }
+        assert_eq!(walked, data.reads.len());
+    });
+    drop(bytes);
+    let view_scan_over_parse = parse_secs / view_secs;
+    println!(
+        "record scan of {} MB: parse_fastq {:.1} ms, record_views {:.1} ms ({:.1}x)",
+        fmt_mb(file_bytes),
+        parse_secs * 1e3,
+        view_secs * 1e3,
+        view_scan_over_parse
+    );
 
     let rows: Vec<Vec<String>> = measurements
         .iter()
@@ -130,6 +166,11 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         allocpeak::vm_hwm_bytes()
             .map(|b| b.to_string())
             .unwrap_or_else(|| "null".into())
+    ));
+    json.push_str(&format!("  \"parse_scan_secs\": {parse_secs:.6},\n"));
+    json.push_str(&format!("  \"view_scan_secs\": {view_secs:.6},\n"));
+    json.push_str(&format!(
+        "  \"view_scan_over_parse\": {view_scan_over_parse:.3},\n"
     ));
     json.push_str("  \"runs\": [\n");
     for (i, m) in measurements.iter().enumerate() {

@@ -24,6 +24,13 @@
 //! All FASTQ inputs are treated as interleaved paired-end unless
 //! `--unpaired` is given.
 //!
+//! `partition --stream` never holds the input: IndexCreate, every pass's
+//! chunk loads and the partition writer each re-read the file and take
+//! its records in place (`metaprep_io::record_views`); no `ReadStore` is
+//! built, and the output directory is byte-identical to the one
+//! `partition` without `--stream` writes from reads parsed up front.
+//! `index --stream` is the same IndexCreate on its own.
+//!
 //! Every subcommand accepts `--simd auto|avx2|neon|scalar` (equivalent
 //! to the `METAPREP_SIMD` environment variable): pins the runtime-
 //! dispatched kernel family for KmerGen and FASTQ scanning — a testing
@@ -39,8 +46,8 @@ mod args;
 
 use args::{ArgError, Args};
 use metaprep_core::{
-    partition_reads, partition_top_n, write_multi_partition, write_partitions, Pipeline,
-    PipelineConfig, Step,
+    partition_reads, partition_top_n, write_multi_partition, write_multi_partition_streamed,
+    write_partitions, write_partitions_streamed, Pipeline, PipelineConfig, Step,
 };
 use metaprep_io::{parse_fastq_path, write_fastq_path, ReadStore};
 use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, RunSummary, SpanEvent};
@@ -424,19 +431,22 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let tasks = cfg.tasks;
     let budgeted = cfg.memory_budget.is_some();
 
-    // `--stream` drives the whole pipeline from the file (streaming
-    // IndexCreate, per-chunk reads) instead of loading reads up front —
-    // but the partition output step still needs the reads in memory.
-    let reads = load_reads(args)?;
+    // `--stream` drives everything from the file — streaming IndexCreate,
+    // per-pass chunk reads, and a partition writer that walks the file once
+    // more — so the input is re-read (1 + passes + 1 times), never held:
+    // no `ReadStore` exists in that mode. Without it the reads are parsed
+    // up front and every step works on that store.
+    let input = args.req("input")?;
+    let paired = !args.flag("unpaired");
+    let reads = if args.flag("stream") {
+        None
+    } else {
+        Some(load_reads(args)?)
+    };
     let pipe = Pipeline::new(cfg);
-    let run_with = |rec: &dyn Recorder| -> Result<_, Box<dyn std::error::Error>> {
-        if args.flag("stream") {
-            let input = args.req("input")?;
-            let paired = !args.flag("unpaired");
-            Ok(pipe.run_fastq_file_recorded(&input, paired, rec)?)
-        } else {
-            Ok(pipe.run_reads_recorded(&reads, rec)?)
-        }
+    let run_with = |rec: &dyn Recorder| match &reads {
+        None => pipe.run_fastq_file_recorded(&input, paired, rec),
+        Some(reads) => pipe.run_reads_recorded(reads, rec),
     };
     let res = match &trace {
         // Only collect events when a trace was asked for — the default
@@ -476,22 +486,44 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let top = args.get_or("top", 0usize)?;
-    if top > 0 {
-        let parts = partition_top_n(&reads, &res.labels, top, args.get_or("min-size", 2usize)?);
-        write_multi_partition(&outdir, &parts)?;
-        println!(
-            "wrote {} component files + rest.fastq to {outdir}",
-            parts.buckets.len()
-        );
+    let t_output = std::time::Instant::now();
+    let wrote = if top > 0 {
+        let min_size = args.get_or("min-size", 2usize)?;
+        let components = match &reads {
+            None => {
+                let labels = &res.labels;
+                write_multi_partition_streamed(&outdir, &input, paired, labels, top, min_size)?
+                    .len()
+                    - 1
+            }
+            Some(reads) => {
+                let parts = partition_top_n(reads, &res.labels, top, min_size);
+                write_multi_partition(&outdir, &parts)?;
+                parts.buckets.len()
+            }
+        };
+        format!("wrote {components} component files + rest.fastq to {outdir}")
     } else {
-        let parts = partition_reads(&reads, &res.labels, res.components.largest_root);
-        write_partitions(&outdir, &parts)?;
-        println!(
-            "wrote lc.fastq ({} reads) and other.fastq ({} reads) to {outdir}",
-            parts.lc.len(),
-            parts.other.len()
-        );
-    }
+        let root = res.components.largest_root;
+        let [lc, other] = match &reads {
+            None => write_partitions_streamed(&outdir, &input, paired, &res.labels, root)?,
+            Some(reads) => {
+                let parts = partition_reads(reads, &res.labels, root);
+                write_partitions(&outdir, &parts)?;
+                [parts.lc.len() as u64, parts.other.len() as u64]
+            }
+        };
+        format!("wrote lc.fastq ({lc} reads) and other.fastq ({other} reads) to {outdir}")
+    };
+    // The output step is outside the pipeline's Step table; with it on
+    // stdout the lines above account for the run's wall time.
+    let output_s = t_output.elapsed().as_secs_f64();
+    let input_mb = std::fs::metadata(&input)?.len() as f64 / 1e6;
+    println!(
+        "  Output        {output_s:.3}s   {:.1} MB/s of input routed",
+        input_mb / output_s.max(1e-9)
+    );
+    println!("{wrote}");
     Ok(())
 }
 

@@ -279,3 +279,142 @@ fn crashes_without_checkpoint_dir_are_rejected_up_front() {
     assert!(err.contains("checkpoint_dir"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `n` well-formed records (`r1`..`rn`, 40 bases each, distinct enough to
+/// index) as one line list per record, so a test can break a single line.
+fn good_records(n: usize) -> Vec<[Vec<u8>; 4]> {
+    (1..=n)
+        .map(|i| {
+            let seq: Vec<u8> = (0..40)
+                .map(|j| b"ACGT"[(i * 7 + j * j + j / 3) % 4])
+                .collect();
+            let qual = vec![b'I'; seq.len()];
+            [format!("@r{i}").into_bytes(), seq, b"+".to_vec(), qual]
+        })
+        .collect()
+}
+
+fn fastq_of(records: &[[Vec<u8>; 4]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for line in records.iter().flatten() {
+        out.extend_from_slice(line);
+        out.push(b'\n');
+    }
+    out
+}
+
+#[test]
+fn stream_rejects_what_parse_fastq_rejected_before_any_pass_runs() {
+    // With `--stream` nothing parses the file up front: IndexCreate is the
+    // first reader, and everything `parse_fastq` used to reject must still
+    // end as one `error:` line naming the file-global record — in a later
+    // chunk here, and behind the paired chunker's record-start counting —
+    // before a pass runs or the output directory exists.
+    let broken = |record: usize, line: usize, with: &[u8]| {
+        let mut records = good_records(40);
+        records[record - 1][line] = with.to_vec();
+        fastq_of(&records)
+    };
+    let truncated = {
+        let mut bytes = fastq_of(&good_records(40));
+        let cut = bytes.len() - "+\n".len() - 41;
+        bytes.truncate(cut);
+        bytes
+    };
+    let leading_junk = [b"junk\n".to_vec(), fastq_of(&good_records(40))].concat();
+    let cases: [(&str, Vec<u8>, &[&str], &str); 8] = [
+        ("qual_len", broken(30, 3, b"III"), &[], "record 30"),
+        (
+            "qual_len_unpaired",
+            broken(30, 3, b"III"),
+            &["--unpaired"],
+            "record 30",
+        ),
+        ("no_plus", broken(30, 2, b"-"), &[], "record 30"),
+        (
+            "no_plus_unpaired",
+            broken(30, 2, b"-"),
+            &["--unpaired"],
+            "record 30",
+        ),
+        ("truncated", truncated, &[], "record 40"),
+        ("odd_pairs", fastq_of(&good_records(39)), &[], "record 39"),
+        ("non_utf8", broken(30, 0, b"@r\xFF"), &[], "record 30"),
+        ("leading_junk", leading_junk, &[], "record 1"),
+    ];
+    for (name, bytes, extra, names_record) in cases {
+        let dir = tmpdir(&format!("stream_bad_{name}"));
+        let reads = dir.join("reads.fastq");
+        let parts = dir.join("parts");
+        std::fs::write(&reads, bytes).unwrap();
+        let mut args = vec!["partition", "--stream", "--k", "11", "--m", "4"];
+        args.extend(["--input", reads.to_str().unwrap()]);
+        args.extend(["--outdir", parts.to_str().unwrap()]);
+        args.extend(extra);
+        let out = metaprep(&args);
+        assert!(!out.status.success(), "{name}");
+        let err = stderr_of(&out);
+        assert!(err.starts_with("error:"), "{name}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{name}: {err}");
+        assert!(err.contains(names_record), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        assert!(!parts.exists(), "{name}: output directory created");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn stream_and_in_memory_partition_write_identical_directories() {
+    let dir = tmpdir("stream_vs_memory");
+    let reads = dir.join("reads.fastq");
+    let out = metaprep(&[
+        "simulate",
+        "--dataset",
+        "hg",
+        "--scale",
+        "0.01",
+        "--seed",
+        "3",
+        "--output",
+        reads.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+
+    let variants: [&[&str]; 4] = [
+        &["--tasks", "1"],
+        &["--tasks", "3", "--passes", "2"],
+        &["--tasks", "2", "--unpaired"],
+        &["--tasks", "2", "--top", "2"],
+    ];
+    for (i, variant) in variants.into_iter().enumerate() {
+        let mut files_seen = 0;
+        let (streamed, in_memory) = (dir.join(format!("s{i}")), dir.join(format!("m{i}")));
+        for (outdir, stream) in [(&streamed, true), (&in_memory, false)] {
+            let mut args = vec!["partition", "--k", "21", "--m", "6"];
+            args.extend(["--input", reads.to_str().unwrap()]);
+            args.extend(["--outdir", outdir.to_str().unwrap()]);
+            args.extend(variant);
+            if stream {
+                args.push("--stream");
+            }
+            let out = metaprep(&args);
+            assert!(out.status.success(), "{variant:?}: {}", stderr_of(&out));
+            let stdout = stdout_of(&out);
+            assert!(stdout.contains("  Output  "), "{stdout}");
+        }
+        for entry in std::fs::read_dir(&in_memory).unwrap() {
+            let name = entry.unwrap().file_name();
+            let want = std::fs::read(in_memory.join(&name)).unwrap();
+            let got = std::fs::read(streamed.join(&name)).unwrap();
+            assert!(got == want, "{variant:?}: {name:?} differs");
+            files_seen += 1;
+        }
+        assert_eq!(
+            files_seen,
+            std::fs::read_dir(&streamed).unwrap().count(),
+            "{variant:?}: file sets differ"
+        );
+        assert!(files_seen >= 2, "{variant:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -97,9 +97,10 @@ pub struct KmerGenOutput<T> {
     /// by `q`'s sort buckets of this pass in key order, and inside a bucket
     /// in chunk order, then read order.
     pub outgoing: Vec<Vec<T>>,
-    /// Simulated FASTQ-chunk load time ("KmerGen-I/O"): the time spent
-    /// copying chunk bytes into thread-local buffers, CPU-time summed
-    /// across threads.
+    /// FASTQ-chunk load time ("KmerGen-I/O"): borrowing the chunk from the
+    /// in-memory store, or reading its bytes from the file into the
+    /// thread's buffer and walking its records; CPU-time summed across
+    /// threads.
     pub io_nanos: u64,
     /// Enumeration time, CPU-time summed across threads, plus the write
     /// cursor build before it and the gap compaction after it.
@@ -202,8 +203,8 @@ pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
             .zip(windows.into_par_iter())
             .map(|(&c, mut cur)| {
                 // Chunk load (KmerGen-I/O): a borrow of the in-memory store
-                // (MemorySource) or a real seek+read+parse from the FASTQ
-                // file (FileSource).
+                // (MemorySource) or a real seek+read of the FASTQ file plus
+                // an in-place record walk (FileSource).
                 let t_io = Instant::now();
                 let buffer = source.load_chunk(c);
                 // ORDERING: Relaxed — profiling counter, summed after join.

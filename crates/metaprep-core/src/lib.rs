@@ -16,7 +16,9 @@
 //!                -> output partitioned FASTQ
 //! ```
 //!
-//! Entry point: [`Pipeline::run_reads`]. Configuration: [`PipelineConfig`]
+//! Entry points: [`Pipeline::run_reads`] over reads in memory, or
+//! [`Pipeline::run_fastq_file`] + [`write_partitions_streamed`] over a FASTQ
+//! file that is re-read, never held. Configuration: [`PipelineConfig`]
 //! (k, m, passes, tasks, threads, k-mer frequency filter, LocalCC-Opt).
 //! Results carry component labels, per-task per-step timings,
 //! communication volumes and both modeled and measured memory.
@@ -36,8 +38,8 @@ pub use checkpoint::{plan_fingerprint, Checkpoint, CkptError, PlanCheckpoint, Pr
 pub use config::{PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use memmodel::MemoryReport;
 pub use output::{
-    partition_reads, partition_top_n, write_multi_partition, write_partitions, MultiPartition,
-    PartitionedReads,
+    partition_reads, partition_top_n, write_multi_partition, write_multi_partition_streamed,
+    write_partitions, write_partitions_streamed, MultiPartition, PartitionedReads,
 };
 pub use pipeline::{Pipeline, PipelineResult};
 pub use planner::{plan_passes, PassPlan, PlanInputs, MAX_PLANNED_PASSES};

@@ -2,11 +2,18 @@
 //!
 //! The paper writes the reads of the largest component to one FASTQ file
 //! and all remaining reads to another, because a giant component forms on
-//! every dataset it examined. [`partition_reads`] does the split in memory;
-//! [`write_partitions`] writes `lc.fastq` / `other.fastq`.
+//! every dataset it examined. [`partition_reads`] does the split in memory
+//! and [`write_partitions`] writes `lc.fastq` / `other.fastq` from it;
+//! [`write_partitions_streamed`] writes the same two files — the same
+//! bytes — straight from the input FASTQ file, one window of it in memory
+//! at a time ([`write_multi_partition_streamed`] likewise for the top-`n`
+//! split).
 
-use metaprep_io::{write_fastq_path, ReadStore};
-use std::io;
+use metaprep_io::{
+    record_views, write_fastq_path, write_fastq_record, FastqError, ReadStore, StreamChunker,
+};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// The two output read sets.
@@ -74,6 +81,18 @@ pub fn partition_top_n(
     min_size: usize,
 ) -> MultiPartition {
     assert_eq!(labels.len(), reads.num_fragments() as usize);
+    let roots = top_roots(labels, n, min_size);
+    let buckets: Vec<(u32, ReadStore)> = roots
+        .iter()
+        .map(|&root| (root, reads.filter_fragments(|f| labels[f as usize] == root)))
+        .collect();
+    let rest = reads.filter_fragments(|f| !roots.contains(&labels[f as usize]));
+    MultiPartition { buckets, rest }
+}
+
+/// Roots of the `n` largest components of at least `min_size` fragments,
+/// largest first (ties by root id).
+fn top_roots(labels: &[u32], n: usize, min_size: usize) -> Vec<u32> {
     let mut size_of_root: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for &l in labels {
         *size_of_root.entry(l).or_insert(0) += 1;
@@ -84,14 +103,7 @@ pub fn partition_top_n(
         .collect();
     roots.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     roots.truncate(n);
-
-    let buckets: Vec<(u32, ReadStore)> = roots
-        .iter()
-        .map(|&(root, _)| (root, reads.filter_fragments(|f| labels[f as usize] == root)))
-        .collect();
-    let selected: std::collections::HashSet<u32> = roots.iter().map(|&(r, _)| r).collect();
-    let rest = reads.filter_fragments(|f| !selected.contains(&labels[f as usize]));
-    MultiPartition { buckets, rest }
+    roots.into_iter().map(|(root, _)| root).collect()
 }
 
 /// Write a [`MultiPartition`] as `comp_<i>.fastq` files plus `rest.fastq`.
@@ -102,6 +114,127 @@ pub fn write_multi_partition(dir: impl AsRef<Path>, parts: &MultiPartition) -> i
         write_fastq_path(dir.join(format!("comp_{i}.fastq")), store)?;
     }
     write_fastq_path(dir.join("rest.fastq"), &parts.rest)
+}
+
+/// Input bytes the streamed writers hold at a time: windows are cut at the
+/// first record start at or after every `STREAM_WINDOW` bytes.
+const STREAM_WINDOW: u64 = 1 << 20;
+
+/// Probe window for finding those cuts; a cut lies within a few records.
+const CUT_PROBE: usize = 4096;
+
+/// [`partition_reads`] + [`write_partitions`] without the reads in memory:
+/// walk the FASTQ file `input` once, in file order, and write each record
+/// to `lc.fastq` or `other.fastq` under `dir` by its fragment's label —
+/// byte for byte the files the in-memory pair writes. Returns the reads
+/// written to `[lc, other]`.
+///
+/// `paired` and `labels` must be those of the run that indexed `input`; a
+/// file whose record count no longer matches `labels` is an error.
+pub fn write_partitions_streamed(
+    dir: impl AsRef<Path>,
+    input: impl AsRef<Path>,
+    paired: bool,
+    labels: &[u32],
+    largest_root: u32,
+) -> Result<[u64; 2], FastqError> {
+    let names = ["lc.fastq".to_string(), "other.fastq".to_string()];
+    let side_of = |label| usize::from(label != largest_root);
+    let (dir, input) = (dir.as_ref(), input.as_ref());
+    let written = stream_split(dir, input, STREAM_WINDOW, paired, labels, &names, side_of)?;
+    Ok([written[0], written[1]])
+}
+
+/// [`partition_top_n`] + [`write_multi_partition`] without the reads in
+/// memory (see [`write_partitions_streamed`]): `comp_<i>.fastq` for the
+/// `n` largest components of at least `min_size` fragments, `rest.fastq`
+/// for everything else. Returns the reads written per file, `rest` last.
+pub fn write_multi_partition_streamed(
+    dir: impl AsRef<Path>,
+    input: impl AsRef<Path>,
+    paired: bool,
+    labels: &[u32],
+    n: usize,
+    min_size: usize,
+) -> Result<Vec<u64>, FastqError> {
+    let roots = top_roots(labels, n, min_size);
+    let mut names: Vec<String> = (0..roots.len())
+        .map(|i| format!("comp_{i}.fastq"))
+        .collect();
+    names.push("rest.fastq".into());
+    let side_of = |label| {
+        let bucket = roots.iter().position(|&r| r == label);
+        bucket.unwrap_or(roots.len())
+    };
+    let (dir, input) = (dir.as_ref(), input.as_ref());
+    stream_split(dir, input, STREAM_WINDOW, paired, labels, &names, side_of)
+}
+
+/// The one streamed writer: route every record of `input` to
+/// `names[side_of(labels[fragment])]`, written through the same
+/// `write_fastq_record` as `metaprep_io::write_fastq` writes a store's.
+///
+/// The file is read in record-aligned windows of about `window` bytes — cut
+/// where IndexCreate's chunker would cut, at the first record start at or
+/// after a byte target — so one window plus the writers' buffers is all
+/// that is resident, and every record passes the walker's checks again on
+/// its way out.
+/// Sequential on purpose: a scan of the input is a fraction of the cost of
+/// writing the same bytes, and placing records from several tasks at once
+/// would need every window's output size per side before the first byte.
+fn stream_split(
+    dir: &Path,
+    input: &Path,
+    window: u64,
+    paired: bool,
+    labels: &[u32],
+    names: &[String],
+    side_of: impl Fn(u32) -> usize,
+) -> Result<Vec<u64>, FastqError> {
+    let changed = |record: usize, what: String| FastqError::Malformed {
+        record,
+        what: format!("input changed since indexing: {what}"),
+    };
+    let mut chunker = StreamChunker::open(input, CUT_PROBE)?;
+    std::fs::create_dir_all(dir)?;
+    let mut outs = Vec::with_capacity(names.len());
+    for name in names {
+        outs.push(BufWriter::with_capacity(
+            1 << 16,
+            File::create(dir.join(name))?,
+        ));
+    }
+    let mut written = vec![0u64; names.len()];
+
+    let len = chunker.file_len();
+    let mut bytes = Vec::new();
+    let (mut lo, mut record) = (0u64, 0usize);
+    while lo < len {
+        let hi = chunker.find_record_start_at(lo + window)?.unwrap_or(len);
+        chunker.read_range(lo, hi, &mut bytes)?;
+        for view in record_views(&bytes, record) {
+            let view = view?;
+            let frag = record >> u32::from(paired);
+            let Some(&label) = labels.get(frag) else {
+                let what = format!("more than the {} fragments labeled", labels.len());
+                return Err(changed(record + 1, what));
+            };
+            let side = side_of(label);
+            write_fastq_record(&mut outs[side], view.header.as_bytes(), view.seq, view.qual)?;
+            written[side] += 1;
+            record += 1;
+        }
+        lo = hi;
+    }
+    let expected = labels.len() << u32::from(paired);
+    if record != expected {
+        let what = format!("{record} records, {expected} were labeled");
+        return Err(changed(record, what));
+    }
+    for out in &mut outs {
+        out.flush()?;
+    }
+    Ok(written)
 }
 
 #[cfg(test)]
@@ -216,6 +349,99 @@ mod tests {
         let other = metaprep_io::parse_fastq_path(dir.join("other.fastq"), false).unwrap();
         assert_eq!(lc.len(), 4);
         assert_eq!(other.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    /// A FASTQ file spelled the ways real files are — CRLF on some records,
+    /// the name repeated on some `+` lines, no final newline — holding 30
+    /// mate pairs of varying length.
+    fn spelled_fastq(dir: &Path) -> std::path::PathBuf {
+        let mut bytes = Vec::new();
+        for i in 0..60usize {
+            let eol = if i % 3 == 0 { "\r\n" } else { "\n" };
+            let plus = if i % 5 == 0 {
+                format!("+read{i}/x")
+            } else {
+                "+".into()
+            };
+            let seq: String = (0..20 + i % 7)
+                .map(|j| "ACGT".as_bytes()[(i + j * j) % 4] as char)
+                .collect();
+            let qual = "@".repeat(seq.len());
+            bytes.extend(format!("@read{i}/x{eol}{seq}{eol}{plus}{eol}{qual}{eol}").bytes());
+        }
+        bytes.pop();
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join("reads.fastq");
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    fn assert_same_files(want: &Path, got: &Path, names: &[&str]) {
+        for name in names {
+            let (w, g) = (
+                std::fs::read(want.join(name)),
+                std::fs::read(got.join(name)),
+            );
+            assert_eq!(w.unwrap(), g.unwrap(), "{name}");
+        }
+    }
+
+    #[test]
+    fn streamed_writers_match_the_in_memory_ones_across_window_cuts() {
+        let dir = std::env::temp_dir().join("metaprep_core_streamed_output_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let input = spelled_fastq(&dir);
+        for paired in [true, false] {
+            let reads = metaprep_io::parse_fastq_path(&input, paired).unwrap();
+            let frags = reads.num_fragments() as usize;
+            // Three components of sizes ~1/2, ~1/3, ~1/6 and a few singletons.
+            let labels: Vec<u32> = (0..frags)
+                .map(|f| {
+                    if f % 11 == 0 {
+                        1000 + f as u32
+                    } else {
+                        [7, 7, 7, 2, 2, 5][f % 6]
+                    }
+                })
+                .collect();
+            let (want, got) = (dir.join("want"), dir.join("got"));
+            // Windows of a few records, so cuts fall inside mate pairs and
+            // on CRLF records, and the default window (one cut: EOF).
+            for window in [64, 300, STREAM_WINDOW] {
+                let parts = partition_reads(&reads, &labels, 7);
+                write_partitions(&want, &parts).unwrap();
+                let names = ["lc.fastq".to_string(), "other.fastq".to_string()];
+                let side_of = |label| usize::from(label != 7);
+                let n = stream_split(&got, &input, window, paired, &labels, &names, side_of);
+                assert_eq!(
+                    n.unwrap(),
+                    [parts.lc.len() as u64, parts.other.len() as u64]
+                );
+                assert_same_files(&want, &got, &["lc.fastq", "other.fastq"]);
+            }
+
+            let multi = partition_top_n(&reads, &labels, 2, 2);
+            write_multi_partition(&want, &multi).unwrap();
+            let n = write_multi_partition_streamed(&got, &input, paired, &labels, 2, 2).unwrap();
+            let lens =
+                [&multi.buckets[0].1, &multi.buckets[1].1, &multi.rest].map(|s| s.len() as u64);
+            assert_eq!(n, lens);
+            assert_same_files(&want, &got, &["comp_0.fastq", "comp_1.fastq", "rest.fastq"]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_writer_reports_an_input_that_no_longer_matches_the_labels() {
+        let dir = std::env::temp_dir().join("metaprep_core_streamed_changed_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let input = spelled_fastq(&dir); // 60 records
+        for (paired, labeled) in [(true, 29), (true, 31), (false, 59), (false, 61)] {
+            let labels = vec![0u32; labeled];
+            let err = write_partitions_streamed(dir.join("out"), &input, paired, &labels, 0);
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("input changed since indexing"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -168,8 +168,10 @@ impl Pipeline {
 
     /// Run the pipeline directly over a FASTQ *file*: IndexCreate scans the
     /// file once to build the chunk table, and every pass re-reads the
-    /// chunks from disk — the paper's actual multi-pass I/O behaviour.
-    /// `paired` treats the file as interleaved mate pairs.
+    /// chunks from disk — the paper's actual multi-pass I/O behaviour. Both
+    /// read records in place through `metaprep_io::record_views`; no
+    /// `ReadStore` is built. `paired` treats the file as interleaved mate
+    /// pairs.
     pub fn run_fastq_file(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -850,11 +852,12 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
             let Msg::Parents(labels) = broadcast(ctx, 0, root, obs, name) else {
                 unreachable!("the broadcast carries a parent array")
             };
-            // Simulate the parallel FASTQ write: each task walks the reads
-            // of its own chunks and buckets them by component (the actual
-            // file write is `output::write_partitions`, outside the timed
-            // region in the paper's harness too — CC-I/O covers broadcast +
-            // extraction).
+            // CC-I/O is the broadcast plus each task's count of where its
+            // own chunks' reads go. The files are written after the run,
+            // from these labels: `output::write_partitions_streamed` walks
+            // the input file once more (the file path; no reads in memory),
+            // `output::write_partitions` splits a resident store — outside
+            // the timed region, as in the paper's harness.
             let largest_root = largest_root_of(&labels);
             let (mut lc_reads, mut other_reads) = (0u64, 0u64);
             for &c in chunks {

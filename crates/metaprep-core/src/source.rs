@@ -7,36 +7,77 @@
 //!
 //! * [`MemorySource`] — chunks are slices of an in-memory [`ReadStore`]
 //!   (synthetic data, tests);
-//! * [`FileSource`] — chunks are re-parsed from the FASTQ file on every
-//!   load, so KmerGen-I/O is real disk traffic and per-pass redundant
-//!   reading behaves exactly as in the paper.
+//! * [`FileSource`] — chunks are re-read from the FASTQ file on every
+//!   load and their sequences used where they lie in the bytes read, so
+//!   KmerGen-I/O is real disk traffic and per-pass redundant reading
+//!   behaves exactly as in the paper.
 
-use metaprep_io::{parse_fastq_chunk, ChunkSpec, ReadStore};
-use std::borrow::Cow;
+use metaprep_io::{record_views, ChunkSpec, FastqError, ReadStore, StreamChunker};
+use std::cell::RefCell;
+use std::ops::Range;
 use std::path::PathBuf;
 
-/// One loaded chunk: the sequences `seqs` of `store` — the source's own
-/// store, or one just parsed from the file, never a copy of either — each
-/// paired with its *global* fragment id.
-pub struct ChunkReads<'a> {
-    store: Cow<'a, ReadStore>,
-    seqs: std::ops::Range<usize>,
-    /// Global index of `store`'s sequence 0, and whether consecutive global
-    /// sequences pair up into one fragment; `None` when `store` holds the
-    /// global fragment ids itself.
-    numbering: Option<(usize, bool)>,
+/// One loaded chunk: its sequences, each paired with its *global* fragment
+/// id — a borrow of the source's store, or the chunk's raw file bytes with
+/// the span of every sequence line in them. Never a copy of a sequence.
+pub struct ChunkReads<'a>(Repr<'a>);
+
+enum Repr<'a> {
+    /// Sequences `seqs` of `store`, which holds the global fragment ids.
+    Store {
+        store: &'a ReadStore,
+        seqs: Range<usize>,
+    },
+    /// `spans[j]` is sequence `first_seq + j` of the file, inside `bytes`;
+    /// `paired` says consecutive file sequences share a fragment.
+    File {
+        bytes: Vec<u8>,
+        spans: Vec<Range<usize>>,
+        first_seq: usize,
+        paired: bool,
+    },
+}
+
+thread_local! {
+    // The buffers of the last file chunk this thread dropped: a KmerGen
+    // worker loads its chunks one after another, pass after pass, into the
+    // same two allocations.
+    static CHUNK_BUFS: RefCell<(Vec<u8>, Vec<Range<usize>>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl ChunkReads<'_> {
     /// The chunk's `(sequence, global fragment id)` entries, in file order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], u32)> + '_ {
-        self.seqs.clone().map(move |i| {
-            let frag = match self.numbering {
-                None => self.store.frag_id(i),
-                Some((first, paired)) => ((first + i) >> u32::from(paired)) as u32,
-            };
-            (self.store.seq(i), frag)
+        let n = match &self.0 {
+            Repr::Store { seqs, .. } => seqs.len(),
+            Repr::File { spans, .. } => spans.len(),
+        };
+        (0..n).map(move |j| match &self.0 {
+            Repr::Store { store, seqs } => {
+                let i = seqs.start + j;
+                (store.seq(i), store.frag_id(i))
+            }
+            Repr::File {
+                bytes,
+                spans,
+                first_seq,
+                paired,
+            } => {
+                let frag = (first_seq + j) >> u32::from(*paired);
+                (&bytes[spans[j].clone()], frag as u32)
+            }
         })
+    }
+}
+
+impl Drop for ChunkReads<'_> {
+    fn drop(&mut self) {
+        if let Repr::File { bytes, spans, .. } = &mut self.0 {
+            let bufs = (std::mem::take(bytes), std::mem::take(spans));
+            // Not there during thread teardown; the buffers are then freed.
+            let _ = CHUNK_BUFS.try_with(|c| c.replace(bufs));
+        }
     }
 }
 
@@ -70,11 +111,10 @@ impl ChunkSource for MemorySource<'_> {
     fn load_chunk(&self, c: usize) -> ChunkReads<'_> {
         let spec = &self.specs[c];
         let lo = spec.first_seq as usize;
-        ChunkReads {
-            store: Cow::Borrowed(self.store),
+        ChunkReads(Repr::Store {
+            store: self.store,
             seqs: lo..lo + spec.seqs as usize,
-            numbering: None,
-        }
+        })
     }
 
     fn frag_of_seq(&self, i: usize) -> u32 {
@@ -86,7 +126,7 @@ impl ChunkSource for MemorySource<'_> {
     }
 }
 
-/// Chunks re-parsed from a FASTQ file on every load.
+/// Chunks re-read from a FASTQ file on every load.
 pub struct FileSource {
     path: PathBuf,
     specs: Vec<ChunkSpec>,
@@ -123,18 +163,53 @@ impl FileSource {
     }
 }
 
+impl FileSource {
+    /// Read chunk `c`'s bytes into this thread's recycled buffer and find
+    /// the sequence lines with the record walker — every check IndexCreate
+    /// made on the same bytes, plus the record count it stored.
+    fn read_chunk(&self, c: usize) -> Result<ChunkReads<'_>, FastqError> {
+        let spec = &self.specs[c];
+        let (mut bytes, mut spans) = CHUNK_BUFS.take();
+        let mut file = std::fs::File::open(&self.path)?;
+        StreamChunker::read_range_into(
+            &mut file,
+            spec.offset,
+            spec.offset + spec.bytes,
+            &mut bytes,
+        )?;
+        spans.clear();
+        let base = bytes.as_ptr() as usize;
+        for record in record_views(&bytes, spec.first_seq as usize) {
+            let seq = record?.seq;
+            // `seq` is a sub-slice of `bytes`: its address gives its span.
+            let at = seq.as_ptr() as usize - base;
+            spans.push(at..at + seq.len());
+        }
+        if spans.len() != spec.seqs as usize {
+            return Err(FastqError::Malformed {
+                record: spec.first_seq as usize + spans.len(),
+                what: format!(
+                    "chunk holds {} records but the index says {}",
+                    spans.len(),
+                    spec.seqs
+                ),
+            });
+        }
+        Ok(ChunkReads(Repr::File {
+            bytes,
+            spans,
+            first_seq: spec.first_seq as usize,
+            paired: self.paired,
+        }))
+    }
+}
+
 impl ChunkSource for FileSource {
     fn load_chunk(&self, c: usize) -> ChunkReads<'_> {
-        let spec = &self.specs[c];
         // Each load re-reads from disk — this IS the multi-pass I/O.
-        let store = parse_fastq_chunk(&self.path, spec, false)
-            // EXPECT: the file was indexed by this process; a failed re-read means it changed or vanished mid-run, unrecoverable for a multi-pass source.
-            .expect("chunk read failed (file changed since indexing?)");
-        ChunkReads {
-            seqs: 0..store.len(),
-            store: Cow::Owned(store),
-            numbering: Some((spec.first_seq as usize, self.paired)),
-        }
+        self.read_chunk(c)
+            // EXPECT: IndexCreate walked these bytes with the same record walker before any pass ran; a failed re-read means the file changed or vanished mid-run, unrecoverable for a multi-pass source.
+            .expect("chunk read failed (file changed since indexing?)")
     }
 
     fn frag_of_seq(&self, i: usize) -> u32 {
@@ -212,6 +287,61 @@ mod tests {
             assert_eq!(seq, s.seq(i));
             assert_eq!(frag, s.frag_id(i));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunked_file_loads_reassemble_the_store_and_recycle_the_buffer() {
+        let s = store();
+        let mut bytes = Vec::new();
+        write_fastq(&mut bytes, &s).unwrap();
+        let dir = std::env::temp_dir().join("metaprep_core_source_chunks_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reads.fastq");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let specs = metaprep_io::chunk_fastq_bytes_paired(&bytes, 3).unwrap();
+        assert!(specs.len() >= 2);
+        let src = FileSource::new(path, specs.clone(), true, s.len() as u32);
+        let mut total = 0;
+        for (c, spec) in specs.iter().enumerate() {
+            let chunk = src.load_chunk(c);
+            assert_eq!(chunk.iter().len(), spec.seqs as usize);
+            for (j, (seq, frag)) in chunk.iter().enumerate() {
+                let i = spec.first_seq as usize + j;
+                assert_eq!(seq, s.seq(i));
+                assert_eq!(frag, s.frag_id(i));
+            }
+            total += chunk.iter().len();
+            drop(chunk);
+            // The dropped chunk's buffers wait for this thread's next load.
+            let (bytes, spans) = CHUNK_BUFS.with(|b| {
+                let b = b.borrow();
+                (b.0.capacity(), b.1.capacity())
+            });
+            assert!(bytes as u64 >= spec.bytes && spans >= spec.seqs as usize);
+        }
+        assert_eq!(total, s.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunk_read_detects_index_mismatch() {
+        let dir = std::env::temp_dir().join("metaprep_core_source_mismatch_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reads.fastq");
+        std::fs::write(&path, b"@r0\nACGT\n+\nIIII\n").unwrap();
+        let bad = ChunkSpec {
+            offset: 0,
+            bytes: 16,
+            first_seq: 0,
+            seqs: 2, // wrong
+        };
+        let src = FileSource::new(path, vec![bad], false, 2);
+        assert!(matches!(
+            src.read_chunk(0),
+            Err(FastqError::Malformed { record: 1, .. })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,7 +11,9 @@
 //!    targets and probing bounded windows (O(window) memory);
 //! 2. per-chunk m-mer histogramming is dispatched over a rayon thread
 //!    pool, each worker reading its chunk via a byte-range read into a
-//!    thread-recycled buffer.
+//!    thread-recycled buffer and walking its records in place
+//!    (`metaprep_io::record_views`): sequences are histogrammed where they
+//!    lie, names and qualities are checked and never copied.
 //!
 //! Peak memory is O(threads × max-chunk-bytes + chunks × 4^m), never
 //! O(file) — the bound the `index_create` bench (`BENCH_index.json`)
@@ -21,7 +23,9 @@
 use crate::fastqpart::ChunkRecord;
 use crate::{FastqPart, MerHist};
 use metaprep_io::stream::{StreamChunk, StreamChunker};
-use metaprep_io::{count_record_starts, count_records, parse_fastq, ChunkSpec, FastqError};
+use metaprep_io::{
+    count_record_starts, count_records, record_views, ChunkSpec, FastqError, RecordViews,
+};
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
 use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent};
@@ -46,8 +50,11 @@ thread_local! {
     static CHUNK_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Histogram the canonical k-mers of every sequence in `store` into
-/// `space`'s m-mer bins (the per-chunk histogram of `FASTQPart`).
+/// Walk `records` once: histogram the canonical k-mers of every sequence
+/// into `space`'s m-mer bins (the per-chunk histogram of `FASTQPart`) and
+/// count the records, stopping at the first malformed one. The sequences
+/// are read where they lie in the chunk bytes; names and qualities are
+/// checked by the walker and otherwise untouched.
 ///
 /// `for_each_canonical_kmer` is the runtime-dispatched hot path: on
 /// AVX2/NEON hosts each read is classified and 2-bit-packed by the
@@ -55,23 +62,23 @@ thread_local! {
 /// values roll over the packed lanes (`METAPREP_SIMD=scalar` pins the
 /// scalar reference; both arms are differentially tested there and in
 /// the scalar-forced CI job).
-fn hist_of_store(store: &metaprep_io::ReadStore, space: MmerSpace, k: usize) -> Vec<u32> {
-    hist_of_store_sketched(store, space, k, None)
-}
-
-/// [`hist_of_store`] with an optional count-min sketch fed from the same
-/// canonical-k-mer enumeration: the presolve frequency sketch rides the
-/// scan that already exists instead of costing a second pass. Keys are the
-/// packed canonical value for `k <= 32` and [`fold_kmer_key`] above that —
-/// the same derivation KmerGen's `HighFreqFilter` probes with.
-fn hist_of_store_sketched(
-    store: &metaprep_io::ReadStore,
+///
+/// An optional count-min sketch is fed from the same enumeration: the
+/// presolve frequency sketch rides the scan that already exists instead of
+/// costing a second pass. Keys are the packed canonical value for
+/// `k <= 32` and [`fold_kmer_key`] above that — the same derivation
+/// KmerGen's `HighFreqFilter` probes with.
+fn hist_of_records(
+    records: RecordViews<'_>,
     space: MmerSpace,
     k: usize,
     mut sketch: Option<&mut CountMinSketch>,
-) -> Vec<u32> {
+) -> Result<(u64, Vec<u32>), FastqError> {
     let mut hist = vec![0u32; space.bins()];
-    for (seq, _) in store.iter() {
+    let mut n = 0u64;
+    for record in records {
+        let seq = record?.seq;
+        n += 1;
         if k <= 32 {
             for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
                 hist[space.bin_of(Kmer64::repr_to_u128(v)) as usize] += 1;
@@ -88,7 +95,7 @@ fn hist_of_store_sketched(
             });
         }
     }
-    hist
+    Ok((n, hist))
 }
 
 /// Shift a malformed-record index so per-chunk errors report file-global
@@ -153,9 +160,12 @@ pub fn index_fastq_bytes(
     let mut rows = Vec::with_capacity(specs.len());
     for spec in specs {
         let lo = spec.offset as usize;
-        let store = parse_fastq(&bytes[lo..lo + spec.bytes as usize], false)
-            .map_err(|e| offset_record(e, spec.first_seq as u64))?;
-        rows.push((spec, hist_of_store(&store, space, k)));
+        let records = record_views(
+            &bytes[lo..lo + spec.bytes as usize],
+            spec.first_seq as usize,
+        );
+        let (_, hist) = hist_of_records(records, space, k, None)?;
+        rows.push((spec, hist));
     }
     assemble(space, rows)
 }
@@ -196,11 +206,35 @@ fn par_count_records(
     results.into_iter().collect()
 }
 
-/// Parse + histogram each resolved chunk in parallel (the KmerGen-style
-/// fan-out of IndexCreate). `paired` chunks already know their record
-/// count (from pass A) and are validated against it; unpaired chunks are
-/// counted here with the strict 4-line counter, exactly as
-/// `chunk_fastq_bytes` does in memory.
+/// Walk `ranges` in file order and report the first malformed record with
+/// its file-global number — the error `parse_fastq` would give for the
+/// same bytes. Only run where the paired chunker's record-start counts
+/// cannot say what is wrong.
+fn first_malformed(path: &Path, ranges: &[(u64, u64)]) -> Result<(), FastqError> {
+    let mut file = File::open(path)?;
+    let mut buf = Vec::new();
+    let mut seen = 0usize;
+    for &(lo, hi) in ranges {
+        StreamChunker::read_range_into(&mut file, lo, hi, &mut buf)?;
+        for record in record_views(&buf, seen) {
+            record?;
+            seen += 1;
+        }
+    }
+    Ok(())
+}
+
+/// One chunk's record count and m-mer histogram, or why it is malformed —
+/// with a *chunk-local* record number: an unpaired chunk's first record id
+/// is only known once every chunk before it has been counted, so the
+/// sequential stitch shifts the number to a file-global one.
+type ChunkRow = Result<(u64, Vec<u32>), FastqError>;
+
+/// Walk + histogram one resolved chunk where it lies in the thread's
+/// recycled read buffer; no `ReadStore` is built. `paired` chunks already
+/// know their record count (from pass A) and are validated against it;
+/// unpaired chunks are counted here with the strict 4-line counter, exactly
+/// as `chunk_fastq_bytes` does in memory.
 fn chunk_hist(
     path: &Path,
     ch: &StreamChunk,
@@ -208,7 +242,7 @@ fn chunk_hist(
     k: usize,
     paired: bool,
     sketch: Option<&mut CountMinSketch>,
-) -> Result<(u64, Vec<u32>), FastqError> {
+) -> ChunkRow {
     CHUNK_BUF.with(|b| {
         let mut buf = b.borrow_mut();
         let mut f = File::open(path)?;
@@ -216,23 +250,24 @@ fn chunk_hist(
         let n = if paired {
             ch.seqs
         } else {
-            count_records(&buf).map_err(|e| offset_record(e, ch.first_seq))? as u64
+            count_records(&buf)? as u64
         };
-        let store = parse_fastq(&buf[..], false).map_err(|e| offset_record(e, ch.first_seq))?;
-        if store.len() as u64 != n {
+        let (walked, hist) = hist_of_records(record_views(&buf, 0), space, k, sketch)?;
+        if walked != n {
             return Err(FastqError::Malformed {
-                record: ch.first_seq as usize + store.len(),
+                record: walked as usize,
                 what: format!(
-                    "chunk at byte {} parsed {} records but the chunker counted {n}",
-                    ch.offset,
-                    store.len()
+                    "chunk at byte {} holds {walked} records but the chunker counted {n}",
+                    ch.offset
                 ),
             });
         }
-        Ok((n, hist_of_store_sketched(&store, space, k, sketch)))
+        Ok((n, hist))
     })
 }
 
+/// Histogram every chunk on the pool (the KmerGen-style fan-out of
+/// IndexCreate); rows come back in chunk order.
 fn par_histogram(
     path: &Path,
     chunks: &[StreamChunk],
@@ -240,14 +275,13 @@ fn par_histogram(
     k: usize,
     paired: bool,
     pool: &rayon::ThreadPool,
-) -> Result<Vec<(u64, Vec<u32>)>, FastqError> {
-    let results: Vec<Result<(u64, Vec<u32>), FastqError>> = pool.install(|| {
+) -> Vec<ChunkRow> {
+    pool.install(|| {
         chunks
             .par_iter()
             .map(|ch| chunk_hist(path, ch, space, k, paired, None))
             .collect()
-    });
-    results.into_iter().collect()
+    })
 }
 
 /// [`par_histogram`] fused with the presolve frequency sketch: chunks are
@@ -257,7 +291,6 @@ fn par_histogram(
 /// share count comes from the pool's configured thread count, so for an
 /// explicitly-sized pool the merged sketch is a pure function of the input
 /// and the thread *setting*, not of scheduling.
-#[allow(clippy::type_complexity)]
 fn par_histogram_sketched(
     path: &Path,
     chunks: &[StreamChunk],
@@ -266,7 +299,7 @@ fn par_histogram_sketched(
     paired: bool,
     pool: &rayon::ThreadPool,
     params: SketchParams,
-) -> Result<(Vec<(u64, Vec<u32>)>, CountMinSketch), FastqError> {
+) -> (Vec<ChunkRow>, CountMinSketch) {
     let workers = pool.current_num_threads().max(1);
     let shares: Vec<Vec<usize>> = (0..workers.min(chunks.len()).max(1))
         .map(|w| {
@@ -275,31 +308,30 @@ fn par_histogram_sketched(
                 .collect()
         })
         .collect();
-    type ShareOut = (Vec<(usize, u64, Vec<u32>)>, CountMinSketch);
-    let results: Vec<Result<ShareOut, FastqError>> = pool.install(|| {
+    let results: Vec<(Vec<(usize, ChunkRow)>, CountMinSketch)> = pool.install(|| {
         shares
             .par_iter()
             .map(|idxs| {
                 let mut sketch = params.build();
-                let mut rows = Vec::with_capacity(idxs.len());
-                for &i in idxs {
-                    let (n, hist) =
-                        chunk_hist(path, &chunks[i], space, k, paired, Some(&mut sketch))?;
-                    rows.push((i, n, hist));
-                }
-                Ok((rows, sketch))
+                let hist_of = |&i| {
+                    (
+                        i,
+                        chunk_hist(path, &chunks[i], space, k, paired, Some(&mut sketch)),
+                    )
+                };
+                let rows = idxs.iter().map(hist_of).collect();
+                (rows, sketch)
             })
             .collect()
     });
     let mut merged = params.build();
-    let mut rows: Vec<Option<(u64, Vec<u32>)>> = vec![None; chunks.len()];
-    for r in results {
-        let (share_rows, sketch) = r?;
+    let mut rows: Vec<Option<ChunkRow>> = chunks.iter().map(|_| None).collect();
+    for (share_rows, sketch) in results {
         // Saturating counter addition is associative and commutative, so
         // the fold order cannot change the merged sketch.
         merged.merge(&sketch);
-        for (i, n, hist) in share_rows {
-            rows[i] = Some((n, hist));
+        for (i, row) in share_rows {
+            rows[i] = Some(row);
         }
     }
     let rows = rows
@@ -309,7 +341,7 @@ fn par_histogram_sketched(
             r.unwrap()
         })
         .collect();
-    Ok((rows, merged))
+    (rows, merged)
 }
 
 /// Streaming, thread-parallel IndexCreate over a FASTQ file. Produces the
@@ -387,8 +419,22 @@ pub fn index_fastq_file_streaming_sketched_recorded(
         // Two passes: count records per tentative range (parallel), then
         // stitch pair-aligned boundaries at the record-index level.
         let tentative = chunker.tentative_ranges_paired(c)?;
+        // Pass A sees record *starts* only, so what `parse_fastq` would
+        // reject can hide from it twice: bytes before the first start lie
+        // in no chunk, and a record broken badly enough not to look like
+        // a start just makes the total odd.
+        let head = tentative.first().map_or(chunker.file_len(), |r| r.0);
+        if head > 0 {
+            first_malformed(path, &[(0, head)])?;
+        }
         let counts = par_count_records(path, &tentative, &pool)?;
-        chunker.resolve_paired(&tentative, &counts)?
+        match chunker.resolve_paired(&tentative, &counts) {
+            Ok(chunks) => chunks,
+            Err(odd) => {
+                first_malformed(path, &tentative)?;
+                return Err(odd);
+            }
+        }
     } else {
         chunker
             .ranges(c)?
@@ -407,20 +453,21 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     let t0 = clock.now_ns();
     let (per_chunk, sketch) = match sketch_params {
         Some(params) => {
-            let (rows, sk) =
-                par_histogram_sketched(path, &chunks, space, k, paired, &pool, params)?;
+            let (rows, sk) = par_histogram_sketched(path, &chunks, space, k, paired, &pool, params);
             (rows, Some(sk))
         }
-        None => (par_histogram(path, &chunks, space, k, paired, &pool)?, None),
+        None => (par_histogram(path, &chunks, space, k, paired, &pool), None),
     };
     span("index-histogram", t0, clock.now_ns());
 
-    // Sequential stitch: prefix-sum first_seq (unpaired) and narrow to the
-    // u32 id space used by `ChunkSpec`.
+    // Sequential stitch: prefix-sum first_seq (unpaired), report the first
+    // malformed chunk in file order with a file-global record number, and
+    // narrow to the u32 id space used by `ChunkSpec`.
     let mut rows = Vec::with_capacity(chunks.len());
     let mut first = 0u64;
-    for (ch, (n, hist)) in chunks.iter().zip(per_chunk) {
+    for (ch, row) in chunks.iter().zip(per_chunk) {
         let first_seq = if paired { ch.first_seq } else { first };
+        let (n, hist) = row.map_err(|e| offset_record(e, first_seq))?;
         let spec = ChunkSpec {
             offset: ch.offset,
             bytes: ch.bytes,

@@ -7,6 +7,10 @@
 //! §3.2). Stores can be built in memory (synthetic data) or parsed from
 //! FASTQ files ([`parse`]), and written back out as FASTQ ([`write`]).
 //!
+//! [`view`] reads FASTQ records in place: a zero-copy walker over raw bytes
+//! with `parse`'s exact accept/reject rules, which is how the file-based
+//! pipeline reads its input without ever building a store.
+//!
 //! [`chunk`] implements the logical FASTQ chunking used by the `FASTQPart`
 //! index (paper §3.1.2): a file is split into `C` byte ranges of roughly
 //! equal size whose boundaries are aligned to record starts, so that threads
@@ -18,6 +22,7 @@ pub mod parse;
 pub mod store;
 pub mod stream;
 pub mod trim;
+pub mod view;
 pub mod write;
 
 pub use chunk::{
@@ -26,10 +31,10 @@ pub use chunk::{
 };
 pub use fasta::{parse_fasta, parse_fasta_path, write_fasta, write_fasta_path, FastaRecord};
 pub use parse::{
-    deinterleave, parse_fastq, parse_fastq_chunk, parse_fastq_pair_files, parse_fastq_path,
-    FastqError, FastqRecord,
+    deinterleave, parse_fastq, parse_fastq_pair_files, parse_fastq_path, FastqError, FastqRecord,
 };
 pub use store::ReadStore;
 pub use stream::{StreamChunk, StreamChunker, DEFAULT_INDEX_WINDOW};
 pub use trim::{trim_adapter, trim_quality, TrimStats};
-pub use write::{write_fastq, write_fastq_path};
+pub use view::{record_views, RecordView, RecordViews};
+pub use write::{write_fastq, write_fastq_path, write_fastq_record};

@@ -235,35 +235,6 @@ pub fn deinterleave(store: &ReadStore) -> (ReadStore, ReadStore) {
     (m1, m2)
 }
 
-/// Parse one logical chunk of a FASTQ file: seek to `spec.offset`, read
-/// `spec.bytes` bytes, and parse the records inside. This is the file-based
-/// counterpart of the in-memory chunking — each thread of a file-backed
-/// KmerGen loads exactly its chunk (paper §3.2: "the C file chunks are
-/// distributed to threads to enable parallel FASTQ file read operations").
-pub fn parse_fastq_chunk(
-    path: impl AsRef<Path>,
-    spec: &crate::chunk::ChunkSpec,
-    paired: bool,
-) -> Result<ReadStore, FastqError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = std::fs::File::open(path)?;
-    f.seek(SeekFrom::Start(spec.offset))?;
-    let mut buf = vec![0u8; spec.bytes as usize];
-    f.read_exact(&mut buf)?;
-    let store = parse_fastq(&buf[..], paired)?;
-    if store.len() != spec.seqs as usize {
-        return Err(FastqError::Malformed {
-            record: store.len(),
-            what: format!(
-                "chunk parsed {} records but the index says {}",
-                store.len(),
-                spec.seqs
-            ),
-        });
-    }
-    Ok(store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,59 +365,6 @@ mod tests {
         s.push_single(b"AC");
         s.push_single(b"GG"); // distinct fragments, not mates
         let _ = deinterleave(&s);
-    }
-
-    #[test]
-    fn chunked_file_reads_reassemble_the_store() {
-        use crate::chunk::chunk_fastq_bytes;
-        use crate::write::write_fastq;
-        let mut s = ReadStore::new();
-        for i in 0..23 {
-            let seq: Vec<u8> = b"ACGTTGCA"
-                .iter()
-                .cycle()
-                .skip(i % 8)
-                .take(30 + i)
-                .copied()
-                .collect();
-            s.push_single(&seq);
-        }
-        let mut bytes = Vec::new();
-        write_fastq(&mut bytes, &s).unwrap();
-        let dir = std::env::temp_dir().join("metaprep_io_chunk_read_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reads.fastq");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let specs = chunk_fastq_bytes(&bytes, 4).unwrap();
-        let mut total = 0usize;
-        for spec in &specs {
-            let chunk = super::parse_fastq_chunk(&path, spec, false).unwrap();
-            assert_eq!(chunk.len(), spec.seqs as usize);
-            for i in 0..chunk.len() {
-                assert_eq!(chunk.seq(i), s.seq(spec.first_seq as usize + i));
-            }
-            total += chunk.len();
-        }
-        assert_eq!(total, 23);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn chunk_read_detects_index_mismatch() {
-        use crate::chunk::ChunkSpec;
-        let dir = std::env::temp_dir().join("metaprep_io_chunk_mismatch_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reads.fastq");
-        std::fs::write(&path, b"@r0\nACGT\n+\nIIII\n").unwrap();
-        let bad = ChunkSpec {
-            offset: 0,
-            bytes: 16,
-            first_seq: 0,
-            seqs: 2, // wrong
-        };
-        assert!(super::parse_fastq_chunk(&path, &bad, false).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -93,7 +93,8 @@ impl StreamChunker {
     /// the streaming indexer).
     pub fn read_range_into(file: &mut File, lo: u64, hi: u64, out: &mut Vec<u8>) -> io::Result<()> {
         debug_assert!(lo <= hi);
-        out.clear();
+        // No `clear` first: `read_exact` overwrites every byte, so only a
+        // buffer that has to grow gets (its new tail) zero-filled.
         out.resize((hi - lo) as usize, 0);
         file.seek(SeekFrom::Start(lo))?;
         file.read_exact(out)?;

@@ -10,28 +10,47 @@ use crate::store::ReadStore;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+/// Write one 4-line FASTQ record: `@`·header·`\n`·seq·`\n+\n`·qual·`\n`.
+/// The one place the output format is spelled; [`write_fastq`] and the
+/// streamed partition writer both emit records through it.
+pub fn write_fastq_record(
+    mut w: impl Write,
+    header: &[u8],
+    seq: &[u8],
+    qual: &[u8],
+) -> io::Result<()> {
+    w.write_all(b"@")?;
+    w.write_all(header)?;
+    w.write_all(b"\n")?;
+    w.write_all(seq)?;
+    w.write_all(b"\n+\n")?;
+    w.write_all(qual)?;
+    w.write_all(b"\n")
+}
+
 /// Write all sequences of `store` as 4-line FASTQ records.
 pub fn write_fastq(mut w: impl Write, store: &ReadStore) -> io::Result<()> {
+    let mut name_buf = Vec::new();
     let mut qual_buf = Vec::new();
     for i in 0..store.len() {
         let seq = store.seq(i);
-        w.write_all(b"@")?;
-        match store.name(i) {
-            Some(n) => w.write_all(n.as_bytes())?,
-            None => write!(w, "r{i}")?,
-        }
-        w.write_all(b"\n")?;
-        w.write_all(seq)?;
-        w.write_all(b"\n+\n")?;
-        match store.qual(i) {
-            Some(q) => w.write_all(q)?,
+        let name = match store.name(i) {
+            Some(n) => n.as_bytes(),
+            None => {
+                name_buf.clear();
+                write!(name_buf, "r{i}")?;
+                &name_buf
+            }
+        };
+        let qual = match store.qual(i) {
+            Some(q) => q,
             None => {
                 qual_buf.clear();
                 qual_buf.resize(seq.len(), b'I');
-                w.write_all(&qual_buf)?;
+                &qual_buf
             }
-        }
-        w.write_all(b"\n")?;
+        };
+        write_fastq_record(&mut w, name, seq, qual)?;
     }
     Ok(())
 }

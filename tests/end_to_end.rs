@@ -1,7 +1,10 @@
 //! End-to-end integration tests through the public facade: synthetic data
 //! -> FASTQ files on disk -> parse -> pipeline -> partition -> FASTQ out.
 
-use metaprep::core::{partition_reads, write_partitions, Pipeline, PipelineConfig};
+use metaprep::core::{
+    partition_reads, partition_top_n, write_multi_partition, write_multi_partition_streamed,
+    write_partitions, write_partitions_streamed, Pipeline, PipelineConfig,
+};
 use metaprep::io::{parse_fastq_path, write_fastq_path, ReadStore};
 use metaprep::synth::{simulate_community, CommunityProfile};
 
@@ -137,4 +140,48 @@ fn unpaired_reads_work_too() {
     let cfg = PipelineConfig::builder().k(21).m(6).tasks(2).build();
     let res = Pipeline::new(cfg).run_reads(&store).unwrap();
     assert_eq!(res.labels.len(), 300);
+}
+
+#[test]
+fn streamed_partition_output_is_byte_identical_to_the_in_memory_writers() {
+    // The file path end to end — streaming IndexCreate, per-pass chunk
+    // reads, streamed writer; no `ReadStore` anywhere — against the
+    // in-memory output API over a parse of the same file, for the LC/other
+    // split and the top-2 split.
+    let data = small_community();
+    let dir = tmpdir("streamed_output");
+    let path = dir.join("reads.fastq");
+    write_fastq_path(&path, &data.reads).unwrap();
+    let same = |want: &std::path::Path, got: &std::path::Path, names: &[&str]| {
+        for name in names {
+            let (w, g) = (
+                std::fs::read(want.join(name)),
+                std::fs::read(got.join(name)),
+            );
+            assert!(w.unwrap() == g.unwrap(), "{name} differs");
+        }
+    };
+    for paired in [true, false] {
+        let reads = parse_fastq_path(&path, paired).unwrap();
+        for tasks in [1, 3] {
+            let cfg = PipelineConfig::builder().k(21).m(6).tasks(tasks).build();
+            let res = Pipeline::new(cfg).run_fastq_file(&path, paired).unwrap();
+            let root = res.components.largest_root;
+            let (want, got) = (dir.join("want"), dir.join("got"));
+
+            let parts = partition_reads(&reads, &res.labels, root);
+            write_partitions(&want, &parts).unwrap();
+            let n = write_partitions_streamed(&got, &path, paired, &res.labels, root).unwrap();
+            assert_eq!(n, [parts.lc.len() as u64, parts.other.len() as u64]);
+            same(&want, &got, &["lc.fastq", "other.fastq"]);
+
+            let multi = partition_top_n(&reads, &res.labels, 2, 2);
+            assert_eq!(multi.buckets.len(), 2, "the community has >= 2 components");
+            write_multi_partition(&want, &multi).unwrap();
+            let n = write_multi_partition_streamed(&got, &path, paired, &res.labels, 2, 2);
+            assert_eq!(n.unwrap().len(), 3);
+            same(&want, &got, &["comp_0.fastq", "comp_1.fastq", "rest.fastq"]);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -191,7 +191,12 @@ const SMOKE_RUNS: &[SmokeRun] = &[
         bin: "exp_index_create",
         scale: Some("0.05"),
         artifact: "BENCH_index.json",
-        needles: &["\"index_create\"", "\"runs\"", "\"stream-t4\""],
+        needles: &[
+            "\"index_create\"",
+            "\"runs\"",
+            "\"stream-t4\"",
+            "\"view_scan_over_parse\"",
+        ],
     },
     // Also writes the `.jsonl` sidecar the analyze step reads.
     SmokeRun {
@@ -393,6 +398,17 @@ impl BenchMetric {
 }
 
 const BENCH_METRICS: &[BenchMetric] = &[
+    // One `parse_fastq` -> `ReadStore` (+ drop) over one in-place
+    // `record_views` walk of the same bytes, same checks: what IndexCreate
+    // and every KmerGen-I/O pass stopped paying (observed 5-8x).
+    BenchMetric {
+        artifact: "BENCH_index.json",
+        key: "\"view_scan_over_parse\"",
+        higher_is_better: true,
+        gate: 2.0,
+        gate_waiver: None,
+        must_equal: None,
+    },
     // Fused LocalSort vs the reference path. The acceptance target is
     // >= 1.3x; the gate allows 1.1x of slack for shared-runner noise
     // (observed smoke ratios: 1.4-1.9x).
