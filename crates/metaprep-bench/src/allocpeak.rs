@@ -15,9 +15,9 @@
 //! whole process — the useful signal for an experiment is the *delta* of
 //! [`peak_bytes`] across [`reset_peak`] around the measured region.
 //!
-//! This in-process view is complemented by [`vm_hwm_bytes`], the kernel's
-//! monotone peak-RSS reading from `/proc/self/status` (Linux only); the
-//! allocator delta is the primary, resettable measurement.
+//! This in-process view is complemented by [`metaprep_obs::vm_hwm_bytes`],
+//! the kernel's monotone peak-RSS reading from `/proc/self/status` (Linux
+//! only); the allocator delta is the primary, resettable measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -88,23 +88,13 @@ pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// The kernel's peak-RSS reading (`VmHWM` in `/proc/self/status`), in
-/// bytes. Monotone over the process lifetime — a secondary, coarse check
-/// on the allocator numbers. `None` off Linux or if the field is missing.
-pub fn vm_hwm_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The test binary does not install PeakAlloc, so only the pure
-    // bookkeeping and /proc parsing are testable here; the experiment
-    // binary exercises the live counters.
+    // bookkeeping is testable here; the experiment binary exercises the
+    // live counters.
 
     #[test]
     fn not_installed_in_test_harness() {
@@ -117,13 +107,5 @@ mod tests {
         PEAK.store(12345, Ordering::Relaxed);
         reset_peak();
         assert_eq!(peak_bytes(), current_bytes());
-    }
-
-    #[test]
-    fn vm_hwm_parses_on_linux() {
-        if cfg!(target_os = "linux") {
-            let hwm = vm_hwm_bytes().expect("VmHWM present on Linux");
-            assert!(hwm > 0);
-        }
     }
 }

@@ -163,7 +163,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     ));
     json.push_str(&format!(
         "  \"vm_hwm_bytes\": {},\n",
-        allocpeak::vm_hwm_bytes()
+        metaprep_obs::vm_hwm_bytes()
             .map(|b| b.to_string())
             .unwrap_or_else(|| "null".into())
     ));

@@ -32,7 +32,7 @@ pub fn run(scale: f64) {
         .expect("smoke pipeline must run");
 
     let mut events = rec.into_events();
-    if let Some(hwm) = crate::allocpeak::vm_hwm_bytes() {
+    if let Some(hwm) = metaprep_obs::vm_hwm_bytes() {
         events.push(Event::Counter {
             task: 0,
             kind: CounterKind::VmHwmBytes,

@@ -3,12 +3,11 @@
 //! ```text
 //! metaprep simulate  --dataset hg --scale 0.5 --seed 1 --output reads.fastq
 //! metaprep index     --input reads.fastq --k 27 --m 8 --chunks 64 --outdir idx/
-//!                    [--stream] [--index-window 65536] [--threads 4]
+//!                    [--threads 4]
 //! metaprep partition --input reads.fastq --k 27 --tasks 4 --threads 2
 //!                    [--passes 2] [--memory-budget 512M] [--presolve 50]
 //!                    [--sketch-width 262144] [--sketch-depth 4]
 //!                    [--kf 10:29] [--top 4] [--sparse] --outdir parts/
-//!                    [--stream] [--index-window 65536] [--sort-digit-bits 8]
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
 //!                    [--checkpoint-dir ckpt/] [--max-retries 8]
 //!                    [--watchdog-timeout 5000]
@@ -24,12 +23,10 @@
 //! All FASTQ inputs are treated as interleaved paired-end unless
 //! `--unpaired` is given.
 //!
-//! `partition --stream` never holds the input: IndexCreate, every pass's
-//! chunk loads and the partition writer each re-read the file and take
-//! its records in place (`metaprep_io::record_views`); no `ReadStore` is
-//! built, and the output directory is byte-identical to the one
-//! `partition` without `--stream` writes from reads parsed up front.
-//! `index --stream` is the same IndexCreate on its own.
+//! `partition` never holds the input: IndexCreate, every pass's chunk
+//! loads and the partition writer each re-read the file and take its
+//! records in place (`metaprep_io::record_views`); no `ReadStore` is
+//! built. `index` is the same IndexCreate on its own.
 //!
 //! Every subcommand accepts `--simd auto|avx2|neon|scalar` (equivalent
 //! to the `METAPREP_SIMD` environment variable): pins the runtime-
@@ -46,8 +43,7 @@ mod args;
 
 use args::{ArgError, Args};
 use metaprep_core::{
-    partition_reads, partition_top_n, write_multi_partition, write_multi_partition_streamed,
-    write_partitions, write_partitions_streamed, Pipeline, PipelineConfig, Step,
+    write_multi_partition_streamed, write_partitions_streamed, Pipeline, PipelineConfig, Step,
 };
 use metaprep_io::{parse_fastq_path, write_fastq_path, ReadStore};
 use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, RunSummary, SpanEvent};
@@ -142,7 +138,7 @@ fn trace_opts(args: &Args) -> Result<Option<TraceOpts>, ArgError> {
 /// the memory model next to a real measurement.
 fn write_trace(rec: MemRecorder, opts: &TraceOpts) -> Result<(), Box<dyn std::error::Error>> {
     let mut events = rec.into_events();
-    if let Some(hwm) = metaprep_bench::allocpeak::vm_hwm_bytes() {
+    if let Some(hwm) = metaprep_obs::vm_hwm_bytes() {
         events.push(Event::Counter {
             task: 0,
             kind: CounterKind::VmHwmBytes,
@@ -251,77 +247,54 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_index(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use metaprep_index::serial::{write_fastqpart, write_merhist};
-    use metaprep_index::{FastqPart, MerHist};
+    use metaprep_index::{index_fastq_file_streaming_sketched_recorded, StreamingOptions};
+    let input = args.req("input")?;
+    let paired = !args.flag("unpaired");
     let k = args.get_or("k", 27usize)?;
     let m = args.get_or("m", 8usize)?;
     let chunks = args.get_or("chunks", 64usize)?;
-    let outdir = std::path::PathBuf::from(args.get_or("outdir", "metaprep_index".to_string())?);
-    std::fs::create_dir_all(&outdir)?;
-    let trace = trace_opts(args)?;
-    // IndexCreate runs on one (driver) "task"; sub-phases of the streaming
-    // path show up as their own spans.
-    let rec = MemRecorder::new(1);
-
-    let (mh, fp, elapsed) = if args.flag("stream") {
-        // Streaming path: never materializes the input file; memory is
-        // O(window + in-flight chunk bytes) per thread.
-        use metaprep_index::{index_fastq_file_streaming_recorded, StreamingOptions};
-        let input = args.req("input")?;
-        let paired = !args.flag("unpaired");
-        let opts = StreamingOptions {
-            window: args.get_or("index-window", 0usize)?,
-            threads: args.get_or("threads", 0usize)?,
-        };
-        let clock = rec.clock();
-        let t0 = clock.now_ns();
-        let (mh, fp, _total) =
-            index_fastq_file_streaming_recorded(&input, paired, chunks, k, m, opts, &rec)?;
-        let t1 = clock.now_ns();
-        record_index_span(&rec, t0, t1);
-        (mh, fp, std::time::Duration::from_nanos(t1 - t0))
-    } else {
-        let reads = load_reads(args)?;
-        let clock = rec.clock();
-        let t0 = clock.now_ns();
-        let mh = MerHist::build(&reads, k, m);
-        let fp = FastqPart::build(&reads, chunks, k, m);
-        let t1 = clock.now_ns();
-        record_index_span(&rec, t0, t1);
-        (mh, fp, std::time::Duration::from_nanos(t1 - t0))
+    let opts = StreamingOptions {
+        window: 0,
+        threads: args.get_or("threads", 0usize)?,
     };
-
-    if let Some(t) = &trace {
-        write_trace(rec, t)?;
-    }
-    write_merhist(outdir.join("merhist.bin"), &mh)?;
-    write_fastqpart(outdir.join("fastqpart.bin"), &fp)?;
-    println!(
-        "indexed {} k-mers into {} chunks ({:.2}s{}) -> {}",
-        mh.total(),
-        fp.len(),
-        elapsed.as_secs_f64(),
-        if args.flag("stream") {
-            ", streaming"
-        } else {
-            ""
-        },
-        outdir.display()
-    );
-    Ok(())
-}
-
-/// Stamp the whole IndexCreate phase as a driver-side span.
-fn record_index_span(rec: &MemRecorder, t0_ns: u64, t1_ns: u64) {
+    let outdir = std::path::PathBuf::from(args.get_or("outdir", "metaprep_index".to_string())?);
+    let trace = trace_opts(args)?;
+    // IndexCreate runs on one (driver) "task"; its sub-phases show up as
+    // their own spans. The file is never materialized: memory is
+    // O(window + in-flight chunk bytes) per thread.
+    let rec = MemRecorder::new(1);
+    let clock = rec.clock();
+    let t0 = clock.now_ns();
+    let (mh, fp, ..) = index_fastq_file_streaming_sketched_recorded(
+        &input, paired, chunks, k, m, opts, None, &rec,
+    )?;
+    let t1 = clock.now_ns();
+    // The whole phase as one driver-side span, outside any task's causal
+    // timeline (lamport 0).
     rec.record_span(SpanEvent {
         task: 0,
         name: metaprep_obs::event::INDEX_CREATE,
         pass: None,
         detail: None,
-        start_ns: t0_ns,
-        end_ns: t1_ns,
-        // Driver-side span, outside any task's causal timeline.
+        start_ns: t0,
+        end_ns: t1,
         lamport: 0,
     });
+
+    if let Some(t) = &trace {
+        write_trace(rec, t)?;
+    }
+    std::fs::create_dir_all(&outdir)?;
+    write_merhist(outdir.join("merhist.bin"), &mh)?;
+    write_fastqpart(outdir.join("fastqpart.bin"), &fp)?;
+    println!(
+        "indexed {} k-mers into {} chunks ({:.2}s) -> {}",
+        mh.total(),
+        fp.len(),
+        std::time::Duration::from_nanos(t1 - t0).as_secs_f64(),
+        outdir.display()
+    );
+    Ok(())
 }
 
 fn parse_kf(spec: &str) -> Result<(u32, u32), ArgError> {
@@ -363,9 +336,7 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .m(args.get_or("m", 8usize)?)
         .tasks(args.get_or("tasks", 1usize)?)
         .threads(args.get_or("threads", 1usize)?)
-        .merge_sparse(args.flag("sparse"))
-        .index_window(args.get_or("index-window", 0usize)?)
-        .sort_digit_bits(args.get_or("sort-digit-bits", 8u32)?);
+        .merge_sparse(args.flag("sparse"));
     // `.passes()` marks the pass count *explicit*, which changes how the
     // adaptive planner arbitrates against `--memory-budget` — so only
     // call it when the flag was actually given.
@@ -431,33 +402,23 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let tasks = cfg.tasks;
     let budgeted = cfg.memory_budget.is_some();
 
-    // `--stream` drives everything from the file — streaming IndexCreate,
-    // per-pass chunk reads, and a partition writer that walks the file once
-    // more — so the input is re-read (1 + passes + 1 times), never held:
-    // no `ReadStore` exists in that mode. Without it the reads are parsed
-    // up front and every step works on that store.
+    // Everything is driven from the file — streaming IndexCreate, per-pass
+    // chunk reads, and a partition writer that walks the file once more —
+    // so the input is re-read (1 + passes + 1 times), never held: no
+    // `ReadStore` exists.
     let input = args.req("input")?;
     let paired = !args.flag("unpaired");
-    let reads = if args.flag("stream") {
-        None
-    } else {
-        Some(load_reads(args)?)
-    };
     let pipe = Pipeline::new(cfg);
-    let run_with = |rec: &dyn Recorder| match &reads {
-        None => pipe.run_fastq_file_recorded(&input, paired, rec),
-        Some(reads) => pipe.run_reads_recorded(reads, rec),
-    };
     let res = match &trace {
         // Only collect events when a trace was asked for — the default
         // path keeps the zero-cost no-op recorder.
         Some(t) => {
             let rec = MemRecorder::new(tasks);
-            let res = run_with(&rec)?;
+            let res = pipe.run_fastq_file_recorded(&input, paired, &rec)?;
             write_trace(rec, t)?;
             res
         }
-        None => run_with(&metaprep_obs::NoopRecorder::new())?,
+        None => pipe.run_fastq_file(&input, paired)?,
     };
     println!(
         "{} fragments -> {} components; largest = {:.2}% of reads",
@@ -489,30 +450,13 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let t_output = std::time::Instant::now();
     let wrote = if top > 0 {
         let min_size = args.get_or("min-size", 2usize)?;
-        let components = match &reads {
-            None => {
-                let labels = &res.labels;
-                write_multi_partition_streamed(&outdir, &input, paired, labels, top, min_size)?
-                    .len()
-                    - 1
-            }
-            Some(reads) => {
-                let parts = partition_top_n(reads, &res.labels, top, min_size);
-                write_multi_partition(&outdir, &parts)?;
-                parts.buckets.len()
-            }
-        };
+        let written =
+            write_multi_partition_streamed(&outdir, &input, paired, &res.labels, top, min_size)?;
+        let components = written.len() - 1;
         format!("wrote {components} component files + rest.fastq to {outdir}")
     } else {
         let root = res.components.largest_root;
-        let [lc, other] = match &reads {
-            None => write_partitions_streamed(&outdir, &input, paired, &res.labels, root)?,
-            Some(reads) => {
-                let parts = partition_reads(reads, &res.labels, root);
-                write_partitions(&outdir, &parts)?;
-                [parts.lc.len() as u64, parts.other.len() as u64]
-            }
-        };
+        let [lc, other] = write_partitions_streamed(&outdir, &input, paired, &res.labels, root)?;
         format!("wrote lc.fastq ({lc} reads) and other.fastq ({other} reads) to {outdir}")
     };
     // The output step is outside the pipeline's Step table; with it on

@@ -2,7 +2,12 @@
 //! plumbing, and the chaos quick-start flow (simulate → partition with a
 //! fault plan + checkpoints + trace → analyze --strict).
 
-use std::path::PathBuf;
+use metaprep_core::{
+    partition_reads, partition_top_n, write_multi_partition, write_partitions, Pipeline,
+    PipelineConfig,
+};
+use metaprep_io::parse_fastq_path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn metaprep(args: &[&str]) -> Output {
@@ -304,12 +309,13 @@ fn fastq_of(records: &[[Vec<u8>; 4]]) -> Vec<u8> {
 }
 
 #[test]
-fn stream_rejects_what_parse_fastq_rejected_before_any_pass_runs() {
-    // With `--stream` nothing parses the file up front: IndexCreate is the
-    // first reader, and everything `parse_fastq` used to reject must still
-    // end as one `error:` line naming the file-global record — in a later
-    // chunk here, and behind the paired chunker's record-start counting —
-    // before a pass runs or the output directory exists.
+fn rejects_what_parse_fastq_rejected_before_any_pass_runs() {
+    // Nothing parses the file up front: IndexCreate is the first reader,
+    // and everything `parse_fastq` used to reject must still end as one
+    // `error:` line naming the file-global record — in a later chunk here,
+    // and behind the paired chunker's record-start counting — before a
+    // pass runs or the output directory exists; `index` on its own leaves
+    // no `merhist.bin` behind.
     let broken = |record: usize, line: usize, with: &[u8]| {
         let mut records = good_records(40);
         records[record - 1][line] = with.to_vec();
@@ -343,29 +349,37 @@ fn stream_rejects_what_parse_fastq_rejected_before_any_pass_runs() {
         ("leading_junk", leading_junk, &[], "record 1"),
     ];
     for (name, bytes, extra, names_record) in cases {
-        let dir = tmpdir(&format!("stream_bad_{name}"));
+        let dir = tmpdir(&format!("bad_{name}"));
         let reads = dir.join("reads.fastq");
-        let parts = dir.join("parts");
         std::fs::write(&reads, bytes).unwrap();
-        let mut args = vec!["partition", "--stream", "--k", "11", "--m", "4"];
-        args.extend(["--input", reads.to_str().unwrap()]);
-        args.extend(["--outdir", parts.to_str().unwrap()]);
-        args.extend(extra);
-        let out = metaprep(&args);
-        assert!(!out.status.success(), "{name}");
-        let err = stderr_of(&out);
-        assert!(err.starts_with("error:"), "{name}: {err}");
-        assert_eq!(err.trim_end().lines().count(), 1, "{name}: {err}");
-        assert!(err.contains(names_record), "{name}: {err}");
-        assert!(!err.contains("panicked"), "{name}: {err}");
-        assert!(!parts.exists(), "{name}: output directory created");
+        for (command, chunks) in [("partition", &[][..]), ("index", &["--chunks", "4"][..])] {
+            let outdir = dir.join(command);
+            let mut args = vec![command, "--k", "11", "--m", "4"];
+            args.extend(["--input", reads.to_str().unwrap()]);
+            args.extend(["--outdir", outdir.to_str().unwrap()]);
+            args.extend(chunks);
+            args.extend(extra);
+            let out = metaprep(&args);
+            assert!(!out.status.success(), "{command} {name}");
+            let err = stderr_of(&out);
+            assert!(err.starts_with("error:"), "{command} {name}: {err}");
+            assert_eq!(err.trim_end().lines().count(), 1, "{command} {name}: {err}");
+            assert!(err.contains(names_record), "{command} {name}: {err}");
+            assert!(!err.contains("panicked"), "{command} {name}: {err}");
+            assert!(
+                !outdir.exists(),
+                "{command} {name}: output directory created"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 #[test]
-fn stream_and_in_memory_partition_write_identical_directories() {
-    let dir = tmpdir("stream_vs_memory");
+fn partition_writes_what_the_in_memory_library_path_writes() {
+    // The CLI reads the file in place on every scan; the reference is the
+    // library's in-memory path over a parse of the same file.
+    let dir = tmpdir("cli_vs_library");
     let reads = dir.join("reads.fastq");
     let out = metaprep(&[
         "simulate",
@@ -380,41 +394,73 @@ fn stream_and_in_memory_partition_write_identical_directories() {
     ]);
     assert!(out.status.success(), "{}", stderr_of(&out));
 
-    let variants: [&[&str]; 4] = [
-        &["--tasks", "1"],
-        &["--tasks", "3", "--passes", "2"],
-        &["--tasks", "2", "--unpaired"],
-        &["--tasks", "2", "--top", "2"],
+    // (CLI options, tasks, passes, paired, top)
+    let variants: [(&[&str], usize, usize, bool, usize); 4] = [
+        (&["--tasks", "1"], 1, 1, true, 0),
+        (&["--tasks", "3", "--passes", "2"], 3, 2, true, 0),
+        (&["--tasks", "2", "--unpaired"], 2, 1, false, 0),
+        (&["--tasks", "2", "--top", "2"], 2, 1, true, 2),
     ];
-    for (i, variant) in variants.into_iter().enumerate() {
+    let partition = |outdir: &Path, variant: &[&str]| {
+        let mut args = vec!["partition", "--k", "21", "--m", "6"];
+        args.extend(["--input", reads.to_str().unwrap()]);
+        args.extend(["--outdir", outdir.to_str().unwrap()]);
+        args.extend(variant);
+        let out = metaprep(&args);
+        assert!(out.status.success(), "{variant:?}: {}", stderr_of(&out));
+        let stdout = stdout_of(&out);
+        assert!(stdout.contains("  Output  "), "{stdout}");
+        stdout
+    };
+    let assert_same_dirs = |want: &Path, got: &Path, what: &str| {
         let mut files_seen = 0;
-        let (streamed, in_memory) = (dir.join(format!("s{i}")), dir.join(format!("m{i}")));
-        for (outdir, stream) in [(&streamed, true), (&in_memory, false)] {
-            let mut args = vec!["partition", "--k", "21", "--m", "6"];
-            args.extend(["--input", reads.to_str().unwrap()]);
-            args.extend(["--outdir", outdir.to_str().unwrap()]);
-            args.extend(variant);
-            if stream {
-                args.push("--stream");
-            }
-            let out = metaprep(&args);
-            assert!(out.status.success(), "{variant:?}: {}", stderr_of(&out));
-            let stdout = stdout_of(&out);
-            assert!(stdout.contains("  Output  "), "{stdout}");
-        }
-        for entry in std::fs::read_dir(&in_memory).unwrap() {
+        for entry in std::fs::read_dir(want).unwrap() {
             let name = entry.unwrap().file_name();
-            let want = std::fs::read(in_memory.join(&name)).unwrap();
-            let got = std::fs::read(streamed.join(&name)).unwrap();
-            assert!(got == want, "{variant:?}: {name:?} differs");
+            let (w, g) = (
+                std::fs::read(want.join(&name)),
+                std::fs::read(got.join(&name)),
+            );
+            assert!(w.unwrap() == g.unwrap(), "{what}: {name:?} differs");
             files_seen += 1;
         }
-        assert_eq!(
-            files_seen,
-            std::fs::read_dir(&streamed).unwrap().count(),
-            "{variant:?}: file sets differ"
-        );
-        assert!(files_seen >= 2, "{variant:?}");
+        let in_got = std::fs::read_dir(got).unwrap().count();
+        assert_eq!(files_seen, in_got, "{what}: file sets differ");
+        assert!(files_seen >= 2, "{what}");
+    };
+    for (i, (variant, tasks, passes, paired, top)) in variants.into_iter().enumerate() {
+        let (got, want) = (dir.join(format!("cli{i}")), dir.join(format!("lib{i}")));
+        partition(&got, variant);
+
+        let store = parse_fastq_path(&reads, paired).unwrap();
+        let cfg = PipelineConfig::builder().k(21).m(6).tasks(tasks);
+        let res = Pipeline::new(cfg.passes(passes).build())
+            .run_reads(&store)
+            .unwrap();
+        if top > 0 {
+            let parts = partition_top_n(&store, &res.labels, top, 2);
+            write_multi_partition(&want, &parts).unwrap();
+        } else {
+            let parts = partition_reads(&store, &res.labels, res.components.largest_root);
+            write_partitions(&want, &parts).unwrap();
+        }
+        assert_same_dirs(&want, &got, &format!("{variant:?}"));
     }
+
+    // The benchmark's command line still passes the retired `--stream`
+    // switch: it must change neither the bytes nor what is printed (the
+    // indented step lines carry timings, so only their names compare).
+    let printed = |stdout: String, outdir: &Path| -> Vec<String> {
+        let stdout = stdout.replace(outdir.to_str().unwrap(), "OUTDIR");
+        let untimed = |l: &str| match l.strip_prefix("  ") {
+            Some(step) => step.split("  ").next().unwrap().to_string(),
+            None => l.to_string(),
+        };
+        stdout.lines().map(untimed).collect()
+    };
+    let (plain, legacy) = (dir.join("plain"), dir.join("legacy"));
+    let plain_out = partition(&plain, &["--tasks", "2", "--passes", "2"]);
+    let legacy_out = partition(&legacy, &["--tasks", "2", "--stream", "--passes", "2"]);
+    assert_same_dirs(&plain, &legacy, "--stream");
+    assert_eq!(printed(plain_out, &plain), printed(legacy_out, &legacy));
     std::fs::remove_dir_all(&dir).unwrap();
 }

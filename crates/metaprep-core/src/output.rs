@@ -64,6 +64,10 @@ pub fn write_partitions(dir: impl AsRef<Path>, parts: &PartitionedReads) -> io::
 /// fragments) is pooled into `rest`. Each bucket can be fed to an
 /// assembler independently — the "assemble partitions in parallel" use
 /// case generalized beyond LC-vs-rest.
+///
+/// With [`partition_top_n`] and [`write_multi_partition`], the in-memory
+/// reference the tests hold [`write_multi_partition_streamed`] (what the
+/// CLI runs) against.
 #[derive(Clone, Debug)]
 pub struct MultiPartition {
     /// `(component root, reads)` for the top components, largest first.

@@ -24,7 +24,7 @@ use metaprep_dist::{
     run_cluster, run_cluster_faulted, run_supervised, Boundary, ClusterConfig, CommStats, Payload,
     TaskCtx,
 };
-use metaprep_index::{BucketPlan, FastqPart, MerHist, RangePlan};
+use metaprep_index::{index_store, BucketPlan, FastqPart, MerHist, RangePlan};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
@@ -147,14 +147,10 @@ impl Pipeline {
         // no extra pass over the reads.
         let cfg = &self.cfg;
         let t0_ns = rec.clock().now_ns();
-        let (merhist, sketch) = match cfg.presolve_threshold {
-            Some(_) => {
-                let (h, s) = MerHist::build_sketched(reads, cfg.k, cfg.m, cfg.sketch);
-                (h, Some(s))
-            }
-            None => (MerHist::build(reads, cfg.k, cfg.m), None),
-        };
-        let fastqpart = FastqPart::build(reads, cfg.effective_chunks(), cfg.k, cfg.m);
+        let sketch_params = cfg.presolve_threshold.map(|_| cfg.sketch);
+        let (merhist, fastqpart, sketch) =
+            index_store(reads, cfg.effective_chunks(), cfg.k, cfg.m, sketch_params)
+                .map_err(|e| PipelineError::InvalidInput(format!("index reads: {e}")))?;
         let t1_ns = rec.clock().now_ns();
         let tables = IndexTables {
             merhist,
@@ -1631,7 +1627,8 @@ mod tests {
                 *truth.entry(v).or_insert(0) += 1;
             });
         }
-        let (_, sketch) = MerHist::build_sketched(&reads, 21, 6, SketchParams::default());
+        let (.., sketch) = index_store(&reads, 1, 21, 6, Some(SketchParams::default())).unwrap();
+        let sketch = sketch.unwrap();
         for (&v, &n) in &truth {
             assert_eq!(
                 sketch.estimate(v) > u64::from(threshold),

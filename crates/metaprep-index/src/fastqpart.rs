@@ -1,7 +1,8 @@
 //! The `FASTQPart` chunk table (paper §3.1.2, Figure 2).
 
-use metaprep_io::{chunk_store, ChunkSpec, ReadStore};
-use metaprep_kmer::{for_each_canonical_kmer, Kmer128, Kmer64, MmerSpace};
+use crate::streaming::index_store;
+use metaprep_io::{ChunkSpec, ReadStore};
+use metaprep_kmer::MmerSpace;
 
 /// One row of the `FASTQPart` table: a logical chunk plus its own m-mer
 /// histogram.
@@ -22,31 +23,11 @@ pub struct FastqPart {
 
 impl FastqPart {
     /// Build by logically splitting `store` into `c` chunks and histogram-
-    /// ming each chunk's canonical k-mers.
+    /// ming each chunk's canonical k-mers: [`index_store`]'s chunk table.
     pub fn build(store: &ReadStore, c: usize, k: usize, m: usize) -> Self {
-        let space = MmerSpace::new(k, m);
-        let chunks = chunk_store(store, c)
-            .into_iter()
-            .map(|spec| {
-                let mut hist = vec![0u32; space.bins()];
-                let lo = spec.first_seq as usize;
-                let hi = lo + spec.seqs as usize;
-                for i in lo..hi {
-                    let seq = store.seq(i);
-                    if k <= 32 {
-                        for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                            hist[space.bin_of(v as u128) as usize] += 1;
-                        });
-                    } else {
-                        for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                            hist[space.bin_of(v) as usize] += 1;
-                        });
-                    }
-                }
-                ChunkRecord { spec, hist }
-            })
-            .collect();
-        Self { space, chunks }
+        // EXPECT: a store yields no malformed record; what is left is a bin past the u32 count space, which no plan can be built from.
+        let (_, fastqpart, _) = index_store(store, c, k, m, None).expect("m-mer bin overflow");
+        fastqpart
     }
 
     /// Construct from raw parts (deserialization, tests).

@@ -12,6 +12,11 @@
 //!   which exact send/receive buffer sizes and per-thread write offsets are
 //!   computed before any tuple is generated.
 //!
+//! IndexCreate is one histogram kernel over three row sources — an
+//! in-memory store, a file's bytes, a file on disk ([`streaming`]); the
+//! global histogram is the sum of the chunk rows, so the two tables agree
+//! by construction.
+//!
 //! Both tables serialize to a compact binary format ([`serial`]) so they
 //! can be built once per dataset and reused across runs — the paper's
 //! Table 5 measures exactly this step.
@@ -26,6 +31,6 @@ pub use fastqpart::{ChunkRecord, FastqPart};
 pub use merhist::MerHist;
 pub use plan::{split_bins_by_weight, BucketPlan, RangePlan};
 pub use streaming::{
-    index_fastq_bytes, index_fastq_file_streaming, index_fastq_file_streaming_recorded,
-    index_fastq_file_streaming_sketched_recorded, StreamingOptions,
+    index_fastq_bytes, index_fastq_file_streaming, index_fastq_file_streaming_sketched_recorded,
+    index_store, StreamingOptions,
 };

@@ -1,8 +1,8 @@
 //! The global m-mer prefix histogram (`merHist`, paper §3.1.1).
 
+use crate::streaming::index_store;
 use metaprep_io::ReadStore;
-use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer128, Kmer64, MmerSpace};
-use metaprep_norm::{CountMinSketch, SketchParams};
+use metaprep_kmer::MmerSpace;
 
 /// Histogram of the length-`m` prefixes of all canonical k-mers of a
 /// dataset. `4^m` bins, `u32` counts (the paper stores 32-bit counts; we
@@ -17,128 +17,12 @@ pub struct MerHist {
 
 impl MerHist {
     /// Build from every read in `store` with k-mer length `k` and prefix
-    /// length `m`. Uses the 64-bit k-mer path for `k <= 32`, 128-bit above.
+    /// length `m`: [`index_store`]'s merHist (one chunk — the sum of the
+    /// rows does not depend on how the store is chunked).
     pub fn build(store: &ReadStore, k: usize, m: usize) -> Self {
-        let space = MmerSpace::new(k, m);
-        let mut counts = vec![0u32; space.bins()];
-        let mut total = 0u64;
-        let mut bump = |bin: u32| {
-            counts[bin as usize] = counts[bin as usize].saturating_add(1);
-            total += 1;
-        };
-        if k <= 32 {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| bump(space.bin_of(v as u128)));
-            }
-        } else {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| bump(space.bin_of(v)));
-            }
-        }
-        Self {
-            space,
-            counts,
-            total,
-        }
-    }
-
-    /// [`MerHist::build`] fused with a count-min frequency sketch over the
-    /// same canonical k-mer enumeration: one scan feeds both the m-mer
-    /// histogram and the presolve sketch, so enabling the probabilistic
-    /// memory tier costs no extra pass over the reads. The sketch is keyed
-    /// by the packed canonical value for `k <= 32` and by
-    /// [`fold_kmer_key`] above that. Sequential like `build`, hence
-    /// deterministic for any thread count.
-    pub fn build_sketched(
-        store: &ReadStore,
-        k: usize,
-        m: usize,
-        params: SketchParams,
-    ) -> (Self, CountMinSketch) {
-        let space = MmerSpace::new(k, m);
-        let mut counts = vec![0u32; space.bins()];
-        let mut total = 0u64;
-        let mut sketch = params.build();
-        if k <= 32 {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                    counts[space.bin_of(v as u128) as usize] =
-                        counts[space.bin_of(v as u128) as usize].saturating_add(1);
-                    total += 1;
-                    sketch.add(v);
-                });
-            }
-        } else {
-            for (seq, _) in store.iter() {
-                for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                    counts[space.bin_of(v) as usize] =
-                        counts[space.bin_of(v) as usize].saturating_add(1);
-                    total += 1;
-                    sketch.add(fold_kmer_key(v));
-                });
-            }
-        }
-        (
-            Self {
-                space,
-                counts,
-                total,
-            },
-            sketch,
-        )
-    }
-
-    /// Parallel build: per-read-range partial histograms merged with a
-    /// tree reduction. The paper's IndexCreate is sequential because it
-    /// runs once per dataset (§4.3: "can be parallelized in the same
-    /// manner" as KmerGen); this is that parallelization.
-    pub fn build_parallel(store: &ReadStore, k: usize, m: usize) -> Self {
-        use rayon::prelude::*;
-        let space = MmerSpace::new(k, m);
-        let n = store.len();
-        let chunk = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let (counts, total) = ranges
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut counts = vec![0u32; space.bins()];
-                let mut total = 0u64;
-                for i in lo..hi {
-                    let seq = store.seq(i);
-                    let bump = |counts: &mut Vec<u32>, bin: u32| {
-                        counts[bin as usize] = counts[bin as usize].saturating_add(1);
-                    };
-                    if k <= 32 {
-                        for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
-                            bump(&mut counts, space.bin_of(v as u128));
-                            total += 1;
-                        });
-                    } else {
-                        for_each_canonical_kmer::<Kmer128>(seq, k, |v, _| {
-                            bump(&mut counts, space.bin_of(v));
-                            total += 1;
-                        });
-                    }
-                }
-                (counts, total)
-            })
-            .reduce(
-                || (vec![0u32; space.bins()], 0u64),
-                |(mut a, ta), (b, tb)| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x = x.saturating_add(*y);
-                    }
-                    (a, ta + tb)
-                },
-            );
-        Self {
-            space,
-            counts,
-            total,
-        }
+        // EXPECT: a store yields no malformed record; what is left is a bin past the u32 count space, which no plan can be built from.
+        let (merhist, _, _) = index_store(store, 1, k, m, None).expect("m-mer bin overflow");
+        merhist
     }
 
     /// Construct from raw parts (deserialization, tests).
@@ -252,60 +136,5 @@ mod tests {
     fn empty_store() {
         let h = MerHist::build(&ReadStore::new(), 4, 2);
         assert_eq!(h.total(), 0);
-    }
-
-    #[test]
-    fn sketched_build_matches_plain_and_counts_kmers() {
-        let s = store_of(&[b"ACGTACGTACGT", b"ACGTACGTACGT", b"TTTTTTTT"]);
-        // Small enough that a handful of distinct k-mers registers as a
-        // non-zero permille fill ratio.
-        let params = SketchParams {
-            width: 16,
-            depth: 4,
-            seed: 3,
-        };
-        for (k, m) in [(5, 2), (35, 2)] {
-            let seq: Vec<u8> = b"ACGT".iter().cycle().take(80).copied().collect();
-            let mut wide = ReadStore::new();
-            wide.push_single(&seq);
-            wide.push_single(&seq);
-            let store = if k <= 32 {
-                store_of(&[b"ACGTACGTACGT", b"ACGTACGTACGT", b"TTTTTTTT"])
-            } else {
-                wide
-            };
-            let plain = MerHist::build(&store, k, m);
-            let (sketched, sketch) = MerHist::build_sketched(&store, k, m, params);
-            assert_eq!(plain, sketched, "k={k}");
-            // Every enumerated k-mer was added to the sketch: its estimate
-            // of any repeated canonical k-mer is at least the repeat count.
-            assert!(sketch.fill_ratio_permille() > 0, "k={k}");
-        }
-        // Narrow path keys by the raw packed value: a k-mer seen twice
-        // estimates at least 2.
-        let (_, sketch) = MerHist::build_sketched(&s, 5, 2, params);
-        use metaprep_kmer::Kmer;
-        let km = metaprep_kmer::Kmer64::from_codes(&[0, 1, 2, 3, 0]); // ACGTA
-        assert!(sketch.estimate(km.canonical_value()) >= 2);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let mut store = ReadStore::new();
-        let mut x = 11u64;
-        for _ in 0..300 {
-            let seq: Vec<u8> = (0..45)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(5);
-                    b"ACGT"[(x >> 61) as usize & 3]
-                })
-                .collect();
-            store.push_single(&seq);
-        }
-        for (k, m) in [(11, 4), (35, 4)] {
-            let seq_h = MerHist::build(&store, k, m);
-            let par_h = MerHist::build_parallel(&store, k, m);
-            assert_eq!(seq_h, par_h, "k={k} m={m}");
-        }
     }
 }

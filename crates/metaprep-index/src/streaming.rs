@@ -1,30 +1,40 @@
-//! Streaming, thread-parallel IndexCreate (paper §3.1 at file scale).
+//! IndexCreate (paper §3.1): one histogram kernel, three row sources.
 //!
-//! [`index_fastq_bytes`] is the in-memory reference: chunk the whole byte
-//! slice, then histogram each chunk sequentially — O(file) memory, exactly
-//! what the file pipeline used to do after `std::fs::read`.
+//! Every index build is "chunk rows → `assemble`": a row is a chunk's
+//! `ChunkSpec` plus the m-mer histogram `hist` computes over the chunk's
+//! sequences, and the global merHist is the bin-wise sum of the rows. The
+//! entry points differ only in where the chunks and their sequences come
+//! from:
 //!
-//! [`index_fastq_file_streaming`] produces byte-identical `MerHist` and
-//! `FastqPart` tables without ever materializing the file:
+//! * [`index_store`] — an in-memory `ReadStore`, chunked by
+//!   `metaprep_io::chunk_store` (synthetic data, `Pipeline::run_reads`);
+//! * [`index_fastq_bytes`] — a whole FASTQ file held as bytes, O(file)
+//!   memory: the differential-testing oracle for the file indexer and the
+//!   slurp baseline in the bench;
+//! * [`index_fastq_file_streaming`] — a FASTQ file on disk, never
+//!   materialized, and the parallel IndexCreate:
 //!
-//! 1. a [`StreamChunker`] locates chunk boundaries by seeking to byte
-//!    targets and probing bounded windows (O(window) memory);
-//! 2. per-chunk m-mer histogramming is dispatched over a rayon thread
-//!    pool, each worker reading its chunk via a byte-range read into a
-//!    thread-recycled buffer and walking its records in place
-//!    (`metaprep_io::record_views`): sequences are histogrammed where they
-//!    lie, names and qualities are checked and never copied.
+//!   1. a [`StreamChunker`] locates chunk boundaries by seeking to byte
+//!      targets and probing bounded windows (O(window) memory);
+//!   2. per-chunk histogramming is dispatched over a rayon thread pool,
+//!      each worker reading its chunk via a byte-range read into a
+//!      thread-recycled buffer and walking its records in place
+//!      (`metaprep_io::record_views`): sequences are histogrammed where
+//!      they lie, names and qualities are checked and never copied.
 //!
-//! Peak memory is O(threads × max-chunk-bytes + chunks × 4^m), never
-//! O(file) — the bound the `index_create` bench (`BENCH_index.json`)
-//! demonstrates with a counting allocator. Equivalence of the two paths is
-//! property-tested in `tests/streaming_matches_inmemory.rs`.
+//!   Peak memory is O(threads × max-chunk-bytes + chunks × 4^m), never
+//!   O(file) — the bound the `index_create` bench (`BENCH_index.json`)
+//!   demonstrates with a counting allocator.
+//!
+//! The bytes and file sources produce identical tables (property-tested in
+//! `tests/streaming_matches_inmemory.rs`); the store source differs from
+//! them only in its chunk specs, which model byte offsets no file backs.
 
 use crate::fastqpart::ChunkRecord;
 use crate::{FastqPart, MerHist};
 use metaprep_io::stream::{StreamChunk, StreamChunker};
 use metaprep_io::{
-    count_record_starts, count_records, record_views, ChunkSpec, FastqError, RecordViews,
+    chunk_store, count_record_starts, count_records, record_views, ChunkSpec, FastqError, ReadStore,
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
@@ -50,11 +60,9 @@ thread_local! {
     static CHUNK_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Walk `records` once: histogram the canonical k-mers of every sequence
-/// into `space`'s m-mer bins (the per-chunk histogram of `FASTQPart`) and
-/// count the records, stopping at the first malformed one. The sequences
-/// are read where they lie in the chunk bytes; names and qualities are
-/// checked by the walker and otherwise untouched.
+/// The IndexCreate kernel: histogram the canonical k-mers of every
+/// sequence into `space`'s m-mer bins (one row of `FASTQPart`) and count
+/// the sequences, stopping at the first one its source reports malformed.
 ///
 /// `for_each_canonical_kmer` is the runtime-dispatched hot path: on
 /// AVX2/NEON hosts each read is classified and 2-bit-packed by the
@@ -68,16 +76,16 @@ thread_local! {
 /// costing a second pass. Keys are the packed canonical value for
 /// `k <= 32` and [`fold_kmer_key`] above that — the same derivation
 /// KmerGen's `HighFreqFilter` probes with.
-fn hist_of_records(
-    records: RecordViews<'_>,
+fn hist<'a>(
+    seqs: impl Iterator<Item = Result<&'a [u8], FastqError>>,
     space: MmerSpace,
     k: usize,
     mut sketch: Option<&mut CountMinSketch>,
 ) -> Result<(u64, Vec<u32>), FastqError> {
     let mut hist = vec![0u32; space.bins()];
     let mut n = 0u64;
-    for record in records {
-        let seq = record?.seq;
+    for seq in seqs {
+        let seq = seq?;
         n += 1;
         if k <= 32 {
             for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
@@ -119,7 +127,8 @@ fn fit_u32(v: u64, what: &str) -> Result<u32, FastqError> {
 
 /// Assemble the final tables from per-chunk `(spec, hist)` rows: the global
 /// merHist is the bin-wise sum of the chunk histograms, so the two tables
-/// are consistent by construction.
+/// are consistent by construction. A sum past `u32::MAX` is an error, not
+/// a wrapped or clamped count: the plans size buffers from these counts.
 fn assemble(
     space: MmerSpace,
     rows: Vec<(ChunkSpec, Vec<u32>)>,
@@ -128,8 +137,11 @@ fn assemble(
     let mut chunks = Vec::with_capacity(rows.len());
     let mut total_seqs = 0u64;
     for (spec, hist) in rows {
-        for (g, &h) in global.iter_mut().zip(&hist) {
-            *g += h;
+        for (bin, (g, &h)) in global.iter_mut().zip(&hist).enumerate() {
+            *g = g.checked_add(h).ok_or_else(|| FastqError::Malformed {
+                record: usize::MAX,
+                what: format!("m-mer bin {bin} exceeds the u32 count space"),
+            })?;
         }
         total_seqs += spec.seqs as u64;
         chunks.push(ChunkRecord { spec, hist });
@@ -141,9 +153,33 @@ fn assemble(
     ))
 }
 
-/// In-memory reference indexer: identical tables computed from the whole
-/// file bytes — O(file) memory. Kept as the differential-testing oracle
-/// for the streaming path and as the slurp baseline in the bench.
+/// IndexCreate over an in-memory store: split it into `c` logical chunks
+/// (`metaprep_io::chunk_store`) and histogram each, in store order. With
+/// `sketch_params` the same enumeration also feeds one count-min sketch —
+/// sequential, hence deterministic for any thread count.
+pub fn index_store(
+    store: &ReadStore,
+    c: usize,
+    k: usize,
+    m: usize,
+    sketch_params: Option<SketchParams>,
+) -> Result<(MerHist, FastqPart, Option<CountMinSketch>), FastqError> {
+    let space = MmerSpace::new(k, m);
+    let mut sketch = sketch_params.map(|p| p.build());
+    let mut rows = Vec::new();
+    for spec in chunk_store(store, c) {
+        let lo = spec.first_seq as usize;
+        let seqs = (lo..lo + spec.seqs as usize).map(|i| Ok(store.seq(i)));
+        let (_, row) = hist(seqs, space, k, sketch.as_mut())?;
+        rows.push((spec, row));
+    }
+    let (merhist, fastqpart, _) = assemble(space, rows)?;
+    Ok((merhist, fastqpart, sketch))
+}
+
+/// IndexCreate over a whole FASTQ file held as bytes — O(file) memory. The
+/// differential-testing oracle for the file indexer and the slurp baseline
+/// in the bench.
 pub fn index_fastq_bytes(
     bytes: &[u8],
     paired: bool,
@@ -164,8 +200,8 @@ pub fn index_fastq_bytes(
             &bytes[lo..lo + spec.bytes as usize],
             spec.first_seq as usize,
         );
-        let (_, hist) = hist_of_records(records, space, k, None)?;
-        rows.push((spec, hist));
+        let (_, row) = hist(records.map(|r| r.map(|r| r.seq)), space, k, None)?;
+        rows.push((spec, row));
     }
     assemble(space, rows)
 }
@@ -231,7 +267,8 @@ fn first_malformed(path: &Path, ranges: &[(u64, u64)]) -> Result<(), FastqError>
 type ChunkRow = Result<(u64, Vec<u32>), FastqError>;
 
 /// Walk + histogram one resolved chunk where it lies in the thread's
-/// recycled read buffer; no `ReadStore` is built. `paired` chunks already
+/// recycled read buffer — names and qualities are checked by the walker
+/// and otherwise untouched; no `ReadStore` is built. `paired` chunks already
 /// know their record count (from pass A) and are validated against it;
 /// unpaired chunks are counted here with the strict 4-line counter, exactly
 /// as `chunk_fastq_bytes` does in memory.
@@ -252,7 +289,8 @@ fn chunk_hist(
         } else {
             count_records(&buf)? as u64
         };
-        let (walked, hist) = hist_of_records(record_views(&buf, 0), space, k, sketch)?;
+        let seqs = record_views(&buf, 0).map(|r| r.map(|r| r.seq));
+        let (walked, row) = hist(seqs, space, k, sketch)?;
         if walked != n {
             return Err(FastqError::Malformed {
                 record: walked as usize,
@@ -262,7 +300,7 @@ fn chunk_hist(
                 ),
             });
         }
-        Ok((n, hist))
+        Ok((n, row))
     })
 }
 
@@ -355,34 +393,22 @@ pub fn index_fastq_file_streaming(
     m: usize,
     opts: StreamingOptions,
 ) -> Result<(MerHist, FastqPart, u64), FastqError> {
-    index_fastq_file_streaming_recorded(path, paired, c, k, m, opts, &NoopRecorder::new())
-}
-
-/// [`index_fastq_file_streaming`] with telemetry: the chunk-boundary scan
-/// and the parallel histogram fan-out become sub-spans (`index-chunking`,
-/// `index-histogram`, attributed to task 0 — IndexCreate runs on the
-/// driver thread before the cluster exists, so events go through the
-/// recorder's driver-side API), and the number of records streamed lands
-/// in the [`CounterKind::ChunkRecordsStreamed`] counter.
-pub fn index_fastq_file_streaming_recorded(
-    path: impl AsRef<Path>,
-    paired: bool,
-    c: usize,
-    k: usize,
-    m: usize,
-    opts: StreamingOptions,
-    rec: &dyn Recorder,
-) -> Result<(MerHist, FastqPart, u64), FastqError> {
+    let rec = NoopRecorder::new();
     let (mh, fp, total, _) =
-        index_fastq_file_streaming_sketched_recorded(path, paired, c, k, m, opts, None, rec)?;
+        index_fastq_file_streaming_sketched_recorded(path, paired, c, k, m, opts, None, &rec)?;
     Ok((mh, fp, total))
 }
 
-/// [`index_fastq_file_streaming_recorded`] that optionally builds the
-/// presolve count-min sketch during the same parallel histogram fan-out
-/// (`sketch_params = Some(..)`), returning it alongside the tables. The
-/// tables are byte-identical whether or not sketching is on; the sketch
-/// simply rides the scan.
+/// [`index_fastq_file_streaming`] in full: telemetry, and optionally the
+/// presolve count-min sketch built during the same parallel histogram
+/// fan-out (`sketch_params = Some(..)`) and returned alongside the tables,
+/// which are byte-identical whether or not sketching is on.
+///
+/// The chunk-boundary scan and the fan-out become sub-spans
+/// (`index-chunking`, `index-histogram`, attributed to task 0 — IndexCreate
+/// runs on the driver thread before the cluster exists, so events go
+/// through the recorder's driver-side API), and the number of records
+/// streamed lands in the [`CounterKind::ChunkRecordsStreamed`] counter.
 #[allow(clippy::too_many_arguments)]
 pub fn index_fastq_file_streaming_sketched_recorded(
     path: impl AsRef<Path>,
@@ -593,10 +619,11 @@ mod tests {
             let sketch = sketch.unwrap();
             // The fused sketch saw exactly the k-mers the histogram counted:
             // estimates never under-count, and with one worker the stream
-            // order matches the in-memory fused build exactly.
+            // order matches the store-based fused build exactly.
             assert!(sketch.fill_ratio_permille() > 0);
             if threads == 1 {
-                let (_, reference) = MerHist::build_sketched(&store, 11, 4, params);
+                let (.., reference) = index_store(&store, 6, 11, 4, Some(params)).unwrap();
+                let reference = reference.unwrap();
                 let mut probe = 1u64;
                 for _ in 0..64 {
                     probe = probe.wrapping_mul(6364136223846793005).wrapping_add(7);
@@ -607,6 +634,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sketched_store_build_matches_plain_and_counts_kmers() {
+        // Small enough that a handful of distinct k-mers registers as a
+        // non-zero permille fill ratio.
+        let params = SketchParams {
+            width: 16,
+            depth: 4,
+            seed: 3,
+        };
+        let narrow: [&[u8]; 3] = [b"ACGTACGTACGT", b"ACGTACGTACGT", b"TTTTTTTT"];
+        let wide: Vec<u8> = b"ACGT".iter().cycle().take(80).copied().collect();
+        for (k, m, seqs) in [(5, 2, &narrow[..]), (35, 2, &[&wide[..], &wide[..]][..])] {
+            let mut store = ReadStore::new();
+            for seq in seqs {
+                store.push_single(seq);
+            }
+            let (mh, fp, sketch) = index_store(&store, 2, k, m, Some(params)).unwrap();
+            assert_eq!(mh, MerHist::build(&store, k, m), "k={k}");
+            assert_eq!(fp, FastqPart::build(&store, 2, k, m), "k={k}");
+            let sketch = sketch.unwrap();
+            assert!(sketch.fill_ratio_permille() > 0, "k={k}");
+            if k <= 32 {
+                // Narrow path keys by the raw packed value: a k-mer seen
+                // twice estimates at least 2.
+                let km = Kmer64::from_codes(&[0, 1, 2, 3, 0]); // ACGTA
+                assert!(sketch.estimate(km.canonical_value()) >= 2);
+            }
+        }
+    }
+
+    #[test]
+    fn assemble_rejects_a_bin_past_the_u32_count_space() {
+        let space = MmerSpace::new(4, 1);
+        let spec = ChunkSpec {
+            offset: 0,
+            bytes: 0,
+            first_seq: 0,
+            seqs: 1,
+        };
+        let row = |bin0| (spec, vec![bin0, 0, 7, 0]);
+        let (merhist, ..) = assemble(space, vec![row(u32::MAX - 1), row(1)]).unwrap();
+        assert_eq!(merhist.counts(), [u32::MAX, 0, 14, 0]);
+        let err = assemble(space, vec![row(u32::MAX), row(1)]).unwrap_err();
+        let err = err.to_string();
+        assert!(
+            err.contains("m-mer bin 0 exceeds the u32 count space"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! N bases, across probe windows small enough to force the chunker's
 //! window-doubling path.
 
-use metaprep_index::{index_fastq_bytes, index_fastq_file_streaming, StreamingOptions};
+use metaprep_index::{
+    index_fastq_bytes, index_fastq_file_streaming, index_store, StreamingOptions,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,5 +77,28 @@ proptest! {
             prop_assert_eq!(got.2, want.2, "total_seqs, window {}", window);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The third row source: a store parsed from the same bytes is chunked
+    /// by modeled, not real, record sizes, so its chunk table differs — but
+    /// the rows sum to the same merHist, and to the table's own total.
+    #[test]
+    fn prop_store_rows_sum_to_the_file_merhist(
+        mut reads in proptest::collection::vec(
+            proptest::collection::vec(base(), 1..60), 0..40),
+        c in 1usize..10,
+        k in proptest::sample::select(vec![5usize, 21, 33]),
+        paired in proptest::bool::ANY,
+    ) {
+        if paired && reads.len() % 2 == 1 {
+            reads.pop();
+        }
+        let bytes = fastq_bytes(&reads, true);
+        let (want, ..) = index_fastq_bytes(&bytes, paired, c, k, 4)
+            .expect("in-memory reference indexing");
+        let store = metaprep_io::parse_fastq(&bytes[..], paired).expect("parse");
+        let (merhist, fastqpart, _) = index_store(&store, c, k, 4, None).expect("store indexing");
+        prop_assert_eq!(&merhist, &want);
+        prop_assert_eq!(fastqpart.total(), merhist.total());
     }
 }

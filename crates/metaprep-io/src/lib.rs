@@ -30,9 +30,7 @@ pub use chunk::{
     find_record_start, ChunkSpec,
 };
 pub use fasta::{parse_fasta, parse_fasta_path, write_fasta, write_fasta_path, FastaRecord};
-pub use parse::{
-    deinterleave, parse_fastq, parse_fastq_pair_files, parse_fastq_path, FastqError, FastqRecord,
-};
+pub use parse::{parse_fastq, parse_fastq_path, FastqError, FastqRecord};
 pub use store::ReadStore;
 pub use stream::{StreamChunk, StreamChunker, DEFAULT_INDEX_WINDOW};
 pub use trim::{trim_adapter, trim_quality, TrimStats};

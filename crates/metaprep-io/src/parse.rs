@@ -164,77 +164,6 @@ pub fn parse_fastq_path(path: impl AsRef<Path>, paired: bool) -> Result<ReadStor
     parse_fastq(BufReader::new(f), paired)
 }
 
-/// Parse a *two-file* paired-end dataset (`reads_1.fastq` + `reads_2.fastq`,
-/// mate `i` of each file forming fragment `i`) into one interleaved store.
-///
-/// This is the layout the paper's chunker handles in §4.3 ("after finding
-/// the chunk offset in one FASTQ file, the same read has to be located in
-/// the other FASTQ file"); internally METAPREP-RS always works on the
-/// interleaved form, so this adapter does the mate alignment once up
-/// front and errors on count mismatches instead of silently mispairing.
-pub fn parse_fastq_pair_files(
-    path1: impl AsRef<Path>,
-    path2: impl AsRef<Path>,
-) -> Result<ReadStore, FastqError> {
-    let r1 = parse_fastq_path(path1, false)?;
-    let r2 = parse_fastq_path(path2, false)?;
-    if r1.len() != r2.len() {
-        return Err(FastqError::Malformed {
-            record: r1.len().min(r2.len()) + 1,
-            what: format!("mate files disagree: {} vs {} records", r1.len(), r2.len()),
-        });
-    }
-    let mut out = ReadStore::new();
-    for i in 0..r1.len() {
-        let frag = i as u32;
-        out.push_with_frag(r1.seq(i), frag);
-        if let Some(n) = r1.name(i) {
-            out.set_last_name(n);
-        }
-        if let Some(q) = r1.qual(i) {
-            out.set_last_qual(q);
-        }
-        out.push_with_frag(r2.seq(i), frag);
-        if let Some(n) = r2.name(i) {
-            out.set_last_name(n);
-        }
-        if let Some(q) = r2.qual(i) {
-            out.set_last_qual(q);
-        }
-    }
-    Ok(out)
-}
-
-/// Split an interleaved paired store back into `(mate1, mate2)` stores —
-/// the inverse of [`parse_fastq_pair_files`], for writing two-file output.
-///
-/// # Panics
-/// Panics if the store is not strictly interleaved (every fragment exactly
-/// two consecutive sequences).
-pub fn deinterleave(store: &ReadStore) -> (ReadStore, ReadStore) {
-    assert_eq!(store.len() % 2, 0, "interleaved store needs an even length");
-    let mut m1 = ReadStore::new();
-    let mut m2 = ReadStore::new();
-    for i in (0..store.len()).step_by(2) {
-        assert_eq!(
-            store.frag_id(i),
-            store.frag_id(i + 1),
-            "sequences {i} and {} are not mates",
-            i + 1
-        );
-        for (out, j) in [(&mut m1, i), (&mut m2, i + 1)] {
-            out.push_single(store.seq(j));
-            if let Some(n) = store.name(j) {
-                out.set_last_name(n);
-            }
-            if let Some(q) = store.qual(j) {
-                out.set_last_qual(q);
-            }
-        }
-    }
-    (m1, m2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,56 +244,6 @@ mod tests {
     fn empty_input_is_empty_store() {
         let s = parse_fastq(&b""[..], false).unwrap();
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn pair_files_interleave_and_roundtrip() {
-        let dir = std::env::temp_dir().join("metaprep_io_pairfiles_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("r1.fastq"),
-            "@a/1\nACGT\n+\nIIII\n@b/1\nGGGG\n+\nJJJJ\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("r2.fastq"),
-            "@a/2\nTTTT\n+\nKKKK\n@b/2\nCCCC\n+\nLLLL\n",
-        )
-        .unwrap();
-        let s = parse_fastq_pair_files(dir.join("r1.fastq"), dir.join("r2.fastq")).unwrap();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.num_fragments(), 2);
-        assert_eq!(s.seq(0), b"ACGT");
-        assert_eq!(s.seq(1), b"TTTT"); // mate 2 of fragment 0
-        assert_eq!(s.frag_id(0), s.frag_id(1));
-        assert_eq!(s.name(1), Some("a/2"));
-
-        let (m1, m2) = deinterleave(&s);
-        assert_eq!(m1.len(), 2);
-        assert_eq!(m2.len(), 2);
-        assert_eq!(m1.seq(1), b"GGGG");
-        assert_eq!(m2.seq(0), b"TTTT");
-        assert_eq!(m2.qual(1), Some(&b"LLLL"[..]));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pair_files_count_mismatch_rejected() {
-        let dir = std::env::temp_dir().join("metaprep_io_pairmismatch_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("r1.fastq"), "@a\nAC\n+\nII\n@b\nGG\n+\nJJ\n").unwrap();
-        std::fs::write(dir.join("r2.fastq"), "@a\nTT\n+\nKK\n").unwrap();
-        assert!(parse_fastq_pair_files(dir.join("r1.fastq"), dir.join("r2.fastq")).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    #[should_panic]
-    fn deinterleave_rejects_non_interleaved() {
-        let mut s = ReadStore::new();
-        s.push_single(b"AC");
-        s.push_single(b"GG"); // distinct fragments, not mates
-        let _ = deinterleave(&s);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub mod report;
 
 pub use analysis::{FaultTotals, PresolveTotals, TraceAnalysis};
 pub use event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
-pub use rec::{MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs};
+pub use rec::{vm_hwm_bytes, MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs};
 pub use report::RunSummary;

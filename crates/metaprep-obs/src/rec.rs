@@ -40,6 +40,16 @@ impl Default for RunClock {
     }
 }
 
+/// The kernel's peak-RSS reading (`VmHWM` in `/proc/self/status`), in
+/// bytes — the value of a [`CounterKind::VmHwmBytes`] counter. Monotone
+/// over the process lifetime. `None` off Linux or if the field is missing.
+pub fn vm_hwm_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Sink for run telemetry.
 ///
 /// Implementations must tolerate concurrent calls from all simulated
@@ -497,6 +507,14 @@ impl<'r> TaskObs<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_parses_on_linux() {
+        if cfg!(target_os = "linux") {
+            let hwm = vm_hwm_bytes().expect("VmHWM present on Linux");
+            assert!(hwm > 0);
+        }
+    }
 
     #[test]
     fn noop_recorder_keeps_nothing_but_clock_advances() {
