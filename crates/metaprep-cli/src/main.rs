@@ -9,8 +9,7 @@
 //!                    [--sketch-width 262144] [--sketch-depth 4]
 //!                    [--kf 10:29] [--top 4] [--sparse] --outdir parts/
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
-//!                    [--checkpoint-dir ckpt/] [--max-retries 8]
-//!                    [--watchdog-timeout 5000]
+//!                    [--checkpoint-dir ckpt/] [--watchdog-timeout 5000]
 //! metaprep normalize --input reads.fastq --target 20 --output norm.fastq
 //! metaprep trim      --input reads.fastq --quality 20 --min-len 50
 //!                    [--adapter AGATCGGAAGAGC] --output trimmed.fastq
@@ -372,8 +371,8 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Chaos / recovery knobs: a deterministic fault plan
     // (`--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"`), a checkpoint
-    // directory for pass-level restart, a retry-budget override, and the
-    // stall watchdog threshold.
+    // directory for pass-level restart, and the stall watchdog threshold.
+    // The retry budget is part of the plan (`max-retries=N` in the spec).
     if let Some(spec) = args.opt("fault-plan") {
         let plan = metaprep_dist::FaultPlan::parse_spec(&spec)
             .map_err(|e| ArgError(format!("--fault-plan: {e}")))?;
@@ -381,12 +380,6 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(dir) = args.opt("checkpoint-dir") {
         b = b.checkpoint_dir(dir);
-    }
-    if let Some(n) = args.opt("max-retries") {
-        let n: u32 = n
-            .parse()
-            .map_err(|_| ArgError(format!("--max-retries: bad count {n:?}")))?;
-        b = b.max_retries(n);
     }
     if let Some(ms) = args.opt("watchdog-timeout") {
         let ms: u64 = ms

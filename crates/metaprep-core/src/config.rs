@@ -94,9 +94,6 @@ pub struct PipelineConfig {
     /// each task persists its restartable state at every pass and merge
     /// boundary; a supervised restart replays from the last one.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Override the fault plan's delivery retry budget (`None` = keep the
-    /// plan's own [`metaprep_dist::DeliveryPolicy`] value).
-    pub max_retries: Option<u32>,
     /// Stall watchdog threshold in milliseconds (`None` = the cluster
     /// default; `Some(0)` is rejected by validation).
     pub watchdog_timeout_ms: Option<u64>,
@@ -122,7 +119,6 @@ impl Default for PipelineConfig {
             sort_digit_bits: 8,
             fault_plan: None,
             checkpoint_dir: None,
-            max_retries: None,
             watchdog_timeout_ms: None,
         }
     }
@@ -317,12 +313,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Override the delivery retry budget of the fault plan.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.cfg.max_retries = Some(n);
-        self
-    }
-
     /// Set the stall watchdog threshold in milliseconds (nonzero).
     pub fn watchdog_timeout_ms(mut self, ms: u64) -> Self {
         self.cfg.watchdog_timeout_ms = Some(ms);
@@ -446,12 +436,10 @@ mod tests {
         let c = PipelineConfig::builder()
             .fault_plan(plan.clone())
             .checkpoint_dir("/tmp/ckpt")
-            .max_retries(3)
             .watchdog_timeout_ms(250)
             .build();
         assert_eq!(c.fault_plan, Some(plan));
         assert_eq!(c.checkpoint_dir, Some(PathBuf::from("/tmp/ckpt")));
-        assert_eq!(c.max_retries, Some(3));
         assert_eq!(c.watchdog_timeout_ms, Some(250));
         assert!(c.validate().is_ok());
     }

@@ -19,17 +19,14 @@ use metaprep_cc::{
     absorb_parent_array, absorb_sparse_pairs, sparse_pairs, ComponentStats, ConcurrentDisjointSet,
     DisjointSet,
 };
-use metaprep_dist::collectives::{alltoall_obs, broadcast};
-use metaprep_dist::{
-    run_cluster, run_cluster_faulted, run_supervised, Boundary, ClusterConfig, CommStats, Payload,
-    TaskCtx,
-};
+use metaprep_dist::collectives::{alltoall, broadcast};
+use metaprep_dist::{run_cluster, Boundary, ClusterConfig, CommStats, Payload, TaskCtx};
 use metaprep_index::{index_store, BucketPlan, FastqPart, MerHist, RangePlan};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent, TaskObs};
+use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent};
 use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
 use std::path::Path;
 use std::time::Duration;
@@ -381,21 +378,14 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
         ),
         filter,
     };
-    let mut cluster = ClusterConfig::new(cfg.tasks, cfg.threads);
+    let mut cluster = ClusterConfig::new(cfg.tasks, cfg.threads).with_recorder(rec);
     if let Some(ms) = cfg.watchdog_timeout_ms {
         cluster = cluster.with_watchdog_timeout(Duration::from_millis(ms));
     }
-    let body = |ctx: &mut TaskCtx<Msg<K::Tuple>>| run_task::<K, S>(ctx, &run_ctx, rec);
-    let run = match &cfg.fault_plan {
-        Some(fault_plan) => {
-            let mut fault_plan = fault_plan.clone();
-            if let Some(n) = cfg.max_retries {
-                fault_plan.delivery.max_retries = n;
-            }
-            run_cluster_faulted(cluster, &fault_plan, body)
-        }
-        None => run_cluster(cluster, body),
-    };
+    if let Some(plan) = &cfg.fault_plan {
+        cluster = cluster.with_fault_plan(plan);
+    }
+    let run = run_cluster(cluster, |ctx| Task::<K, S>::new(ctx, &run_ctx).drive());
 
     // ---- assemble the result ----
     // The exchange's global ledger must balance whether or not the
@@ -515,80 +505,37 @@ enum MergeOutcome {
     Retired,
 }
 
-/// Run `work` as a span named `name`; `pass`/`detail` say which pass or
-/// round it belongs to.
-fn in_span<R>(
-    obs: &mut TaskObs<'_>,
-    name: &'static str,
-    pass: Option<u32>,
-    detail: Option<u32>,
-    work: impl FnOnce(&mut TaskObs<'_>) -> R,
-) -> R {
-    let open = obs.open();
-    let out = work(obs);
-    obs.close_detail(open, name, pass, detail);
-    out
-}
-
 /// One rank's handles on the run, shared by the driver and every stage.
-struct Task<'t, K: PipelineKmer, S> {
-    ctx: &'t TaskCtx<Msg<K::Tuple>>,
+/// Its telemetry lives in the cluster context (`ctx.obs()`, `ctx.span`).
+struct Task<'t, 'c, K: PipelineKmer, S> {
+    ctx: &'t TaskCtx<'c, Msg<K::Tuple>>,
     run: &'t RunCtx<'t, S>,
     my_chunks: Vec<usize>,
-    /// Lives OUTSIDE the supervised restart loop: spans and counters from
-    /// work completed before a crash really happened and stay in the
-    /// trace, and the task's Lamport clock keeps its continuity across
-    /// restarts.
-    obs: TaskObs<'t>,
 }
 
-/// One rank's whole run: `Task::drive` under the crash supervisor, then
-/// the recovery counters.
-fn run_task<K: PipelineKmer, S: ChunkSource>(
-    ctx: &TaskCtx<Msg<K::Tuple>>,
-    run: &RunCtx<'_, S>,
-    rec: &dyn Recorder,
-) -> TaskResult {
-    let mut task = Task::<K, S> {
-        ctx,
-        run,
+impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
+    fn new(ctx: &'t TaskCtx<'c, Msg<K::Tuple>>, run: &'t RunCtx<'t, S>) -> Self {
         // Chunk ownership is round-robin over tasks (chunks are
         // size-balanced by construction, so this is the paper's static
         // assignment).
-        my_chunks: (ctx.rank()..run.fastqpart.len())
+        let my_chunks = (ctx.rank()..run.fastqpart.len())
             .step_by(ctx.size())
-            .collect(),
-        obs: TaskObs::new(rec, ctx.rank() as u32),
-    };
-    // Each planned crash fires at most once (the context remembers), so
-    // the crash count bounds the restarts a task can ever need.
-    let crashes = run.cfg.fault_plan.as_ref().map_or(0, |fp| fp.crashes.len());
-    let (out, restarts) = run_supervised(crashes as u32, |restart_no| task.drive(restart_no));
-
-    if restarts > 0 {
-        task.obs.add(CounterKind::TaskRestarts, restarts as u64);
-    }
-    if let Some(tally) = ctx.fault_tally() {
-        if tally.injected > 0 {
-            task.obs.add(CounterKind::FaultsInjected, tally.injected);
-        }
-        if tally.retries > 0 {
-            task.obs.add(CounterKind::RetryAttempts, tally.retries);
+            .collect();
+        Task {
+            ctx,
+            run,
+            my_chunks,
         }
     }
-    task.obs.finish();
-    out
-}
 
-impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
-    /// One attempt at the task's work: start (or, after a supervised
-    /// restart, resume from the last checkpoint) and walk the remaining
-    /// boundaries. Crashes only ever fire at a boundary top — a quiescent
-    /// point where this task owes no in-flight message — so resuming from
-    /// the checkpoint written for that boundary re-sends nothing and the
-    /// replay is exact.
-    fn drive(&mut self, restart_no: u32) -> TaskResult {
-        let (mut st, resume_at) = self.resume(restart_no);
+    /// One attempt at the task's work: start (or, when the cluster runs
+    /// it again after an injected crash, resume from the last checkpoint)
+    /// and walk the remaining boundaries. Crashes only ever fire at a
+    /// boundary top — a quiescent point where this task owes no in-flight
+    /// message — so resuming from the checkpoint written for that boundary
+    /// re-sends nothing and the replay is exact.
+    fn drive(&self) -> TaskResult {
+        let (mut st, resume_at) = self.resume();
         for boundary in self.run.boundaries_from(resume_at) {
             self.ctx.maybe_crash(boundary);
             // Work that changed the state names the boundary to resume at
@@ -611,19 +558,19 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
             };
             if let Some(dir) = self.run.cfg.checkpoint_dir.as_deref() {
                 let rank = self.ctx.rank() as u32;
-                in_span(&mut self.obs, CHECKPOINT, None, Some(index), |_| {
+                self.ctx.span(CHECKPOINT, None, Some(index), || {
                     // EXPECT: a checkpoint that cannot be persisted would leave a later restart silently unprotected — abort the run instead.
                     st.checkpoint(dir, rank, next)
                         .expect("checkpoint write failed")
                 });
-                self.obs.add(CounterKind::CheckpointWrites, 1);
+                self.ctx.obs().add(CounterKind::CheckpointWrites, 1);
             }
         }
         let (labels, lc_reads, other_reads) = self.cc_io(st.forest.into_sequential());
         TaskResult {
             // Derived from the spans, so the exported trace and the
             // in-process timings can never disagree.
-            timings: TaskTimings::from_spans(self.obs.spans()),
+            timings: TaskTimings::from_spans(self.ctx.obs().spans()),
             labels,
             progress: st.progress,
             lc_reads,
@@ -636,10 +583,10 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
     /// checkpoint holds. No checkpoint on disk after a crash means the
     /// crash hit the very first boundary, before any work or sends, so a
     /// fresh start IS the exact replay.
-    fn resume(&mut self, restart_no: u32) -> (TaskState<K::Tuple>, Boundary) {
+    fn resume(&self) -> (TaskState<K::Tuple>, Boundary) {
         let rank = self.ctx.rank() as u32;
         let restored = match self.run.cfg.checkpoint_dir.as_deref() {
-            Some(dir) if restart_no > 0 => in_span(&mut self.obs, TASK_RESTART, None, None, |_| {
+            Some(dir) if self.ctx.attempt() > 0 => self.ctx.span(TASK_RESTART, None, None, || {
                 // EXPECT: an unreadable/corrupt checkpoint after a crash cannot be replayed safely (a from-scratch rerun would re-send consumed messages) — abort.
                 TaskState::restore(dir, rank).expect("checkpoint load after restart")
             }),
@@ -653,7 +600,7 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
 
     /// One pass: the four stages in order, each handing its output to the
     /// next, and the running totals a checkpoint will need.
-    fn run_pass(&mut self, st: &mut TaskState<K::Tuple>, pass: u32) {
+    fn run_pass(&self, st: &mut TaskState<K::Tuple>, pass: u32) {
         let forest = st.forest.concurrent();
         let gen = self.kmergen(forest, pass);
         let emitted = tuple_count(&gen.outgoing);
@@ -681,8 +628,8 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
     }
 
     /// KmerGen (+ chunk I/O): enumerate this task's tuples for `pass`.
-    fn kmergen(&mut self, forest: &ConcurrentDisjointSet, pass: u32) -> KmerGenOutput<K::Tuple> {
-        let pass_start = self.obs.open();
+    fn kmergen(&self, forest: &ConcurrentDisjointSet, pass: u32) -> KmerGenOutput<K::Tuple> {
+        let pass_start = self.ctx.obs().open();
         let use_opt = self.run.cfg.cc_opt && pass > 0;
         let read_label = |frag| if use_opt { forest.find(frag) } else { frag };
         let (pool, chunks) = (self.ctx.pool(), &self.my_chunks);
@@ -690,7 +637,7 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
         // I/O and generation time are CPU-nanos summed across the pool's
         // threads, not one wall interval — anchor them back-to-back at the
         // pass start so the trace still shows where the pass's time went.
-        let (obs, pass) = (&mut self.obs, Some(pass));
+        let (mut obs, pass) = (self.ctx.obs(), Some(pass));
         let after_io = obs.span_with_dur(pass_start, gen.io_nanos, Step::KmerGenIo.name(), pass);
         obs.span_with_dur(after_io, gen.gen_nanos, Step::KmerGen.name(), pass);
         obs.add(CounterKind::TuplesEmitted, tuple_count(&gen.outgoing));
@@ -702,11 +649,11 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
 
     /// KmerGen-Comm: the P-stage all-to-all. Returns the per-sender
     /// buffers as received, each still grouped by this task's sort buckets.
-    fn exchange(&mut self, outgoing: Vec<Vec<K::Tuple>>, pass: u32) -> Vec<Vec<K::Tuple>> {
-        let (ctx, run, name) = (self.ctx, self.run, Step::KmerGenComm.name());
-        let (parts, received) = in_span(&mut self.obs, name, Some(pass), None, |obs| {
+    fn exchange(&self, outgoing: Vec<Vec<K::Tuple>>, pass: u32) -> Vec<Vec<K::Tuple>> {
+        let (ctx, run) = (self.ctx, self.run);
+        let parts = ctx.span(Step::KmerGenComm.name(), Some(pass), None, || {
             let outgoing = outgoing.into_iter().map(Msg::Tuples).collect();
-            let parts: Vec<Vec<K::Tuple>> = alltoall_obs(ctx, outgoing, obs, Some(pass), name)
+            let parts: Vec<Vec<K::Tuple>> = alltoall(ctx, outgoing)
                 .into_iter()
                 .map(|msg| match msg {
                     Msg::Tuples(v) => v,
@@ -733,9 +680,10 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
                 "receive-count precomputation: task {rank} pass {pass} got {received} \
                  tuples but FASTQPart predicts {expected}"
             );
-            (parts, received)
+            parts
         });
-        self.obs.add(CounterKind::TuplesReceived, received);
+        ctx.obs()
+            .add(CounterKind::TuplesReceived, tuple_count(&parts));
         parts
     }
 
@@ -744,15 +692,14 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
     /// where it is) and radix-sorted while cache-resident. Returns the
     /// per-thread sub-range offsets within `bufs.sorted()`.
     fn local_sort(
-        &mut self,
+        &self,
         parts: Vec<Vec<K::Tuple>>,
         bufs: &mut PassBuffers<K::Tuple>,
         pass: u32,
     ) -> Vec<usize> {
         let (ctx, cfg, run) = (self.ctx, self.run.cfg, self.run);
-        let (obs, name) = (&mut self.obs, Step::LocalSort.name());
         let received = tuple_count(&parts);
-        let res = in_span(obs, name, Some(pass), None, |_| {
+        let res = ctx.span(Step::LocalSort.name(), Some(pass), None, || {
             let (pass, rank) = (pass as usize, ctx.rank());
             let slots = run.buckets.task_slots(pass, rank);
             let lower: Vec<<K as metaprep_kmer::Kmer>::Repr> = slots
@@ -777,6 +724,7 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
             });
             res
         });
+        let mut obs = ctx.obs();
         obs.add(CounterKind::SortElements, received);
         obs.add(CounterKind::RadixPassesRun, res.stats.passes_run);
         obs.add(CounterKind::RadixPassesPruned, res.stats.passes_pruned);
@@ -787,17 +735,17 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
 
     /// LocalCC: fold the sorted tuples' implicit edges into the forest.
     fn local_cc(
-        &mut self,
+        &self,
         forest: &ConcurrentDisjointSet,
         tuples: &[K::Tuple],
         offsets: &[usize],
         pass: u32,
     ) -> LocalCcStats {
-        let (pool, kf_filter) = (self.ctx.pool(), self.run.cfg.kf_filter);
-        let (obs, name) = (&mut self.obs, Step::LocalCc.name());
-        let stats = in_span(obs, name, Some(pass), None, |_| {
-            localcc_pass::<K>(pool, forest, tuples, offsets, kf_filter)
+        let (ctx, kf_filter) = (self.ctx, self.run.cfg.kf_filter);
+        let stats = ctx.span(Step::LocalCc.name(), Some(pass), None, || {
+            localcc_pass::<K>(ctx.pool(), forest, tuples, offsets, kf_filter)
         });
+        let mut obs = ctx.obs();
         obs.add(CounterKind::UfFinds, stats.uf.finds);
         obs.add(CounterKind::UfUnions, stats.uf.unions);
         obs.add(CounterKind::UfPathSplits, stats.uf.path_splits);
@@ -806,27 +754,27 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
 
     /// MergeCC round `round`: ranks `stride = 2^round` apart pair up
     /// (Figure 4); the upper one sends its components down and retires.
-    fn merge_round(&mut self, local: &mut DisjointSet, round: u32) -> MergeOutcome {
+    fn merge_round(&self, local: &mut DisjointSet, round: u32) -> MergeOutcome {
         let (ctx, rank, stride) = (self.ctx, self.ctx.rank(), 1usize << round);
         let (comm, merge, at) = (Step::MergeComm.name(), Step::MergeCc.name(), Some(round));
-        let obs = &mut self.obs;
         if rank % (2 * stride) == stride {
             let sparse = self.run.cfg.merge_sparse;
-            in_span(obs, comm, None, at, |obs| {
+            ctx.span(comm, None, at, || {
                 let msg = if sparse {
                     Msg::SparseParents(sparse_pairs(local))
                 } else {
                     Msg::Parents(local.component_array().to_vec())
                 };
-                obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
-                ctx.send_traced(rank - stride, msg, obs, comm, at);
+                ctx.obs()
+                    .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
+                ctx.send(rank - stride, msg);
             });
             MergeOutcome::Retired
         } else if rank % (2 * stride) == 0 && rank + stride < ctx.size() {
-            let recv = |obs: &mut TaskObs<'_>| ctx.recv_from_traced(rank + stride, obs, comm, at);
-            let msg = in_span(obs, comm, None, at, recv);
-            obs.add(CounterKind::MergeBytes, msg.size_bytes() as u64);
-            in_span(obs, merge, None, at, |_| match msg {
+            let msg = ctx.span(comm, None, at, || ctx.recv_from(rank + stride));
+            ctx.obs()
+                .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
+            ctx.span(merge, None, at, || match msg {
                 Msg::Parents(arr) => absorb_parent_array(local, &arr),
                 Msg::SparseParents(pairs) => absorb_sparse_pairs(local, &pairs),
                 Msg::Tuples(_) => unreachable!("no tuples during MergeCC"),
@@ -840,12 +788,11 @@ impl<K: PipelineKmer, S: ChunkSource> Task<'_, K, S> {
     /// CC-I/O: broadcast the final labels from rank 0, then bucket this
     /// task's reads by component. Returns the labels on rank 0 and the
     /// `(largest component, other)` read counts.
-    fn cc_io(&mut self, mut local: DisjointSet) -> (Option<Vec<u32>>, u64, u64) {
+    fn cc_io(&self, mut local: DisjointSet) -> (Option<Vec<u32>>, u64, u64) {
         let (ctx, run, chunks) = (self.ctx, self.run, &self.my_chunks);
-        let name = Step::CcIo.name();
-        in_span(&mut self.obs, name, None, None, |obs| {
+        ctx.span(Step::CcIo.name(), None, None, || {
             let root = (ctx.rank() == 0).then(|| Msg::Parents(local.component_array().to_vec()));
-            let Msg::Parents(labels) = broadcast(ctx, 0, root, obs, name) else {
+            let Msg::Parents(labels) = broadcast(ctx, 0, root) else {
                 unreachable!("the broadcast carries a parent array")
             };
             // CC-I/O is the broadcast plus each task's count of where its
@@ -1423,6 +1370,28 @@ mod tests {
                 .unwrap();
             assert_eq!(res.labels, want, "seed {seed} changed the labels");
         }
+    }
+
+    #[test]
+    fn the_plans_retry_budget_is_the_only_one() {
+        // `max-retries=0` in the spec leaves no retry: every send is
+        // dropped, so the first one escalates a structured report.
+        let reads = small_reads();
+        let plan = metaprep_dist::FaultPlan::parse_spec("seed=1,drop=1,max-retries=0").unwrap();
+        let cfg = PipelineConfig::builder()
+            .k(21)
+            .m(6)
+            .tasks(2)
+            .fault_plan(plan)
+            .build();
+        let run = std::panic::AssertUnwindSafe(|| Pipeline::new(cfg).run_reads(&reads));
+        let payload = std::panic::catch_unwind(run).unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.starts_with("FAULT REPORT"), "{msg}");
+        assert!(msg.contains("exhausted 1 delivery attempts"), "{msg}");
     }
 
     #[test]

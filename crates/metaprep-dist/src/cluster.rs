@@ -1,10 +1,13 @@
 //! Task spawning, per-pair channels, and the task context.
 //!
+//! The run's recorder and fault plan ride on [`ClusterConfig`]; each
+//! rank's [`TaskCtx`] owns its [`TaskObs`], and message edges are tagged
+//! by the enclosing [`TaskCtx::span`].
+//!
 //! # Concurrency correctness
 //!
-//! The simulator carries its own runtime misuse detectors (tentpole of
-//! the concurrency-correctness layer; see DESIGN.md "Safety &
-//! verification"):
+//! The simulator carries its own runtime misuse detectors (see DESIGN.md
+//! "Safety & verification"):
 //!
 //! * **Deadlock watchdog** — every blocking receive polls with a short
 //!   timeout and publishes the task's state (running / at barrier /
@@ -19,38 +22,36 @@
 //!   in the channel layer cannot go unnoticed.
 //! * **Schedule exploration** — [`explore_schedules`] re-runs a cluster
 //!   body under deterministic per-task timing jitter so that
-//!   order-dependent bugs surface without a model checker; the
-//!   exhaustive version of the same idea lives in `tests/loom.rs`
-//!   against the `crate::sync` loom shim.
+//!   order-dependent bugs surface without a model checker. The cluster
+//!   itself is not built under `--cfg loom`; `tests/loom.rs` model-checks
+//!   the parts the concurrency lives in — the `crate::sync` channel
+//!   matrix, the [`crate::stage_peers`] schedule and
+//!   [`crate::DedupState`].
 
-use crate::delivery::DedupState;
-#[cfg(not(loom))]
-use crate::delivery::Offer;
-use crate::faults::{Boundary, FaultPlan, FaultReport, FaultReportKind, FaultTally, SendDecision};
+use crate::delivery::{DedupState, Offer};
+use crate::faults::{
+    Boundary, FaultPlan, FaultReport, FaultReportKind, InjectedCrash, SendDecision,
+};
 use crate::stats::CommStats;
-#[cfg(not(loom))]
-use crate::sync::channel::{DepthProbe, RecvTimeoutError};
-use crate::sync::channel::{Receiver, Sender};
+use crate::supervisor::run_supervised;
+use crate::sync::channel::{DepthProbe, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::Payload;
-use metaprep_obs::TaskObs;
-use std::cell::{Cell, RefCell};
+use metaprep_obs::{CounterKind, NoopRecorder, Recorder, TaskObs};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// The logical message: the payload plus the sender's Lamport clock at
 /// the send and the per-pair sequence number. Clock and seq are tracing
 /// metadata — they cost two `u64`s per message and are NOT counted as
 /// communication volume (`CommStats` stays the single source of truth
-/// for modeled bytes). Untraced sends ship clock 0, which is the
-/// identity for the receiver's `max(local, sender) + 1` merge. The seq
-/// is what the receive-side `(src, dst, seq)` dedup keys on.
+/// for modeled bytes). The seq is what the receive-side `(src, dst, seq)`
+/// dedup keys on.
 struct Envelope<M> {
     msg: M,
     clock: u64,
-    // Read by the non-loom dedup/stash receive path only; under loom the
-    // fault plane is inert and delivery is plain FIFO.
-    #[cfg_attr(loom, allow(dead_code))]
     seq: u64,
 }
 
@@ -72,12 +73,19 @@ enum Wire<M> {
 /// [`FaultReport`]. Deliberately far above the deadlock watchdog's poll
 /// interval — a computing task makes no channel progress, so this must
 /// exceed the longest legitimate compute phase between communications.
-const DEFAULT_WATCHDOG_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+const DEFAULT_WATCHDOG_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Cluster shape: `tasks` simulated MPI ranks, each owning a rayon pool of
-/// `threads_per_task` threads.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ClusterConfig {
+/// The recorder of a cluster built without one: keeps nothing.
+fn noop_recorder() -> &'static NoopRecorder {
+    static NOOP: OnceLock<NoopRecorder> = OnceLock::new();
+    NOOP.get_or_init(NoopRecorder::new)
+}
+
+/// Cluster shape — `tasks` simulated MPI ranks, each owning a rayon pool
+/// of `threads_per_task` threads — plus what every rank runs under: the
+/// recorder its observer flushes into and the fault schedule.
+#[derive(Copy, Clone)]
+pub struct ClusterConfig<'a> {
     /// Number of simulated MPI tasks (`P`).
     pub tasks: usize,
     /// Threads per task (`T`).
@@ -85,24 +93,49 @@ pub struct ClusterConfig {
     /// Stall threshold: a task blocked receiving from a peer that has
     /// made no channel progress for longer than this aborts the run
     /// with a structured stall report (see `DEFAULT_WATCHDOG_TIMEOUT`).
-    pub watchdog_timeout: std::time::Duration,
+    pub watchdog_timeout: Duration,
+    /// Where each rank's [`TaskObs`] flushes (default: a no-op recorder).
+    recorder: &'a dyn Recorder,
+    /// The deterministic fault schedule every send, receive and crash
+    /// boundary runs under; `None` (the default) is fault-free.
+    fault_plan: Option<&'a FaultPlan>,
 }
 
-impl ClusterConfig {
-    /// Convenience constructor (default watchdog timeout).
+impl ClusterConfig<'static> {
+    /// Convenience constructor (default watchdog timeout, no-op recorder,
+    /// no fault plan).
     pub fn new(tasks: usize, threads_per_task: usize) -> Self {
         assert!(tasks >= 1 && threads_per_task >= 1);
         Self {
             tasks,
             threads_per_task,
             watchdog_timeout: DEFAULT_WATCHDOG_TIMEOUT,
+            recorder: noop_recorder(),
+            fault_plan: None,
         }
     }
+}
 
+impl<'a> ClusterConfig<'a> {
     /// Override the stall threshold (see [`ClusterConfig::watchdog_timeout`]).
-    pub fn with_watchdog_timeout(mut self, timeout: std::time::Duration) -> Self {
+    pub fn with_watchdog_timeout(mut self, timeout: Duration) -> Self {
         assert!(!timeout.is_zero(), "watchdog timeout must be nonzero");
         self.watchdog_timeout = timeout;
+        self
+    }
+
+    /// Record every rank's spans, counters and message edges into `rec`.
+    pub fn with_recorder(mut self, rec: &'a dyn Recorder) -> Self {
+        self.recorder = rec;
+        self
+    }
+
+    /// Run every message and crash boundary through `plan`'s injection
+    /// plane (see [`crate::faults`]). The conservation accounting still
+    /// holds (generalized over duplicates and stashes), so a protocol bug
+    /// cannot hide behind the chaos.
+    pub fn with_fault_plan(mut self, plan: &'a FaultPlan) -> Self {
+        self.fault_plan = Some(plan);
         self
     }
 }
@@ -149,8 +182,7 @@ const STATE_AT_BARRIER: u64 = u64::MAX - 2;
 // Any other value `v` means "blocked receiving from rank `v`".
 
 /// Watchdog poll interval for blocking receives.
-#[cfg(not(loom))]
-const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(25);
+const WATCHDOG_POLL: Duration = Duration::from_millis(25);
 
 /// A barrier whose waiters poll an abort flag, so a watchdog-triggered
 /// abort also unwinds tasks parked at a barrier instead of hanging the
@@ -200,7 +232,7 @@ impl AbortableBarrier {
             }
             let (guard, _timeout) = self
                 .cv
-                .wait_timeout(g, std::time::Duration::from_millis(25))
+                .wait_timeout(g, WATCHDOG_POLL)
                 // EXPECT: poisoning, as above, is the abort path.
                 .expect("barrier lock poisoned");
             g = guard;
@@ -221,19 +253,15 @@ struct SharedState {
     aborted: AtomicBool,
     /// `inbox_depth[to][from]`: queue-depth probe of the channel from
     /// `from` into `to`, readable by the watchdog from any task.
-    #[cfg(not(loom))]
     inbox_depth: Vec<Vec<DepthProbe>>,
     /// Time origin for the stall watchdog's progress stamps.
-    #[cfg(not(loom))]
     epoch: std::time::Instant,
     /// `last_progress[rank]`: nanoseconds since `epoch` at the rank's
     /// most recent channel progress (send delivered, message received,
     /// barrier passed). Stamp 0 means "no progress yet" — tasks get the
     /// full stall budget from cluster start.
-    #[cfg(not(loom))]
     last_progress: Vec<AtomicU64>,
     /// Stall threshold in nanoseconds (`ClusterConfig::watchdog_timeout`).
-    #[cfg(not(loom))]
     stall_after_ns: u64,
     // Fault-injection tallies (see `FaultStats`). Plain statistics
     // counters like the conservation counters above; all stay zero
@@ -256,7 +284,6 @@ impl SharedState {
     /// awaited inbox can become non-empty — the cluster can never make
     /// progress again and aborting is sound. (A task observed RUNNING
     /// may still send, so the watchdog stays quiet and retries.)
-    #[cfg(not(loom))]
     fn deadlock_report(&self) -> Option<String> {
         let p = self.task_state.len();
         let mut any_blocked_recv = false;
@@ -281,34 +308,39 @@ impl SharedState {
             // their own once all live tasks arrive.
             return None;
         }
-        let mut lines =
-            vec!["cluster DEADLOCK: all tasks blocked, all awaited inboxes empty".to_string()];
-        for rank in 0..p {
+        Some(format!(
+            "cluster DEADLOCK: all tasks blocked, all awaited inboxes empty{}",
+            self.task_states()
+        ))
+    }
+
+    /// One `\n  task r: <state>` line per task, for the watchdog reports.
+    fn task_states(&self) -> String {
+        let mut out = String::new();
+        for (rank, state) in self.task_state.iter().enumerate() {
             // ORDERING: Relaxed — report rendering; monitoring only.
-            let desc = match self.task_state[rank].load(Ordering::Relaxed) {
+            let desc = match state.load(Ordering::Relaxed) {
                 STATE_DONE => "done".to_string(),
                 STATE_RUNNING => "running".to_string(),
                 STATE_AT_BARRIER => "waiting at barrier".to_string(),
                 from => format!(
-                    "blocked on recv from task {from} (inbox empty, {} sent / {} received)",
+                    "blocked on recv from task {from} ({} sent / {} received)",
                     self.messages_sent[rank].load(Ordering::Relaxed),
                     self.messages_received[rank].load(Ordering::Relaxed),
                 ),
             };
-            lines.push(format!("  task {rank}: {desc}"));
+            out.push_str(&format!("\n  task {rank}: {desc}"));
         }
-        Some(lines.join("\n"))
+        out
     }
 
     /// Nanoseconds since the cluster epoch.
-    #[cfg(not(loom))]
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Stamp `rank`'s progress clock (called on every send delivery,
     /// receive, and barrier completion).
-    #[cfg(not(loom))]
     fn note_progress(&self, rank: usize) {
         // ORDERING: Relaxed — monitoring stamp, read only by the
         // watchdog whose decision tolerates staleness (it re-polls).
@@ -323,7 +355,6 @@ impl SharedState {
     /// loop) or that exited without sending — at the cost of a false
     /// positive if a legitimate compute phase outlasts the timeout,
     /// which is why the threshold is configurable and defaults high.
-    #[cfg(not(loom))]
     fn stall_report(&self, rank: usize, from: usize) -> Option<FaultReport> {
         if !self.inbox_depth[rank][from].is_empty() {
             return None; // a message is waiting; we will make progress
@@ -335,31 +366,36 @@ impl SharedState {
         if idle_ns <= self.stall_after_ns {
             return None;
         }
-        let mut detail = String::new();
-        for (r, state) in self.task_state.iter().enumerate() {
-            // ORDERING: Relaxed — report rendering; monitoring only.
-            let desc = match state.load(Ordering::Relaxed) {
-                STATE_DONE => "done".to_string(),
-                STATE_RUNNING => "running".to_string(),
-                STATE_AT_BARRIER => "waiting at barrier".to_string(),
-                f => format!("blocked on recv from task {f}"),
-            };
-            detail.push_str(&format!("\n  task {r}: {desc}"));
-        }
         Some(FaultReport {
             kind: FaultReportKind::Stall,
             rank,
             peer: from,
             seq: 0,
             attempts: 0,
-            detail,
+            detail: self.task_states(),
         })
     }
 }
 
+/// The innermost open [`TaskCtx::span`]: what message edges are tagged
+/// with (`stage` = its name, `round` = `pass.or(detail)`).
+#[derive(Copy, Clone)]
+struct Enclosing {
+    name: &'static str,
+    pass: Option<u32>,
+    detail: Option<u32>,
+}
+
+/// Outside every span: edges carry stage `"unspanned"`, round `None`.
+const UNSPANNED: Enclosing = Enclosing {
+    name: "unspanned",
+    pass: None,
+    detail: None,
+};
+
 /// The view a task body gets of the cluster: its rank, its channels, its
-/// thread pool.
-pub struct TaskCtx<M: Payload> {
+/// thread pool, its observer.
+pub struct TaskCtx<'a, M: Payload> {
     rank: usize,
     size: usize,
     /// senders[to] — channel into task `to`'s inbox from this task.
@@ -371,33 +407,32 @@ pub struct TaskCtx<M: Payload> {
     /// Schedule-jitter PRNG state; 0 disables jitter (the default).
     jitter: Cell<u64>,
     /// send_seq[to] — messages sent to `to` so far. Channels are per-pair
-    /// FIFO, so both endpoints can derive matching 0-based sequence
-    /// numbers independently; every send bumps it, traced or not, which
-    /// keeps the two sides aligned even in mixed traced/untraced runs.
+    /// FIFO, so both endpoints derive matching 0-based sequence numbers
+    /// independently.
     send_seq: Vec<Cell<u64>>,
     /// recv_seq[from] — messages received from `from` so far (see above).
     recv_seq: Vec<Cell<u64>>,
-    /// The fault schedule, cloned per rank; `None` (the fast path)
-    /// without injection.
-    fault_plan: Option<FaultPlan>,
+    /// The fault schedule; `None` (the fast path) without injection.
+    fault_plan: Option<&'a FaultPlan>,
     /// dedup[from] — receive-side `(src, dst, seq)` dedup/reorder state.
-    #[cfg_attr(loom, allow(dead_code))]
     dedup: Vec<RefCell<DedupState>>,
     /// stash[from] — envelopes that arrived ahead of order, keyed by
     /// seq, held until their turn (`DedupState` tracks which are held).
-    #[cfg_attr(loom, allow(dead_code))]
     stash: Vec<RefCell<BTreeMap<u64, Envelope<M>>>>,
     /// Crash boundaries already taken (each declared crash fires once —
     /// the restarted attempt must run through the boundary).
     crashes_fired: RefCell<BTreeSet<Boundary>>,
-    /// This rank's injected-fault count (drops, delays, dups, reorders,
-    /// crashes), surfaced to the observability layer.
-    injected: Cell<u64>,
-    /// This rank's delivery-retry count, surfaced like `injected`.
-    retries: Cell<u64>,
+    /// This rank's observer. Lives outside the supervised restart loop:
+    /// spans and counters of work done before a crash really happened
+    /// and stay in the trace, and the Lamport clock keeps its continuity.
+    obs: RefCell<TaskObs<'a>>,
+    /// The innermost open span, which tags message edges.
+    enclosing: Cell<Enclosing>,
+    /// Supervised attempt number: 0, or the count of restarts so far.
+    attempt: u32,
 }
 
-impl<M: Payload> TaskCtx<M> {
+impl<'a, M: Payload> TaskCtx<'a, M> {
     /// This task's rank in `0..size`.
     pub fn rank(&self) -> usize {
         self.rank
@@ -413,28 +448,66 @@ impl<M: Payload> TaskCtx<M> {
         &self.pool
     }
 
-    /// This rank's injected-fault and retry tallies so far; `None`
-    /// without a fault plan.
-    pub fn fault_tally(&self) -> Option<FaultTally> {
-        self.fault_plan.as_ref().map(|_| FaultTally {
-            injected: self.injected.get(),
-            retries: self.retries.get(),
-        })
+    /// 0 on the first run of the body; `n` when the cluster's supervisor
+    /// is running it for the `n`-th time after injected crashes — the body
+    /// should then resume from its latest checkpoint.
+    pub fn attempt(&self) -> u32 {
+        self.attempt
     }
 
-    /// Crash-injection point: panics with [`crate::faults::InjectedCrash`]
-    /// if the active plan declares a crash for this rank at boundary
-    /// `at` and it has not fired yet. The supervisor
-    /// ([`crate::supervisor::run_supervised`]) catches exactly this
-    /// payload and restarts the task body; the boundary is marked fired
-    /// so the restarted attempt runs through it.
+    /// This rank's observer. Hold the guard only briefly: sends, receives
+    /// and [`TaskCtx::span`] borrow it too.
+    pub fn obs(&self) -> RefMut<'_, TaskObs<'a>> {
+        self.obs.borrow_mut()
+    }
+
+    /// Run `work` as a span `name` of this rank (`pass` / `detail` say
+    /// which pass or round it belongs to). Every send and receive inside
+    /// it records an edge tagged `(name, pass.or(detail))`.
+    pub fn span<R>(
+        &self,
+        name: &'static str,
+        pass: Option<u32>,
+        detail: Option<u32>,
+        work: impl FnOnce() -> R,
+    ) -> R {
+        let open = self.obs.borrow().open();
+        let outer = self.enclosing.replace(Enclosing { name, pass, detail });
+        let out = work();
+        self.enclosing.set(outer);
+        self.obs.borrow_mut().close_detail(open, name, pass, detail);
+        out
+    }
+
+    /// The `pass` of the innermost open span (collectives file their
+    /// sub-spans under it).
+    pub(crate) fn enclosing_pass(&self) -> Option<u32> {
+        self.enclosing.get().pass
+    }
+
+    /// The `(stage, round)` tag of an edge recorded now.
+    fn edge_tag(&self) -> (&'static str, Option<u32>) {
+        let e = self.enclosing.get();
+        (e.name, e.pass.or(e.detail))
+    }
+
+    /// Count one fired fault injection on this rank's observer.
+    fn note_fault(&self) {
+        self.obs.borrow_mut().add(CounterKind::FaultsInjected, 1);
+    }
+
+    /// Crash-injection point: panics with [`InjectedCrash`] if the active
+    /// plan declares a crash for this rank at boundary `at` and it has
+    /// not fired yet. [`run_cluster`]'s supervisor catches exactly this
+    /// payload and runs the body again (see [`TaskCtx::attempt`]); the
+    /// boundary is marked fired so the restarted attempt runs through it.
     pub fn maybe_crash(&self, at: Boundary) {
-        let Some(plan) = &self.fault_plan else {
+        let Some(plan) = self.fault_plan else {
             return;
         };
         if plan.crashes_at(self.rank, at) && self.crashes_fired.borrow_mut().insert(at) {
-            self.injected.set(self.injected.get() + 1);
-            std::panic::panic_any(crate::faults::InjectedCrash {
+            self.note_fault();
+            std::panic::panic_any(InjectedCrash {
                 rank: self.rank as u32,
                 at,
             });
@@ -460,53 +533,34 @@ impl<M: Payload> TaskCtx<M> {
     }
 
     /// Send `msg` to task `to`. Never blocks (channels are unbounded; the
-    /// simulation models volume, not backpressure).
-    pub fn send(&self, to: usize, msg: M) {
-        // Untraced sends carry Lamport clock 0 — the identity under the
-        // receiver's max-merge, so traced and untraced traffic can mix.
-        self.send_env(to, msg, 0);
-    }
-
-    /// Traced send: records a `MessageSend` edge on `obs` (advancing its
-    /// Lamport clock) and ships the clock on the wire so the receiver can
-    /// merge it. Byte volume still flows only through `CommStats`.
-    pub fn send_traced(
-        &self,
-        to: usize,
-        msg: M,
-        obs: &mut TaskObs<'_>,
-        stage: &'static str,
-        round: Option<u32>,
-    ) {
-        let seq = self.send_seq[to].get();
-        let clock = obs.record_send(to as u32, stage, round, msg.size_bytes() as u64, seq);
-        self.send_env(to, msg, clock);
-    }
-
-    /// Shared send path: counts volume, bumps the per-pair sequence
-    /// counter, and delivers the envelope — through the fault plane
-    /// when one is active. A `Drop` decision suppresses the push; the
-    /// sender sleeps a deterministic bounded-exponential backoff and
+    /// simulation models volume, not backpressure). Records a send edge
+    /// (advancing the Lamport clock, which ships with the message) and
+    /// counts the volume in [`CommStats`].
+    ///
+    /// With a fault plan active, a `Drop` decision suppresses the push;
+    /// the sender sleeps a deterministic bounded-exponential backoff and
     /// retries (the channel is the ack: in-process delivery is reliable
     /// once pushed, so retrying the push IS the retransmit). Logical
     /// counters are bumped once per message regardless of attempts.
-    fn send_env(&self, to: usize, msg: M, clock: u64) {
+    pub fn send(&self, to: usize, msg: M) {
         self.jitter_point();
-        let seq = self.send_seq[to].get();
+        let (seq, bytes) = (self.send_seq[to].get(), msg.size_bytes() as u64);
         self.send_seq[to].set(seq + 1);
+        let (stage, round) = self.edge_tag();
+        let clock = self
+            .obs
+            .borrow_mut()
+            .record_send(to as u32, stage, round, bytes, seq);
         // ORDERING: Relaxed — pure statistics counters; the channel itself
         // synchronizes the payload, and counters are only read after the
         // thread scope joins (or by the monitoring-only watchdog).
-        self.shared.bytes_sent[self.rank].fetch_add(msg.size_bytes() as u64, Ordering::Relaxed);
+        self.shared.bytes_sent[self.rank].fetch_add(bytes, Ordering::Relaxed);
         // ORDERING: Relaxed — statistics counter, as above.
         self.shared.messages_sent[self.rank].fetch_add(1, Ordering::Relaxed);
         let env = Envelope { msg, clock, seq };
-        let Some(plan) = &self.fault_plan else {
-            self.senders[to]
-                .send(Wire::Env(env))
-                // EXPECT: receivers live until the thread scope joins; a disconnect means the peer already panicked and this panic surfaces it.
-                .expect("receiving task exited before message was delivered");
-            self.note_progress();
+        let Some(plan) = self.fault_plan else {
+            self.push(to, Wire::Env(env));
+            self.shared.note_progress(self.rank);
             return;
         };
         let mut attempt = 0u32;
@@ -515,7 +569,7 @@ impl<M: Payload> TaskCtx<M> {
                 SendDecision::Drop => {
                     // ORDERING: Relaxed — statistics counter, as above.
                     self.shared.drops.fetch_add(1, Ordering::Relaxed);
-                    self.injected.set(self.injected.get() + 1);
+                    self.note_fault();
                     if attempt >= plan.delivery.max_retries {
                         // Escalate: release blocked peers, then panic with
                         // the structured report.
@@ -532,13 +586,11 @@ impl<M: Payload> TaskCtx<M> {
                         panic!("{report}");
                     }
                     attempt += 1;
-                    self.retries.set(self.retries.get() + 1);
+                    self.obs.borrow_mut().add(CounterKind::RetryAttempts, 1);
                     // ORDERING: Relaxed — statistics counter, as above.
                     self.shared.retries.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(not(loom))]
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        plan.backoff_us(self.rank, to, seq, attempt),
-                    ));
+                    let backoff = plan.backoff_us(self.rank, to, seq, attempt);
+                    std::thread::sleep(Duration::from_micros(backoff));
                 }
                 SendDecision::Deliver {
                     delay_us,
@@ -547,78 +599,56 @@ impl<M: Payload> TaskCtx<M> {
                     if delay_us > 0 {
                         // ORDERING: Relaxed — statistics counter, as above.
                         self.shared.delays.fetch_add(1, Ordering::Relaxed);
-                        self.injected.set(self.injected.get() + 1);
-                        #[cfg(not(loom))]
-                        std::thread::sleep(std::time::Duration::from_micros(delay_us));
+                        self.note_fault();
+                        std::thread::sleep(Duration::from_micros(delay_us));
                     }
-                    self.senders[to]
-                        .send(Wire::Env(env))
-                        // EXPECT: receivers live until the thread scope joins; a disconnect means the peer already panicked and this panic surfaces it.
-                        .expect("receiving task exited before message was delivered");
+                    self.push(to, Wire::Env(env));
                     if duplicate {
-                        self.senders[to]
-                            .send(Wire::Dup)
-                            // EXPECT: receivers live until the thread scope joins, as above.
-                            .expect("receiving task exited before message was delivered");
+                        self.push(to, Wire::Dup);
                         // ORDERING: Relaxed — statistics counter, as above.
                         self.shared.dup_pushed.fetch_add(1, Ordering::Relaxed);
-                        self.injected.set(self.injected.get() + 1);
+                        self.note_fault();
                     }
-                    self.note_progress();
+                    self.shared.note_progress(self.rank);
                     return;
                 }
             }
         }
     }
 
-    /// Stamp this rank's progress clock for the stall watchdog (no-op
-    /// under loom, where the model's scheduler owns liveness).
-    fn note_progress(&self) {
-        #[cfg(not(loom))]
-        self.shared.note_progress(self.rank);
+    /// Put one wire item on the channel into `to`'s inbox.
+    fn push(&self, to: usize, wire: Wire<M>) {
+        self.senders[to]
+            .send(wire)
+            // EXPECT: receivers live until the thread scope joins; a disconnect means the peer already panicked and this panic surfaces it.
+            .expect("receiving task exited before message was delivered");
     }
 
-    /// Blocking receive of the next message from task `from`.
+    /// Blocking receive of the next message from task `from`. Records a
+    /// receive edge, merging the sender's Lamport clock
+    /// (`max(local, sender) + 1`).
     ///
     /// Never hangs on a deadlocked cluster: the receive polls, publishes
     /// this task's blocked state, and runs the watchdog's deadlock test
     /// on every expiry (see the module docs). A detected deadlock aborts
     /// the run with a per-task report.
-    #[cfg(not(loom))]
     pub fn recv_from(&self, from: usize) -> M {
-        self.recv_env_from(from).msg
-    }
-
-    /// Traced receive: records a `MessageRecv` edge on `obs` and merges
-    /// the sender's Lamport clock (`max(local, sender) + 1`). Blocking
-    /// semantics are identical to [`TaskCtx::recv_from`].
-    pub fn recv_from_traced(
-        &self,
-        from: usize,
-        obs: &mut TaskObs<'_>,
-        stage: &'static str,
-        round: Option<u32>,
-    ) -> M {
         // The sequence number identifies THIS message: the count of
         // messages received from `from` before it (FIFO channel), read
-        // before `recv_env_from` bumps the counter.
+        // before `recv_env` bumps the counter.
         let seq = self.recv_seq[from].get();
-        let env = self.recv_env_from(from);
-        obs.record_recv(
-            from as u32,
-            stage,
-            round,
-            env.msg.size_bytes() as u64,
-            seq,
-            env.clock,
-        );
+        let env = self.recv_env(from);
+        let (stage, round) = self.edge_tag();
+        let bytes = env.msg.size_bytes() as u64;
+        self.obs
+            .borrow_mut()
+            .record_recv(from as u32, stage, round, bytes, seq, env.clock);
         env.msg
     }
 
     /// Bookkeeping for a delivered envelope: counters, sequence bump,
     /// progress stamp. `env.seq` is always the expected next sequence
     /// number (the dedup layer guarantees in-order delivery).
-    #[cfg(not(loom))]
     fn finish_delivery(&self, from: usize, env: Envelope<M>) -> Envelope<M> {
         // ORDERING: Relaxed — monitoring state word + statistics counters;
         // the channel synchronized the payload itself.
@@ -628,12 +658,12 @@ impl<M: Payload> TaskCtx<M> {
         self.shared.bytes_received[self.rank]
             .fetch_add(env.msg.size_bytes() as u64, Ordering::Relaxed);
         self.recv_seq[from].set(self.recv_seq[from].get() + 1);
-        self.note_progress();
+        self.shared.note_progress(self.rank);
         env
     }
 
-    /// Shared blocking-receive path (watchdog variant); returns the raw
-    /// envelope so traced receives can see the sender's clock.
+    /// The blocking-receive path; returns the raw envelope so the caller
+    /// can see the sender's clock.
     ///
     /// With a fault plan active this is the idempotent-receive side of
     /// the delivery protocol: every wire item is classified against the
@@ -642,8 +672,7 @@ impl<M: Payload> TaskCtx<M> {
     /// and delivered at their turn, and only the expected envelope is
     /// returned. Delivery to the caller is therefore always in-order,
     /// exactly once, no matter what the fault plane did to the wire.
-    #[cfg(not(loom))]
-    fn recv_env_from(&self, from: usize) -> Envelope<M> {
+    fn recv_env(&self, from: usize) -> Envelope<M> {
         self.jitter_point();
         loop {
             let next = self.recv_seq[from].get();
@@ -688,11 +717,11 @@ impl<M: Payload> TaskCtx<M> {
             };
             let Wire::Env(env) = wire else {
                 // A duplicate ghost: discard and keep waiting.
-                // ORDERING: Relaxed — statistics counter, as in `send_env`.
+                // ORDERING: Relaxed — statistics counter, as in `send`.
                 self.shared.dup_consumed.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
-            let Some(plan) = &self.fault_plan else {
+            let Some(plan) = self.fault_plan else {
                 return self.finish_delivery(from, env);
             };
             // Reorder injection: opportunistically pull the wire behind
@@ -706,7 +735,7 @@ impl<M: Payload> TaskCtx<M> {
                 if let Ok(w2) = self.receivers[from].try_recv() {
                     // ORDERING: Relaxed — statistics counter, as above.
                     self.shared.reorders.fetch_add(1, Ordering::Relaxed);
-                    self.injected.set(self.injected.get() + 1);
+                    self.note_fault();
                     match w2 {
                         // ORDERING: Relaxed — statistics counter, as above.
                         Wire::Dup => {
@@ -739,36 +768,6 @@ impl<M: Payload> TaskCtx<M> {
         }
     }
 
-    /// Blocking receive under the loom model: the model's scheduler does
-    /// the deadlock detection (it reports when every modeled thread is
-    /// blocked), so the runtime watchdog machinery is not needed.
-    #[cfg(loom)]
-    pub fn recv_from(&self, from: usize) -> M {
-        self.recv_env_from(from).msg
-    }
-
-    /// Shared blocking-receive path (loom variant); see the non-loom
-    /// `recv_env_from` for the envelope rationale. Fault plans are
-    /// never active under loom (the model owns the schedule), so every
-    /// wire item is a plain envelope.
-    #[cfg(loom)]
-    fn recv_env_from(&self, from: usize) -> Envelope<M> {
-        let wire = self.receivers[from]
-            .recv()
-            // EXPECT: under loom every modeled task runs to completion (or the model reports deadlock), so a disconnect can only follow a modeled panic.
-            .expect("sending task exited before sending");
-        let Wire::Env(env) = wire else {
-            unreachable!("duplicate ghosts are never injected under loom")
-        };
-        // ORDERING: Relaxed — statistics counters, as in `send`.
-        self.shared.messages_received[self.rank].fetch_add(1, Ordering::Relaxed);
-        // ORDERING: Relaxed — statistics counter, same reasoning as above.
-        self.shared.bytes_received[self.rank]
-            .fetch_add(env.msg.size_bytes() as u64, Ordering::Relaxed);
-        self.recv_seq[from].set(self.recv_seq[from].get() + 1);
-        env
-    }
-
     /// Synchronize all tasks.
     pub fn barrier(&self) {
         self.jitter_point();
@@ -776,13 +775,24 @@ impl<M: Payload> TaskCtx<M> {
         self.shared.task_state[self.rank].store(STATE_AT_BARRIER, Ordering::Relaxed);
         self.shared.barrier.wait(&self.shared.aborted);
         self.shared.task_state[self.rank].store(STATE_RUNNING, Ordering::Relaxed);
-        self.note_progress();
+        self.shared.note_progress(self.rank);
     }
 
-    /// Bytes this task has sent so far.
-    pub fn bytes_sent(&self) -> u64 {
-        // ORDERING: Relaxed — reading own counter on the writing thread.
-        self.shared.bytes_sent[self.rank].load(Ordering::Relaxed)
+    /// Run `body` to completion under the crash supervisor — restarting
+    /// on an [`InjectedCrash`] as often as the plan declares crashes (each
+    /// fires at most once) — then count the restarts and flush the
+    /// observer into `rec`.
+    fn run_body<R>(&mut self, body: impl Fn(&mut Self) -> R, rec: &'a dyn Recorder) -> R {
+        let max_restarts = self.fault_plan.map_or(0, |p| p.crashes.len() as u32);
+        let (out, restarts) = run_supervised(max_restarts, |attempt| {
+            self.attempt = attempt;
+            self.enclosing.set(UNSPANNED);
+            body(self)
+        });
+        let mut obs = self.obs.replace(TaskObs::new(rec, self.rank as u32));
+        obs.add(CounterKind::TaskRestarts, u64::from(restarts));
+        obs.finish();
+        out
     }
 }
 
@@ -799,46 +809,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Run `body` on every rank of a simulated cluster and collect results.
+/// Each rank's observer records into `config.recorder`, and every message
+/// and crash boundary runs under `config.fault_plan` (see
+/// [`ClusterConfig`]); the run's fault totals come back in
+/// [`ClusterResult::faults`].
 ///
 /// Panics in any task propagate (the run fails loudly, like an MPI abort).
-pub fn run_cluster<M, R, F>(config: ClusterConfig, body: F) -> ClusterResult<R>
+pub fn run_cluster<'a, M, R, F>(config: ClusterConfig<'a>, body: F) -> ClusterResult<R>
 where
     M: Payload,
     R: Send,
-    F: Fn(&mut TaskCtx<M>) -> R + Sync,
+    F: Fn(&mut TaskCtx<'a, M>) -> R + Sync,
 {
-    run_cluster_inner(config, 0, None, body)
+    run_cluster_inner(config, 0, body)
 }
 
-/// [`run_cluster`] under a deterministic fault plan: every send/recv
-/// passes through the injection plane of [`crate::faults`], and the
-/// run's fault totals come back in [`ClusterResult::faults`]. The
-/// conservation accounting still holds (generalized over duplicates
-/// and stashes), so a protocol bug cannot hide behind the chaos.
-#[cfg(not(loom))]
-pub fn run_cluster_faulted<M, R, F>(
-    config: ClusterConfig,
-    plan: &FaultPlan,
-    body: F,
-) -> ClusterResult<R>
+fn run_cluster_inner<'a, M, R, F>(config: ClusterConfig<'a>, seed: u64, body: F) -> ClusterResult<R>
 where
     M: Payload,
     R: Send,
-    F: Fn(&mut TaskCtx<M>) -> R + Sync,
-{
-    run_cluster_inner(config, 0, Some(plan), body)
-}
-
-fn run_cluster_inner<M, R, F>(
-    config: ClusterConfig,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    body: F,
-) -> ClusterResult<R>
-where
-    M: Payload,
-    R: Send,
-    F: Fn(&mut TaskCtx<M>) -> R + Sync,
+    F: Fn(&mut TaskCtx<'a, M>) -> R + Sync,
 {
     let p = config.tasks;
     // Channel matrix: matrix[from][to].
@@ -852,7 +842,6 @@ where
             rx_row[from] = Some(r);
         }
     }
-    #[cfg(not(loom))]
     let inbox_depth: Vec<Vec<DepthProbe>> = receivers
         .iter()
         .map(|row| {
@@ -863,21 +852,18 @@ where
         })
         .collect();
 
+    let counters = || (0..p).map(|_| AtomicU64::new(0)).collect();
     let shared = Arc::new(SharedState {
         barrier: AbortableBarrier::new(p),
-        bytes_sent: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        messages_sent: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        bytes_received: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        messages_received: (0..p).map(|_| AtomicU64::new(0)).collect(),
+        bytes_sent: counters(),
+        messages_sent: counters(),
+        bytes_received: counters(),
+        messages_received: counters(),
         task_state: (0..p).map(|_| AtomicU64::new(STATE_RUNNING)).collect(),
         aborted: AtomicBool::new(false),
-        #[cfg(not(loom))]
         inbox_depth,
-        #[cfg(not(loom))]
         epoch: std::time::Instant::now(),
-        #[cfg(not(loom))]
-        last_progress: (0..p).map(|_| AtomicU64::new(0)).collect(),
-        #[cfg(not(loom))]
+        last_progress: counters(),
         stall_after_ns: config.watchdog_timeout.as_nanos() as u64,
         drops: AtomicU64::new(0),
         retries: AtomicU64::new(0),
@@ -888,7 +874,8 @@ where
         stash_held: AtomicU64::new(0),
     });
 
-    let mut ctxs: Vec<TaskCtx<M>> = senders
+    let rec = config.recorder;
+    let mut ctxs: Vec<TaskCtx<'a, M>> = senders
         .into_iter()
         .zip(receivers)
         .enumerate()
@@ -913,12 +900,13 @@ where
             }),
             send_seq: (0..p).map(|_| Cell::new(0)).collect(),
             recv_seq: (0..p).map(|_| Cell::new(0)).collect(),
-            fault_plan: plan.cloned(),
+            fault_plan: config.fault_plan,
             dedup: (0..p).map(|_| RefCell::new(DedupState::new())).collect(),
             stash: (0..p).map(|_| RefCell::new(BTreeMap::new())).collect(),
             crashes_fired: RefCell::new(BTreeSet::new()),
-            injected: Cell::new(0),
-            retries: Cell::new(0),
+            obs: RefCell::new(TaskObs::new(rec, rank as u32)),
+            enclosing: Cell::new(UNSPANNED),
+            attempt: 0,
         })
         .collect();
 
@@ -930,7 +918,9 @@ where
             .map(|ctx| {
                 scope.spawn(move || {
                     let rank = ctx.rank;
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx)));
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        ctx.run_body(body, rec)
+                    }));
                     // ORDERING: Relaxed — monitoring-only state word.
                     shared_for_tasks.task_state[rank].store(STATE_DONE, Ordering::Relaxed);
                     if out.is_err() {
@@ -984,6 +974,14 @@ where
         reorders: ld(&shared.reorders),
         stashed: ld(&shared.stash_held),
     };
+    let stats: Vec<CommStats> = (0..p)
+        .map(|r| CommStats {
+            bytes_sent: ld(&shared.bytes_sent[r]),
+            messages_sent: ld(&shared.messages_sent[r]),
+            bytes_received: ld(&shared.bytes_received[r]),
+            messages_received: ld(&shared.messages_received[r]),
+        })
+        .collect();
 
     // Message conservation, generalized over the fault plane: every
     // logical send and every duplicate ghost was either consumed, is
@@ -991,72 +989,47 @@ where
     // `sent == received + queued` on a fault-free run. A failure here is
     // a channel/delivery-layer bug, never a user error, so it asserts
     // unconditionally.
-    #[cfg(not(loom))]
-    {
-        // ORDERING: Relaxed — sequential read after the join, as above.
-        let sent: u64 = (0..p)
-            .map(|r| shared.messages_sent[r].load(Ordering::Relaxed))
-            .sum();
-        // ORDERING: Relaxed — sequential read after the join, as above.
-        let received: u64 = (0..p)
-            .map(|r| shared.messages_received[r].load(Ordering::Relaxed))
-            .sum();
-        let queued: u64 = shared
-            .inbox_depth
-            .iter()
-            .flatten()
-            .map(|d| d.len() as u64)
-            .sum();
-        let stash_outstanding: u64 = ctxs
-            .iter()
-            .map(|c| c.stash.iter().map(|s| s.borrow().len() as u64).sum::<u64>())
-            .sum();
+    let sent: u64 = stats.iter().map(|s| s.messages_sent).sum();
+    let received: u64 = stats.iter().map(|s| s.messages_received).sum();
+    let queued: u64 = shared
+        .inbox_depth
+        .iter()
+        .flatten()
+        .map(|d| d.len() as u64)
+        .sum();
+    let stash_outstanding: u64 = ctxs
+        .iter()
+        .map(|c| c.stash.iter().map(|s| s.borrow().len() as u64).sum::<u64>())
+        .sum();
+    assert_eq!(
+        sent + faults.duplicates_sent,
+        received + faults.duplicates_discarded + queued + stash_outstanding,
+        "message conservation violated: {sent} sent + {} dup-pushed != {received} received \
+         + {} dup-discarded + {queued} queued + {stash_outstanding} stashed",
+        faults.duplicates_sent,
+        faults.duplicates_discarded,
+    );
+    // Every drop decision on a completed run was answered by a retry
+    // (the alternative is the retries-exhausted escalation, which
+    // unwinds before reaching this point).
+    assert_eq!(
+        faults.drops, faults.retries,
+        "delivery bookkeeping violated: {} drops != {} retries",
+        faults.drops, faults.retries,
+    );
+    // Byte conservation: once every inbox and stash drained, every
+    // sent byte was received exactly once — duplicate ghosts carry
+    // no payload, so the logical totals must match. (With messages
+    // still queued the byte totals legitimately differ — the depth
+    // probes count messages, not payload bytes.)
+    if queued == 0 && stash_outstanding == 0 {
+        let bytes_sent: u64 = stats.iter().map(|s| s.bytes_sent).sum();
+        let bytes_received: u64 = stats.iter().map(|s| s.bytes_received).sum();
         assert_eq!(
-            sent + faults.duplicates_sent,
-            received + faults.duplicates_discarded + queued + stash_outstanding,
-            "message conservation violated: {sent} sent + {} dup-pushed != {received} received \
-             + {} dup-discarded + {queued} queued + {stash_outstanding} stashed",
-            faults.duplicates_sent,
-            faults.duplicates_discarded,
+            bytes_sent, bytes_received,
+            "byte conservation violated: {bytes_sent} sent != {bytes_received} received"
         );
-        // Every drop decision on a completed run was answered by a retry
-        // (the alternative is the retries-exhausted escalation, which
-        // unwinds before reaching this point).
-        assert_eq!(
-            faults.drops, faults.retries,
-            "delivery bookkeeping violated: {} drops != {} retries",
-            faults.drops, faults.retries,
-        );
-        // Byte conservation: once every inbox and stash drained, every
-        // sent byte was received exactly once — duplicate ghosts carry
-        // no payload, so the logical totals must match. (With messages
-        // still queued the byte totals legitimately differ — the depth
-        // probes count messages, not payload bytes.)
-        if queued == 0 && stash_outstanding == 0 {
-            // ORDERING: Relaxed — sequential read after the join, as above.
-            let bytes_sent: u64 = (0..p)
-                .map(|r| shared.bytes_sent[r].load(Ordering::Relaxed))
-                .sum();
-            // ORDERING: Relaxed — sequential read after the join, as above.
-            let bytes_received: u64 = (0..p)
-                .map(|r| shared.bytes_received[r].load(Ordering::Relaxed))
-                .sum();
-            assert_eq!(
-                bytes_sent, bytes_received,
-                "byte conservation violated: {bytes_sent} sent != {bytes_received} received"
-            );
-        }
     }
-
-    let stats = (0..p)
-        .map(|r| CommStats {
-            // ORDERING: Relaxed — read after the scope join, as above.
-            bytes_sent: shared.bytes_sent[r].load(Ordering::Relaxed),
-            messages_sent: shared.messages_sent[r].load(Ordering::Relaxed),
-            bytes_received: shared.bytes_received[r].load(Ordering::Relaxed),
-            messages_received: shared.messages_received[r].load(Ordering::Relaxed),
-        })
-        .collect();
 
     ClusterResult {
         results,
@@ -1072,19 +1045,19 @@ where
 /// (e.g. that results are schedule-independent); the harness itself
 /// already enforces deadlock-freedom and message conservation on every
 /// run via the watchdog machinery above.
-pub fn explore_schedules<M, R, F>(
-    config: ClusterConfig,
+pub fn explore_schedules<'a, M, R, F>(
+    config: ClusterConfig<'a>,
     seeds: &[u64],
     body: F,
 ) -> Vec<ClusterResult<R>>
 where
     M: Payload,
     R: Send,
-    F: Fn(&mut TaskCtx<M>) -> R + Sync,
+    F: Fn(&mut TaskCtx<'a, M>) -> R + Sync,
 {
     seeds
         .iter()
-        .map(|&s| run_cluster_inner(config, s.max(1), None, &body))
+        .map(|&s| run_cluster_inner(config, s.max(1), &body))
         .collect()
 }
 
@@ -1240,44 +1213,48 @@ mod tests {
         assert_eq!(r.results, vec![0, 9]);
     }
 
-    #[cfg(not(loom))]
-    fn chaos_plan(seed: u64) -> crate::faults::FaultPlan {
+    /// A plan firing all four message faults often, with enough retries
+    /// that a run always completes.
+    fn chaos_plan(seed: u64) -> FaultPlan {
         use crate::faults::FaultKind;
-        crate::faults::FaultPlan::new(seed)
+        let mut plan = FaultPlan::new(seed)
             .with_rule(FaultKind::Drop, 150_000)
             .with_rule(FaultKind::Delay, 100_000)
             .with_rule(FaultKind::Duplicate, 150_000)
-            .with_rule(FaultKind::Reorder, 200_000)
+            .with_rule(FaultKind::Reorder, 200_000);
+        plan.delivery.max_retries = 64;
+        plan.delay_max_us = 50;
+        plan
+    }
+
+    /// Every rank sends 40 tagged messages to every peer and checks it
+    /// receives each peer's stream in order.
+    fn chaos_exchange(ctx: &mut TaskCtx<'_, Vec<u32>>) {
+        let p = ctx.size();
+        for i in 0..40u32 {
+            for to in 0..p {
+                if to != ctx.rank() {
+                    ctx.send(to, vec![ctx.rank() as u32, i]);
+                }
+            }
+        }
+        for from in 0..p {
+            if from == ctx.rank() {
+                continue;
+            }
+            for i in 0..40u32 {
+                let got = ctx.recv_from(from);
+                assert_eq!(got, vec![from as u32, i]);
+            }
+        }
     }
 
     #[test]
-    #[cfg(not(loom))]
     fn faulted_exchange_delivers_in_order_exactly_once() {
         for seed in [1u64, 2, 3, 42] {
-            let mut plan = chaos_plan(seed);
-            plan.delivery.max_retries = 64;
-            plan.delay_max_us = 50;
-            let r = run_cluster_faulted::<Vec<u32>, _, _>(ClusterConfig::new(3, 1), &plan, |ctx| {
-                // Every rank sends 40 tagged messages to every peer and
-                // checks it receives each peer's stream in order.
-                let p = ctx.size();
-                for i in 0..40u32 {
-                    for to in 0..p {
-                        if to != ctx.rank() {
-                            ctx.send(to, vec![ctx.rank() as u32, i]);
-                        }
-                    }
-                }
-                for from in 0..p {
-                    if from == ctx.rank() {
-                        continue;
-                    }
-                    for i in 0..40u32 {
-                        let got = ctx.recv_from(from);
-                        assert_eq!(got, vec![from as u32, i]);
-                    }
-                }
-            });
+            let plan = chaos_plan(seed);
+            let config = ClusterConfig::new(3, 1).with_fault_plan(&plan);
+            let r = run_cluster(config, chaos_exchange);
             // The plan's probabilities make at least some injection all
             // but certain over 240 messages; the real guarantees (order,
             // exactly-once, conservation) asserted above and by the
@@ -1292,21 +1269,38 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(loom))]
+    fn faulted_exchange_is_exact_under_every_schedule_jitter() {
+        // Fault plane and schedule jitter together: the chaos exchange
+        // still delivers in order, exactly once, under every seed.
+        let plan = chaos_plan(7);
+        let config = ClusterConfig::new(3, 1).with_fault_plan(&plan);
+        let runs = explore_schedules(config, &[1, 2, 3, 4, 5, 6], chaos_exchange);
+        assert_eq!(runs.len(), 6);
+        for r in &runs {
+            assert_eq!(r.faults.drops, r.faults.retries);
+            assert!(
+                r.faults.drops + r.faults.duplicates_sent > 0,
+                "no faults fired"
+            );
+        }
+    }
+
+    #[test]
     fn duplicates_are_discarded_idempotently() {
-        use crate::faults::{FaultKind, FaultPlan};
+        use crate::faults::FaultKind;
         // Every message duplicated; every duplicate must be discarded.
         let plan = FaultPlan::new(5).with_rule(FaultKind::Duplicate, crate::faults::PPM);
-        let r = run_cluster_faulted::<Vec<u32>, _, _>(ClusterConfig::new(2, 1), &plan, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..20u32 {
-                    ctx.send(1, vec![i]);
+        let r =
+            run_cluster::<Vec<u32>, _, _>(ClusterConfig::new(2, 1).with_fault_plan(&plan), |ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..20u32 {
+                        ctx.send(1, vec![i]);
+                    }
+                    Vec::new()
+                } else {
+                    (0..20).map(|_| ctx.recv_from(0)[0]).collect()
                 }
-                Vec::new()
-            } else {
-                (0..20).map(|_| ctx.recv_from(0)[0]).collect()
-            }
-        });
+            });
         assert_eq!(r.results[1], (0..20).collect::<Vec<_>>());
         assert_eq!(r.faults.duplicates_sent, 20);
         // The ghost behind the 20th envelope is never popped (the
@@ -1318,15 +1312,14 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(loom))]
     #[should_panic(expected = "FAULT REPORT")]
     fn retry_exhaustion_escalates_a_structured_report() {
-        use crate::faults::{FaultKind, FaultPlan};
+        use crate::faults::FaultKind;
         let mut plan = FaultPlan::new(1).with_rule(FaultKind::Drop, crate::faults::PPM);
         plan.delivery.max_retries = 3;
         plan.delivery.backoff_base_us = 1;
         plan.delivery.backoff_cap_us = 10;
-        run_cluster_faulted::<Vec<u8>, _, _>(ClusterConfig::new(2, 1), &plan, |ctx| {
+        run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(2, 1).with_fault_plan(&plan), |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, vec![1]);
             } else {
@@ -1336,7 +1329,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(loom))]
     #[should_panic(expected = "STALL")]
     fn stalled_task_trips_the_configured_watchdog() {
         // Rank 0 wedges (no channel progress) for far longer than the
@@ -1388,5 +1380,60 @@ mod tests {
         for run in &all {
             assert_eq!(run.results, vec![2, 0, 1]);
         }
+    }
+
+    #[test]
+    fn injected_crashes_restart_the_body_and_are_counted() {
+        use metaprep_obs::{Event, MemRecorder};
+        // Rank 1 crashes at Pass(0) once: the supervisor runs its body a
+        // second time (attempt 1), which runs through the fired boundary.
+        // The span from before the crash stays in the trace, and the
+        // crash shows up as one injected fault and one restart.
+        let plan = FaultPlan::new(3).with_crash(1, Boundary::Pass(0));
+        let rec = MemRecorder::new(2);
+        let config = ClusterConfig::new(2, 1)
+            .with_recorder(&rec)
+            .with_fault_plan(&plan);
+        let r = run_cluster::<Vec<u8>, _, _>(config, |ctx| {
+            ctx.span("work", None, None, || ctx.maybe_crash(Boundary::Pass(0)));
+            ctx.attempt()
+        });
+        assert_eq!(r.results, vec![0, 1]);
+        let events = rec.into_events();
+        let counter = |task, kind| {
+            events.iter().any(|e| {
+                *e == Event::Counter {
+                    task,
+                    kind,
+                    value: 1,
+                }
+            })
+        };
+        assert!(counter(1, CounterKind::TaskRestarts));
+        assert!(counter(1, CounterKind::FaultsInjected));
+        assert!(!counter(0, CounterKind::TaskRestarts));
+        let work_spans = |task: u32| {
+            events
+                .iter()
+                .filter(|e| matches!(e, Event::Span { task: t, name, .. } if *t == task && name == "work"))
+                .count()
+        };
+        // Rank 1's crashed attempt unwound out of its span before closing
+        // it; the restarted attempt's span is the one recorded.
+        assert_eq!((work_spans(0), work_spans(1)), (1, 1));
+    }
+
+    #[test]
+    fn crashes_past_the_plan_budget_are_not_swallowed() {
+        // A crash the plan did not declare leaves the supervisor no
+        // restart budget: the payload propagates out of the run intact.
+        let caught = std::panic::catch_unwind(|| {
+            run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(1, 1), |_| {
+                let at = Boundary::Pass(0);
+                std::panic::panic_any(InjectedCrash { rank: 0, at })
+            })
+        })
+        .unwrap_err();
+        assert!(caught.downcast_ref::<InjectedCrash>().is_some());
     }
 }

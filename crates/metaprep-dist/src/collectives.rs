@@ -2,89 +2,53 @@
 //!
 //! [`alltoall`] is the paper's custom all-to-all (§3.3): `P` stages, where
 //! in stage `i` task `p` sends its buffer for task `(p + i) mod P` and
-//! receives from `(p - i) mod P`. Stage 0 is the local "self-send" (no
-//! message). The staged schedule avoids the many-to-one hot spot of a
-//! naive simultaneous exchange — `bench_alltoall` measures the difference.
+//! receives from `(p - i) mod P` ([`stage_peers`]). Stage 0 is the local
+//! "self-send" (no message). The staged schedule avoids the many-to-one
+//! hot spot of a naive simultaneous exchange — `bench_alltoall` measures
+//! the difference.
+//!
+//! Every message goes through [`TaskCtx::send`] / [`TaskCtx::recv_from`],
+//! so it is byte-accounted, Lamport-stamped and tagged with the caller's
+//! enclosing [`TaskCtx::span`].
 
 use crate::cluster::TaskCtx;
-use crate::Payload;
-use metaprep_obs::{event::ALLTOALL_STAGE, TaskObs};
-
-/// Peers of task `rank` in stage `stage` of the staged all-to-all:
-/// `(to, from)` where this task sends to `(rank + stage) mod P` and
-/// receives from `(rank - stage) mod P`.
-///
-/// Factored out so the loom model test (`tests/loom.rs`) explores the
-/// exact schedule [`alltoall`] executes, not a reimplementation.
-pub fn stage_peers(rank: usize, p: usize, stage: usize) -> (usize, usize) {
-    debug_assert!(rank < p && stage < p);
-    ((rank + stage) % p, (rank + p - stage) % p)
-}
+use crate::{stage_peers, Payload};
+use metaprep_obs::event::ALLTOALL_STAGE;
 
 /// Custom P-stage all-to-all. `outgoing[q]` is this task's buffer destined
 /// for task `q`; returns `incoming` where `incoming[q]` came from task `q`.
 ///
+/// When the recorder keeps events, each of the `P-1` communicating stages
+/// becomes an [`ALLTOALL_STAGE`] sub-span (`pass` = the enclosing span's,
+/// `detail` = stage index); the sub-spans do not retag the messages.
+/// Byte/message counts are the cluster's [`crate::CommStats`], not spans.
+///
 /// Must be called collectively (by every task, with `outgoing.len() == P`).
-pub fn alltoall<M: Payload>(ctx: &TaskCtx<M>, outgoing: Vec<M>) -> Vec<M> {
-    alltoall_inner(ctx, outgoing, None, None, "alltoall")
-}
-
-/// [`alltoall`] with telemetry: when the recorder is enabled, each of the
-/// `P-1` communicating stages becomes an [`ALLTOALL_STAGE`] sub-span
-/// (`detail` = stage index), and every message becomes a send/recv edge
-/// pair tagged `edge_stage` (round = `pass`) carrying the sender's
-/// Lamport clock. Byte/message counters are *not* recorded here — the
-/// cluster's own [`crate::CommStats`] accounting (which also covers merge
-/// rounds and broadcasts) is the single source of truth for communication
-/// volume, and the pipeline surfaces it as counters after the run.
-pub fn alltoall_obs<M: Payload>(
-    ctx: &TaskCtx<M>,
-    outgoing: Vec<M>,
-    obs: &mut TaskObs<'_>,
-    pass: Option<u32>,
-    edge_stage: &'static str,
-) -> Vec<M> {
-    alltoall_inner(ctx, outgoing, Some(obs), pass, edge_stage)
-}
-
-fn alltoall_inner<M: Payload>(
-    ctx: &TaskCtx<M>,
-    mut outgoing: Vec<M>,
-    mut obs: Option<&mut TaskObs<'_>>,
-    pass: Option<u32>,
-    edge_stage: &'static str,
-) -> Vec<M> {
+pub fn alltoall<M: Payload>(ctx: &TaskCtx<'_, M>, outgoing: Vec<M>) -> Vec<M> {
     let p = ctx.size();
     assert_eq!(outgoing.len(), p, "alltoall requires one buffer per task");
     let rank = ctx.rank();
 
     // Collect into Option slots so buffers can be moved out one by one.
-    let mut out: Vec<Option<M>> = outgoing.drain(..).map(Some).collect();
+    let mut out: Vec<Option<M>> = outgoing.into_iter().map(Some).collect();
     let mut incoming: Vec<Option<M>> = (0..p).map(|_| None).collect();
 
     // Stage 0: keep own buffer.
     incoming[rank] = out[rank].take();
 
+    let sub_spans = ctx.obs().export_enabled();
     for stage in 1..p {
         let (to, from) = stage_peers(rank, p, stage);
         // EXPECT: `stage_peers` visits each destination exactly once per round, so the slot is still `Some`.
         let buf = out[to].take().expect("buffer already sent");
-        let received = match obs.as_deref_mut() {
-            Some(o) => {
-                let open = o.export_enabled().then(|| o.open());
-                ctx.send_traced(to, buf, o, edge_stage, pass);
-                let received = ctx.recv_from_traced(from, o, edge_stage, pass);
-                if let Some(open) = open {
-                    o.close_detail(open, ALLTOALL_STAGE, pass, Some(stage as u32));
-                }
-                received
-            }
-            None => {
-                ctx.send(to, buf);
-                ctx.recv_from(from)
-            }
-        };
-        incoming[from] = Some(received);
+        let open = sub_spans.then(|| ctx.obs().open());
+        ctx.send(to, buf);
+        incoming[from] = Some(ctx.recv_from(from));
+        if let Some(open) = open {
+            let pass = ctx.enclosing_pass();
+            ctx.obs()
+                .close_detail(open, ALLTOALL_STAGE, pass, Some(stage as u32));
+        }
     }
 
     incoming
@@ -97,11 +61,11 @@ fn alltoall_inner<M: Payload>(
 /// Naive all-to-all: every task fires all its sends immediately, then
 /// drains its inbox. Kept as the ablation baseline for the staged schedule
 /// (all `P-1` messages per task land at once instead of one per stage).
-pub fn alltoall_naive<M: Payload>(ctx: &TaskCtx<M>, mut outgoing: Vec<M>) -> Vec<M> {
+pub fn alltoall_naive<M: Payload>(ctx: &TaskCtx<'_, M>, outgoing: Vec<M>) -> Vec<M> {
     let p = ctx.size();
     assert_eq!(outgoing.len(), p, "alltoall requires one buffer per task");
     let rank = ctx.rank();
-    let mut out: Vec<Option<M>> = outgoing.drain(..).map(Some).collect();
+    let mut out: Vec<Option<M>> = outgoing.into_iter().map(Some).collect();
     let mut incoming: Vec<Option<M>> = (0..p).map(|_| None).collect();
     incoming[rank] = out[rank].take();
     for (to, buf) in out.iter_mut().enumerate() {
@@ -124,33 +88,26 @@ pub fn alltoall_naive<M: Payload>(ctx: &TaskCtx<M>, mut outgoing: Vec<M>) -> Vec
 
 /// Broadcast `msg` from `root` to all tasks; every task returns its copy.
 /// `msg` is only inspected on the root (others pass `None`). Every
-/// root→peer copy becomes a send/recv edge pair tagged `stage` so the
-/// fan-out shows up in the happens-before DAG (and as flow arrows in the
-/// Chrome export).
-pub fn broadcast<M: Payload + Clone>(
-    ctx: &TaskCtx<M>,
-    root: usize,
-    msg: Option<M>,
-    obs: &mut TaskObs<'_>,
-    stage: &'static str,
-) -> M {
+/// root→peer copy is a send/recv edge pair, so the fan-out shows up in
+/// the happens-before DAG (and as flow arrows in the Chrome export).
+pub fn broadcast<M: Payload + Clone>(ctx: &TaskCtx<'_, M>, root: usize, msg: Option<M>) -> M {
     if ctx.rank() == root {
         // EXPECT: documented contract — the root caller passes `Some`; non-root `msg` is never read.
         let m = msg.expect("root must provide the message");
         for to in 0..ctx.size() {
             if to != root {
-                ctx.send_traced(to, m.clone(), obs, stage, None);
+                ctx.send(to, m.clone());
             }
         }
         m
     } else {
-        ctx.recv_from_traced(root, obs, stage, None)
+        ctx.recv_from(root)
     }
 }
 
 /// Gather every task's `msg` at `root`; returns `Some(all)` (rank-indexed)
 /// on the root and `None` elsewhere.
-pub fn gather<M: Payload>(ctx: &TaskCtx<M>, root: usize, msg: M) -> Option<Vec<M>> {
+pub fn gather<M: Payload>(ctx: &TaskCtx<'_, M>, root: usize, msg: M) -> Option<Vec<M>> {
     if ctx.rank() == root {
         let mut all: Vec<Option<M>> = (0..ctx.size()).map(|_| None).collect();
         all[root] = Some(msg);
@@ -170,7 +127,9 @@ pub fn gather<M: Payload>(ctx: &TaskCtx<M>, root: usize, msg: M) -> Option<Vec<M
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{run_cluster, ClusterConfig};
+    use crate::cluster::{run_cluster, ClusterConfig, ClusterResult};
+    use crate::faults::FaultPlan;
+    use metaprep_obs::{EdgeDir, Event, MemRecorder};
 
     #[test]
     fn alltoall_exchanges_correctly() {
@@ -225,19 +184,23 @@ mod tests {
         }
     }
 
+    /// A staged all-to-all of 8-word buffers inside a `KmerGen-Comm`
+    /// span of pass `pass`, recorded into `rec`.
+    fn traced_alltoall(rec: &MemRecorder, p: usize, pass: u32) -> ClusterResult<usize> {
+        let config = ClusterConfig::new(p, 1).with_recorder(rec);
+        run_cluster::<Vec<u64>, _, _>(config, |ctx| {
+            let outgoing: Vec<Vec<u64>> = (0..ctx.size()).map(|_| vec![0u64; 8]).collect();
+            ctx.span("KmerGen-Comm", Some(pass), None, || {
+                alltoall(ctx, outgoing).len()
+            })
+        })
+    }
+
     #[test]
-    fn alltoall_obs_records_stage_spans_and_receive_bytes() {
-        use metaprep_obs::{Event, MemRecorder};
+    fn alltoall_records_stage_spans_and_receive_bytes() {
         let p = 4usize;
         let rec = MemRecorder::new(p);
-        let rec_ref: &MemRecorder = &rec;
-        let r = run_cluster::<Vec<u64>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
-            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
-            let outgoing: Vec<Vec<u64>> = (0..ctx.size()).map(|_| vec![0u64; 8]).collect();
-            let incoming = alltoall_obs(ctx, outgoing, &mut obs, Some(0), "KmerGen-Comm");
-            obs.finish();
-            incoming.len()
-        });
+        let r = traced_alltoall(&rec, p, 0);
         for (rank, &n) in r.results.iter().enumerate() {
             assert_eq!(n, p);
             // 3 remote buffers of 64 bytes each land on every task —
@@ -247,25 +210,21 @@ mod tests {
         let events = rec.into_events();
         let stage_spans = events
             .iter()
-            .filter(|e| matches!(e, Event::Span { name, .. } if name == ALLTOALL_STAGE))
+            .filter(
+                |e| matches!(e, Event::Span { name, pass: Some(0), .. } if name == ALLTOALL_STAGE),
+            )
             .count();
         assert_eq!(stage_spans, p * (p - 1));
     }
 
     #[test]
-    fn alltoall_obs_noop_records_no_spans() {
-        use metaprep_obs::NoopRecorder;
-        let rec = NoopRecorder::new();
-        let rec_ref: &NoopRecorder = &rec;
-        let r = run_cluster::<Vec<u32>, _, _>(ClusterConfig::new(3, 1), move |ctx| {
-            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
+    fn alltoall_under_the_default_recorder_records_no_spans() {
+        let r = run_cluster::<Vec<u32>, _, _>(ClusterConfig::new(3, 1), |ctx| {
             let outgoing: Vec<Vec<u32>> = (0..ctx.size())
                 .map(|q| vec![ctx.rank() as u32 * 100 + q as u32])
                 .collect();
-            let incoming = alltoall_obs(ctx, outgoing, &mut obs, None, "KmerGen-Comm");
-            let n_spans = obs.spans().len();
-            obs.finish();
-            (incoming, n_spans)
+            let incoming = alltoall(ctx, outgoing);
+            (incoming, ctx.obs().spans().len())
         });
         for (rank, (incoming, n_spans)) in r.results.iter().enumerate() {
             assert_eq!(*n_spans, 0, "no sub-spans when disabled");
@@ -276,18 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_obs_edges_are_matched_and_causal() {
-        use metaprep_obs::{EdgeDir, Event, MemRecorder};
+    fn alltoall_edges_are_matched_and_causal() {
         use std::collections::BTreeMap;
         let p = 4usize;
         let rec = MemRecorder::new(p);
-        let rec_ref: &MemRecorder = &rec;
-        run_cluster::<Vec<u64>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
-            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
-            let outgoing: Vec<Vec<u64>> = (0..ctx.size()).map(|_| vec![0u64; 8]).collect();
-            alltoall_obs(ctx, outgoing, &mut obs, Some(1), "KmerGen-Comm");
-            obs.finish();
-        });
+        traced_alltoall(&rec, p, 1);
         // Every send has exactly one matching recv on the same
         // (src, dst, seq) channel slot, with a strictly greater Lamport
         // stamp; bytes agree on both endpoints.
@@ -333,61 +285,121 @@ mod tests {
     }
 
     #[test]
+    fn edges_take_their_tag_from_the_enclosing_span() {
+        // Three rules: (1) inside `ctx.span(n, p, d, ..)` an edge carries
+        // `(n, p.or(d))`; (2) alltoall's stage sub-spans do not retag it;
+        // (3) outside every span it carries stage "unspanned", round None.
+        let rec = MemRecorder::new(2);
+        let config = ClusterConfig::new(2, 1).with_recorder(&rec);
+        run_cluster::<Vec<u8>, _, _>(config, |ctx| {
+            let peer = 1 - ctx.rank();
+            ctx.span("Merge-Comm", None, Some(3), || {
+                ctx.send(peer, vec![1]);
+                ctx.recv_from(peer);
+            });
+            ctx.span("KmerGen-Comm", Some(2), Some(9), || {
+                alltoall(ctx, vec![vec![2], vec![2]]);
+                ctx.span("inner", None, None, || {
+                    ctx.send(peer, vec![3]);
+                    ctx.recv_from(peer);
+                });
+            });
+            ctx.send(peer, vec![4]);
+            ctx.recv_from(peer);
+        });
+        let mut tags: Vec<(u64, String, Option<u32>)> = rec
+            .into_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Edge {
+                    dir: EdgeDir::Send,
+                    src: 0,
+                    seq,
+                    stage,
+                    round,
+                    ..
+                } => Some((seq, stage, round)),
+                _ => None,
+            })
+            .collect();
+        tags.sort();
+        let want = [
+            ("Merge-Comm", Some(3)),
+            ("KmerGen-Comm", Some(2)),
+            ("inner", None),
+            ("unspanned", None),
+        ];
+        let got: Vec<(&str, Option<u32>)> = tags.iter().map(|(_, s, r)| (s.as_str(), *r)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn an_inert_fault_plan_changes_nothing() {
+        // A plan with no rules and no crashes runs through the fault
+        // plane's code path but must be indistinguishable from no plan:
+        // same results, same CommStats, same edge stream (timestamps
+        // aside).
+        let run = |plan: Option<&FaultPlan>| {
+            let rec = MemRecorder::new(3);
+            let mut config = ClusterConfig::new(3, 1).with_recorder(&rec);
+            if let Some(plan) = plan {
+                config = config.with_fault_plan(plan);
+            }
+            let r = run_cluster::<Vec<u32>, _, _>(config, |ctx| {
+                let outgoing = (0..3).map(|q| vec![ctx.rank() as u32; q + 1]).collect();
+                let got = ctx.span("KmerGen-Comm", Some(0), None, || alltoall(ctx, outgoing));
+                let root = (ctx.rank() == 0).then(|| vec![7u32; 5]);
+                let labels = ctx.span("CC-I/O", None, None, || broadcast(ctx, 0, root));
+                (got, labels)
+            });
+            // The edge stream, wall-clock stamps zeroed.
+            let mut edges: Vec<Event> = rec
+                .into_events()
+                .into_iter()
+                .filter_map(|mut e| match &mut e {
+                    Event::Edge { at_ns, .. } => {
+                        *at_ns = 0;
+                        Some(e)
+                    }
+                    _ => None,
+                })
+                .collect();
+            edges.sort_by_key(|e| format!("{e:?}"));
+            (r.results, r.stats, edges)
+        };
+        let plan = FaultPlan::new(99);
+        assert!(plan.is_inert());
+        assert_eq!(run(Some(&plan)), run(None));
+    }
+
+    #[test]
     fn broadcast_reaches_everyone() {
-        use metaprep_obs::NoopRecorder;
-        let rec = NoopRecorder::new();
-        let rec_ref: &NoopRecorder = &rec;
-        let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(4, 1), move |ctx| {
-            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
+        let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(4, 1), |ctx| {
             let msg = (ctx.rank() == 2).then(|| vec![7u8, 8, 9]);
-            broadcast(ctx, 2, msg, &mut obs, "CC-I/O")
+            broadcast(ctx, 2, msg)
         });
         assert!(r.results.iter().all(|m| m == &vec![7u8, 8, 9]));
     }
 
     #[test]
     fn broadcast_traces_root_fanout() {
-        use metaprep_obs::{EdgeDir, Event, MemRecorder};
         let p = 4usize;
         let rec = MemRecorder::new(p);
-        let rec_ref: &MemRecorder = &rec;
-        let r = run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
-            let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
+        let config = ClusterConfig::new(p, 1).with_recorder(&rec);
+        let r = run_cluster::<Vec<u8>, _, _>(config, |ctx| {
             let msg = (ctx.rank() == 0).then(|| vec![5u8; 16]);
-            let got = broadcast(ctx, 0, msg, &mut obs, "CC-I/O");
-            obs.finish();
-            got
+            broadcast(ctx, 0, msg)
         });
         assert!(r.results.iter().all(|m| m == &vec![5u8; 16]));
         let events = rec.into_events();
-        let sends = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::Edge {
-                        dir: EdgeDir::Send,
-                        src: 0,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let recvs = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Event::Edge {
-                        dir: EdgeDir::Recv,
-                        src: 0,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(sends, p - 1);
-        assert_eq!(recvs, p - 1);
+        let count = |want: EdgeDir| {
+            events
+                .iter()
+                .filter(|e| matches!(e, Event::Edge { dir, src: 0, .. } if *dir == want))
+                .count()
+        };
+        assert_eq!(count(EdgeDir::Send), p - 1);
+        assert_eq!(count(EdgeDir::Recv), p - 1);
     }
 
     #[test]

@@ -194,17 +194,6 @@ impl std::fmt::Display for FaultReport {
     }
 }
 
-/// Per-task tally of injected faults and delivery retries, surfaced to
-/// the observability layer so faulted traces show their fault load.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultTally {
-    /// Fault injections that fired on this rank (drops, delays,
-    /// duplicates, reorders, crashes).
-    pub injected: u64,
-    /// Delivery retry attempts this rank made after dropped sends.
-    pub retries: u64,
-}
-
 /// A complete, self-describing fault schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPlan {

@@ -17,28 +17,50 @@
 //!   apply here, but the staged structure is what the paper measures;
 //! * each task owns a rayon thread pool of `T` threads for its OpenMP-style
 //!   intra-task parallelism.
+//!
+//! One path per operation: [`run_cluster`] runs every rank under one
+//! [`ClusterConfig`] (recorder + fault plan) and supervises injected
+//! crashes; each rank's `TaskObs` lives in its [`TaskCtx`], so `send`,
+//! `recv_from`, [`alltoall`] and [`broadcast`] take no observer or stage
+//! argument. Under `--cfg loom` only [`sync`], [`stage_peers`] and
+//! [`DedupState`] are built — what `tests/loom.rs` models.
 
+#[cfg(not(loom))]
 pub mod cluster;
+#[cfg(not(loom))]
 pub mod collectives;
 pub mod delivery;
 pub mod faults;
 pub mod netmodel;
 pub mod stats;
-pub mod supervisor;
+#[cfg(not(loom))]
+mod supervisor;
 pub mod sync;
 
-pub use cluster::{explore_schedules, run_cluster, ClusterConfig, ClusterResult, TaskCtx};
 #[cfg(not(loom))]
-pub use cluster::{run_cluster_faulted, FaultStats};
-pub use collectives::{alltoall, alltoall_naive, alltoall_obs, broadcast, gather, stage_peers};
+pub use cluster::{
+    explore_schedules, run_cluster, ClusterConfig, ClusterResult, FaultStats, TaskCtx,
+};
+#[cfg(not(loom))]
+pub use collectives::{alltoall, alltoall_naive, broadcast, gather};
 pub use delivery::{DedupState, DeliveryPolicy, Offer};
 pub use faults::{
-    Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, FaultTally,
-    InjectedCrash, SendDecision,
+    Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, InjectedCrash,
+    SendDecision,
 };
 pub use netmodel::NetworkModel;
 pub use stats::{check_conservation, CommStats};
-pub use supervisor::run_supervised;
+
+/// Peers of task `rank` in stage `stage` of the staged all-to-all:
+/// `(to, from)` where this task sends to `(rank + stage) mod P` and
+/// receives from `(rank - stage) mod P`.
+///
+/// Built under `--cfg loom` too, so `tests/loom.rs` explores the exact
+/// schedule `alltoall` executes, not a reimplementation.
+pub fn stage_peers(rank: usize, p: usize, stage: usize) -> (usize, usize) {
+    debug_assert!(rank < p && stage < p);
+    ((rank + stage) % p, (rank + p - stage) % p)
+}
 
 /// Payload types that can be sent between tasks with byte accounting.
 pub trait Payload: Send + 'static {

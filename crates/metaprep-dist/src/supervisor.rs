@@ -1,4 +1,5 @@
-//! Same-thread supervision of injected task crashes.
+//! Same-thread supervision of injected task crashes, run by the cluster
+//! around every rank's body (`TaskCtx::run_body`).
 //!
 //! A crashed rank must not tear down its channels: peers may already
 //! hold envelopes addressed to it, and the conservation accounting
@@ -22,7 +23,7 @@ use crate::faults::InjectedCrash;
 /// is expected to resume from its latest checkpoint. Returns the
 /// result and the number of restarts taken. Exceeding `max_restarts`
 /// re-raises the crash; any non-injected panic re-raises immediately.
-pub fn run_supervised<R>(max_restarts: u32, mut attempt: impl FnMut(u32) -> R) -> (R, u32) {
+pub(crate) fn run_supervised<R>(max_restarts: u32, mut attempt: impl FnMut(u32) -> R) -> (R, u32) {
     let mut restarts = 0u32;
     loop {
         // EXPECT: an InjectedCrash panic is a planned fault, not a bug —
@@ -41,7 +42,7 @@ pub fn run_supervised<R>(max_restarts: u32, mut attempt: impl FnMut(u32) -> R) -
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::Boundary;

@@ -6,7 +6,7 @@
 //! equality, not statistical agreement.
 
 use metaprep_dist::{
-    run_cluster_faulted, ClusterConfig, FaultKind, FaultPlan, FaultRule, FaultScope, SendDecision,
+    run_cluster, ClusterConfig, FaultKind, FaultPlan, FaultRule, FaultScope, SendDecision,
 };
 use proptest::prelude::*;
 
@@ -122,7 +122,8 @@ fn faulted_cluster_runs_replay_identically() {
     plan.delivery.max_retries = 64;
     plan.delay_max_us = 30;
     let run = |plan: &FaultPlan| {
-        run_cluster_faulted::<Vec<u32>, _, _>(ClusterConfig::new(3, 1), plan, |ctx| {
+        let config = ClusterConfig::new(3, 1).with_fault_plan(plan);
+        run_cluster::<Vec<u32>, _, _>(config, |ctx| {
             let p = ctx.size();
             for i in 0..30u32 {
                 for to in 0..p {

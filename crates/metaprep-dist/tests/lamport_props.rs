@@ -7,9 +7,9 @@
 //! proptest choosing the cluster size, the number of rounds, the payload
 //! shapes, and the broadcast roots.
 
-use metaprep_dist::collectives::{alltoall_obs, broadcast};
+use metaprep_dist::collectives::{alltoall, broadcast};
 use metaprep_dist::{run_cluster, ClusterConfig};
-use metaprep_obs::{EdgeDir, Event, MemRecorder, TaskObs, TraceAnalysis};
+use metaprep_obs::{EdgeDir, Event, MemRecorder, TraceAnalysis};
 use proptest::prelude::*;
 
 /// One traced collective step, executed by every rank.
@@ -35,25 +35,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// event stream.
 fn run_script(p: usize, ops: &[Op]) -> Vec<Event> {
     let rec = MemRecorder::new(p);
-    let rec_ref: &MemRecorder = &rec;
-    run_cluster::<Vec<u64>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
-        let mut obs = TaskObs::new(rec_ref, ctx.rank() as u32);
+    let config = ClusterConfig::new(p, 1).with_recorder(&rec);
+    run_cluster::<Vec<u64>, _, _>(config, |ctx| {
         for (round, op) in ops.iter().enumerate() {
             match *op {
                 Op::Alltoall { base } => {
                     let outgoing: Vec<Vec<u64>> = (0..ctx.size())
                         .map(|q| vec![round as u64; base + q])
                         .collect();
-                    alltoall_obs(ctx, outgoing, &mut obs, Some(round as u32), "KmerGen-Comm");
+                    ctx.span("KmerGen-Comm", Some(round as u32), None, || {
+                        alltoall(ctx, outgoing)
+                    });
                 }
                 Op::Broadcast { root, len } => {
                     let root = root % ctx.size();
                     let msg = (ctx.rank() == root).then(|| vec![round as u64; len]);
-                    broadcast(ctx, root, msg, &mut obs, "CC-I/O");
+                    ctx.span("CC-I/O", None, None, || broadcast(ctx, root, msg));
                 }
             }
         }
-        obs.finish();
     });
     rec.into_events()
 }

@@ -6,9 +6,10 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p metaprep-dist --test loom
 //! ```
 //!
-//! The full `run_cluster` harness (scoped threads + rayon pools +
-//! wall-clock watchdog) is not modeled; what IS modeled is the part
-//! where the concurrency lives: the per-pair channel matrix and the
+//! The `run_cluster` harness (scoped threads + rayon pools + wall-clock
+//! watchdog) is not built under `--cfg loom` at all; what IS modeled is
+//! the part where the concurrency lives: the per-pair channel matrix, the
+//! receive-side `DedupState` protocol, and the
 //! staged send/recv schedule from [`metaprep_dist::stage_peers`] —
 //! the exact peer arithmetic `collectives::alltoall` executes. Under
 //! `--cfg loom`, `metaprep_dist::sync::channel` re-exports the modeled
@@ -193,8 +194,8 @@ fn alltoall_three_tasks_all_interleavings() {
 /// plus a late retransmit of an old seq) races a receiver running the
 /// `DedupState` classify loop. For EVERY interleaving of sends and
 /// receives the receiver must deliver each logical message exactly
-/// once, in seq order — the idempotence contract `run_cluster_faulted`
-/// relies on when a duplicate ghost lands next to its envelope.
+/// once, in seq order — the idempotence contract `run_cluster` relies on
+/// under a fault plan when a duplicate ghost lands next to its envelope.
 #[test]
 fn dedup_delivers_exactly_once_under_all_interleavings() {
     use metaprep_dist::{DedupState, Offer};

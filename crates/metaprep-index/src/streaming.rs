@@ -119,10 +119,7 @@ fn offset_record(e: FastqError, by: u64) -> FastqError {
 }
 
 fn fit_u32(v: u64, what: &str) -> Result<u32, FastqError> {
-    u32::try_from(v).map_err(|_| FastqError::Malformed {
-        record: usize::MAX,
-        what: format!("{what} {v} exceeds the u32 id space"),
-    })
+    u32::try_from(v).map_err(|_| FastqError::Limit(format!("{what} {v} exceeds the u32 id space")))
 }
 
 /// Assemble the final tables from per-chunk `(spec, hist)` rows: the global
@@ -138,9 +135,8 @@ fn assemble(
     let mut total_seqs = 0u64;
     for (spec, hist) in rows {
         for (bin, (g, &h)) in global.iter_mut().zip(&hist).enumerate() {
-            *g = g.checked_add(h).ok_or_else(|| FastqError::Malformed {
-                record: usize::MAX,
-                what: format!("m-mer bin {bin} exceeds the u32 count space"),
+            *g = g.checked_add(h).ok_or_else(|| {
+                FastqError::Limit(format!("m-mer bin {bin} exceeds the u32 count space"))
             })?;
         }
         total_seqs += spec.seqs as u64;
@@ -679,11 +675,14 @@ mod tests {
         let (merhist, ..) = assemble(space, vec![row(u32::MAX - 1), row(1)]).unwrap();
         assert_eq!(merhist.counts(), [u32::MAX, 0, 14, 0]);
         let err = assemble(space, vec![row(u32::MAX), row(1)]).unwrap_err();
+        assert!(matches!(err, FastqError::Limit(_)), "{err:?}");
         let err = err.to_string();
         assert!(
             err.contains("m-mer bin 0 exceeds the u32 count space"),
             "{err}"
         );
+        // A limit is not a malformed record: the message names none.
+        assert!(!err.contains("record"), "{err}");
     }
 
     #[test]

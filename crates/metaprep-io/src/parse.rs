@@ -30,6 +30,10 @@ pub enum FastqError {
     Io(io::Error),
     /// Structural problem, with the 1-based record index and a description.
     Malformed { record: usize, what: String },
+    /// Well-formed input past a pipeline limit (a count that overflows the
+    /// 32-bit id or count space). No single record is at fault, so none is
+    /// named.
+    Limit(String),
 }
 
 impl fmt::Display for FastqError {
@@ -39,6 +43,7 @@ impl fmt::Display for FastqError {
             FastqError::Malformed { record, what } => {
                 write!(f, "malformed FASTQ at record {record}: {what}")
             }
+            FastqError::Limit(what) => write!(f, "input exceeds a pipeline limit: {what}"),
         }
     }
 }

@@ -23,6 +23,7 @@ fn outcome<T>(r: Result<T, FastqError>) -> Result<T, usize> {
     r.map_err(|e| match e {
         FastqError::Malformed { record, .. } => record,
         FastqError::Io(e) => panic!("slices cannot fail to read: {e}"),
+        FastqError::Limit(what) => panic!("record readers hit no pipeline limit: {what}"),
     })
 }
 

@@ -21,7 +21,10 @@
 //!   rankings, per-rank Gantt rows, and a bytes-over-time timeline
 //!   against the modeled memory footprint.
 
-use crate::event::{CounterKind, EdgeDir, Event, INDEX_CREATE, STEP_NAMES};
+use crate::event::{
+    step_label, CounterKind, EdgeDir, Event, CPU_SUMMED_NOTE, CPU_SUMMED_STEPS, INDEX_CREATE,
+    STEP_NAMES,
+};
 use crate::report::five_number;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -921,12 +924,18 @@ impl TraceAnalysis {
                     out,
                     "{:<14} {:>10.4} {:>10.4} {:>8.3} {:>8}   \
                      [{mn:.4} {q1:.4} {med:.4} {q3:.4} {mx:.4}]",
-                    row.stage,
+                    step_label(&row.stage),
                     sec(row.max_ns),
                     row.mean_ns / 1e9,
                     row.factor,
                     format!("task {}", row.slowest_task),
                 );
+            }
+            if imb
+                .iter()
+                .any(|r| CPU_SUMMED_STEPS.contains(&r.stage.as_str()))
+            {
+                let _ = writeln!(out, "{CPU_SUMMED_NOTE}");
             }
         }
 
@@ -1327,6 +1336,10 @@ mod tests {
         let text = a.render_report(3);
         assert!(text.contains("critical path"));
         assert!(text.contains("stage"));
+        // The stage table stars the CPU-summed KmerGen row, not LocalSort.
+        assert!(text.lines().any(|l| l.starts_with("KmerGen* ")), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("LocalSort ")), "{text}");
+        assert!(text.contains(CPU_SUMMED_NOTE), "{text}");
         assert!(text.contains("Gantt"));
         assert!(text.contains("bytes over time"));
         assert!(!text.contains("WARNING"));

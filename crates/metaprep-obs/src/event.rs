@@ -15,6 +15,25 @@ pub const STEP_NAMES: [&str; 8] = [
     "CC-I/O",
 ];
 
+/// The steps whose spans last the CPU time summed over a task's threads,
+/// laid back-to-back from the pass start; every other step span is a wall
+/// interval. Report tables mark them with `*` and [`CPU_SUMMED_NOTE`].
+pub const CPU_SUMMED_STEPS: [&str; 2] = ["KmerGen-I/O", "KmerGen"];
+
+/// Footnote under a report table that marks [`CPU_SUMMED_STEPS`] rows.
+pub const CPU_SUMMED_NOTE: &str =
+    "* CPU time summed over the task's threads; every other row is wall time";
+
+/// A step's row label in a report table: `name`, starred when its time
+/// is CPU-summed (see [`CPU_SUMMED_STEPS`]).
+pub(crate) fn step_label(name: &str) -> String {
+    if CPU_SUMMED_STEPS.contains(&name) {
+        format!("{name}*")
+    } else {
+        name.to_string()
+    }
+}
+
 /// Span name of the sequential index-construction phase (paper Table 5).
 pub const INDEX_CREATE: &str = "IndexCreate";
 

@@ -2,7 +2,9 @@
 //! five-number across tasks, per-pass breakdown, communication volume,
 //! memory model vs measured) from an exported event stream.
 
-use crate::event::{CounterKind, Event, INDEX_CREATE, STEP_NAMES};
+use crate::event::{
+    step_label, CounterKind, Event, CPU_SUMMED_NOTE, CPU_SUMMED_STEPS, INDEX_CREATE, STEP_NAMES,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -163,9 +165,10 @@ impl RunSummary {
             };
             let secs: Vec<f64> = per_task.iter().map(|&ns| sec(ns)).collect();
             let [mn, q1, med, q3, mx] = five_number(&secs);
+            let label = step_label(name);
             let _ = writeln!(
                 out,
-                "{name:<14} {mx:>10.4}   {mn:>9.4} {q1:>9.4} {med:>9.4} {q3:>9.4} {mx:>9.4}"
+                "{label:<14} {mx:>10.4}   {mn:>9.4} {q1:>9.4} {med:>9.4} {q3:>9.4} {mx:>9.4}"
             );
         }
         let totals: Vec<f64> = self.pipeline_task_ns().iter().map(|&ns| sec(ns)).collect();
@@ -185,6 +188,12 @@ impl RunSummary {
                 sec(self.index_create_ns)
             );
         }
+        if CPU_SUMMED_STEPS
+            .iter()
+            .any(|n| self.step_ns.contains_key(*n))
+        {
+            let _ = writeln!(out, "{CPU_SUMMED_NOTE}");
+        }
 
         let passes = self.passes();
         if !passes.is_empty() {
@@ -192,7 +201,7 @@ impl RunSummary {
             let _ = writeln!(out, "per-pass breakdown (max across tasks, s)");
             let _ = write!(out, "{:<6}", "pass");
             for name in STEP_NAMES {
-                let _ = write!(out, " {name:>12}");
+                let _ = write!(out, " {:>12}", step_label(name));
             }
             let _ = writeln!(out);
             for p in passes {
@@ -363,7 +372,11 @@ mod tests {
         assert_eq!(s.counter_total(CounterKind::TuplesEmitted), 12);
         assert_eq!(s.counter(1, CounterKind::TuplesEmitted), 7);
         let text = s.render();
-        assert!(text.contains("KmerGen"));
+        // KmerGen's time is CPU-summed: its row is starred and footnoted,
+        // LocalSort's (wall time) is not.
+        assert!(text.lines().any(|l| l.starts_with("KmerGen* ")), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("LocalSort ")), "{text}");
+        assert!(text.contains(CPU_SUMMED_NOTE), "{text}");
         assert!(text.contains("per-pass breakdown"));
         assert!(text.contains("tuples_emitted"));
     }
