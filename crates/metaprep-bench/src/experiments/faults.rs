@@ -15,7 +15,7 @@
 use crate::{harness, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, PipelineConfigBuilder};
 use metaprep_dist::{Boundary, FaultPlan};
-use metaprep_obs::{CounterKind, MemRecorder, RunSummary};
+use metaprep_obs::{CounterKind, MemRecorder, TraceAnalysis};
 use metaprep_synth::DatasetId;
 use std::time::Instant;
 
@@ -96,7 +96,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
             .run_reads_recorded(&data.reads, &rec)
             .expect("faulted pipeline must recover and complete");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let s = RunSummary::from_events(&rec.into_events());
+        let s = TraceAnalysis::from_events(&rec.into_events());
         runs.push(FaultRun {
             name,
             wall_ms,

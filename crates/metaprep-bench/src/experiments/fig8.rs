@@ -3,13 +3,15 @@
 //! The paper's box plot shows KmerGen, LocalSort and LocalCC-Opt tightly
 //! balanced (thanks to the index-driven static partitioning) while the
 //! MergeCC stages spread out (fewer tasks participate in later rounds).
-//! This harness prints the five-number summary per step, plus the
-//! per-task tuple counts whose tightness is the mechanism behind the
-//! balance.
+//! This harness prints the five-number summary per step — nearest-rank
+//! quartiles, the same `five_number` `metaprep report` / `analyze` print —
+//! plus the per-task tuple counts whose tightness is the mechanism behind
+//! the balance.
 
 use crate::harness::{dataset, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, Step};
 use metaprep_index::{MerHist, RangePlan};
+use metaprep_obs::report::five_number;
 use metaprep_synth::DatasetId;
 
 /// Run MM on 16 tasks and print load-balance summaries.
@@ -34,7 +36,13 @@ pub fn run(scale: f64) {
         Step::MergeCc,
         Step::CcIo,
     ] {
-        let (min, q1, med, q3, max) = res.timings.five_number_summary(step);
+        let per_task: Vec<f64> = res
+            .timings
+            .per_task
+            .iter()
+            .map(|t| t.get(step).as_secs_f64())
+            .collect();
+        let [min, q1, med, q3, max] = five_number(&per_task);
         rows.push(vec![
             step.name().to_string(),
             format!("{min:.4}"),

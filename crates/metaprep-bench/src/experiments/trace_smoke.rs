@@ -10,7 +10,7 @@
 use crate::{harness, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, Step};
 use metaprep_obs::export::{parse_jsonl, validate_chrome, write_chrome, write_jsonl};
-use metaprep_obs::{CounterKind, Event, MemRecorder, RunSummary, TraceAnalysis};
+use metaprep_obs::{CounterKind, Event, MemRecorder, TraceAnalysis};
 use metaprep_synth::DatasetId;
 
 /// Run the smoke check; panics (fails the driver) on any validation
@@ -44,18 +44,18 @@ pub fn run(scale: f64) {
     let chrome = write_chrome(&events);
     validate_chrome(&chrome).expect("chrome trace must validate");
 
-    // JSONL must round-trip, and the rebuilt report must agree with the
-    // run's own timings exactly.
+    // JSONL must round-trip, and the trace model rebuilt from it must
+    // agree with the run's own timings exactly.
     let jsonl = write_jsonl(&events);
     let parsed = parse_jsonl(&jsonl).expect("jsonl must parse");
-    let summary = RunSummary::from_events(&parsed);
+    let analysis = TraceAnalysis::from_events(&parsed);
     assert_eq!(
-        summary.index_create_ns,
+        analysis.index_create_ns(),
         res.timings.index_create.as_nanos() as u64,
         "IndexCreate drift between report and run"
     );
     for step in Step::all() {
-        let per_task = summary.step_task_ns(step.name()).unwrap_or(&[]);
+        let per_task = analysis.step_task_ns(step.name(), None).unwrap_or_default();
         for (task, tt) in res.timings.per_task.iter().enumerate() {
             assert_eq!(
                 per_task.get(task).copied().unwrap_or(0),
@@ -69,14 +69,17 @@ pub fn run(scale: f64) {
     // Causal analysis gate: the happens-before DAG rebuilt from the
     // parsed stream must be complete (every send matched, Lamport order
     // intact) and its critical path must tile the run interval exactly.
-    let analysis = TraceAnalysis::from_events(&parsed);
     analysis
         .check_conservation()
         .expect("every traced send must pair with a recv");
     analysis
         .check_causality()
         .expect("lamport order must hold along every channel");
-    assert_eq!(analysis.events_dropped(), 0, "recorder dropped events");
+    assert_eq!(
+        analysis.counter_total(CounterKind::EventsDropped),
+        0,
+        "recorder dropped events"
+    );
     let path = analysis.critical_path();
     assert!(!path.is_empty(), "critical path must be non-empty");
     assert_eq!(
@@ -109,7 +112,7 @@ pub fn run(scale: f64) {
         .filter(|e| matches!(e, Event::Span { .. }))
         .count();
     let rows = vec![
-        vec!["tasks".to_string(), summary.tasks.to_string()],
+        vec!["tasks".to_string(), analysis.tasks.to_string()],
         vec!["span events".to_string(), span_events.to_string()],
         vec![
             "message edges".to_string(),
@@ -118,17 +121,17 @@ pub fn run(scale: f64) {
         vec!["critical path segments".to_string(), path.len().to_string()],
         vec![
             "tuples".to_string(),
-            summary
+            analysis
                 .counter_total(CounterKind::TuplesEmitted)
                 .to_string(),
         ],
         vec![
             "comm bytes".to_string(),
-            summary.counter_total(CounterKind::BytesSent).to_string(),
+            analysis.counter_total(CounterKind::BytesSent).to_string(),
         ],
         vec!["chrome".to_string(), out.display().to_string()],
         vec!["jsonl".to_string(), jsonl_path.display().to_string()],
     ];
     print_table("trace_smoke: telemetry export validation", &["", ""], &rows);
-    println!("\n{}", summary.render());
+    println!("\n{}", analysis.render_summary());
 }

@@ -35,7 +35,8 @@
 //! `index` and `partition` accept `--trace-out <path>` (plus
 //! `--trace-format jsonl|chrome`): the run's spans and counters are
 //! exported either as a JSONL event stream (feed it back to
-//! `metaprep report`) or as Chrome `trace_event` JSON loadable in
+//! `metaprep report` or `metaprep analyze`, two renderings of one
+//! `TraceAnalysis`) or as Chrome `trace_event` JSON loadable in
 //! Perfetto / `chrome://tracing`.
 
 mod args;
@@ -45,7 +46,7 @@ use metaprep_core::{
     write_multi_partition_streamed, write_partitions_streamed, Pipeline, PipelineConfig, Step,
 };
 use metaprep_io::{parse_fastq_path, write_fastq_path, ReadStore};
-use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, RunSummary, SpanEvent};
+use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, TraceAnalysis};
 use std::io::Write as _;
 
 fn main() {
@@ -158,11 +159,18 @@ fn write_trace(rec: MemRecorder, opts: &TraceOpts) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
-fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+/// The JSONL trace named by `--trace`, parsed into the one trace model
+/// `report` and `analyze` render. A malformed trace is bad data, not a
+/// bad invocation: one `error:` line naming the file, no usage dump.
+fn load_trace(args: &Args) -> Result<TraceAnalysis, Box<dyn std::error::Error>> {
     let path = args.req("trace")?;
     let src = std::fs::read_to_string(&path)?;
-    let events = export::parse_jsonl(&src).map_err(ArgError)?;
-    print!("{}", RunSummary::from_events(&events).render());
+    let events = export::parse_jsonl(&src).map_err(|e| format!("{path}: {e}"))?;
+    Ok(TraceAnalysis::from_events(&events))
+}
+
+fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    print!("{}", load_trace(args)?.render_summary());
     Ok(())
 }
 
@@ -173,12 +181,8 @@ fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 /// `--strict` turns an incomplete or causally inconsistent trace into a
 /// non-zero exit instead of a warning.
 fn cmd_analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use metaprep_obs::TraceAnalysis;
-    let path = args.req("trace")?;
     let top = args.get_or("top", 5usize)?;
-    let src = std::fs::read_to_string(&path)?;
-    let events = export::parse_jsonl(&src).map_err(ArgError)?;
-    let a = TraceAnalysis::from_events(&events);
+    let a = load_trace(args)?;
 
     let mut problems: Vec<String> = Vec::new();
     if let Err(e) = a.check_conservation() {
@@ -187,10 +191,10 @@ fn cmd_analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Err(e) = a.check_causality() {
         problems.push(format!("lamport causality: {e}"));
     }
-    if a.events_dropped() > 0 {
+    let dropped = a.counter_total(CounterKind::EventsDropped);
+    if dropped > 0 {
         problems.push(format!(
-            "trace is incomplete: {} event(s) dropped by the recorder",
-            a.events_dropped()
+            "trace is incomplete: {dropped} event(s) dropped by the recorder"
         ));
     }
 
@@ -268,17 +272,8 @@ fn cmd_index(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         &input, paired, chunks, k, m, opts, None, &rec,
     )?;
     let t1 = clock.now_ns();
-    // The whole phase as one driver-side span, outside any task's causal
-    // timeline (lamport 0).
-    rec.record_span(SpanEvent {
-        task: 0,
-        name: metaprep_obs::event::INDEX_CREATE,
-        pass: None,
-        detail: None,
-        start_ns: t0,
-        end_ns: t1,
-        lamport: 0,
-    });
+    // The whole phase as one driver-side span.
+    rec.record_driver_span(metaprep_obs::event::INDEX_CREATE, t0, t1);
 
     if let Some(t) = &trace {
         write_trace(rec, t)?;

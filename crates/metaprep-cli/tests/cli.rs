@@ -1,10 +1,11 @@
 //! End-to-end tests of the `metaprep` binary: exit codes, error
-//! plumbing, and the chaos quick-start flow (simulate → partition with a
-//! fault plan + checkpoints + trace → analyze --strict).
+//! plumbing, the chaos quick-start flow (simulate → partition with a
+//! fault plan + checkpoints + trace → analyze --strict), and `report` vs
+//! `analyze` over one recorded trace.
 
 use metaprep_core::{
     partition_reads, partition_top_n, write_multi_partition, write_partitions, Pipeline,
-    PipelineConfig,
+    PipelineConfig, Step,
 };
 use metaprep_io::parse_fastq_path;
 use std::path::{Path, PathBuf};
@@ -136,6 +137,79 @@ fn chaos_quickstart_partitions_and_analyzes_a_faulted_trace() {
     let report = stdout_of(&out);
     assert!(report.contains("fault injection & recovery"), "{report}");
     assert!(report.contains("task 1 restarted"), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn report_and_analyze_print_the_same_step_maxima() {
+    let dir = tmpdir("report");
+    let reads = dir.join("reads.fastq");
+    let trace = dir.join("t.jsonl");
+    let out = metaprep(&[
+        "simulate",
+        "--dataset",
+        "hg",
+        "--scale",
+        "0.01",
+        "--output",
+        reads.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let out = metaprep(&[
+        "partition",
+        "--input",
+        reads.to_str().unwrap(),
+        "--k",
+        "21",
+        "--m",
+        "6",
+        "--tasks",
+        "2",
+        "--passes",
+        "2",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--outdir",
+        dir.join("parts").to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+
+    let run = |command: &str| {
+        let out = metaprep(&[command, "--trace", trace.to_str().unwrap()]);
+        assert!(out.status.success(), "{command}: {}", stderr_of(&out));
+        stdout_of(&out)
+    };
+    let (report, analysis) = (run("report"), run("analyze"));
+    // Step rows of either table: (step name, `max (s)` column), keyed by
+    // the name without the CPU-summed star.
+    let step_maxima = |text: &str| -> Vec<(String, String)> {
+        let rows = text.lines().filter(|l| !l.starts_with(' '));
+        rows.filter_map(|l| {
+            let mut cols = l.split_whitespace();
+            let name = cols.next()?.trim_end_matches('*');
+            let step = Step::all().into_iter().find(|s| s.name() == name)?;
+            Some((step.name().to_string(), cols.next()?.to_string()))
+        })
+        .collect()
+    };
+    let reported = step_maxima(&report);
+    // All eight steps run in a 2-task, 2-pass partition.
+    let every_step: Vec<String> = Step::all().iter().map(|s| s.name().to_string()).collect();
+    let reported_names: Vec<String> = reported.iter().map(|(n, _)| n.clone()).collect();
+    assert_eq!(reported_names, every_step, "{report}");
+    assert!(
+        report.lines().any(|l| l.starts_with("IndexCreate ")),
+        "{report}"
+    );
+    assert_eq!(reported, step_maxima(&analysis), "{report}\n{analysis}");
+
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&bad, "{\"type\":\"meta\",\"tasks\":2}\nnot json\n").unwrap();
+    let out = metaprep(&["report", "--trace", bad.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(err.starts_with("error:"), "{err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -26,7 +26,7 @@ use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent};
+use metaprep_obs::{CounterKind, NoopRecorder, Recorder};
 use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
 use std::path::Path;
 use std::time::Duration;
@@ -203,7 +203,7 @@ impl Pipeline {
         (start_ns, end_ns): (u64, u64),
         rec: &dyn Recorder,
     ) -> Result<PipelineResult, PipelineError> {
-        record_driver_span(rec, INDEX_CREATE, start_ns, end_ns);
+        rec.record_driver_span(INDEX_CREATE, start_ns, end_ns);
         // Derive the duration from the span's own endpoints so a report
         // built from the exported events reproduces it exactly.
         let index_create = Duration::from_nanos(end_ns.saturating_sub(start_ns));
@@ -220,20 +220,6 @@ impl Pipeline {
         };
         run(cfg, source, &tables, filter, index_create, rec)
     }
-}
-
-/// Record a span of the driver thread on task 0's timeline. Lamport 0:
-/// it lies outside every task's causal timeline.
-fn record_driver_span(rec: &dyn Recorder, name: &'static str, start_ns: u64, end_ns: u64) {
-    rec.record_span(SpanEvent {
-        task: 0,
-        name,
-        pass: None,
-        detail: None,
-        start_ns,
-        end_ns,
-        lamport: 0,
-    });
 }
 
 /// Build the index tables by scanning a FASTQ file once with the streaming
@@ -365,7 +351,7 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
             .verify_or_store(dir)
             .map_err(|e| PipelineError::InvalidInput(format!("plan.ckpt: {e}")))?;
     }
-    record_driver_span(rec, PASS_PLAN, plan_t0_ns, rec.clock().now_ns());
+    rec.record_driver_span(PASS_PLAN, plan_t0_ns, rec.clock().now_ns());
 
     let run_ctx = RunCtx {
         cfg,
@@ -1156,7 +1142,7 @@ mod tests {
         // from the exported event stream must agree with the in-process
         // `StepTimings` to the nanosecond — both are derived from the
         // same spans, so any drift is a wiring bug.
-        use metaprep_obs::{MemRecorder, RunSummary};
+        use metaprep_obs::{MemRecorder, TraceAnalysis};
         let reads = small_reads();
         let cfg = PipelineConfig::builder()
             .k(21)
@@ -1168,15 +1154,15 @@ mod tests {
         let rec = MemRecorder::new(3);
         let res = Pipeline::new(cfg).run_reads_recorded(&reads, &rec).unwrap();
         let events = rec.into_events();
-        let s = RunSummary::from_events(&events);
+        let s = TraceAnalysis::from_events(&events);
 
         assert_eq!(s.tasks, 3);
         assert_eq!(
-            s.index_create_ns,
+            s.index_create_ns(),
             res.timings.index_create.as_nanos() as u64
         );
         for step in Step::all() {
-            let per_task = s.step_task_ns(step.name()).unwrap_or(&[]);
+            let per_task = s.step_task_ns(step.name(), None).unwrap_or_default();
             for (task, tt) in res.timings.per_task.iter().enumerate() {
                 let want = tt.get(step).as_nanos() as u64;
                 let got = per_task.get(task).copied().unwrap_or(0);
@@ -1221,7 +1207,7 @@ mod tests {
         // Per-pass breakdown covers both passes, and the rendered report
         // mentions every paper step.
         assert_eq!(s.passes(), vec![0, 1]);
-        let text = s.render();
+        let text = s.render_summary();
         for step in Step::all() {
             assert!(text.contains(step.name()), "report missing {}", step.name());
         }
@@ -1254,7 +1240,7 @@ mod tests {
             .expect("every send matches exactly one recv");
         a.check_causality()
             .expect("lamport order along every channel");
-        assert!(a.events_dropped() == 0 && a.warnings().is_empty());
+        assert!(a.counter_total(CounterKind::EventsDropped) == 0 && a.warnings().is_empty());
         // Real messages moved: P-stage all-to-all × 2 passes + merge tree
         // + broadcast.
         assert!(a.pairs().len() >= 4 * 3 * 2);
@@ -1264,7 +1250,7 @@ mod tests {
         let sum: u64 = path.iter().map(|s| s.dur_ns()).sum();
         assert_eq!(sum, a.makespan_ns(), "critical path must tile the run");
         // The analyzer's makespan is the span-derived run interval — the
-        // same spans `StepTimings`/`RunSummary` are built from. IndexCreate
+        // same spans `StepTimings` is built from. IndexCreate
         // starts at the run clock's origin on task 0.
         let span_end = events
             .iter()
@@ -1457,7 +1443,7 @@ mod tests {
         // traced send still pairs with exactly one traced recv. The
         // recovery machinery must be visible in the counters.
         use metaprep_dist::{Boundary, FaultPlan};
-        use metaprep_obs::{MemRecorder, RunSummary, TraceAnalysis};
+        use metaprep_obs::{MemRecorder, TraceAnalysis};
         let reads = small_reads();
         let dir = std::env::temp_dir().join("metaprep_core_chaos_trace");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1480,23 +1466,22 @@ mod tests {
             .expect("faulted trace conserves messages after dedup");
         a.check_causality()
             .expect("lamport order survives recovery");
-        assert_eq!(a.events_dropped(), 0);
+        assert_eq!(a.counter_total(CounterKind::EventsDropped), 0);
 
-        let s = RunSummary::from_events(&events);
         assert!(
-            s.counter_total(CounterKind::FaultsInjected) > 0,
+            a.counter_total(CounterKind::FaultsInjected) > 0,
             "no faults visible in the trace"
         );
         assert!(
-            s.counter_total(CounterKind::RetryAttempts) > 0,
+            a.counter_total(CounterKind::RetryAttempts) > 0,
             "no retries visible in the trace"
         );
         assert!(
-            s.counter_total(CounterKind::CheckpointWrites) > 0,
+            a.counter_total(CounterKind::CheckpointWrites) > 0,
             "no checkpoint writes visible in the trace"
         );
         assert_eq!(
-            s.counter(1, CounterKind::TaskRestarts),
+            a.counter(1, CounterKind::TaskRestarts),
             1,
             "rank 1's restart must be visible"
         );

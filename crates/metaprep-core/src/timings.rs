@@ -1,5 +1,6 @@
 //! Per-step, per-task timing — the raw material of every scaling figure.
 
+use metaprep_obs::event::STEP_NAMES;
 use metaprep_obs::SpanEvent;
 use std::time::Duration;
 
@@ -7,21 +8,21 @@ use std::time::Duration;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Step {
     /// Reading FASTQ chunk data (KmerGen-I/O).
-    KmerGenIo,
+    KmerGenIo = 0,
     /// Enumerating `(k-mer, read)` tuples.
-    KmerGen,
+    KmerGen = 1,
     /// The P-stage all-to-all (KmerGen-Comm).
-    KmerGenComm,
+    KmerGenComm = 2,
     /// Range partition + per-thread serial radix sort.
-    LocalSort,
+    LocalSort = 3,
     /// Concurrent union-find over the implicit edges (LocalCC / -Opt).
-    LocalCc,
+    LocalCc = 4,
     /// Sending/receiving component arrays in the merge rounds (Merge-Comm).
-    MergeComm,
+    MergeComm = 5,
     /// Absorbing received component arrays (MergeCC).
-    MergeCc,
+    MergeCc = 6,
     /// Broadcasting final labels and partitioning output reads (CC-I/O).
-    CcIo,
+    CcIo = 7,
 }
 
 impl Step {
@@ -39,23 +40,16 @@ impl Step {
         ]
     }
 
-    /// Display name matching the paper's legends.
+    /// Display name matching the paper's legends: the step's entry in
+    /// the span-name list `metaprep_obs::event::STEP_NAMES`.
     pub fn name(&self) -> &'static str {
-        match self {
-            Step::KmerGenIo => "KmerGen-I/O",
-            Step::KmerGen => "KmerGen",
-            Step::KmerGenComm => "KmerGen-Comm",
-            Step::LocalSort => "LocalSort",
-            Step::LocalCc => "LocalCC-Opt",
-            Step::MergeComm => "Merge-Comm",
-            Step::MergeCc => "MergeCC",
-            Step::CcIo => "CC-I/O",
-        }
+        STEP_NAMES[*self as usize]
     }
 
     /// Inverse of [`Step::name`] — used to rebuild timings from spans.
     pub fn from_name(name: &str) -> Option<Step> {
-        Step::all().into_iter().find(|s| s.name() == name)
+        let i = STEP_NAMES.iter().position(|&n| n == name)?;
+        Some(Step::all()[i])
     }
 }
 
@@ -68,32 +62,17 @@ pub struct TaskTimings {
 impl TaskTimings {
     /// Add `d` to `step`.
     pub fn add(&mut self, step: Step, d: Duration) {
-        self.durations[Self::idx(step)] += d;
+        self.durations[step as usize] += d;
     }
 
     /// Accumulated time of `step`.
     pub fn get(&self, step: Step) -> Duration {
-        self.durations[Self::idx(step)]
+        self.durations[step as usize]
     }
 
     /// Sum over all steps.
     pub fn total(&self) -> Duration {
         self.durations.iter().sum()
-    }
-
-    /// Direct index into `durations`; must agree with [`Step::all`]
-    /// order (asserted by a test below).
-    fn idx(step: Step) -> usize {
-        match step {
-            Step::KmerGenIo => 0,
-            Step::KmerGen => 1,
-            Step::KmerGenComm => 2,
-            Step::LocalSort => 3,
-            Step::LocalCc => 4,
-            Step::MergeComm => 5,
-            Step::MergeCc => 6,
-            Step::CcIo => 7,
-        }
     }
 
     /// Rebuild one task's timings from its recorded step spans: every
@@ -131,31 +110,6 @@ impl StepTimings {
             .map(|t| t.get(step))
             .max()
             .unwrap_or_default()
-    }
-
-    /// Five-number summary `(min, q1, median, q3, max)` of a step across
-    /// tasks — the box-plot data of Figure 8.
-    pub fn five_number_summary(&self, step: Step) -> (f64, f64, f64, f64, f64) {
-        let mut xs: Vec<f64> = self
-            .per_task
-            .iter()
-            .map(|t| t.get(step).as_secs_f64())
-            .collect();
-        if xs.is_empty() {
-            return (0.0, 0.0, 0.0, 0.0, 0.0);
-        }
-        xs.sort_by(f64::total_cmp);
-        let q = |f: f64| -> f64 {
-            let pos = f * (xs.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            if lo == hi {
-                xs[lo]
-            } else {
-                xs[lo] + (pos - lo as f64) * (xs[hi] - xs[lo])
-            }
-        };
-        (q(0.0), q(0.25), q(0.5), q(0.75), q(1.0))
     }
 
     /// End-to-end pipeline time: max total across tasks (excludes
@@ -198,34 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn five_number_summary_of_known_data() {
-        let per_task: Vec<TaskTimings> = (1..=5)
-            .map(|i| {
-                let mut t = TaskTimings::default();
-                t.add(Step::MergeCc, Duration::from_secs(i));
-                t
-            })
-            .collect();
-        let st = StepTimings {
-            index_create: Duration::ZERO,
-            per_task,
-        };
-        let (min, q1, med, q3, max) = st.five_number_summary(Step::MergeCc);
-        assert_eq!(min, 1.0);
-        assert_eq!(q1, 2.0);
-        assert_eq!(med, 3.0);
-        assert_eq!(q3, 4.0);
-        assert_eq!(max, 5.0);
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let st = StepTimings::default();
-        assert_eq!(
-            st.five_number_summary(Step::CcIo),
-            (0.0, 0.0, 0.0, 0.0, 0.0)
-        );
-        assert_eq!(st.total(), Duration::ZERO);
+    fn empty_timings_total_zero() {
+        assert_eq!(StepTimings::default().total(), Duration::ZERO);
     }
 
     #[test]
@@ -235,45 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn idx_agrees_with_step_all_order() {
+    fn step_all_is_discriminant_order_and_names_round_trip() {
         for (i, step) in Step::all().into_iter().enumerate() {
-            assert_eq!(TaskTimings::idx(step), i, "idx({step:?})");
-        }
-    }
-
-    #[test]
-    fn step_names_match_obs_step_names() {
-        let ours: Vec<&str> = Step::all().iter().map(|s| s.name()).collect();
-        assert_eq!(ours, metaprep_obs::event::STEP_NAMES.to_vec());
-        for step in Step::all() {
+            assert_eq!(step as usize, i, "{step:?}");
             assert_eq!(Step::from_name(step.name()), Some(step));
         }
         assert_eq!(Step::from_name("NotAStep"), None);
-    }
-
-    #[test]
-    fn five_number_summary_sort_is_total_order() {
-        // Regression: the sort used partial_cmp(..).expect("no NaN");
-        // total_cmp gives a total order over every f64, including zeros
-        // and subnormals, so summaries never panic on edge values.
-        let per_task: Vec<TaskTimings> = [0u64, u64::from(u32::MAX), 1, 0, 500]
-            .iter()
-            .map(|&ns| {
-                let mut t = TaskTimings::default();
-                t.add(Step::KmerGenIo, Duration::from_nanos(ns));
-                t
-            })
-            .collect();
-        let st = StepTimings {
-            index_create: Duration::ZERO,
-            per_task,
-        };
-        let (min, _, med, _, max) = st.five_number_summary(Step::KmerGenIo);
-        assert_eq!(min, 0.0);
-        // Sorted: [0, 0, 1, 500, u32::MAX] ns — the median is the 1 ns
-        // sample (an exact rank, no interpolation).
-        assert_eq!(med, 1e-9);
-        assert_eq!(max, u32::MAX as f64 * 1e-9);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use metaprep_io::{
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder, SpanEvent};
+use metaprep_obs::{CounterKind, NoopRecorder, Recorder};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::fs::File;
@@ -419,20 +419,6 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     let path = path.as_ref();
     let space = MmerSpace::new(k, m);
     let clock = rec.clock();
-    let span = |name: &'static str, start_ns: u64, end_ns: u64| {
-        if rec.enabled() {
-            rec.record_span(SpanEvent {
-                task: 0,
-                name,
-                pass: None,
-                detail: None,
-                start_ns,
-                end_ns,
-                // Driver-side span, outside any task's causal timeline.
-                lamport: 0,
-            });
-        }
-    };
     let mut chunker = StreamChunker::open(path, opts.window)?;
     let pool = pool_of(opts.threads);
 
@@ -470,7 +456,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
             .collect()
     };
     drop(chunker);
-    span("index-chunking", t0, clock.now_ns());
+    rec.record_driver_span("index-chunking", t0, clock.now_ns());
 
     let t0 = clock.now_ns();
     let (per_chunk, sketch) = match sketch_params {
@@ -480,7 +466,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
         }
         None => (par_histogram(path, &chunks, space, k, paired, &pool), None),
     };
-    span("index-histogram", t0, clock.now_ns());
+    rec.record_driver_span("index-histogram", t0, clock.now_ns());
 
     // Sequential stitch: prefix-sum first_seq (unpaired), report the first
     // malformed chunk in file order with a file-global record number, and

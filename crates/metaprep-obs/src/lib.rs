@@ -21,15 +21,17 @@
 //! * [`export`] — JSONL event stream and Perfetto-loadable Chrome
 //!   `trace_event` JSON (one "process" per simulated task, one row per
 //!   step), with a schema validator used by CI's bench smoke;
-//! * [`report`] — reconstructs per-step/per-pass/per-task aggregates from
-//!   an event stream and renders the run summary table behind
-//!   `metaprep report`;
-//! * [`analysis`] — causal analysis over the same stream: matches
-//!   [`EdgeEvent`] send/recv pairs into a happens-before DAG (per-rank
-//!   Lamport clocks, FIFO sequence numbers), extracts the critical path
-//!   (its segments tile the run makespan exactly), and derives per-stage
-//!   load-imbalance factors, stragglers, Gantt rows and byte timelines
-//!   behind `metaprep analyze`.
+//! * [`TraceAnalysis`] — the one model built from an event stream, with
+//!   two renderers. [`analysis`] matches [`EdgeEvent`] send/recv pairs
+//!   into a happens-before DAG (per-rank Lamport clocks, FIFO sequence
+//!   numbers), extracts the critical path (its segments tile the run
+//!   makespan exactly), and derives per-stage load-imbalance factors,
+//!   stragglers, Gantt rows and byte timelines behind `metaprep analyze`
+//!   ([`TraceAnalysis::render_report`]); [`report`] renders the same
+//!   per-step/per-pass/per-task sums and counter totals as the run
+//!   summary table behind `metaprep report`
+//!   ([`TraceAnalysis::render_summary`]), and holds the one
+//!   [`report::five_number`] both use.
 
 pub mod analysis;
 pub mod event;
@@ -38,7 +40,6 @@ pub mod json;
 pub mod rec;
 pub mod report;
 
-pub use analysis::{FaultTotals, PresolveTotals, TraceAnalysis};
+pub use analysis::TraceAnalysis;
 pub use event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
 pub use rec::{vm_hwm_bytes, MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs};
-pub use report::RunSummary;

@@ -76,6 +76,21 @@ pub trait Recorder: Sync {
     /// Run-level span recorded from the driver thread (e.g. IndexCreate).
     fn record_span(&self, span: SpanEvent);
 
+    /// A driver-thread span (IndexCreate, its sub-phases, pass planning)
+    /// on task 0's timeline: no pass, no detail, and Lamport 0, because
+    /// it lies outside every task's causal timeline.
+    fn record_driver_span(&self, name: &'static str, start_ns: u64, end_ns: u64) {
+        self.record_span(SpanEvent {
+            task: 0,
+            name,
+            pass: None,
+            detail: None,
+            start_ns,
+            end_ns,
+            lamport: 0,
+        });
+    }
+
     /// Run-level counter recorded from the driver thread (comm totals,
     /// memory model numbers). Values for the same `(task, kind)` add.
     fn record_counter(&self, task: u32, kind: CounterKind, value: u64);
@@ -584,15 +599,7 @@ mod tests {
     #[test]
     fn spans_sorted_by_start() {
         let rec = MemRecorder::new(2);
-        rec.record_span(SpanEvent {
-            task: 0,
-            name: "IndexCreate",
-            pass: None,
-            detail: None,
-            start_ns: 50,
-            end_ns: 60,
-            lamport: 0,
-        });
+        rec.record_driver_span("IndexCreate", 50, 60);
         {
             let mut obs = TaskObs::new(&rec, 1);
             obs.span_with_dur(OpenSpan { start_ns: 10 }, 5, "KmerGen", None);

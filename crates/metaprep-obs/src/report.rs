@@ -1,16 +1,15 @@
-//! Run report: rebuild the paper-style summary (per-step max /
+//! The paper-style run summary behind `metaprep report` (per-step max /
 //! five-number across tasks, per-pass breakdown, communication volume,
-//! memory model vs measured) from an exported event stream.
+//! memory model vs measured): a second renderer over [`TraceAnalysis`].
 
-use crate::event::{
-    step_label, CounterKind, Event, CPU_SUMMED_NOTE, CPU_SUMMED_STEPS, INDEX_CREATE, STEP_NAMES,
-};
-use std::collections::BTreeMap;
+use crate::analysis::TraceAnalysis;
+use crate::event::{step_label, CounterKind, CPU_SUMMED_NOTE, CPU_SUMMED_STEPS, STEP_NAMES};
 use std::fmt::Write as _;
 
 /// Five-number summary (min, lower quartile, median, upper quartile,
-/// max) using `f64::total_cmp`, so NaNs order deterministically instead
-/// of panicking. Empty input yields all zeros.
+/// max) by nearest rank — every value is one of the samples — using
+/// `f64::total_cmp`, so NaNs order deterministically instead of
+/// panicking. Empty input yields all zeros.
 pub fn five_number(xs: &[f64]) -> [f64; 5] {
     if xs.is_empty() {
         return [0.0; 5];
@@ -21,131 +20,9 @@ pub fn five_number(xs: &[f64]) -> [f64; 5] {
     [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)]
 }
 
-/// Aggregates reconstructed from one run's event stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunSummary {
-    /// Simulated task count (from the meta header, else max task + 1).
-    pub tasks: u32,
-    /// Per paper step: summed span nanoseconds per task (index = task).
-    step_ns: BTreeMap<String, Vec<u64>>,
-    /// Per `(pass, step)`: summed span nanoseconds per task.
-    pass_step_ns: BTreeMap<(u32, String), Vec<u64>>,
-    /// Total nanoseconds of the sequential IndexCreate phase.
-    pub index_create_ns: u64,
-    /// Summed nanoseconds of spans that are neither paper steps nor
-    /// IndexCreate (all-to-all stages, streaming sub-phases), by name.
-    other_ns: BTreeMap<String, u64>,
-    /// Final counter values per `(task, kind)`.
-    counters: BTreeMap<(u32, CounterKind), u64>,
-}
-
-impl RunSummary {
-    /// Build a summary from an event stream (order-insensitive; repeated
-    /// spans/counters for the same key accumulate).
-    pub fn from_events(events: &[Event]) -> RunSummary {
-        let mut tasks = 0u32;
-        for ev in events {
-            match ev {
-                Event::Meta { tasks: n } => tasks = tasks.max(*n),
-                Event::Span { task, .. } | Event::Counter { task, .. } => {
-                    tasks = tasks.max(task + 1)
-                }
-                Event::Edge { src, dst, .. } => tasks = tasks.max(src.max(dst) + 1),
-            }
-        }
-        let mut s = RunSummary {
-            tasks,
-            step_ns: BTreeMap::new(),
-            pass_step_ns: BTreeMap::new(),
-            index_create_ns: 0,
-            other_ns: BTreeMap::new(),
-            counters: BTreeMap::new(),
-        };
-        for ev in events {
-            match ev {
-                Event::Meta { .. } => {}
-                // Message edges carry causal structure, not durations;
-                // the analysis module consumes them.
-                Event::Edge { .. } => {}
-                Event::Span {
-                    task,
-                    name,
-                    pass,
-                    start_ns,
-                    end_ns,
-                    ..
-                } => {
-                    let dur = end_ns.saturating_sub(*start_ns);
-                    if STEP_NAMES.contains(&name.as_str()) {
-                        let per_task = s
-                            .step_ns
-                            .entry(name.clone())
-                            .or_insert_with(|| vec![0; tasks as usize]);
-                        per_task[*task as usize] += dur;
-                        if let Some(p) = pass {
-                            let per_task = s
-                                .pass_step_ns
-                                .entry((*p, name.clone()))
-                                .or_insert_with(|| vec![0; tasks as usize]);
-                            per_task[*task as usize] += dur;
-                        }
-                    } else if name == INDEX_CREATE {
-                        s.index_create_ns += dur;
-                    } else {
-                        *s.other_ns.entry(name.clone()).or_insert(0) += dur;
-                    }
-                }
-                Event::Counter { task, kind, value } => {
-                    *s.counters.entry((*task, *kind)).or_insert(0) += value;
-                }
-            }
-        }
-        s
-    }
-
-    /// Exact per-task summed nanoseconds for one paper step, if any span
-    /// of that step was recorded.
-    pub fn step_task_ns(&self, name: &str) -> Option<&[u64]> {
-        self.step_ns.get(name).map(Vec::as_slice)
-    }
-
-    /// Per-task pipeline totals (sum of the eight paper steps), exact ns.
-    pub fn pipeline_task_ns(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.tasks as usize];
-        for name in STEP_NAMES {
-            if let Some(per_task) = self.step_ns.get(name) {
-                for (t, ns) in per_task.iter().enumerate() {
-                    totals[t] += ns;
-                }
-            }
-        }
-        totals
-    }
-
-    /// Final value of one `(task, kind)` counter (0 if never emitted).
-    pub fn counter(&self, task: u32, kind: CounterKind) -> u64 {
-        self.counters.get(&(task, kind)).copied().unwrap_or(0)
-    }
-
-    /// Sum of a counter across all tasks.
-    pub fn counter_total(&self, kind: CounterKind) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((_, k), _)| *k == kind)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Passes that appear in the per-pass breakdown, ascending.
-    pub fn passes(&self) -> Vec<u32> {
-        let mut ps: Vec<u32> = self.pass_step_ns.keys().map(|(p, _)| *p).collect();
-        ps.sort_unstable();
-        ps.dedup();
-        ps
-    }
-
-    /// Render the paper-style plain-text report.
-    pub fn render(&self) -> String {
+impl TraceAnalysis {
+    /// Render the paper-style plain-text run summary.
+    pub fn render_summary(&self) -> String {
         let sec = |ns: u64| ns as f64 / 1e9;
         let mut out = String::new();
         let _ = writeln!(out, "METAPREP run report — {} simulated tasks", self.tasks);
@@ -158,40 +35,35 @@ impl RunSummary {
             "{:<14} {:>10}   {:>9} {:>9} {:>9} {:>9} {:>9}",
             "step", "max (s)", "min", "q1", "median", "q3", "max"
         );
-        for name in STEP_NAMES {
-            let per_task = match self.step_ns.get(name) {
-                Some(v) => v,
-                None => continue,
-            };
+        let row = |out: &mut String, label: &str, per_task: &[u64]| {
             let secs: Vec<f64> = per_task.iter().map(|&ns| sec(ns)).collect();
             let [mn, q1, med, q3, mx] = five_number(&secs);
-            let label = step_label(name);
             let _ = writeln!(
                 out,
                 "{label:<14} {mx:>10.4}   {mn:>9.4} {q1:>9.4} {med:>9.4} {q3:>9.4} {mx:>9.4}"
             );
+        };
+        let steps: Vec<(&str, Vec<u64>)> = STEP_NAMES
+            .into_iter()
+            .filter_map(|name| Some((name, self.step_task_ns(name, None)?)))
+            .collect();
+        for (name, per_task) in &steps {
+            row(&mut out, &step_label(name), per_task);
         }
-        let totals: Vec<f64> = self.pipeline_task_ns().iter().map(|&ns| sec(ns)).collect();
-        if totals.iter().any(|&t| t > 0.0) {
-            let [mn, q1, med, q3, mx] = five_number(&totals);
-            let _ = writeln!(
-                out,
-                "{:<14} {mx:>10.4}   {mn:>9.4} {q1:>9.4} {med:>9.4} {q3:>9.4} {mx:>9.4}",
-                "pipeline"
-            );
+        let totals = self.pipeline_task_ns();
+        if totals.iter().any(|&ns| ns > 0) {
+            row(&mut out, "pipeline", &totals);
         }
-        if self.index_create_ns > 0 {
+        let index_create_ns = self.index_create_ns();
+        if index_create_ns > 0 {
             let _ = writeln!(
                 out,
                 "{:<14} {:>10.4}   (sequential)",
                 "IndexCreate",
-                sec(self.index_create_ns)
+                sec(index_create_ns)
             );
         }
-        if CPU_SUMMED_STEPS
-            .iter()
-            .any(|n| self.step_ns.contains_key(*n))
-        {
+        if steps.iter().any(|(n, _)| CPU_SUMMED_STEPS.contains(n)) {
             let _ = writeln!(out, "{CPU_SUMMED_NOTE}");
         }
 
@@ -207,11 +79,8 @@ impl RunSummary {
             for p in passes {
                 let _ = write!(out, "{p:<6}");
                 for name in STEP_NAMES {
-                    let max_ns = self
-                        .pass_step_ns
-                        .get(&(p, name.to_string()))
-                        .map(|v| v.iter().copied().max().unwrap_or(0))
-                        .unwrap_or(0);
+                    let per_task = self.step_task_ns(name, Some(p)).unwrap_or_default();
+                    let max_ns = per_task.into_iter().max().unwrap_or(0);
                     let _ = write!(out, " {:>12.4}", sec(max_ns));
                 }
                 let _ = writeln!(out);
@@ -232,6 +101,22 @@ impl RunSummary {
             }
         }
 
+        // A titled block of the non-zero totals among `rows`, written only
+        // when a counter of `gate` is non-zero.
+        type Rows<'a> = [(CounterKind, &'a str)];
+        let section = |out: &mut String, title: &str, rows: &Rows, gate: &Rows| {
+            if gate.iter().all(|&(k, _)| self.counter_total(k) == 0) {
+                return;
+            }
+            let _ = writeln!(out);
+            let _ = writeln!(out, "{title}");
+            for &(k, label) in rows {
+                let v = self.counter_total(k);
+                if v > 0 {
+                    let _ = writeln!(out, "  {label:<24} {v:>16}");
+                }
+            }
+        };
         let work = [
             CounterKind::TuplesEmitted,
             CounterKind::TuplesReceived,
@@ -241,34 +126,20 @@ impl RunSummary {
             CounterKind::UfPathSplits,
             CounterKind::MergeBytes,
             CounterKind::ChunkRecordsStreamed,
-        ];
-        if work.iter().any(|&k| self.counter_total(k) > 0) {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "work counters (totals across tasks)");
-            for k in work {
-                let v = self.counter_total(k);
-                if v > 0 {
-                    let _ = writeln!(out, "  {:<24} {v:>16}", k.as_str());
-                }
-            }
-        }
-
+        ]
+        .map(|k| (k, k.as_str()));
+        section(
+            &mut out,
+            "work counters (totals across tasks)",
+            &work,
+            &work,
+        );
         let mem = [
             (CounterKind::MemModeledBytes, "modeled peak (model)"),
             (CounterKind::MemPeakTupleBytes, "measured peak tuples"),
             (CounterKind::VmHwmBytes, "process VmHWM"),
         ];
-        if mem.iter().any(|&(k, _)| self.counter_total(k) > 0) {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "memory (bytes)");
-            for (k, label) in mem {
-                let v = self.counter_total(k);
-                if v > 0 {
-                    let _ = writeln!(out, "  {label:<24} {v:>16}");
-                }
-            }
-        }
-
+        section(&mut out, "memory (bytes)", &mem, &mem);
         let presolve = [
             (CounterKind::PlannedPasses, "planned passes"),
             (CounterKind::MemBudgetBytes, "memory budget (B)"),
@@ -277,25 +148,19 @@ impl RunSummary {
         ];
         // `planned_passes` alone (every run plans) is not worth a section;
         // the budget/sketch/drop counters only exist when the tier is on.
-        if presolve[1..]
-            .iter()
-            .any(|&(k, _)| self.counter_total(k) > 0)
-        {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "presolve & pass planning");
-            for (k, label) in presolve {
-                let v = self.counter_total(k);
-                if v > 0 {
-                    let _ = writeln!(out, "  {label:<24} {v:>16}");
-                }
-            }
-        }
+        section(
+            &mut out,
+            "presolve & pass planning",
+            &presolve,
+            &presolve[1..],
+        );
 
-        if !self.other_ns.is_empty() {
+        let other = self.other_phase_ns();
+        if !other.is_empty() {
             let _ = writeln!(out);
             let _ = writeln!(out, "other instrumented phases (summed, s)");
-            for (name, ns) in &self.other_ns {
-                let _ = writeln!(out, "  {name:<24} {:>12.4}", sec(*ns));
+            for (name, ns) in other {
+                let _ = writeln!(out, "  {name:<24} {:>12.4}", sec(ns));
             }
         }
 
@@ -320,10 +185,10 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SpanEvent;
+    use crate::event::{Event, SpanEvent};
 
     #[test]
-    fn five_number_handles_nan_without_panicking() {
+    fn five_number_is_nearest_rank_and_total_order() {
         let xs = [3.0, f64::NAN, 1.0, 2.0];
         let [mn, _, _, _, mx] = five_number(&xs);
         // total_cmp orders NaN above +inf, so max is NaN but min is real.
@@ -331,6 +196,21 @@ mod tests {
         assert!(mx.is_nan());
         assert_eq!(five_number(&[]), [0.0; 5]);
         assert_eq!(five_number(&[7.0]), [7.0; 5]);
+        // Known data: the quartiles are exact ranks.
+        assert_eq!(
+            five_number(&[1.0, 2.0, 3.0, 4.0, 5.0]),
+            [1.0, 2.0, 3.0, 4.0, 5.0]
+        );
+        // Regression: the sort used partial_cmp(..).expect("no NaN");
+        // total_cmp orders every f64, zeros and subnormals included.
+        let ns = |n: u64| n as f64 / 1e9;
+        let xs = [0, u64::from(u32::MAX), 1, 0, 500].map(ns);
+        let [mn, _, med, _, mx] = five_number(&xs);
+        assert_eq!(mn, 0.0);
+        // Sorted: [0, 0, 1, 500, u32::MAX] ns — the median is the 1 ns
+        // sample (an exact rank, no interpolation).
+        assert_eq!(med, 1e-9);
+        assert_eq!(mx, ns(u64::from(u32::MAX)));
     }
 
     fn span(task: u32, name: &'static str, pass: u32, start: u64, end: u64) -> Event {
@@ -364,14 +244,15 @@ mod tests {
                 value: 7,
             },
         ];
-        let s = RunSummary::from_events(&events);
+        let s = TraceAnalysis::from_events(&events);
         assert_eq!(s.tasks, 2);
-        assert_eq!(s.step_task_ns("KmerGen"), Some(&[250u64, 90][..]));
+        assert_eq!(s.step_task_ns("KmerGen", None), Some(vec![250, 90]));
+        assert_eq!(s.step_task_ns("KmerGen", Some(1)), Some(vec![150, 0]));
         assert_eq!(s.pipeline_task_ns(), vec![250, 100]);
         assert_eq!(s.passes(), vec![0, 1]);
         assert_eq!(s.counter_total(CounterKind::TuplesEmitted), 12);
         assert_eq!(s.counter(1, CounterKind::TuplesEmitted), 7);
-        let text = s.render();
+        let text = s.render_summary();
         // KmerGen's time is CPU-summed: its row is starred and footnoted,
         // LocalSort's (wall time) is not.
         assert!(text.lines().any(|l| l.starts_with("KmerGen* ")), "{text}");
@@ -403,10 +284,10 @@ mod tests {
                 lamport: 0,
             },
         ];
-        let s = RunSummary::from_events(&events);
-        assert_eq!(s.index_create_ns, 1_000);
+        let s = TraceAnalysis::from_events(&events);
+        assert_eq!(s.index_create_ns(), 1_000);
         assert_eq!(s.pipeline_task_ns(), vec![0]);
-        assert!(s.render().contains("alltoall-stage"));
+        assert!(s.render_summary().contains("alltoall-stage"));
     }
 
     #[test]
@@ -423,7 +304,7 @@ mod tests {
             counter(CounterKind::SketchFillPermille, 42),
             counter(CounterKind::PresolveDroppedKmers, 999),
         ];
-        let text = RunSummary::from_events(&events).render();
+        let text = TraceAnalysis::from_events(&events).render_summary();
         assert!(text.contains("presolve & pass planning"));
         assert!(text.contains("planned passes"));
         assert!(text.contains("k-mers presolved away"));
@@ -433,8 +314,8 @@ mod tests {
             Event::Meta { tasks: 1 },
             counter(CounterKind::PlannedPasses, 2),
         ];
-        assert!(!RunSummary::from_events(&plain)
-            .render()
+        assert!(!TraceAnalysis::from_events(&plain)
+            .render_summary()
             .contains("presolve & pass planning"));
     }
 
@@ -449,12 +330,12 @@ mod tests {
                 value: 3,
             },
         ];
-        let s = RunSummary::from_events(&events);
-        let text = s.render();
+        let s = TraceAnalysis::from_events(&events);
+        let text = s.render_summary();
         assert!(text.contains("WARNING: trace is incomplete"));
         assert!(text.contains("3 dropped") || text.contains("3"));
         // A clean trace has no warning.
-        let clean = RunSummary::from_events(&[Event::Meta { tasks: 1 }]);
-        assert!(!clean.render().contains("WARNING"));
+        let clean = TraceAnalysis::from_events(&[Event::Meta { tasks: 1 }]);
+        assert!(!clean.render_summary().contains("WARNING"));
     }
 }
