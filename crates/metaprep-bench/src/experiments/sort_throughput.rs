@@ -492,7 +492,10 @@ fn comparator_table(input: &[KmerReadTuple]) {
     });
 
     print_table(
-        &format!("§4.2.2: sort throughput, {n} 16-byte tuples, {threads} thread(s)"),
+        &format!(
+            "§4.2.2: sort throughput, {n} {}-byte tuples, {threads} thread(s)",
+            std::mem::size_of::<KmerReadTuple>()
+        ),
         &["Sort", "Time (s)", "Mtuples/s"],
         &rows,
     );

@@ -26,8 +26,6 @@ use std::time::Instant;
 pub trait PipelineKmer: Kmer {
     /// The `(k-mer, read id)` tuple carried through comm/sort/CC.
     type Tuple: Keyed<Key = <Self as Kmer>::Repr> + Default + Copy + Send + Sync + 'static;
-    /// Packed tuple size in the paper's representation (12 or 20 bytes).
-    const PACKED_TUPLE_BYTES: usize;
 
     /// Build a tuple.
     fn make_tuple(v: <Self as Kmer>::Repr, read: u32) -> Self::Tuple;
@@ -43,7 +41,6 @@ pub trait PipelineKmer: Kmer {
 
 impl PipelineKmer for Kmer64 {
     type Tuple = KmerReadTuple;
-    const PACKED_TUPLE_BYTES: usize = KmerReadTuple::PACKED_BYTES;
 
     #[inline(always)]
     fn make_tuple(v: u64, read: u32) -> KmerReadTuple {
@@ -68,7 +65,6 @@ impl PipelineKmer for Kmer64 {
 
 impl PipelineKmer for Kmer128 {
     type Tuple = KmerReadTuple128;
-    const PACKED_TUPLE_BYTES: usize = KmerReadTuple128::PACKED_BYTES;
 
     #[inline(always)]
     fn make_tuple(v: u128, read: u32) -> KmerReadTuple128 {
@@ -559,7 +555,7 @@ mod tests {
             for buf in &out.outgoing {
                 for t in buf {
                     assert!(
-                        truth[&t.kmer] <= u64::from(threshold),
+                        truth[&{ t.kmer }] <= u64::from(threshold),
                         "frequent kmer survived"
                     );
                 }

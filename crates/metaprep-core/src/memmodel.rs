@@ -5,7 +5,7 @@
 //! ```text
 //! 4^{m+1} (C + 1)        merHist + FASTQPart
 //! + T * s_c              FASTQBuffer (T chunks in flight)
-//! + 2 * b * M / (S * P)  kmerOut + kmerIn (b = packed tuple bytes)
+//! + 2 * b * M / (S * P)  kmerOut + kmerIn (b = tuple bytes, 12 or 20)
 //! + 8 R                  component arrays p and p'
 //! ```
 //!
@@ -38,7 +38,7 @@ pub struct MemoryReport {
     pub fastqpart_bytes: u64,
     /// FASTQ chunk buffers (`T * s_c`).
     pub fastq_buffer_bytes: u64,
-    /// kmerOut buffer (`b * M / (S * P)`), packed tuple size.
+    /// kmerOut buffer (`b * M / (S * P)`).
     pub kmer_out_bytes: u64,
     /// kmerIn buffer (same size as kmerOut in expectation).
     pub kmer_in_bytes: u64,
@@ -46,7 +46,7 @@ pub struct MemoryReport {
     pub component_bytes: u64,
     /// Measured: maximum tuples resident on any task in any pass.
     pub measured_peak_tuples: u64,
-    /// Measured: that peak in actual in-memory bytes (aligned tuple size).
+    /// Measured: that peak in bytes (`size_of` the tuple — the model's `b`).
     pub measured_peak_tuple_bytes: u64,
 }
 
@@ -63,8 +63,8 @@ impl MemoryReport {
             merhist_bytes: table,
             fastqpart_bytes: table * inputs.chunks as u64,
             fastq_buffer_bytes: inputs.threads as u64 * inputs.avg_chunk_bytes,
-            kmer_out_bytes: per_pass_task * inputs.packed_tuple_bytes as u64,
-            kmer_in_bytes: per_pass_task * inputs.packed_tuple_bytes as u64,
+            kmer_out_bytes: per_pass_task * inputs.tuple_bytes as u64,
+            kmer_in_bytes: per_pass_task * inputs.tuple_bytes as u64,
             component_bytes: 8 * inputs.reads,
             measured_peak_tuples: 0,
             measured_peak_tuple_bytes: 0,
@@ -107,7 +107,7 @@ mod tests {
             threads: 24,
             avg_chunk_bytes: 300_000_000, // s_c ≈ 0.3 GB
             total_tuples: tuples_total,
-            packed_tuple_bytes: 12,
+            tuple_bytes: 12,
             tasks: 16,
             reads: 1_130_000_000, // R = 1.13e9
         };
@@ -133,7 +133,7 @@ mod tests {
             threads: 4,
             avg_chunk_bytes: 1 << 20,
             total_tuples: 100_000_000,
-            packed_tuple_bytes: 12,
+            tuple_bytes: 12,
             tasks: 4,
             reads: 1_000_000,
         };
@@ -145,10 +145,10 @@ mod tests {
     #[test]
     fn record_peak_keeps_max() {
         let mut r = MemoryReport::default();
-        r.record_peak(100, 16);
-        r.record_peak(50, 16);
+        r.record_peak(100, 12);
+        r.record_peak(50, 12);
         assert_eq!(r.measured_peak_tuples, 100);
-        assert_eq!(r.measured_peak_tuple_bytes, 1600);
+        assert_eq!(r.measured_peak_tuple_bytes, 1200);
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
             threads: 1,
             avg_chunk_bytes: 10,
             total_tuples: 100,
-            packed_tuple_bytes: 12,
+            tuple_bytes: 12,
             tasks: 1,
             reads: 5,
         };

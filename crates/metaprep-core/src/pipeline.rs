@@ -318,7 +318,7 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
         threads: cfg.threads,
         avg_chunk_bytes: chunk_bytes.checked_div(fastqpart.len() as u64).unwrap_or(0),
         total_tuples: merhist.total(),
-        packed_tuple_bytes: K::PACKED_TUPLE_BYTES,
+        tuple_bytes: std::mem::size_of::<K::Tuple>(),
         tasks: cfg.tasks,
         reads: u64::from(source.num_fragments()),
     };
@@ -1506,7 +1506,7 @@ mod tests {
             threads: cfg.threads,
             avg_chunk_bytes: avg,
             total_tuples: mh.total(),
-            packed_tuple_bytes: K64::PACKED_TUPLE_BYTES,
+            tuple_bytes: std::mem::size_of::<<K64 as PipelineKmer>::Tuple>(),
             tasks: cfg.tasks,
             reads: reads.num_fragments() as u64,
         }

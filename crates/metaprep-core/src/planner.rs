@@ -44,8 +44,8 @@ pub struct PlanInputs {
     pub avg_chunk_bytes: u64,
     /// Total enumerated k-mers `M` (the merHist total).
     pub total_tuples: u64,
-    /// Packed tuple size: 12 for `k <= 32`, 20 above.
-    pub packed_tuple_bytes: usize,
+    /// Tuple size `size_of::<K::Tuple>()`: 12 for `k <= 32`, 20 above.
+    pub tuple_bytes: usize,
     /// Task count `P`.
     pub tasks: usize,
     /// Fragment count `R`.
@@ -90,7 +90,7 @@ pub fn plan_passes(inputs: &PlanInputs, budget: u64) -> Result<PassPlan, Pipelin
         2 * (inputs
             .total_tuples
             .div_ceil(MAX_PLANNED_PASSES as u64 * inputs.tasks as u64)
-            * inputs.packed_tuple_bytes as u64),
+            * inputs.tuple_bytes as u64),
     );
     Err(PipelineError::InvalidConfig(format!(
         "memory budget {budget} B is infeasible: even {MAX_PLANNED_PASSES} passes model \
@@ -110,7 +110,7 @@ mod tests {
             threads: 1,
             avg_chunk_bytes: 1 << 16,
             total_tuples: 10_000_000,
-            packed_tuple_bytes: 12,
+            tuple_bytes: 12,
             tasks: 4,
             reads: 10_000,
         }

@@ -662,7 +662,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// The production bucket budget for 16-byte tuples, and small ones that
+    /// The production bucket budget for `KmerReadTuple`, and small ones that
     /// force deep refinement and second-level splits on test-sized inputs.
     const PRODUCTION: usize = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple>();
     const BUDGETS: [usize; 4] = [1, 8, 64, PRODUCTION];
@@ -1109,6 +1109,42 @@ mod tests {
                 check_bucketed(&parts, &lower, &[0, 13, 41], (bits, 126, budget));
             }
         }
+    }
+
+    #[test]
+    fn bucketed_packed_tuples_at_odd_offsets() {
+        // 20-byte, 4-aligned tuples in parts of odd lengths (and one empty
+        // one): inside a part every odd index sits at 4 mod 8, and the
+        // gather puts each later part at 4 mod 8 or 4 mod 16 of the
+        // destination. The packed tuple has no padding, so `==` on it is
+        // byte equality.
+        let mut rng = SmallRng::seed_from_u64(65);
+        let key =
+            |rng: &mut SmallRng| ((rng.gen::<u64>() as u128) << 64 | rng.gen::<u64>() as u128) >> 2;
+        let mut lower: Vec<u128> = (0..9).map(|_| key(&mut rng)).collect();
+        lower.push(0);
+        lower.sort_unstable();
+        let mut read = 0;
+        let parts: Vec<Vec<KmerReadTuple128>> = [97usize, 1, 33, 0, 5]
+            .iter()
+            .map(|&n| {
+                let mut part: Vec<_> = (0..n)
+                    .map(|_| {
+                        read += 1;
+                        KmerReadTuple128::new(key(&mut rng), read)
+                    })
+                    .collect();
+                part.sort_by_key(|t| lower.partition_point(|l| *l <= t.key())); // bucket-major
+                part
+            })
+            .collect();
+        for budget in [1, 8] {
+            check_bucketed(&parts, &lower, &[0, 4, 10], (8, 126, budget));
+        }
+        let (_, want) = reference_path(&parts, &[lower[4]], 8, 126);
+        let mut bufs = PassBuffers::new();
+        bucketed_local_sort(parts, &mut bufs, &lower, &[0, 4, 10], 8, 126);
+        assert_eq!(bufs.sorted(), &want[..]);
     }
 
     #[test]
