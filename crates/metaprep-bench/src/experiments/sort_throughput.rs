@@ -2,7 +2,7 @@
 //! reference, plus the paper's comparison against a state-of-the-art
 //! parallel radix sort.
 //!
-//! Four measurements:
+//! Five measurements:
 //!
 //! 1. **Fused vs reference LocalSort** on a pipeline-realistic receive-side
 //!    workload: per-sender message buffers as they come out of the
@@ -28,7 +28,16 @@
 //!    the fused entry gets the same tuples ungrouped and pays its
 //!    histogram + scatter pass first. `bucketed_over_fused` is the smaller
 //!    of the two throughput ratios; outputs are asserted byte-identical.
-//! 4. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
+//! 4. **In one bucket**: one [`BUCKET_TUPLES`]-tuple bucket, repeated in
+//!    [`BUCKET_COPIES`] key intervals, sorted [`BUCKET_ROUNDS`] times on one
+//!    thread by the pipeline's LocalSort (adopt the part, then per bucket
+//!    sweep and sort in cache) and by what it ran before (per bucket the
+//!    same sweep, then the pruned LSB radix of every tuple), rounds
+//!    alternating which goes first; the ratio is the median over rounds of
+//!    the round's ratio. MM-shaped keys (≈ 7 copies of each k-mer, in
+//!    emission order) give `rank_over_radix_dup`; all-distinct keys, the
+//!    adverse case, give `rank_over_radix_distinct`.
+//! 5. The paper's §4.2.2 table: LocalSort vs our fully-parallel stable
 //!    LSB radix sort (the NUMA-aware-sort stand-in) vs `sort_unstable`.
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta per timed
@@ -41,7 +50,8 @@ use crate::harness::print_table;
 use metaprep_kmer::KmerReadTuple;
 use metaprep_sort::{
     bucketed_local_sort, equal_boundaries_by_sample, fused_local_sort, local_sort,
-    local_sort_with_boundaries, parallel_lsb_sort, PassBuffers, RadixStats, BUCKET_BYTES,
+    local_sort_with_boundaries, lsb_radix_sort_pruned, parallel_lsb_sort, PassBuffers, RadixStats,
+    BUCKET_BYTES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +78,19 @@ const CLUSTERS: usize = 2;
 const CLUSTER_SHARE_PCT: u64 = 85;
 /// Width of each abundant cluster's k-mer window, in bits.
 const CLUSTER_WINDOW_BITS: u32 = 16;
+/// One production bucket of packed 27-mer tuples (21 845); the copies of it
+/// one timed round sorts (8.4 MB, so each comes from DRAM as a pipeline
+/// bucket does), and the timed rounds per side.
+const BUCKET_TUPLES: usize = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple>();
+const BUCKET_COPIES: usize = 32;
+const BUCKET_ROUNDS: usize = 20;
+/// Tuples per distinct k-mer in the MM-shaped bucket: `mm_1x1_s1` emits
+/// 8.03 M tuples of at most ≈ 1.1 M distinct 27-mers.
+const MM_COPIES: usize = 7;
+/// Key bits that vary inside one bucket: the plan's buckets are runs of
+/// m-mer bins, so the top bits are shared and 6 of the 7 digit windows run
+/// (`mm_1x1_s1`: 3 069 over 494 buckets).
+const BUCKET_VARYING_BITS: u32 = 48;
 
 /// The receive side of one task-pass: per-sender tuple buffers with
 /// metagenome-like skew. One task deep in an `S·P·T` hierarchy sees a
@@ -293,6 +316,137 @@ fn bucketed_vs_fused(senders: usize, seed: u64) -> (PathResult, PathResult) {
     (bucketed, fused)
 }
 
+/// [`BUCKET_COPIES`] copies of one bucket of [`BUCKET_TUPLES`] tuples, copy
+/// `c` in the key interval `c << BUCKET_VARYING_BITS`: inside a copy the
+/// keys vary in the low [`BUCKET_VARYING_BITS`] bits, with `copies` tuples
+/// per distinct key. The tuples of a key are shuffled — a k-mer's copies
+/// come from reads scattered through the emission order — and read ids
+/// follow that order. Returns the buffer and the copies' lower bounds.
+fn bucket_copies(copies: usize, seed: u64) -> (Vec<KmerReadTuple>, Vec<u64>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let low = (1u64 << BUCKET_VARYING_BITS) - 1;
+    let distinct: Vec<u64> = (0..BUCKET_TUPLES.div_ceil(copies))
+        .map(|_| rng.gen::<u64>() & low)
+        .collect();
+    let mut keys: Vec<u64> = (0..BUCKET_TUPLES)
+        .map(|i| distinct[i % distinct.len()])
+        .collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..i + 1));
+    }
+    let lower: Vec<u64> = (0..BUCKET_COPIES as u64)
+        .map(|c| c << BUCKET_VARYING_BITS)
+        .collect();
+    let tuples = lower
+        .iter()
+        .flat_map(|&top| keys.iter().map(move |&k| top | k))
+        .enumerate()
+        .map(|(i, k)| KmerReadTuple::new(k, i as u32))
+        .collect();
+    (tuples, lower)
+}
+
+/// Time [`BUCKET_ROUNDS`] warm rounds of the pipeline's LocalSort
+/// ([`bucketed_local_sort`] over the [`bucket_copies`] buffer as one adopted
+/// part: per bucket a sweep, then the in-cache sort) and of what it ran
+/// before (per bucket the same sweep — varying-bits mask and the check
+/// against the bucket's key interval — then [`lsb_radix_sort_pruned`] over
+/// every tuple), both on one pool thread, rounds alternating which goes
+/// first. Each round sorts a fresh copy made outside the timed region, and
+/// each side drops its previous output inside it, as the adopting pool
+/// does. Asserts equal bytes every round and equal digit-window counts.
+/// Returns `(rank, radix)` and the median over rounds of the round's radix
+/// over rank time: a noisy neighbour slows a round or two, and both sides
+/// of them alike.
+fn rank_vs_radix(copies: usize, seed: u64) -> (PathResult, PathResult, f64) {
+    let (buffer, lower) = bucket_copies(copies, seed);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let first = [0, lower.len()];
+    let mut bufs: PassBuffers<KmerReadTuple> = PassBuffers::new();
+    let (mut scratch, mut counts) = (vec![KmerReadTuple::default(); BUCKET_TUPLES], Vec::new());
+    let mut radix_sorted: Vec<KmerReadTuple> = Vec::new();
+    let empty = || PathResult {
+        secs: 0.0,
+        mtuples_per_s: 0.0,
+        peak_alloc: allocpeak::installed().then_some(0),
+        stats: RadixStats::default(),
+    };
+    let (mut rank, mut radix) = (empty(), empty());
+    let mut ratios = Vec::with_capacity(BUCKET_ROUNDS);
+    // Round 0 is the untimed warm-up: it populates the pooled buffers.
+    for round in 0..=BUCKET_ROUNDS {
+        let (parts, data) = (vec![buffer.clone()], buffer.clone());
+        let bufs = &mut bufs;
+        let sort_rank = || {
+            let sort = || bucketed_local_sort(parts, bufs, &lower, &first, DIGIT_BITS, KEY_BITS);
+            pool.install(sort).stats
+        };
+        let sort_radix = || {
+            let mut data = data;
+            let mut stats = RadixStats::default();
+            pool.install(|| {
+                for (bucket, &lo) in data.chunks_mut(BUCKET_TUPLES).zip(&lower) {
+                    let (mut or, mut and, mut min, mut max) = (0, u64::MAX, u64::MAX, 0);
+                    for t in bucket.iter() {
+                        (or, and) = (or | t.kmer, and & t.kmer);
+                        (min, max) = (min.min(t.kmer), max.max(t.kmer));
+                    }
+                    assert!(lo <= min && max < lo + (1 << BUCKET_VARYING_BITS));
+                    let (s, c) = (&mut scratch[..bucket.len()], &mut counts);
+                    let run = lsb_radix_sort_pruned(bucket, s, DIGIT_BITS, KEY_BITS, or ^ and, c);
+                    stats = stats.merged(run);
+                }
+            });
+            radix_sorted = data;
+            stats
+        };
+        let (mut warm_rank, mut warm_radix) = (empty(), empty());
+        let (rk, rx) = match round {
+            0 => (&mut warm_rank, &mut warm_radix),
+            _ => (&mut rank, &mut radix),
+        };
+        let (rank_s, radix_s) = if round % 2 == 0 {
+            (time_into(rk, sort_rank), time_into(rx, sort_radix))
+        } else {
+            let radix_s = time_into(rx, sort_radix);
+            (time_into(rk, sort_rank), radix_s)
+        };
+        if round > 0 {
+            ratios.push(radix_s / rank_s);
+        }
+        assert_eq!(
+            bufs.sorted(),
+            &radix_sorted[..],
+            "in-bucket sort diverged from the radix (round {round})"
+        );
+    }
+    assert_eq!(rank.stats, radix.stats, "digit windows differ");
+    for side in [&mut rank, &mut radix] {
+        side.mtuples_per_s = (buffer.len() * BUCKET_ROUNDS) as f64 / side.secs / 1e6;
+    }
+    ratios.sort_by(f64::total_cmp);
+    (rank, radix, ratios[ratios.len() / 2])
+}
+
+/// Time one call of `sort` into `acc`, where its seconds, allocator peak
+/// and digit windows add up over the rounds; returns its seconds.
+fn time_into(acc: &mut PathResult, sort: impl FnOnce() -> RadixStats) -> f64 {
+    allocpeak::reset_peak();
+    let before = allocpeak::peak_bytes();
+    let t0 = Instant::now();
+    let stats = sort();
+    let secs = t0.elapsed().as_secs_f64();
+    acc.secs += secs;
+    if let Some(p) = acc.peak_alloc.as_mut() {
+        *p = (*p).max(allocpeak::peak_bytes() - before);
+    }
+    acc.stats = acc.stats.merged(stats);
+    secs
+}
+
 /// Run the experiment; writes `BENCH_sort.json` and returns its path.
 pub fn run(scale: f64) -> std::path::PathBuf {
     let n = (((1usize << 22) as f64 * scale) as usize).max(SENDERS * RANGES);
@@ -308,6 +462,8 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     let (large_fused, large_reference) =
         fused_vs_reference(&single_range_parts(LARGE_TUPLES, 43), &[], LARGE_ROUNDS);
     let bucketed_cases = [1usize, 4].map(|senders| (senders, bucketed_vs_fused(senders, 44)));
+    let in_bucket = [("dup", MM_COPIES), ("distinct", 1)]
+        .map(|(name, copies)| (name, rank_vs_radix(copies, 45)));
 
     let ratio = print_case(
         &format!(
@@ -330,10 +486,23 @@ pub fn run(scale: f64) -> std::path::PathBuf {
              {senders} sender(s), 1 range"
         );
         let rows = [
-            ("bucketed (gather + in-cache radix)", bucketed),
+            ("bucketed (gather + in-cache sort)", bucketed),
             ("fused (scatter-on-receive)", fused),
         ];
         bucketed_ratio = bucketed_ratio.min(print_paths(&title, rows));
+    }
+
+    for (name, (rank, radix, ratio)) in &in_bucket {
+        let title = format!(
+            "in one bucket ({name} keys): {BUCKET_COPIES} x {BUCKET_TUPLES} tuples x \
+             {BUCKET_ROUNDS} rounds, 1 thread"
+        );
+        let rows = [
+            ("LocalSort (in-cache sort)", rank),
+            ("pruned LSB radix (every tuple)", radix),
+        ];
+        print_paths(&title, rows);
+        println!("  median over rounds of radix / LocalSort time: {ratio:.2}");
     }
 
     // --- paper §4.2.2: LocalSort vs parallel radix vs std ---------------
@@ -398,8 +567,24 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         ));
     }
     json.push_str(&format!(
-        "  \"bucketed_over_fused\": {bucketed_ratio:.3}\n}}\n"
+        "  \"bucketed_over_fused\": {bucketed_ratio:.3},\n"
     ));
+    json.push_str(&format!("  \"in_bucket_tuples\": {BUCKET_TUPLES},\n"));
+    json.push_str(&format!("  \"in_bucket_copies\": {BUCKET_COPIES},\n"));
+    json.push_str(&format!("  \"in_bucket_rounds\": {BUCKET_ROUNDS},\n"));
+    for (name, (rank, radix, _)) in &in_bucket {
+        json.push_str(&format!(
+            "  \"in_bucket_{name}\": {{\"rank\": {}, \"radix\": {}}},\n",
+            path_json(rank),
+            path_json(radix)
+        ));
+    }
+    let ratios: Vec<String> = in_bucket
+        .iter()
+        .map(|(name, (_, _, r))| format!("  \"rank_over_radix_{name}\": {r:.3}"))
+        .collect();
+    json.push_str(&ratios.join(",\n"));
+    json.push_str("\n}\n");
 
     let out = std::env::var("METAPREP_BENCH_OUT")
         .map(std::path::PathBuf::from)

@@ -123,9 +123,9 @@ impl Forest {
 
 /// What a task carries from one boundary to the next: exactly what a
 /// [`Checkpoint`] holds, plus the pooled LocalSort buffers (destination,
-/// bucket scratch and the debug-build scatter tracker are allocated on the
-/// first pass and recycled by every later one).
-pub(crate) struct TaskState<T> {
+/// bucket scratch and in-bucket sort workspaces are allocated on the first
+/// pass and recycled by every later one).
+pub(crate) struct TaskState<T: Keyed> {
     pub(crate) forest: Forest,
     pub(crate) progress: Progress,
     pub(crate) sort_bufs: PassBuffers<T>,

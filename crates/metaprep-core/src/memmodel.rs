@@ -19,11 +19,13 @@
 //! of the pass holds (DESIGN.md §7.2): distinct send and receive buffers
 //! during the all-to-all (`kmer_out + kmer_in`), or the received parts next
 //! to the destination they are gathered into (`2 × kmer_in`), whichever is
-//! larger; the bucket scratch of a few hundred KiB per thread is not
-//! counted. The in-process exchange undercuts that charge: the
-//! self-addressed buffer is moved, never copied, so it is not resident
-//! twice, and a single-task run sorts in the very buffer KmerGen wrote —
-//! one tuple copy where two are charged (DESIGN.md §7 records the gap).
+//! larger; the per-thread in-bucket sort workspace — the bucket scratch
+//! window and the rank sort's key table, per-tuple ids and distinct-key
+//! pairs, each sized by one cache-sized bucket — is not counted. The
+//! in-process exchange undercuts that charge: the self-addressed buffer is
+//! moved, never copied, so it is not resident twice, and a single-task run
+//! sorts in the very buffer KmerGen wrote — one tuple copy where two are
+//! charged (DESIGN.md §7 records the gap).
 //! Capacity the pooled pass buffers carry between passes is covered by the
 //! allocator-measured footprint, not this model.
 

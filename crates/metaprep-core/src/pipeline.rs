@@ -598,13 +598,13 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
         // What a message-passing run of this pass would hold at its two
         // peaks: send buffers next to receive buffers during the all-to-all
         // (out + in), and the received parts next to the destination they
-        // are gathered into during LocalSort (2 * in; the bucket scratch is
-        // cache-sized and not counted). The in-process exchange holds less
-        // — the self-addressed buffer is moved, and with one task it is
-        // also the sort destination — but the formula is serialized into
-        // the checkpoints and stays. Capacity the pooled buffers carry
-        // between passes is deliberately not modeled — the measured
-        // allocator peak covers it.
+        // are gathered into during LocalSort (2 * in; the per-thread bucket
+        // scratch and in-bucket sort workspace are cache-sized and not
+        // counted). The in-process exchange holds less — the self-addressed
+        // buffer is moved, and with one task it is also the sort
+        // destination — but the formula is serialized into the checkpoints
+        // and stays. Capacity the pooled buffers carry between passes is
+        // deliberately not modeled — the measured allocator peak covers it.
         let peak = (emitted + received).max(2 * received);
         st.progress.peak_tuples = st.progress.peak_tuples.max(peak);
 
@@ -675,7 +675,7 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
 
     /// LocalSort into `bufs`: the parts arrive grouped by this task's sort
     /// buckets, so each bucket is gathered (or, for a single part, sorted
-    /// where it is) and radix-sorted while cache-resident. Returns the
+    /// where it is) and sorted while cache-resident. Returns the
     /// per-thread sub-range offsets within `bufs.sorted()`.
     fn local_sort(
         &self,

@@ -22,9 +22,8 @@
 //!   than recomputing the range per tuple);
 //! * the histogram accumulates a per-bucket *varying-bits mask*
 //!   (`OR(keys) ^ AND(keys)` — set exactly where two keys disagree), which
-//!   [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned) uses to skip
-//!   identity radix passes, and which tells a bucket that came out too big
-//!   where its next split digit is.
+//!   the in-bucket sort uses to skip identity digit passes, and which tells
+//!   a bucket that came out too big where its next split digit is.
 //!
 //! **Stability / byte-identity.** Work units are ordered part-major
 //! (sender 0's tuples first, in order, then sender 1's, …) — exactly the
@@ -38,7 +37,8 @@
 //! on this and a proptest pins it.
 
 use crate::partition::{ScatterTracker, SharedSlice};
-use crate::radix::{lsb_radix_sort_pruned, radix_pass, Keyed, RadixStats, SortKey};
+use crate::radix::{radix_pass, Keyed, RadixStats, SortKey};
+use crate::rank::{rank_sort, RankScratch};
 use rayon::prelude::*;
 
 /// Max table index width; 2^11 u32 entries = 8 KiB, comfortably L1-resident.
@@ -312,26 +312,39 @@ pub fn scatter_from_parts<T: Keyed>(
     ScatterResult { offsets, varying }
 }
 
-/// Pooled per-task buffers for the fused LocalSort: the partitioned
-/// destination, the per-worker bucket scratch, the per-tuple range-id
-/// buffer, and the debug-build scatter tracker are allocated once and
-/// recycled across passes (the unfused path re-allocated and
-/// zero-initialized two tuple-count-sized vectors every pass — and on a
-/// cold pool, first-touch page faults cost as much as the scatter itself,
-/// so recycling is where the fused path's steady-state win comes from).
+/// Pooled per-task LocalSort buffers, allocated once and recycled across
+/// passes: the destination (the gather target, or the adopted part), and
+/// per worker a bucket scratch window and the in-bucket sort's workspace
+/// (key table, per-tuple ids, distinct-key pairs: cache-sized like the
+/// window); for [`fused_local_sort`] also its per-tuple range ids and the
+/// debug-build scatter tracker. On a cold pool, first-touch page faults
+/// cost as much as a scatter pass; recycling avoids them.
 ///
-/// Reuse without re-zeroing is sound because the scatter writes every
-/// destination slot before anything reads it, each radix pass writes
-/// every scratch slot it later reads, and the histogram pass writes every
-/// range id the scatter reads.
-#[derive(Default)]
-pub struct PassBuffers<T> {
+/// Reuse without re-zeroing is sound because the gather or scatter writes
+/// every destination slot before anything reads it, the in-bucket sort
+/// writes every scratch and workspace slot it later reads, and the
+/// histogram pass writes every range id the scatter reads.
+pub struct PassBuffers<T: Keyed> {
     dst: Vec<T>,
     /// One window per thread sub-range, each as long as that sub-range's
     /// largest bucket — a few hundred KiB, not a second copy of the tuples.
     scratch: Vec<T>,
+    /// One in-bucket sort workspace per thread sub-range.
+    rank: Vec<RankScratch<T::Key>>,
     ids: Vec<u16>,
     tracker: ScatterTracker,
+}
+
+impl<T: Keyed> Default for PassBuffers<T> {
+    fn default() -> Self {
+        Self {
+            dst: Vec::new(),
+            scratch: Vec::new(),
+            rank: Vec::new(),
+            ids: Vec::new(),
+            tracker: ScatterTracker::default(),
+        }
+    }
 }
 
 impl<T: Keyed + Default> PassBuffers<T> {
@@ -351,22 +364,23 @@ impl<T: Keyed + Default> PassBuffers<T> {
 pub struct FusedSortResult {
     /// Thread sub-range offsets within [`PassBuffers::sorted`].
     pub offsets: Vec<usize>,
-    /// Digit windows run vs pruned, summed over every radix call: one per
-    /// bucket, plus one per sub-bucket of a bucket that had to be split.
+    /// Digit windows run vs pruned, summed over every in-bucket sort: one
+    /// per bucket, plus one per sub-bucket of a bucket that had to be
+    /// split.
     pub stats: RadixStats,
 }
 
 /// Tuple bytes the average bucket may hold so that it, its scratch window
-/// and the digit counters stay cache-resident through every radix pass.
+/// and the in-bucket sort's workspace stay cache-resident while it sorts.
 /// Measured flat from 32 KiB to 512 KiB (DESIGN.md §7.2), so a constant —
 /// the one both sides of the exchange read: KmerGen's bucket plan fills
 /// buckets to it, LocalSort splits a bucket that came out over twice it.
 pub const BUCKET_BYTES: usize = 256 << 10;
 
 /// The fused LocalSort: scatter the per-sender buffers straight into the
-/// pooled destination *in cache-sized buckets*, then radix-sort each
-/// bucket while it is cache-resident. Consumes `parts` so the received
-/// message buffers are freed as soon as the scatter lands.
+/// pooled destination *in cache-sized buckets*, then sort each bucket while
+/// it is cache-resident. Consumes `parts` so the received message buffers
+/// are freed as soon as the scatter lands.
 ///
 /// The sorted tuples land in `bufs.sorted()[..total]`; the result is
 /// byte-identical to concat → [`crate::partition_by_ranges`] → per-range
@@ -461,28 +475,31 @@ fn sort_buckets<T: Keyed + Default>(
     };
     let windows: Vec<usize> = first.windows(2).map(largest).collect();
     bufs.scratch.resize(windows.iter().sum(), T::default());
+    if bufs.rank.len() < windows.len() {
+        bufs.rank.resize_with(windows.len(), RankScratch::new);
+    }
 
-    // Disjoint (tuples, scratch window, bucket run) triples for rayon: each
-    // worker walks its own sub-range's buckets in order.
+    // Disjoint (tuples, scratch window, workspace, bucket run) work items
+    // for rayon: each worker walks its own sub-range's buckets in order.
     let mut rem_d: &mut [T] = &mut bufs.dst;
     let mut rem_s: &mut [T] = &mut bufs.scratch;
     let mut work = Vec::with_capacity(windows.len());
-    for (w, &window) in first.windows(2).zip(&windows) {
+    for ((w, &window), ws) in first.windows(2).zip(&windows).zip(&mut bufs.rank) {
         let (d, rd) = rem_d.split_at_mut(bucket_offsets[w[1]] - bucket_offsets[w[0]]);
         let (s, rs) = rem_s.split_at_mut(window);
         rem_d = rd;
         rem_s = rs;
-        work.push((d, s, w[0]..w[1]));
+        work.push((d, s, ws, w[0]..w[1]));
     }
     let stats = work
         .into_par_iter()
-        .map(|(d, s, run)| {
-            let (mut counts, base) = (Vec::new(), bucket_offsets[run.start]);
+        .map(|(d, s, ws, run)| {
+            let base = bucket_offsets[run.start];
             let sort = |r: usize| {
                 let (lo, hi) = (bucket_offsets[r] - base, bucket_offsets[r + 1] - base);
                 let bucket = &mut d[lo..hi];
                 let varying = bring_in(r, bucket);
-                sort_bucket(bucket, s, varying, bits, key_bits, budget, &mut counts)
+                sort_bucket(bucket, s, varying, bits, key_bits, budget, ws)
             };
             run.map(sort)
                 .fold(RadixStats::default(), RadixStats::merged)
@@ -599,13 +616,14 @@ fn bucket_mask<T: Keyed>(bucket: &[T], lo: T::Key, hi: Option<&T::Key>) -> T::Ke
 }
 
 /// Sort one scattered bucket against (the front of) its worker's scratch
-/// window. A bucket up to twice the average `budget` goes straight to the
-/// pruned LSB sort. A larger one (keys denser than the
-/// fixed cuts assume) first takes a stable MSD split into `scratch` on the
-/// `bits` bits that end at its highest varying bit, and each sub-bucket is
-/// then LSB-sorted over the bits below — a stable split followed by a
-/// stable sort of the remaining bits is the unique stable order, so the
-/// output does not depend on which route a bucket took.
+/// window and workspace. A bucket up to twice the average `budget` goes
+/// straight to the in-bucket sort, [`rank_sort`]. A larger one (keys
+/// denser than the fixed cuts assume) first takes a stable MSD split into
+/// `scratch` on the `bits` bits that end at its highest varying bit, and
+/// each sub-bucket is then sorted the same way over the bits below — a
+/// stable split followed by a stable sort of the remaining bits is the
+/// unique stable order, so the output does not depend on which route a
+/// bucket took.
 fn sort_bucket<T: Keyed>(
     data: &mut [T],
     scratch: &mut [T],
@@ -613,7 +631,7 @@ fn sort_bucket<T: Keyed>(
     bits: u32,
     key_bits: u32,
     budget: usize,
-    counts: &mut Vec<usize>,
+    ws: &mut RankScratch<T::Key>,
 ) -> RadixStats {
     let scratch = &mut scratch[..data.len()];
     let buckets = 1usize << bits;
@@ -623,28 +641,26 @@ fn sort_bucket<T: Keyed>(
         .rev()
         .find(|&s| varying.digit(s, mask) != 0);
     let Some(top) = top.filter(|_| data.len() > 2 * budget) else {
-        return lsb_radix_sort_pruned(data, scratch, bits, key_bits, varying, counts);
+        return rank_sort(data, scratch, bits, key_bits, varying, ws);
     };
 
     let highest = top + varying.digit(top, mask).ilog2();
     let shift = (highest + 1).saturating_sub(bits);
-    counts.clear();
-    counts.resize(buckets, 0);
+    let mut ends = vec![0usize; buckets];
     for t in data.iter() {
-        counts[t.key().digit(shift, mask)] += 1;
+        ends[t.key().digit(shift, mask)] += 1;
     }
-    radix_pass(data, scratch, shift, mask, counts);
+    radix_pass(data, scratch, shift, mask, &mut ends);
     let mut stats = RadixStats {
         passes_run: 1,
         passes_pruned: 0,
     };
-    let ends = counts.clone();
     let mut start = 0;
     for end in ends {
         // The sub-bucket sits in `scratch`; sort it there with the matching
         // window of `data` as its scratch, then bring it home.
         let (sub, home) = (&mut scratch[start..end], &mut data[start..end]);
-        let sub_stats = lsb_radix_sort_pruned(sub, home, bits, shift, varying, counts);
+        let sub_stats = rank_sort(sub, home, bits, shift, varying, ws);
         stats = stats.merged(sub_stats);
         home.copy_from_slice(sub);
         start = end;
@@ -1068,6 +1084,29 @@ mod tests {
         bucketed_local_sort(vec![part], &mut bufs, &lower, &[0, 4], 8, 54);
         assert_eq!(bufs.sorted().as_ptr(), at);
         assert!(crate::is_sorted_by_key(bufs.sorted()));
+    }
+
+    #[test]
+    fn bucketed_passes_reuse_the_rank_workspaces() {
+        // Three copies of each k-mer, in two thread sub-ranges of two
+        // buckets each; the second pass over one pool allocates nothing.
+        let tuples = random_tuples(3_000, 33);
+        let mut part: Vec<KmerReadTuple> = (0..9_000u32)
+            .map(|i| KmerReadTuple::new(tuples[i as usize % 3_000].kmer, i))
+            .collect();
+        part.sort_by_key(|t| t.kmer >> 52);
+        let lower: Vec<u64> = (0..4u64).map(|b| b << 52).collect();
+        let mut bufs = PassBuffers::new();
+        let mut pass = || {
+            let parts = vec![part[..4_000].to_vec(), part[4_000..].to_vec()];
+            bucketed_local_sort(parts, &mut bufs, &lower, &[0, 2, 4], 8, 54);
+            assert!(crate::is_sorted_by_key(bufs.sorted()));
+            let at: Vec<_> = bufs.rank.iter().map(RankScratch::allocations).collect();
+            assert_eq!(at.len(), 2);
+            at
+        };
+        let first = pass();
+        assert_eq!(pass(), first);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Radix sorts for k-mer tuples (LocalSort, paper §3.4).
 //!
-//! METAPREP sorts `(k-mer, read id)` tuples with the k-mer as key in two
-//! stages:
+//! The paper's LocalSort sorts `(k-mer, read id)` tuples with the k-mer as
+//! key in two stages, which this crate keeps as the reference:
 //!
 //! 1. **Parallel partitioning** — tuples are scattered into `T` disjoint
 //!    k-mer sub-ranges so each can be sorted concurrently
@@ -24,9 +24,18 @@
 //! [`fused::bucketed_local_sort`] only finds each bucket's run in each part
 //! by binary search, gathers the runs sender by sender (or, with a single
 //! part, adopts the buffer and moves nothing) and sorts each bucket while
-//! it is cache-resident with [`radix::lsb_radix_sort_pruned`], which skips
-//! identity passes via a varying-bits mask taken in the sweep that brings
-//! the bucket into cache.
+//! it is cache-resident. The in-bucket sort is a stable counting sort by
+//! distinct-key rank: one pass through a cache-resident hash table gives
+//! every tuple the id of its k-mer, only the distinct `(k-mer, id)` pairs
+//! are radix-sorted ([`radix::lsb_radix_sort_pruned`], 8 bits per pass,
+//! skipping identity passes via a varying-bits mask taken in the sweep that
+//! brings the bucket into cache), and one pass places every tuple. A bucket
+//! holds each k-mer about as often as the reads cover it, so the digit
+//! passes touch a fraction of the tuples, and the output is the radix
+//! sort's to the byte. A bucket whose mask leaves few digit passes, or
+//! whose table pass finds too many distinct k-mers for the saving to pay
+//! for it, is radix-sorted tuple by tuple instead, and so are the next few
+//! buckets of the same worker.
 //!
 //! [`fused::fused_local_sort`] is the entry for parts that are *not*
 //! grouped: it refines the thread boundaries with fixed cuts on the top key
@@ -41,6 +50,7 @@ pub mod fused;
 pub mod parallel;
 pub mod partition;
 pub mod radix;
+mod rank;
 pub mod sync;
 
 pub use fused::{

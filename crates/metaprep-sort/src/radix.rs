@@ -227,9 +227,11 @@ pub(crate) fn radix_pass<T: Keyed>(
 /// histograms, so it arrives here for free. A digit window with no varying
 /// bits means every key shares that digit, the pass permutation would be
 /// the identity, and the pass is skipped without even the counting read.
-/// The fused LocalSort calls this once per cache-sized bucket — thousands
-/// of times per pipeline pass — so the counter table comes from the caller
-/// (`counts`; resized and rewritten here, so any recycled `Vec` will do).
+/// LocalSort's in-bucket sort calls this once per cache-sized bucket — on
+/// that bucket's distinct `(key, id)` pairs, or on its tuples where ranking
+/// would not pay — thousands of times per pipeline pass, so the counter
+/// table comes from the caller (`counts`;
+/// resized and rewritten here, so any recycled `Vec` will do).
 ///
 /// Skipped passes are exactly the passes the unpruned sort's counting
 /// heuristic skips (a constant digit ⇔ one occupied bucket), and a stable

@@ -217,6 +217,8 @@ const SMOKE_RUNS: &[SmokeRun] = &[
             "\"radix_passes_pruned\"",
             "\"large_fused\"",
             "\"bucketed_1_part\"",
+            "\"in_bucket_dup\"",
+            "\"in_bucket_distinct\"",
         ],
     },
     SmokeRun {
@@ -475,6 +477,31 @@ const BENCH_METRICS: &[BenchMetric] = &[
         key: "\"bucketed_over_fused\"",
         higher_is_better: true,
         gate: 1.0,
+        gate_waiver: None,
+        must_equal: None,
+    },
+    // LocalSort's in-bucket sort vs the pruned LSB radix it replaced, on
+    // 32 copies of one 21 845-tuple bucket (any scale, one thread; median
+    // of 20 paired rounds). With about 7 tuples per k-mer, as on MM, the
+    // rank sort runs and only a seventh of the tuples go through the digit
+    // passes (observed 1.44-1.51x).
+    BenchMetric {
+        artifact: "BENCH_sort.json",
+        key: "\"rank_over_radix_dup\"",
+        higher_is_better: true,
+        gate: 1.3,
+        gate_waiver: None,
+        must_equal: None,
+    },
+    // The adverse case, all keys distinct: the table pass gives up half
+    // way through one bucket in eight and the rest go straight to the
+    // radix (observed 0.93-0.98x). The gate keeps the cost visible;
+    // `hg_k63_budget` (94 % distinct) is its end-to-end control.
+    BenchMetric {
+        artifact: "BENCH_sort.json",
+        key: "\"rank_over_radix_distinct\"",
+        higher_is_better: true,
+        gate: 0.8,
         gate_waiver: None,
         must_equal: None,
     },
@@ -1274,6 +1301,29 @@ mod tests {
                     .collect::<Vec<_>>()
             );
         }
+    }
+
+    #[test]
+    fn rank_sort_module_covered_by_and_passes_the_lints() {
+        // LocalSort's in-bucket kernel lives in a pipeline crate: a bare
+        // unwrap there must flag, and the real source must stay clean.
+        let rel = "crates/metaprep-sort/src/rank.rs";
+        assert!(is_pipeline_src(rel));
+        assert_eq!(
+            lint_str(rel, "fn f() { g().unwrap(); }\n"),
+            vec!["no-bare-unwrap:1"]
+        );
+        let text = std::fs::read_to_string(workspace_root().join(rel)).expect("read rank source");
+        let mut findings = Vec::new();
+        lint_file(Path::new(rel), &text, &mut findings);
+        assert!(
+            findings.is_empty(),
+            "{rel} must pass the custom lints: {:?}",
+            findings
+                .iter()
+                .map(|f| format!("{}:{}", f.line, f.lint))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
