@@ -10,11 +10,6 @@
 //!                    [--kf 10:29] [--top 4] [--sparse] --outdir parts/
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
 //!                    [--checkpoint-dir ckpt/] [--watchdog-timeout 5000]
-//! metaprep normalize --input reads.fastq --target 20 --output norm.fastq
-//! metaprep trim      --input reads.fastq --quality 20 --min-len 50
-//!                    [--adapter AGATCGGAAGAGC] --output trimmed.fastq
-//! metaprep assemble  --input reads.fastq --k 21 --min-count 2 --output contigs.fa
-//! metaprep spectrum  --input reads.fastq --k 27
 //! metaprep report    --trace trace.jsonl
 //! metaprep analyze   --trace trace.jsonl [--top 5] [--folded stacks.txt] [--strict]
 //! ```
@@ -45,9 +40,8 @@ use args::{ArgError, Args};
 use metaprep_core::{
     write_multi_partition_streamed, write_partitions_streamed, Pipeline, PipelineConfig, Step,
 };
-use metaprep_io::{parse_fastq_path, write_fastq_path, ReadStore};
+use metaprep_io::write_fastq_path;
 use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, TraceAnalysis};
-use std::io::Write as _;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -65,8 +59,7 @@ fn main() {
     }
 }
 
-const USAGE: &str =
-    "usage: metaprep <simulate|index|partition|normalize|trim|assemble|spectrum|report|analyze> [--options]
+const USAGE: &str = "usage: metaprep <simulate|index|partition|report|analyze> [--options]
 run `metaprep <command>` with missing options to see what each needs";
 
 /// Apply `--simd auto|avx2|neon|scalar` before any hot path runs: the
@@ -100,10 +93,6 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "simulate" => cmd_simulate(&args),
         "index" => cmd_index(&args),
         "partition" => cmd_partition(&args),
-        "normalize" => cmd_normalize(&args),
-        "trim" => cmd_trim(&args),
-        "assemble" => cmd_assemble(&args),
-        "spectrum" => cmd_spectrum(&args),
         "report" => cmd_report(&args),
         "analyze" => cmd_analyze(&args),
         other => Err(Box::new(ArgError(format!("unknown subcommand {other:?}")))),
@@ -217,12 +206,6 @@ fn cmd_analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn load_reads(args: &Args) -> Result<ReadStore, Box<dyn std::error::Error>> {
-    let input = args.req("input")?;
-    let paired = !args.flag("unpaired");
-    Ok(parse_fastq_path(&input, paired)?)
-}
-
 fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use metaprep_synth::{scaled_profile, simulate_community, DatasetId};
     let name = args.get_or("dataset", "hg".to_string())?;
@@ -234,6 +217,11 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(Box::new(ArgError(format!("unknown dataset {other:?}")))),
     };
     let scale = args.get_or("scale", 1.0f64)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(Box::new(ArgError(format!(
+            "--scale must be a positive number, got {scale}"
+        ))));
+    }
     let seed = args.get_or("seed", 42u64)?;
     let output = args.req("output")?;
     let data = simulate_community(&scaled_profile(id, scale), seed);
@@ -253,13 +241,18 @@ fn cmd_index(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     use metaprep_index::{index_fastq_file_streaming_sketched_recorded, StreamingOptions};
     let input = args.req("input")?;
     let paired = !args.flag("unpaired");
-    let k = args.get_or("k", 27usize)?;
-    let m = args.get_or("m", 8usize)?;
-    let chunks = args.get_or("chunks", 64usize)?;
-    let opts = StreamingOptions {
-        window: 0,
-        threads: args.get_or("threads", 0usize)?,
-    };
+    let threads = args.get_or("threads", 0usize)?;
+    // The same k / m / chunk checks `partition` runs; `--chunks 0` is
+    // `partition`'s auto count.
+    let cfg = PipelineConfig::builder()
+        .k(args.get_or("k", 27usize)?)
+        .m(args.get_or("m", 8usize)?)
+        .chunks(args.get_or("chunks", 64usize)?)
+        .threads(threads.max(1))
+        .build();
+    cfg.validate()?;
+    let (k, m, chunks) = (cfg.k, cfg.m, cfg.effective_chunks());
+    let opts = StreamingOptions { window: 0, threads };
     let outdir = std::path::PathBuf::from(args.get_or("outdir", "metaprep_index".to_string())?);
     let trace = trace_opts(args)?;
     // IndexCreate runs on one (driver) "task"; its sub-phases show up as
@@ -456,118 +449,5 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         input_mb / output_s.max(1e-9)
     );
     println!("{wrote}");
-    Ok(())
-}
-
-fn cmd_normalize(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use metaprep_norm::{normalize, NormalizeConfig};
-    let reads = load_reads(args)?;
-    let cfg = NormalizeConfig {
-        k: args.get_or("k", 20usize)?,
-        target: args.get_or("target", 20u64)?,
-        sketch_width: args.get_or("sketch-width", 1usize << 22)?,
-        sketch_depth: args.get_or("sketch-depth", 4usize)?,
-        seed: args.get_or("seed", 0xD16E57u64)?,
-    };
-    let output = args.req("output")?;
-    let res = normalize(&reads, cfg);
-    write_fastq_path(&output, &res.reads)?;
-    println!(
-        "kept {} / dropped {} fragments ({:.1}% kept, sketch {:.1} MB) -> {}",
-        res.kept,
-        res.dropped,
-        100.0 * res.keep_fraction(),
-        res.sketch_bytes as f64 / 1e6,
-        output
-    );
-    Ok(())
-}
-
-fn cmd_trim(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use metaprep_io::{trim_adapter, trim_quality};
-    let reads = load_reads(args)?;
-    let min_len = args.get_or("min-len", 50usize)?;
-    let q = args.get_or("quality", 20u8)?;
-    let threshold = q.saturating_add(33); // Phred+33 encoding
-    let output = args.req("output")?;
-
-    let (mut out, qstats) = trim_quality(&reads, threshold, min_len);
-    let mut astats = None;
-    if let Some(adapter) = args.opt("adapter") {
-        let (trimmed, st) = trim_adapter(&out, adapter.as_bytes(), 4, min_len);
-        out = trimmed;
-        astats = Some(st);
-    }
-    write_fastq_path(&output, &out)?;
-    println!(
-        "quality trim: kept {} dropped {} fragments, {} bases removed",
-        qstats.kept_fragments, qstats.dropped_fragments, qstats.bases_trimmed
-    );
-    if let Some(st) = astats {
-        println!(
-            "adapter trim: kept {} dropped {} fragments, {} bases removed",
-            st.kept_fragments, st.dropped_fragments, st.bases_trimmed
-        );
-    }
-    println!("wrote {output} ({} reads)", out.len());
-    Ok(())
-}
-
-fn cmd_assemble(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use metaprep_assembly::{assemble, AssemblyConfig};
-    let reads = load_reads(args)?;
-    let cfg = AssemblyConfig {
-        k: args.get_or("k", 21usize)?,
-        min_count: args.get_or("min-count", 2u32)?,
-        max_count: args.get_or("max-count", u32::MAX)?,
-        min_contig_len: args.get_or("min-contig", 100usize)?,
-    };
-    let output = args.req("output")?;
-    let asm = assemble(&reads, cfg);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&output)?);
-    for (i, contig) in asm.contigs.iter().enumerate() {
-        writeln!(f, ">contig_{i} len={}", contig.len())?;
-        for line in contig.chunks(80) {
-            f.write_all(line)?;
-            f.write_all(b"\n")?;
-        }
-    }
-    f.flush()?;
-    println!(
-        "{} contigs, {} bp total, max {}, N50 {} ({:.2}s) -> {}",
-        asm.stats.contigs,
-        asm.stats.total_bases,
-        asm.stats.max_contig,
-        asm.stats.n50,
-        asm.elapsed.as_secs_f64(),
-        output
-    );
-    Ok(())
-}
-
-fn cmd_spectrum(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    use metaprep_kmc::{count_kmers, KmcConfig};
-    let reads = load_reads(args)?;
-    let res = count_kmers(
-        &reads,
-        KmcConfig {
-            k: args.get_or("k", 27usize)?,
-            minimizer_len: args.get_or("minimizer", 7usize)?,
-            bins: args.get_or("bins", 256usize)?,
-        },
-    );
-    println!(
-        "{} occurrences, {} distinct, max count {}",
-        res.total_kmers, res.distinct_kmers, res.max_count
-    );
-    let mut spectrum = std::collections::BTreeMap::new();
-    for bin in &res.counts_per_bin {
-        for &(_, c) in bin {
-            *spectrum.entry(c).or_insert(0u64) += 1;
-        }
-    }
-    for (c, n) in spectrum.iter().take(30) {
-        println!("{c:>6} {n}");
-    }
     Ok(())
 }

@@ -43,6 +43,90 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
 }
 
 #[test]
+fn usage_lists_exactly_the_dispatched_subcommands() {
+    let out = metaprep(&["trim", "--input", "reads.fastq"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert!(
+        err.starts_with("error: unknown subcommand \"trim\"\n"),
+        "{err}"
+    );
+    let listed = err
+        .lines()
+        .find_map(|l| l.strip_prefix("usage: metaprep <"))
+        .and_then(|l| l.split_once('>'))
+        .map(|(list, _)| list.split('|').collect::<Vec<_>>())
+        .unwrap_or_else(|| panic!("no usage line: {err}"));
+    assert_eq!(
+        listed,
+        ["simulate", "index", "partition", "report", "analyze"]
+    );
+    // Every listed command is dispatched (it fails on its missing options,
+    // not as unknown); every deleted one is unknown.
+    for cmd in listed {
+        let err = stderr_of(&metaprep(&[cmd]));
+        assert!(!err.contains("unknown subcommand"), "{cmd}: {err}");
+    }
+    for cmd in ["normalize", "trim", "assemble", "spectrum"] {
+        let err = stderr_of(&metaprep(&[cmd]));
+        assert!(
+            err.starts_with(&format!("error: unknown subcommand {cmd:?}")),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn out_of_range_index_and_simulate_options_are_one_error_line() {
+    let dir = tmpdir("out_of_range");
+    let reads = dir.join("reads.fastq");
+    std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
+    let out_path = dir.join("out");
+    let (input, outp) = (reads.to_str().unwrap(), out_path.to_str().unwrap());
+    let index = |extra: &'static [&'static str]| {
+        let mut args = vec!["index", "--input", input, "--outdir", outp];
+        args.extend(extra);
+        args
+    };
+    let simulate = |scale| {
+        vec![
+            "simulate",
+            "--dataset",
+            "hg",
+            "--scale",
+            scale,
+            "--output",
+            outp,
+        ]
+    };
+    let cases: Vec<Vec<&str>> = vec![
+        index(&["--k", "0"]),
+        index(&["--k", "64"]),
+        index(&["--m", "0"]),
+        index(&["--m", "20"]),
+        index(&["--k", "5", "--m", "8"]),
+        simulate("0"),
+        simulate("nan"),
+        simulate("-1"),
+        simulate("inf"),
+    ];
+    for args in cases {
+        let out = metaprep(&args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        let error_lines = err.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(error_lines, 1, "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(!out_path.exists(), "{args:?}: output created");
+    }
+    // `--chunks 0` is the auto count, as in `partition`.
+    let out = metaprep(&index(&["--k", "11", "--m", "4", "--chunks", "0"]));
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(out_path.join("fastqpart.bin").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn missing_required_option_shows_usage() {
     let out = metaprep(&["partition"]);
     assert!(!out.status.success());

@@ -72,10 +72,6 @@ pub struct PipelineResult {
     pub tuples_total: u64,
     /// LocalCC counters summed over tasks and passes.
     pub localcc: LocalCcStats,
-    /// Reads written to the largest-component output across tasks (CC-I/O).
-    pub lc_reads_written: u64,
-    /// Reads written to the "Other" output across tasks.
-    pub other_reads_written: u64,
     /// K-mer occurrences dropped by the presolve filter before tuple
     /// generation (0 when the probabilistic tier is off). Conservation:
     /// `tuples_total + presolve_dropped` equals the merHist total.
@@ -380,15 +376,12 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
     let mut labels = None;
     let mut per_task = Vec::with_capacity(cfg.tasks);
     let mut total = Progress::default();
-    let (mut lc_reads_written, mut other_reads_written) = (0u64, 0u64);
     for out in run.results {
         per_task.push(out.timings);
         total.tuples_emitted += out.progress.tuples_emitted;
         total.presolve_dropped += out.progress.presolve_dropped;
         total.localcc.merge(out.progress.localcc);
         total.peak_tuples = total.peak_tuples.max(out.progress.peak_tuples);
-        lc_reads_written += out.lc_reads;
-        other_reads_written += out.other_reads;
         labels = labels.or(out.labels);
     }
     // EXPECT: CC-I/O broadcasts the labels from rank 0, so exactly one task result carries `Some`.
@@ -450,8 +443,6 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
         memory,
         tuples_total: total.tuples_emitted,
         localcc: total.localcc,
-        lc_reads_written,
-        other_reads_written,
         presolve_dropped: total.presolve_dropped,
         planned_passes: passes,
     })
@@ -477,8 +468,6 @@ struct TaskResult {
     timings: TaskTimings,
     labels: Option<Vec<u32>>,
     progress: Progress,
-    lc_reads: u64,
-    other_reads: u64,
 }
 
 /// What a merge round did to this task.
@@ -552,15 +541,13 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
                 self.ctx.obs().add(CounterKind::CheckpointWrites, 1);
             }
         }
-        let (labels, lc_reads, other_reads) = self.cc_io(st.forest.into_sequential());
+        let labels = self.cc_io(st.forest.into_sequential());
         TaskResult {
             // Derived from the spans, so the exported trace and the
             // in-process timings can never disagree.
             timings: TaskTimings::from_spans(self.ctx.obs().spans()),
             labels,
             progress: st.progress,
-            lc_reads,
-            other_reads,
         }
     }
 
@@ -771,36 +758,19 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
         }
     }
 
-    /// CC-I/O: broadcast the final labels from rank 0, then bucket this
-    /// task's reads by component. Returns the labels on rank 0 and the
-    /// `(largest component, other)` read counts.
-    fn cc_io(&self, mut local: DisjointSet) -> (Option<Vec<u32>>, u64, u64) {
-        let (ctx, run, chunks) = (self.ctx, self.run, &self.my_chunks);
+    /// CC-I/O: broadcast the final labels from rank 0. Returns them on
+    /// rank 0. The files are written after the run, from these labels:
+    /// `output::write_partitions_streamed` walks the input file once more,
+    /// `output::write_partitions` splits a resident store — outside the
+    /// timed region, as in the paper's harness.
+    fn cc_io(&self, mut local: DisjointSet) -> Option<Vec<u32>> {
+        let ctx = self.ctx;
         ctx.span(Step::CcIo.name(), None, None, || {
             let root = (ctx.rank() == 0).then(|| Msg::Parents(local.component_array().to_vec()));
             let Msg::Parents(labels) = broadcast(ctx, 0, root) else {
                 unreachable!("the broadcast carries a parent array")
             };
-            // CC-I/O is the broadcast plus each task's count of where its
-            // own chunks' reads go. The files are written after the run,
-            // from these labels: `output::write_partitions_streamed` walks
-            // the input file once more (the file path; no reads in memory),
-            // `output::write_partitions` splits a resident store — outside
-            // the timed region, as in the paper's harness.
-            let largest_root = largest_root_of(&labels);
-            let (mut lc_reads, mut other_reads) = (0u64, 0u64);
-            for &c in chunks {
-                let spec = run.fastqpart.chunks()[c].spec;
-                let lo = spec.first_seq as usize;
-                for i in lo..lo + spec.seqs as usize {
-                    if labels[run.source.frag_of_seq(i) as usize] == largest_root {
-                        lc_reads += 1;
-                    } else {
-                        other_reads += 1;
-                    }
-                }
-            }
-            ((ctx.rank() == 0).then_some(labels), lc_reads, other_reads)
+            (ctx.rank() == 0).then_some(labels)
         })
     }
 }
@@ -808,19 +778,6 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
 /// Tuples held across a set of per-peer buffers.
 fn tuple_count<T>(bufs: &[Vec<T>]) -> u64 {
     bufs.iter().map(|v| v.len() as u64).sum()
-}
-
-/// Root label of the largest component in a compressed label array.
-fn largest_root_of(labels: &[u32]) -> u32 {
-    let mut counts = std::collections::HashMap::new();
-    for &l in labels {
-        *counts.entry(l).or_insert(0usize) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by_key(|&(r, s)| (s, std::cmp::Reverse(r)))
-        .map(|(r, _)| r)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

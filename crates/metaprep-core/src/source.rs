@@ -86,10 +86,6 @@ pub trait ChunkSource: Sync {
     /// Load chunk `c`: its `(sequence, global fragment id)` entries.
     fn load_chunk(&self, c: usize) -> ChunkReads<'_>;
 
-    /// Global fragment id of global sequence index `i` (used by the
-    /// CC-I/O step, which walks a task's chunks to bucket output reads).
-    fn frag_of_seq(&self, i: usize) -> u32;
-
     /// Total number of fragments (`R`).
     fn num_fragments(&self) -> u32;
 }
@@ -115,10 +111,6 @@ impl ChunkSource for MemorySource<'_> {
             store: self.store,
             seqs: lo..lo + spec.seqs as usize,
         })
-    }
-
-    fn frag_of_seq(&self, i: usize) -> u32 {
-        self.store.frag_id(i)
     }
 
     fn num_fragments(&self) -> u32 {
@@ -210,14 +202,6 @@ impl ChunkSource for FileSource {
         self.read_chunk(c)
             // EXPECT: IndexCreate walked these bytes with the same record walker before any pass ran; a failed re-read means the file changed or vanished mid-run, unrecoverable for a multi-pass source.
             .expect("chunk read failed (file changed since indexing?)")
-    }
-
-    fn frag_of_seq(&self, i: usize) -> u32 {
-        if self.paired {
-            (i / 2) as u32
-        } else {
-            i as u32
-        }
     }
 
     fn num_fragments(&self) -> u32 {
@@ -359,8 +343,21 @@ mod tests {
 
     #[test]
     fn unpaired_file_source_frag_is_identity() {
-        let src = FileSource::new(PathBuf::from("x"), vec![], false, 7);
-        assert_eq!(src.frag_of_seq(3), 3);
-        assert_eq!(src.num_fragments(), 7);
+        let s = store();
+        let mut bytes = Vec::new();
+        write_fastq(&mut bytes, &s).unwrap();
+        let dir = std::env::temp_dir().join("metaprep_core_source_unpaired_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reads.fastq");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1).unwrap();
+        let src = FileSource::new(path, specs, false, s.len() as u32);
+        assert_eq!(src.num_fragments(), s.len() as u32);
+        let chunk = src.load_chunk(0);
+        let frags: Vec<u32> = chunk.iter().map(|(_, frag)| frag).collect();
+        assert_eq!(frags, (0..s.len() as u32).collect::<Vec<_>>());
+        drop(chunk);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

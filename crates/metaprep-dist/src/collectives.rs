@@ -7,6 +7,9 @@
 //! hot spot of a naive simultaneous exchange — `bench_alltoall` measures
 //! the difference.
 //!
+//! [`broadcast`] is CC-I/O's label fan-out. MergeCC's pairwise tree is not
+//! a collective here: the pipeline sends and receives it directly.
+//!
 //! Every message goes through [`TaskCtx::send`] / [`TaskCtx::recv_from`],
 //! so it is byte-accounted, Lamport-stamped and tagged with the caller's
 //! enclosing [`TaskCtx::span`].
@@ -102,25 +105,6 @@ pub fn broadcast<M: Payload + Clone>(ctx: &TaskCtx<'_, M>, root: usize, msg: Opt
         m
     } else {
         ctx.recv_from(root)
-    }
-}
-
-/// Gather every task's `msg` at `root`; returns `Some(all)` (rank-indexed)
-/// on the root and `None` elsewhere.
-pub fn gather<M: Payload>(ctx: &TaskCtx<'_, M>, root: usize, msg: M) -> Option<Vec<M>> {
-    if ctx.rank() == root {
-        let mut all: Vec<Option<M>> = (0..ctx.size()).map(|_| None).collect();
-        all[root] = Some(msg);
-        for (from, slot) in all.iter_mut().enumerate() {
-            if from != root {
-                *slot = Some(ctx.recv_from(from));
-            }
-        }
-        // EXPECT: `all[root]` was set directly and the loop filled every other slot.
-        Some(all.into_iter().map(|o| o.expect("gathered")).collect())
-    } else {
-        ctx.send(root, msg);
-        None
     }
 }
 
@@ -400,15 +384,5 @@ mod tests {
         };
         assert_eq!(count(EdgeDir::Send), p - 1);
         assert_eq!(count(EdgeDir::Recv), p - 1);
-    }
-
-    #[test]
-    fn gather_collects_rank_indexed() {
-        let r = run_cluster::<Vec<u32>, _, _>(ClusterConfig::new(4, 1), |ctx| {
-            gather(ctx, 0, vec![ctx.rank() as u32])
-        });
-        let at_root = r.results[0].as_ref().unwrap();
-        assert_eq!(at_root, &vec![vec![0], vec![1], vec![2], vec![3]]);
-        assert!(r.results[1].is_none());
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! 1. **distributed**: shard the stream across `P` simulated tasks,
 //!    route every edge to the owner of its smaller endpoint with the
-//!    staged [`alltoall`], union locally, then gather the per-task
-//!    parent arrays at rank 0 and merge them — the structure of the
-//!    paper's multi-node LocalCC;
+//!    staged [`alltoall`], union locally, then merge the per-task
+//!    forests down the Figure-4 pairwise tree to rank 0 — the structure
+//!    of the paper's multi-node LocalCC and MergeCC;
 //! 2. **sequential oracle**: feed the stream straight through
 //!    [`metaprep_cc::seq::DisjointSet`].
 //!
@@ -18,7 +18,7 @@
 //! no message was dropped.
 
 use metaprep_cc::seq::DisjointSet;
-use metaprep_dist::collectives::{alltoall, gather};
+use metaprep_dist::collectives::alltoall;
 use metaprep_dist::{explore_schedules, ClusterConfig};
 
 /// Deterministic xorshift64* stream (no external RNG dependency).
@@ -62,8 +62,8 @@ fn same_partition(a: &[u32], b: &[u32]) -> bool {
 
 /// The distributed replay: every task owns the contiguous shard
 /// `edges[rank * m/p ..]`, routes each edge to `min(u, v) % p`, unions
-/// what it receives into a full-size local forest, and rank 0 merges
-/// the gathered parent arrays.
+/// what it receives into a full-size local forest, and the forests merge
+/// pairwise down to rank 0.
 fn distributed_components(n: u32, edges: &[(u32, u32)], p: usize, seeds: &[u64]) -> Vec<Vec<u32>> {
     let edges = edges.to_vec();
     let runs =
@@ -90,26 +90,26 @@ fn distributed_components(n: u32, edges: &[(u32, u32)], p: usize, seeds: &[u64])
                 }
             }
 
-            // Ship the resolved forest as (vertex, root) pairs — the
-            // cluster's message type is the edge-buffer type, and a
-            // parent array IS a set of union edges (merge.rs's sparse
-            // representation). Rank 0 replays them into one forest.
-            let mine: Vec<(u32, u32)> = local
-                .into_component_array()
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r))
-                .collect();
-            match gather(ctx, 0, mine) {
-                Some(all) => {
-                    let mut global = DisjointSet::new(n as usize);
-                    for (u, v) in all.into_iter().flatten() {
-                        global.union(u, v);
-                    }
-                    global.into_component_array()
+            // MergeCC (Figure 4): ranks `stride` apart pair up; the upper
+            // one ships its forest as (vertex, root) pairs — the cluster's
+            // message type is the edge-buffer type, and a parent array IS
+            // a set of union edges (merge.rs's sparse representation) —
+            // and retires; the lower one replays them into its own.
+            let mut stride = 1;
+            while stride < p {
+                if rank % (2 * stride) == stride {
+                    let mine = local.component_array().iter().enumerate();
+                    ctx.send(rank - stride, mine.map(|(i, &r)| (i as u32, r)).collect());
+                    return Vec::new();
                 }
-                None => Vec::new(),
+                if rank + stride < p {
+                    for (u, v) in ctx.recv_from(rank + stride) {
+                        local.union(u, v);
+                    }
+                }
+                stride *= 2;
             }
+            local.into_component_array()
         });
     runs.into_iter().map(|r| r.results[0].clone()).collect()
 }

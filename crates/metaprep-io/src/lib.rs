@@ -1,6 +1,6 @@
 //! FASTQ input/output and logical file chunking for METAPREP.
 //!
-//! The pipeline's unit of input is a [`ReadStore`]: a flat, cache-friendly
+//! The in-memory unit of input is a [`ReadStore`]: a flat, cache-friendly
 //! container of read sequences where every sequence carries a *fragment id*
 //! (global read id). Both mates of a paired-end read share one fragment id,
 //! which is how METAPREP preserves pairing through partitioning (paper
@@ -9,7 +9,9 @@
 //!
 //! [`view`] reads FASTQ records in place: a zero-copy walker over raw bytes
 //! with `parse`'s exact accept/reject rules, which is how the file-based
-//! pipeline reads its input without ever building a store.
+//! pipeline (`metaprep partition` / `index`) reads its input without ever
+//! building a store. The crate reads, writes and chunks reads; it does not
+//! quality-control them.
 //!
 //! [`chunk`] implements the logical FASTQ chunking used by the `FASTQPart`
 //! index (paper §3.1.2): a file is split into `C` byte ranges of roughly
@@ -21,7 +23,6 @@ pub mod fasta;
 pub mod parse;
 pub mod store;
 pub mod stream;
-pub mod trim;
 pub mod view;
 pub mod write;
 
@@ -33,6 +34,5 @@ pub use fasta::{parse_fasta, parse_fasta_path, write_fasta, write_fasta_path, Fa
 pub use parse::{parse_fastq, parse_fastq_path, FastqError, FastqRecord};
 pub use store::ReadStore;
 pub use stream::{StreamChunk, StreamChunker, DEFAULT_INDEX_WINDOW};
-pub use trim::{trim_adapter, trim_quality, TrimStats};
 pub use view::{record_views, RecordView, RecordViews};
 pub use write::{write_fastq, write_fastq_path, write_fastq_record};
