@@ -93,7 +93,8 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         let rec = MemRecorder::new(TASKS);
         let t0 = Instant::now();
         let res = Pipeline::new(cfg.build())
-            .run_reads_recorded(&data.reads, &rec)
+            .with_recorder(&rec)
+            .run_reads(&data.reads)
             .expect("faulted pipeline must recover and complete");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let s = TraceAnalysis::from_events(&rec.into_events());

@@ -28,7 +28,8 @@ pub fn run(scale: f64) {
         .build();
     let rec = MemRecorder::new(tasks);
     let res = Pipeline::new(cfg)
-        .run_reads_recorded(&data.reads, &rec)
+        .with_recorder(&rec)
+        .run_reads(&data.reads)
         .expect("smoke pipeline must run");
 
     let mut events = rec.into_events();

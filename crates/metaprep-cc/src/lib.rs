@@ -33,7 +33,7 @@ pub mod sync;
 
 pub use adaptive::{adaptive_components, AdaptiveResult};
 pub use concurrent::{ConcurrentDisjointSet, UfOpStats};
-pub use merge::{absorb_parent_array, absorb_sparse_pairs, merge_all, sparse_pairs};
+pub use merge::{absorb_parent_array, absorb_sparse_pairs, sparse_pairs};
 pub use seq::DisjointSet;
 pub use stats::ComponentStats;
 pub use sv::{shiloach_vishkin, SvResult};

@@ -51,29 +51,6 @@ pub fn absorb_sparse_pairs(local: &mut DisjointSet, pairs: &[(u32, u32)]) {
     }
 }
 
-/// Merge many component arrays pairwise, mirroring the `ceil(log2 P)`
-/// communication rounds of Figure 4: in round `d`, task `t` with
-/// `t & (2^d) != 0` sends to task `t - 2^d`. Returns the final component
-/// array (what rank 0 holds). Used by tests and the shared-memory path.
-pub fn merge_all(mut arrays: Vec<Vec<u32>>) -> Vec<u32> {
-    assert!(!arrays.is_empty());
-    let p = arrays.len();
-    let mut stride = 1usize;
-    while stride < p {
-        for lo in (0..p).step_by(2 * stride) {
-            let hi = lo + stride;
-            if hi < p {
-                let remote = std::mem::take(&mut arrays[hi]);
-                let mut local = DisjointSet::from_parent_array(std::mem::take(&mut arrays[lo]));
-                absorb_parent_array(&mut local, &remote);
-                arrays[lo] = local.into_component_array();
-            }
-        }
-        stride *= 2;
-    }
-    arrays.swap_remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,42 +85,6 @@ mod tests {
         assert!(local.connected(4, 5));
         assert!(!local.connected(0, 4));
         assert_eq!(local.count_components(), 3); // {0,1,2},{3},{4,5}
-    }
-
-    #[test]
-    fn merge_all_equals_union_of_edge_sets() {
-        let n = 12;
-        let parts: Vec<Vec<(u32, u32)>> = vec![
-            vec![(0, 1), (2, 3)],
-            vec![(3, 4)],
-            vec![(6, 7), (8, 9)],
-            vec![(9, 10), (1, 2)],
-        ];
-        let arrays: Vec<Vec<u32>> = parts.iter().map(|e| array_of(n, e)).collect();
-        let merged = merge_all(arrays);
-        let all: Vec<(u32, u32)> = parts.concat();
-        let want = array_of(n, &all);
-        assert!(same_partition(&merged, &want));
-    }
-
-    #[test]
-    fn merge_all_single_array_is_identity() {
-        let a = array_of(4, &[(0, 3)]);
-        assert_eq!(merge_all(vec![a.clone()]), a);
-    }
-
-    #[test]
-    fn merge_all_non_power_of_two_task_counts() {
-        let n = 10;
-        for p in [2usize, 3, 5, 6, 7] {
-            let parts: Vec<Vec<(u32, u32)>> = (0..p)
-                .map(|t| vec![((t as u32) % n as u32, ((t as u32 * 3) + 1) % n as u32)])
-                .collect();
-            let arrays: Vec<Vec<u32>> = parts.iter().map(|e| array_of(n, e)).collect();
-            let merged = merge_all(arrays);
-            let all: Vec<(u32, u32)> = parts.concat();
-            assert!(same_partition(&merged, &array_of(n, &all)), "p={p}");
-        }
     }
 
     #[test]
@@ -189,7 +130,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_merge_is_edge_union(
+        fn prop_absorbing_every_array_is_edge_union(
             n in 2usize..40,
             seed_edges in proptest::collection::vec(
                 proptest::collection::vec((0u32..40, 0u32..40), 0..20), 1..6),
@@ -200,10 +141,12 @@ mod tests {
                     .map(|(a, b)| (a % n as u32, b % n as u32))
                     .collect())
                 .collect();
-            let arrays: Vec<Vec<u32>> = parts.iter().map(|e| array_of(n, e)).collect();
-            let merged = merge_all(arrays);
+            let mut merged = DisjointSet::new(n);
+            for edges in &parts {
+                absorb_parent_array(&mut merged, &array_of(n, edges));
+            }
             let all: Vec<(u32, u32)> = parts.concat();
-            prop_assert!(same_partition(&merged, &array_of(n, &all)));
+            prop_assert!(same_partition(&merged.into_component_array(), &array_of(n, &all)));
         }
     }
 }

@@ -77,6 +77,22 @@ impl Args {
         }
     }
 
+    /// Reject the first (by name) option or switch not named in the
+    /// whitespace-separated `known`.
+    pub fn only(&self, known: &str) -> Result<(), ArgError> {
+        let given = self.options.keys().chain(&self.flags);
+        let first = given
+            .filter(|&k| !known.split_whitespace().any(|o| o == k))
+            .min();
+        match first {
+            Some(k) => Err(ArgError(format!(
+                "unknown option --{k} for {}",
+                self.command
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Bare `--switch` presence.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -118,6 +134,16 @@ mod tests {
     fn bad_numbers_error() {
         let a = parse(&["x", "--k", "notanumber"]);
         assert!(a.get_or("k", 1usize).is_err());
+    }
+
+    #[test]
+    fn only_rejects_unknown_options_and_switches() {
+        let a = parse(&["partition", "--k", "27", "--sparse"]);
+        assert!(a.only("k sparse").is_ok());
+        let err = a.only("k").unwrap_err().to_string();
+        assert_eq!(err, "unknown option --sparse for partition");
+        let err = a.only("sparse kf").unwrap_err().to_string();
+        assert_eq!(err, "unknown option --k for partition");
     }
 
     #[test]

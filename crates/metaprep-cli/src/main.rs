@@ -22,8 +22,8 @@
 //! records in place (`metaprep_io::record_views`); no `ReadStore` is
 //! built. `index` is the same IndexCreate on its own.
 //!
-//! Every subcommand accepts `--simd auto|avx2|neon|scalar` (equivalent
-//! to the `METAPREP_SIMD` environment variable): pins the runtime-
+//! A subcommand rejects any option it does not read. The `METAPREP_SIMD`
+//! environment variable (`auto|avx2|neon|scalar`) pins the runtime-
 //! dispatched kernel family for KmerGen and FASTQ scanning — a testing
 //! knob; by default the best backend the CPU supports is used.
 //!
@@ -62,41 +62,31 @@ fn main() {
 const USAGE: &str = "usage: metaprep <simulate|index|partition|report|analyze> [--options]
 run `metaprep <command>` with missing options to see what each needs";
 
-/// Apply `--simd auto|avx2|neon|scalar` before any hot path runs: the
-/// kernel family is selected once per process, so the override must land
-/// ahead of the first dispatched call (testing/debugging knob; the
-/// `METAPREP_SIMD` environment variable does the same without a flag).
-fn apply_simd_override(args: &Args) -> Result<(), ArgError> {
-    use metaprep_kmer::simd::{force, Backend};
-    let Some(v) = args.opt("simd") else {
-        return Ok(());
-    };
-    let backend = match v.as_str() {
-        "auto" => return Ok(()),
-        "avx2" => Backend::Avx2,
-        "neon" => Backend::Neon,
-        "scalar" => Backend::Scalar,
-        other => {
-            return Err(ArgError(format!(
-                "--simd {other:?}: expected auto, avx2, neon or scalar"
-            )))
-        }
-    };
-    force(backend)
-        .map_err(|active| ArgError(format!("--simd: dispatch already resolved to {active}")))
-}
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), Box<dyn std::error::Error>>;
 
 fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(argv)?;
-    apply_simd_override(&args)?;
-    match args.command.as_str() {
-        "simulate" => cmd_simulate(&args),
-        "index" => cmd_index(&args),
-        "partition" => cmd_partition(&args),
-        "report" => cmd_report(&args),
-        "analyze" => cmd_analyze(&args),
-        other => Err(Box::new(ArgError(format!("unknown subcommand {other:?}")))),
-    }
+    // Each subcommand with the options it reads. `partition` accepts a bare
+    // `--stream` and ignores it: `benchmark/` still passes it to every run.
+    let (cmd, options): (Command, &str) = match args.command.as_str() {
+        "simulate" => (cmd_simulate, "dataset scale seed output"),
+        "index" => (
+            cmd_index,
+            "input unpaired outdir trace-out trace-format k m chunks threads",
+        ),
+        "partition" => (
+            cmd_partition,
+            "input unpaired outdir trace-out trace-format k m tasks threads passes \
+             memory-budget presolve sketch-width sketch-depth kf top min-size sparse \
+             fault-plan checkpoint-dir watchdog-timeout stream",
+        ),
+        "report" => (cmd_report, "trace"),
+        "analyze" => (cmd_analyze, "trace top folded strict"),
+        other => return Err(Box::new(ArgError(format!("unknown subcommand {other:?}")))),
+    };
+    args.only(options)?;
+    cmd(&args)
 }
 
 /// Trace sink requested via `--trace-out` / `--trace-format`.
@@ -324,9 +314,6 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .tasks(args.get_or("tasks", 1usize)?)
         .threads(args.get_or("threads", 1usize)?)
         .merge_sparse(args.flag("sparse"));
-    // `.passes()` marks the pass count *explicit*, which changes how the
-    // adaptive planner arbitrates against `--memory-budget` — so only
-    // call it when the flag was actually given.
     if args.opt("passes").is_some() {
         b = b.passes(args.get_or("passes", 1usize)?);
     }
@@ -376,7 +363,6 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         b = b.watchdog_timeout_ms(ms);
     }
     let cfg = b.build();
-    cfg.validate()?;
     let outdir = args.get_or("outdir", "metaprep_parts".to_string())?;
 
     let trace = trace_opts(args)?;
@@ -389,18 +375,17 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // `ReadStore` exists.
     let input = args.req("input")?;
     let paired = !args.flag("unpaired");
-    let pipe = Pipeline::new(cfg);
-    let res = match &trace {
-        // Only collect events when a trace was asked for — the default
-        // path keeps the zero-cost no-op recorder.
-        Some(t) => {
-            let rec = MemRecorder::new(tasks);
-            let res = pipe.run_fastq_file_recorded(&input, paired, &rec)?;
-            write_trace(rec, t)?;
-            res
-        }
-        None => pipe.run_fastq_file(&input, paired)?,
-    };
+    // Only collect events when a trace was asked for — the default path
+    // keeps the zero-cost no-op recorder.
+    let rec = trace.as_ref().map(|_| MemRecorder::new(tasks));
+    let mut pipe = Pipeline::new(cfg);
+    if let Some(rec) = &rec {
+        pipe = pipe.with_recorder(rec);
+    }
+    let res = pipe.run_fastq_file(&input, paired)?;
+    if let (Some(rec), Some(t)) = (rec, &trace) {
+        write_trace(rec, t)?;
+    }
     println!(
         "{} fragments -> {} components; largest = {:.2}% of reads",
         res.labels.len(),

@@ -127,6 +127,37 @@ fn out_of_range_index_and_simulate_options_are_one_error_line() {
 }
 
 #[test]
+fn an_unknown_option_is_one_error_line_and_writes_nothing() {
+    // A misspelled option used to be ignored (`--task 4` ran one task);
+    // `--simd` is gone in favour of `METAPREP_SIMD`.
+    let dir = tmpdir("unknown_option");
+    let reads = dir.join("reads.fastq");
+    std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
+    let out_path = dir.join("out");
+    let (input, outp) = (reads.to_str().unwrap(), out_path.to_str().unwrap());
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("partition", &["--task", "4"], "--task for partition"),
+        ("partition", &["--simd", "scalar"], "--simd for partition"),
+        ("index", &["--chunk", "8"], "--chunk for index"),
+        ("index", &["--tasks", "2"], "--tasks for index"),
+    ];
+    for (cmd, extra, what) in cases {
+        let mut args = vec![cmd, "--input", input, "--outdir", outp];
+        args.extend(extra);
+        let out = metaprep(&args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: unknown option {what}"), "{err}");
+        let error_lines = err.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(error_lines, 1, "{args:?}: {err}");
+        assert!(err.contains("usage: metaprep"), "{err}");
+        assert!(!out_path.exists(), "{args:?}: output created");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn missing_required_option_shows_usage() {
     let out = metaprep(&["partition"]);
     assert!(!out.status.success());

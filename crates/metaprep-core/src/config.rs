@@ -36,17 +36,14 @@ pub struct PipelineConfig {
     /// for the scaled datasets while keeping `FASTQPart` small).
     pub m: usize,
     /// Number of I/O passes `S` over the input (§3.1: more passes, less
-    /// memory per task).
-    pub passes: usize,
-    /// True when `passes` was set explicitly (builder/CLI) rather than
-    /// left at the default. Arbitrates against [`Self::memory_budget`]:
-    /// an explicit pass count always wins, but a budget it cannot meet is
-    /// a configuration error instead of a silent overshoot.
-    pub passes_explicit: bool,
+    /// memory per task). `None` runs one pass, or lets the planner choose
+    /// when [`Self::memory_budget`] is set. A pass count that is set always
+    /// wins over the planner, but a budget it cannot meet is a
+    /// configuration error instead of a silent overshoot.
+    pub passes: Option<usize>,
     /// Per-task memory budget in bytes for the adaptive pass planner.
-    /// When set (and `passes` was not given explicitly) the pipeline
-    /// computes the smallest pass count whose §3.7 modeled footprint fits,
-    /// instead of trusting `passes`.
+    /// When set (and `passes` is not) the pipeline computes the smallest
+    /// pass count whose §3.7 modeled footprint fits.
     pub memory_budget: Option<u64>,
     /// Presolve drop threshold: k-mers whose sketch-estimated occurrence
     /// count *exceeds* this value are dropped inside KmerGen, before any
@@ -104,8 +101,7 @@ impl Default for PipelineConfig {
         Self {
             k: 27,
             m: 8,
-            passes: 1,
-            passes_explicit: false,
+            passes: None,
             memory_budget: None,
             presolve_threshold: None,
             sketch: SketchParams::default(),
@@ -141,7 +137,7 @@ impl PipelineConfig {
         }
     }
 
-    /// Validate invariants; called by [`crate::Pipeline::new`].
+    /// Validate invariants; called when a [`crate::Pipeline`] run starts.
     pub fn validate(&self) -> Result<(), PipelineError> {
         let err = |s: String| Err(PipelineError::InvalidConfig(s));
         if self.k < 1 || self.k > 63 {
@@ -150,7 +146,7 @@ impl PipelineConfig {
         if self.m < 1 || self.m > self.k.min(16) {
             return err(format!("m = {} not in 1..=min(k, 16)", self.m));
         }
-        if self.passes < 1 {
+        if self.passes == Some(0) {
             return err("passes must be >= 1".into());
         }
         if self.tasks < 1 {
@@ -225,12 +221,11 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Set the number of I/O passes *explicitly* — the adaptive planner
-    /// then never overrides it (a [`PipelineConfig::memory_budget`] it
-    /// cannot meet becomes a configuration error at run time).
+    /// Set the number of I/O passes — the adaptive planner then never
+    /// overrides it (a [`PipelineConfig::memory_budget`] it cannot meet
+    /// becomes a configuration error at run time).
     pub fn passes(mut self, s: usize) -> Self {
-        self.cfg.passes = s;
-        self.cfg.passes_explicit = true;
+        self.cfg.passes = Some(s);
         self
     }
 
@@ -350,7 +345,7 @@ mod tests {
             .build();
         assert_eq!(c.k, 63);
         assert_eq!(c.m, 10);
-        assert_eq!(c.passes, 4);
+        assert_eq!(c.passes, Some(4));
         assert_eq!(c.tasks, 8);
         assert_eq!(c.threads, 3);
         assert_eq!(c.chunks, 96);
@@ -484,13 +479,13 @@ mod tests {
     }
 
     #[test]
-    fn passes_builder_marks_explicit() {
-        assert!(!PipelineConfig::default().passes_explicit);
+    fn passes_builder_sets_the_pass_count() {
+        assert_eq!(PipelineConfig::default().passes, None);
         let c = PipelineConfig::builder().passes(2).build();
-        assert!(c.passes_explicit);
-        // A budget alone leaves passes implicit: the planner may override.
+        assert_eq!(c.passes, Some(2));
+        // A budget alone leaves the pass count to the planner.
         let c = PipelineConfig::builder().memory_budget(1 << 30).build();
-        assert!(!c.passes_explicit);
+        assert_eq!(c.passes, None);
         assert_eq!(c.memory_budget, Some(1 << 30));
     }
 

@@ -14,7 +14,6 @@
 //! stable scatter produced, so everything downstream is byte-identical.
 
 use crate::pipeline::RunCtx;
-use crate::source::ChunkSource;
 use metaprep_index::{FastqPart, RangePlan};
 use metaprep_kmer::{
     fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, KmerReadTuple, KmerReadTuple128,
@@ -137,9 +136,9 @@ struct Window<'a, T> {
 /// precomputation of §3.3, [`expected_incoming`] — and never grows there. A
 /// `recycled` too small for that is dropped before the new buffer is
 /// allocated, so a task never holds both.
-pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
+pub(crate) fn kmergen_pass<K: PipelineKmer>(
     pool: &rayon::ThreadPool,
-    run: &RunCtx<'_, S>,
+    run: &RunCtx<'_>,
     my_chunks: &[usize],
     (pass, rank): (usize, usize),
     recycled: Vec<K::Tuple>,
@@ -222,10 +221,10 @@ pub(crate) fn kmergen_pass<K: PipelineKmer, S: ChunkSource>(
             .zip(windows.into_par_iter())
             .map(|(&c, mut cur)| {
                 // Chunk load (KmerGen-I/O): a borrow of the in-memory store
-                // (MemorySource) or a real seek+read of the FASTQ file plus
-                // an in-place record walk (FileSource).
+                // or a real seek+read of the FASTQ file plus an in-place
+                // record walk.
                 let t_io = Instant::now();
-                let buffer = source.load_chunk(c);
+                let buffer = source.load_chunk(&fastqpart.chunks()[c].spec);
                 // ORDERING: Relaxed — profiling counter, summed after join.
                 io_nanos.fetch_add(t_io.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
@@ -330,7 +329,7 @@ pub fn expected_incoming(fastqpart: &FastqPart, plan: &RangePlan, pass: usize, r
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::source::MemorySource;
+    use crate::source::ChunkSource;
     use metaprep_index::{BucketPlan, MerHist};
     use metaprep_io::ReadStore;
     use metaprep_norm::{HighFreqFilter, SketchParams};
@@ -388,17 +387,16 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let specs = self.fp.chunks().iter().map(|r| r.spec).collect();
             let run = RunCtx {
                 cfg: &PipelineConfig::default(),
-                source: &MemorySource::new(&self.reads, specs),
+                source: &ChunkSource::Store(&self.reads),
                 fastqpart: &self.fp,
                 plan: &self.plan,
                 buckets: self.buckets.clone(),
                 filter,
             };
             let all_chunks: Vec<usize> = (0..self.fp.len()).collect();
-            kmergen_pass::<K, _>(&pool, &run, &all_chunks, (pass, rank), recycled, read_label)
+            kmergen_pass::<K>(&pool, &run, &all_chunks, (pass, rank), recycled, read_label)
         }
     }
 

@@ -18,8 +18,11 @@
 //!
 //! Entry points: [`Pipeline::run_reads`] over reads in memory, or
 //! [`Pipeline::run_fastq_file`] + [`write_partitions_streamed`] over a FASTQ
-//! file that is re-read, never held. Configuration: [`PipelineConfig`]
-//! (k, m, passes, tasks, threads, k-mer frequency filter, LocalCC-Opt).
+//! file that is re-read, never held. Each indexes its input, builds the
+//! chunk source the passes load from, and runs; telemetry goes to the
+//! recorder given with [`Pipeline::with_recorder`]. Configuration:
+//! [`PipelineConfig`] (k, m, passes, tasks, threads, k-mer frequency
+//! filter, LocalCC-Opt), validated when a run starts.
 //! Results carry component labels, per-task per-step timings,
 //! communication volumes and both modeled and measured memory.
 
@@ -31,7 +34,7 @@ pub mod memmodel;
 pub mod output;
 pub mod pipeline;
 pub mod planner;
-pub mod source;
+mod source;
 pub mod timings;
 
 pub use checkpoint::{plan_fingerprint, Checkpoint, CkptError, PlanCheckpoint, Progress};
@@ -43,5 +46,4 @@ pub use output::{
 };
 pub use pipeline::{Pipeline, PipelineResult};
 pub use planner::{plan_passes, PassPlan, PlanInputs, MAX_PLANNED_PASSES};
-pub use source::{ChunkSource, FileSource, MemorySource};
 pub use timings::{Step, StepTimings, TaskTimings};

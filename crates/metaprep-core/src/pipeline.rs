@@ -13,7 +13,7 @@ use crate::kmergen::{expected_incoming, kmergen_pass, KmerGenOutput, PipelineKme
 use crate::localcc::{localcc_pass, thread_offsets_of, LocalCcStats};
 use crate::memmodel::MemoryReport;
 use crate::planner::{plan_passes, PlanInputs};
-use crate::source::{ChunkSource, FileSource, MemorySource};
+use crate::source::ChunkSource;
 use crate::timings::{Step, StepTimings, TaskTimings};
 use metaprep_cc::{
     absorb_parent_array, absorb_sparse_pairs, sparse_pairs, ComponentStats, ConcurrentDisjointSet,
@@ -26,7 +26,7 @@ use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder};
+use metaprep_obs::{CounterKind, Recorder};
 use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
 use std::path::Path;
 use std::time::Duration;
@@ -76,8 +76,8 @@ pub struct PipelineResult {
     /// generation (0 when the probabilistic tier is off). Conservation:
     /// `tuples_total + presolve_dropped` equals the merHist total.
     pub presolve_dropped: u64,
-    /// The pass count the run actually executed — `cfg.passes`, or the
-    /// planner's choice when only `memory_budget` was set.
+    /// The pass count the run actually executed — `cfg.passes` (1 when
+    /// unset), or the planner's choice when only `memory_budget` was set.
     pub planned_passes: usize,
 }
 
@@ -96,17 +96,28 @@ struct IndexTables {
     sketch: Option<CountMinSketch>,
 }
 
-/// A configured METAPREP pipeline.
-pub struct Pipeline {
+/// A configured METAPREP pipeline and the recorder its runs report to.
+pub struct Pipeline<'r> {
     cfg: PipelineConfig,
+    rec: &'r dyn Recorder,
 }
 
-impl Pipeline {
-    /// Create a pipeline; validates the configuration eagerly.
+impl<'r> Pipeline<'r> {
+    /// Create a pipeline that records nothing. The configuration is
+    /// validated when a run starts.
     pub fn new(cfg: PipelineConfig) -> Self {
-        // EXPECT: documented contract — `new` validates eagerly; a bad config is a construction-time programmer error, not a runtime condition.
-        cfg.validate().expect("invalid pipeline configuration");
-        Self { cfg }
+        Self {
+            cfg,
+            rec: metaprep_obs::noop_recorder(),
+        }
+    }
+
+    /// Send the runs' telemetry to `rec`: every step of every task becomes
+    /// a recorded span (the returned `StepTimings` are *derived* from those
+    /// spans) and work/comm/memory counters flow into it.
+    pub fn with_recorder(mut self, rec: &'r dyn Recorder) -> Self {
+        self.rec = rec;
+        self
     }
 
     /// The configuration.
@@ -116,43 +127,26 @@ impl Pipeline {
 
     /// Run the full preprocessing pipeline over in-memory reads.
     pub fn run_reads(&self, reads: &ReadStore) -> Result<PipelineResult, PipelineError> {
-        self.run_reads_recorded(reads, &NoopRecorder::new())
-    }
-
-    /// [`Pipeline::run_reads`] with telemetry: every step of every task
-    /// becomes a recorded span (the returned `StepTimings` are *derived*
-    /// from those spans) and work/comm/memory counters flow into `rec`.
-    pub fn run_reads_recorded(
-        &self,
-        reads: &ReadStore,
-        rec: &dyn Recorder,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.cfg
-            .validate()
-            .map_err(|e| PipelineError::InvalidConfig(e.to_string()))?;
-        if reads.num_fragments() == u32::MAX {
-            return Err(PipelineError::InvalidInput(
-                "fragment count must be < u32::MAX".into(),
-            ));
-        }
-        // IndexCreate (sequential, timed; paper Table 5). With the
-        // presolve tier on, the same scan also feeds the count-min sketch —
-        // no extra pass over the reads.
         let cfg = &self.cfg;
-        let t0_ns = rec.clock().now_ns();
-        let sketch_params = cfg.presolve_threshold.map(|_| cfg.sketch);
-        let (merhist, fastqpart, sketch) =
-            index_store(reads, cfg.effective_chunks(), cfg.k, cfg.m, sketch_params)
-                .map_err(|e| PipelineError::InvalidInput(format!("index reads: {e}")))?;
-        let t1_ns = rec.clock().now_ns();
-        let tables = IndexTables {
-            merhist,
-            fastqpart,
-            sketch,
-        };
-        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
-        let source = MemorySource::new(reads, specs);
-        self.run_indexed(tables, &source, (t0_ns, t1_ns), rec)
+        self.run(|_| {
+            if reads.num_fragments() == u32::MAX {
+                return Err(PipelineError::InvalidInput(
+                    "fragment count must be < u32::MAX".into(),
+                ));
+            }
+            // With the presolve tier on, the same scan also feeds the
+            // count-min sketch — no extra pass over the reads.
+            let sketch_params = cfg.presolve_threshold.map(|_| cfg.sketch);
+            let (merhist, fastqpart, sketch) =
+                index_store(reads, cfg.effective_chunks(), cfg.k, cfg.m, sketch_params)
+                    .map_err(|e| PipelineError::InvalidInput(format!("index reads: {e}")))?;
+            let tables = IndexTables {
+                merhist,
+                fastqpart,
+                sketch,
+            };
+            Ok((tables, ChunkSource::Store(reads)))
+        })
     }
 
     /// Run the pipeline directly over a FASTQ *file*: IndexCreate scans the
@@ -163,42 +157,31 @@ impl Pipeline {
     /// pairs.
     pub fn run_fastq_file(
         &self,
-        path: impl AsRef<std::path::Path>,
+        path: impl AsRef<Path>,
         paired: bool,
     ) -> Result<PipelineResult, PipelineError> {
-        self.run_fastq_file_recorded(path, paired, &NoopRecorder::new())
-    }
-
-    /// [`Pipeline::run_fastq_file`] with telemetry (see
-    /// [`Pipeline::run_reads_recorded`]).
-    pub fn run_fastq_file_recorded(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        paired: bool,
-        rec: &dyn Recorder,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.cfg
-            .validate()
-            .map_err(|e| PipelineError::InvalidConfig(e.to_string()))?;
         let path = path.as_ref();
-        // IndexCreate from the file (streaming, thread-parallel).
-        let t0_ns = rec.clock().now_ns();
-        let (tables, total_seqs) = index_fastq_file(path, paired, &self.cfg, rec)?;
-        let t1_ns = rec.clock().now_ns();
-        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
-        let source = FileSource::new(path.to_path_buf(), specs, paired, total_seqs);
-        self.run_indexed(tables, &source, (t0_ns, t1_ns), rec)
+        self.run(|rec| {
+            let (tables, total_seqs) = index_fastq_file(path, paired, &self.cfg, rec)?;
+            Ok((
+                tables,
+                ChunkSource::file(path.to_path_buf(), paired, total_seqs),
+            ))
+        })
     }
 
-    /// Everything after IndexCreate, for either chunk source: record its
-    /// span, arm the presolve filter, and pick the tuple width for `k`.
-    fn run_indexed<S: ChunkSource>(
+    /// Validate the configuration, run IndexCreate (`index`, timed and
+    /// recorded as one span; paper Table 5), arm the presolve filter, and
+    /// run the passes with the tuple width `k` needs.
+    fn run<'s>(
         &self,
-        mut tables: IndexTables,
-        source: &S,
-        (start_ns, end_ns): (u64, u64),
-        rec: &dyn Recorder,
+        index: impl FnOnce(&dyn Recorder) -> Result<(IndexTables, ChunkSource<'s>), PipelineError>,
     ) -> Result<PipelineResult, PipelineError> {
+        let (cfg, rec) = (&self.cfg, self.rec);
+        cfg.validate()?;
+        let start_ns = rec.clock().now_ns();
+        let (mut tables, source) = index(rec)?;
+        let end_ns = rec.clock().now_ns();
         rec.record_driver_span(INDEX_CREATE, start_ns, end_ns);
         // Derive the duration from the span's own endpoints so a report
         // built from the exported events reproduces it exactly.
@@ -206,15 +189,14 @@ impl Pipeline {
         let filter = tables
             .sketch
             .take()
-            .zip(self.cfg.presolve_threshold)
+            .zip(cfg.presolve_threshold)
             .map(|(s, t)| HighFreqFilter::new(s, t));
-        let (cfg, filter) = (&self.cfg, filter.as_ref());
         let run = if cfg.k <= 32 {
-            run_generic::<Kmer64, S>
+            run_generic::<Kmer64>
         } else {
-            run_generic::<Kmer128, S>
+            run_generic::<Kmer128>
         };
-        run(cfg, source, &tables, filter, index_create, rec)
+        run(cfg, &source, &tables, filter.as_ref(), index_create, rec)
     }
 }
 
@@ -268,12 +250,12 @@ fn guard_total_seqs(total_seqs: u64, paired: bool) -> Result<u32, PipelineError>
 
 /// Everything about a run that every rank reads and none mutates: built
 /// once by `run_generic`, borrowed by every task.
-pub(crate) struct RunCtx<'a, S> {
+pub(crate) struct RunCtx<'a> {
     pub(crate) cfg: &'a PipelineConfig,
-    pub(crate) source: &'a S,
+    pub(crate) source: &'a ChunkSource<'a>,
     pub(crate) fastqpart: &'a FastqPart,
     /// The pass/task/thread k-mer ranges. Its pass count is the one that
-    /// runs — it differs from `cfg.passes` when the planner chose it.
+    /// runs — `cfg.passes`, or the planner's choice.
     pub(crate) plan: &'a RangePlan,
     /// The sort buckets of every (pass, task), derived from the plan and
     /// the global histogram — the same on every rank, so KmerGen can emit
@@ -282,7 +264,7 @@ pub(crate) struct RunCtx<'a, S> {
     pub(crate) filter: Option<&'a HighFreqFilter>,
 }
 
-impl<S> RunCtx<'_, S> {
+impl RunCtx<'_> {
     /// The task timeline from `resume_at` on: the remaining passes, then
     /// the remaining `ceil(log2 P)` merge rounds (Figure 4).
     fn boundaries_from(&self, resume_at: Boundary) -> impl Iterator<Item = Boundary> {
@@ -297,9 +279,9 @@ impl<S> RunCtx<'_, S> {
     }
 }
 
-fn run_generic<K: PipelineKmer, S: ChunkSource>(
+fn run_generic<K: PipelineKmer>(
     cfg: &PipelineConfig,
-    source: &S,
+    source: &ChunkSource<'_>,
     tables: &IndexTables,
     filter: Option<&HighFreqFilter>,
     index_create: Duration,
@@ -321,23 +303,23 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
 
     // ---- Pass planning: invert the §3.7 memory model for the budget ----
     let plan_t0_ns = rec.clock().now_ns();
-    let passes = match cfg.memory_budget {
+    let passes = match (cfg.passes, cfg.memory_budget) {
         // An explicit --passes wins over the planner, but it still has to
         // fit the budget it was paired with.
-        Some(budget) if cfg.passes_explicit => {
-            let modeled = inputs.modeled_at(cfg.passes);
+        (Some(passes), Some(budget)) => {
+            let modeled = inputs.modeled_at(passes);
             if modeled > budget {
                 return Err(PipelineError::InvalidConfig(format!(
-                    "explicit passes={} models {modeled} B/task, over the {budget} B \
+                    "explicit passes={passes} models {modeled} B/task, over the {budget} B \
                      memory budget; drop --passes to let the planner choose, or \
-                     raise the budget",
-                    cfg.passes
+                     raise the budget"
                 )));
             }
-            cfg.passes
+            passes
         }
-        Some(budget) => plan_passes(&inputs, budget)?.passes,
-        None => cfg.passes,
+        (Some(passes), None) => passes,
+        (None, Some(budget)) => plan_passes(&inputs, budget)?.passes,
+        (None, None) => 1,
     };
     let plan = RangePlan::build(merhist, passes, cfg.tasks, cfg.threads);
     // Persist (or verify) the plan artifact so a crash-restarted run
@@ -367,7 +349,7 @@ fn run_generic<K: PipelineKmer, S: ChunkSource>(
     if let Some(plan) = &cfg.fault_plan {
         cluster = cluster.with_fault_plan(plan);
     }
-    let run = run_cluster(cluster, |ctx| Task::<K, S>::new(ctx, &run_ctx).drive());
+    let run = run_cluster(cluster, |ctx| Task::<K>::new(ctx, &run_ctx).drive());
 
     // ---- assemble the result ----
     // The exchange's global ledger must balance whether or not the
@@ -482,14 +464,14 @@ enum MergeOutcome {
 
 /// One rank's handles on the run, shared by the driver and every stage.
 /// Its telemetry lives in the cluster context (`ctx.obs()`, `ctx.span`).
-struct Task<'t, 'c, K: PipelineKmer, S> {
+struct Task<'t, 'c, K: PipelineKmer> {
     ctx: &'t TaskCtx<'c, Msg<K::Tuple>>,
-    run: &'t RunCtx<'t, S>,
+    run: &'t RunCtx<'t>,
     my_chunks: Vec<usize>,
 }
 
-impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
-    fn new(ctx: &'t TaskCtx<'c, Msg<K::Tuple>>, run: &'t RunCtx<'t, S>) -> Self {
+impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
+    fn new(ctx: &'t TaskCtx<'c, Msg<K::Tuple>>, run: &'t RunCtx<'t>) -> Self {
         // Chunk ownership is round-robin over tasks (chunks are
         // size-balanced by construction, so this is the paper's static
         // assignment).
@@ -619,7 +601,7 @@ impl<'t, 'c, K: PipelineKmer, S: ChunkSource> Task<'t, 'c, K, S> {
         let read_label = |frag| if use_opt { forest.find(frag) } else { frag };
         let (pool, chunks) = (self.ctx.pool(), &self.my_chunks);
         let at = (pass as usize, self.ctx.rank());
-        let gen = kmergen_pass::<K, S>(pool, self.run, chunks, at, recycled, read_label);
+        let gen = kmergen_pass::<K>(pool, self.run, chunks, at, recycled, read_label);
         // I/O and generation interleave on every thread, so their times are
         // CPU-nanos summed across the pool, not two wall intervals. The
         // stage's wall interval is split between their spans in proportion
@@ -1127,7 +1109,10 @@ mod tests {
             .passes(2)
             .build();
         let rec = MemRecorder::new(3);
-        let res = Pipeline::new(cfg).run_reads_recorded(&reads, &rec).unwrap();
+        let res = Pipeline::new(cfg)
+            .with_recorder(&rec)
+            .run_reads(&reads)
+            .unwrap();
         let events = rec.into_events();
         let s = TraceAnalysis::from_events(&events);
 
@@ -1207,7 +1192,10 @@ mod tests {
             .passes(2)
             .build();
         let rec = MemRecorder::new(4);
-        let res = Pipeline::new(cfg).run_reads_recorded(&reads, &rec).unwrap();
+        let res = Pipeline::new(cfg)
+            .with_recorder(&rec)
+            .run_reads(&reads)
+            .unwrap();
         let events = rec.into_events();
 
         let a = TraceAnalysis::from_events(&events);
@@ -1281,7 +1269,8 @@ mod tests {
             .build();
         let rec = MemRecorder::new(1);
         Pipeline::new(cfg)
-            .run_reads_recorded(&small_reads(), &rec)
+            .with_recorder(&rec)
+            .run_reads(&small_reads())
             .unwrap();
         let events = rec.into_events();
         let mut spans: Vec<(u64, u64, &str)> = events
@@ -1319,7 +1308,8 @@ mod tests {
         let cfg = PipelineConfig::builder().k(21).m(6).tasks(2).build();
         let rec = MemRecorder::new(2);
         Pipeline::new(cfg)
-            .run_fastq_file_recorded(&path, true, &rec)
+            .with_recorder(&rec)
+            .run_fastq_file(&path, true)
             .unwrap();
         let events = rec.into_events();
         let names: Vec<&str> = events
@@ -1469,7 +1459,8 @@ mod tests {
             .with_crash(1, Boundary::Pass(1));
         let rec = MemRecorder::new(4);
         let res = Pipeline::new(chaos_cfg().fault_plan(plan).checkpoint_dir(&dir).build())
-            .run_reads_recorded(&reads, &rec)
+            .with_recorder(&rec)
+            .run_reads(&reads)
             .unwrap();
         let want = Pipeline::new(chaos_cfg().build())
             .run_reads(&reads)
@@ -1710,9 +1701,16 @@ mod tests {
             fastqpart: FastqPart::from_parts(fastqpart.space(), rows),
             sketch: None,
         };
-        let specs = tables.fastqpart.chunks().iter().map(|r| r.spec).collect();
-        let source = MemorySource::new(&reads, specs);
-        let _ = Pipeline::new(cfg).run_indexed(tables, &source, (0, 0), &NoopRecorder::new());
+        let _ = Pipeline::new(cfg).run(|_| Ok((tables, ChunkSource::Store(&reads))));
+    }
+
+    #[test]
+    fn an_invalid_config_is_an_error_not_a_panic() {
+        let cfg = PipelineConfig::builder().k(0).build();
+        assert!(matches!(
+            Pipeline::new(cfg).run_reads(&small_reads()),
+            Err(PipelineError::InvalidConfig(msg)) if msg == "k = 0 not in 1..=63"
+        ));
     }
 
     #[test]

@@ -37,10 +37,10 @@ use crate::supervisor::run_supervised;
 use crate::sync::channel::{DepthProbe, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::Payload;
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder, TaskObs};
+use metaprep_obs::{noop_recorder, CounterKind, Recorder, TaskObs};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The logical message: the payload plus the sender's Lamport clock at
@@ -74,12 +74,6 @@ enum Wire<M> {
 /// interval — a computing task makes no channel progress, so this must
 /// exceed the longest legitimate compute phase between communications.
 const DEFAULT_WATCHDOG_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The recorder of a cluster built without one: keeps nothing.
-fn noop_recorder() -> &'static NoopRecorder {
-    static NOOP: OnceLock<NoopRecorder> = OnceLock::new();
-    NOOP.get_or_init(NoopRecorder::new)
-}
 
 /// Cluster shape — `tasks` simulated MPI ranks, each owning a rayon pool
 /// of `threads_per_task` threads — plus what every rank runs under: the

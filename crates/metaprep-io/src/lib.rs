@@ -19,7 +19,6 @@
 //! can read chunks independently and in parallel.
 
 pub mod chunk;
-pub mod fasta;
 pub mod parse;
 pub mod store;
 pub mod stream;
@@ -30,7 +29,6 @@ pub use chunk::{
     chunk_fastq_bytes, chunk_fastq_bytes_paired, chunk_store, count_record_starts, count_records,
     find_record_start, ChunkSpec,
 };
-pub use fasta::{parse_fasta, parse_fasta_path, write_fasta, write_fasta_path, FastaRecord};
 pub use parse::{parse_fastq, parse_fastq_path, FastqError, FastqRecord};
 pub use store::ReadStore;
 pub use stream::{StreamChunk, StreamChunker, DEFAULT_INDEX_WINDOW};

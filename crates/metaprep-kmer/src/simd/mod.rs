@@ -21,14 +21,13 @@
 //!
 //! # Dispatch
 //!
-//! [`active`] resolves the backend on first use, in priority order:
+//! [`active`] resolves the backend on first use:
 //!
-//! 1. a programmatic [`force`] (the CLI's `--simd` flag);
-//! 2. the `METAPREP_SIMD` environment variable
-//!    (`auto` / `avx2` / `neon` / `scalar`) — the knob the scalar-forced
-//!    CI job and the differential tests use;
-//! 3. runtime feature detection (AVX2 on x86_64, NEON on aarch64),
-//!    falling back to scalar.
+//! 1. the `METAPREP_SIMD` environment variable
+//!    (`auto` / `avx2` / `neon` / `scalar`) — the only override, and the
+//!    knob the scalar-forced CI job and the differential tests use;
+//! 2. otherwise runtime feature detection (AVX2 on x86_64, NEON on
+//!    aarch64), falling back to scalar.
 //!
 //! Requesting a backend the running CPU cannot execute is a hard error,
 //! not a silent downgrade: the knob exists to *pin* a path under test,
@@ -38,9 +37,9 @@
 //!
 //! Every kernel has a `*_with(backend, ..)` form so one process can run
 //! all backends the host supports ([`available_backends`]) against the
-//! scalar reference; the property tests in `tests/simd_equivalence.rs`
-//! drive mixed-case bases, ambiguity codes and arbitrary junk bytes
-//! through each pair. The dispatched forms are what the pipeline calls.
+//! scalar reference (it panics on a backend the CPU cannot execute); the
+//! property tests in `tests/simd_equivalence.rs` drive mixed-case bases,
+//! ambiguity codes and arbitrary junk bytes through each pair. The dispatched forms are what the pipeline calls.
 
 use std::sync::OnceLock;
 
@@ -139,19 +138,6 @@ pub fn active() -> Backend {
     *ACTIVE.get_or_init(from_env_or_detect)
 }
 
-/// Pin the process-wide backend before first use (the CLI's `--simd`
-/// flag). Returns `Err` with the already-active backend if dispatch has
-/// already been resolved (or `force` already called) — late overrides
-/// would leave earlier results computed by a different kernel family.
-pub fn force(b: Backend) -> Result<(), Backend> {
-    assert!(
-        supported(b),
-        "simd::force({}): backend not supported on this CPU/architecture",
-        b.name()
-    );
-    ACTIVE.set(b).map_err(|_| active())
-}
-
 /// Backends executable on this host, best first, always ending in
 /// `Scalar`. Differential tests iterate this to cover every arm CI's
 /// hardware can reach.
@@ -170,22 +156,30 @@ pub fn available_backends() -> Vec<Backend> {
 /// to `seq.len()`; its capacity is reused across calls.
 #[inline]
 pub fn encode_classify(seq: &[u8], out: &mut Vec<u8>) {
-    encode_classify_with(active(), seq, out)
+    // SAFETY: `active()` only holds a backend `supported` accepted.
+    unsafe { encode_classify_on(active(), seq, out) }
 }
 
 /// [`encode_classify`] with an explicit backend (differential testing).
 pub fn encode_classify_with(backend: Backend, seq: &[u8], out: &mut Vec<u8>) {
+    assert_supported(backend);
+    // SAFETY: `assert_supported` just checked the CPU executes `backend`.
+    unsafe { encode_classify_on(backend, seq, out) }
+}
+
+/// # Safety
+/// The running CPU must execute `backend`'s kernels ([`supported`]).
+// SAFETY: `unsafe fn` only for the contract above — `active()` and
+// `assert_supported` establish it before every call.
+unsafe fn encode_classify_on(backend: Backend, seq: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.resize(seq.len(), 0);
     match backend {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Backend::Avx2 is only produced by detect()/from_env_or_detect()/
-        // force() after is_x86_feature_detected!("avx2") returned true, so the
-        // avx2 target-feature code is executable on this CPU.
+        // SAFETY: the caller guarantees the CPU executes AVX2 code.
         Backend::Avx2 => unsafe { avx2::encode_classify(seq, out) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: Backend::Neon is only produced after
-        // is_aarch64_feature_detected!("neon") returned true.
+        // SAFETY: the caller guarantees the CPU executes NEON code.
         Backend::Neon => unsafe { neon::encode_classify(seq, out) },
         _ => scalar::encode_classify(seq, out),
     }
@@ -195,23 +189,42 @@ pub fn encode_classify_with(backend: Backend, seq: &[u8], out: &mut Vec<u8>) {
 /// backend. Matches `data.iter().position(|&b| b == needle)` exactly.
 #[inline]
 pub fn find_byte(data: &[u8], needle: u8) -> Option<usize> {
-    find_byte_with(active(), data, needle)
+    // SAFETY: `active()` only holds a backend `supported` accepted.
+    unsafe { find_byte_on(active(), data, needle) }
 }
 
 /// [`find_byte`] with an explicit backend (differential testing).
 #[inline]
 pub fn find_byte_with(backend: Backend, data: &[u8], needle: u8) -> Option<usize> {
+    assert_supported(backend);
+    // SAFETY: `assert_supported` just checked the CPU executes `backend`.
+    unsafe { find_byte_on(backend, data, needle) }
+}
+
+/// # Safety
+/// The running CPU must execute `backend`'s kernels ([`supported`]).
+#[inline]
+// SAFETY: `unsafe fn` only for the contract above — `active()` and
+// `assert_supported` establish it before every call.
+unsafe fn find_byte_on(backend: Backend, data: &[u8], needle: u8) -> Option<usize> {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Backend::Avx2 is only produced after a successful
-        // is_x86_feature_detected!("avx2") check (see encode_classify_with).
+        // SAFETY: the caller guarantees the CPU executes AVX2 code.
         Backend::Avx2 => unsafe { avx2::find_byte(data, needle) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: Backend::Neon is only produced after a successful
-        // is_aarch64_feature_detected!("neon") check.
+        // SAFETY: the caller guarantees the CPU executes NEON code.
         Backend::Neon => unsafe { neon::find_byte(data, needle) },
         _ => scalar::find_byte(data, needle),
     }
+}
+
+/// Panic unless the running CPU executes `backend`'s kernels: a `*_with`
+/// call must run the family it names, never silently another.
+fn assert_supported(backend: Backend) {
+    assert!(
+        supported(backend),
+        "simd: {backend} not supported on this CPU"
+    );
 }
 
 #[cfg(test)]
@@ -232,10 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn force_after_resolution_reports_active() {
-        let _ = active();
-        // Dispatch is resolved (line above), so force must refuse.
-        assert_eq!(force(Backend::Scalar), Err(active()));
+    #[should_panic(expected = "not supported on this CPU")]
+    fn with_forms_reject_a_backend_the_cpu_cannot_run() {
+        let foreign = if cfg!(target_arch = "aarch64") {
+            Backend::Avx2
+        } else {
+            Backend::Neon
+        };
+        find_byte_with(foreign, b"x", b'x');
     }
 
     #[test]

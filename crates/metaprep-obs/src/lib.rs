@@ -42,4 +42,6 @@ pub mod report;
 
 pub use analysis::TraceAnalysis;
 pub use event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
-pub use rec::{vm_hwm_bytes, MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs};
+pub use rec::{
+    noop_recorder, vm_hwm_bytes, MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs,
+};

@@ -111,6 +111,13 @@ impl NoopRecorder {
     }
 }
 
+/// The process-wide [`NoopRecorder`]: the sink of a run built without a
+/// recorder.
+pub fn noop_recorder() -> &'static NoopRecorder {
+    static NOOP: OnceLock<NoopRecorder> = OnceLock::new();
+    NOOP.get_or_init(NoopRecorder::new)
+}
+
 impl Default for NoopRecorder {
     fn default() -> Self {
         NoopRecorder::new()

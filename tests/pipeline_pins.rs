@@ -168,7 +168,8 @@ fn recorded_run(name: &str, fault_plan: Option<&str>) -> String {
     }
     let rec = MemRecorder::new(TASKS);
     let res = Pipeline::new(b.build())
-        .run_reads_recorded(&reads(), &rec)
+        .with_recorder(&rec)
+        .run_reads(&reads())
         .unwrap();
     let snap = snapshot(&res, &rec.into_events(), &dir);
     std::fs::remove_dir_all(&dir).unwrap();
