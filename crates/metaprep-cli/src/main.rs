@@ -41,7 +41,7 @@ use metaprep_core::{
     write_multi_partition_streamed, write_partitions_streamed, Pipeline, PipelineConfig, Step,
 };
 use metaprep_io::write_fastq_path;
-use metaprep_obs::{export, CounterKind, Event, MemRecorder, Recorder, TraceAnalysis};
+use metaprep_obs::{export, CounterKind, Event, MemRecorder, TraceAnalysis};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -376,7 +376,7 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let input = args.req("input")?;
     let paired = !args.flag("unpaired");
     // Only collect events when a trace was asked for — the default path
-    // keeps the zero-cost no-op recorder.
+    // keeps the pipeline's off recorder.
     let rec = trace.as_ref().map(|_| MemRecorder::new(tasks));
     let mut pipe = Pipeline::new(cfg);
     if let Some(rec) = &rec {

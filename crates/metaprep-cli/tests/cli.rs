@@ -530,6 +530,46 @@ fn crashes_without_checkpoint_dir_are_rejected_up_front() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn a_crash_the_run_never_reaches_is_one_error_line_and_writes_nothing() {
+    // Pass 5 of a 2-pass run, and merge round 1 of rank 1, which retires
+    // after round 0: both plans used to run to completion with no restart.
+    let dir = tmpdir("unreachable_crash");
+    let reads = dir.join("reads.fastq");
+    std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
+    let (parts, ckpt) = (dir.join("parts"), dir.join("ckpt"));
+    for (crash, what) in [
+        ("rank1@pass5", "rank 1 at pass5"),
+        ("rank1@merge1", "rank 1 at merge1"),
+    ] {
+        let plan = format!("seed=1,crash={crash}");
+        let out = metaprep(&[
+            "partition",
+            "--input",
+            reads.to_str().unwrap(),
+            "--tasks",
+            "4",
+            "--passes",
+            "2",
+            "--fault-plan",
+            &plan,
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--outdir",
+            parts.to_str().unwrap(),
+        ]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{crash}: {err}");
+        assert_eq!(err.lines().count(), 1, "{crash}: {err}");
+        assert!(err.starts_with("error: ") && err.contains(what), "{err}");
+        assert!(
+            !parts.exists() && !ckpt.exists(),
+            "{crash}: a directory was created"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `n` well-formed records (`r1`..`rn`, 40 bases each, distinct enough to
 /// index) as one line list per record, so a test can break a single line.
 fn good_records(n: usize) -> Vec<[Vec<u8>; 4]> {

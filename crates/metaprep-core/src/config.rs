@@ -89,7 +89,8 @@ pub struct PipelineConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Directory for pass-level checkpoints (`rank{r}.ckpt`). When set,
     /// each task persists its restartable state at every pass and merge
-    /// boundary; a supervised restart replays from the last one.
+    /// boundary; a task restarted after an injected crash replays from the
+    /// last one.
     pub checkpoint_dir: Option<PathBuf>,
     /// Stall watchdog threshold in milliseconds (`None` = the cluster
     /// default; `Some(0)` is rejected by validation).

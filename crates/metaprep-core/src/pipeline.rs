@@ -2,10 +2,12 @@
 //!
 //! A task's timeline is a sequence of [`Boundary`] values — `Pass(s)` for
 //! every planned pass, then `MergeRound(r)` for every level of the merge
-//! tree — each a quiescent point where the task may crash and where what
-//! it carries onward (`TaskState`) is exactly what a checkpoint stores.
-//! `Task::drive` walks that sequence; the stage functions after it each
-//! do one step's work and hand typed values to the next.
+//! tree up to the one the task retires in — each a quiescent point where
+//! the task may crash and where what it carries onward (`TaskState`) is
+//! exactly what a checkpoint stores. `Task::drive` walks that sequence,
+//! restarting from the checkpoint where an injected crash is due; the
+//! stage functions after it each do one step's work and hand typed values
+//! to the next.
 
 use crate::checkpoint::{plan_fingerprint, Forest, PlanCheckpoint, Progress, TaskState};
 use crate::config::{PipelineConfig, PipelineError};
@@ -26,7 +28,7 @@ use metaprep_io::ReadStore;
 use metaprep_kmer::{Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
-use metaprep_obs::{CounterKind, Recorder};
+use metaprep_obs::{CounterKind, MemRecorder};
 use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
 use std::path::Path;
 use std::time::Duration;
@@ -99,7 +101,7 @@ struct IndexTables {
 /// A configured METAPREP pipeline and the recorder its runs report to.
 pub struct Pipeline<'r> {
     cfg: PipelineConfig,
-    rec: &'r dyn Recorder,
+    rec: &'r MemRecorder,
 }
 
 impl<'r> Pipeline<'r> {
@@ -108,14 +110,14 @@ impl<'r> Pipeline<'r> {
     pub fn new(cfg: PipelineConfig) -> Self {
         Self {
             cfg,
-            rec: metaprep_obs::noop_recorder(),
+            rec: MemRecorder::off(),
         }
     }
 
     /// Send the runs' telemetry to `rec`: every step of every task becomes
     /// a recorded span (the returned `StepTimings` are *derived* from those
     /// spans) and work/comm/memory counters flow into it.
-    pub fn with_recorder(mut self, rec: &'r dyn Recorder) -> Self {
+    pub fn with_recorder(mut self, rec: &'r MemRecorder) -> Self {
         self.rec = rec;
         self
     }
@@ -175,7 +177,7 @@ impl<'r> Pipeline<'r> {
     /// run the passes with the tuple width `k` needs.
     fn run<'s>(
         &self,
-        index: impl FnOnce(&dyn Recorder) -> Result<(IndexTables, ChunkSource<'s>), PipelineError>,
+        index: impl FnOnce(&MemRecorder) -> Result<(IndexTables, ChunkSource<'s>), PipelineError>,
     ) -> Result<PipelineResult, PipelineError> {
         let (cfg, rec) = (&self.cfg, self.rec);
         cfg.validate()?;
@@ -209,7 +211,7 @@ fn index_fastq_file(
     path: &Path,
     paired: bool,
     cfg: &PipelineConfig,
-    rec: &dyn Recorder,
+    rec: &MemRecorder,
 ) -> Result<(IndexTables, u32), PipelineError> {
     use metaprep_index::{index_fastq_file_streaming_sketched_recorded, StreamingOptions};
     let (merhist, fastqpart, total_seqs, sketch) = index_fastq_file_streaming_sketched_recorded(
@@ -264,19 +266,42 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) filter: Option<&'a HighFreqFilter>,
 }
 
-impl RunCtx<'_> {
-    /// The task timeline from `resume_at` on: the remaining passes, then
-    /// the remaining `ceil(log2 P)` merge rounds (Figure 4).
-    fn boundaries_from(&self, resume_at: Boundary) -> impl Iterator<Item = Boundary> {
-        let passes = self.plan.passes() as u32;
-        let rounds = self.plan.tasks().next_power_of_two().trailing_zeros();
-        let (pass, round) = match resume_at {
-            Boundary::Pass(s) => (s, 0),
-            Boundary::MergeRound(r) => (passes, r),
-        };
-        let merge = (round..rounds).map(Boundary::MergeRound);
-        (pass..passes).map(Boundary::Pass).chain(merge)
+/// The merge round `rank` retires in, sending its components to
+/// `rank - 2^round` (Figure 4): the lowest set bit of the rank. Rank 0
+/// never retires.
+fn retirement_round(rank: usize) -> Option<u32> {
+    (rank > 0).then(|| rank.trailing_zeros())
+}
+
+/// The timeline of `rank` (of `tasks`) from `from` on: the remaining
+/// passes, then the remaining merge rounds — all `ceil(log2 P)` of them on
+/// rank 0, up to and including its retirement round on any other.
+fn walk(passes: u32, tasks: usize, rank: usize, from: Boundary) -> impl Iterator<Item = Boundary> {
+    let rounds =
+        retirement_round(rank).map_or(tasks.next_power_of_two().trailing_zeros(), |r| r + 1);
+    let (pass, round) = match from {
+        Boundary::Pass(s) => (s, 0),
+        Boundary::MergeRound(r) => (passes, r),
+    };
+    let merge = (round..rounds).map(Boundary::MergeRound);
+    (pass..passes).map(Boundary::Pass).chain(merge)
+}
+
+/// A declared crash at a boundary its rank never reaches would leave the
+/// run to finish without the restart it names: reject it once the pass
+/// count is known.
+fn check_crashes_reachable(cfg: &PipelineConfig, passes: usize) -> Result<(), PipelineError> {
+    for c in cfg.fault_plan.iter().flat_map(|plan| &plan.crashes) {
+        let rank = c.rank as usize;
+        if !walk(passes as u32, cfg.tasks, rank, Boundary::Pass(0)).any(|b| b == c.at) {
+            return Err(PipelineError::InvalidConfig(format!(
+                "fault plan crashes rank {rank} at {}, a boundary it never reaches \
+                 ({passes} passes, {} tasks)",
+                c.at, cfg.tasks
+            )));
+        }
     }
+    Ok(())
 }
 
 fn run_generic<K: PipelineKmer>(
@@ -285,7 +310,7 @@ fn run_generic<K: PipelineKmer>(
     tables: &IndexTables,
     filter: Option<&HighFreqFilter>,
     index_create: Duration,
-    rec: &dyn Recorder,
+    rec: &MemRecorder,
 ) -> Result<PipelineResult, PipelineError> {
     let (merhist, fastqpart) = (&tables.merhist, &tables.fastqpart);
     let chunk_bytes: u64 = fastqpart.chunks().iter().map(|ch| ch.spec.bytes).sum();
@@ -321,6 +346,7 @@ fn run_generic<K: PipelineKmer>(
         (None, Some(budget)) => plan_passes(&inputs, budget)?.passes,
         (None, None) => 1,
     };
+    check_crashes_reachable(cfg, passes)?;
     let plan = RangePlan::build(merhist, passes, cfg.tasks, cfg.threads);
     // Persist (or verify) the plan artifact so a crash-restarted run
     // provably replays the same pass geometry.
@@ -387,31 +413,29 @@ fn run_generic<K: PipelineKmer>(
     // own byte/message accounting (the single source of truth — the
     // collectives record stage *spans* only), and the memory model's
     // totals ride along so a report can show modeled vs measured.
-    if rec.enabled() {
-        for (task, s) in run.stats.iter().enumerate() {
-            let task = task as u32;
-            rec.record_counter(task, CounterKind::BytesSent, s.bytes_sent);
-            rec.record_counter(task, CounterKind::MessagesSent, s.messages_sent);
-            rec.record_counter(task, CounterKind::BytesReceived, s.bytes_received);
-            rec.record_counter(task, CounterKind::MessagesReceived, s.messages_received);
-        }
-        rec.record_counter(0, CounterKind::MemModeledBytes, memory.total_modeled());
+    for (task, s) in run.stats.iter().enumerate() {
+        let task = task as u32;
+        rec.record_counter(task, CounterKind::BytesSent, s.bytes_sent);
+        rec.record_counter(task, CounterKind::MessagesSent, s.messages_sent);
+        rec.record_counter(task, CounterKind::BytesReceived, s.bytes_received);
+        rec.record_counter(task, CounterKind::MessagesReceived, s.messages_received);
+    }
+    rec.record_counter(0, CounterKind::MemModeledBytes, memory.total_modeled());
+    rec.record_counter(
+        0,
+        CounterKind::MemPeakTupleBytes,
+        memory.measured_peak_tuple_bytes,
+    );
+    rec.record_counter(0, CounterKind::PlannedPasses, passes as u64);
+    if let Some(budget) = cfg.memory_budget {
+        rec.record_counter(0, CounterKind::MemBudgetBytes, budget);
+    }
+    if let Some(f) = filter {
         rec.record_counter(
             0,
-            CounterKind::MemPeakTupleBytes,
-            memory.measured_peak_tuple_bytes,
+            CounterKind::SketchFillPermille,
+            f.sketch().fill_ratio_permille(),
         );
-        rec.record_counter(0, CounterKind::PlannedPasses, passes as u64);
-        if let Some(budget) = cfg.memory_budget {
-            rec.record_counter(0, CounterKind::MemBudgetBytes, budget);
-        }
-        if let Some(f) = filter {
-            rec.record_counter(
-                0,
-                CounterKind::SketchFillPermille,
-                f.sketch().fill_ratio_permille(),
-            );
-        }
     }
 
     Ok(PipelineResult {
@@ -452,16 +476,6 @@ struct TaskResult {
     progress: Progress,
 }
 
-/// What a merge round did to this task.
-enum MergeOutcome {
-    /// Received and absorbed a peer's components: the forest changed.
-    Absorbed,
-    /// No partner at this level of the tree.
-    Idle,
-    /// Sent its components downhill; takes no part in later rounds.
-    Retired,
-}
-
 /// One rank's handles on the run, shared by the driver and every stage.
 /// Its telemetry lives in the cluster context (`ctx.obs()`, `ctx.span`).
 struct Task<'t, 'c, K: PipelineKmer> {
@@ -485,43 +499,53 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         }
     }
 
-    /// One attempt at the task's work: start (or, when the cluster runs
-    /// it again after an injected crash, resume from the last checkpoint)
-    /// and walk the remaining boundaries. Crashes only ever fire at a
+    /// The task's work: walk the boundaries from a fresh start and, each
+    /// time an injected crash is due at one, drop everything the task holds
+    /// and walk on from the rank's checkpoint. Crashes only ever fire at a
     /// boundary top — a quiescent point where this task owes no in-flight
     /// message — so resuming from the checkpoint written for that boundary
     /// re-sends nothing and the replay is exact.
     fn drive(&self) -> TaskResult {
-        let (mut st, resume_at) = self.resume();
-        for boundary in self.run.boundaries_from(resume_at) {
-            self.ctx.maybe_crash(boundary);
-            // Work that changed the state names the boundary to resume at
-            // and the index its checkpoint span is filed under.
-            let (next, index) = match boundary {
-                Boundary::Pass(s) => {
-                    self.run_pass(&mut st, s);
-                    (Boundary::Pass(s + 1), s)
+        let (mut st, mut resume_at) = self.fresh();
+        let (passes, size, rank) = (
+            self.run.plan.passes() as u32,
+            self.ctx.size(),
+            self.ctx.rank(),
+        );
+        'walk: loop {
+            for boundary in walk(passes, size, rank, resume_at) {
+                if self.ctx.crash_due(boundary) {
+                    drop(st);
+                    (st, resume_at) = self.restart();
+                    continue 'walk;
                 }
-                Boundary::MergeRound(r) => {
-                    let mut local = st.forest.into_sequential();
-                    let outcome = self.merge_round(&mut local, r);
-                    st.forest = Forest::Sequential(local);
-                    match outcome {
-                        MergeOutcome::Absorbed => (Boundary::MergeRound(r + 1), r),
-                        MergeOutcome::Idle => continue,
-                        MergeOutcome::Retired => break,
+                // Work that changed the state names the boundary to resume
+                // at and the index its checkpoint span is filed under.
+                let (next, index) = match boundary {
+                    Boundary::Pass(s) => {
+                        self.run_pass(&mut st, s);
+                        (Boundary::Pass(s + 1), s)
                     }
+                    Boundary::MergeRound(r) => {
+                        let mut local = st.forest.into_sequential();
+                        let absorbed = self.merge_round(&mut local, r);
+                        st.forest = Forest::Sequential(local);
+                        if !absorbed {
+                            continue;
+                        }
+                        (Boundary::MergeRound(r + 1), r)
+                    }
+                };
+                if let Some(dir) = self.run.cfg.checkpoint_dir.as_deref() {
+                    self.ctx.span(CHECKPOINT, None, Some(index), || {
+                        // EXPECT: a checkpoint that cannot be persisted would leave a later restart silently unprotected — abort the run instead.
+                        st.checkpoint(dir, rank as u32, next)
+                            .expect("checkpoint write failed")
+                    });
+                    self.ctx.obs().add(CounterKind::CheckpointWrites, 1);
                 }
-            };
-            if let Some(dir) = self.run.cfg.checkpoint_dir.as_deref() {
-                let rank = self.ctx.rank() as u32;
-                self.ctx.span(CHECKPOINT, None, Some(index), || {
-                    // EXPECT: a checkpoint that cannot be persisted would leave a later restart silently unprotected — abort the run instead.
-                    st.checkpoint(dir, rank, next)
-                        .expect("checkpoint write failed")
-                });
-                self.ctx.obs().add(CounterKind::CheckpointWrites, 1);
             }
+            break;
         }
         let labels = self.cc_io(st.forest.into_sequential());
         TaskResult {
@@ -533,24 +557,26 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         }
     }
 
-    /// The state an attempt starts from and the boundary it starts at: a
-    /// fresh forest at `Pass(0)`, or — on a restart — what the rank's
-    /// checkpoint holds. No checkpoint on disk after a crash means the
-    /// crash hit the very first boundary, before any work or sends, so a
-    /// fresh start IS the exact replay.
-    fn resume(&self) -> (TaskState<K::Tuple>, Boundary) {
+    /// A fresh forest at `Pass(0)`.
+    fn fresh(&self) -> (TaskState<K::Tuple>, Boundary) {
+        let fragments = self.run.source.num_fragments() as usize;
+        (TaskState::fresh(fragments), Boundary::Pass(0))
+    }
+
+    /// After an injected crash: count the restart and reload what the
+    /// rank's checkpoint holds. No checkpoint on disk means the crash hit
+    /// the very first boundary, before any work or sends, so a fresh start
+    /// IS the exact replay.
+    fn restart(&self) -> (TaskState<K::Tuple>, Boundary) {
+        self.ctx.obs().add(CounterKind::TaskRestarts, 1);
         let rank = self.ctx.rank() as u32;
-        let restored = match self.run.cfg.checkpoint_dir.as_deref() {
-            Some(dir) if self.ctx.attempt() > 0 => self.ctx.span(TASK_RESTART, None, None, || {
+        let restored = self.run.cfg.checkpoint_dir.as_deref().and_then(|dir| {
+            self.ctx.span(TASK_RESTART, None, None, || {
                 // EXPECT: an unreadable/corrupt checkpoint after a crash cannot be replayed safely (a from-scratch rerun would re-send consumed messages) — abort.
                 TaskState::restore(dir, rank).expect("checkpoint load after restart")
-            }),
-            _ => None,
-        };
-        restored.unwrap_or_else(|| {
-            let fragments = self.run.source.num_fragments() as usize;
-            (TaskState::fresh(fragments), Boundary::Pass(0))
-        })
+            })
+        });
+        restored.unwrap_or_else(|| self.fresh())
     }
 
     /// One pass: the four stages in order, each handing its output to the
@@ -727,10 +753,12 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
 
     /// MergeCC round `round`: ranks `stride = 2^round` apart pair up
     /// (Figure 4); the upper one sends its components down and retires.
-    fn merge_round(&self, local: &mut DisjointSet, round: u32) -> MergeOutcome {
+    /// Returns whether this rank absorbed a peer's components, i.e. whether
+    /// its forest changed.
+    fn merge_round(&self, local: &mut DisjointSet, round: u32) -> bool {
         let (ctx, rank, stride) = (self.ctx, self.ctx.rank(), 1usize << round);
         let (comm, merge, at) = (Step::MergeComm.name(), Step::MergeCc.name(), Some(round));
-        if rank % (2 * stride) == stride {
+        if retirement_round(rank) == Some(round) {
             let sparse = self.run.cfg.merge_sparse;
             ctx.span(comm, None, at, || {
                 let msg = if sparse {
@@ -742,8 +770,8 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
                     .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
                 ctx.send(rank - stride, msg);
             });
-            MergeOutcome::Retired
-        } else if rank % (2 * stride) == 0 && rank + stride < ctx.size() {
+            false
+        } else if rank + stride < ctx.size() {
             let msg = ctx.span(comm, None, at, || ctx.recv_from(rank + stride));
             ctx.obs()
                 .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
@@ -752,9 +780,9 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
                 Msg::SparseParents(pairs) => absorb_sparse_pairs(local, &pairs),
                 Msg::Tuples(_) => unreachable!("no tuples during MergeCC"),
             });
-            MergeOutcome::Absorbed
+            true
         } else {
-            MergeOutcome::Idle
+            false
         }
     }
 
@@ -1392,7 +1420,7 @@ mod tests {
         // Mid-run crashes at a pass boundary and at two merge-round
         // boundaries (one before the rank's first absorb — restoring a
         // Pass checkpoint — and one after — restoring a Merge checkpoint),
-        // plus message faults on top. The supervised restarts must replay
+        // plus message faults on top. The restarts must replay
         // from the checkpoints to the exact same labels.
         use metaprep_dist::{Boundary, FaultPlan};
         let reads = small_reads();
@@ -1419,6 +1447,91 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_crash_at_every_boundary_of_every_rank_replays_exactly() {
+        // Every rank crashes once at every boundary it reaches: both
+        // passes, the merge rounds it absorbs in, the idle one (rank 2 of
+        // 3 at merge0) and the one it retires in. Each crash is one
+        // restart from the rank's latest checkpoint, and the run must
+        // still end with the fault-free labels and a causal trace.
+        use metaprep_dist::FaultPlan;
+        use metaprep_obs::{MemRecorder, TraceAnalysis};
+        let reads = small_reads();
+        let rounds: [&[&[u32]]; 2] = [&[&[0, 1], &[0], &[0, 1]], &[&[0, 1], &[0], &[0, 1], &[0]]];
+        for merge_rounds in rounds {
+            let tasks = merge_rounds.len();
+            let want = Pipeline::new(chaos_cfg().tasks(tasks).build())
+                .run_reads(&reads)
+                .unwrap()
+                .labels;
+            let mut plan = FaultPlan::new(tasks as u64);
+            for (rank, rs) in merge_rounds.iter().enumerate() {
+                let passes = (0..2).map(Boundary::Pass);
+                for at in passes.chain(rs.iter().map(|&r| Boundary::MergeRound(r))) {
+                    plan = plan.with_crash(rank as u32, at);
+                }
+            }
+            let dir = std::env::temp_dir().join(format!("metaprep_core_crash_all_{tasks}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let rec = MemRecorder::new(tasks);
+            let cfg = chaos_cfg().tasks(tasks).fault_plan(plan);
+            let res = Pipeline::new(cfg.checkpoint_dir(&dir).build())
+                .with_recorder(&rec)
+                .run_reads(&reads)
+                .unwrap();
+            assert_eq!(res.labels, want, "tasks={tasks}");
+            let a = TraceAnalysis::from_events(&rec.into_events());
+            a.check_conservation().expect("no message is sent twice");
+            a.check_causality()
+                .expect("lamport order survives recovery");
+            for (rank, rs) in merge_rounds.iter().enumerate() {
+                let boundaries = 2 + rs.len() as u64;
+                let counter = |kind| a.counter(rank as u32, kind);
+                assert_eq!(
+                    counter(CounterKind::TaskRestarts),
+                    boundaries,
+                    "rank {rank}"
+                );
+                assert_eq!(
+                    counter(CounterKind::FaultsInjected),
+                    boundaries,
+                    "rank {rank}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_crash_its_rank_never_reaches_is_a_config_error() {
+        // Without this check each plan below would run to completion with
+        // no restart and so test nothing. The check runs once the pass
+        // count is known, before the plan artifact is written.
+        use metaprep_dist::FaultPlan;
+        let reads = small_reads();
+        let budget = plan_inputs_for(&reads, &chaos_cfg().build()).modeled_at(2);
+        let planned = || {
+            let b = PipelineConfig::builder().k(21).m(6).tasks(4).threads(1);
+            b.memory_budget(budget)
+        };
+        let dir = std::env::temp_dir().join("metaprep_core_unreachable_crash");
+        let _ = std::fs::remove_dir_all(&dir);
+        for (cfg, spec, want) in [
+            (chaos_cfg(), "crash=rank1@pass2", "rank 1 at pass2"),
+            (planned(), "crash=rank3@pass2", "rank 3 at pass2"),
+            (chaos_cfg(), "crash=rank1@merge1", "rank 1 at merge1"),
+            (chaos_cfg(), "crash=rank0@merge2", "rank 0 at merge2"),
+        ] {
+            let plan = FaultPlan::parse_spec(spec).unwrap();
+            let cfg = cfg.fault_plan(plan).checkpoint_dir(&dir).build();
+            match Pipeline::new(cfg).run_reads(&reads) {
+                Err(PipelineError::InvalidConfig(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("{spec}: expected InvalidConfig, got {:?}", other.is_ok()),
+            }
+            assert!(!dir.exists(), "{spec}: the plan artifact was written");
+        }
     }
 
     #[test]

@@ -29,15 +29,12 @@
 //!   [`crate::DedupState`].
 
 use crate::delivery::{DedupState, Offer};
-use crate::faults::{
-    Boundary, FaultPlan, FaultReport, FaultReportKind, InjectedCrash, SendDecision,
-};
+use crate::faults::{Boundary, FaultPlan, FaultReport, FaultReportKind, SendDecision};
 use crate::stats::CommStats;
-use crate::supervisor::run_supervised;
 use crate::sync::channel::{DepthProbe, Receiver, RecvTimeoutError, Sender};
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use crate::Payload;
-use metaprep_obs::{noop_recorder, CounterKind, Recorder, TaskObs};
+use metaprep_obs::{CounterKind, MemRecorder, TaskObs};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -88,15 +85,15 @@ pub struct ClusterConfig<'a> {
     /// made no channel progress for longer than this aborts the run
     /// with a structured stall report (see `DEFAULT_WATCHDOG_TIMEOUT`).
     pub watchdog_timeout: Duration,
-    /// Where each rank's [`TaskObs`] flushes (default: a no-op recorder).
-    recorder: &'a dyn Recorder,
+    /// Where each rank's [`TaskObs`] flushes (default: [`MemRecorder::off`]).
+    recorder: &'a MemRecorder,
     /// The deterministic fault schedule every send, receive and crash
     /// boundary runs under; `None` (the default) is fault-free.
     fault_plan: Option<&'a FaultPlan>,
 }
 
 impl ClusterConfig<'static> {
-    /// Convenience constructor (default watchdog timeout, no-op recorder,
+    /// Convenience constructor (default watchdog timeout, an off recorder,
     /// no fault plan).
     pub fn new(tasks: usize, threads_per_task: usize) -> Self {
         assert!(tasks >= 1 && threads_per_task >= 1);
@@ -104,7 +101,7 @@ impl ClusterConfig<'static> {
             tasks,
             threads_per_task,
             watchdog_timeout: DEFAULT_WATCHDOG_TIMEOUT,
-            recorder: noop_recorder(),
+            recorder: MemRecorder::off(),
             fault_plan: None,
         }
     }
@@ -119,7 +116,7 @@ impl<'a> ClusterConfig<'a> {
     }
 
     /// Record every rank's spans, counters and message edges into `rec`.
-    pub fn with_recorder(mut self, rec: &'a dyn Recorder) -> Self {
+    pub fn with_recorder(mut self, rec: &'a MemRecorder) -> Self {
         self.recorder = rec;
         self
     }
@@ -353,18 +350,16 @@ pub struct TaskCtx<'a, M: Payload> {
     /// seq, held until their turn (`DedupState` tracks which are held).
     stash: Vec<RefCell<BTreeMap<u64, Envelope<M>>>>,
     /// Crash boundaries already taken (each declared crash fires once —
-    /// the restarted attempt must run through the boundary).
+    /// the restarted task must run through the boundary).
     crashes_fired: RefCell<BTreeSet<Boundary>>,
-    /// This rank's observer. Lives outside the supervised restart loop:
-    /// spans and counters of work done before a crash really happened
-    /// and stay in the trace, and the Lamport clock keeps its continuity.
+    /// This rank's observer. A restart does not replace it: spans and
+    /// counters of work done before a crash really happened and stay in
+    /// the trace, and the Lamport clock keeps its continuity.
     obs: RefCell<TaskObs<'a>>,
     /// This rank's fault tallies; the run's [`FaultStats`] is their sum.
     faults: Cell<FaultStats>,
     /// The innermost open span, which tags message edges.
     enclosing: Cell<Enclosing>,
-    /// Supervised attempt number: 0, or the count of restarts so far.
-    attempt: u32,
 }
 
 impl<'a, M: Payload> TaskCtx<'a, M> {
@@ -381,13 +376,6 @@ impl<'a, M: Payload> TaskCtx<'a, M> {
     /// The task-local rayon pool (the "OpenMP threads" of this rank).
     pub fn pool(&self) -> &rayon::ThreadPool {
         &self.pool
-    }
-
-    /// 0 on the first run of the body; `n` when the cluster's supervisor
-    /// is running it for the `n`-th time after injected crashes — the body
-    /// should then resume from its latest checkpoint.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 
     /// This rank's observer. Hold the guard only briefly: sends, receives
@@ -438,22 +426,20 @@ impl<'a, M: Payload> TaskCtx<'a, M> {
         self.obs.borrow_mut().add(CounterKind::FaultsInjected, 1);
     }
 
-    /// Crash-injection point: panics with [`InjectedCrash`] if the active
-    /// plan declares a crash for this rank at boundary `at` and it has
-    /// not fired yet. [`run_cluster`]'s supervisor catches exactly this
-    /// payload and runs the body again (see [`TaskCtx::attempt`]); the
-    /// boundary is marked fired so the restarted attempt runs through it.
-    pub fn maybe_crash(&self, at: Boundary) {
-        let Some(plan) = self.fault_plan else {
-            return;
-        };
-        if plan.crashes_at(self.rank, at) && self.crashes_fired.borrow_mut().insert(at) {
+    /// Crash-injection point: true if the active plan declares a crash
+    /// for this rank at boundary `at` that has not fired yet. The caller
+    /// then drops what it holds and resumes from its checkpoint; the
+    /// boundary is marked fired (and counted as an injected fault), so the
+    /// restarted task runs through it.
+    pub fn crash_due(&self, at: Boundary) -> bool {
+        let due = self
+            .fault_plan
+            .is_some_and(|plan| plan.crashes_at(self.rank, at))
+            && self.crashes_fired.borrow_mut().insert(at);
+        if due {
             self.note_fault();
-            std::panic::panic_any(InjectedCrash {
-                rank: self.rank as u32,
-                at,
-            });
         }
+        due
     }
 
     /// Under [`explore_schedules`], perturb OS scheduling with a burst of
@@ -696,23 +682,6 @@ impl<'a, M: Payload> TaskCtx<'a, M> {
             }
         }
     }
-
-    /// Run `body` to completion under the crash supervisor — restarting
-    /// on an [`InjectedCrash`] as often as the plan declares crashes (each
-    /// fires at most once) — then count the restarts and flush the
-    /// observer into `rec`.
-    fn run_body<R>(&mut self, body: impl Fn(&mut Self) -> R, rec: &'a dyn Recorder) -> R {
-        let max_restarts = self.fault_plan.map_or(0, |p| p.crashes.len() as u32);
-        let (out, restarts) = run_supervised(max_restarts, |attempt| {
-            self.attempt = attempt;
-            self.enclosing.set(UNSPANNED);
-            body(self)
-        });
-        let mut obs = self.obs.replace(TaskObs::new(rec, self.rank as u32));
-        obs.add(CounterKind::TaskRestarts, u64::from(restarts));
-        obs.finish();
-        out
-    }
 }
 
 /// Best-effort view of a panic payload as a string (for classifying
@@ -818,7 +787,6 @@ where
             obs: RefCell::new(TaskObs::new(rec, rank as u32)),
             faults: Cell::new(FaultStats::default()),
             enclosing: Cell::new(UNSPANNED),
-            attempt: 0,
         })
         .collect();
 
@@ -831,7 +799,9 @@ where
                 scope.spawn(move || {
                     let rank = ctx.rank;
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        ctx.run_body(body, rec)
+                        let out = body(ctx);
+                        ctx.obs.replace(TaskObs::new(rec, rank as u32)).finish();
+                        out
                     }));
                     // ORDERING: Relaxed — monitoring-only state word.
                     shared_for_tasks.task_state[rank].store(STATE_DONE, Ordering::Relaxed);
@@ -1269,57 +1239,38 @@ mod tests {
     }
 
     #[test]
-    fn injected_crashes_restart_the_body_and_are_counted() {
+    fn a_declared_crash_is_due_once_and_counted() {
         use metaprep_obs::{Event, MemRecorder};
-        // Rank 1 crashes at Pass(0) once: the supervisor runs its body a
-        // second time (attempt 1), which runs through the fired boundary.
-        // The span from before the crash stays in the trace, and the
-        // crash shows up as one injected fault and one restart.
+        // Rank 1's crash at Pass(0) is due the first time it reaches that
+        // boundary and never again; it counts as one injected fault.
         let plan = FaultPlan::new(3).with_crash(1, Boundary::Pass(0));
         let rec = MemRecorder::new(2);
         let config = ClusterConfig::new(2, 1)
             .with_recorder(&rec)
             .with_fault_plan(&plan);
         let r = run_cluster::<Vec<u8>, _, _>(config, |ctx| {
-            ctx.span("work", None, None, || ctx.maybe_crash(Boundary::Pass(0)));
-            ctx.attempt()
+            let at = [Boundary::Pass(0), Boundary::Pass(0), Boundary::Pass(1)];
+            at.map(|b| ctx.crash_due(b))
         });
-        assert_eq!(r.results, vec![0, 1]);
-        let events = rec.into_events();
-        let counter = |task, kind| {
-            events.iter().any(|e| {
-                *e == Event::Counter {
-                    task,
-                    kind,
-                    value: 1,
-                }
+        assert_eq!(r.results, vec![[false; 3], [true, false, false]]);
+        let faults: Vec<_> = rec
+            .into_events()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::Counter {
+                        kind: CounterKind::FaultsInjected,
+                        ..
+                    }
+                )
             })
+            .collect();
+        let want = Event::Counter {
+            task: 1,
+            kind: CounterKind::FaultsInjected,
+            value: 1,
         };
-        assert!(counter(1, CounterKind::TaskRestarts));
-        assert!(counter(1, CounterKind::FaultsInjected));
-        assert!(!counter(0, CounterKind::TaskRestarts));
-        let work_spans = |task: u32| {
-            events
-                .iter()
-                .filter(|e| matches!(e, Event::Span { task: t, name, .. } if *t == task && name == "work"))
-                .count()
-        };
-        // Rank 1's crashed attempt unwound out of its span before closing
-        // it; the restarted attempt's span is the one recorded.
-        assert_eq!((work_spans(0), work_spans(1)), (1, 1));
-    }
-
-    #[test]
-    fn crashes_past_the_plan_budget_are_not_swallowed() {
-        // A crash the plan did not declare leaves the supervisor no
-        // restart budget: the payload propagates out of the run intact.
-        let caught = std::panic::catch_unwind(|| {
-            run_cluster::<Vec<u8>, _, _>(ClusterConfig::new(1, 1), |_| {
-                let at = Boundary::Pass(0);
-                std::panic::panic_any(InjectedCrash { rank: 0, at })
-            })
-        })
-        .unwrap_err();
-        assert!(caught.downcast_ref::<InjectedCrash>().is_some());
+        assert_eq!(faults, vec![want]);
     }
 }

@@ -24,9 +24,9 @@
 //!   queued envelope ahead of order, exercising the out-of-order stash
 //!   path of [`crate::delivery::DedupState`] (receiver-side, so the
 //!   lockstep staged all-to-all can never deadlock on a held-back send);
-//! * **crash** — a rank panics with [`InjectedCrash`] at a declared
-//!   pass/merge-round [`Boundary`]; the supervisor restarts it from its
-//!   last checkpoint (see `metaprep-core::checkpoint`).
+//! * **crash** — at a declared pass/merge-round [`Boundary`] the rank's
+//!   `TaskCtx::crash_due` says so once; the rank drops what it holds and
+//!   restarts from its last checkpoint (see `metaprep-core::checkpoint`).
 
 use crate::delivery::DeliveryPolicy;
 
@@ -134,16 +134,6 @@ pub struct CrashSpec {
     /// The rank that crashes.
     pub rank: u32,
     /// The span boundary it crashes at.
-    pub at: Boundary,
-}
-
-/// The panic payload of an injected crash; the supervisor downcasts to
-/// this to distinguish a planned crash from a real bug.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct InjectedCrash {
-    /// Crashing rank.
-    pub rank: u32,
-    /// Boundary it crashed at.
     pub at: Boundary,
 }
 

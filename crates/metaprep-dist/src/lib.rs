@@ -19,8 +19,10 @@
 //!   intra-task parallelism.
 //!
 //! One path per operation: [`run_cluster`] runs every rank under one
-//! [`ClusterConfig`] (recorder + fault plan) and supervises injected
-//! crashes; each rank's `TaskObs` lives in its [`TaskCtx`], so `send`,
+//! [`ClusterConfig`] (recorder + fault plan); a rank asks
+//! [`TaskCtx::crash_due`] at each restart boundary and restarts itself from
+//! its checkpoint, and a real panic in any rank aborts the run and releases
+//! its peers. Each rank's `TaskObs` lives in its [`TaskCtx`], so `send`,
 //! `recv_from`, [`alltoall`] and [`broadcast`] take no observer or stage
 //! argument. The collectives are the two the pipeline runs (the staged
 //! all-to-all and the label broadcast) plus the naive all-to-all it is
@@ -39,8 +41,6 @@ pub mod delivery;
 pub mod faults;
 pub mod netmodel;
 pub mod stats;
-#[cfg(not(loom))]
-mod supervisor;
 pub mod sync;
 
 #[cfg(not(loom))]
@@ -51,8 +51,7 @@ pub use cluster::{
 pub use collectives::{alltoall, alltoall_naive, broadcast};
 pub use delivery::{DedupState, DeliveryPolicy, Offer};
 pub use faults::{
-    Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, InjectedCrash,
-    SendDecision,
+    Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, SendDecision,
 };
 pub use netmodel::NetworkModel;
 pub use stats::{check_conservation, CommStats};

@@ -38,7 +38,7 @@ use metaprep_io::{
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
-use metaprep_obs::{CounterKind, NoopRecorder, Recorder};
+use metaprep_obs::{CounterKind, MemRecorder};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::fs::File;
@@ -301,7 +301,16 @@ fn chunk_hist(
 }
 
 /// Histogram every chunk on the pool (the KmerGen-style fan-out of
-/// IndexCreate); rows come back in chunk order.
+/// IndexCreate), fused with the presolve frequency sketch when `params`
+/// asks for one; rows come back in chunk order. Chunks are dealt
+/// round-robin into shares, each scanned sequentially. Without a sketch
+/// every chunk is its own share and the pool balances them. With one there
+/// is one share per pool worker, each feeding its own sketch (conservative
+/// updates need exclusive counters and do not merge independently of
+/// order), and the worker sketches are fold-merged at the end. The share
+/// count comes from the pool's configured thread count, so for an
+/// explicitly-sized pool the merged sketch is a pure function of the input
+/// and the thread *setting*, not of scheduling.
 fn par_histogram(
     path: &Path,
     chunks: &[StreamChunk],
@@ -309,62 +318,38 @@ fn par_histogram(
     k: usize,
     paired: bool,
     pool: &rayon::ThreadPool,
-) -> Vec<ChunkRow> {
-    pool.install(|| {
-        chunks
-            .par_iter()
-            .map(|ch| chunk_hist(path, ch, space, k, paired, None))
-            .collect()
-    })
-}
-
-/// [`par_histogram`] fused with the presolve frequency sketch: chunks are
-/// dealt round-robin into one share per pool worker, each share is scanned
-/// sequentially into its own sketch (conservative updates need exclusive
-/// counters), and the worker sketches are fold-merged at the end. The
-/// share count comes from the pool's configured thread count, so for an
-/// explicitly-sized pool the merged sketch is a pure function of the input
-/// and the thread *setting*, not of scheduling.
-fn par_histogram_sketched(
-    path: &Path,
-    chunks: &[StreamChunk],
-    space: MmerSpace,
-    k: usize,
-    paired: bool,
-    pool: &rayon::ThreadPool,
-    params: SketchParams,
-) -> (Vec<ChunkRow>, CountMinSketch) {
-    let workers = pool.current_num_threads().max(1);
-    let shares: Vec<Vec<usize>> = (0..workers.min(chunks.len()).max(1))
-        .map(|w| {
-            (w..chunks.len())
-                .step_by(workers.min(chunks.len()).max(1))
-                .collect()
-        })
+    params: Option<SketchParams>,
+) -> (Vec<ChunkRow>, Option<CountMinSketch>) {
+    let n_shares = match params {
+        Some(_) => pool.current_num_threads(),
+        None => chunks.len(),
+    };
+    let n_shares = n_shares.clamp(1, chunks.len().max(1));
+    let shares: Vec<Vec<usize>> = (0..n_shares)
+        .map(|w| (w..chunks.len()).step_by(n_shares).collect())
         .collect();
-    let results: Vec<(Vec<(usize, ChunkRow)>, CountMinSketch)> = pool.install(|| {
+    let results: Vec<(Vec<ChunkRow>, Option<CountMinSketch>)> = pool.install(|| {
         shares
             .par_iter()
             .map(|idxs| {
-                let mut sketch = params.build();
-                let hist_of = |&i| {
-                    (
-                        i,
-                        chunk_hist(path, &chunks[i], space, k, paired, Some(&mut sketch)),
-                    )
-                };
-                let rows = idxs.iter().map(hist_of).collect();
+                let mut sketch = params.map(|p| p.build());
+                let rows = idxs
+                    .iter()
+                    .map(|&i| chunk_hist(path, &chunks[i], space, k, paired, sketch.as_mut()))
+                    .collect();
                 (rows, sketch)
             })
             .collect()
     });
-    let mut merged = params.build();
+    let mut merged = params.map(|p| p.build());
     let mut rows: Vec<Option<ChunkRow>> = chunks.iter().map(|_| None).collect();
-    for (share_rows, sketch) in results {
+    for (idxs, (share_rows, sketch)) in shares.iter().zip(results) {
         // Saturating counter addition is associative and commutative, so
         // the fold order cannot change the merged sketch.
-        merged.merge(&sketch);
-        for (i, row) in share_rows {
+        if let (Some(m), Some(s)) = (merged.as_mut(), sketch) {
+            m.merge(&s);
+        }
+        for (&i, row) in idxs.iter().zip(share_rows) {
             rows[i] = Some(row);
         }
     }
@@ -389,9 +374,9 @@ pub fn index_fastq_file_streaming(
     m: usize,
     opts: StreamingOptions,
 ) -> Result<(MerHist, FastqPart, u64), FastqError> {
-    let rec = NoopRecorder::new();
+    let rec = MemRecorder::off();
     let (mh, fp, total, _) =
-        index_fastq_file_streaming_sketched_recorded(path, paired, c, k, m, opts, None, &rec)?;
+        index_fastq_file_streaming_sketched_recorded(path, paired, c, k, m, opts, None, rec)?;
     Ok((mh, fp, total))
 }
 
@@ -414,7 +399,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     m: usize,
     opts: StreamingOptions,
     sketch_params: Option<SketchParams>,
-    rec: &dyn Recorder,
+    rec: &MemRecorder,
 ) -> Result<(MerHist, FastqPart, u64, Option<CountMinSketch>), FastqError> {
     let path = path.as_ref();
     let space = MmerSpace::new(k, m);
@@ -459,13 +444,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     rec.record_driver_span("index-chunking", t0, clock.now_ns());
 
     let t0 = clock.now_ns();
-    let (per_chunk, sketch) = match sketch_params {
-        Some(params) => {
-            let (rows, sk) = par_histogram_sketched(path, &chunks, space, k, paired, &pool, params);
-            (rows, Some(sk))
-        }
-        None => (par_histogram(path, &chunks, space, k, paired, &pool), None),
-    };
+    let (per_chunk, sketch) = par_histogram(path, &chunks, space, k, paired, &pool, sketch_params);
     rec.record_driver_span("index-histogram", t0, clock.now_ns());
 
     // Sequential stitch: prefix-sum first_seq (unpaired), report the first
@@ -487,9 +466,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     }
     fit_u32(first, "total sequence count")?;
     let (merhist, fastqpart, total_seqs) = assemble(space, rows)?;
-    if rec.enabled() {
-        rec.record_counter(0, CounterKind::ChunkRecordsStreamed, total_seqs);
-    }
+    rec.record_counter(0, CounterKind::ChunkRecordsStreamed, total_seqs);
     Ok((merhist, fastqpart, total_seqs, sketch))
 }
 
@@ -592,7 +569,7 @@ mod tests {
                 4,
                 opts,
                 Some(params),
-                &NoopRecorder::new(),
+                MemRecorder::off(),
             )
             .unwrap();
             assert_eq!(mh, smh, "threads={threads}");

@@ -27,7 +27,7 @@ pub const ALLTOALL_STAGE: &str = "alltoall-stage";
 /// sub-span inside whatever step it interrupts.
 pub const CHECKPOINT: &str = "checkpoint";
 
-/// Span name covering a supervised task restart (checkpoint load +
+/// Span name covering a task restart (checkpoint load +
 /// state restore after an injected crash). Not in [`STEP_NAMES`], like
 /// [`CHECKPOINT`].
 pub const TASK_RESTART: &str = "task-restart";

@@ -9,11 +9,12 @@
 //!   timestamps against a run-relative monotonic clock ([`RunClock`]);
 //! * [`CounterKind`] — tuple, sort, union-find, communication and memory
 //!   counters, batched per task;
-//! * [`Recorder`] — the sink trait. [`NoopRecorder`] is the zero-cost
-//!   default; [`MemRecorder`] is a lock-free in-memory collector with one
-//!   single-writer slot per simulated task (consistent with the cluster
-//!   simulator's no-shared-memory rule: tasks never touch each other's
-//!   buffers, and the run thread reads them only after the task flushed);
+//! * [`MemRecorder`] — the one sink: a lock-free in-memory collector with
+//!   one single-writer slot per simulated task (consistent with the
+//!   cluster simulator's no-shared-memory rule: tasks never touch each
+//!   other's buffers, and the run thread reads them only after the task
+//!   flushed). [`MemRecorder::off`], the default of a run, keeps nothing
+//!   but still owns the run clock;
 //! * [`TaskObs`] — the per-task handle the pipeline instruments with. It
 //!   buffers locally (plain `Vec` + fixed counter array, no atomics, no
 //!   locks) and flushes **once** when the task body ends, so the per-tuple
@@ -42,6 +43,4 @@ pub mod report;
 
 pub use analysis::TraceAnalysis;
 pub use event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
-pub use rec::{
-    noop_recorder, vm_hwm_bytes, MemRecorder, NoopRecorder, OpenSpan, Recorder, RunClock, TaskObs,
-};
+pub use rec::{vm_hwm_bytes, MemRecorder, OpenSpan, RunClock, TaskObs};

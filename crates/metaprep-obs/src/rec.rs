@@ -1,12 +1,11 @@
-//! Recorder trait, the no-op and in-memory recorders, and the per-task
-//! instrumentation handle.
+//! The run's recorder and the per-task instrumentation handle.
 //!
 //! Hot-path contract: instrumented code talks only to a [`TaskObs`],
 //! which buffers into a plain `Vec` + fixed counter array owned by the
 //! task's own thread. Nothing is shared while the pipeline runs — the
-//! recorder sees one bulk [`Recorder::flush_task`] per task, at task
-//! exit. With the [`NoopRecorder`] the flush drops everything, and the
-//! per-tuple path (counters are batched per pass/range) costs nothing.
+//! [`MemRecorder`] sees one bulk flush per task, at task exit. With
+//! [`MemRecorder::off`] there is no flush at all, and the per-tuple path
+//! (counters are batched per pass/range) costs nothing.
 
 use crate::event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
 use std::sync::{Mutex, OnceLock};
@@ -50,108 +49,6 @@ pub fn vm_hwm_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Sink for run telemetry.
-///
-/// Implementations must tolerate concurrent calls from all simulated
-/// tasks ([`Recorder::flush_task`] arrives from each task's thread) but
-/// each `task` index flushes at most once per run.
-pub trait Recorder: Sync {
-    /// Whether events are kept. Instrumented code may skip *optional*
-    /// detail (e.g. per-stage comm sub-spans) when this is `false`; the
-    /// step spans that derive `StepTimings` are recorded regardless.
-    fn enabled(&self) -> bool;
-
-    /// The run clock all spans must be stamped against.
-    fn clock(&self) -> RunClock;
-
-    /// Bulk flush of one task's locally-buffered events at task exit.
-    fn flush_task(
-        &self,
-        task: u32,
-        spans: Vec<SpanEvent>,
-        counters: Vec<(CounterKind, u64)>,
-        edges: Vec<EdgeEvent>,
-    );
-
-    /// Run-level span recorded from the driver thread (e.g. IndexCreate).
-    fn record_span(&self, span: SpanEvent);
-
-    /// A driver-thread span (IndexCreate, its sub-phases, pass planning)
-    /// on task 0's timeline: no pass, no detail, and Lamport 0, because
-    /// it lies outside every task's causal timeline.
-    fn record_driver_span(&self, name: &'static str, start_ns: u64, end_ns: u64) {
-        self.record_span(SpanEvent {
-            task: 0,
-            name,
-            pass: None,
-            detail: None,
-            start_ns,
-            end_ns,
-            lamport: 0,
-        });
-    }
-
-    /// Run-level counter recorded from the driver thread (comm totals,
-    /// memory model numbers). Values for the same `(task, kind)` add.
-    fn record_counter(&self, task: u32, kind: CounterKind, value: u64);
-}
-
-/// The zero-cost default recorder: drops everything.
-#[derive(Debug)]
-pub struct NoopRecorder {
-    clock: RunClock,
-}
-
-impl NoopRecorder {
-    /// A fresh no-op recorder (its clock origin is now).
-    pub fn new() -> NoopRecorder {
-        NoopRecorder {
-            clock: RunClock::new(),
-        }
-    }
-}
-
-/// The process-wide [`NoopRecorder`]: the sink of a run built without a
-/// recorder.
-pub fn noop_recorder() -> &'static NoopRecorder {
-    static NOOP: OnceLock<NoopRecorder> = OnceLock::new();
-    NOOP.get_or_init(NoopRecorder::new)
-}
-
-impl Default for NoopRecorder {
-    fn default() -> Self {
-        NoopRecorder::new()
-    }
-}
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn clock(&self) -> RunClock {
-        self.clock
-    }
-
-    #[inline]
-    fn flush_task(
-        &self,
-        _task: u32,
-        _spans: Vec<SpanEvent>,
-        _counters: Vec<(CounterKind, u64)>,
-        _edges: Vec<EdgeEvent>,
-    ) {
-    }
-
-    #[inline]
-    fn record_span(&self, _span: SpanEvent) {}
-
-    #[inline]
-    fn record_counter(&self, _task: u32, _kind: CounterKind, _value: u64) {}
-}
-
 /// One task's flushed telemetry.
 #[derive(Debug, Default)]
 struct TaskTrace {
@@ -160,14 +57,18 @@ struct TaskTrace {
     edges: Vec<EdgeEvent>,
 }
 
-/// Lock-free in-memory collector: one single-writer slot per simulated
-/// task (each slot is set exactly once, by that task's own thread, when
-/// the task flushes — mirroring the cluster simulator's rule that tasks
-/// share no mutable state). Run-level events from the driver thread go
-/// through a mutex that is never touched by task threads.
+/// The run's telemetry sink: a lock-free in-memory collector with one
+/// single-writer slot per simulated task (each slot is set exactly once,
+/// by that task's own thread, when the task flushes — mirroring the
+/// cluster simulator's rule that tasks share no mutable state). Run-level
+/// events from the driver thread go through a mutex that is never touched
+/// by task threads. [`MemRecorder::off`] is the recorder of a run that
+/// records nothing: it keeps no event but still owns the run clock.
 #[derive(Debug)]
 pub struct MemRecorder {
     clock: RunClock,
+    /// Whether events are kept (false only for [`MemRecorder::off`]).
+    enabled: bool,
     tasks: Vec<OnceLock<TaskTrace>>,
     run_events: Mutex<Vec<Event>>,
 }
@@ -177,8 +78,80 @@ impl MemRecorder {
     pub fn new(tasks: usize) -> MemRecorder {
         MemRecorder {
             clock: RunClock::new(),
+            enabled: true,
             tasks: (0..tasks).map(|_| OnceLock::new()).collect(),
             run_events: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The process-wide recorder that keeps nothing: the default of a run
+    /// built without a recorder.
+    pub fn off() -> &'static MemRecorder {
+        static OFF: OnceLock<MemRecorder> = OnceLock::new();
+        OFF.get_or_init(|| MemRecorder {
+            enabled: false,
+            ..MemRecorder::new(0)
+        })
+    }
+
+    /// The run clock all spans must be stamped against.
+    pub fn clock(&self) -> RunClock {
+        self.clock
+    }
+
+    /// A driver-thread span (IndexCreate, its sub-phases, pass planning)
+    /// on task 0's timeline: no pass, no detail, and Lamport 0, because
+    /// it lies outside every task's causal timeline.
+    pub fn record_driver_span(&self, name: &'static str, start_ns: u64, end_ns: u64) {
+        self.push_run_event(Event::from(SpanEvent {
+            task: 0,
+            name,
+            pass: None,
+            detail: None,
+            start_ns,
+            end_ns,
+            lamport: 0,
+        }));
+    }
+
+    /// Run-level counter recorded from the driver thread (comm totals,
+    /// memory model numbers). Values for the same `(task, kind)` add.
+    pub fn record_counter(&self, task: u32, kind: CounterKind, value: u64) {
+        self.push_run_event(Event::Counter { task, kind, value });
+    }
+
+    fn push_run_event(&self, event: Event) {
+        if self.enabled {
+            self.run_events
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(event);
+        }
+    }
+
+    /// Bulk flush of one task's locally-buffered events at task exit.
+    /// Flushes that cannot land in a slot (task out of range, or the slot
+    /// already taken by an earlier flush) are not silently lost: the
+    /// dropped event count is recorded per task so `report` and `analyze`
+    /// can flag the trace as incomplete. The drop path is exceptional and
+    /// one-shot, so taking the driver-side mutex here does not contend
+    /// with the lock-free happy path.
+    fn flush_task(
+        &self,
+        task: u32,
+        spans: Vec<SpanEvent>,
+        counters: Vec<(CounterKind, u64)>,
+        edges: Vec<EdgeEvent>,
+    ) {
+        let n_events = (spans.len() + counters.len() + edges.len()) as u64;
+        let trace = TaskTrace {
+            spans,
+            counters,
+            edges,
+        };
+        let landed = self.tasks.get(task as usize).map(|slot| slot.set(trace));
+        if !matches!(landed, Some(Ok(()))) {
+            self.record_counter(task, CounterKind::EventsDropped, n_events);
         }
     }
 
@@ -244,70 +217,6 @@ impl MemRecorder {
     }
 }
 
-impl Recorder for MemRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn clock(&self) -> RunClock {
-        self.clock
-    }
-
-    fn flush_task(
-        &self,
-        task: u32,
-        spans: Vec<SpanEvent>,
-        counters: Vec<(CounterKind, u64)>,
-        edges: Vec<EdgeEvent>,
-    ) {
-        // Flushes that cannot land in a slot (task out of range, or the
-        // slot already taken by an earlier flush) are not silently lost:
-        // the dropped event count is recorded per task so `report` and
-        // `analyze` can flag the trace as incomplete. The drop path is
-        // exceptional and one-shot, so taking the driver-side mutex here
-        // does not contend with the lock-free happy path.
-        let dropped = |n: usize| {
-            self.run_events
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(Event::Counter {
-                    task,
-                    kind: CounterKind::EventsDropped,
-                    value: n as u64,
-                });
-        };
-        let n_events = spans.len() + counters.len() + edges.len();
-        let Some(slot) = self.tasks.get(task as usize) else {
-            dropped(n_events);
-            return;
-        };
-        let ok = slot
-            .set(TaskTrace {
-                spans,
-                counters,
-                edges,
-            })
-            .is_ok();
-        if !ok {
-            dropped(n_events);
-        }
-    }
-
-    fn record_span(&self, span: SpanEvent) {
-        self.run_events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Event::from(span));
-    }
-
-    fn record_counter(&self, task: u32, kind: CounterKind, value: u64) {
-        self.run_events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Event::Counter { task, kind, value });
-    }
-}
-
 /// An open (started, not yet closed) span: just its start timestamp.
 #[derive(Copy, Clone, Debug)]
 pub struct OpenSpan {
@@ -322,7 +231,7 @@ pub struct OpenSpan {
 /// 1`) on every message receive, so a receive is always causally after
 /// its send.
 pub struct TaskObs<'r> {
-    rec: &'r dyn Recorder,
+    rec: &'r MemRecorder,
     clock: RunClock,
     task: u32,
     export: bool,
@@ -334,22 +243,17 @@ pub struct TaskObs<'r> {
 
 impl<'r> TaskObs<'r> {
     /// Handle for simulated task `task` recording into `rec`.
-    pub fn new(rec: &'r dyn Recorder, task: u32) -> TaskObs<'r> {
+    pub fn new(rec: &'r MemRecorder, task: u32) -> TaskObs<'r> {
         TaskObs {
             rec,
             clock: rec.clock(),
             task,
-            export: rec.enabled(),
+            export: rec.enabled,
             lamport: 0,
             spans: Vec::new(),
             edges: Vec::new(),
             counters: [0; CounterKind::ALL.len()],
         }
-    }
-
-    /// The task this handle records for.
-    pub fn task(&self) -> u32 {
-        self.task
     }
 
     /// Whether the recorder keeps events — gate *optional* detail spans
@@ -366,12 +270,6 @@ impl<'r> TaskObs<'r> {
         OpenSpan {
             start_ns: self.clock.now_ns(),
         }
-    }
-
-    /// Close `open` now, recording it under `name`.
-    #[inline]
-    pub fn close(&mut self, open: OpenSpan, name: &'static str, pass: Option<u32>) {
-        self.close_detail(open, name, pass, None);
     }
 
     /// Close `open` now with a `detail` discriminator (stage, round, …).
@@ -495,16 +393,6 @@ impl<'r> TaskObs<'r> {
         }
     }
 
-    /// The task's current Lamport clock.
-    pub fn lamport(&self) -> u64 {
-        self.lamport
-    }
-
-    /// The message edges recorded so far.
-    pub fn edges(&self) -> &[EdgeEvent] {
-        &self.edges
-    }
-
     /// Add `delta` to a counter (a plain array add — no atomics, no
     /// allocation; call it with batched per-pass/per-range deltas).
     #[inline]
@@ -512,17 +400,12 @@ impl<'r> TaskObs<'r> {
         self.counters[kind.idx()] += delta;
     }
 
-    /// Current value of a counter.
-    pub fn counter(&self, kind: CounterKind) -> u64 {
-        self.counters[kind.idx()]
-    }
-
     /// The spans recorded so far (pipeline derives `StepTimings` here).
     pub fn spans(&self) -> &[SpanEvent] {
         &self.spans
     }
 
-    /// Flush everything to the recorder (no-op recorder: drop).
+    /// Flush everything to the recorder (an off recorder: drop).
     pub fn finish(self) {
         if !self.export {
             return;
@@ -550,12 +433,21 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_keeps_nothing_but_clock_advances() {
-        let rec = NoopRecorder::new();
-        assert!(!rec.enabled());
+    fn off_recorder_keeps_nothing_but_its_clock_and_lamport_advance() {
+        let rec = MemRecorder::off();
+        assert!(!rec.enabled);
         let a = rec.clock().now_ns();
         let b = rec.clock().now_ns();
         assert!(b >= a);
+        rec.record_driver_span("IndexCreate", a, b);
+        rec.record_counter(0, CounterKind::BytesSent, 3);
+        let mut obs = TaskObs::new(rec, 0);
+        let shipped = obs.record_send(1, "KmerGen-Comm", None, 8, 0);
+        assert_eq!(shipped, 1);
+        assert!(obs.edges.is_empty());
+        obs.finish();
+        assert!(rec.tasks.is_empty());
+        assert!(rec.run_events.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -564,10 +456,9 @@ mod tests {
         {
             let mut obs = TaskObs::new(&rec, 1);
             let o = obs.open();
-            obs.close(o, "KmerGen", Some(0));
+            obs.close_detail(o, "KmerGen", Some(0), None);
             obs.add(CounterKind::TuplesEmitted, 10);
             obs.add(CounterKind::TuplesEmitted, 5);
-            assert_eq!(obs.counter(CounterKind::TuplesEmitted), 15);
             assert_eq!(obs.spans().len(), 1);
             obs.finish();
         }
@@ -586,8 +477,7 @@ mod tests {
 
     #[test]
     fn close_tiled_splits_the_interval_by_weight() {
-        let rec = NoopRecorder::new();
-        let mut obs = TaskObs::new(&rec, 0);
+        let mut obs = TaskObs::new(MemRecorder::off(), 0);
         let open = OpenSpan { start_ns: 0 };
         obs.close_tiled(open, &[("KmerGen-I/O", 1), ("KmerGen", 3)], Some(0));
         let s = obs.spans();
@@ -643,19 +533,19 @@ mod tests {
     fn lamport_ticks_on_spans_and_sends_and_merges_on_recv() {
         let rec = MemRecorder::new(2);
         let mut obs = TaskObs::new(&rec, 0);
-        assert_eq!(obs.lamport(), 0);
+        assert_eq!(obs.lamport, 0);
         let o = obs.open();
-        obs.close(o, "KmerGen", None);
-        assert_eq!(obs.lamport(), 1);
+        obs.close_detail(o, "KmerGen", None, None);
+        assert_eq!(obs.lamport, 1);
         let shipped = obs.record_send(1, "KmerGen-Comm", Some(0), 32, 0);
         assert_eq!(shipped, 2);
         // A recv carrying a far-ahead sender clock jumps past it.
         obs.record_recv(1, "KmerGen-Comm", Some(0), 8, 0, 100);
-        assert_eq!(obs.lamport(), 101);
+        assert_eq!(obs.lamport, 101);
         // A recv from a lagging sender still ticks.
         obs.record_recv(1, "KmerGen-Comm", Some(0), 8, 1, 3);
-        assert_eq!(obs.lamport(), 102);
-        assert_eq!(obs.edges().len(), 3);
+        assert_eq!(obs.lamport, 102);
+        assert_eq!(obs.edges.len(), 3);
         obs.finish();
         let n_edges = rec
             .into_events()
@@ -688,21 +578,12 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_skips_edge_buffering_but_clock_still_ticks() {
-        let rec = NoopRecorder::new();
-        let mut obs = TaskObs::new(&rec, 0);
-        let shipped = obs.record_send(1, "KmerGen-Comm", None, 8, 0);
-        assert_eq!(shipped, 1);
-        assert!(obs.edges().is_empty());
-    }
-
-    #[test]
     fn dropped_flushes_are_counted_per_task() {
         let rec = MemRecorder::new(1);
         {
             let mut obs = TaskObs::new(&rec, 0);
             let o = obs.open();
-            obs.close(o, "KmerGen", None);
+            obs.close_detail(o, "KmerGen", None, None);
             obs.finish();
         }
         // Second flush for the same task: slot already taken, 2 events

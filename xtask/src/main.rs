@@ -1228,7 +1228,7 @@ mod tests {
         for rel in [
             "crates/metaprep-dist/src/faults.rs",
             "crates/metaprep-dist/src/delivery.rs",
-            "crates/metaprep-dist/src/supervisor.rs",
+            "crates/metaprep-core/src/pipeline.rs",
             "crates/metaprep-core/src/checkpoint.rs",
         ] {
             assert!(is_pipeline_src(rel), "{rel} must be pipeline source");
@@ -1245,7 +1245,7 @@ mod tests {
         for rel in [
             "crates/metaprep-dist/src/faults.rs",
             "crates/metaprep-dist/src/delivery.rs",
-            "crates/metaprep-dist/src/supervisor.rs",
+            "crates/metaprep-core/src/pipeline.rs",
             "crates/metaprep-core/src/checkpoint.rs",
         ] {
             let text = std::fs::read_to_string(root.join(rel)).expect("read fault-plane source");
