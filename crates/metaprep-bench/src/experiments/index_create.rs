@@ -102,7 +102,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     });
     let view_secs = best_of(&|| {
         let mut walked = 0;
-        for view in metaprep_io::record_views(black_box(&bytes), 0) {
+        for view in metaprep_io::record_views(black_box(&bytes), 0, 0) {
             black_box(view.expect("walk"));
             walked += 1;
         }

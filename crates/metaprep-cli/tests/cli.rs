@@ -660,6 +660,121 @@ fn rejects_what_parse_fastq_rejected_before_any_pass_runs() {
     }
 }
 
+/// Every file of `dir` by name, with its bytes.
+fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn accepts_what_parse_fastq_accepts_paired_or_not() {
+    // `parse_fastq` reads the same records from a file with blank lines
+    // before the first record, between records and at the end, CRLF
+    // endings, or no final newline, as from the file written cleanly; so
+    // must every file-path reader, paired or not, with the same partitions.
+    let records = good_records(40);
+    let spelled = |tail: &[u8]| {
+        let mut out = b"\n\r\n".to_vec();
+        for (i, record) in records.iter().enumerate() {
+            let eol: &[u8] = if i % 3 == 0 { b"\r\n" } else { b"\n" };
+            if i % 5 == 4 {
+                out.extend_from_slice(eol);
+            }
+            for line in record {
+                out.extend_from_slice(line);
+                out.extend_from_slice(eol);
+            }
+        }
+        out.extend_from_slice(tail);
+        out
+    };
+    let mut no_final_newline = spelled(b"");
+    no_final_newline.pop();
+    let dir = tmpdir("accepts_what_parse_fastq_accepts");
+    let files = [
+        ("clean", fastq_of(&records)),
+        ("trailing_blanks", spelled(b"\n\r\n\n")),
+        ("no_final_newline", no_final_newline),
+    ];
+    let mut outputs = Vec::new();
+    for (name, bytes) in files {
+        let reads = dir.join(format!("{name}.fastq"));
+        std::fs::write(&reads, bytes).unwrap();
+        let mut got = Vec::new();
+        for (command, extra) in [
+            ("partition", &[][..]),
+            ("partition", &["--unpaired"][..]),
+            ("index", &["--chunks", "7"][..]),
+        ] {
+            let outdir = dir.join(format!("{name}_{command}{}", extra.len()));
+            let mut args = vec![command, "--k", "11", "--m", "4"];
+            args.extend(["--input", reads.to_str().unwrap()]);
+            args.extend(["--outdir", outdir.to_str().unwrap()]);
+            args.extend(extra);
+            let out = metaprep(&args);
+            assert!(
+                out.status.success(),
+                "{name} {command} {extra:?}: {}",
+                stderr_of(&out)
+            );
+            if command == "partition" {
+                got.push(dir_bytes(&outdir));
+            } else {
+                // The chunk table holds real byte offsets; the merHist
+                // depends on the reads alone.
+                got.push(vec![(
+                    "merhist.bin".into(),
+                    std::fs::read(outdir.join("merhist.bin")).unwrap(),
+                )]);
+            }
+        }
+        outputs.push((name, got));
+    }
+    let (_, clean) = &outputs[0];
+    assert!(clean[0].len() >= 2 && clean[1].len() >= 2);
+    for (name, got) in &outputs[1..] {
+        assert!(got == clean, "{name}: outputs differ from the clean file's");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_malformed_record_is_named_by_number_and_byte() {
+    // Record 30's quality line is short: every command names the record
+    // and the file offset of its header line.
+    let mut records = good_records(40);
+    records[29][3].pop();
+    let byte = fastq_of(&records[..29]).len();
+    let dir = tmpdir("malformed_record_byte");
+    let reads = dir.join("reads.fastq");
+    std::fs::write(&reads, fastq_of(&records)).unwrap();
+    let want = format!("record 30 (byte {byte})");
+    for (command, extra) in [
+        ("partition", &[][..]),
+        ("partition", &["--unpaired"][..]),
+        ("index", &["--chunks", "4"][..]),
+    ] {
+        let outdir = dir.join("out");
+        let mut args = vec![command, "--k", "11", "--m", "4"];
+        args.extend(["--input", reads.to_str().unwrap()]);
+        args.extend(["--outdir", outdir.to_str().unwrap()]);
+        args.extend(extra);
+        let out = metaprep(&args);
+        assert!(!out.status.success(), "{command} {extra:?}");
+        let err = stderr_of(&out);
+        assert!(err.starts_with("error:"), "{command} {extra:?}: {err}");
+        assert!(err.contains(&want), "{command} {extra:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn partition_writes_what_the_in_memory_library_path_writes() {
     // The CLI reads the file in place on every scan; the reference is the

@@ -195,8 +195,9 @@ fn stream_split(
     names: &[String],
     side_of: impl Fn(u32) -> usize,
 ) -> Result<Vec<u64>, FastqError> {
-    let changed = |record: usize, what: String| FastqError::Malformed {
+    let changed = |record: usize, byte_offset: u64, what: String| FastqError::Malformed {
         record,
+        byte_offset,
         what: format!("input changed since indexing: {what}"),
     };
     let mut chunker = StreamChunker::open(input, CUT_PROBE)?;
@@ -216,12 +217,12 @@ fn stream_split(
     while lo < len {
         let hi = chunker.find_record_start_at(lo + window)?.unwrap_or(len);
         chunker.read_range(lo, hi, &mut bytes)?;
-        for view in record_views(&bytes, record) {
+        for view in record_views(&bytes, record, lo) {
             let view = view?;
             let frag = record >> u32::from(paired);
             let Some(&label) = labels.get(frag) else {
                 let what = format!("more than the {} fragments labeled", labels.len());
-                return Err(changed(record + 1, what));
+                return Err(changed(record + 1, view.offset, what));
             };
             let side = side_of(label);
             write_fastq_record(&mut outs[side], view.header.as_bytes(), view.seq, view.qual)?;
@@ -233,7 +234,7 @@ fn stream_split(
     let expected = labels.len() << u32::from(paired);
     if record != expected {
         let what = format!("{record} records, {expected} were labeled");
-        return Err(changed(record, what));
+        return Err(changed(record, len, what));
     }
     for out in &mut outs {
         out.flush()?;

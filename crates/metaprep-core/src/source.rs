@@ -148,7 +148,7 @@ fn read_chunk(
     StreamChunker::read_range_into(&mut file, spec.offset, spec.offset + spec.bytes, &mut bytes)?;
     spans.clear();
     let base = bytes.as_ptr() as usize;
-    for record in record_views(&bytes, spec.first_seq as usize) {
+    for record in record_views(&bytes, spec.first_seq as usize, spec.offset) {
         let seq = record?.seq;
         // `seq` is a sub-slice of `bytes`: its address gives its span.
         let at = seq.as_ptr() as usize - base;
@@ -157,6 +157,7 @@ fn read_chunk(
     if spans.len() != spec.seqs as usize {
         return Err(FastqError::Malformed {
             record: spec.first_seq as usize + spans.len(),
+            byte_offset: spec.offset,
             what: format!(
                 "chunk holds {} records but the index says {}",
                 spans.len(),
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn file_source_matches_store_source() {
         let (path, bytes) = fastq_file("metaprep_core_source_test");
-        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1).unwrap(); // single chunk
+        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1, false).unwrap(); // single chunk
         let src = ChunkSource::file(path.clone(), true, store().len() as u32);
         assert_serves_store(&src, &specs);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -239,7 +240,7 @@ mod tests {
     #[test]
     fn chunked_file_loads_reassemble_the_store_and_recycle_the_buffer() {
         let (path, bytes) = fastq_file("metaprep_core_source_chunks_test");
-        let specs = metaprep_io::chunk_fastq_bytes_paired(&bytes, 3).unwrap();
+        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 3, true).unwrap();
         assert!(specs.len() >= 2);
         let src = ChunkSource::file(path.clone(), true, store().len() as u32);
         assert_serves_store(&src, &specs);
@@ -290,7 +291,7 @@ mod tests {
     fn unpaired_file_source_frag_is_identity() {
         let (path, bytes) = fastq_file("metaprep_core_source_unpaired_test");
         let n = store().len() as u32;
-        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1).unwrap();
+        let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1, false).unwrap();
         let src = ChunkSource::file(path.clone(), false, n);
         assert_eq!(src.num_fragments(), n);
         let chunk = src.load_chunk(&specs[0]);

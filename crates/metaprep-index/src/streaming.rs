@@ -14,13 +14,22 @@
 //! * [`index_fastq_file_streaming`] — a FASTQ file on disk, never
 //!   materialized, and the parallel IndexCreate:
 //!
-//!   1. a [`StreamChunker`] locates chunk boundaries by seeking to byte
-//!      targets and probing bounded windows (O(window) memory);
+//!   1. a [`StreamChunker`] cuts the file where the in-memory chunker
+//!      does, at the first record start at or after each byte target
+//!      `j·len/c`, by seeking and probing bounded windows (O(window)
+//!      memory); for paired input pass A walks every range in parallel and
+//!      moves each boundary with an odd record count before it one record
+//!      on, to the second record start its walk saw;
 //!   2. per-chunk histogramming is dispatched over a rayon thread pool,
 //!      each worker reading its chunk via a byte-range read into a
 //!      thread-recycled buffer and walking its records in place
 //!      (`metaprep_io::record_views`): sequences are histogrammed where
-//!      they lie, names and qualities are checked and never copied.
+//!      they lie, names and qualities are checked and never copied, and the
+//!      walk is the chunk's record count.
+//!
+//!   Every count IndexCreate stores comes from a `record_views` walk, so the
+//!   file indexer accepts and rejects what `parse_fastq` does, paired or
+//!   not, and names a malformed record by its file-global number and byte.
 //!
 //!   Peak memory is O(threads × max-chunk-bytes + chunks × 4^m), never
 //!   O(file) — the bound the `index_create` bench (`BENCH_index.json`)
@@ -32,9 +41,8 @@
 
 use crate::fastqpart::ChunkRecord;
 use crate::{FastqPart, MerHist};
-use metaprep_io::stream::{StreamChunk, StreamChunker};
 use metaprep_io::{
-    chunk_store, count_record_starts, count_records, record_views, ChunkSpec, FastqError, ReadStore,
+    chunk_store, record_views, ChunkSpec, FastqError, ReadStore, RecordViews, StreamChunker,
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
@@ -106,12 +114,18 @@ fn hist<'a>(
     Ok((n, hist))
 }
 
-/// Shift a malformed-record index so per-chunk errors report file-global
-/// record numbers.
+/// Shift a malformed-record number so a chunk walk, which numbers its
+/// records from 1 before the records ahead of it are counted, reports the
+/// file-global one. (Its byte offset is file-global already.)
 fn offset_record(e: FastqError, by: u64) -> FastqError {
     match e {
-        FastqError::Malformed { record, what } => FastqError::Malformed {
+        FastqError::Malformed {
+            record,
+            byte_offset,
+            what,
+        } => FastqError::Malformed {
             record: record + by as usize,
+            byte_offset,
             what,
         },
         other => other,
@@ -183,11 +197,7 @@ pub fn index_fastq_bytes(
     k: usize,
     m: usize,
 ) -> Result<(MerHist, FastqPart, u64), FastqError> {
-    let specs = if paired {
-        metaprep_io::chunk_fastq_bytes_paired(bytes, c)?
-    } else {
-        metaprep_io::chunk_fastq_bytes(bytes, c)?
-    };
+    let specs = metaprep_io::chunk_fastq_bytes(bytes, c, paired)?;
     let space = MmerSpace::new(k, m);
     let mut rows = Vec::with_capacity(specs.len());
     for spec in specs {
@@ -195,6 +205,7 @@ pub fn index_fastq_bytes(
         let records = record_views(
             &bytes[lo..lo + spec.bytes as usize],
             spec.first_seq as usize,
+            spec.offset,
         );
         let (_, row) = hist(records.map(|r| r.map(|r| r.seq)), space, k, None)?;
         rows.push((spec, row));
@@ -215,45 +226,111 @@ fn pool_of(threads: usize) -> rayon::ThreadPool {
         .expect("vendored rayon pool build cannot fail")
 }
 
-/// Count the records of each byte range in parallel (pass A of the paired
-/// flow). Each worker reads its range into the thread-local buffer.
-fn par_count_records(
+/// Read the byte range `[lo, hi)` of `path` into this thread's recycled
+/// buffer and hand its records to `walk`. Record numbers in errors are
+/// chunk-local (only the sequential stitch knows the records before the
+/// range), byte offsets file-global.
+fn walk_range<T>(
+    path: &Path,
+    lo: u64,
+    hi: u64,
+    walk: impl FnOnce(RecordViews<'_>) -> Result<T, FastqError>,
+) -> Result<T, FastqError> {
+    CHUNK_BUF.with(|b| {
+        let mut buf = b.borrow_mut();
+        let mut f = File::open(path)?;
+        StreamChunker::read_range_into(&mut f, lo, hi, &mut buf)?;
+        walk(record_views(&buf, 0, lo))
+    })
+}
+
+/// A chunk to histogram: a byte range, and for paired input the record
+/// count pass A walked in it.
+struct StreamChunk {
+    offset: u64,
+    bytes: u64,
+    seqs: u64,
+}
+
+/// What pass A learns from walking one tentative range of a paired file:
+/// its record count, and where its second and its last record start.
+struct RangeWalk {
+    records: u64,
+    second: u64,
+    last: u64,
+}
+
+/// Pass A of a paired file: walk every tentative range in parallel, then,
+/// in file order, move each boundary that has an odd number of records
+/// before it to the start of its range's second record (to the range's end
+/// when it holds one record), so every chunk holds whole mate pairs. A
+/// malformed record, bytes before the first record start included, is
+/// reported by the walk that meets it, with its file-global number.
+fn pair_chunks(
     path: &Path,
     ranges: &[(u64, u64)],
     pool: &rayon::ThreadPool,
-) -> Result<Vec<u64>, FastqError> {
-    let results: Vec<Result<u64, FastqError>> = pool.install(|| {
+) -> Result<Vec<StreamChunk>, FastqError> {
+    let walks: Vec<Result<RangeWalk, FastqError>> = pool.install(|| {
         ranges
             .par_iter()
             .map(|&(lo, hi)| {
-                CHUNK_BUF.with(|b| {
-                    let mut buf = b.borrow_mut();
-                    let mut f = File::open(path)?;
-                    StreamChunker::read_range_into(&mut f, lo, hi, &mut buf)?;
-                    Ok(count_record_starts(&buf))
+                walk_range(path, lo, hi, |views| {
+                    let mut w = RangeWalk {
+                        records: 0,
+                        second: hi,
+                        last: lo,
+                    };
+                    for view in views {
+                        let offset = view?.offset;
+                        if w.records == 1 {
+                            w.second = offset;
+                        }
+                        w.last = offset;
+                        w.records += 1;
+                    }
+                    Ok(w)
                 })
             })
             .collect()
     });
-    results.into_iter().collect()
-}
-
-/// Walk `ranges` in file order and report the first malformed record with
-/// its file-global number — the error `parse_fastq` would give for the
-/// same bytes. Only run where the paired chunker's record-start counts
-/// cannot say what is wrong.
-fn first_malformed(path: &Path, ranges: &[(u64, u64)]) -> Result<(), FastqError> {
-    let mut file = File::open(path)?;
-    let mut buf = Vec::new();
-    let mut seen = 0usize;
-    for &(lo, hi) in ranges {
-        StreamChunker::read_range_into(&mut file, lo, hi, &mut buf)?;
-        for record in record_views(&buf, seen) {
-            record?;
-            seen += 1;
+    // (records before, byte) of every boundary; range 0 starts at byte 0.
+    let mut bounds = vec![(0u64, 0u64)];
+    let (mut total, mut last) = (0u64, 0u64);
+    for (&(lo, _), walk) in ranges.iter().zip(walks) {
+        let walk = walk.map_err(|e| offset_record(e, total))?;
+        let bound = if total.is_multiple_of(2) {
+            (total, lo)
+        } else {
+            (total + 1, walk.second)
+        };
+        // EXPECT: `bounds` is seeded before the loop and only ever pushed to.
+        if bound.0 > bounds.last().expect("nonempty").0 {
+            bounds.push(bound);
         }
+        if walk.records > 0 {
+            last = walk.last;
+        }
+        total += walk.records;
     }
-    Ok(())
+    if !total.is_multiple_of(2) {
+        return Err(FastqError::Malformed {
+            record: total as usize,
+            byte_offset: last,
+            what: "odd number of records in paired (interleaved) file".into(),
+        });
+    }
+    let len = ranges.last().map_or(0, |r| r.1);
+    bounds.push((total, len));
+    Ok(bounds
+        .windows(2)
+        .filter(|w| w[0].0 < w[1].0)
+        .map(|w| StreamChunk {
+            offset: w[0].1,
+            bytes: w[1].1 - w[0].1,
+            seqs: w[1].0 - w[0].0,
+        })
+        .collect())
 }
 
 /// One chunk's record count and m-mer histogram, or why it is malformed —
@@ -262,41 +339,19 @@ fn first_malformed(path: &Path, ranges: &[(u64, u64)]) -> Result<(), FastqError>
 /// sequential stitch shifts the number to a file-global one.
 type ChunkRow = Result<(u64, Vec<u32>), FastqError>;
 
-/// Walk + histogram one resolved chunk where it lies in the thread's
-/// recycled read buffer — names and qualities are checked by the walker
-/// and otherwise untouched; no `ReadStore` is built. `paired` chunks already
-/// know their record count (from pass A) and are validated against it;
-/// unpaired chunks are counted here with the strict 4-line counter, exactly
-/// as `chunk_fastq_bytes` does in memory.
+/// Walk + histogram one chunk where it lies in the thread's recycled read
+/// buffer — names and qualities are checked by the walker and otherwise
+/// untouched; no `ReadStore` is built. The walk is also the chunk's record
+/// count.
 fn chunk_hist(
     path: &Path,
     ch: &StreamChunk,
     space: MmerSpace,
     k: usize,
-    paired: bool,
     sketch: Option<&mut CountMinSketch>,
 ) -> ChunkRow {
-    CHUNK_BUF.with(|b| {
-        let mut buf = b.borrow_mut();
-        let mut f = File::open(path)?;
-        StreamChunker::read_range_into(&mut f, ch.offset, ch.offset + ch.bytes, &mut buf)?;
-        let n = if paired {
-            ch.seqs
-        } else {
-            count_records(&buf)? as u64
-        };
-        let seqs = record_views(&buf, 0).map(|r| r.map(|r| r.seq));
-        let (walked, row) = hist(seqs, space, k, sketch)?;
-        if walked != n {
-            return Err(FastqError::Malformed {
-                record: walked as usize,
-                what: format!(
-                    "chunk at byte {} holds {walked} records but the chunker counted {n}",
-                    ch.offset
-                ),
-            });
-        }
-        Ok((n, row))
+    walk_range(path, ch.offset, ch.offset + ch.bytes, |views| {
+        hist(views.map(|r| r.map(|r| r.seq)), space, k, sketch)
     })
 }
 
@@ -316,7 +371,6 @@ fn par_histogram(
     chunks: &[StreamChunk],
     space: MmerSpace,
     k: usize,
-    paired: bool,
     pool: &rayon::ThreadPool,
     params: Option<SketchParams>,
 ) -> (Vec<ChunkRow>, Option<CountMinSketch>) {
@@ -335,7 +389,7 @@ fn par_histogram(
                 let mut sketch = params.map(|p| p.build());
                 let rows = idxs
                     .iter()
-                    .map(|&i| chunk_hist(path, &chunks[i], space, k, paired, sketch.as_mut()))
+                    .map(|&i| chunk_hist(path, &chunks[i], space, k, sketch.as_mut()))
                     .collect();
                 (rows, sketch)
             })
@@ -408,60 +462,57 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     let pool = pool_of(opts.threads);
 
     let t0 = clock.now_ns();
-    let chunks: Vec<StreamChunk> = if paired {
-        // Two passes: count records per tentative range (parallel), then
-        // stitch pair-aligned boundaries at the record-index level.
-        let tentative = chunker.tentative_ranges_paired(c)?;
-        // Pass A sees record *starts* only, so what `parse_fastq` would
-        // reject can hide from it twice: bytes before the first start lie
-        // in no chunk, and a record broken badly enough not to look like
-        // a start just makes the total odd.
-        let head = tentative.first().map_or(chunker.file_len(), |r| r.0);
-        if head > 0 {
-            first_malformed(path, &[(0, head)])?;
-        }
-        let counts = par_count_records(path, &tentative, &pool)?;
-        match chunker.resolve_paired(&tentative, &counts) {
-            Ok(chunks) => chunks,
-            Err(odd) => {
-                first_malformed(path, &tentative)?;
-                return Err(odd);
-            }
-        }
+    let ranges = chunker.ranges(c)?;
+    drop(chunker);
+    let chunks = if paired {
+        pair_chunks(path, &ranges, &pool)?
     } else {
-        chunker
-            .ranges(c)?
-            .into_iter()
-            .map(|(lo, hi)| StreamChunk {
+        // The histogram walk counts an unpaired chunk's records.
+        ranges
+            .iter()
+            .map(|&(lo, hi)| StreamChunk {
                 offset: lo,
                 bytes: hi - lo,
-                first_seq: 0, // filled in after the parallel count below
                 seqs: 0,
             })
             .collect()
     };
-    drop(chunker);
     rec.record_driver_span("index-chunking", t0, clock.now_ns());
 
     let t0 = clock.now_ns();
-    let (per_chunk, sketch) = par_histogram(path, &chunks, space, k, paired, &pool, sketch_params);
+    let (per_chunk, sketch) = par_histogram(path, &chunks, space, k, &pool, sketch_params);
     rec.record_driver_span("index-histogram", t0, clock.now_ns());
 
-    // Sequential stitch: prefix-sum first_seq (unpaired), report the first
-    // malformed chunk in file order with a file-global record number, and
-    // narrow to the u32 id space used by `ChunkSpec`.
+    // Sequential stitch: prefix-sum first_seq, report the first malformed
+    // chunk in file order with a file-global record number, and narrow to
+    // the u32 id space used by `ChunkSpec`. A range holding only blank lines
+    // (the head of a file, before its first record) gives its bytes to the
+    // next chunk, as the in-memory chunker does.
     let mut rows = Vec::with_capacity(chunks.len());
-    let mut first = 0u64;
+    let (mut first, mut lo) = (0u64, 0u64);
     for (ch, row) in chunks.iter().zip(per_chunk) {
-        let first_seq = if paired { ch.first_seq } else { first };
-        let (n, hist) = row.map_err(|e| offset_record(e, first_seq))?;
+        let (n, hist) = row.map_err(|e| offset_record(e, first))?;
+        if paired && n != ch.seqs {
+            return Err(FastqError::Malformed {
+                record: first as usize + 1,
+                byte_offset: ch.offset,
+                what: format!(
+                    "input changed while indexing: chunk holds {n} records, pass A counted {}",
+                    ch.seqs
+                ),
+            });
+        }
+        if n == 0 {
+            continue;
+        }
+        let hi = ch.offset + ch.bytes;
         let spec = ChunkSpec {
-            offset: ch.offset,
-            bytes: ch.bytes,
-            first_seq: fit_u32(first_seq, "first sequence id")?,
+            offset: lo,
+            bytes: hi - lo,
+            first_seq: fit_u32(first, "first sequence id")?,
             seqs: fit_u32(n, "chunk record count")?,
         };
-        first = first_seq + n;
+        (first, lo) = (first + n, hi);
         rows.push((spec, hist));
     }
     fit_u32(first, "total sequence count")?;
@@ -544,6 +595,24 @@ mod tests {
             assert_eq!(got.0, want.0, "merhist c={c}");
             assert_eq!(got.1, want.1, "fastqpart c={c}");
             assert_eq!(got.2, want.2, "total c={c}");
+        }
+    }
+
+    #[test]
+    fn a_head_of_blank_lines_joins_chunk_zero() {
+        // Targets inside the blank head all cut at the first record, so
+        // range 0 holds no record: its bytes go to the chunk after it.
+        let mut bytes = vec![b'\n'; 200];
+        write_fastq(&mut bytes, &sample_store(6)).unwrap();
+        let path = write_temp("blank_head.fastq", &bytes);
+        for paired in [false, true] {
+            let want = index_fastq_bytes(&bytes, paired, 8, 11, 4).unwrap();
+            let got =
+                index_fastq_file_streaming(&path, paired, 8, 11, 4, StreamingOptions::default())
+                    .unwrap();
+            assert_eq!(got.1, want.1, "paired={paired}");
+            assert_eq!(got.1.chunks()[0].spec.offset, 0, "paired={paired}");
+            assert!(got.1.chunks()[0].spec.seqs > 0, "paired={paired}");
         }
     }
 
@@ -653,18 +722,43 @@ mod tests {
         let mut bytes = Vec::new();
         write_fastq(&mut bytes, &sample_store(5)).unwrap();
         let path = write_temp("odd.fastq", &bytes);
-        assert!(
-            index_fastq_file_streaming(&path, true, 2, 11, 4, StreamingOptions::default()).is_err()
-        );
+        let want = metaprep_io::parse_fastq(&bytes[..], true).unwrap_err();
+        for c in [1, 2, 4] {
+            let err =
+                index_fastq_file_streaming(&path, true, c, 11, 4, StreamingOptions::default())
+                    .unwrap_err();
+            // Named as `parse_fastq` names it: the last record, at its header.
+            assert_eq!(err.to_string(), want.to_string(), "c={c}");
+        }
     }
 
     #[test]
     fn streaming_rejects_malformed_file() {
-        let path = write_temp("blank.fastq", b"@r0\nACGT\n+\nIIII\n\n");
-        assert!(
-            index_fastq_file_streaming(&path, false, 2, 11, 4, StreamingOptions::default())
-                .is_err()
-        );
+        let mut bytes = Vec::new();
+        write_fastq(&mut bytes, &sample_store(12)).unwrap();
+        let mut lines: Vec<String> = String::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect();
+        lines[6 * 4 + 3].pop(); // record 7's quality line, one byte short
+        let bytes = (lines.join("\n") + "\n").into_bytes();
+        let path = write_temp("malformed.fastq", &bytes);
+        for paired in [false, true] {
+            let want = metaprep_io::parse_fastq(&bytes[..], paired).unwrap_err();
+            assert!(
+                matches!(want, FastqError::Malformed { record: 7, .. }),
+                "{want}"
+            );
+            for c in [1, 3, 8] {
+                let opts = StreamingOptions {
+                    window: 17,
+                    threads: 2,
+                };
+                let err = index_fastq_file_streaming(&path, paired, c, 11, 4, opts).unwrap_err();
+                assert_eq!(err.to_string(), want.to_string(), "paired={paired} c={c}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based differential test: the streaming file indexer must
 //! produce byte-identical index tables (`MerHist`, `FastqPart`, sequence
 //! count) to the in-memory reference path for random FASTQ inputs —
-//! paired and unpaired, with and without a trailing newline, including
-//! N bases, across probe windows small enough to force the chunker's
+//! paired and unpaired, LF and CRLF records, blank lines before, between
+//! and after records, with and without a trailing newline, including N
+//! bases, across probe windows small enough to force the chunker's
 //! window-doubling path.
 
 use metaprep_index::{
@@ -11,21 +12,46 @@ use metaprep_index::{
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Serialize a read list as strict 4-line FASTQ records.
-fn fastq_bytes(reads: &[Vec<u8>], trailing_newline: bool) -> Vec<u8> {
+/// How a generated read is spelled: CRLF line endings or not, and how many
+/// blank lines come before its header.
+type Spelling = (bool, usize);
+
+/// Serialize a read list as 4-line FASTQ records, each spelled as
+/// `spellings` says (LF and no blank lines when it runs out), followed by
+/// `trailing_blanks` blank lines.
+fn fastq_bytes(
+    reads: &[Vec<u8>],
+    spellings: &[Spelling],
+    trailing_blanks: usize,
+    trailing_newline: bool,
+) -> Vec<u8> {
     let mut out = Vec::new();
     for (i, seq) in reads.iter().enumerate() {
-        out.extend_from_slice(format!("@r{i}\n").as_bytes());
+        let (crlf, blanks) = spellings.get(i).copied().unwrap_or((false, 0));
+        let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+        for _ in 0..blanks {
+            out.extend_from_slice(eol);
+        }
+        out.extend_from_slice(format!("@r{i}").as_bytes());
+        out.extend_from_slice(eol);
         out.extend_from_slice(seq);
-        out.push(b'\n');
-        out.extend_from_slice(b"+\n");
+        out.extend_from_slice(eol);
+        out.push(b'+');
+        out.extend_from_slice(eol);
         out.extend(std::iter::repeat_n(b'J', seq.len()));
-        out.push(b'\n');
+        out.extend_from_slice(eol);
     }
+    out.extend(std::iter::repeat_n(b'\n', trailing_blanks));
     if !trailing_newline && out.ends_with(b"\n") {
         out.pop();
     }
     out
+}
+
+/// Mostly plain records; some CRLF, some behind one or two blank lines.
+fn spellings() -> impl Strategy<Value = Vec<Spelling>> {
+    let blanks = proptest::sample::select(vec![0usize, 0, 0, 0, 1, 2]);
+    proptest::collection::vec((proptest::bool::ANY, blanks), 0..40)
 }
 
 /// Unique temp path per proptest case (cases run within one process).
@@ -54,13 +80,22 @@ proptest! {
         c in 1usize..10,
         k in proptest::sample::select(vec![5usize, 21, 33]),
         paired in proptest::bool::ANY,
+        spelled in proptest::bool::ANY,
+        spellings in spellings(),
+        trailing_blanks in 0usize..3,
         trailing_newline in proptest::bool::ANY,
     ) {
         if paired && reads.len() % 2 == 1 {
             reads.pop();
         }
         let m = 4;
-        let bytes = fastq_bytes(&reads, trailing_newline);
+        // Half the files are plain, strict 4-line LF FASTQ.
+        let (spellings, trailing_blanks) = if spelled {
+            (spellings, trailing_blanks)
+        } else {
+            (Vec::new(), 0)
+        };
+        let bytes = fastq_bytes(&reads, &spellings, trailing_blanks, trailing_newline);
         let path = temp_fastq(&bytes);
 
         let want = index_fastq_bytes(&bytes, paired, c, k, m)
@@ -93,7 +128,7 @@ proptest! {
         if paired && reads.len() % 2 == 1 {
             reads.pop();
         }
-        let bytes = fastq_bytes(&reads, true);
+        let bytes = fastq_bytes(&reads, &[], 0, true);
         let (want, ..) = index_fastq_bytes(&bytes, paired, c, k, 4)
             .expect("in-memory reference indexing");
         let store = metaprep_io::parse_fastq(&bytes[..], paired).expect("parse");

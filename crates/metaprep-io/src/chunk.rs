@@ -8,15 +8,20 @@
 //!
 //! Two forms are provided:
 //!
-//! * [`chunk_fastq_bytes`] — operates on raw FASTQ bytes, locating record
-//!   boundaries with [`find_record_start`] exactly as a file-based tool
-//!   must;
+//! * [`chunk_fastq_bytes`] — operates on raw FASTQ bytes held whole,
+//!   counting and locating records with the one record reader
+//!   ([`record_views`]); the reference the streaming indexer is held to;
 //! * [`chunk_store`] — operates on an in-memory [`ReadStore`] using modeled
 //!   record sizes, producing the same `ChunkSpec` shape for the in-memory
 //!   pipeline.
+//!
+//! [`find_record_start`] is the one record-start heuristic: what a reader
+//! that seeks into the middle of a file (the streaming chunker, the
+//! streamed partition writer) uses to land on a record.
 
 use crate::parse::FastqError;
 use crate::store::ReadStore;
+use crate::view::record_views;
 
 /// One logical chunk of a FASTQ input (a row of the `FASTQPart` table minus
 /// its m-mer histogram, which lives in `metaprep-index`).
@@ -73,196 +78,65 @@ fn memchr_from(data: &[u8], from: usize, needle: u8) -> Option<usize> {
     metaprep_kmer::simd::find_byte(data.get(from..)?, needle).map(|i| from + i)
 }
 
-/// Split raw FASTQ bytes into up to `c` chunks of roughly equal byte size
-/// with boundaries on record starts. Fewer than `c` chunks are returned when
-/// the file has fewer records than `c`. Errors if the input is not strict
-/// 4-line FASTQ (blank lines, wrapped records, truncation) — counting such
-/// input would silently shift every downstream `first_seq`.
-pub fn chunk_fastq_bytes(data: &[u8], c: usize) -> Result<Vec<ChunkSpec>, FastqError> {
-    assert!(c >= 1);
-    let mut boundaries = vec![0usize];
-    let target = data.len() / c;
-    for i in 1..c {
-        let want = i * target;
-        match find_record_start(data, want) {
-            // EXPECT: `boundaries` is seeded with 0 above and only ever pushed to.
-            Some(s) if s > *boundaries.last().expect("nonempty") => boundaries.push(s),
-            _ => {}
-        }
-    }
-    boundaries.push(data.len());
-
-    let mut specs = Vec::with_capacity(boundaries.len() - 1);
-    let mut seq_id = 0u32;
-    for w in boundaries.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        if lo == hi {
-            continue;
-        }
-        let n = count_records(&data[lo..hi]).map_err(|e| offset_record(e, seq_id as usize))?;
-        specs.push(ChunkSpec {
-            offset: lo as u64,
-            bytes: (hi - lo) as u64,
-            first_seq: seq_id,
-            seqs: n,
-        });
-        seq_id += n;
-    }
-    Ok(specs)
-}
-
-/// Shift a [`FastqError::Malformed`] record index by `by` so errors from a
-/// per-chunk scan report file-global record numbers.
-fn offset_record(e: FastqError, by: usize) -> FastqError {
-    match e {
-        FastqError::Malformed { record, what } => FastqError::Malformed {
-            record: record + by,
-            what,
-        },
-        other => other,
-    }
-}
-
-/// Byte offsets of every record start in `data`.
-fn record_starts(data: &[u8]) -> Vec<usize> {
-    let mut starts = Vec::new();
-    let mut at = 0usize;
-    while let Some(s) = find_record_start(data, at) {
-        starts.push(s);
-        at = s + 1;
-    }
-    starts
-}
-
-/// Number of record starts in `data` — the length [`record_starts`] would
-/// return, computed without storing the positions. The streaming chunker
-/// uses this to count records per byte range in O(1) memory.
-pub fn count_record_starts(data: &[u8]) -> u64 {
-    let mut count = 0u64;
-    let mut at = 0usize;
-    while let Some(s) = find_record_start(data, at) {
-        count += 1;
-        at = s + 1;
-    }
-    count
-}
-
-/// Split raw *interleaved paired-end* FASTQ bytes into up to `c` chunks of
-/// roughly equal byte size whose boundaries fall on even record indices —
-/// every chunk holds whole mate pairs. The paper's chunker does the same
-/// alignment work for paired inputs ("after finding the chunk offset in
-/// one FASTQ file, the same read has to be located in the other", §4.3;
-/// with interleaving the constraint becomes even-index boundaries).
+/// Split raw FASTQ bytes into up to `c` chunks of roughly equal byte size.
+/// Chunk 0 starts at byte 0; every later boundary is the first record start
+/// at or after byte `j·len/c`, moved one record further when `paired` and
+/// an odd number of records lie before it, so that every chunk holds whole
+/// mate pairs (the paper's paired-file alignment, §4.3, for interleaved
+/// mates). Fewer than `c` chunks come back when targets share a boundary.
 ///
-/// Errors if the file holds an odd number of records (mates cannot be
-/// interleaved).
-pub fn chunk_fastq_bytes_paired(data: &[u8], c: usize) -> Result<Vec<ChunkSpec>, FastqError> {
+/// Records are counted and located by one [`record_views`] walk of the
+/// whole slice, so this fails where `parse_fastq` fails, with its error —
+/// an odd record count when `paired` included. The streaming indexer
+/// reaches the same table without holding the file.
+pub fn chunk_fastq_bytes(
+    data: &[u8],
+    c: usize,
+    paired: bool,
+) -> Result<Vec<ChunkSpec>, FastqError> {
     assert!(c >= 1);
-    let starts = record_starts(data);
+    let mut starts = Vec::new();
+    for record in record_views(data, 0, 0) {
+        starts.push(record?.offset as usize);
+    }
     let n = starts.len();
-    if !n.is_multiple_of(2) {
+    if paired && !n.is_multiple_of(2) {
         return Err(FastqError::Malformed {
             record: n,
-            what: "paired FASTQ must hold an even record count".into(),
+            byte_offset: starts[n - 1] as u64,
+            what: "odd number of records in paired (interleaved) file".into(),
         });
     }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
 
-    // Candidate boundaries: even record indices; pick the first candidate
-    // at or after each byte target.
-    let mut bounds: Vec<usize> = vec![0]; // record indices
+    // Boundaries as record indices; the byte of index `i` is its start,
+    // except that chunk 0 also takes any blank lines before record 0.
+    let mut bounds = vec![0usize];
     for j in 1..c {
-        let target = j * data.len() / c;
-        let mut idx = starts.partition_point(|&s| s < target);
-        idx += idx % 2; // round up to even
-        let idx = idx.min(n);
+        let mut idx = starts.partition_point(|&s| s < j * data.len() / c);
+        if paired {
+            idx += idx % 2;
+        }
         // EXPECT: `bounds` is seeded with 0 above and only ever pushed to.
         if idx > *bounds.last().expect("nonempty") {
             bounds.push(idx);
         }
     }
     bounds.push(n);
-
+    let byte_of = |i: usize| match i {
+        0 => 0,
+        i if i == n => data.len(),
+        i => starts[i],
+    };
     Ok(bounds
         .windows(2)
         .filter(|w| w[0] < w[1])
-        .map(|w| {
-            let lo_byte = starts[w[0]];
-            let hi_byte = if w[1] == n { data.len() } else { starts[w[1]] };
-            ChunkSpec {
-                offset: lo_byte as u64,
-                bytes: (hi_byte - lo_byte) as u64,
-                first_seq: w[0] as u32,
-                seqs: (w[1] - w[0]) as u32,
-            }
+        .map(|w| ChunkSpec {
+            offset: byte_of(w[0]) as u64,
+            bytes: (byte_of(w[1]) - byte_of(w[0])) as u64,
+            first_seq: w[0] as u32,
+            seqs: (w[1] - w[0]) as u32,
         })
         .collect())
-}
-
-/// Count and validate the FASTQ records in a byte slice that starts at a
-/// record boundary. The slice must be strict 4-line FASTQ: blank lines
-/// (including trailing ones), wrapped multi-line records, and truncated
-/// records are rejected — the old `lines / 4` count silently miscounted
-/// them, shifting every downstream `first_seq`.
-pub fn count_records(data: &[u8]) -> Result<u32, FastqError> {
-    let mut records = 0u32;
-    let mut line_in_record = 0u8; // 0 header, 1 seq, 2 plus, 3 qual
-    let mut at = 0usize;
-    while at < data.len() {
-        let end = memchr_from(data, at, b'\n').unwrap_or(data.len());
-        let mut line = &data[at..end];
-        if line.last() == Some(&b'\r') {
-            line = &line[..line.len() - 1];
-        }
-        let record = records as usize + 1;
-        match line_in_record {
-            0 if line.is_empty() => {
-                return Err(FastqError::Malformed {
-                    record,
-                    what: "blank line between records (strict 4-line FASTQ required)".into(),
-                });
-            }
-            0 if line[0] != b'@' => {
-                return Err(FastqError::Malformed {
-                    record,
-                    what: format!(
-                        "header must start with '@', got {:?} (wrapped multi-line \
-                         records are not supported)",
-                        line[0] as char
-                    ),
-                });
-            }
-            2 if line.first() != Some(&b'+') => {
-                return Err(FastqError::Malformed {
-                    record,
-                    what: "third line must start with '+' (wrapped multi-line records \
-                           are not supported)"
-                        .into(),
-                });
-            }
-            _ => {}
-        }
-        line_in_record += 1;
-        if line_in_record == 4 {
-            line_in_record = 0;
-            records = records
-                .checked_add(1)
-                .ok_or_else(|| FastqError::Malformed {
-                    record,
-                    what: "more than u32::MAX records in one chunk".into(),
-                })?;
-        }
-        at = end + 1;
-    }
-    if line_in_record != 0 {
-        return Err(FastqError::Malformed {
-            record: records as usize + 1,
-            what: format!("truncated record ({line_in_record} of 4 lines)"),
-        });
-    }
-    Ok(records)
 }
 
 /// Chunk an in-memory store into up to `c` chunks of roughly equal *modeled*
@@ -359,7 +233,7 @@ mod tests {
     fn chunks_cover_all_bytes_and_records() {
         let data = sample_bytes(40);
         for c in [1, 2, 3, 7, 13] {
-            let specs = chunk_fastq_bytes(&data, c).unwrap();
+            let specs = chunk_fastq_bytes(&data, c, false).unwrap();
             let total_bytes: u64 = specs.iter().map(|s| s.bytes).sum();
             assert_eq!(total_bytes, data.len() as u64, "c={c}");
             let total_seqs: u32 = specs.iter().map(|s| s.seqs).sum();
@@ -379,7 +253,7 @@ mod tests {
     #[test]
     fn each_chunk_parses_standalone() {
         let data = sample_bytes(25);
-        let specs = chunk_fastq_bytes(&data, 4).unwrap();
+        let specs = chunk_fastq_bytes(&data, 4, false).unwrap();
         assert!(specs.len() >= 2);
         for s in &specs {
             let lo = s.offset as usize;
@@ -392,7 +266,7 @@ mod tests {
     #[test]
     fn more_chunks_than_records_collapses() {
         let data = sample_bytes(2);
-        let specs = chunk_fastq_bytes(&data, 16).unwrap();
+        let specs = chunk_fastq_bytes(&data, 16, false).unwrap();
         let total: u32 = specs.iter().map(|s| s.seqs).sum();
         assert_eq!(total, 2);
         assert!(specs.len() <= 2);
@@ -402,7 +276,7 @@ mod tests {
     fn paired_chunks_hold_whole_pairs() {
         let data = sample_bytes(40); // even count
         for c in [1, 2, 3, 7, 13] {
-            let specs = chunk_fastq_bytes_paired(&data, c).unwrap();
+            let specs = chunk_fastq_bytes(&data, c, true).unwrap();
             let total: u32 = specs.iter().map(|s| s.seqs).sum();
             assert_eq!(total, 40, "c={c}");
             let bytes: u64 = specs.iter().map(|s| s.bytes).sum();
@@ -423,7 +297,7 @@ mod tests {
     #[test]
     fn paired_chunks_parse_standalone() {
         let data = sample_bytes(18);
-        for s in chunk_fastq_bytes_paired(&data, 4).unwrap() {
+        for s in chunk_fastq_bytes(&data, 4, true).unwrap() {
             let lo = s.offset as usize;
             let store = crate::parse::parse_fastq(&data[lo..lo + s.bytes as usize], true).unwrap();
             assert_eq!(store.len(), s.seqs as usize);
@@ -434,33 +308,50 @@ mod tests {
     fn paired_chunker_rejects_odd_record_count() {
         let data = sample_bytes(5);
         assert!(matches!(
-            chunk_fastq_bytes_paired(&data, 2),
+            chunk_fastq_bytes(&data, 2, true),
             Err(FastqError::Malformed { .. })
         ));
     }
 
     #[test]
     fn paired_chunker_empty_input() {
-        assert!(chunk_fastq_bytes_paired(b"", 3).unwrap().is_empty());
+        assert!(chunk_fastq_bytes(b"", 3, true).unwrap().is_empty());
     }
 
     #[test]
-    fn trailing_blank_line_rejected() {
-        let mut data = sample_bytes(3);
+    fn trailing_blank_line_is_accepted() {
+        // `parse_fastq` tolerates blank lines where a header is due, and so
+        // does the chunker, whatever the pairing: the records are counted
+        // by the walker, not by lines.
+        let mut data = sample_bytes(4);
         data.push(b'\n');
-        // The old `lines / 4` count would silently report 3 records here
-        // while shifting byte accounting; now it is a hard error.
-        assert!(matches!(
-            chunk_fastq_bytes(&data, 2),
-            Err(FastqError::Malformed { .. })
-        ));
+        for paired in [false, true] {
+            let specs = chunk_fastq_bytes(&data, 2, paired).unwrap();
+            assert_eq!(specs.iter().map(|s| s.seqs).sum::<u32>(), 4);
+            assert_eq!(
+                specs.iter().map(|s| s.bytes).sum::<u64>(),
+                data.len() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn leading_blank_lines_belong_to_chunk_zero() {
+        let data = [&b"\n\r\n"[..], &sample_bytes(6)].concat();
+        for paired in [false, true] {
+            for c in [1, 2, 5] {
+                let specs = chunk_fastq_bytes(&data, c, paired).unwrap();
+                assert_eq!(specs[0].offset, 0, "paired={paired} c={c}");
+                assert!(specs[0].seqs > 0, "paired={paired} c={c}");
+            }
+        }
     }
 
     #[test]
     fn wrapped_record_rejected() {
         let data = b"@r0\nACGT\nACGT\n+\nIIIIIIII\n";
-        match chunk_fastq_bytes(data, 1) {
-            Err(FastqError::Malformed { record, what }) => {
+        match chunk_fastq_bytes(data, 1, false) {
+            Err(FastqError::Malformed { record, what, .. }) => {
                 assert_eq!(record, 1);
                 assert!(what.contains("'+'"), "{what}");
             }
@@ -472,7 +363,7 @@ mod tests {
     fn truncated_record_rejected() {
         let data = b"@r0\nACGT\n+\n";
         assert!(matches!(
-            chunk_fastq_bytes(data, 1),
+            chunk_fastq_bytes(data, 1, false),
             Err(FastqError::Malformed { .. })
         ));
     }
@@ -480,7 +371,7 @@ mod tests {
     #[test]
     fn crlf_records_count_cleanly() {
         let data = b"@r0\r\nACGT\r\n+\r\nIIII\r\n";
-        let specs = chunk_fastq_bytes(data, 1).unwrap();
+        let specs = chunk_fastq_bytes(data, 1, false).unwrap();
         assert_eq!(specs.len(), 1);
         assert_eq!(specs[0].seqs, 1);
     }
@@ -488,29 +379,25 @@ mod tests {
     #[test]
     fn no_trailing_newline_still_counts() {
         let data = b"@r0\nACGT\n+\nIIII\n@r1\nGG\n+\nII";
-        let specs = chunk_fastq_bytes(data, 1).unwrap();
+        let specs = chunk_fastq_bytes(data, 1, false).unwrap();
         assert_eq!(specs[0].seqs, 2);
     }
 
     #[test]
-    fn malformed_error_reports_global_record_index() {
-        // Second record is wrapped; with one chunk the error must name
-        // record 2, not a chunk-local index.
+    fn malformed_error_reports_global_record_and_byte() {
+        // Second record is wrapped: the error names record 2 and the byte
+        // its header starts at, whatever the chunk count.
         let data = b"@r0\nACGT\n+\nIIII\n@r1\nAC\nGT\n+\nIIII\n";
-        match chunk_fastq_bytes(data, 1) {
-            Err(FastqError::Malformed { record, .. }) => assert_eq!(record, 2),
-            other => panic!("expected malformed error, got {other:?}"),
+        for c in [1, 3] {
+            match chunk_fastq_bytes(data, c, false) {
+                Err(FastqError::Malformed {
+                    record,
+                    byte_offset,
+                    ..
+                }) => assert_eq!((record, byte_offset), (2, 16), "c={c}"),
+                other => panic!("expected malformed error, got {other:?}"),
+            }
         }
-    }
-
-    #[test]
-    fn count_record_starts_matches_record_starts() {
-        let data = sample_bytes(9);
-        assert_eq!(
-            count_record_starts(&data),
-            record_starts(&data).len() as u64
-        );
-        assert_eq!(count_record_starts(b""), 0);
     }
 
     #[test]

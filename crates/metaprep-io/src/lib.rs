@@ -8,15 +8,19 @@
 //! FASTQ files ([`parse`]), and written back out as FASTQ ([`write`]).
 //!
 //! [`view`] reads FASTQ records in place: a zero-copy walker over raw bytes
-//! with `parse`'s exact accept/reject rules, which is how the file-based
-//! pipeline (`metaprep partition` / `index`) reads its input without ever
-//! building a store. The crate reads, writes and chunks reads; it does not
+//! with `parse`'s exact accept/reject rules and error positions (record
+//! number and header byte offset), which is how the file-based pipeline
+//! (`metaprep partition` / `index`) reads its input without ever building a
+//! store — and how it counts records: no other reading of the bytes decides
+//! what a record is. The crate reads, writes and chunks reads; it does not
 //! quality-control them.
 //!
 //! [`chunk`] implements the logical FASTQ chunking used by the `FASTQPart`
 //! index (paper §3.1.2): a file is split into `C` byte ranges of roughly
-//! equal size whose boundaries are aligned to record starts, so that threads
-//! can read chunks independently and in parallel.
+//! equal size whose boundaries are aligned to record starts — one rule for
+//! paired and unpaired input, paired boundaries rounded to whole mate pairs
+//! — so that threads can read chunks independently and in parallel;
+//! [`stream`] finds the same cuts without holding the file.
 
 pub mod chunk;
 pub mod parse;
@@ -25,12 +29,9 @@ pub mod stream;
 pub mod view;
 pub mod write;
 
-pub use chunk::{
-    chunk_fastq_bytes, chunk_fastq_bytes_paired, chunk_store, count_record_starts, count_records,
-    find_record_start, ChunkSpec,
-};
-pub use parse::{parse_fastq, parse_fastq_path, FastqError, FastqRecord};
+pub use chunk::{chunk_fastq_bytes, chunk_store, find_record_start, ChunkSpec};
+pub use parse::{parse_fastq, parse_fastq_path, FastqError};
 pub use store::ReadStore;
-pub use stream::{StreamChunk, StreamChunker, DEFAULT_INDEX_WINDOW};
+pub use stream::{StreamChunker, DEFAULT_INDEX_WINDOW};
 pub use view::{record_views, RecordView, RecordViews};
 pub use write::{write_fastq, write_fastq_path, write_fastq_record};

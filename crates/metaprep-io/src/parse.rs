@@ -12,24 +12,18 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
-/// One FASTQ record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FastqRecord {
-    /// Header without the leading `@`.
-    pub name: String,
-    /// Sequence bytes.
-    pub seq: Vec<u8>,
-    /// Quality bytes (same length as `seq`).
-    pub qual: Vec<u8>,
-}
-
 /// Errors produced by the FASTQ parser.
 #[derive(Debug)]
 pub enum FastqError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Structural problem, with the 1-based record index and a description.
-    Malformed { record: usize, what: String },
+    /// Structural problem: the 1-based record number, the file offset of
+    /// that record's header line, and a description.
+    Malformed {
+        record: usize,
+        byte_offset: u64,
+        what: String,
+    },
     /// Well-formed input past a pipeline limit (a count that overflows the
     /// 32-bit id or count space). No single record is at fault, so none is
     /// named.
@@ -40,9 +34,14 @@ impl fmt::Display for FastqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FastqError::Io(e) => write!(f, "I/O error: {e}"),
-            FastqError::Malformed { record, what } => {
-                write!(f, "malformed FASTQ at record {record}: {what}")
-            }
+            FastqError::Malformed {
+                record,
+                byte_offset,
+                what,
+            } => write!(
+                f,
+                "malformed FASTQ at record {record} (byte {byte_offset}): {what}"
+            ),
             FastqError::Limit(what) => write!(f, "input exceeds a pipeline limit: {what}"),
         }
     }
@@ -56,14 +55,16 @@ impl From<io::Error> for FastqError {
     }
 }
 
-/// Read one line into `buf` (excluding the terminator). Returns `false` at
-/// EOF with nothing read. Accepts both `\n` and `\r\n` endings.
-fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
+/// Read one line into `buf` (excluding the terminator), advancing `pos` by
+/// the bytes consumed. Returns `false` at EOF with nothing read. Accepts both
+/// `\n` and `\r\n` endings.
+fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>, pos: &mut u64) -> io::Result<bool> {
     buf.clear();
     let n = r.read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(false);
     }
+    *pos += n as u64;
     if buf.last() == Some(&b'\n') {
         buf.pop();
     }
@@ -85,10 +86,13 @@ pub fn parse_fastq(reader: impl BufRead, paired: bool) -> Result<ReadStore, Fast
     let mut plus = Vec::new();
     let mut qual = Vec::new();
     let mut record = 0usize;
+    // Bytes consumed so far, and where the last record's header started.
+    let (mut pos, mut last_at) = (0u64, 0u64);
     let mut pending_pair = false;
 
     loop {
-        if !read_line(&mut r, &mut header)? {
+        let at = pos;
+        if !read_line(&mut r, &mut header, &mut pos)? {
             break;
         }
         if header.is_empty() {
@@ -96,45 +100,35 @@ pub fn parse_fastq(reader: impl BufRead, paired: bool) -> Result<ReadStore, Fast
             continue;
         }
         record += 1;
+        let malformed = |what: String| FastqError::Malformed {
+            record,
+            byte_offset: at,
+            what,
+        };
         if header[0] != b'@' {
-            return Err(FastqError::Malformed {
-                record,
-                what: format!("header must start with '@', got {:?}", header[0] as char),
-            });
+            let got = header[0] as char;
+            return Err(malformed(format!(
+                "header must start with '@', got {got:?}"
+            )));
         }
-        if !read_line(&mut r, &mut seq)? {
-            return Err(FastqError::Malformed {
-                record,
-                what: "EOF before sequence line".into(),
-            });
+        if !read_line(&mut r, &mut seq, &mut pos)? {
+            return Err(malformed("EOF before sequence line".into()));
         }
-        if !read_line(&mut r, &mut plus)? {
-            return Err(FastqError::Malformed {
-                record,
-                what: "EOF before '+' line".into(),
-            });
+        if !read_line(&mut r, &mut plus, &mut pos)? {
+            return Err(malformed("EOF before '+' line".into()));
         }
         if plus.first() != Some(&b'+') {
-            return Err(FastqError::Malformed {
-                record,
-                what: "third line must start with '+'".into(),
-            });
+            return Err(malformed("third line must start with '+'".into()));
         }
-        if !read_line(&mut r, &mut qual)? {
-            return Err(FastqError::Malformed {
-                record,
-                what: "EOF before quality line".into(),
-            });
+        if !read_line(&mut r, &mut qual, &mut pos)? {
+            return Err(malformed("EOF before quality line".into()));
         }
         if qual.len() != seq.len() {
-            return Err(FastqError::Malformed {
-                record,
-                what: format!(
-                    "quality length {} != sequence length {}",
-                    qual.len(),
-                    seq.len()
-                ),
-            });
+            return Err(malformed(format!(
+                "quality length {} != sequence length {}",
+                qual.len(),
+                seq.len()
+            )));
         }
 
         if paired && pending_pair {
@@ -145,18 +139,17 @@ pub fn parse_fastq(reader: impl BufRead, paired: bool) -> Result<ReadStore, Fast
             store.push_single(&seq);
         }
         pending_pair = paired && !pending_pair;
-        store.set_last_name(std::str::from_utf8(&header[1..]).map_err(|_| {
-            FastqError::Malformed {
-                record,
-                what: "header is not UTF-8".into(),
-            }
-        })?);
+        let name = std::str::from_utf8(&header[1..])
+            .map_err(|_| malformed("header is not UTF-8".into()))?;
+        store.set_last_name(name);
         store.set_last_qual(&qual);
+        last_at = at;
     }
 
     if paired && pending_pair {
         return Err(FastqError::Malformed {
             record,
+            byte_offset: last_at,
             what: "odd number of records in paired (interleaved) file".into(),
         });
     }
@@ -252,11 +245,20 @@ mod tests {
     }
 
     #[test]
-    fn error_reports_record_index() {
-        let input = "@r0\nACGT\n+\nIIII\n@r1\nAC\n+\nI\n";
-        match parse_fastq(input.as_bytes(), false) {
-            Err(FastqError::Malformed { record, .. }) => assert_eq!(record, 2),
-            other => panic!("expected malformed error, got {other:?}"),
+    fn errors_name_the_record_and_its_header_byte() {
+        let odd = [SAMPLE, "@r2\nAC\n+\nII\n"].concat();
+        for (input, paired, want) in [
+            (
+                "@r0\r\nACGT\r\n+\r\nIIII\r\n\n@r1\nAC\n+\nI\n",
+                false,
+                "record 2 (byte 21)",
+            ),
+            // An odd paired file is named at its last record.
+            (&SAMPLE[..16], true, "record 1 (byte 0)"),
+            (&odd, true, "record 3 (byte 32)"),
+        ] {
+            let err = parse_fastq(input.as_bytes(), paired).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
         }
     }
 }

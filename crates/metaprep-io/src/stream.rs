@@ -1,17 +1,16 @@
 //! Streaming (windowed) chunk-boundary discovery for FASTQ files.
 //!
-//! [`chunk_fastq_bytes`](crate::chunk_fastq_bytes) and
-//! [`chunk_fastq_bytes_paired`](crate::chunk_fastq_bytes_paired) need the
-//! whole file in memory. For the paper's memory-efficient IndexCreate the
-//! chunk table must be computable in O(window) memory instead: the
-//! [`StreamChunker`] seeks to each byte target and probes a bounded window
-//! with [`find_record_start`], growing the window only when a record
-//! straddles it (and fetching only the window's new tail on each growth,
-//! so one probe reads each file byte at most once — see
-//! [`StreamChunker::probe_bytes_read`]). The boundaries it finds are
-//! byte-identical to the
-//! in-memory chunkers' (property-tested in `metaprep-index`), so switching
-//! a pipeline between the two paths changes memory, not results.
+//! [`chunk_fastq_bytes`](crate::chunk_fastq_bytes) needs the whole file in
+//! memory. For the paper's memory-efficient IndexCreate the chunk table
+//! must be computable in O(window) memory instead: the [`StreamChunker`]
+//! seeks to each byte target and probes a bounded window with
+//! [`find_record_start`], growing the window only when a record straddles
+//! it (and fetching only the window's new tail on each growth, so one probe
+//! reads each file byte at most once — see
+//! [`StreamChunker::probe_bytes_read`]). Its [`ranges`](StreamChunker::ranges)
+//! are the in-memory chunker's cuts; `metaprep-index` counts their records
+//! with the record walker and rounds paired boundaries, and a proptest there
+//! holds the resulting tables byte-identical to the in-memory ones.
 //!
 //! Why a verified hit inside a window is a hit for the whole file:
 //! `find_record_start` accepts a position only after inspecting bytes that
@@ -22,7 +21,6 @@
 //! otherwise the caller doubles the window and retries.
 
 use crate::chunk::find_record_start;
-use crate::parse::FastqError;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
@@ -36,20 +34,6 @@ pub const DEFAULT_INDEX_WINDOW: usize = 64 * 1024;
 /// Smallest window the chunker will probe with. Below this the doubling
 /// loop just wastes syscalls.
 const MIN_WINDOW: usize = 16;
-
-/// One pair-aligned chunk resolved by [`StreamChunker::resolve_paired`]:
-/// a byte range plus its record-index range.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct StreamChunk {
-    /// Byte offset of the chunk within the file.
-    pub offset: u64,
-    /// Size of the chunk in bytes.
-    pub bytes: u64,
-    /// Global index of the first record in the chunk.
-    pub first_seq: u64,
-    /// Number of records in the chunk.
-    pub seqs: u64,
-}
 
 /// Windowed record-boundary finder over an open FASTQ file.
 pub struct StreamChunker {
@@ -158,16 +142,17 @@ impl StreamChunker {
         }
     }
 
-    /// Unpaired chunk byte ranges, replicating `chunk_fastq_bytes`' target
-    /// arithmetic (`want = i * (len / c)`, dedup on strictly-increasing
-    /// starts) so both paths produce identical `ChunkSpec` tables.
+    /// Chunk byte ranges for `c` chunks: the first starts at byte 0, and
+    /// every later one at the first record start at or after byte
+    /// `j·len/c` (skipped when it does not move past the one before) —
+    /// `chunk_fastq_bytes`' cut, before any pair rounding. A range is only
+    /// tentative for paired input: which boundaries move to the next record
+    /// is known once each range's records are counted.
     pub fn ranges(&mut self, c: usize) -> io::Result<Vec<(u64, u64)>> {
         assert!(c >= 1);
         let mut bounds = vec![0u64];
-        let target = self.len / c as u64;
-        for i in 1..c as u64 {
-            let want = i * target;
-            match self.find_record_start_at(want)? {
+        for j in 1..c as u64 {
+            match self.find_record_start_at(j * self.len / c as u64)? {
                 // EXPECT: `bounds` is seeded with 0 above and only ever pushed to.
                 Some(s) if s > *bounds.last().expect("nonempty") => bounds.push(s),
                 _ => {}
@@ -180,101 +165,12 @@ impl StreamChunker {
             .map(|w| (w[0], w[1]))
             .collect())
     }
-
-    /// Tentative paired boundaries: the first record start at or after each
-    /// byte target `j * len / c` (the paired chunker's rounding, which
-    /// differs from the unpaired `i * (len / c)`). Record-index parity is
-    /// not yet known at this point, so a boundary may split a mate pair;
-    /// [`Self::resolve_paired`] fixes that up once per-range record counts
-    /// are available.
-    pub fn tentative_ranges_paired(&mut self, c: usize) -> io::Result<Vec<(u64, u64)>> {
-        assert!(c >= 1);
-        let Some(first) = self.find_record_start_at(0)? else {
-            return Ok(Vec::new());
-        };
-        let mut bounds = vec![first];
-        for j in 1..c as u64 {
-            let target = j * self.len / c as u64;
-            match self.find_record_start_at(target)? {
-                // EXPECT: `bounds` is seeded with `first` above and only ever pushed to.
-                Some(s) if s > *bounds.last().expect("nonempty") => bounds.push(s),
-                _ => {}
-            }
-        }
-        bounds.push(self.len);
-        Ok(bounds
-            .windows(2)
-            .filter(|w| w[0] < w[1])
-            .map(|w| (w[0], w[1]))
-            .collect())
-    }
-
-    /// Turn tentative paired ranges plus their record counts into whole-pair
-    /// chunks, replaying `chunk_fastq_bytes_paired`'s round-to-even + dedup
-    /// at the record-index level: a boundary with an odd number of records
-    /// before it moves one record to the right (found by probing past the
-    /// tentative byte), exactly as `idx += idx % 2` does on the in-memory
-    /// record-start array.
-    pub fn resolve_paired(
-        &mut self,
-        ranges: &[(u64, u64)],
-        counts: &[u64],
-    ) -> Result<Vec<StreamChunk>, FastqError> {
-        assert_eq!(ranges.len(), counts.len());
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        if !total.is_multiple_of(2) {
-            return Err(FastqError::Malformed {
-                record: total as usize,
-                what: "paired FASTQ must hold an even record count".into(),
-            });
-        }
-        // Record-index bounds with their byte positions. ranges[0].0 is the
-        // first record start (record index 0).
-        let mut bounds: Vec<(u64, u64)> = vec![(0, ranges[0].0)];
-        let mut cumulative = 0u64;
-        for (i, &(lo, _)) in ranges.iter().enumerate().skip(1) {
-            cumulative += counts[i - 1];
-            let (mut r, mut byte) = (cumulative, lo);
-            if r % 2 == 1 {
-                // Round up to even: the boundary becomes the start of the
-                // record *after* the one starting at `lo`.
-                r += 1;
-                byte = match self.find_record_start_at(lo + 1) {
-                    Ok(Some(b)) => b,
-                    // No further record start: the rounded boundary is EOF
-                    // (r == total, matching the in-memory hi_byte rule).
-                    Ok(None) => self.len,
-                    Err(e) => return Err(e.into()),
-                };
-            }
-            let r = r.min(total);
-            // EXPECT: `bounds` is seeded before the loop and only ever pushed to.
-            if r > bounds.last().expect("nonempty").0 {
-                bounds.push((r, byte));
-            }
-        }
-        bounds.push((total, self.len));
-
-        Ok(bounds
-            .windows(2)
-            .filter(|w| w[0].0 < w[1].0)
-            .map(|w| StreamChunk {
-                offset: w[0].1,
-                bytes: w[1].1 - w[0].1,
-                first_seq: w[0].0,
-                seqs: w[1].0 - w[0].0,
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{chunk_fastq_bytes, chunk_fastq_bytes_paired, count_record_starts};
+    use crate::chunk::chunk_fastq_bytes;
     use crate::store::ReadStore;
     use crate::write::write_fastq;
 
@@ -319,11 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn unpaired_ranges_match_in_memory_chunker() {
+    fn ranges_are_the_in_memory_chunker_cuts() {
+        // Unpaired, the in-memory chunker's table is the ranges themselves.
         let data = sample_bytes(30);
         let path = write_temp("unpaired.fastq", &data);
         for c in [1, 2, 3, 7, 13, 40] {
-            let specs = chunk_fastq_bytes(&data, c).unwrap();
+            let specs = chunk_fastq_bytes(&data, c, false).unwrap();
             let mut ch = StreamChunker::open(&path, 17).unwrap();
             let ranges = ch.ranges(c).unwrap();
             let want: Vec<(u64, u64)> = specs
@@ -332,45 +229,6 @@ mod tests {
                 .collect();
             assert_eq!(ranges, want, "c={c}");
         }
-    }
-
-    #[test]
-    fn paired_resolution_matches_in_memory_chunker() {
-        let data = sample_bytes(26);
-        let path = write_temp("paired.fastq", &data);
-        for c in [1, 2, 3, 5, 9, 30] {
-            let specs = chunk_fastq_bytes_paired(&data, c).unwrap();
-            let mut ch = StreamChunker::open(&path, 19).unwrap();
-            let ranges = ch.tentative_ranges_paired(c).unwrap();
-            let counts: Vec<u64> = ranges
-                .iter()
-                .map(|&(lo, hi)| count_record_starts(&data[lo as usize..hi as usize]))
-                .collect();
-            let chunks = ch.resolve_paired(&ranges, &counts).unwrap();
-            assert_eq!(chunks.len(), specs.len(), "c={c}");
-            for (got, want) in chunks.iter().zip(&specs) {
-                assert_eq!(got.offset, want.offset, "c={c}");
-                assert_eq!(got.bytes, want.bytes, "c={c}");
-                assert_eq!(got.first_seq, want.first_seq as u64, "c={c}");
-                assert_eq!(got.seqs, want.seqs as u64, "c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn paired_odd_count_is_error() {
-        let data = sample_bytes(5);
-        let path = write_temp("odd.fastq", &data);
-        let mut ch = StreamChunker::open(&path, 64).unwrap();
-        let ranges = ch.tentative_ranges_paired(2).unwrap();
-        let counts: Vec<u64> = ranges
-            .iter()
-            .map(|&(lo, hi)| count_record_starts(&data[lo as usize..hi as usize]))
-            .collect();
-        assert!(matches!(
-            ch.resolve_paired(&ranges, &counts),
-            Err(FastqError::Malformed { .. })
-        ));
     }
 
     #[test]
@@ -406,7 +264,6 @@ mod tests {
         let path = write_temp("empty.fastq", b"");
         let mut ch = StreamChunker::open(&path, 64).unwrap();
         assert!(ch.ranges(4).unwrap().is_empty());
-        assert!(ch.tentative_ranges_paired(4).unwrap().is_empty());
     }
 
     #[test]

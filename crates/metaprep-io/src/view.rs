@@ -12,8 +12,13 @@
 //! and `\r\n` line endings, blank lines tolerated where a header is due, a
 //! last line without its newline, `+anything` third lines, a quality line
 //! as long as its sequence line, a UTF-8 header — and the same 1-based
-//! record number in [`FastqError::Malformed`]. The differential proptest in
-//! `tests/view_matches_parse.rs` holds the two together.
+//! record number and header byte offset in [`FastqError::Malformed`]. The
+//! differential proptest in `tests/view_matches_parse.rs` holds the two
+//! together.
+//!
+//! The walk is also how records are counted and located
+//! ([`RecordView::offset`]): every record count IndexCreate stores, and
+//! every pair-rounded chunk boundary, comes from it.
 
 use crate::parse::FastqError;
 use metaprep_kmer::simd::find_byte;
@@ -21,6 +26,8 @@ use metaprep_kmer::simd::find_byte;
 /// One FASTQ record, borrowed from the bytes it was read from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RecordView<'a> {
+    /// File offset of the header line.
+    pub offset: u64,
     /// Header line without the leading `@`.
     pub header: &'a str,
     /// Sequence line.
@@ -35,17 +42,21 @@ pub struct RecordViews<'a> {
     pos: usize,
     /// Number of the last record started (file-global).
     record: usize,
+    /// File offset of `data[0]`.
+    base: u64,
 }
 
-/// Walk the FASTQ records of `data`, which must start at a record boundary.
-/// Records are numbered from `first_record + 1` in errors, so a walk over
-/// one chunk of a file reports file-global record numbers. The iterator
+/// Walk the FASTQ records of `data`, which must start at a record boundary
+/// and lies at byte `offset` of its file. Records are numbered from
+/// `first_record + 1` and placed from `offset`, so a walk over one chunk of
+/// a file reports file-global record numbers and byte offsets. The iterator
 /// ends after the first error.
-pub fn record_views(data: &[u8], first_record: usize) -> RecordViews<'_> {
+pub fn record_views(data: &[u8], first_record: usize, offset: u64) -> RecordViews<'_> {
     RecordViews {
         data,
         pos: 0,
         record: first_record,
+        base: offset,
     }
 }
 
@@ -60,10 +71,19 @@ impl<'a> RecordViews<'a> {
         Some(line.strip_suffix(b"\r").unwrap_or(line))
     }
 
-    /// The three lines after `header`, checked in `parse_fastq`'s order.
-    fn rest_of_record(&mut self, header: &'a [u8]) -> Result<RecordView<'a>, FastqError> {
+    /// The three lines after `header`, which starts at file byte `offset`,
+    /// checked in `parse_fastq`'s order.
+    fn rest_of_record(
+        &mut self,
+        header: &'a [u8],
+        offset: u64,
+    ) -> Result<RecordView<'a>, FastqError> {
         let record = self.record;
-        let malformed = move |what: String| FastqError::Malformed { record, what };
+        let malformed = move |what: String| FastqError::Malformed {
+            record,
+            byte_offset: offset,
+            what,
+        };
         if header[0] != b'@' {
             let got = header[0] as char;
             return Err(malformed(format!(
@@ -91,7 +111,12 @@ impl<'a> RecordViews<'a> {
         }
         let header = std::str::from_utf8(&header[1..])
             .map_err(|_| malformed("header is not UTF-8".into()))?;
-        Ok(RecordView { header, seq, qual })
+        Ok(RecordView {
+            offset,
+            header,
+            seq,
+            qual,
+        })
     }
 }
 
@@ -100,14 +125,15 @@ impl<'a> Iterator for RecordViews<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         // Blank lines are tolerated between records (and before EOF).
-        let header = loop {
+        let (header, offset) = loop {
+            let offset = self.base + self.pos as u64;
             let line = self.line()?;
             if !line.is_empty() {
-                break line;
+                break (line, offset);
             }
         };
         self.record += 1;
-        let item = self.rest_of_record(header);
+        let item = self.rest_of_record(header, offset);
         if item.is_err() {
             self.pos = self.data.len();
         }

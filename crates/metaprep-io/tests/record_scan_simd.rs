@@ -1,14 +1,16 @@
 //! Property-based differential test for the record-boundary scanner.
 //!
-//! `find_record_start` / `count_record_starts` hunt newlines through the
-//! runtime-dispatched SIMD byte scanner (`metaprep_kmer::simd::find_byte`).
-//! Here the whole scanner is checked against a byte-at-a-time reference on
+//! `find_record_start` and the `record_views` walker hunt newlines through
+//! the runtime-dispatched SIMD byte scanner (`metaprep_kmer::simd::find_byte`).
+//! Here the probe is checked against a byte-at-a-time reference on
 //! adversarial inputs: well-formed FASTQ, quality lines starting with `@`,
 //! junk bytes, and `@`/`+`/newline soup designed to hit every branch of
-//! the record-start disambiguation. CI re-runs this suite with
-//! `METAPREP_SIMD=scalar` so both dispatch routes are covered.
+//! the record-start disambiguation; and on well-formed FASTQ the walker
+//! counts every record and starts each one where the probe lands. CI
+//! re-runs this suite with `METAPREP_SIMD=scalar` so both dispatch routes
+//! are covered.
 
-use metaprep_io::{count_record_starts, find_record_start};
+use metaprep_io::{find_record_start, record_views};
 use proptest::prelude::*;
 
 /// Byte-at-a-time reference: same record-start definition (`@` line whose
@@ -38,16 +40,6 @@ fn naive_find_record_start(data: &[u8], pos: usize) -> Option<usize> {
         }
         at = next_nl(data, at)? + 1;
     }
-}
-
-fn naive_count_record_starts(data: &[u8]) -> u64 {
-    let mut count = 0u64;
-    let mut at = 0usize;
-    while let Some(s) = naive_find_record_start(data, at) {
-        count += 1;
-        at = s + 1;
-    }
-    count
 }
 
 /// Serialize reads as strict 4-line FASTQ; quality strings deliberately
@@ -96,21 +88,27 @@ proptest! {
         );
     }
 
-    /// Start counting agrees with the naive reference on pure soup.
+    /// On well-formed FASTQ the walker counts exactly the records, and each
+    /// record starts where the probe from just past the previous one lands
+    /// — the cut a seeking reader makes is a record the walker reads.
     #[test]
-    fn prop_count_record_starts_matches_naive(data in soup()) {
-        prop_assert_eq!(count_record_starts(&data), naive_count_record_starts(&data));
-    }
-
-    /// On well-formed FASTQ the count is exactly the number of records.
-    #[test]
-    fn prop_count_on_wellformed_fastq(
+    fn prop_walker_counts_and_places_wellformed_fastq(
         reads in proptest::collection::vec(
             proptest::collection::vec(
                 proptest::sample::select(b"ACGTN".to_vec()), 1..40),
             0..8),
     ) {
         let data = fastq_bytes(&reads);
-        prop_assert_eq!(count_record_starts(&data), reads.len() as u64);
+        let starts: Vec<usize> = record_views(&data, 0, 0)
+            .map(|r| r.unwrap().offset as usize)
+            .collect();
+        prop_assert_eq!(starts.len(), reads.len());
+        let mut probed = Vec::new();
+        let mut at = 0;
+        while let Some(s) = naive_find_record_start(&data, at) {
+            probed.push(s);
+            at = s + 1;
+        }
+        prop_assert_eq!(starts, probed);
     }
 }

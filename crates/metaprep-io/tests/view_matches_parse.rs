@@ -5,7 +5,7 @@
 //! KmerGen-I/O, the streamed partition writer); `parse_fastq` is what the
 //! in-memory path and every earlier release read files with. A file must
 //! mean the same thing to both: the same records — name, sequence, quality
-//! — or the same `Malformed { record }`. Inputs mix what real files do
+//! — or the same `Malformed { record, byte_offset }`. Inputs mix what real files do
 //! (CRLF endings, `+name` third lines, blank lines between records, a last
 //! line without its newline, `@` as the first quality byte) with every way
 //! `parse_fastq` rejects one (length mismatch, missing `+`, missing `@`,
@@ -18,16 +18,20 @@ use proptest::prelude::*;
 
 type Records = Vec<(String, Vec<u8>, Vec<u8>)>;
 
-/// Records, or the number of the malformed one.
-fn outcome<T>(r: Result<T, FastqError>) -> Result<T, usize> {
+/// Records, or the number and header byte of the malformed one.
+fn outcome<T>(r: Result<T, FastqError>) -> Result<T, (usize, u64)> {
     r.map_err(|e| match e {
-        FastqError::Malformed { record, .. } => record,
+        FastqError::Malformed {
+            record,
+            byte_offset,
+            ..
+        } => (record, byte_offset),
         FastqError::Io(e) => panic!("slices cannot fail to read: {e}"),
         FastqError::Limit(what) => panic!("record readers hit no pipeline limit: {what}"),
     })
 }
 
-fn by_parse(bytes: &[u8]) -> Result<Records, usize> {
+fn by_parse(bytes: &[u8]) -> Result<Records, (usize, u64)> {
     let store = outcome(parse_fastq(bytes, false))?;
     Ok((0..store.len())
         .map(|i| {
@@ -38,9 +42,9 @@ fn by_parse(bytes: &[u8]) -> Result<Records, usize> {
         .collect())
 }
 
-fn by_view(bytes: &[u8], first_record: usize) -> Result<Records, usize> {
+fn by_view(bytes: &[u8], first_record: usize, offset: u64) -> Result<Records, (usize, u64)> {
     outcome(
-        record_views(bytes, first_record)
+        record_views(bytes, first_record, offset)
             .map(|v| v.map(|v| (v.header.to_string(), v.seq.to_vec(), v.qual.to_vec())))
             .collect(),
     )
@@ -147,20 +151,24 @@ proptest! {
     ) {
         let bytes = fastq_bytes(&specs, last_lines, final_newline);
         let want = by_parse(&bytes);
-        let got = by_view(&bytes, 0);
+        let got = by_view(&bytes, 0, 0);
         prop_assert_eq!(&got, &want, "input {:?}", String::from_utf8_lossy(&bytes));
-        // A chunk walk numbers its records file-globally.
-        let shifted = by_view(&bytes, 1000);
-        prop_assert_eq!(shifted, want.map_err(|r| r + 1000));
+        // A chunk walk numbers and places its records file-globally.
+        let shifted = by_view(&bytes, 1000, 5000);
+        prop_assert_eq!(shifted, want.map_err(|(r, b)| (r + 1000, b + 5000)));
     }
 }
 
 #[test]
 fn walker_is_fused_after_an_error() {
-    let mut views = record_views(b"@r0\nAC\n+\nI\n@r1\nAC\n+\nII\n", 0);
+    let mut views = record_views(b"@r0\nAC\n+\nI\n@r1\nAC\n+\nII\n", 0, 0);
     assert!(matches!(
         views.next(),
-        Some(Err(FastqError::Malformed { record: 1, .. }))
+        Some(Err(FastqError::Malformed {
+            record: 1,
+            byte_offset: 0,
+            ..
+        }))
     ));
     assert!(views.next().is_none());
 }
@@ -168,8 +176,10 @@ fn walker_is_fused_after_an_error() {
 #[test]
 fn views_borrow_the_input_bytes() {
     let data = b"@r0 x\r\nACGT\r\n+r0 x\r\n@III\r\n\r\n@r1\nGG\n+\nII";
-    let views: Vec<_> = record_views(data, 0).map(Result::unwrap).collect();
+    let views: Vec<_> = record_views(data, 0, 10).map(Result::unwrap).collect();
     assert_eq!(views.len(), 2);
+    // Header offsets in the file: past the CRLF record and the blank line.
+    assert_eq!((views[0].offset, views[1].offset), (10, 10 + 28));
     assert_eq!(
         (views[0].header, views[0].seq, views[0].qual),
         ("r0 x", &b"ACGT"[..], &b"@III"[..])

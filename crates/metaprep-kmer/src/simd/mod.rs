@@ -16,7 +16,7 @@
 //!   table lookups or `Option` branching
 //!   ([`for_each_canonical_kmer`](crate::enumerate::for_each_canonical_kmer)).
 //! * [`find_byte`] — memchr-style first-occurrence scan, the primitive
-//!   under `metaprep-io`'s `find_record_start` / `count_record_starts`
+//!   under `metaprep-io`'s `record_views` walker, `find_record_start`
 //!   and the `StreamChunker` window-probe path.
 //!
 //! # Dispatch
