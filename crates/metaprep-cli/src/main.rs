@@ -44,6 +44,8 @@ use metaprep_io::write_fastq_path;
 use metaprep_obs::{export, CounterKind, Event, MemRecorder, TraceAnalysis};
 
 fn main() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    pin_mmap_threshold();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&argv) {
         // One structured line per failure. The usage text only helps when
@@ -57,6 +59,20 @@ fn main() {
         }
         std::process::exit(1);
     }
+}
+
+/// Return freed buffers to the kernel: glibc raises its mmap threshold to
+/// each mapped block it frees, so later buffers come from a heap and stay
+/// resident once freed. Setting it (to glibc's starting 128 KiB) turns that
+/// off (mallopt(3)). Only the binary sets this policy.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_MMAP_THRESHOLD: i32 = -3;
+    // SAFETY: mallopt reads two integers and sets an allocator tunable; it is safe to call at any time, from any thread.
+    unsafe { mallopt(M_MMAP_THRESHOLD, 128 << 10) };
 }
 
 const USAGE: &str = "usage: metaprep <simulate|index|partition|report|analyze> [--options]
@@ -440,4 +456,38 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{wrote}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    /// The process's resident set, bytes.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    fn vm_rss() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+        line.split_whitespace()
+            .nth(1)
+            .unwrap()
+            .parse::<u64>()
+            .unwrap()
+            << 10
+    }
+
+    /// Without the policy glibc serves the 2 MiB buffer from a heap once the
+    /// 4 MiB one is freed, and keeps it resident after it is freed too.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn freed_buffers_leave_the_process() {
+        super::pin_mmap_threshold();
+        let before = vm_rss();
+        for mib in [4, 2] {
+            let buf = vec![1u8; mib << 20];
+            drop(std::hint::black_box(buf));
+        }
+        let after = vm_rss();
+        assert!(
+            after <= before + (64 << 10),
+            "VmRSS {before} -> {after} bytes: freed buffers stayed resident"
+        );
+    }
 }

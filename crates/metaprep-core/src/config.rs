@@ -74,10 +74,10 @@ pub struct PipelineConfig {
     /// §5 cites (Iverson et al.). Reduces Merge-Comm bytes when tasks touch
     /// only a slice of the read set; identical final components.
     pub merge_sparse: bool,
-    /// Probe/read window in bytes for the streaming file IndexCreate
+    /// Probe window in bytes for the streaming file IndexCreate's chunk cuts
     /// (0 = auto, `metaprep_io::DEFAULT_INDEX_WINDOW`). Indexing memory per
-    /// thread is O(window + chunk bytes); the window only needs to span a
-    /// few FASTQ records.
+    /// thread is O(window + `metaprep_io::WALK_WINDOW`); the window only
+    /// needs to span a few FASTQ records.
     pub index_window: usize,
     /// Radix digit width in bits for the fused LocalSort (`1..=16`; the
     /// paper uses 8 — 256 bucket counters stay L1-resident; the ablation

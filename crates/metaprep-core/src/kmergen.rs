@@ -15,6 +15,7 @@
 
 use crate::pipeline::RunCtx;
 use metaprep_index::{FastqPart, RangePlan};
+use metaprep_io::{RecordWalker, WALK_WINDOW};
 use metaprep_kmer::{
     fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, KmerReadTuple, KmerReadTuple128,
 };
@@ -94,9 +95,8 @@ pub struct KmerGenOutput<T> {
     /// in chunk order, then read order.
     pub outgoing: Vec<Vec<T>>,
     /// FASTQ-chunk load time ("KmerGen-I/O"): borrowing the chunk from the
-    /// in-memory store, or reading its bytes from the file into the
-    /// thread's buffer and walking its records; CPU-time summed across
-    /// threads.
+    /// in-memory store, or reading it from the file window by window and
+    /// walking each window's records; CPU-time summed across threads.
     pub io_nanos: u64,
     /// Enumeration time, CPU-time summed across threads, plus the write
     /// cursor build before it and the gap compaction after it.
@@ -215,47 +215,53 @@ pub(crate) fn kmergen_pass<K: PipelineKmer>(
     }
     let plan_nanos = t_plan.elapsed().as_nanos() as u64;
 
+    // One window per worker, freed with the pass.
+    let walker = RecordWalker::new(WALK_WINDOW);
     let cursors: Vec<Vec<[usize; 2]>> = pool.install(|| {
         my_chunks
             .par_iter()
             .zip(windows.into_par_iter())
             .map(|(&c, mut cur)| {
-                // Chunk load (KmerGen-I/O): a borrow of the in-memory store
-                // or a real seek+read of the FASTQ file plus an in-place
-                // record walk.
-                let t_io = Instant::now();
-                let buffer = source.load_chunk(&fastqpart.chunks()[c].spec);
+                // Chunk load (KmerGen-I/O): a borrow of the in-memory store,
+                // or per window a real seek+read of the FASTQ file plus an
+                // in-place record walk; each window is enumerated before the
+                // next is read.
+                let (mut io, mut gen, mut dropped_here) = (0u64, 0u64, 0u64);
+                let mut t_io = Instant::now();
+                source.load_chunk(&fastqpart.chunks()[c].spec, &walker, |reads| {
+                    io += t_io.elapsed().as_nanos() as u64;
+                    let t_gen = Instant::now();
+                    for (seq, frag) in reads {
+                        let label = read_label(frag);
+                        for_each_canonical_kmer::<K>(seq, k, |v, _| {
+                            let bin = space.bin_of(K::repr_to_u128(v));
+                            let s = (slot_of_bin[bin as usize] as usize).wrapping_sub(base);
+                            // A slot of another pass is out of range.
+                            let Some(w) = cur.get_mut(s) else {
+                                return;
+                            };
+                            if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
+                                dropped_here += 1;
+                                return;
+                            }
+                            // What keeps the windows of concurrent chunks
+                            // disjoint even if a histogram is wrong.
+                            assert!(
+                                w.next < w.end,
+                                "chunk {c}: more k-mers than its histogram counts in slot {s}"
+                            );
+                            // SAFETY: `[next, end)` is this chunk's own window of the destination — the windows are consecutive runs of one prefix sum — and `next` only ever advances, so no slot is written twice or by another chunk.
+                            unsafe { w.dst.write(w.next, K::make_tuple(v, label)) };
+                            w.next += 1;
+                        });
+                    }
+                    gen += t_gen.elapsed().as_nanos() as u64;
+                    t_io = Instant::now();
+                });
                 // ORDERING: Relaxed — profiling counter, summed after join.
-                io_nanos.fetch_add(t_io.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                let t_gen = Instant::now();
-                let mut dropped_here = 0u64;
-                for (seq, frag) in buffer.iter() {
-                    let label = read_label(frag);
-                    for_each_canonical_kmer::<K>(seq, k, |v, _| {
-                        let bin = space.bin_of(K::repr_to_u128(v));
-                        let s = (slot_of_bin[bin as usize] as usize).wrapping_sub(base);
-                        // A slot of another pass is out of range.
-                        let Some(w) = cur.get_mut(s) else {
-                            return;
-                        };
-                        if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
-                            dropped_here += 1;
-                            return;
-                        }
-                        // What keeps the windows of concurrent chunks
-                        // disjoint even if a histogram is wrong.
-                        assert!(
-                            w.next < w.end,
-                            "chunk {c}: more k-mers than its histogram counts in slot {s}"
-                        );
-                        // SAFETY: `[next, end)` is this chunk's own window of the destination — the windows are consecutive runs of one prefix sum — and `next` only ever advances, so no slot is written twice or by another chunk.
-                        unsafe { w.dst.write(w.next, K::make_tuple(v, label)) };
-                        w.next += 1;
-                    });
-                }
+                io_nanos.fetch_add(io, Ordering::Relaxed);
                 // ORDERING: Relaxed — profiling counter, summed after join.
-                gen_nanos.fetch_add(t_gen.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                gen_nanos.fetch_add(gen, Ordering::Relaxed);
 
                 // The index-table arithmetic must match the enumeration:
                 // every histogram-counted k-mer was either emitted or

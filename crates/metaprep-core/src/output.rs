@@ -10,7 +10,7 @@
 //! split).
 
 use metaprep_io::{
-    record_views, write_fastq_path, write_fastq_record, FastqError, ReadStore, StreamChunker,
+    write_fastq_path, write_fastq_record, FastqError, ReadStore, RecordWalker, WALK_WINDOW,
 };
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -120,13 +120,6 @@ pub fn write_multi_partition(dir: impl AsRef<Path>, parts: &MultiPartition) -> i
     write_fastq_path(dir.join("rest.fastq"), &parts.rest)
 }
 
-/// Input bytes the streamed writers hold at a time: windows are cut at the
-/// first record start at or after every `STREAM_WINDOW` bytes.
-const STREAM_WINDOW: u64 = 1 << 20;
-
-/// Probe window for finding those cuts; a cut lies within a few records.
-const CUT_PROBE: usize = 4096;
-
 /// [`partition_reads`] + [`write_partitions`] without the reads in memory:
 /// walk the FASTQ file `input` once, in file order, and write each record
 /// to `lc.fastq` or `other.fastq` under `dir` by its fragment's label —
@@ -145,7 +138,7 @@ pub fn write_partitions_streamed(
     let names = ["lc.fastq".to_string(), "other.fastq".to_string()];
     let side_of = |label| usize::from(label != largest_root);
     let (dir, input) = (dir.as_ref(), input.as_ref());
-    let written = stream_split(dir, input, STREAM_WINDOW, paired, labels, &names, side_of)?;
+    let written = stream_split(dir, input, WALK_WINDOW, paired, labels, &names, side_of)?;
     Ok([written[0], written[1]])
 }
 
@@ -171,18 +164,17 @@ pub fn write_multi_partition_streamed(
         bucket.unwrap_or(roots.len())
     };
     let (dir, input) = (dir.as_ref(), input.as_ref());
-    stream_split(dir, input, STREAM_WINDOW, paired, labels, &names, side_of)
+    stream_split(dir, input, WALK_WINDOW, paired, labels, &names, side_of)
 }
 
 /// The one streamed writer: route every record of `input` to
 /// `names[side_of(labels[fragment])]`, written through the same
 /// `write_fastq_record` as `metaprep_io::write_fastq` writes a store's.
 ///
-/// The file is read in record-aligned windows of about `window` bytes — cut
-/// where IndexCreate's chunker would cut, at the first record start at or
-/// after a byte target — so one window plus the writers' buffers is all
-/// that is resident, and every record passes the walker's checks again on
-/// its way out.
+/// The file is read by the one range walker, `metaprep_io::RecordWalker`,
+/// in windows of about `window` bytes, so one window plus the writers'
+/// buffers is all that is resident, and every record passes the walker's
+/// checks again on its way out.
 /// Sequential on purpose: a scan of the input is a fraction of the cost of
 /// writing the same bytes, and placing records from several tasks at once
 /// would need every window's output size per side before the first byte.
@@ -200,7 +192,7 @@ fn stream_split(
         byte_offset,
         what: format!("input changed since indexing: {what}"),
     };
-    let mut chunker = StreamChunker::open(input, CUT_PROBE)?;
+    let len = std::fs::metadata(input)?.len();
     std::fs::create_dir_all(dir)?;
     let mut outs = Vec::with_capacity(names.len());
     for name in names {
@@ -211,14 +203,9 @@ fn stream_split(
     }
     let mut written = vec![0u64; names.len()];
 
-    let len = chunker.file_len();
-    let mut bytes = Vec::new();
-    let (mut lo, mut record) = (0u64, 0usize);
-    while lo < len {
-        let hi = chunker.find_record_start_at(lo + window)?.unwrap_or(len);
-        chunker.read_range(lo, hi, &mut bytes)?;
-        for view in record_views(&bytes, record, lo) {
-            let view = view?;
+    let mut record = 0usize;
+    RecordWalker::new(window).walk(input, (0, len), 0, |views| {
+        for view in views {
             let frag = record >> u32::from(paired);
             let Some(&label) = labels.get(frag) else {
                 let what = format!("more than the {} fragments labeled", labels.len());
@@ -229,8 +216,8 @@ fn stream_split(
             written[side] += 1;
             record += 1;
         }
-        lo = hi;
-    }
+        Ok(())
+    })?;
     let expected = labels.len() << u32::from(paired);
     if record != expected {
         let what = format!("{record} records, {expected} were labeled");
@@ -412,7 +399,7 @@ mod tests {
             let (want, got) = (dir.join("want"), dir.join("got"));
             // Windows of a few records, so cuts fall inside mate pairs and
             // on CRLF records, and the default window (one cut: EOF).
-            for window in [64, 300, STREAM_WINDOW] {
+            for window in [64, 300, WALK_WINDOW] {
                 let parts = partition_reads(&reads, &labels, 7);
                 write_partitions(&want, &parts).unwrap();
                 let names = ["lc.fastq".to_string(), "other.fastq".to_string()];

@@ -5,14 +5,12 @@
 //! re-read, the *tuples* never all exist at once). A [`ChunkSource`] is
 //! either an in-memory [`ReadStore`] whose chunks are slices of it
 //! (`Pipeline::run_reads`), or a FASTQ file whose chunks are re-read on
-//! every load and whose sequences are used where they lie in the bytes
-//! read (`Pipeline::run_fastq_file`) — so KmerGen-I/O is real disk traffic
-//! and per-pass redundant reading behaves exactly as in the paper.
+//! every load, one window at a time through `metaprep_io::RecordWalker`,
+//! with sequences used where they lie in the window (`Pipeline::run_fastq_file`) — so KmerGen-I/O is real disk
+//! traffic and per-pass redundant reading behaves exactly as in the paper.
 
-use metaprep_io::{record_views, ChunkSpec, FastqError, ReadStore, StreamChunker};
-use std::cell::RefCell;
-use std::ops::Range;
-use std::path::PathBuf;
+use metaprep_io::{ChunkSpec, FastqError, ReadStore, RecordWalker};
+use std::path::{Path, PathBuf};
 
 /// The input a run's chunks are loaded from.
 pub(crate) enum ChunkSource<'a> {
@@ -27,67 +25,10 @@ pub(crate) enum ChunkSource<'a> {
     },
 }
 
-/// One loaded chunk: its sequences, each paired with its *global* fragment
-/// id — a borrow of the source's store, or the chunk's raw file bytes with
-/// the span of every sequence line in them. Never a copy of a sequence.
-pub(crate) enum ChunkReads<'a> {
-    /// Sequences `seqs` of `store`, which holds the global fragment ids.
-    Store {
-        store: &'a ReadStore,
-        seqs: Range<usize>,
-    },
-    /// `spans[j]` is sequence `first_seq + j` of the file, inside `bytes`;
-    /// `paired` says consecutive file sequences share a fragment.
-    File {
-        bytes: Vec<u8>,
-        spans: Vec<Range<usize>>,
-        first_seq: usize,
-        paired: bool,
-    },
-}
-
-thread_local! {
-    // The buffers of the last file chunk this thread dropped: a KmerGen
-    // worker loads its chunks one after another, pass after pass, into the
-    // same two allocations.
-    static CHUNK_BUFS: RefCell<(Vec<u8>, Vec<Range<usize>>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-impl ChunkReads<'_> {
-    /// The chunk's `(sequence, global fragment id)` entries, in file order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], u32)> + '_ {
-        let n = match self {
-            ChunkReads::Store { seqs, .. } => seqs.len(),
-            ChunkReads::File { spans, .. } => spans.len(),
-        };
-        (0..n).map(move |j| match self {
-            ChunkReads::Store { store, seqs } => {
-                let i = seqs.start + j;
-                (store.seq(i), store.frag_id(i))
-            }
-            ChunkReads::File {
-                bytes,
-                spans,
-                first_seq,
-                paired,
-            } => {
-                let frag = (first_seq + j) >> u32::from(*paired);
-                (&bytes[spans[j].clone()], frag as u32)
-            }
-        })
-    }
-}
-
-impl Drop for ChunkReads<'_> {
-    fn drop(&mut self) {
-        if let ChunkReads::File { bytes, spans, .. } = self {
-            let bufs = (std::mem::take(bytes), std::mem::take(spans));
-            // Not there during thread teardown; the buffers are then freed.
-            let _ = CHUNK_BUFS.try_with(|c| c.replace(bufs));
-        }
-    }
-}
+/// Loaded `(sequence, global fragment id)` entries of a chunk, in file
+/// order — borrowed from the source's store, or from the records of one
+/// window of the file. Never a copy of a sequence.
+pub(crate) type ChunkReads<'a> = dyn Iterator<Item = (&'a [u8], u32)> + 'a;
 
 impl ChunkSource<'_> {
     /// A source over the FASTQ file `path` holding `total_seqs` sequences.
@@ -111,66 +52,60 @@ impl ChunkSource<'_> {
         }
     }
 
-    /// Load the chunk `spec`: its `(sequence, global fragment id)` entries.
-    /// A file chunk is re-read from disk on every load — this IS the
-    /// multi-pass I/O.
-    pub(crate) fn load_chunk(&self, spec: &ChunkSpec) -> ChunkReads<'_> {
+    /// Hand the chunk `spec`'s entries to `each`: a store's in one borrow,
+    /// a file's window by window through `walker`. A file chunk is re-read
+    /// from disk on every load — this IS the multi-pass I/O.
+    pub(crate) fn load_chunk(
+        &self,
+        spec: &ChunkSpec,
+        walker: &RecordWalker,
+        mut each: impl FnMut(&mut ChunkReads<'_>),
+    ) {
         match self {
             ChunkSource::Store(store) => {
                 let lo = spec.first_seq as usize;
-                ChunkReads::Store {
-                    store,
-                    seqs: lo..lo + spec.seqs as usize,
-                }
+                let seqs = lo..lo + spec.seqs as usize;
+                each(&mut seqs.map(|i| (store.seq(i), store.frag_id(i))))
             }
-            ChunkSource::File { path, paired, .. } => read_chunk(path, *paired, spec)
+            ChunkSource::File { path, paired, .. } => walk_chunk(walker, path, *paired, spec, each)
                 // EXPECT: IndexCreate walked these bytes with the same record walker before any pass ran; a failed re-read means the file changed or vanished mid-run, unrecoverable for a multi-pass source.
                 .expect("chunk read failed (file changed since indexing?)"),
         }
     }
 }
 
-/// Read the chunk `spec` of `path` into this thread's recycled buffer and
-/// find the sequence lines with the record walker — every check IndexCreate
-/// made on the same bytes, plus the record count it stored.
-fn read_chunk(
-    path: &std::path::Path,
+/// Walk the chunk `spec` of `path` window by window, handing each window's
+/// records to `each` — every check IndexCreate made on the same bytes, plus
+/// the record count it stored. When `paired`, consecutive sequences share
+/// a fragment.
+fn walk_chunk(
+    walker: &RecordWalker,
+    path: &Path,
     paired: bool,
     spec: &ChunkSpec,
-) -> Result<ChunkReads<'static>, FastqError> {
+    mut each: impl FnMut(&mut ChunkReads<'_>),
+) -> Result<(), FastqError> {
     // The chunker cuts paired input between pairs only.
     assert!(
         !paired || (spec.first_seq.is_multiple_of(2) && spec.seqs.is_multiple_of(2)),
         "paired chunks must hold whole pairs"
     );
-    let (mut bytes, mut spans) = CHUNK_BUFS.take();
-    let mut file = std::fs::File::open(path)?;
-    StreamChunker::read_range_into(&mut file, spec.offset, spec.offset + spec.bytes, &mut bytes)?;
-    spans.clear();
-    let base = bytes.as_ptr() as usize;
-    for record in record_views(&bytes, spec.first_seq as usize, spec.offset) {
-        let seq = record?.seq;
-        // `seq` is a sub-slice of `bytes`: its address gives its span.
-        let at = seq.as_ptr() as usize - base;
-        spans.push(at..at + seq.len());
-    }
-    if spans.len() != spec.seqs as usize {
+    let mut seq = spec.first_seq as usize;
+    let range = (spec.offset, spec.offset + spec.bytes);
+    let n = walker.walk(path, range, seq, |views| {
+        let frag = |j: usize| ((seq + j) >> u32::from(paired)) as u32;
+        each(&mut views.iter().enumerate().map(|(j, v)| (v.seq, frag(j))));
+        seq += views.len();
+        Ok(())
+    })?;
+    if n != u64::from(spec.seqs) {
         return Err(FastqError::Malformed {
-            record: spec.first_seq as usize + spans.len(),
+            record: seq,
             byte_offset: spec.offset,
-            what: format!(
-                "chunk holds {} records but the index says {}",
-                spans.len(),
-                spec.seqs
-            ),
+            what: format!("chunk holds {n} records but the index says {}", spec.seqs),
         });
     }
-    Ok(ChunkReads::File {
-        bytes,
-        spans,
-        first_seq: spec.first_seq as usize,
-        paired,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -204,19 +139,22 @@ mod tests {
         (path, bytes)
     }
 
-    /// Every chunk of `specs` from `src` holds exactly the store's entries.
+    /// Every chunk of `specs` from `src` holds exactly the store's entries,
+    /// a file's read in windows of 64 bytes, a record or two each.
     fn assert_serves_store(src: &ChunkSource<'_>, specs: &[ChunkSpec]) {
         let s = store();
         let mut total = 0;
         for spec in specs {
-            let chunk = src.load_chunk(spec);
-            assert_eq!(chunk.iter().len(), spec.seqs as usize);
-            for (j, (seq, frag)) in chunk.iter().enumerate() {
-                let i = spec.first_seq as usize + j;
-                assert_eq!(seq, s.seq(i));
-                assert_eq!(frag, s.frag_id(i));
-            }
-            total += chunk.iter().len();
+            let mut i = spec.first_seq as usize;
+            src.load_chunk(spec, &RecordWalker::new(64), |reads| {
+                for (seq, frag) in reads {
+                    assert_eq!(seq, s.seq(i));
+                    assert_eq!(frag, s.frag_id(i));
+                    i += 1;
+                }
+            });
+            assert_eq!(i, (spec.first_seq + spec.seqs) as usize);
+            total += spec.seqs as usize;
         }
         assert_eq!(total, s.len());
         assert_eq!(src.num_fragments(), s.num_fragments());
@@ -238,21 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_file_loads_reassemble_the_store_and_recycle_the_buffer() {
+    fn chunked_file_loads_reassemble_the_store() {
         let (path, bytes) = fastq_file("metaprep_core_source_chunks_test");
         let specs = metaprep_io::chunk_fastq_bytes(&bytes, 3, true).unwrap();
         assert!(specs.len() >= 2);
         let src = ChunkSource::file(path.clone(), true, store().len() as u32);
         assert_serves_store(&src, &specs);
-        for spec in &specs {
-            drop(src.load_chunk(spec));
-            // The dropped chunk's buffers wait for this thread's next load.
-            let (bytes, spans) = CHUNK_BUFS.with(|b| {
-                let b = b.borrow();
-                (b.0.capacity(), b.1.capacity())
-            });
-            assert!(bytes as u64 >= spec.bytes && spans >= spec.seqs as usize);
-        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
@@ -269,7 +198,7 @@ mod tests {
             seqs: 2, // wrong
         };
         assert!(matches!(
-            read_chunk(&path, false, &bad),
+            walk_chunk(&RecordWalker::new(64), &path, false, &bad, |_| {}),
             Err(FastqError::Malformed { record: 1, .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -284,7 +213,8 @@ mod tests {
             first_seq: 1, // odd start splits a pair
             seqs: 2,
         };
-        let _ = ChunkSource::file(PathBuf::from("/dev/null"), true, 4).load_chunk(&bad);
+        let walker = RecordWalker::new(64);
+        ChunkSource::file(PathBuf::from("/dev/null"), true, 4).load_chunk(&bad, &walker, |_| {});
     }
 
     #[test]
@@ -294,10 +224,12 @@ mod tests {
         let specs = metaprep_io::chunk_fastq_bytes(&bytes, 1, false).unwrap();
         let src = ChunkSource::file(path.clone(), false, n);
         assert_eq!(src.num_fragments(), n);
-        let chunk = src.load_chunk(&specs[0]);
-        let frags: Vec<u32> = chunk.iter().map(|(_, frag)| frag).collect();
+        let mut frags = Vec::new();
+        let walker = RecordWalker::new(64);
+        src.load_chunk(&specs[0], &walker, |reads| {
+            frags.extend(reads.map(|(_, frag)| frag));
+        });
         assert_eq!(frags, (0..n).collect::<Vec<_>>());
-        drop(chunk);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

@@ -21,17 +21,17 @@
 //!      moves each boundary with an odd record count before it one record
 //!      on, to the second record start its walk saw;
 //!   2. per-chunk histogramming is dispatched over a rayon thread pool,
-//!      each worker reading its chunk via a byte-range read into a
-//!      thread-recycled buffer and walking its records in place
-//!      (`metaprep_io::record_views`): sequences are histogrammed where
-//!      they lie, names and qualities are checked and never copied, and the
-//!      walk is the chunk's record count.
+//!      each worker walking its chunk's records in place, one window of
+//!      about 1 MiB at a time (`metaprep_io::RecordWalker`, which pass A
+//!      reads with too): sequences are histogrammed where they lie, names
+//!      and qualities are checked and never copied, and the walk is the
+//!      chunk's record count.
 //!
 //!   Every count IndexCreate stores comes from a `record_views` walk, so the
 //!   file indexer accepts and rejects what `parse_fastq` does, paired or
 //!   not, and names a malformed record by its file-global number and byte.
 //!
-//!   Peak memory is O(threads × max-chunk-bytes + chunks × 4^m), never
+//!   Peak memory is O(threads × window + chunks × 4^m), never
 //!   O(file) — the bound the `index_create` bench (`BENCH_index.json`)
 //!   demonstrates with a counting allocator.
 //!
@@ -42,35 +42,28 @@
 use crate::fastqpart::ChunkRecord;
 use crate::{FastqPart, MerHist};
 use metaprep_io::{
-    chunk_store, record_views, ChunkSpec, FastqError, ReadStore, RecordViews, StreamChunker,
+    chunk_store, record_views, ChunkSpec, FastqError, ReadStore, RecordWalker, StreamChunker,
+    WALK_WINDOW,
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
 use metaprep_norm::{CountMinSketch, SketchParams};
 use metaprep_obs::{CounterKind, MemRecorder};
 use rayon::prelude::*;
-use std::cell::RefCell;
-use std::fs::File;
 use std::path::Path;
 
 /// Options for [`index_fastq_file_streaming`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct StreamingOptions {
-    /// Probe/read window in bytes (0 = `metaprep_io::DEFAULT_INDEX_WINDOW`).
+    /// Probe window in bytes for the chunk cuts (0 =
+    /// `metaprep_io::DEFAULT_INDEX_WINDOW`).
     pub window: usize,
     /// Threads for per-chunk histogramming (0 = the rayon default).
     pub threads: usize,
 }
 
-thread_local! {
-    // One recycled read buffer per worker thread: a thread histograms its
-    // chunks one after another into the same allocation, so in-flight
-    // bytes are bounded by threads × max-chunk-size.
-    static CHUNK_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The IndexCreate kernel: histogram the canonical k-mers of every
-/// sequence into `space`'s m-mer bins (one row of `FASTQPart`) and count
-/// the sequences, stopping at the first one its source reports malformed.
+/// The IndexCreate kernel: add the canonical k-mers of every sequence to
+/// `hist`, a row of `space`'s m-mer bins (one row of `FASTQPart`),
+/// stopping at the first sequence its source reports malformed.
 ///
 /// `for_each_canonical_kmer` is the runtime-dispatched hot path: on
 /// AVX2/NEON hosts each read is classified and 2-bit-packed by the
@@ -89,12 +82,10 @@ fn hist<'a>(
     space: MmerSpace,
     k: usize,
     mut sketch: Option<&mut CountMinSketch>,
-) -> Result<(u64, Vec<u32>), FastqError> {
-    let mut hist = vec![0u32; space.bins()];
-    let mut n = 0u64;
+    hist: &mut [u32],
+) -> Result<(), FastqError> {
     for seq in seqs {
         let seq = seq?;
-        n += 1;
         if k <= 32 {
             for_each_canonical_kmer::<Kmer64>(seq, k, |v, _| {
                 hist[space.bin_of(Kmer64::repr_to_u128(v)) as usize] += 1;
@@ -111,7 +102,7 @@ fn hist<'a>(
             });
         }
     }
-    Ok((n, hist))
+    Ok(())
 }
 
 /// Shift a malformed-record number so a chunk walk, which numbers its
@@ -180,7 +171,8 @@ pub fn index_store(
     for spec in chunk_store(store, c) {
         let lo = spec.first_seq as usize;
         let seqs = (lo..lo + spec.seqs as usize).map(|i| Ok(store.seq(i)));
-        let (_, row) = hist(seqs, space, k, sketch.as_mut())?;
+        let mut row = vec![0; space.bins()];
+        hist(seqs, space, k, sketch.as_mut(), &mut row)?;
         rows.push((spec, row));
     }
     let (merhist, fastqpart, _) = assemble(space, rows)?;
@@ -207,7 +199,8 @@ pub fn index_fastq_bytes(
             spec.first_seq as usize,
             spec.offset,
         );
-        let (_, row) = hist(records.map(|r| r.map(|r| r.seq)), space, k, None)?;
+        let mut row = vec![0; space.bins()];
+        hist(records.map(|r| r.map(|r| r.seq)), space, k, None, &mut row)?;
         rows.push((spec, row));
     }
     assemble(space, rows)
@@ -224,24 +217,6 @@ fn pool_of(threads: usize) -> rayon::ThreadPool {
         .build()
         // EXPECT: pool build fails only when the OS cannot spawn threads, unrecoverable for the streaming planner.
         .expect("vendored rayon pool build cannot fail")
-}
-
-/// Read the byte range `[lo, hi)` of `path` into this thread's recycled
-/// buffer and hand its records to `walk`. Record numbers in errors are
-/// chunk-local (only the sequential stitch knows the records before the
-/// range), byte offsets file-global.
-fn walk_range<T>(
-    path: &Path,
-    lo: u64,
-    hi: u64,
-    walk: impl FnOnce(RecordViews<'_>) -> Result<T, FastqError>,
-) -> Result<T, FastqError> {
-    CHUNK_BUF.with(|b| {
-        let mut buf = b.borrow_mut();
-        let mut f = File::open(path)?;
-        StreamChunker::read_range_into(&mut f, lo, hi, &mut buf)?;
-        walk(record_views(&buf, 0, lo))
-    })
 }
 
 /// A chunk to histogram: a byte range, and for paired input the record
@@ -265,9 +240,12 @@ struct RangeWalk {
 /// before it to the start of its range's second record (to the range's end
 /// when it holds one record), so every chunk holds whole mate pairs. A
 /// malformed record, bytes before the first record start included, is
-/// reported by the walk that meets it, with its file-global number.
+/// reported by the walk that meets it, with its file-global number: walks
+/// number a range's records from 1 (only this stitch knows the records
+/// before the range), and offsets are file-global.
 fn pair_chunks(
     path: &Path,
+    walker: &RecordWalker,
     ranges: &[(u64, u64)],
     pool: &rayon::ThreadPool,
 ) -> Result<Vec<StreamChunk>, FastqError> {
@@ -275,22 +253,22 @@ fn pair_chunks(
         ranges
             .par_iter()
             .map(|&(lo, hi)| {
-                walk_range(path, lo, hi, |views| {
-                    let mut w = RangeWalk {
-                        records: 0,
-                        second: hi,
-                        last: lo,
-                    };
+                let mut w = RangeWalk {
+                    records: 0,
+                    second: hi,
+                    last: lo,
+                };
+                walker.walk(path, (lo, hi), 0, |views| {
                     for view in views {
-                        let offset = view?.offset;
                         if w.records == 1 {
-                            w.second = offset;
+                            w.second = view.offset;
                         }
-                        w.last = offset;
+                        w.last = view.offset;
                         w.records += 1;
                     }
-                    Ok(w)
-                })
+                    Ok(())
+                })?;
+                Ok(w)
             })
             .collect()
     });
@@ -339,20 +317,23 @@ fn pair_chunks(
 /// sequential stitch shifts the number to a file-global one.
 type ChunkRow = Result<(u64, Vec<u32>), FastqError>;
 
-/// Walk + histogram one chunk where it lies in the thread's recycled read
-/// buffer — names and qualities are checked by the walker and otherwise
-/// untouched; no `ReadStore` is built. The walk is also the chunk's record
-/// count.
+/// Walk + histogram one chunk where it lies, window by window — names and
+/// qualities are checked by the walker and otherwise untouched; no
+/// `ReadStore` is built. The walk is also the chunk's record count.
 fn chunk_hist(
     path: &Path,
+    walker: &RecordWalker,
     ch: &StreamChunk,
     space: MmerSpace,
     k: usize,
-    sketch: Option<&mut CountMinSketch>,
+    mut sketch: Option<&mut CountMinSketch>,
 ) -> ChunkRow {
-    walk_range(path, ch.offset, ch.offset + ch.bytes, |views| {
-        hist(views.map(|r| r.map(|r| r.seq)), space, k, sketch)
-    })
+    let mut row = vec![0; space.bins()];
+    let n = walker.walk(path, (ch.offset, ch.offset + ch.bytes), 0, |views| {
+        let seqs = views.iter().map(|v| Ok(v.seq));
+        hist(seqs, space, k, sketch.as_deref_mut(), &mut row)
+    })?;
+    Ok((n, row))
 }
 
 /// Histogram every chunk on the pool (the KmerGen-style fan-out of
@@ -368,6 +349,7 @@ fn chunk_hist(
 /// and the thread *setting*, not of scheduling.
 fn par_histogram(
     path: &Path,
+    walker: &RecordWalker,
     chunks: &[StreamChunk],
     space: MmerSpace,
     k: usize,
@@ -389,7 +371,7 @@ fn par_histogram(
                 let mut sketch = params.map(|p| p.build());
                 let rows = idxs
                     .iter()
-                    .map(|&i| chunk_hist(path, &chunks[i], space, k, sketch.as_mut()))
+                    .map(|&i| chunk_hist(path, walker, &chunks[i], space, k, sketch.as_mut()))
                     .collect();
                 (rows, sketch)
             })
@@ -419,7 +401,7 @@ fn par_histogram(
 
 /// Streaming, thread-parallel IndexCreate over a FASTQ file. Produces the
 /// same `(MerHist, FastqPart, total_seqs)` as [`index_fastq_bytes`] on the
-/// file's contents, with peak memory O(threads × chunk + histograms).
+/// file's contents, with peak memory O(threads × window + histograms).
 pub fn index_fastq_file_streaming(
     path: impl AsRef<Path>,
     paired: bool,
@@ -464,8 +446,10 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     let t0 = clock.now_ns();
     let ranges = chunker.ranges(c)?;
     drop(chunker);
+    // One window per worker, kept from pass A for the histogram walk.
+    let walker = RecordWalker::new(WALK_WINDOW);
     let chunks = if paired {
-        pair_chunks(path, &ranges, &pool)?
+        pair_chunks(path, &walker, &ranges, &pool)?
     } else {
         // The histogram walk counts an unpaired chunk's records.
         ranges
@@ -480,7 +464,7 @@ pub fn index_fastq_file_streaming_sketched_recorded(
     rec.record_driver_span("index-chunking", t0, clock.now_ns());
 
     let t0 = clock.now_ns();
-    let (per_chunk, sketch) = par_histogram(path, &chunks, space, k, &pool, sketch_params);
+    let (per_chunk, sketch) = par_histogram(path, &walker, &chunks, space, k, &pool, sketch_params);
     rec.record_driver_span("index-histogram", t0, clock.now_ns());
 
     // Sequential stitch: prefix-sum first_seq, report the first malformed

@@ -15,9 +15,9 @@
 //!   record sizes, producing the same `ChunkSpec` shape for the in-memory
 //!   pipeline.
 //!
-//! [`find_record_start`] is the one record-start heuristic: what a reader
-//! that seeks into the middle of a file (the streaming chunker, the
-//! streamed partition writer) uses to land on a record.
+//! [`find_record_start`] is the one record-start heuristic: what the
+//! streaming chunker, which seeks into the middle of a file to cut it, uses
+//! to land on a record.
 
 use crate::parse::FastqError;
 use crate::store::ReadStore;

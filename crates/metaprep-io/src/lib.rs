@@ -20,7 +20,8 @@
 //! equal size whose boundaries are aligned to record starts — one rule for
 //! paired and unpaired input, paired boundaries rounded to whole mate pairs
 //! — so that threads can read chunks independently and in parallel;
-//! [`stream`] finds the same cuts without holding the file.
+//! [`stream`] finds the same cuts without holding the file, and its
+//! [`RecordWalker`] reads any byte range of it one window at a time.
 
 pub mod chunk;
 pub mod parse;
@@ -32,6 +33,6 @@ pub mod write;
 pub use chunk::{chunk_fastq_bytes, chunk_store, find_record_start, ChunkSpec};
 pub use parse::{parse_fastq, parse_fastq_path, FastqError};
 pub use store::ReadStore;
-pub use stream::{StreamChunker, DEFAULT_INDEX_WINDOW};
+pub use stream::{RecordWalker, StreamChunker, DEFAULT_INDEX_WINDOW, WALK_WINDOW};
 pub use view::{record_views, RecordView, RecordViews};
 pub use write::{write_fastq, write_fastq_path, write_fastq_record};

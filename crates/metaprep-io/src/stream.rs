@@ -19,11 +19,19 @@
 //! exist in the full file. If it runs off the window's end the probe
 //! returns `None`, which is final only when the window already reaches EOF;
 //! otherwise the caller doubles the window and retries.
+//!
+//! [`RecordWalker`] is the one reader of a byte range of the file: it
+//! takes the range's records a window of about [`WALK_WINDOW`] bytes at a
+//! time, and needs no probe — it walks whole lines only and carries a
+//! record the window cuts short into the next window.
 
 use crate::chunk::find_record_start;
+use crate::parse::FastqError;
+use crate::view::{record_views, RecordView};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// Default probe/read window in bytes for streaming IndexCreate. A window
 /// only needs to span a few FASTQ records (a record is typically a few
@@ -67,27 +75,18 @@ impl StreamChunker {
         })
     }
 
-    /// Total file length in bytes.
-    pub fn file_len(&self) -> u64 {
-        self.len
-    }
-
     /// Read the byte range `[lo, hi)` of `file` into `out`, replacing its
-    /// contents but reusing its capacity (the buffer-recycling primitive of
-    /// the streaming indexer).
-    pub fn read_range_into(file: &mut File, lo: u64, hi: u64, out: &mut Vec<u8>) -> io::Result<()> {
-        debug_assert!(lo <= hi);
-        // No `clear` first: `read_exact` overwrites every byte, so only a
-        // buffer that has to grow gets (its new tail) zero-filled.
-        out.resize((hi - lo) as usize, 0);
+    /// contents but reusing its capacity; it grows to exactly the largest
+    /// range read. The bytes land in spare capacity, never zero-filled first.
+    fn read_range_into(file: &mut File, lo: u64, hi: u64, out: &mut Vec<u8>) -> io::Result<()> {
+        out.clear();
+        out.reserve_exact((hi - lo) as usize);
         file.seek(SeekFrom::Start(lo))?;
-        file.read_exact(out)?;
+        file.by_ref().take(hi - lo).read_to_end(out)?;
+        if out.len() as u64 != hi - lo {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         Ok(())
-    }
-
-    /// Read the byte range `[lo, hi)` of this chunker's file into `out`.
-    pub fn read_range(&mut self, lo: u64, hi: u64, out: &mut Vec<u8>) -> io::Result<()> {
-        Self::read_range_into(&mut self.file, lo, hi, out)
     }
 
     /// Append the byte range `[lo, hi)` of `file` to `out`, growing it in
@@ -164,6 +163,82 @@ impl StreamChunker {
             .filter(|w| w[0] < w[1])
             .map(|w| (w[0], w[1]))
             .collect())
+    }
+}
+
+/// Bytes a [`RecordWalker`] adds to its window at a time.
+pub const WALK_WINDOW: u64 = 1 << 20;
+
+/// Walks the records of byte ranges of FASTQ files, one window at a time:
+/// IndexCreate's pass A and histogram walk, KmerGen's per-pass chunk loads
+/// and the partition writer all read the file through it. It keeps the
+/// window buffers of its walks for the next ones, so a walker shared by
+/// the workers of a parallel call holds one window per worker.
+pub struct RecordWalker {
+    window: u64,
+    free: Mutex<Vec<Vec<u8>>>,
+}
+
+impl RecordWalker {
+    /// A walker with windows of about `window` bytes ([`WALK_WINDOW`] in
+    /// production).
+    pub fn new(window: u64) -> Self {
+        let free = Mutex::new(Vec::new());
+        let window = window.max(1);
+        Self { window, free }
+    }
+
+    /// Walk the records of `[lo, hi)`, which starts at a record boundary,
+    /// handing `each` the records of one window at a time, in file order;
+    /// returns how many there were. Records are numbered from
+    /// `first_record + 1` and placed at their file offsets.
+    ///
+    /// The walk reports what one [`record_views`] walk of the whole range
+    /// does: the same records, numbers and offsets, and the same first
+    /// error, returned once `each` has had the records before it. The end
+    /// of a window moves on `window` bytes at a time and the walk stops at
+    /// its last newline, so every line walked is whole; a record a window
+    /// cuts short is walked again from its header in the next window, so
+    /// an error is reported only for a record that fails with complete
+    /// lines or at `hi`. A window spans at most `window` bytes plus the
+    /// longest record.
+    pub fn walk(
+        &self,
+        path: &Path,
+        (lo, hi): (u64, u64),
+        first_record: usize,
+        mut each: impl FnMut(&[RecordView<'_>]) -> Result<(), FastqError>,
+    ) -> Result<u64, FastqError> {
+        // A panic elsewhere leaves the list of free buffers whole.
+        let free = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut buf = free().pop().unwrap_or_default();
+        let mut file = File::open(path)?;
+        let (mut start, mut end, mut records) = (lo, lo, first_record);
+        while start < hi {
+            end = (end + self.window).min(hi);
+            StreamChunker::read_range_into(&mut file, start, end, &mut buf)?;
+            let whole = if end < hi {
+                buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+            } else {
+                buf.len()
+            };
+            let mut walk = record_views(&buf[..whole], records, start);
+            // The records up to the first error, and the error.
+            let mut views = Vec::new();
+            let failed = walk.by_ref().find_map(|v| v.map(|v| views.push(v)).err());
+            records += views.len();
+            each(&views)?;
+            match failed {
+                Some(FastqError::Malformed { byte_offset, .. }) if walk.ran_out && end < hi => {
+                    start = byte_offset;
+                }
+                Some(e) => return Err(e),
+                None => start += whole as u64,
+            }
+        }
+        // Kept for the next walk; a failed walk drops it, as its caller fails.
+        free().push(buf);
+        Ok((records - first_record) as u64)
     }
 }
 
@@ -267,15 +342,77 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_holds_one_window_plus_the_longest_record() {
+        // ~3 MiB of records, every 97th one 4 kbp long.
+        let mut s = ReadStore::new();
+        for i in 0..12_000usize {
+            let len = if i % 97 == 0 { 4000 } else { 60 + i % 150 };
+            let seq: Vec<u8> = b"ACGT"
+                .iter()
+                .cycle()
+                .skip(i % 4)
+                .take(len)
+                .copied()
+                .collect();
+            s.push_single(&seq);
+        }
+        let mut data = Vec::new();
+        write_fastq(&mut data, &s).unwrap();
+        let longest = record_views(&data, 0, 0)
+            .map(|r| r.unwrap())
+            .map(|r| r.header.len() + 2 * r.seq.len() + 6)
+            .max()
+            .unwrap();
+        assert!(data.len() as u64 > 3 * WALK_WINDOW, "{} bytes", data.len());
+        let path = write_temp("walk_bound.fastq", &data);
+        // Then with record 6000's `+` line spoiled: reported where it is.
+        let spoiled = record_views(&data, 0, 0).nth(6000).unwrap().unwrap();
+        let plus = spoiled.seq.as_ptr() as usize - data.as_ptr() as usize + spoiled.seq.len() + 1;
+        let mut bad = data.clone();
+        bad[plus] = b'x';
+        let bad_path = write_temp("walk_bound_bad.fastq", &bad);
+        let whole_err = record_views(&bad, 0, 0).find_map(|r| r.err()).unwrap();
+        let ok = (Ok(s.len() as u64), s.len());
+        let spoiled_end = plus + longest;
+        let cases = [
+            (&path, ok, data.len()),
+            (&bad_path, (Err(whole_err.to_string()), 6000), spoiled_end),
+        ];
+        for (path, want, reach) in cases {
+            for window in [WALK_WINDOW, 1000] {
+                let walker = RecordWalker::new(window);
+                let (mut seen, mut windows) = (0, 0);
+                let n = walker.walk(path, (0, data.len() as u64), 0, |views| {
+                    (seen, windows) = (seen + views.len(), windows + 1);
+                    Ok(())
+                });
+                let ok = n.is_ok();
+                assert_eq!((n.map_err(|e| e.to_string()), seen), want);
+                // An error ends the walk in the window that completes its
+                // record, not at the end of the range.
+                let most = reach / window as usize + 2;
+                assert!(windows <= most, "window {window}: {windows} windows");
+                if ok {
+                    let held = walker.free.lock().unwrap()[0].capacity();
+                    assert!(
+                        held <= window as usize + longest,
+                        "window {window}: held {held} bytes, longest record {longest}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn read_range_recycles_buffer() {
         let data = sample_bytes(4);
         let path = write_temp("range.fastq", &data);
-        let mut ch = StreamChunker::open(&path, 64).unwrap();
+        let mut file = File::open(&path).unwrap();
         let mut buf = Vec::new();
-        ch.read_range(0, 10, &mut buf).unwrap();
+        StreamChunker::read_range_into(&mut file, 0, 10, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[..10]);
         let cap = buf.capacity();
-        ch.read_range(2, 8, &mut buf).unwrap();
+        StreamChunker::read_range_into(&mut file, 2, 8, &mut buf).unwrap();
         assert_eq!(&buf[..], &data[2..8]);
         assert_eq!(buf.capacity(), cap, "buffer must be reused, not regrown");
     }

@@ -44,6 +44,10 @@ pub struct RecordViews<'a> {
     record: usize,
     /// File offset of `data[0]`.
     base: u64,
+    /// A line was wanted past the end of `data`. Read right after an error,
+    /// it tells a record cut short there ("EOF before …") from one
+    /// malformed in lines it has.
+    pub(crate) ran_out: bool,
 }
 
 /// Walk the FASTQ records of `data`, which must start at a record boundary
@@ -57,6 +61,7 @@ pub fn record_views(data: &[u8], first_record: usize, offset: u64) -> RecordView
         pos: 0,
         record: first_record,
         base: offset,
+        ran_out: false,
     }
 }
 
@@ -64,7 +69,10 @@ impl<'a> RecordViews<'a> {
     /// The next line without its terminator (`\n` or `\r\n`; the last line
     /// may lack one), or `None` at the end of the data.
     fn line(&mut self) -> Option<&'a [u8]> {
-        let rest = self.data.get(self.pos..).filter(|r| !r.is_empty())?;
+        let Some(rest) = self.data.get(self.pos..).filter(|r| !r.is_empty()) else {
+            self.ran_out = true;
+            return None;
+        };
         let end = find_byte(rest, b'\n').unwrap_or(rest.len());
         self.pos += (end + 1).min(rest.len());
         let line = &rest[..end];

@@ -36,9 +36,11 @@ impl SketchParams {
 }
 
 impl Default for SketchParams {
-    /// 2^18 x 4 u16 counters = 2 MiB — comfortably exact for the distinct
-    /// k-mer counts of the smoke-scale workloads, and still a rounding
-    /// error next to one pass of tuple buffers.
+    /// 2^18 x 4 u16 counters = 2 MiB. Not exact at benchmark scale: on
+    /// `hg_k63_budget` this sketch is 99.1 % full (`SketchFillPermille`
+    /// 991), and presolve drops ≈ 0.27 M k-mers that a 16× wider sketch
+    /// keeps, so the run's partition differs from the exact `--kf` one
+    /// (ROADMAP "Presolve: exact or gone").
     fn default() -> Self {
         SketchParams {
             width: 1 << 18,
