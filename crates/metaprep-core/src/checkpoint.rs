@@ -38,18 +38,9 @@
 //! directory and are renamed over the live file, so a crash *during a
 //! checkpoint write* leaves the previous checkpoint intact.
 //!
-//! ## The pass-plan artifact (`plan.ckpt`)
-//!
-//! When the adaptive pass planner runs with a checkpoint directory
-//! configured, its decision — the pass count plus the per-pass k-mer
-//! range boundaries — is persisted as a [`PlanCheckpoint`] next to the
-//! per-rank files. The artifact carries a fingerprint of the planner's
-//! inputs (the m-mer histogram and the geometry/budget knobs); a restart
-//! whose recomputed inputs fingerprint the same must reproduce the same
-//! plan bit-for-bit, which the pipeline verifies before reusing the
-//! per-rank checkpoints. A different fingerprint means a different
-//! dataset or configuration is using the directory, and the stale plan
-//! (plus any per-rank state) cannot be trusted.
+//! A rank restores only a checkpoint it wrote earlier in the same run;
+//! files other runs left in the directory are never read, and this run's
+//! writes overwrite them.
 
 use crate::localcc::LocalCcStats;
 use metaprep_cc::{ConcurrentDisjointSet, DisjointSet, UfOpStats};
@@ -141,12 +132,10 @@ impl<T: Keyed + Default> TaskState<T> {
         }
     }
 
-    /// Reload `rank`'s checkpoint from `dir`: the state it holds and the
-    /// boundary to resume at, or `None` when the rank never wrote one.
-    pub(crate) fn restore(dir: &Path, rank: u32) -> Result<Option<(Self, Boundary)>, CkptError> {
-        let Some(ck) = Checkpoint::load(dir, rank)? else {
-            return Ok(None);
-        };
+    /// Reload the checkpoint `rank` wrote under `dir`: the state it holds
+    /// and the boundary to resume at.
+    pub(crate) fn restore(dir: &Path, rank: u32) -> Result<(Self, Boundary), CkptError> {
+        let ck = Checkpoint::load(dir, rank)?;
         let forest = match ck.resume_at {
             Boundary::Pass(_) => {
                 Forest::Concurrent(ConcurrentDisjointSet::from_parent_array(ck.parents))
@@ -160,7 +149,7 @@ impl<T: Keyed + Default> TaskState<T> {
             progress: ck.progress,
             sort_bufs: PassBuffers::new(),
         };
-        Ok(Some((st, ck.resume_at)))
+        Ok((st, ck.resume_at))
     }
 
     /// Persist the state under `dir` as the point `rank` resumes from at
@@ -271,18 +260,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Verify the envelope both artifacts share — length, trailing FNV-1a
-/// checksum, magic, version — and return a cursor over what follows the
-/// version. `what` prefixes the error texts (`""` or `"plan "`).
-fn open_envelope<'a>(
-    bytes: &'a [u8],
-    magic: [u8; 4],
-    version: u32,
-    what: &str,
-) -> Result<Cursor<'a>, CkptError> {
-    if bytes.len() < magic.len() + 8 {
+/// Verify the envelope — length, trailing FNV-1a checksum, magic,
+/// version — and return a cursor over what follows the version.
+fn open_envelope(bytes: &[u8]) -> Result<Cursor<'_>, CkptError> {
+    if bytes.len() < MAGIC.len() + 8 {
         return Err(CkptError::Corrupt(format!(
-            "{what}file too short ({} bytes)",
+            "file too short ({} bytes)",
             bytes.len()
         )));
     }
@@ -292,7 +275,7 @@ fn open_envelope<'a>(
     let computed = fnv1a(body);
     if stored != computed {
         return Err(CkptError::Corrupt(format!(
-            "{what}checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
     let mut c = Cursor {
@@ -300,43 +283,16 @@ fn open_envelope<'a>(
         pos: 0,
     };
     let found = c.take(4)?;
-    if found != magic {
-        return Err(CkptError::Corrupt(format!("bad {what}magic {found:02x?}")));
+    if found != MAGIC {
+        return Err(CkptError::Corrupt(format!("bad magic {found:02x?}")));
     }
     let found = c.u32()?;
-    if found != version {
+    if found != VERSION {
         return Err(CkptError::Corrupt(format!(
-            "{what}version {found} (this build reads {version})"
+            "version {found} (this build reads {VERSION})"
         )));
     }
     Ok(c)
-}
-
-/// Atomically replace `path` with `bytes`: they land in a `.tmp` sibling
-/// first and are renamed over the live file, so a crash mid-write can
-/// never corrupt the previous artifact.
-fn store_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("ckpt.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// The bytes of `path`, or `None` when it does not exist (a fresh start,
-/// not an error).
-fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, CkptError> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
 }
 
 impl Checkpoint {
@@ -384,7 +340,7 @@ impl Checkpoint {
 
     /// Parse and verify the on-disk byte layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
-        let mut c = open_envelope(bytes, MAGIC, VERSION, "")?;
+        let mut c = open_envelope(bytes)?;
         let rank = c.u32()?;
         let tag = c.u8()?;
         let index = c.u32()?;
@@ -439,183 +395,28 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically write this checkpoint as `dir/rank{rank}.ckpt`.
+    /// Atomically write this checkpoint as `dir/rank{rank}.ckpt`: the bytes
+    /// land in a `.tmp` sibling first and are renamed over the live file,
+    /// so a crash mid-write never corrupts the previous checkpoint.
     pub fn store(&self, dir: &Path) -> Result<(), CkptError> {
-        store_atomic(&Self::path_for(dir, self.rank), &self.to_bytes())
+        std::fs::create_dir_all(dir)?;
+        let path = Self::path_for(dir, self.rank);
+        let tmp = path.with_extension("ckpt.tmp");
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&self.to_bytes())?;
+            f.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
 
     /// Load `dir/rank{rank}.ckpt`, verifying magic, version, structure,
-    /// and checksum. `Ok(None)` when no checkpoint exists for the rank
-    /// (a fresh start, not an error).
-    pub fn load(dir: &Path, rank: u32) -> Result<Option<Checkpoint>, CkptError> {
-        read_if_exists(&Self::path_for(dir, rank))?
-            .map(|bytes| Self::from_bytes(&bytes))
-            .transpose()
+    /// and checksum. A missing file is an error like any other: a rank
+    /// only loads a checkpoint it has written.
+    pub fn load(dir: &Path, rank: u32) -> Result<Checkpoint, CkptError> {
+        Self::from_bytes(&std::fs::read(Self::path_for(dir, rank))?)
     }
-}
-
-/// File magic of the pass-plan artifact.
-pub const PLAN_MAGIC: [u8; 4] = *b"MPPL";
-
-/// Plan artifact format version.
-pub const PLAN_VERSION: u32 = 1;
-
-/// The adaptive pass planner's persisted decision (see module docs).
-///
-/// On-disk layout (`plan.ckpt`, little-endian):
-///
-/// ```text
-/// magic       [u8; 4] = "MPPL"
-/// version     u32     = 1
-/// passes, tasks, threads   3 × u32
-/// fingerprint u64   (FNV-1a over the planner inputs)
-/// bounds      u64 length + length × (lo u64, hi u64) of each u128 bound
-/// checksum    u64   (FNV-1a over every preceding byte)
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlanCheckpoint {
-    /// Planned (or explicitly configured) pass count `S`.
-    pub passes: u32,
-    /// Task count the plan was built for.
-    pub tasks: u32,
-    /// Threads per task the plan was built for.
-    pub threads: u32,
-    /// FNV-1a fingerprint of the planner inputs (m-mer histogram counts
-    /// plus `k`, `m`, geometry, and memory budget).
-    pub fingerprint: u64,
-    /// Inclusive-exclusive per-pass k-mer range boundaries
-    /// (`passes + 1` packed canonical values).
-    pub bounds: Vec<u128>,
-}
-
-impl PlanCheckpoint {
-    /// Plan artifact path under `dir`.
-    pub fn path_for(dir: &Path) -> PathBuf {
-        dir.join("plan.ckpt")
-    }
-
-    /// Serialize to the on-disk byte layout (checksum included).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(40 + 16 * self.bounds.len());
-        buf.extend_from_slice(&PLAN_MAGIC);
-        push_u32(&mut buf, PLAN_VERSION);
-        push_u32(&mut buf, self.passes);
-        push_u32(&mut buf, self.tasks);
-        push_u32(&mut buf, self.threads);
-        push_u64(&mut buf, self.fingerprint);
-        push_u64(&mut buf, self.bounds.len() as u64);
-        for &b in &self.bounds {
-            push_u64(&mut buf, b as u64);
-            push_u64(&mut buf, (b >> 64) as u64);
-        }
-        let sum = fnv1a(&buf);
-        push_u64(&mut buf, sum);
-        buf
-    }
-
-    /// Parse and verify the on-disk byte layout.
-    pub fn from_bytes(bytes: &[u8]) -> Result<PlanCheckpoint, CkptError> {
-        let mut c = open_envelope(bytes, PLAN_MAGIC, PLAN_VERSION, "plan ")?;
-        let passes = c.u32()?;
-        let tasks = c.u32()?;
-        let threads = c.u32()?;
-        let fingerprint = c.u64()?;
-        let len = c.u64()?;
-        let Ok(len) = usize::try_from(len) else {
-            return Err(CkptError::Corrupt(format!("bound count {len} overflows")));
-        };
-        let remaining = c.bytes.len() - c.pos;
-        if remaining != len * 16 {
-            return Err(CkptError::Corrupt(format!(
-                "plan claims {len} bounds ({} bytes) but {remaining} remain",
-                len * 16
-            )));
-        }
-        let mut bounds = Vec::with_capacity(len);
-        for _ in 0..len {
-            let lo = c.u64()? as u128;
-            let hi = c.u64()? as u128;
-            bounds.push(lo | (hi << 64));
-        }
-        if passes == 0 || bounds.len() != passes as usize + 1 {
-            return Err(CkptError::Corrupt(format!(
-                "plan has {passes} passes but {} bounds",
-                bounds.len()
-            )));
-        }
-        Ok(PlanCheckpoint {
-            passes,
-            tasks,
-            threads,
-            fingerprint,
-            bounds,
-        })
-    }
-
-    /// Atomically write this plan as `dir/plan.ckpt` (same tmp + rename
-    /// protocol as the per-rank checkpoints).
-    pub fn store(&self, dir: &Path) -> Result<(), CkptError> {
-        store_atomic(&Self::path_for(dir), &self.to_bytes())
-    }
-
-    /// Load `dir/plan.ckpt`; `Ok(None)` when no plan artifact exists.
-    pub fn load(dir: &Path) -> Result<Option<PlanCheckpoint>, CkptError> {
-        read_if_exists(&Self::path_for(dir))?
-            .map(|bytes| Self::from_bytes(&bytes))
-            .transpose()
-    }
-
-    /// Persist this (just recomputed) plan under `dir`, or — when an
-    /// artifact with the same input fingerprint already exists (a
-    /// restarted run) — verify it matches byte for byte. A same-fingerprint
-    /// mismatch means planning was not a pure function of its inputs, which
-    /// would silently break checkpoint replay; fail loudly instead. A
-    /// different fingerprint is just a stale artifact from another run and
-    /// is overwritten.
-    pub fn verify_or_store(&self, dir: &Path) -> Result<(), CkptError> {
-        match Self::load(dir)? {
-            Some(prev) if prev.fingerprint == self.fingerprint => {
-                if prev != *self {
-                    return Err(CkptError::Corrupt(format!(
-                        "stored plan disagrees with the recomputed plan for the same inputs \
-                         (stored {} passes, recomputed {})",
-                        prev.passes, self.passes
-                    )));
-                }
-                Ok(())
-            }
-            _ => self.store(dir),
-        }
-    }
-}
-
-/// Fingerprint the planner's inputs: the full m-mer histogram plus every
-/// knob that shapes the plan. Any change to dataset or geometry changes
-/// the fingerprint, which is how a restart detects that an on-disk plan
-/// belongs to a different run.
-pub fn plan_fingerprint(
-    counts: &[u32],
-    k: usize,
-    m: usize,
-    tasks: usize,
-    threads: usize,
-    budget: Option<u64>,
-) -> u64 {
-    let mut buf = Vec::with_capacity(counts.len() * 4 + 48);
-    for &c in counts {
-        push_u32(&mut buf, c);
-    }
-    for v in [
-        k as u64,
-        m as u64,
-        tasks as u64,
-        threads as u64,
-        budget.map_or(u64::MAX, |b| b),
-        budget.is_some() as u64,
-    ] {
-        push_u64(&mut buf, v);
-    }
-    fnv1a(&buf)
 }
 
 #[cfg(test)]
@@ -670,9 +471,9 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let ck = sample(2);
         ck.store(&dir).unwrap();
-        assert_eq!(Checkpoint::load(&dir, 2).unwrap(), Some(ck));
-        // Other ranks are fresh starts, not errors.
-        assert_eq!(Checkpoint::load(&dir, 5).unwrap(), None);
+        assert_eq!(Checkpoint::load(&dir, 2).unwrap(), ck);
+        // A rank only loads what it wrote: a missing file is an error.
+        assert!(matches!(Checkpoint::load(&dir, 5), Err(CkptError::Io(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -683,7 +484,7 @@ mod tests {
         let mut newer = sample(1);
         newer.progress.tuples_emitted = 99;
         newer.store(&dir).unwrap();
-        assert_eq!(Checkpoint::load(&dir, 1).unwrap(), Some(newer));
+        assert_eq!(Checkpoint::load(&dir, 1).unwrap(), newer);
         // No tmp residue.
         assert!(!Checkpoint::path_for(&dir, 1)
             .with_extension("ckpt.tmp")
@@ -734,70 +535,6 @@ mod tests {
             Err(CkptError::Corrupt(s)) => assert!(s.contains("version 3"), "{s}"),
             other => panic!("expected version rejection, got {other:?}"),
         }
-    }
-
-    fn sample_plan() -> PlanCheckpoint {
-        PlanCheckpoint {
-            passes: 2,
-            tasks: 4,
-            threads: 1,
-            fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-            bounds: vec![0, 1u128 << 40, u128::MAX >> 2],
-        }
-    }
-
-    #[test]
-    fn plan_bytes_roundtrip_exactly() {
-        let plan = sample_plan();
-        assert_eq!(PlanCheckpoint::from_bytes(&plan.to_bytes()).unwrap(), plan);
-    }
-
-    #[test]
-    fn plan_store_load_roundtrip() {
-        let dir = tmpdir("plan_roundtrip");
-        assert_eq!(PlanCheckpoint::load(&dir).unwrap(), None);
-        let plan = sample_plan();
-        plan.store(&dir).unwrap();
-        assert_eq!(PlanCheckpoint::load(&dir).unwrap(), Some(plan));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn plan_corruption_is_detected() {
-        let good = sample_plan().to_bytes();
-        for pos in [0usize, 5, 17, good.len() - 9] {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x20;
-            assert!(
-                matches!(PlanCheckpoint::from_bytes(&bad), Err(CkptError::Corrupt(_))),
-                "flipped plan byte {pos} went undetected"
-            );
-        }
-        assert!(matches!(
-            PlanCheckpoint::from_bytes(&good[..good.len() - 3]),
-            Err(CkptError::Corrupt(_))
-        ));
-        // Bound count inconsistent with passes (rewritten checksum so only
-        // the structural check can reject it).
-        let mut plan = sample_plan();
-        plan.bounds.push(7);
-        assert!(matches!(
-            PlanCheckpoint::from_bytes(&plan.to_bytes()),
-            Err(CkptError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn plan_fingerprint_tracks_inputs() {
-        let counts = vec![1u32, 2, 3, 4];
-        let base = plan_fingerprint(&counts, 21, 6, 4, 1, Some(1 << 30));
-        assert_eq!(base, plan_fingerprint(&counts, 21, 6, 4, 1, Some(1 << 30)));
-        assert_ne!(base, plan_fingerprint(&counts, 21, 6, 4, 1, Some(1 << 31)));
-        assert_ne!(base, plan_fingerprint(&counts, 21, 6, 4, 1, None));
-        assert_ne!(base, plan_fingerprint(&counts, 27, 6, 4, 1, Some(1 << 30)));
-        let mut other = counts.clone();
-        other[2] += 1;
-        assert_ne!(base, plan_fingerprint(&other, 21, 6, 4, 1, Some(1 << 30)));
     }
 
     #[test]

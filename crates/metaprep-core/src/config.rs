@@ -90,7 +90,8 @@ pub struct PipelineConfig {
     /// Directory for pass-level checkpoints (`rank{r}.ckpt`). When set,
     /// each task persists its restartable state at every pass and merge
     /// boundary; a task restarted after an injected crash replays from the
-    /// last one.
+    /// last one it wrote in this run. Checkpoints other runs left in the
+    /// directory are never restored; this run's writes overwrite them.
     pub checkpoint_dir: Option<PathBuf>,
     /// Stall watchdog threshold in milliseconds (`None` = the cluster
     /// default; `Some(0)` is rejected by validation).

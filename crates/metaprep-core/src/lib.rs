@@ -26,7 +26,7 @@
 //! Results carry component labels, per-task per-step timings,
 //! communication volumes and both modeled and measured memory.
 
-pub mod checkpoint;
+mod checkpoint;
 pub mod config;
 pub mod kmergen;
 pub mod localcc;
@@ -37,7 +37,6 @@ pub mod planner;
 mod source;
 pub mod timings;
 
-pub use checkpoint::{plan_fingerprint, Checkpoint, CkptError, PlanCheckpoint, Progress};
 pub use config::{PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use memmodel::MemoryReport;
 pub use output::{

@@ -9,7 +9,7 @@
 //! stage functions after it each do one step's work and hand typed values
 //! to the next.
 
-use crate::checkpoint::{plan_fingerprint, Forest, PlanCheckpoint, Progress, TaskState};
+use crate::checkpoint::{Forest, Progress, TaskState};
 use crate::config::{PipelineConfig, PipelineError};
 use crate::kmergen::{expected_incoming, kmergen_pass, KmerGenOutput, PipelineKmer};
 use crate::localcc::{localcc_pass, thread_offsets_of, LocalCcStats};
@@ -348,13 +348,6 @@ fn run_generic<K: PipelineKmer>(
     };
     check_crashes_reachable(cfg, passes)?;
     let plan = RangePlan::build(merhist, passes, cfg.tasks, cfg.threads);
-    // Persist (or verify) the plan artifact so a crash-restarted run
-    // provably replays the same pass geometry.
-    if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-        plan_artifact(cfg, merhist, &plan)
-            .verify_or_store(dir)
-            .map_err(|e| PipelineError::InvalidInput(format!("plan.ckpt: {e}")))?;
-    }
     rec.record_driver_span(PASS_PLAN, plan_t0_ns, rec.clock().now_ns());
 
     let run_ctx = RunCtx {
@@ -454,21 +447,6 @@ fn run_generic<K: PipelineKmer>(
     })
 }
 
-/// The pass plan as persisted next to the per-rank checkpoints.
-fn plan_artifact(cfg: &PipelineConfig, merhist: &MerHist, plan: &RangePlan) -> PlanCheckpoint {
-    let passes = plan.passes();
-    let mut bounds: Vec<u128> = (0..passes).map(|s| plan.pass_range(s).0).collect();
-    bounds.push(plan.pass_range(passes - 1).1);
-    let (k, m, tasks, threads) = (cfg.k, cfg.m, cfg.tasks, cfg.threads);
-    PlanCheckpoint {
-        passes: passes as u32,
-        tasks: tasks as u32,
-        threads: threads as u32,
-        fingerprint: plan_fingerprint(merhist.counts(), k, m, tasks, threads, cfg.memory_budget),
-        bounds,
-    }
-}
-
 /// Per-task return value from the cluster run.
 struct TaskResult {
     timings: TaskTimings,
@@ -507,6 +485,7 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
     /// re-sends nothing and the replay is exact.
     fn drive(&self) -> TaskResult {
         let (mut st, mut resume_at) = self.fresh();
+        let mut wrote = false;
         let (passes, size, rank) = (
             self.run.plan.passes() as u32,
             self.ctx.size(),
@@ -516,7 +495,7 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
             for boundary in walk(passes, size, rank, resume_at) {
                 if self.ctx.crash_due(boundary) {
                     drop(st);
-                    (st, resume_at) = self.restart();
+                    (st, resume_at) = self.restart(wrote);
                     continue 'walk;
                 }
                 // Work that changed the state names the boundary to resume
@@ -543,6 +522,7 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
                             .expect("checkpoint write failed")
                     });
                     self.ctx.obs().add(CounterKind::CheckpointWrites, 1);
+                    wrote = true;
                 }
             }
             break;
@@ -563,17 +543,18 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         (TaskState::fresh(fragments), Boundary::Pass(0))
     }
 
-    /// After an injected crash: count the restart and reload what the
-    /// rank's checkpoint holds. No checkpoint on disk means the crash hit
+    /// After an injected crash: count the restart and reload the
+    /// checkpoint this rank `wrote` in this run. Without one the crash hit
     /// the very first boundary, before any work or sends, so a fresh start
-    /// IS the exact replay.
-    fn restart(&self) -> (TaskState<K::Tuple>, Boundary) {
+    /// IS the exact replay. Checkpoints that other runs left in the
+    /// directory are never restored; this run's writes overwrite them.
+    fn restart(&self, wrote: bool) -> (TaskState<K::Tuple>, Boundary) {
         self.ctx.obs().add(CounterKind::TaskRestarts, 1);
         let rank = self.ctx.rank() as u32;
         let restored = self.run.cfg.checkpoint_dir.as_deref().and_then(|dir| {
             self.ctx.span(TASK_RESTART, None, None, || {
                 // EXPECT: an unreadable/corrupt checkpoint after a crash cannot be replayed safely (a from-scratch rerun would re-send consumed messages) — abort.
-                TaskState::restore(dir, rank).expect("checkpoint load after restart")
+                wrote.then(|| TaskState::restore(dir, rank).expect("checkpoint load after restart"))
             })
         });
         restored.unwrap_or_else(|| self.fresh())
@@ -1508,7 +1489,7 @@ mod tests {
     fn a_crash_its_rank_never_reaches_is_a_config_error() {
         // Without this check each plan below would run to completion with
         // no restart and so test nothing. The check runs once the pass
-        // count is known, before the plan artifact is written.
+        // count is known, before any task starts.
         use metaprep_dist::FaultPlan;
         let reads = small_reads();
         let budget = plan_inputs_for(&reads, &chaos_cfg().build()).modeled_at(2);
@@ -1530,15 +1511,17 @@ mod tests {
                 Err(PipelineError::InvalidConfig(msg)) => assert!(msg.contains(want), "{msg}"),
                 other => panic!("{spec}: expected InvalidConfig, got {:?}", other.is_ok()),
             }
-            assert!(!dir.exists(), "{spec}: the plan artifact was written");
+            assert!(!dir.exists(), "{spec}: a checkpoint was written");
         }
     }
 
     #[test]
     fn crash_at_the_first_boundary_replays_from_scratch() {
         // A crash at Pass(0) fires before anything is sent or
-        // checkpointed; the restart finds no checkpoint and a fresh start
-        // is the exact replay.
+        // checkpointed; the rank has written no checkpoint, so a fresh
+        // start is the exact replay. The directory holds what an earlier
+        // fault-free run left (every rank's final checkpoint) and a torn
+        // `plan.ckpt`: the restart must read none of it.
         use metaprep_dist::{Boundary, FaultPlan};
         let reads = small_reads();
         let want = Pipeline::new(chaos_cfg().build())
@@ -1547,6 +1530,11 @@ mod tests {
             .labels;
         let dir = std::env::temp_dir().join("metaprep_core_chaos_p0");
         let _ = std::fs::remove_dir_all(&dir);
+        let earlier = Pipeline::new(chaos_cfg().checkpoint_dir(&dir).build())
+            .run_reads(&reads)
+            .unwrap();
+        assert_eq!(earlier.labels, want);
+        std::fs::write(dir.join("plan.ckpt"), [0x4d; 50]).unwrap();
         let plan = FaultPlan::new(9).with_crash(3, Boundary::Pass(0));
         let res = Pipeline::new(chaos_cfg().fault_plan(plan).checkpoint_dir(&dir).build())
             .run_reads(&reads)
@@ -1748,10 +1736,9 @@ mod tests {
 
     #[test]
     fn adaptive_plan_crash_restart_replays_byte_identically() {
-        // Chaos satellite: a crash mid-pass under a planner-chosen pass
-        // count must restart from the checkpoints and reproduce the
-        // fault-free adaptive run's labels byte for byte, with the plan
-        // artifact on disk guarding the geometry.
+        // A crash mid-pass under a planner-chosen pass count must restart
+        // from the checkpoints and reproduce the fault-free adaptive run's
+        // labels byte for byte.
         use metaprep_dist::{Boundary, FaultPlan};
         let reads = small_reads();
         let probe = chaos_cfg().build();
@@ -1781,13 +1768,11 @@ mod tests {
         assert_eq!(res.labels, want.labels, "restarted adaptive run drifted");
         assert_eq!(res.planned_passes, want.planned_passes);
         assert_eq!(res.presolve_dropped, want.presolve_dropped);
-        assert!(
-            PlanCheckpoint::path_for(&dir).exists(),
-            "plan artifact missing"
-        );
-        // A re-run over the same checkpoint dir re-derives the same plan
-        // and passes the stored-artifact verification.
-        let again = Pipeline::new(mk().checkpoint_dir(&dir).build())
+        // A re-run over the same directory crashes rank 1 before it has
+        // written anything: it must start fresh, not restore the
+        // checkpoint the first run left.
+        let plan = FaultPlan::new(11).with_crash(1, Boundary::Pass(0));
+        let again = Pipeline::new(mk().fault_plan(plan).checkpoint_dir(&dir).build())
             .run_reads(&reads)
             .unwrap();
         assert_eq!(again.labels, want.labels);

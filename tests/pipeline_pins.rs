@@ -5,10 +5,10 @@
 //! checkpoints on. Everything deterministic about the run is rendered into
 //! a snapshot string and compared with a constant recorded on the commit
 //! *before* the driver was restructured (`0667c71`): labels, the bytes of
-//! every `rank{r}.ckpt` and of `plan.ckpt` as left on disk, each task's
-//! span sequence with its Lamport stamps, each task's message edges, every
-//! deterministic counter, and the result totals. A refactor of
-//! `metaprep-core::pipeline` that moves any of them fails here.
+//! every `rank{r}.ckpt` as left on disk, each task's span sequence with its
+//! Lamport stamps, each task's message edges, every deterministic counter,
+//! and the result totals. A refactor of `metaprep-core::pipeline` that
+//! moves any of them fails here.
 //!
 //! `threads=1` because raw parent arrays are schedule-dependent above it.
 
@@ -69,7 +69,7 @@ fn snapshot(res: &PipelineResult, events: &[Event], ckpt_dir: &Path) -> String {
         )
         .unwrap();
     }
-    for name in ["rank0.ckpt", "rank1.ckpt", "rank2.ckpt", "plan.ckpt"] {
+    for name in ["rank0.ckpt", "rank1.ckpt", "rank2.ckpt"] {
         let bytes = std::fs::read(ckpt_dir.join(name)).unwrap();
         writeln!(s, "{name} len={} fnv={:016x}", bytes.len(), fnv1a(&bytes)).unwrap();
     }
@@ -185,7 +185,6 @@ comm[2] sent=846656B/5 received=855836B/5
 rank0.ckpt len=8121 fnv=88cb3d3093667bbf
 rank1.ckpt len=8121 fnv=88bce251ecdfd580
 rank2.ckpt len=8121 fnv=f6ff632f2b4cd4ae
-plan.ckpt len=92 fnv=686a82fbf4119f48
 spans[0] IndexCreate:0 pass-plan:0 KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#0:27 MergeCC#0:28 checkpoint#0:29 Merge-Comm#1:31 MergeCC#1:32 checkpoint#1:33 CC-I/O:36
 edges[0] n=12 fnv=18565416ed9fa0aa
 spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#0:26 CC-I/O:36
@@ -204,7 +203,6 @@ comm[2] sent=846656B/5 received=855836B/5
 rank0.ckpt len=8121 fnv=88cb3d3093667bbf
 rank1.ckpt len=8121 fnv=88bce251ecdfd580
 rank2.ckpt len=8121 fnv=f6ff632f2b4cd4ae
-plan.ckpt len=92 fnv=686a82fbf4119f48
 spans[0] IndexCreate:0 pass-plan:0 KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#0:28 MergeCC#0:29 checkpoint#0:30 task-restart:31 Merge-Comm#1:33 MergeCC#1:34 checkpoint#1:35 CC-I/O:38
 edges[0] n=12 fnv=84cee6e80ecf0a61
 spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 task-restart:13 KmerGen-I/O@1:14 KmerGen@1:15 alltoall-stage@1#1:18 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#0:27 CC-I/O:38
