@@ -4,14 +4,14 @@
 //! balanced (thanks to the index-driven static partitioning) while the
 //! MergeCC stages spread out (fewer tasks participate in later rounds).
 //! This harness prints the five-number summary per step — nearest-rank
-//! quartiles, the same `five_number` `metaprep report` / `analyze` print —
+//! quartiles, the same `five_number` `metaprep analyze` prints —
 //! plus the per-task tuple counts whose tightness is the mechanism behind
 //! the balance.
 
 use crate::harness::{dataset, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, Step};
 use metaprep_index::{MerHist, RangePlan};
-use metaprep_obs::report::five_number;
+use metaprep_obs::analysis::five_number;
 use metaprep_synth::DatasetId;
 
 /// Run MM on 16 tasks and print load-balance summaries.

@@ -134,5 +134,5 @@ pub fn run(scale: f64) {
         vec!["jsonl".to_string(), jsonl_path.display().to_string()],
     ];
     print_table("trace_smoke: telemetry export validation", &["", ""], &rows);
-    println!("\n{}", analysis.render_summary());
+    println!("\n{}", analysis.render_report(5));
 }

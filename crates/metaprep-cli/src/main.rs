@@ -10,7 +10,6 @@
 //!                    [--kf 10:29] [--top 4] [--sparse] --outdir parts/
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
 //!                    [--checkpoint-dir ckpt/] [--watchdog-timeout 5000]
-//! metaprep report    --trace trace.jsonl
 //! metaprep analyze   --trace trace.jsonl [--top 5] [--folded stacks.txt] [--strict]
 //! ```
 //!
@@ -30,7 +29,7 @@
 //! `index` and `partition` accept `--trace-out <path>` (plus
 //! `--trace-format jsonl|chrome`): the run's spans and counters are
 //! exported either as a JSONL event stream (feed it back to
-//! `metaprep report` or `metaprep analyze`, two renderings of one
+//! `metaprep analyze`, which prints the whole run from one
 //! `TraceAnalysis`) or as Chrome `trace_event` JSON loadable in
 //! Perfetto / `chrome://tracing`.
 
@@ -75,7 +74,7 @@ fn pin_mmap_threshold() {
     unsafe { mallopt(M_MMAP_THRESHOLD, 128 << 10) };
 }
 
-const USAGE: &str = "usage: metaprep <simulate|index|partition|report|analyze> [--options]
+const USAGE: &str = "usage: metaprep <simulate|index|partition|analyze> [--options]
 run `metaprep <command>` with missing options to see what each needs";
 
 /// A subcommand's entry point.
@@ -97,7 +96,6 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
              memory-budget presolve sketch-width sketch-depth kf top min-size sparse \
              fault-plan checkpoint-dir watchdog-timeout stream",
         ),
-        "report" => (cmd_report, "trace"),
         "analyze" => (cmd_analyze, "trace top folded strict"),
         other => return Err(Box::new(ArgError(format!("unknown subcommand {other:?}")))),
     };
@@ -154,30 +152,20 @@ fn write_trace(rec: MemRecorder, opts: &TraceOpts) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
-/// The JSONL trace named by `--trace`, parsed into the one trace model
-/// `report` and `analyze` render. A malformed trace is bad data, not a
-/// bad invocation: one `error:` line naming the file, no usage dump.
-fn load_trace(args: &Args) -> Result<TraceAnalysis, Box<dyn std::error::Error>> {
-    let path = args.req("trace")?;
-    let src = std::fs::read_to_string(&path)?;
-    let events = export::parse_jsonl(&src).map_err(|e| format!("{path}: {e}"))?;
-    Ok(TraceAnalysis::from_events(&events))
-}
-
-fn cmd_report(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    print!("{}", load_trace(args)?.render_summary());
-    Ok(())
-}
-
 /// `metaprep analyze --trace trace.jsonl [--top 5] [--folded stacks.txt]
-/// [--strict]` — causal trace analysis: critical path, per-stage load
-/// imbalance, stragglers, Gantt rows, and bytes over time. `--folded`
-/// additionally writes collapsed stacks for flamegraph tooling;
-/// `--strict` turns an incomplete or causally inconsistent trace into a
-/// non-zero exit instead of a warning.
+/// [--strict]` — the whole run from its trace: critical path, per-step
+/// times across tasks and passes, stragglers, counter totals, Gantt rows
+/// and bytes over time. `--folded` additionally writes collapsed stacks
+/// for flamegraph tooling; `--strict` turns an incomplete or causally
+/// inconsistent trace into a non-zero exit instead of a warning.
 fn cmd_analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let top = args.get_or("top", 5usize)?;
-    let a = load_trace(args)?;
+    let path = args.req("trace")?;
+    let src = std::fs::read_to_string(&path)?;
+    // A malformed trace is bad data, not a bad invocation: one `error:`
+    // line naming the file, no usage dump.
+    let events = export::parse_jsonl(&src).map_err(|e| format!("{path}: {e}"))?;
+    let a = TraceAnalysis::from_events(&events);
 
     let mut problems: Vec<String> = Vec::new();
     if let Err(e) = a.check_conservation() {

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `metaprep` binary: exit codes, error
 //! plumbing, the chaos quick-start flow (simulate → partition with a
-//! fault plan + checkpoints + trace → analyze --strict), and `report` vs
-//! `analyze` over one recorded trace.
+//! fault plan + checkpoints + trace → analyze --strict), and `analyze`
+//! over a recorded `partition` and `index` trace.
 
 use metaprep_core::{
     partition_reads, partition_top_n, write_multi_partition, write_partitions, Pipeline,
@@ -57,17 +57,14 @@ fn usage_lists_exactly_the_dispatched_subcommands() {
         .and_then(|l| l.split_once('>'))
         .map(|(list, _)| list.split('|').collect::<Vec<_>>())
         .unwrap_or_else(|| panic!("no usage line: {err}"));
-    assert_eq!(
-        listed,
-        ["simulate", "index", "partition", "report", "analyze"]
-    );
+    assert_eq!(listed, ["simulate", "index", "partition", "analyze"]);
     // Every listed command is dispatched (it fails on its missing options,
     // not as unknown); every deleted one is unknown.
     for cmd in listed {
         let err = stderr_of(&metaprep(&[cmd]));
         assert!(!err.contains("unknown subcommand"), "{cmd}: {err}");
     }
-    for cmd in ["normalize", "trim", "assemble", "spectrum"] {
+    for cmd in ["normalize", "trim", "assemble", "spectrum", "report"] {
         let err = stderr_of(&metaprep(&[cmd]));
         assert!(
             err.starts_with(&format!("error: unknown subcommand {cmd:?}")),
@@ -313,8 +310,8 @@ fn a_recovered_injected_crash_is_silent_and_changes_no_byte() {
 }
 
 #[test]
-fn report_and_analyze_print_the_same_step_maxima() {
-    let dir = tmpdir("report");
+fn analyze_prints_every_step_the_totals_and_the_per_pass_breakdown() {
+    let dir = tmpdir("analyze");
     let reads = dir.join("reads.fastq");
     let trace = dir.join("t.jsonl");
     let out = metaprep(&[
@@ -346,41 +343,102 @@ fn report_and_analyze_print_the_same_step_maxima() {
     ]);
     assert!(out.status.success(), "{}", stderr_of(&out));
 
-    let run = |command: &str| {
-        let out = metaprep(&[command, "--trace", trace.to_str().unwrap()]);
-        assert!(out.status.success(), "{command}: {}", stderr_of(&out));
-        stdout_of(&out)
+    let out = metaprep(&["analyze", "--trace", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    let secs = |col: &str| {
+        col.parse::<f64>()
+            .unwrap_or_else(|_| panic!("{col:?}: {text}"))
     };
-    let (report, analysis) = (run("report"), run("analyze"));
-    // Step rows of either table: (step name, `max (s)` column).
-    let step_maxima = |text: &str| -> Vec<(String, String)> {
-        let rows = text.lines().filter(|l| !l.starts_with(' '));
-        rows.filter_map(|l| {
-            let mut cols = l.split_whitespace();
-            let name = cols.next()?;
-            let step = Step::all().into_iter().find(|s| s.name() == name)?;
-            Some((step.name().to_string(), cols.next()?.to_string()))
-        })
-        .collect()
+    // Stage rows: name, max, mean, factor, slowest task, then the
+    // five-number row across tasks, whose last entry is the max again.
+    let stage_max = |name: &str| -> f64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("no {name} row: {text}"));
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(cols.len(), 11, "{line}");
+        assert_eq!(cols[10].trim_end_matches(']'), cols[1], "{line}");
+        secs(cols[1])
     };
-    let reported = step_maxima(&report);
-    // All eight steps run in a 2-task, 2-pass partition.
-    let every_step: Vec<String> = Step::all().iter().map(|s| s.name().to_string()).collect();
-    let reported_names: Vec<String> = reported.iter().map(|(n, _)| n.clone()).collect();
-    assert_eq!(reported_names, every_step, "{report}");
-    assert!(
-        report.lines().any(|l| l.starts_with("IndexCreate ")),
-        "{report}"
-    );
-    assert_eq!(reported, step_maxima(&analysis), "{report}\n{analysis}");
+    // All eight steps run in a 2-task, 2-pass partition; a task's pipeline
+    // total holds each of its steps.
+    let step_max: Vec<f64> = Step::all().iter().map(|s| stage_max(s.name())).collect();
+    let pipeline = stage_max("pipeline");
+    assert!(step_max.iter().all(|&m| m <= pipeline), "{text}");
+    let index_create = text
+        .lines()
+        .find_map(|l| l.strip_prefix("IndexCreate "))
+        .unwrap_or_else(|| panic!("no IndexCreate row: {text}"));
+    assert!(index_create.ends_with("(sequential)"), "{text}");
+    assert!(secs(index_create.split_whitespace().next().unwrap()) > 0.0);
+
+    // One row per pass with a column per step; no pass outlasts the run.
+    let mut lines = text
+        .lines()
+        .skip_while(|l| *l != "per-pass breakdown (max across tasks, s)");
+    let header: Vec<String> = lines
+        .nth(1)
+        .unwrap()
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let names: Vec<String> = Step::all().iter().map(|s| s.name().to_string()).collect();
+    assert_eq!(header[0], "pass");
+    assert_eq!(header[1..], names[..], "{text}");
+    for pass in ["0", "1"] {
+        let cols: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        assert_eq!(cols[0], pass, "{text}");
+        for (col, max) in cols[1..].iter().zip(&step_max) {
+            assert!(secs(col) <= *max, "{text}");
+        }
+    }
 
     let bad = dir.join("bad.jsonl");
     std::fs::write(&bad, "{\"type\":\"meta\",\"tasks\":2}\nnot json\n").unwrap();
-    let out = metaprep(&["report", "--trace", bad.to_str().unwrap()]);
+    let out = metaprep(&["analyze", "--trace", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr_of(&out);
     assert!(err.starts_with("error:"), "{err}");
     assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn analyze_strict_reads_an_index_trace() {
+    let dir = tmpdir("analyze_index");
+    let reads = dir.join("reads.fastq");
+    std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
+    let trace = dir.join("t.jsonl");
+    let out = metaprep(&[
+        "index",
+        "--input",
+        reads.to_str().unwrap(),
+        "--k",
+        "11",
+        "--m",
+        "4",
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--outdir",
+        dir.join("idx").to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let out = metaprep(&["analyze", "--strict", "--trace", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(
+        text.lines().any(|l| l.starts_with("IndexCreate ")),
+        "{text}"
+    );
+    for needle in [
+        "index-chunking",
+        "index-histogram",
+        "chunk_records_streamed",
+    ] {
+        assert!(text.contains(needle), "{needle}: {text}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

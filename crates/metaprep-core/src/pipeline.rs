@@ -1176,7 +1176,7 @@ mod tests {
         // Per-pass breakdown covers both passes, and the rendered report
         // mentions every paper step.
         assert_eq!(s.passes(), vec![0, 1]);
-        let text = s.render_summary();
+        let text = s.render_report(5);
         for step in Step::all() {
             assert!(text.contains(step.name()), "report missing {}", step.name());
         }
@@ -1190,6 +1190,7 @@ mod tests {
         // nanosecond), every send must pair with a recv in Lamport order,
         // and the Chrome export (now with flow events) must still pass
         // the schema validator.
+        use metaprep_obs::analysis::SegmentKind;
         use metaprep_obs::export::{validate_chrome, write_chrome};
         use metaprep_obs::{Event, MemRecorder, TraceAnalysis};
         let reads = small_reads();
@@ -1248,6 +1249,15 @@ mod tests {
         for w in path.windows(2) {
             assert_eq!(w[0].end_ns, w[1].start_ns);
         }
+        // Every rank's first step waits on the driver's IndexCreate, so
+        // the path holds all of it and no startup segment, whichever rank
+        // the walk reaches it from.
+        assert!(!path.iter().any(|s| s.kind == SegmentKind::Startup));
+        let on_path = path.iter().filter(|s| s.label() == INDEX_CREATE);
+        assert_eq!(
+            on_path.map(|s| s.dur_ns()).sum::<u64>(),
+            a.index_create_ns()
+        );
 
         // Imbalance stats exist for the paper steps that ran everywhere.
         let imb = a.stage_imbalance();

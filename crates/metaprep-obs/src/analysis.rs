@@ -20,14 +20,27 @@
 //!   time and the paper-style imbalance factor `max / mean`), straggler
 //!   rankings, per-rank Gantt rows, and a bytes-over-time timeline
 //!   against the modeled memory footprint;
-//! * keeps the per-(step, task, pass) span sums and counter totals the
-//!   paper-style run summary ([`TraceAnalysis::render_summary`], in
-//!   [`crate::report`]) prints.
+//! * keeps the per-(step, task, pass) span sums and counter totals that
+//!   [`TraceAnalysis::render_report`], the one text rendering of all of
+//!   the above (`metaprep analyze`), prints as the paper's tables.
 
 use crate::event::{CounterKind, EdgeDir, Event, INDEX_CREATE, STEP_NAMES};
-use crate::report::five_number;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Five-number summary (min, lower quartile, median, upper quartile,
+/// max) by nearest rank — every value is one of the samples — using
+/// `f64::total_cmp`, so NaNs order deterministically instead of
+/// panicking. Empty input yields all zeros.
+pub fn five_number(xs: &[f64]) -> [f64; 5] {
+    if xs.is_empty() {
+        return [0.0; 5];
+    }
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let q = |f: f64| xs[((xs.len() - 1) as f64 * f).round() as usize];
+    [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)]
+}
 
 /// One recorded span, owned form, retained for analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,6 +165,34 @@ pub struct StageImbalance {
     pub slowest_task: u32,
 }
 
+impl StageImbalance {
+    /// The statistics of one stage from its per-task nanoseconds (one
+    /// entry per task of the trace, so never empty).
+    fn of(stage: &str, per_task_ns: Vec<u64>) -> StageImbalance {
+        let max_ns = per_task_ns.iter().copied().max().unwrap_or(0);
+        let slowest_task = per_task_ns
+            .iter()
+            .enumerate()
+            .max_by_key(|(i, ns)| (**ns, std::cmp::Reverse(*i)))
+            .map(|(i, _)| i as u32)
+            .unwrap_or(0);
+        let mean_ns = per_task_ns.iter().sum::<u64>() as f64 / per_task_ns.len() as f64;
+        let factor = if mean_ns > 0.0 {
+            max_ns as f64 / mean_ns
+        } else {
+            0.0
+        };
+        StageImbalance {
+            stage: stage.to_string(),
+            per_task_ns,
+            max_ns,
+            mean_ns,
+            factor,
+            slowest_task,
+        }
+    }
+}
+
 /// One straggler observation: a `(stage, task)` cell that exceeds the
 /// stage mean.
 #[derive(Clone, Debug, PartialEq)]
@@ -179,9 +220,9 @@ pub struct TimelineBucket {
     pub cumulative: u64,
 }
 
-/// A fully-reconstructed trace, ready for querying: the one model both
-/// `metaprep analyze` ([`TraceAnalysis::render_report`]) and
-/// `metaprep report` ([`TraceAnalysis::render_summary`]) render.
+/// A fully-reconstructed trace, ready for querying: the one model built
+/// from an event stream, rendered by [`TraceAnalysis::render_report`]
+/// (`metaprep analyze`).
 #[derive(Clone, Debug)]
 pub struct TraceAnalysis {
     /// Simulated task count: the meta header's, or one more than the
@@ -499,8 +540,12 @@ impl TraceAnalysis {
     ///   part, the walk emits the span tail after the arrival, a
     ///   transfer segment spanning the message flight, and hops to the
     ///   sending rank at the send timestamp;
-    /// * a rank with no earlier activity closes the path with a startup
-    ///   segment down to `global_start`.
+    /// * a rank with no earlier activity waits on the driver's IndexCreate:
+    ///   the gap down to the latest IndexCreate span ending at or before
+    ///   the frontier is idle, and the walk continues on that span's task
+    ///   at its end;
+    /// * without such an IndexCreate span, a startup segment down to
+    ///   `global_start` closes the path.
     pub fn critical_path(&self) -> Vec<CpSegment> {
         let spans = self.cp_spans();
         let Some((global_start, global_end)) = self.run_interval() else {
@@ -532,8 +577,10 @@ impl TraceAnalysis {
         let mut path: Vec<CpSegment> = Vec::new();
         let mut frontier = global_end;
         // Each iteration strictly lowers the frontier (idle → span end,
-        // span → span start or a send timestamp below the frontier), so
-        // the walk terminates; the bound is a defensive backstop.
+        // span → span start or a send timestamp below the frontier) or
+        // moves to the IndexCreate span's task, where that span (it starts
+        // below the frontier) carries the next step, so the walk
+        // terminates; the bound is a defensive backstop.
         let max_iters = 4 * (spans.len() + self.pairs.len()) + 8;
         for _ in 0..max_iters {
             if frontier <= global_start {
@@ -548,6 +595,24 @@ impl TraceAnalysis {
                 })
                 .copied();
             let Some(carrier) = carrier else {
+                let index_create = spans
+                    .iter()
+                    .filter(|s| s.name == INDEX_CREATE && s.start_ns < frontier)
+                    .filter(|s| s.end_ns <= frontier)
+                    .max_by_key(|s| (s.end_ns, std::cmp::Reverse(s.task)));
+                if let Some(ic) = index_create {
+                    if ic.end_ns < frontier {
+                        path.push(CpSegment {
+                            task: cur,
+                            start_ns: ic.end_ns,
+                            end_ns: frontier,
+                            kind: SegmentKind::Idle,
+                        });
+                    }
+                    frontier = ic.end_ns;
+                    cur = ic.task;
+                    continue;
+                }
                 path.push(CpSegment {
                     task: cur,
                     start_ns: global_start,
@@ -641,35 +706,10 @@ impl TraceAnalysis {
     /// Per-stage imbalance statistics, in paper step order (stages that
     /// never ran are omitted).
     pub fn stage_imbalance(&self) -> Vec<StageImbalance> {
-        let mut out = Vec::new();
-        for name in STEP_NAMES {
-            // A recorded span names a task, so `per_task` is never empty.
-            let Some(per_task) = self.step_task_ns(name, None) else {
-                continue;
-            };
-            let max_ns = per_task.iter().copied().max().unwrap_or(0);
-            let slowest_task = per_task
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, ns)| (**ns, std::cmp::Reverse(*i)))
-                .map(|(i, _)| i as u32)
-                .unwrap_or(0);
-            let mean_ns = per_task.iter().sum::<u64>() as f64 / per_task.len() as f64;
-            let factor = if mean_ns > 0.0 {
-                max_ns as f64 / mean_ns
-            } else {
-                0.0
-            };
-            out.push(StageImbalance {
-                stage: name.to_string(),
-                per_task_ns: per_task,
-                max_ns,
-                mean_ns,
-                factor,
-                slowest_task,
-            });
-        }
-        out
+        STEP_NAMES
+            .iter()
+            .filter_map(|name| Some(StageImbalance::of(name, self.step_task_ns(name, None)?)))
+            .collect()
     }
 
     /// The `k` worst `(stage, task)` cells by excess over the stage
@@ -831,7 +871,11 @@ impl TraceAnalysis {
         out
     }
 
-    /// Render the full plain-text analysis report.
+    /// Render the whole run as plain text: warnings, the critical path,
+    /// the stage table (paper steps, the per-task pipeline total and
+    /// IndexCreate), the per-pass breakdown, the `top_k` stragglers, the
+    /// counter totals, the other instrumented phases, per-rank Gantt rows
+    /// and bytes over time. A section with nothing to show is left out.
     pub fn render_report(&self, top_k: usize) -> String {
         let sec = |ns: u64| ns as f64 / 1e9;
         let mut out = String::new();
@@ -843,6 +887,12 @@ impl TraceAnalysis {
         );
         for w in self.warnings() {
             let _ = writeln!(out, "WARNING: {w}");
+        }
+        for t in 0..self.tasks {
+            let d = self.counter(t, CounterKind::EventsDropped);
+            if d > 0 {
+                let _ = writeln!(out, "  task {t:<4} {d:>12} dropped");
+            }
         }
         let _ = writeln!(out);
 
@@ -869,15 +919,22 @@ impl TraceAnalysis {
             .count();
         let _ = writeln!(out, "  ({hops} rank hop(s) along the path)");
 
-        let imb = self.stage_imbalance();
-        if !imb.is_empty() {
+        // Per-step time across tasks: the max drives the pipeline (the
+        // paper reports it), the five-number row shows the skew.
+        let mut rows = self.stage_imbalance();
+        let totals = self.pipeline_task_ns();
+        if totals.iter().any(|&ns| ns > 0) {
+            rows.push(StageImbalance::of("pipeline", totals));
+        }
+        let index_create_ns = self.index_create_ns();
+        if !rows.is_empty() || index_create_ns > 0 {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
                 "{:<14} {:>10} {:>10} {:>8} {:>8}   five-number (s)",
                 "stage", "max (s)", "mean (s)", "factor", "slowest"
             );
-            for row in &imb {
+            for row in &rows {
                 let secs: Vec<f64> = row.per_task_ns.iter().map(|&ns| sec(ns)).collect();
                 let [mn, q1, med, q3, mx] = five_number(&secs);
                 let _ = writeln!(
@@ -890,6 +947,33 @@ impl TraceAnalysis {
                     row.factor,
                     format!("task {}", row.slowest_task),
                 );
+            }
+            if index_create_ns > 0 {
+                let _ = writeln!(
+                    out,
+                    "{INDEX_CREATE:<14} {:>10.4}   (sequential)",
+                    sec(index_create_ns)
+                );
+            }
+        }
+
+        let passes = self.passes();
+        if !passes.is_empty() {
+            let _ = writeln!(out);
+            let _ = writeln!(out, "per-pass breakdown (max across tasks, s)");
+            let _ = write!(out, "{:<6}", "pass");
+            for name in STEP_NAMES {
+                let _ = write!(out, " {name:>12}");
+            }
+            let _ = writeln!(out);
+            for p in passes {
+                let _ = write!(out, "{p:<6}");
+                for name in STEP_NAMES {
+                    let per_task = self.step_task_ns(name, Some(p)).unwrap_or_default();
+                    let max_ns = per_task.into_iter().max().unwrap_or(0);
+                    let _ = write!(out, " {:>12.4}", sec(max_ns));
+                }
+                let _ = writeln!(out);
             }
         }
 
@@ -910,6 +994,72 @@ impl TraceAnalysis {
             }
         }
 
+        // A titled block of the non-zero totals among `rows`, written only
+        // when a counter of `gate` is non-zero.
+        type Rows<'a> = [(CounterKind, &'a str)];
+        let section = |out: &mut String, title: &str, rows: &Rows, gate: &Rows| {
+            if gate.iter().all(|&(k, _)| self.counter_total(k) == 0) {
+                return;
+            }
+            let _ = writeln!(out);
+            let _ = writeln!(out, "{title}");
+            for &(k, label) in rows {
+                let v = self.counter_total(k);
+                if v > 0 {
+                    let _ = writeln!(out, "  {label:<24} {v:>16}");
+                }
+            }
+        };
+        let comm = [
+            CounterKind::BytesSent,
+            CounterKind::BytesReceived,
+            CounterKind::MessagesSent,
+            CounterKind::MessagesReceived,
+        ]
+        .map(|k| (k, k.as_str()));
+        section(
+            &mut out,
+            "communication (totals across tasks)",
+            &comm,
+            &comm,
+        );
+        let work = [
+            CounterKind::TuplesEmitted,
+            CounterKind::TuplesReceived,
+            CounterKind::SortElements,
+            CounterKind::UfFinds,
+            CounterKind::UfUnions,
+            CounterKind::UfPathSplits,
+            CounterKind::MergeBytes,
+            CounterKind::ChunkRecordsStreamed,
+        ]
+        .map(|k| (k, k.as_str()));
+        section(
+            &mut out,
+            "work counters (totals across tasks)",
+            &work,
+            &work,
+        );
+        let mem = [
+            (CounterKind::MemModeledBytes, "modeled peak (model)"),
+            (CounterKind::MemPeakTupleBytes, "measured peak tuples"),
+            (CounterKind::VmHwmBytes, "process VmHWM"),
+        ];
+        section(&mut out, "memory (bytes)", &mem, &mem);
+        let presolve = [
+            (CounterKind::PlannedPasses, "planned passes"),
+            (CounterKind::MemBudgetBytes, "memory budget (B)"),
+            (CounterKind::SketchFillPermille, "sketch fill (permille)"),
+            (CounterKind::PresolveDroppedKmers, "k-mers presolved away"),
+        ];
+        // The pass count alone (every run plans) is not worth a section;
+        // the budget / sketch / drop counters exist only when the tier is on.
+        section(
+            &mut out,
+            "presolve & pass planning",
+            &presolve,
+            &presolve[1..],
+        );
         // Fault counters are only emitted when the fault plane is active.
         let faults = [
             (CounterKind::FaultsInjected, "faults injected"),
@@ -917,49 +1067,30 @@ impl TraceAnalysis {
             (CounterKind::CheckpointWrites, "checkpoint writes"),
             (CounterKind::TaskRestarts, "task restarts"),
         ];
-        if faults.iter().any(|&(k, _)| self.counter_total(k) > 0) {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "fault injection & recovery");
-            for (k, label) in faults {
-                let _ = writeln!(out, "  {label:<17} {:>8}", self.counter_total(k));
-            }
-            for task in 0..self.tasks {
-                let n = self.counter(task, CounterKind::TaskRestarts);
-                if n > 0 {
-                    let _ = writeln!(out, "    task {task} restarted {n} time(s)");
-                }
+        section(&mut out, "fault injection & recovery", &faults, &faults);
+        for task in 0..self.tasks {
+            let n = self.counter(task, CounterKind::TaskRestarts);
+            if n > 0 {
+                let _ = writeln!(out, "    task {task} restarted {n} time(s)");
             }
         }
 
-        // The pass count alone says nothing (every run has one); the
-        // budget / sketch / drop counters exist only when the tier is on.
-        let budget = self.counter_total(CounterKind::MemBudgetBytes);
-        let fill = self.counter_total(CounterKind::SketchFillPermille);
-        let dropped = self.counter_total(CounterKind::PresolveDroppedKmers);
-        if budget > 0 || fill > 0 || dropped > 0 {
-            let passes = self.counter_total(CounterKind::PlannedPasses);
+        let other = self.other_phase_ns();
+        if !other.is_empty() {
             let _ = writeln!(out);
-            let _ = writeln!(out, "presolve & pass planning");
-            let _ = writeln!(out, "  planned passes      {passes:>12}");
-            if budget > 0 {
-                let _ = writeln!(out, "  memory budget (B)   {budget:>12}");
+            let _ = writeln!(out, "other instrumented phases (summed, s)");
+            for (name, ns) in other {
+                let _ = writeln!(out, "  {name:<24} {:>12.4}", sec(ns));
             }
-            if fill > 0 {
-                let _ = writeln!(out, "  sketch fill (\u{2030})    {fill:>12}");
-            }
-            let _ = writeln!(out, "  k-mers presolved    {dropped:>12}");
         }
 
-        let gantt = self.gantt_rows(64);
-        if !gantt.is_empty() {
+        if let Some((start, end)) = self.run_interval() {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "per-rank Gantt ({} .. {} ns, 64 buckets; letter = dominant step)",
-                self.run_interval().map(|(s, _)| s).unwrap_or(0),
-                self.run_interval().map(|(_, e)| e).unwrap_or(0),
+                "per-rank Gantt ({start} .. {end} ns, 64 buckets; letter = dominant step)"
             );
-            for row in gantt {
+            for row in self.gantt_rows(64) {
                 let _ = writeln!(out, "  {row}");
             }
         }
@@ -996,7 +1127,7 @@ impl TraceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EdgeEvent;
+    use crate::event::{EdgeEvent, SpanEvent};
 
     fn span(task: u32, name: &str, start: u64, end: u64) -> Event {
         Event::Span {
@@ -1021,6 +1152,18 @@ mod tests {
             seq,
             lamport,
             at_ns: at,
+        })
+    }
+
+    fn pass_span(task: u32, name: &'static str, pass: u32, start: u64, end: u64) -> Event {
+        Event::from(SpanEvent {
+            task,
+            name,
+            pass: Some(pass),
+            detail: None,
+            start_ns: start,
+            end_ns: end,
+            lamport: 0,
         })
     }
 
@@ -1129,6 +1272,32 @@ mod tests {
     }
 
     #[test]
+    fn ranks_without_earlier_spans_wait_on_index_create() {
+        // IndexCreate runs on task 0 before any rank's first step; the
+        // walk ends on task 1, which has nothing below its KmerGen.
+        let a = TraceAnalysis::from_events(&[
+            Event::Meta { tasks: 2 },
+            span(0, INDEX_CREATE, 0, 100),
+            span(0, "KmerGen", 120, 300),
+            span(1, "KmerGen", 130, 400),
+        ]);
+        let path = a.critical_path();
+        assert_tiles(&path, 0, 400);
+        assert_eq!(tiling_sum(&path), a.makespan_ns());
+        let got: Vec<(String, u32, u64, u64)> = path
+            .iter()
+            .map(|s| (s.label(), s.task, s.start_ns, s.end_ns))
+            .collect();
+        let want = [
+            (INDEX_CREATE, 0, 0, 100),
+            ("(idle)", 1, 100, 130),
+            ("KmerGen", 1, 130, 400),
+        ]
+        .map(|(l, t, s, e)| (l.to_string(), t, s, e));
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn conservation_and_causality_checks() {
         let ok = TraceAnalysis::from_events(&[
             Event::Meta { tasks: 2 },
@@ -1185,6 +1354,24 @@ mod tests {
         ]);
         assert_eq!(a.counter_total(CounterKind::EventsDropped), 7);
         assert!(a.warnings().iter().any(|w| w.contains("incomplete")));
+
+        // The rendered warning names the task that dropped events.
+        let events = vec![
+            Event::Meta { tasks: 2 },
+            pass_span(0, "KmerGen", 0, 0, 100),
+            Event::Counter {
+                task: 1,
+                kind: CounterKind::EventsDropped,
+                value: 3,
+            },
+        ];
+        let s = TraceAnalysis::from_events(&events);
+        let text = s.render_report(3);
+        assert!(text.contains("WARNING: trace is incomplete"));
+        assert!(text.contains("3 dropped") || text.contains("3"));
+        // A clean trace has no warning.
+        let clean = TraceAnalysis::from_events(&[Event::Meta { tasks: 1 }]);
+        assert!(!clean.render_report(3).contains("WARNING"));
     }
 
     #[test]
@@ -1237,6 +1424,33 @@ mod tests {
         ]);
         assert_eq!(plain.counter_total(CounterKind::PresolveDroppedKmers), 0);
         assert!(!plain.render_report(3).contains("presolve & pass planning"));
+
+        // A spanless single-task trace: every presolve row is labelled.
+        let counter = |kind, value| Event::Counter {
+            task: 0,
+            kind,
+            value,
+        };
+        let events = vec![
+            Event::Meta { tasks: 1 },
+            counter(CounterKind::PlannedPasses, 3),
+            counter(CounterKind::MemBudgetBytes, 1 << 20),
+            counter(CounterKind::SketchFillPermille, 42),
+            counter(CounterKind::PresolveDroppedKmers, 999),
+        ];
+        let text = TraceAnalysis::from_events(&events).render_report(3);
+        assert!(text.contains("presolve & pass planning"));
+        assert!(text.contains("planned passes"));
+        assert!(text.contains("k-mers presolved away"));
+        assert!(text.contains("999"));
+        // The pass count alone (every run plans) does not open the section.
+        let plain = vec![
+            Event::Meta { tasks: 1 },
+            counter(CounterKind::PlannedPasses, 2),
+        ];
+        assert!(!TraceAnalysis::from_events(&plain)
+            .render_report(3)
+            .contains("presolve & pass planning"));
     }
 
     #[test]
@@ -1290,6 +1504,96 @@ mod tests {
         assert!(text.contains("Gantt"));
         assert!(text.contains("bytes over time"));
         assert!(!text.contains("WARNING"));
+    }
+
+    #[test]
+    fn five_number_is_nearest_rank_and_total_order() {
+        let xs = [3.0, f64::NAN, 1.0, 2.0];
+        let [mn, _, _, _, mx] = five_number(&xs);
+        // total_cmp orders NaN above +inf, so max is NaN but min is real.
+        assert_eq!(mn, 1.0);
+        assert!(mx.is_nan());
+        assert_eq!(five_number(&[]), [0.0; 5]);
+        assert_eq!(five_number(&[7.0]), [7.0; 5]);
+        // Known data: the quartiles are exact ranks.
+        assert_eq!(
+            five_number(&[1.0, 2.0, 3.0, 4.0, 5.0]),
+            [1.0, 2.0, 3.0, 4.0, 5.0]
+        );
+        // Regression: the sort used partial_cmp(..).expect("no NaN");
+        // total_cmp orders every f64, zeros and subnormals included.
+        let ns = |n: u64| n as f64 / 1e9;
+        let xs = [0, u64::from(u32::MAX), 1, 0, 500].map(ns);
+        let [mn, _, med, _, mx] = five_number(&xs);
+        assert_eq!(mn, 0.0);
+        // Sorted: [0, 0, 1, 500, u32::MAX] ns — the median is the 1 ns
+        // sample (an exact rank, no interpolation).
+        assert_eq!(med, 1e-9);
+        assert_eq!(mx, ns(u64::from(u32::MAX)));
+    }
+
+    #[test]
+    fn summary_accumulates_passes_and_is_exact() {
+        let events = vec![
+            Event::Meta { tasks: 2 },
+            pass_span(0, "KmerGen", 0, 0, 100),
+            pass_span(0, "KmerGen", 1, 200, 350),
+            pass_span(1, "KmerGen", 0, 0, 90),
+            pass_span(1, "LocalSort", 0, 90, 100),
+            Event::Counter {
+                task: 0,
+                kind: CounterKind::TuplesEmitted,
+                value: 5,
+            },
+            Event::Counter {
+                task: 1,
+                kind: CounterKind::TuplesEmitted,
+                value: 7,
+            },
+        ];
+        let s = TraceAnalysis::from_events(&events);
+        assert_eq!(s.tasks, 2);
+        assert_eq!(s.step_task_ns("KmerGen", None), Some(vec![250, 90]));
+        assert_eq!(s.step_task_ns("KmerGen", Some(1)), Some(vec![150, 0]));
+        assert_eq!(s.pipeline_task_ns(), vec![250, 100]);
+        assert_eq!(s.passes(), vec![0, 1]);
+        assert_eq!(s.counter_total(CounterKind::TuplesEmitted), 12);
+        assert_eq!(s.counter(1, CounterKind::TuplesEmitted), 7);
+        let text = s.render_report(3);
+        // Every step span is wall time: no row is marked.
+        assert!(text.lines().any(|l| l.starts_with("KmerGen ")), "{text}");
+        assert!(text.lines().any(|l| l.starts_with("LocalSort ")), "{text}");
+        assert!(!text.contains('*'), "{text}");
+        assert!(text.contains("per-pass breakdown"));
+        assert!(text.contains("tuples_emitted"));
+    }
+
+    #[test]
+    fn index_create_and_other_spans_kept_separate() {
+        let events = vec![
+            Event::Span {
+                task: 0,
+                name: "IndexCreate".to_string(),
+                pass: None,
+                detail: None,
+                start_ns: 0,
+                end_ns: 1_000,
+                lamport: 0,
+            },
+            Event::Span {
+                task: 0,
+                name: "alltoall-stage".to_string(),
+                pass: Some(0),
+                detail: Some(2),
+                start_ns: 0,
+                end_ns: 10,
+                lamport: 0,
+            },
+        ];
+        let s = TraceAnalysis::from_events(&events);
+        assert_eq!(s.index_create_ns(), 1_000);
+        assert_eq!(s.pipeline_task_ns(), vec![0]);
+        assert!(s.render_report(3).contains("alltoall-stage"));
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub const CHECKPOINT: &str = "checkpoint";
 /// [`CHECKPOINT`].
 pub const TASK_RESTART: &str = "task-restart";
 
-/// Span name covering the driver-side adaptive pass planning (memory-model
-/// inversion + plan-artifact persistence). Driver span like
-/// [`INDEX_CREATE`]; not in [`STEP_NAMES`].
+/// Span name covering the driver-side pass planning (memory-model
+/// inversion for a budget + building the per-pass range plan). Driver span
+/// like [`INDEX_CREATE`]; not in [`STEP_NAMES`].
 pub const PASS_PLAN: &str = "pass-plan";
 
 /// One recorded interval: `step × task × pass`, with start/end timestamps

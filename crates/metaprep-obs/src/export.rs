@@ -1,7 +1,7 @@
 //! Exporters: JSONL event stream and Chrome `trace_event` JSON.
 //!
 //! JSONL is the lossless format (exact nanosecond integers; `metaprep
-//! report` consumes it and reproduces `StepTimings` totals bit-for-bit).
+//! analyze` consumes it and reproduces `StepTimings` totals bit-for-bit).
 //! The Chrome format targets Perfetto / `chrome://tracing`: one
 //! "process" per simulated task, one named thread row per step, complete
 //! (`ph:"X"`) events with microsecond `ts`/`dur`, and final counter

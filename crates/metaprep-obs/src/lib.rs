@@ -1,5 +1,6 @@
 //! Run telemetry for METAPREP: structured spans and counters with JSONL
-//! and Chrome `trace_event` export, plus a paper-style run report.
+//! and Chrome `trace_event` export, plus the trace analysis that reads a
+//! run back.
 //!
 //! The paper's entire evaluation (Tables 5–9, Figures 5–9) is built from
 //! per-task, per-step, per-pass measurements. This crate turns every run
@@ -22,24 +23,21 @@
 //! * [`export`] — JSONL event stream and Perfetto-loadable Chrome
 //!   `trace_event` JSON (one "process" per simulated task, one row per
 //!   step), with a schema validator used by CI's bench smoke;
-//! * [`TraceAnalysis`] — the one model built from an event stream, with
-//!   two renderers. [`analysis`] matches [`EdgeEvent`] send/recv pairs
-//!   into a happens-before DAG (per-rank Lamport clocks, FIFO sequence
-//!   numbers), extracts the critical path (its segments tile the run
-//!   makespan exactly), and derives per-stage load-imbalance factors,
-//!   stragglers, Gantt rows and byte timelines behind `metaprep analyze`
-//!   ([`TraceAnalysis::render_report`]); [`report`] renders the same
-//!   per-step/per-pass/per-task sums and counter totals as the run
-//!   summary table behind `metaprep report`
-//!   ([`TraceAnalysis::render_summary`]), and holds the one
-//!   [`report::five_number`] both use.
+//! * [`TraceAnalysis`] — the one model built from an event stream.
+//!   [`analysis`] matches [`EdgeEvent`] send/recv pairs into a
+//!   happens-before DAG (per-rank Lamport clocks, FIFO sequence numbers),
+//!   extracts the critical path (its segments tile the run makespan
+//!   exactly), sums spans per step, task and pass, and derives per-stage
+//!   load-imbalance factors with nearest-rank five-number rows
+//!   ([`analysis::five_number`]), stragglers, Gantt rows and byte
+//!   timelines. [`TraceAnalysis::render_report`] is its one text
+//!   rendering, printed by `metaprep analyze`.
 
 pub mod analysis;
 pub mod event;
 pub mod export;
 pub mod json;
 pub mod rec;
-pub mod report;
 
 pub use analysis::TraceAnalysis;
 pub use event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};

@@ -132,8 +132,8 @@ impl MemRecorder {
     /// Bulk flush of one task's locally-buffered events at task exit.
     /// Flushes that cannot land in a slot (task out of range, or the slot
     /// already taken by an earlier flush) are not silently lost: the
-    /// dropped event count is recorded per task so `report` and `analyze`
-    /// can flag the trace as incomplete. The drop path is exceptional and
+    /// dropped event count is recorded per task so `analyze` can flag the
+    /// trace as incomplete. The drop path is exceptional and
     /// one-shot, so taking the driver-side mutex here does not contend
     /// with the lock-free happy path.
     fn flush_task(

@@ -13,12 +13,10 @@
 //!   smoke scale, checks the shape of the `target/BENCH_*.json` artifact
 //!   each writes and applies its `BENCH_METRICS` gates, and finally runs
 //!   `metaprep analyze --strict` over the JSONL run trace
-//!   (causal-analysis gate: matched send/recv edges, non-empty critical
-//!   path; report saved as `target/BENCH_analysis.txt`) and `metaprep
-//!   report` over the same file (per-pass breakdown present; saved as
-//!   `target/BENCH_report.txt`); CI
-//!   uploads all of them as artifacts so the perf and model-checking
-//!   trajectories accumulate per commit.
+//!   (causal-analysis gate: matched send/recv edges, a non-empty critical
+//!   path and the per-pass breakdown; saved as
+//!   `target/BENCH_analysis.txt`); CI uploads all of them as artifacts so
+//!   the perf and model-checking trajectories accumulate per commit.
 //! * `bench-diff` — compare the current `target/BENCH_*.json` against a
 //!   baseline (`--baseline <dir>` with the same files, or `--ref <git-ref>`
 //!   read via `git show`), print a per-metric delta table, and fail any
@@ -254,8 +252,7 @@ const SMOKE_RUNS: &[SmokeRun] = &[
 ];
 
 /// Run every [`SMOKE_RUNS`] experiment at smoke scale, gate its artifact,
-/// then run `metaprep analyze --strict` and `metaprep report` over the
-/// smoke trace.
+/// then run `metaprep analyze --strict` over the smoke trace.
 fn run_bench_smoke() -> ExitCode {
     let target = workspace_root().join("target");
     // A stale sidecar from an earlier run must not satisfy the analyze step.
@@ -312,56 +309,37 @@ fn smoke_run(target: &Path, run: &SmokeRun) -> Result<(), String> {
     Ok(())
 }
 
-/// Both renderings of the JSONL trace the smoke just wrote. `metaprep
-/// analyze --strict` must digest it — schema problems, unmatched edges, or
-/// an empty critical path all exit non-zero — and `metaprep report` must
-/// print its per-pass breakdown. The text lands in
-/// target/BENCH_analysis.txt and target/BENCH_report.txt for the CI
-/// artifact.
+/// `metaprep analyze --strict` over the JSONL trace the smoke just wrote.
+/// It must digest it — schema problems, unmatched edges, or an empty
+/// critical path all exit non-zero — and print a critical path with
+/// segments and the per-pass breakdown. Its stdout lands in
+/// target/BENCH_analysis.txt for the CI artifact.
 fn smoke_analyze(target: &Path, jsonl: &Path) -> Result<(), String> {
-    let analysis = smoke_metaprep(
-        target,
-        "BENCH_analysis.txt",
-        &["analyze", "--strict"],
-        jsonl,
-    )?;
-    if !analysis.contains("critical path") || analysis.contains("critical path — 0 segment(s)") {
-        return Err("analyze report has no critical path".to_string());
-    }
-    let report = smoke_metaprep(target, "BENCH_report.txt", &["report"], jsonl)?;
-    if !report.contains("per-pass breakdown") {
-        return Err("report has no per-pass breakdown".to_string());
-    }
-    Ok(())
-}
-
-/// Run `metaprep <args> --trace <jsonl>`, fail on a non-zero exit, and save
-/// its stdout as `target/<artifact>`.
-fn smoke_metaprep(
-    target: &Path,
-    artifact: &str,
-    args: &[&str],
-    jsonl: &Path,
-) -> Result<String, String> {
+    let artifact = "BENCH_analysis.txt";
     let out = target.join(artifact);
     std::fs::remove_file(&out).ok();
-    let command = format!("metaprep {}", args.join(" "));
-    eprintln!("== xtask: bench smoke ({command}) ==");
+    eprintln!("== xtask: bench smoke (metaprep analyze --strict) ==");
     let output = Command::new("cargo")
         .args(["run", "--release", "-p", "metaprep-cli", "--"])
-        .args(args)
-        .arg("--trace")
+        .args(["analyze", "--strict", "--trace"])
         .arg(jsonl)
         .output()
-        .map_err(|_| format!("failed to launch {command}"))?;
+        .map_err(|_| "failed to launch metaprep analyze".to_string())?;
     if !output.status.success() {
         let stderr = String::from_utf8_lossy(&output.stderr);
-        return Err(format!("{command} failed\n{stderr}"));
+        return Err(format!("metaprep analyze --strict failed\n{stderr}"));
     }
     std::fs::write(&out, &output.stdout)
         .map_err(|_| format!("could not write {}", out.display()))?;
+    let analysis = String::from_utf8_lossy(&output.stdout);
+    if !analysis.contains("critical path") || analysis.contains("critical path — 0 segment(s)") {
+        return Err(format!("{artifact} has no critical path"));
+    }
+    if !analysis.contains("per-pass breakdown") {
+        return Err(format!("{artifact} has no per-pass breakdown"));
+    }
     eprintln!("xtask bench-smoke: ok ({})", out.display());
-    Ok(String::from_utf8_lossy(&output.stdout).into_owned())
+    Ok(())
 }
 
 /// One gated metric of a bench artifact: `bench-smoke` enforces the gate,
