@@ -1,8 +1,9 @@
-//! Ablation: scalar vs 4-lane canonical k-mer generation (paper §3.2.1),
-//! at k = 27 (64-bit path) and k = 63 (128-bit path).
+//! Canonical k-mer generation at k = 27 (64-bit path) and k = 63 (128-bit
+//! path). The 4-lane form of §3.2.1 is the owned-k-mer kernel, timed
+//! against its scalar form by `exp_kmergen`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use metaprep_kmer::{for_each_canonical_kmer, lanes::for_each_canonical_kmer_x4, Kmer128, Kmer64};
+use metaprep_kmer::{for_each_canonical_kmer, Kmer128, Kmer64};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,29 +31,11 @@ fn bench(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.bench_function("x4_k27", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for r in &data {
-                for_each_canonical_kmer_x4::<Kmer64>(r, 27, |v, _| acc ^= v);
-            }
-            black_box(acc)
-        })
-    });
     g.bench_function("scalar_k63", |b| {
         b.iter(|| {
             let mut acc = 0u128;
             for r in &data {
                 for_each_canonical_kmer::<Kmer128>(r, 63, |v, _| acc ^= v);
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("x4_k63", |b| {
-        b.iter(|| {
-            let mut acc = 0u128;
-            for r in &data {
-                for_each_canonical_kmer_x4::<Kmer128>(r, 63, |v, _| acc ^= v);
             }
             black_box(acc)
         })

@@ -23,20 +23,30 @@
 //!    top bits. One stream is the old per-destination push; the others
 //!    are the bucketed emit at a typical and at the maximal bucket count,
 //!    so the cost of scattering from KmerGen is on record.
+//! 5. **Owned k-mers** — the kernel a pass of a multi-pass KmerGen runs,
+//!    [`simd::owned_kmers`], best backend vs its scalar form, over the
+//!    reads' valid runs in batches the size KmerGen uses, keeping the
+//!    lowest ¼ and ½ of the k-mers by m-mer bin. Rounds alternate the two
+//!    forms and their order-sensitive checksums are asserted equal every
+//!    round.
 //!
 //! The headline `dispatched_over_scalar` in `BENCH_kmergen.json` is the
 //! end-to-end KmerGen ratio — the number `cargo xtask bench-smoke` gates
 //! (≥1.2x when a vector backend is active; the gate is skipped when the
 //! box resolves to scalar, where the ratio is 1 by construction).
+//! `owned_quarter_over_scalar`, the owned-k-mer ratio at ¼ ownership, is
+//! gated the same way (≥1.3x), and waived where `owned_backend` is scalar
+//! (NEON resolves the kernel to its scalar form).
 
 use crate::harness::{dataset, print_table};
 use metaprep_io::{record_views, write_fastq, ReadStore};
 use metaprep_kmer::simd::{self, Backend};
 use metaprep_kmer::{
-    for_each_canonical_kmer, for_each_canonical_kmer_scalar, Kmer64, KmerReadTuple,
+    for_each_canonical_kmer, for_each_canonical_kmer_scalar, valid_runs, Kmer64, KmerReadTuple,
 };
 use metaprep_sort::{ScatterTracker, SharedSlice};
 use metaprep_synth::DatasetId;
+use std::ops::Range;
 use std::time::Instant;
 
 /// The paper's k for the assembly-support experiments.
@@ -161,6 +171,108 @@ fn newline_scan(backend: Backend, data: &[u8]) -> u64 {
     count
 }
 
+/// m-mer length of the owned-k-mer measurement (the paper's m = 10).
+const OWNED_M: usize = 10;
+/// Codes per kernel call: KmerGen's batch (`metaprep-core`'s
+/// `BATCH_CODES`).
+const OWNED_BATCH: usize = 8 << 10;
+/// Alternating rounds per ownership share (best round of each form scored).
+const OWNED_ROUNDS: usize = 11;
+
+/// Every read's valid runs, encoded back to back, cut into batches of
+/// about [`OWNED_BATCH`] codes.
+fn owned_batches(reads: &ReadStore) -> (Vec<u8>, Vec<Vec<Range<usize>>>) {
+    let (mut codes, mut read) = (Vec::new(), Vec::new());
+    let mut batches = vec![Vec::new()];
+    for (seq, _) in reads.iter() {
+        simd::encode_classify(seq, &mut read);
+        for run in valid_runs(&read) {
+            let at = codes.len();
+            codes.extend_from_slice(&read[run]);
+            // UNWRAP: `batches` starts with one batch and only grows.
+            batches.last_mut().unwrap().push(at..codes.len());
+        }
+        if codes.len() >= OWNED_BATCH * batches.len() {
+            batches.push(Vec::new());
+        }
+    }
+    (codes, batches)
+}
+
+/// The bin range `[0, hi)` holding at least `share` of the k-mers.
+fn lowest_bins(reads: &ReadStore, share: f64) -> Range<u64> {
+    let shift = 2 * (K - OWNED_M);
+    let mut hist = vec![0u64; 1 << (2 * OWNED_M)];
+    for (seq, _) in reads.iter() {
+        for_each_canonical_kmer::<Kmer64>(seq, K, |v, _| hist[(v >> shift) as usize] += 1);
+    }
+    let want = (hist.iter().sum::<u64>() as f64 * share).ceil() as u64;
+    let mut seen = 0;
+    let hi = hist.iter().position(|&n| {
+        seen += n;
+        seen >= want
+    });
+    0..hi.map_or(hist.len(), |b| b + 1) as u64
+}
+
+/// The owned values of every batch under `backend`, folded into a
+/// checksum, and the seconds spent in the kernel (the fold is not timed).
+fn owned_all(
+    backend: Backend,
+    (codes, batches): &(Vec<u8>, Vec<Vec<Range<usize>>>),
+    bins: &Range<u64>,
+    out: &mut simd::OwnedKmers,
+) -> (Checksum, f64) {
+    let shift = 2 * (K - OWNED_M) as u32;
+    let mut sum = Checksum::default();
+    let mut secs = 0.0;
+    for runs in batches {
+        let t0 = Instant::now();
+        simd::owned_kmers_with(backend, codes, runs, (K, shift), bins.clone(), out);
+        secs += t0.elapsed().as_secs_f64();
+        for (r, values) in out.runs().enumerate() {
+            for &v in values {
+                sum.feed(v, r);
+            }
+        }
+    }
+    (sum, secs)
+}
+
+/// One ownership share timed on `backend` and on the scalar form, in
+/// alternating rounds after one warm-up of each: best rounds and the
+/// owned count.
+fn owned_pair(
+    backend: Backend,
+    batches: &(Vec<u8>, Vec<Vec<Range<usize>>>),
+    bins: &Range<u64>,
+    bases: usize,
+) -> (PathResult, PathResult, u64) {
+    let mut out = simd::OwnedKmers::default();
+    let mut best = [f64::INFINITY; 2];
+    let mut owned = 0;
+    for round in 0..=OWNED_ROUNDS {
+        let mut sums = [Checksum::default(); 2];
+        for (i, b) in [backend, Backend::Scalar].into_iter().enumerate() {
+            let secs;
+            (sums[i], secs) = owned_all(b, batches, bins, &mut out);
+            if round > 0 {
+                best[i] = best[i].min(secs);
+            }
+        }
+        assert_eq!(
+            sums[0], sums[1],
+            "owned-k-mer kernel diverged from its scalar form"
+        );
+        owned = sums[0].count;
+    }
+    let path = |secs: f64| PathResult {
+        secs,
+        mbases_per_s: bases as f64 / secs / 1e6,
+    };
+    (path(best[0]), path(best[1]), owned)
+}
+
 /// Run the experiment; writes `BENCH_kmergen.json` and returns its path.
 pub fn run(scale: f64) -> std::path::PathBuf {
     let backend = simd::active();
@@ -230,6 +342,18 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         })
         .collect();
 
+    // --- 5. owned k-mers: the pass kernel vs its scalar form ------------
+    let batches = owned_batches(reads);
+    let owned: Vec<(u32, PathResult, PathResult, u64)> = [4u32, 2]
+        .into_iter()
+        .map(|per| {
+            let bins = lowest_bins(reads, 1.0 / f64::from(per));
+            let (best, scalar, n) = owned_pair(backend, &batches, &bins, bases);
+            (per, best, scalar, n)
+        })
+        .collect();
+    let owned_ratio = |i: usize| owned[i].2.secs / owned[i].1.secs;
+
     print_table(
         &format!(
             "KmerGen + FASTQ scan, backend {backend}, {} reads / {:.1} Mbases, \
@@ -273,6 +397,27 @@ pub fn run(scale: f64) -> std::path::PathBuf {
                 "-".into(),
             ]
         }))
+        .chain(
+            owned
+                .iter()
+                .enumerate()
+                .flat_map(|(i, (per, best, scalar, _))| {
+                    [
+                        vec![
+                            format!("owned 1/{per} kernel"),
+                            format!("{:.3}", best.secs),
+                            format!("{:.1}", best.mbases_per_s),
+                            format!("{:.2}x", owned_ratio(i)),
+                        ],
+                        vec![
+                            format!("owned 1/{per} scalar"),
+                            format!("{:.3}", scalar.secs),
+                            format!("{:.1}", scalar.mbases_per_s),
+                            "1.00x".into(),
+                        ],
+                    ]
+                }),
+        )
         .collect::<Vec<_>>(),
     );
     println!(
@@ -313,6 +458,35 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         .map(|(bits, p)| format!("\"streams_2^{bits}\": {}", path_json(p)))
         .collect();
     json.push_str(&format!("  \"emit\": {{{}}},\n", emit_json.join(", ")));
+    let owned_json: Vec<String> = owned
+        .iter()
+        .enumerate()
+        .map(|(i, (per, best, scalar, n))| {
+            format!(
+                "\"share_1/{per}\": {{\"owned\": {n}, \"kernel\": {}, \"scalar\": {}, \"ratio\": {:.3}}}",
+                path_json(best),
+                path_json(scalar),
+                owned_ratio(i)
+            )
+        })
+        .collect();
+    json.push_str(&format!(
+        "  \"owned\": {{\"m\": {OWNED_M}, \"batch_codes\": {OWNED_BATCH}, {}}},\n",
+        owned_json.join(", ")
+    ));
+    // NEON resolves the owned-k-mer kernel to its scalar form.
+    let owned_backend = match backend {
+        Backend::Avx2 => backend,
+        _ => Backend::Scalar,
+    };
+    json.push_str(&format!(
+        "  \"owned_backend\": \"{}\",\n",
+        owned_backend.name()
+    ));
+    json.push_str(&format!(
+        "  \"owned_quarter_over_scalar\": {:.3},\n",
+        owned_ratio(0)
+    ));
     json.push_str(&format!(
         "  \"dispatched_over_scalar\": {kmergen_ratio:.3}\n}}\n"
     ));

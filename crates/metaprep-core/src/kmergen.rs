@@ -12,15 +12,26 @@
 //! receiving rank skip its counting and scatter passes. Order inside a
 //! bucket (chunk, then read order) is what per-chunk buffers + concat +
 //! stable scatter produced, so everything downstream is byte-identical.
+//!
+//! A pass that owns only some of the m-mer bins (`--passes` > 1) does not
+//! enumerate every k-mer and drop the rest one branch at a time: its reads
+//! go in batches of valid code runs through [`simd::owned_kmers`], which
+//! rolls four runs at once and returns only the values whose bin the pass
+//! owns, run by run in position order — so the windows receive the same
+//! tuples in the same order.
 
 use crate::pipeline::RunCtx;
 use metaprep_index::{FastqPart, RangePlan};
 use metaprep_io::{RecordWalker, WALK_WINDOW};
+use metaprep_kmer::simd::{self, Backend, OwnedKmers};
 use metaprep_kmer::{
-    fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, KmerReadTuple, KmerReadTuple128,
+    fold_kmer_key, for_each_canonical_kmer, valid_runs, Kmer, Kmer128, Kmer64, KmerReadTuple,
+    KmerReadTuple128,
 };
 use metaprep_sort::{Keyed, ScatterTracker, SharedSlice};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Glue between a k-mer width and its pipeline tuple type.
@@ -107,6 +118,65 @@ pub struct KmerGenOutput<T> {
     pub dropped: u64,
 }
 
+/// Codes per call of the owned-k-mer kernel: a few dozen reads, so a
+/// worker's batch stays a few tens of KiB (its values are 8 bytes a code).
+const BATCH_CODES: usize = 8 << 10;
+
+/// A worker's batch of reads for [`simd::owned_kmers`]: their valid runs of
+/// at least k codes, back to back, each with its read's label. Reused
+/// across the worker's chunks.
+#[derive(Default)]
+struct RunBatch {
+    /// One read's codes, as [`simd::encode_classify`] writes them.
+    read: Vec<u8>,
+    codes: Vec<u8>,
+    runs: Vec<Range<usize>>,
+    labels: Vec<u32>,
+    owned: OwnedKmers,
+}
+
+impl RunBatch {
+    /// Add the runs of `seq` that hold a k-mer, labelled `label`.
+    fn push(&mut self, backend: Backend, seq: &[u8], k: usize, label: u32) {
+        simd::encode_classify_with(backend, seq, &mut self.read);
+        for run in valid_runs(&self.read).filter(|run| run.len() >= k) {
+            let at = self.codes.len();
+            self.codes.extend_from_slice(&self.read[run]);
+            self.runs.push(at..self.codes.len());
+            self.labels.push(label);
+        }
+    }
+
+    /// Hand every value of the batch whose bin is in `bins` to `emit` with
+    /// its read's label — run by run, in position order — and empty the
+    /// batch.
+    fn drain(
+        &mut self,
+        backend: Backend,
+        (k, shift): (usize, u32),
+        bins: &Range<u64>,
+        mut emit: impl FnMut(u64, u32),
+    ) {
+        let (codes, runs) = (&self.codes, &self.runs);
+        simd::owned_kmers_with(
+            backend,
+            codes,
+            runs,
+            (k, shift),
+            bins.clone(),
+            &mut self.owned,
+        );
+        for (values, &label) in self.owned.runs().zip(&self.labels) {
+            for &v in values {
+                emit(v, label);
+            }
+        }
+        self.codes.clear();
+        self.runs.clear();
+        self.labels.clear();
+    }
+}
+
 /// One (chunk, slot) write window of a destination buffer: `next..end` is
 /// still to be written.
 struct Window<'a, T> {
@@ -161,6 +231,17 @@ pub(crate) fn kmergen_pass<K: PipelineKmer>(
     let slot_of_bin = buckets.slot_of_bin();
     let pass_slots = buckets.pass_slots(pass);
     let (base, slots) = (pass_slots.start, pass_slots.len());
+    // The bins the pass owns: its slots tile one run of them. A pass that
+    // owns only some, at k <= 32, takes its k-mers from the owned-k-mer
+    // kernel; one that owns every bin has nothing to drop and keeps the
+    // plain enumeration.
+    let owned_bins = match pass_slots.clone().last() {
+        Some(last) => buckets.slot_bins(base).0 as u64..buckets.slot_bins(last).1 as u64,
+        None => 0..0,
+    };
+    let kernel = (K::MAX_K <= 32 && owned_bins != (0..space.bins() as u64))
+        .then(|| (run.simd, 2 * (k - space.m()) as u32, owned_bins));
+    let batches: Mutex<Vec<RunBatch>> = Mutex::new(Vec::new());
 
     // Write windows per (chunk, slot): the window sizes are the chunk
     // histograms summed over each slot's bins, their positions the running
@@ -222,6 +303,8 @@ pub(crate) fn kmergen_pass<K: PipelineKmer>(
             .par_iter()
             .zip(windows.into_par_iter())
             .map(|(&c, mut cur)| {
+                let free_batches = || batches.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut batch = free_batches().pop().unwrap_or_default();
                 // Chunk load (KmerGen-I/O): a borrow of the in-memory store,
                 // or per window a real seek+read of the FASTQ file plus an
                 // in-place record walk; each window is enumerated before the
@@ -231,33 +314,49 @@ pub(crate) fn kmergen_pass<K: PipelineKmer>(
                 source.load_chunk(&fastqpart.chunks()[c].spec, &walker, |reads| {
                     io += t_io.elapsed().as_nanos() as u64;
                     let t_gen = Instant::now();
-                    for (seq, frag) in reads {
-                        let label = read_label(frag);
-                        for_each_canonical_kmer::<K>(seq, k, |v, _| {
-                            let bin = space.bin_of(K::repr_to_u128(v));
-                            let s = (slot_of_bin[bin as usize] as usize).wrapping_sub(base);
-                            // A slot of another pass is out of range.
-                            let Some(w) = cur.get_mut(s) else {
-                                return;
-                            };
-                            if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
-                                dropped_here += 1;
-                                return;
+                    let mut emit = |v: K::Repr, label: u32| {
+                        let bin = space.bin_of(K::repr_to_u128(v));
+                        let s = (slot_of_bin[bin as usize] as usize).wrapping_sub(base);
+                        // A slot of another pass is out of range.
+                        let Some(w) = cur.get_mut(s) else {
+                            return;
+                        };
+                        if filter.is_some_and(|f| f.drops(K::sketch_key(v))) {
+                            dropped_here += 1;
+                            return;
+                        }
+                        // What keeps the windows of concurrent chunks
+                        // disjoint even if a histogram is wrong.
+                        assert!(
+                            w.next < w.end,
+                            "chunk {c}: more k-mers than its histogram counts in slot {s}"
+                        );
+                        // SAFETY: `[next, end)` is this chunk's own window of the destination — the windows are consecutive runs of one prefix sum — and `next` only ever advances, so no slot is written twice or by another chunk.
+                        unsafe { w.dst.write(w.next, K::make_tuple(v, label)) };
+                        w.next += 1;
+                    };
+                    match &kernel {
+                        Some((backend, shift, bins)) => {
+                            let mut emit = |v: u64, label| emit(K::repr_from_u128(v.into()), label);
+                            for (seq, frag) in reads {
+                                batch.push(*backend, seq, k, read_label(frag));
+                                if batch.codes.len() >= BATCH_CODES {
+                                    batch.drain(*backend, (k, *shift), bins, &mut emit);
+                                }
                             }
-                            // What keeps the windows of concurrent chunks
-                            // disjoint even if a histogram is wrong.
-                            assert!(
-                                w.next < w.end,
-                                "chunk {c}: more k-mers than its histogram counts in slot {s}"
-                            );
-                            // SAFETY: `[next, end)` is this chunk's own window of the destination — the windows are consecutive runs of one prefix sum — and `next` only ever advances, so no slot is written twice or by another chunk.
-                            unsafe { w.dst.write(w.next, K::make_tuple(v, label)) };
-                            w.next += 1;
-                        });
+                            batch.drain(*backend, (k, *shift), bins, &mut emit);
+                        }
+                        None => {
+                            for (seq, frag) in reads {
+                                let label = read_label(frag);
+                                for_each_canonical_kmer::<K>(seq, k, |v, _| emit(v, label));
+                            }
+                        }
                     }
                     gen += t_gen.elapsed().as_nanos() as u64;
                     t_io = Instant::now();
                 });
+                free_batches().push(batch);
                 // ORDERING: Relaxed — profiling counter, summed after join.
                 io_nanos.fetch_add(io, Ordering::Relaxed);
                 // ORDERING: Relaxed — profiling counter, summed after join.
@@ -377,14 +476,27 @@ mod tests {
             filter: Option<&HighFreqFilter>,
             read_label: impl Fn(u32) -> u32 + Sync,
         ) -> KmerGenOutput<K::Tuple> {
-            self.kmergen_as::<K>(threads, (pass, 0), Vec::new(), filter, read_label)
+            self.kmergen_on::<K>(simd::active(), threads, pass, filter, read_label)
         }
 
-        /// [`Setup::kmergen`] as task `rank`, handing it `recycled`.
+        /// [`Setup::kmergen`] with the owned-k-mer kernel on `backend`.
+        fn kmergen_on<K: PipelineKmer>(
+            &self,
+            backend: Backend,
+            threads: usize,
+            pass: usize,
+            filter: Option<&HighFreqFilter>,
+            read_label: impl Fn(u32) -> u32 + Sync,
+        ) -> KmerGenOutput<K::Tuple> {
+            let at = (backend, (pass, 0));
+            self.kmergen_as::<K>(threads, at, Vec::new(), filter, read_label)
+        }
+
+        /// [`Setup::kmergen_on`] as task `rank`, handing it `recycled`.
         fn kmergen_as<K: PipelineKmer>(
             &self,
             threads: usize,
-            (pass, rank): (usize, usize),
+            (backend, (pass, rank)): (Backend, (usize, usize)),
             recycled: Vec<K::Tuple>,
             filter: Option<&HighFreqFilter>,
             read_label: impl Fn(u32) -> u32 + Sync,
@@ -400,6 +512,7 @@ mod tests {
                 plan: &self.plan,
                 buckets: self.buckets.clone(),
                 filter,
+                simd: backend,
             };
             let all_chunks: Vec<usize> = (0..self.fp.len()).collect();
             kmergen_pass::<K>(&pool, &run, &all_chunks, (pass, rank), recycled, read_label)
@@ -522,7 +635,12 @@ mod tests {
     #[test]
     fn output_is_the_stable_partition_by_bucket_of_the_enumeration() {
         let k = 11;
-        for reads in [store(), store_mostly_frequent()] {
+        // The owned-k-mer kernel of each pass on its vector backend where
+        // the CPU runs one, and its scalar form.
+        for (backend, reads) in simd::available_backends()
+            .into_iter()
+            .flat_map(|b| [(b, store()), (b, store_mostly_frequent())])
+        {
             let filter = exact_filter(&reads, k, 2);
             for (tasks, threads) in [(1, 1), (1, 3), (3, 1), (3, 3)] {
                 // `threads` is both the plan's T (buckets nest in thread
@@ -531,10 +649,13 @@ mod tests {
                 for filter in [None, Some(&filter)] {
                     let (mut emitted, mut dropped) = (0, 0);
                     for pass in 0..2 {
-                        let out = su.kmergen::<Kmer64>(threads, pass, filter, |r| r);
+                        let out = su.kmergen_on::<Kmer64>(backend, threads, pass, filter, |r| r);
                         for (q, got) in out.outgoing.iter().enumerate() {
                             let want = reference_outgoing(&su, k, pass, q, filter);
-                            assert_eq!(got, &want, "P={tasks} T={threads} pass {pass} dest {q}");
+                            assert_eq!(
+                                got, &want,
+                                "{backend}: P={tasks} T={threads} pass {pass} dest {q}"
+                            );
                             // Compaction left no gap: the buffer was sized
                             // for the histogram's upper bound.
                             assert!(
@@ -559,6 +680,27 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_that_owns_no_bins_emits_nothing() {
+        // Eight k-mers cut into sixteen passes: the split puts no bin in
+        // the first pass, and several passes own bins but no k-mer.
+        let mut reads = ReadStore::new();
+        reads.push_pair(b"ACGTTGCAAGCTAG", b"TTGACCGTAGGCAT");
+        let su = Setup::new(reads, 11, 1, (16, 1, 1));
+        assert!(su.buckets.pass_slots(0).is_empty(), "pass 0 owns a bin");
+        let mut emitted = 0;
+        for backend in simd::available_backends() {
+            for pass in 0..16 {
+                let out = su.kmergen_on::<Kmer64>(backend, 1, pass, None, |r| r);
+                assert_eq!(out.outgoing[0], reference_outgoing(&su, 11, pass, 0, None));
+                assert!(pass > 0 || out.outgoing[0].is_empty());
+                emitted += out.outgoing[0].len() as u64;
+            }
+        }
+        let backends = simd::available_backends().len() as u64;
+        assert_eq!(emitted, su.fp.total() * backends);
+    }
+
+    #[test]
     fn the_self_addressed_part_is_built_in_the_recycled_buffer() {
         // Task 1 of 3: its own part has room for everything it receives,
         // in the recycled buffer when that is big enough and in a fresh one
@@ -569,7 +711,8 @@ mod tests {
             let roomy: Vec<KmerReadTuple> = vec![KmerReadTuple::new(9, 9); incoming + 3];
             let roomy_at = roomy.as_ptr();
             for (recycled, reused) in [(roomy, true), (vec![KmerReadTuple::default(); 2], false)] {
-                let out = su.kmergen_as::<Kmer64>(2, (pass, 1), recycled, None, |r| r);
+                let at = (simd::active(), (pass, 1));
+                let out = su.kmergen_as::<Kmer64>(2, at, recycled, None, |r| r);
                 for (q, got) in out.outgoing.iter().enumerate() {
                     assert_eq!(got, &reference_outgoing(&su, 11, pass, q, None));
                     if q != 1 {

@@ -25,7 +25,7 @@ use metaprep_dist::collectives::{alltoall, broadcast};
 use metaprep_dist::{run_cluster, Boundary, ClusterConfig, CommStats, Payload, TaskCtx};
 use metaprep_index::{index_store, BucketPlan, FastqPart, MerHist, RangePlan};
 use metaprep_io::ReadStore;
-use metaprep_kmer::{Kmer128, Kmer64};
+use metaprep_kmer::{simd, Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
 use metaprep_obs::{CounterKind, MemRecorder};
@@ -264,6 +264,9 @@ pub(crate) struct RunCtx<'a> {
     /// into the buckets LocalSort on the receiving rank will sort.
     pub(crate) buckets: BucketPlan,
     pub(crate) filter: Option<&'a HighFreqFilter>,
+    /// The backend of KmerGen's owned-k-mer kernel: [`simd::active`] in a
+    /// run; the tests pin each one.
+    pub(crate) simd: simd::Backend,
 }
 
 /// The merge round `rank` retires in, sending its components to
@@ -360,6 +363,7 @@ fn run_generic<K: PipelineKmer>(
             (BUCKET_BYTES / std::mem::size_of::<K::Tuple>()) as u64,
         ),
         filter,
+        simd: simd::active(),
     };
     let mut cluster = ClusterConfig::new(cfg.tasks, cfg.threads).with_recorder(rec);
     if let Some(ms) = cfg.watchdog_timeout_ms {

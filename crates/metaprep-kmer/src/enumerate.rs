@@ -9,6 +9,7 @@ use crate::alphabet::{encode_base_checked, INVALID_CODE};
 use crate::kmer::Kmer;
 use crate::simd;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Below this length the dispatched path falls back to the scalar
 /// enumerator: a read shorter than one vector register gains nothing
@@ -57,24 +58,11 @@ pub fn for_each_canonical_kmer<K: Kmer>(seq: &[u8], k: usize, mut f: impl FnMut(
 /// [`simd::encode_classify`]). Runs are split on invalid codes exactly
 /// like the byte-level enumerator splits on invalid bases.
 fn for_each_in_codes<K: Kmer>(codes: &[u8], k: usize, f: &mut impl FnMut(K::Repr, usize)) {
-    let mut i = 0;
-    let n = codes.len();
-    while i < n {
-        // Invalid runs are rare and short (N stretches); skip them byte-wise.
-        while i < n && codes[i] == INVALID_CODE {
-            i += 1;
-        }
-        let start = i;
-        // Valid runs are long (often the whole read): find their end with
-        // the vectorized scanner instead of a per-byte compare loop.
-        i = match simd::find_byte(&codes[i..], INVALID_CODE) {
-            Some(j) => i + j,
-            None => n,
-        };
-        let run = &codes[start..i];
+    for run in valid_runs(codes) {
         if run.len() < k {
             continue;
         }
+        let (start, run) = (run.start, &codes[run]);
         let mut km = K::zero(k);
         // Warm the first k-1 codes, then emit one window per remaining
         // code — the steady-state loop carries no fill-count branch.
@@ -86,6 +74,28 @@ fn for_each_in_codes<K: Kmer>(codes: &[u8], k: usize, f: &mut impl FnMut(K::Repr
             f(km.canonical_value(), start + w);
         }
     }
+}
+
+/// The maximal runs of valid codes of a code buffer (one code or
+/// [`INVALID_CODE`] per input byte, as [`simd::encode_classify`] writes
+/// it), in order: what the enumeration rolls over, and what
+/// [`simd::owned_kmers`] takes.
+pub fn valid_runs(codes: &[u8]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        // Invalid runs are rare and short (N stretches); skip them byte-wise.
+        while codes.get(i) == Some(&INVALID_CODE) {
+            i += 1;
+        }
+        if i == codes.len() {
+            return None;
+        }
+        let start = i;
+        // Valid runs are long (often the whole read): find their end with
+        // the vectorized scanner instead of a per-byte compare loop.
+        i = simd::find_byte(&codes[i..], INVALID_CODE).map_or(codes.len(), |j| i + j);
+        Some(start..i)
+    })
 }
 
 /// Scalar reference enumerator: per-byte table lookups, no code buffer.

@@ -6,13 +6,13 @@
 //! * 2-bit DNA base encoding ([`alphabet`]),
 //! * packed k-mer values for `k <= 32` ([`Kmer64`]) and `k <= 63`
 //!   ([`Kmer128`]) with rolling updates and reverse complements ([`kmer`]),
-//! * canonical k-mer enumeration over reads, skipping `N` runs, in both a
-//!   scalar rolling form and the paper's 4-lane batched form
-//!   ([`enumerate`], [`lanes`]),
+//! * canonical k-mer enumeration over reads, skipping `N` runs
+//!   ([`enumerate`]),
 //! * runtime-dispatched SIMD kernels (AVX2 / NEON / scalar) for whole-read
-//!   2-bit encoding + validity classification and memchr-style byte
-//!   scanning, feeding the enumeration hot path and `metaprep-io`'s
-//!   record scanner ([`simd`]),
+//!   2-bit encoding + validity classification, memchr-style byte scanning
+//!   and the paper's 4-lane KmerGen (§3.2.1) restricted to the k-mers one
+//!   pass owns, feeding the enumeration hot path, KmerGen and
+//!   `metaprep-io`'s record scanner ([`simd`]),
 //! * m-mer prefix binning used by the `merHist` / `FASTQPart` index tables
 //!   ([`mmer`]),
 //! * minimizers and super-k-mer splitting used by the KMC2-style baseline
@@ -27,14 +27,15 @@
 pub mod alphabet;
 pub mod enumerate;
 pub mod kmer;
-pub mod lanes;
 pub mod minimizer;
 pub mod mmer;
 pub mod simd;
 pub mod tuple;
 
 pub use alphabet::{classify_base, complement_code, decode_base, encode_base, is_valid_base};
-pub use enumerate::{for_each_canonical_kmer, for_each_canonical_kmer_scalar, CanonicalKmers};
+pub use enumerate::{
+    for_each_canonical_kmer, for_each_canonical_kmer_scalar, valid_runs, CanonicalKmers,
+};
 pub use kmer::{fold_kmer_key, Kmer, Kmer128, Kmer64};
 pub use minimizer::{minimizer_of, superkmers, SuperKmer};
 pub use mmer::{mmer_bin, mmer_bin_count, MmerSpace};

@@ -1,10 +1,9 @@
 //! Runtime-dispatched SIMD kernels for the KmerGen / FASTQ-scan hot path.
 //!
 //! The paper's single-node throughput story (§3.2.1) rests on KmerGen and
-//! record scanning keeping pace with I/O. This module provides the two
-//! byte-level kernels those stages spend their time in, each with an AVX2
-//! (x86_64), NEON (aarch64) and scalar implementation selected **once** at
-//! startup:
+//! record scanning keeping pace with I/O. This module provides the three
+//! kernels those stages spend their time in, each with a vector
+//! implementation and a scalar one selected **once** at startup:
 //!
 //! * [`encode_classify`] — 2-bit base encoding *and* validity
 //!   classification of a whole read slice in one pass. The output code
@@ -18,6 +17,11 @@
 //! * [`find_byte`] — memchr-style first-occurrence scan, the primitive
 //!   under `metaprep-io`'s `record_views` walker, `find_record_start`
 //!   and the `StreamChunker` window-probe path.
+//! * [`owned_kmers`] — the 4-lane KmerGen of §3.2.1 (Figure 3) for one
+//!   pass of a multi-pass run: over a batch of valid code runs, only the
+//!   canonical values whose m-mer bin the pass owns, run by run in
+//!   position order. AVX2 rolls four runs at once with the ownership test
+//!   in-register; NEON resolves to the scalar form.
 //!
 //! # Dispatch
 //!
@@ -41,6 +45,7 @@
 //! property tests in `tests/simd_equivalence.rs` drive mixed-case bases,
 //! ambiguity codes and arbitrary junk bytes through each pair. The dispatched forms are what the pipeline calls.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -218,6 +223,99 @@ unsafe fn find_byte_on(backend: Backend, data: &[u8], needle: u8) -> Option<usiz
     }
 }
 
+/// A batch's owned canonical k-mers, run by run: what [`owned_kmers`]
+/// fills. Its buffers are reused across calls.
+#[derive(Debug, Default)]
+pub struct OwnedKmers {
+    /// Backing store of the values: each run's slots of the allocation,
+    /// of which a backend may leave the tail uninitialised (and `len` 0).
+    values: Vec<u64>,
+    /// `spans[r]`: where run `r`'s values are in `values`' allocation;
+    /// every slot of every span is initialised.
+    spans: Vec<Range<usize>>,
+}
+
+impl OwnedKmers {
+    /// Each run's owned values, in run order, each in position order.
+    pub fn runs(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        let base = self.values.as_ptr();
+        self.spans.iter().map(move |span| {
+            debug_assert!(span.start <= span.end && span.end <= self.values.capacity());
+            // SAFETY: a backend records a span only over slots of this allocation it has written, and nothing reallocates `values` between the kernel and this borrow.
+            unsafe { std::slice::from_raw_parts(base.add(span.start), span.len()) }
+        })
+    }
+}
+
+/// The canonical `k`-mers (`k <= 32`) of each run of `codes` whose bin
+/// `value >> shift` lies in `bins`, using the [`active`] backend.
+///
+/// Each run of `runs` must hold only valid codes (`0..=3`, as
+/// [`encode_classify`] writes them, split at
+/// [`INVALID_CODE`](crate::alphabet::INVALID_CODE)); the values of a run
+/// that holds another byte are unspecified. A run shorter than `k` owns
+/// nothing. KmerGen passes `shift = 2(k - m)` and the m-mer bins
+/// `[lo, hi)` of one pass, so `out` receives exactly the values the
+/// enumeration would have kept, in the same order, with the bin test done
+/// before a value leaves the kernel.
+#[inline]
+pub fn owned_kmers(
+    codes: &[u8],
+    runs: &[Range<usize>],
+    (k, shift): (usize, u32),
+    bins: Range<u64>,
+    out: &mut OwnedKmers,
+) {
+    // SAFETY: `active()` only holds a backend `supported` accepted.
+    unsafe { owned_kmers_on(active(), codes, runs, (k, shift), bins, out) }
+}
+
+/// [`owned_kmers`] with an explicit backend (differential testing).
+pub fn owned_kmers_with(
+    backend: Backend,
+    codes: &[u8],
+    runs: &[Range<usize>],
+    (k, shift): (usize, u32),
+    bins: Range<u64>,
+    out: &mut OwnedKmers,
+) {
+    assert_supported(backend);
+    // SAFETY: `assert_supported` just checked the CPU executes `backend`.
+    unsafe { owned_kmers_on(backend, codes, runs, (k, shift), bins, out) }
+}
+
+/// # Safety
+/// The running CPU must execute `backend`'s kernels ([`supported`]).
+// SAFETY: `unsafe fn` only for the contract above — `active()` and
+// `assert_supported` establish it before every call.
+unsafe fn owned_kmers_on(
+    backend: Backend,
+    codes: &[u8],
+    runs: &[Range<usize>],
+    (k, shift): (usize, u32),
+    bins: Range<u64>,
+    out: &mut OwnedKmers,
+) {
+    assert!((1..=32).contains(&k), "owned_kmers: k={k} out of 1..=32");
+    assert!(shift < 64, "owned_kmers: shift {shift} of a 64-bit value");
+    debug_assert!(
+        runs.iter()
+            .all(|run| codes[run.clone()].iter().all(|&c| c < 4)),
+        "owned_kmers: a run holds an invalid code"
+    );
+    // An empty or inverted range owns nothing: its width is 0.
+    let bins = (bins.start, bins.end.saturating_sub(bins.start));
+    let (values, spans) = (&mut out.values, &mut out.spans);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller guarantees the CPU executes AVX2 code.
+        Backend::Avx2 => unsafe { avx2::owned_kmers(codes, runs, (k, shift), bins, values, spans) },
+        // NEON resolves to the scalar form: one 128-bit register holds only
+        // two 64-bit lanes.
+        _ => scalar::owned_kmers(codes, runs, (k, shift), bins, values, spans),
+    }
+}
+
 /// Panic unless the running CPU executes `backend`'s kernels: a `*_with`
 /// call must run the family it names, never silently another.
 fn assert_supported(backend: Backend) {
@@ -292,6 +390,35 @@ mod tests {
         encode_classify(&[b'C'; 64], &mut out);
         assert_eq!(out.len(), 64);
         assert_eq!(out.capacity(), cap, "buffer must be recycled");
+    }
+
+    #[test]
+    fn owned_kmers_order_k32_values_unsigned() {
+        use crate::{Kmer, Kmer64};
+        // At k = 32 a canonical value can use the top bit (a k-mer and its
+        // reverse complement both starting with G or T). Keep the upper
+        // half of the m = 16 bins, `[2^31, 2^32)`: exactly the values with
+        // the top bit set, which a signed compare would order first.
+        let codes: Vec<u8> = (0..200u32).map(|i| ((i * 7 + i / 5) % 4) as u8).collect();
+        let runs = [0..90, 90..90, 90..200];
+        let mut want = Vec::new();
+        for run in &runs {
+            let mut km = Kmer64::zero(32);
+            for (i, &c) in codes[run.clone()].iter().enumerate() {
+                km.roll(c);
+                let v = km.canonical_value();
+                if i >= 31 && v >> 63 == 1 {
+                    want.push(v);
+                }
+            }
+        }
+        assert!(!want.is_empty(), "the runs must hold a top-bit value");
+        let mut out = OwnedKmers::default();
+        for backend in available_backends() {
+            owned_kmers_with(backend, &codes, &runs, (32, 32), 1 << 31..1 << 32, &mut out);
+            let got: Vec<u64> = out.runs().flatten().copied().collect();
+            assert_eq!(got, want, "backend={backend}");
+        }
     }
 
     #[test]

@@ -141,6 +141,81 @@ proptest! {
     }
 }
 
+/// Bases of either case: what a valid run is encoded from.
+fn base_byte() -> impl Strategy<Value = u8> {
+    (0usize..8).prop_map(|i| b"ACGTacgt"[i])
+}
+
+/// Longest run the owned-k-mer property builds, and the most runs.
+const MAX_RUN: usize = 70;
+const MAX_RUNS: usize = 9;
+
+/// Bins `[lo, hi)` of `4^m`: empty, one bin, a random part, or all.
+fn bin_range(kind: u8, (a, b): (u64, u64), m: usize) -> std::ops::Range<u64> {
+    let bins = 1u64 << (2 * m);
+    let lo = a % bins;
+    match kind {
+        0 => lo..lo,
+        1 => lo..lo + 1,
+        2 => lo..lo + 1 + b % (bins - lo),
+        _ => 0..bins,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The owned-k-mer kernel of every available backend returns, run by
+    /// run and in position order, exactly its scalar form's values — and
+    /// the scalar form returns what the byte-level enumerator keeps of
+    /// each run under the same bin test. Runs are shorter than, equal to
+    /// and longer than k, of unequal lengths, of both cases, and sit in
+    /// one code buffer between `N`/`n` gaps.
+    #[test]
+    fn prop_owned_kmers_match_scalar(
+        k in proptest::sample::select(vec![1usize, 2, 16, 27, 31, 32]),
+        lens in proptest::collection::vec((0u8..4, 0..=MAX_RUN), 1..=MAX_RUNS),
+        pool in proptest::collection::vec(base_byte(), MAX_RUNS * MAX_RUN),
+        gaps in proptest::collection::vec(1usize..4, MAX_RUNS),
+        m in 1usize..=16,
+        (kind, ab) in (0u8..4, (any::<u64>(), any::<u64>())),
+    ) {
+        let m = m.min(k);
+        let shift = 2 * (k - m) as u32;
+        let bins = bin_range(kind, ab, m);
+        let mut read = Vec::new();
+        let mut runs = Vec::new();
+        let mut want = Vec::new();
+        for (i, (&(len_kind, free), &gap)) in lens.iter().zip(&gaps).enumerate() {
+            let len = match len_kind {
+                0 => free,
+                1 => k,
+                2 => k - 1,
+                _ => k + 1,
+            };
+            let seg = &pool[i * MAX_RUN..][..len.min(MAX_RUN)];
+            runs.push(read.len()..read.len() + seg.len());
+            read.extend_from_slice(seg);
+            read.extend(b"Nn".iter().cycle().take(gap));
+            let mut owned = Vec::new();
+            for_each_canonical_kmer_scalar::<Kmer64>(seg, k, |v, _| {
+                if bins.contains(&(v >> shift)) {
+                    owned.push(v);
+                }
+            });
+            want.push(owned);
+        }
+        let mut codes = Vec::new();
+        simd::encode_classify(&read, &mut codes);
+        let mut out = simd::OwnedKmers::default();
+        for backend in simd::available_backends() {
+            simd::owned_kmers_with(backend, &codes, &runs, (k, shift), bins.clone(), &mut out);
+            let got: Vec<Vec<u64>> = out.runs().map(<[u64]>::to_vec).collect();
+            prop_assert_eq!(&got, &want, "backend {}", backend);
+        }
+    }
+}
+
 /// k = 64 exceeds `Kmer128::MAX_K` and must panic at every entry point
 /// rather than silently clamp (the old `count_valid_kmers` bug).
 #[test]
