@@ -194,10 +194,17 @@ impl PipelineConfig {
                 "presolve_threshold must be >= 1 (a zero threshold drops every k-mer)".into(),
             );
         }
-        if self.presolve_threshold.is_some() && (self.sketch.width < 16 || self.sketch.depth == 0) {
+        let depths = 1..=metaprep_norm::countmin::MAX_DEPTH;
+        if self.presolve_threshold.is_some()
+            && (self.sketch.width < 16 || !depths.contains(&self.sketch.depth))
+        {
             return err(format!(
-                "presolve sketch must be at least 16 x 1 counters, got {} x {}",
-                self.sketch.width, self.sketch.depth
+                "presolve sketch must be at least 16 counters wide and {} to {} rows deep, \
+                 got {} x {}",
+                depths.start(),
+                depths.end(),
+                self.sketch.width,
+                self.sketch.depth
             ));
         }
         Ok(())
@@ -519,6 +526,20 @@ mod tests {
             .build()
             .validate()
             .is_err());
+        // An update keeps a key's cells on the stack: at most MAX_DEPTH rows.
+        let too_deep = PipelineConfig::builder()
+            .presolve_threshold(5)
+            .sketch(SketchParams {
+                width: 1 << 10,
+                depth: metaprep_norm::countmin::MAX_DEPTH + 1,
+                seed: 0,
+            })
+            .build()
+            .validate();
+        assert!(
+            matches!(&too_deep, Err(PipelineError::InvalidConfig(m)) if m.contains("1 to 8 rows deep")),
+            "{too_deep:?}"
+        );
     }
 
     #[test]

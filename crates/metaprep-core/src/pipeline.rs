@@ -428,11 +428,7 @@ fn run_generic<K: PipelineKmer>(
         rec.record_counter(0, CounterKind::MemBudgetBytes, budget);
     }
     if let Some(f) = filter {
-        rec.record_counter(
-            0,
-            CounterKind::SketchFillPermille,
-            f.sketch().fill_ratio_permille(),
-        );
+        rec.record_counter(0, CounterKind::SketchFillPermille, f.fill_ratio_permille());
     }
 
     Ok(PipelineResult {
