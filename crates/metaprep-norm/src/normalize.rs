@@ -15,7 +15,8 @@ pub struct NormalizeConfig {
     /// Count-min sketch width (counters per row; rounded up to a power of
     /// two).
     pub sketch_width: usize,
-    /// Count-min sketch depth (rows).
+    /// Count-min sketch depth (rows, `1..=`[`MAX_DEPTH`](crate::countmin::MAX_DEPTH);
+    /// [`normalize`] panics outside that range).
     pub sketch_depth: usize,
     /// Sketch hash seed.
     pub seed: u64,
