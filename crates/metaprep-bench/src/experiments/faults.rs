@@ -190,13 +190,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     let max_overhead = runs.iter().map(|r| r.overhead_x).fold(0.0f64, f64::max);
     json.push_str(&format!("  \"max_overhead_x\": {max_overhead:.3}\n}}\n"));
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_faults.json"));
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&out, json).expect("write BENCH_faults.json");
-    println!("wrote {}", out.display());
-    out
+    harness::write_artifact("BENCH_faults.json", json)
 }

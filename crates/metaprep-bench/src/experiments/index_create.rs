@@ -19,7 +19,7 @@
 //! a coarse, monotone cross-check.
 
 use crate::allocpeak;
-use crate::harness::{dataset, fmt_dur, fmt_mb, print_table};
+use crate::harness::{dataset, fmt_dur, fmt_mb, print_table, write_artifact};
 use metaprep_index::{index_fastq_bytes, index_fastq_file_streaming, StreamingOptions};
 use metaprep_synth::DatasetId;
 use std::hint::black_box;
@@ -193,10 +193,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     }
     json.push_str("  ]\n}\n");
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_index.json"));
-    std::fs::write(&out, json).expect("write BENCH_index.json");
-    println!("wrote {}", out.display());
-    out
+    write_artifact("BENCH_index.json", json)
 }

@@ -38,7 +38,7 @@
 //! gated the same way (≥1.3x), and waived where `owned_backend` is scalar
 //! (NEON resolves the kernel to its scalar form).
 
-use crate::harness::{dataset, print_table};
+use crate::harness::{dataset, print_table, write_artifact};
 use metaprep_io::{record_views, write_fastq, ReadStore};
 use metaprep_kmer::simd::{self, Backend};
 use metaprep_kmer::{
@@ -491,10 +491,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         "  \"dispatched_over_scalar\": {kmergen_ratio:.3}\n}}\n"
     ));
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_kmergen.json"));
-    std::fs::write(&out, json).expect("write BENCH_kmergen.json");
-    println!("wrote {}", out.display());
-    out
+    write_artifact("BENCH_kmergen.json", json)
 }

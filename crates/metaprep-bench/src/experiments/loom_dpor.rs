@@ -208,10 +208,5 @@ pub fn run(_scale: f64) -> std::path::PathBuf {
         "  \"alltoall3_reduction_vs_reference\": {a3_reduction:.1}\n}}\n"
     ));
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_loom.json"));
-    std::fs::write(&out, json).expect("write BENCH_loom.json");
-    println!("wrote {}", out.display());
-    out
+    crate::harness::write_artifact("BENCH_loom.json", json)
 }

@@ -343,13 +343,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     json.push_str(&format!("  \"planner_budget_bytes\": {modeled},\n"));
     json.push_str(&format!("  \"planner_passes\": {}\n}}\n", planned.passes));
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_presolve.json"));
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&out, json).expect("write BENCH_presolve.json");
-    println!("wrote {}", out.display());
-    out
+    harness::write_artifact("BENCH_presolve.json", json)
 }

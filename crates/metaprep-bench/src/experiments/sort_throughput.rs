@@ -46,7 +46,7 @@
 //! marks allocator numbers absent).
 
 use crate::allocpeak;
-use crate::harness::print_table;
+use crate::harness::{print_table, write_artifact};
 use metaprep_kmer::KmerReadTuple;
 use metaprep_sort::{
     bucketed_local_sort, equal_boundaries_by_sample, fused_local_sort, local_sort,
@@ -600,12 +600,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     json.push_str(&ratios.join(",\n"));
     json.push_str("\n}\n");
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_sort.json"));
-    std::fs::write(&out, json).expect("write BENCH_sort.json");
-    println!("wrote {}", out.display());
-    out
+    write_artifact("BENCH_sort.json", json)
 }
 
 /// Print one fused-vs-reference table; returns fused over reference

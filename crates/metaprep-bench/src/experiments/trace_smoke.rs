@@ -98,13 +98,7 @@ pub fn run(scale: f64) {
         "chrome trace must contain flow start/finish events"
     );
 
-    let out = std::env::var("METAPREP_BENCH_OUT")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::PathBuf::from("target/BENCH_trace.json"));
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(&out, &chrome).expect("write chrome trace");
+    let out = harness::write_artifact("target/BENCH_trace.json", &chrome);
     let jsonl_path = out.with_extension("jsonl");
     std::fs::write(&jsonl_path, &jsonl).expect("write jsonl trace");
 

@@ -1,6 +1,8 @@
-//! Shared harness utilities: datasets, formatting, table printing.
+//! Shared harness utilities: datasets, formatting, table printing, and
+//! the one writer of the `BENCH_*` artifacts.
 
 use metaprep_synth::{scaled_profile, simulate_community, DatasetId, SimulatedData};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// Dataset scale factor from `METAPREP_SCALE` (default 1.0).
@@ -10,6 +12,20 @@ pub fn scale_from_env() -> f64 {
         .and_then(|s| s.parse().ok())
         .filter(|&s| s > 0.0)
         .unwrap_or(1.0)
+}
+
+/// Write an experiment's artifact to the path in `METAPREP_BENCH_OUT`, or
+/// to `default_name` (relative to the working directory) when it is unset,
+/// creating the parent directory first. Prints and returns the path.
+pub fn write_artifact(default_name: &str, contents: impl AsRef<[u8]>) -> PathBuf {
+    let out =
+        std::env::var_os("METAPREP_BENCH_OUT").map_or_else(|| default_name.into(), PathBuf::from);
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir).ok();
+    }
+    std::fs::write(&out, contents).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    println!("wrote {}", out.display());
+    out
 }
 
 /// Generate (deterministically) the scaled stand-in for a paper dataset.

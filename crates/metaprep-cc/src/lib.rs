@@ -9,8 +9,6 @@
 //!   threads process edges with synchronization-free `Find`/`Union` (CAS on
 //!   an atomic parent array), buffering edges that caused a `Union` and
 //!   re-verifying them on the next iteration;
-//! * [`locked::locked_components`] — Cybenko-style union-in-critical-section
-//!   baseline for the ablation bench;
 //! * [`sv::shiloach_vishkin`] — iterative Shiloach–Vishkin CC with iteration
 //!   counting, standing in for the AP_LB comparator (paper Table 4: the
 //!   O(log M)-iteration algorithm METAPREP's log P merge beats);
@@ -24,7 +22,6 @@
 
 pub mod adaptive;
 pub mod concurrent;
-pub mod locked;
 pub mod merge;
 pub mod seq;
 pub mod stats;

@@ -1,16 +1,14 @@
-//! Three-way property-based differential test: the lock-free
-//! [`ConcurrentDisjointSet`] (paper Algorithm 1), the sequential
-//! [`DisjointSet`] oracle, and the Cybenko-style critical-section
-//! baseline ([`locked_components`]) must agree on the partition for
-//! every generated edge stream.
+//! Property-based differential test: the lock-free
+//! [`ConcurrentDisjointSet`] (paper Algorithm 1) and the sequential
+//! [`DisjointSet`] oracle must agree on the partition for every generated
+//! edge stream.
 //!
 //! This complements the loom model tests (`tests/loom.rs`): loom proves
 //! the 2–3 thread micro-schedules exhaustively; this test cross-checks
-//! the three implementations over *many* random graphs at real rayon
+//! the two implementations over *many* random graphs at real rayon
 //! parallelism, where each run is one sampled schedule.
 
 use metaprep_cc::concurrent::ConcurrentDisjointSet;
-use metaprep_cc::locked::locked_components;
 use metaprep_cc::seq::DisjointSet;
 use proptest::prelude::*;
 
@@ -43,8 +41,8 @@ fn concurrent(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
 }
 
 proptest! {
-    /// Random multigraphs (self-loops and duplicates included): all
-    /// three implementations agree with each other.
+    /// Random multigraphs (self-loops and duplicates included): the two
+    /// implementations agree.
     #[test]
     fn prop_three_way_agreement(
         n in 1usize..120,
@@ -56,14 +54,11 @@ proptest! {
             .collect();
         let seq = sequential(n, &edges);
         let conc = concurrent(n, &edges);
-        let lock = locked_components(n, &edges);
         prop_assert!(same_partition(&conc, &seq), "concurrent vs sequential");
-        prop_assert!(same_partition(&lock, &seq), "locked vs sequential");
     }
 
     /// Contention-heavy shape: star graphs force every union through the
-    /// same root, the worst case for the CAS re-verification loop and
-    /// the lock alike.
+    /// same root, the worst case for the CAS re-verification loop.
     #[test]
     fn prop_three_way_agreement_star(
         n in 2usize..200,
@@ -73,9 +68,7 @@ proptest! {
         edges.extend(extra.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)));
         let seq = sequential(n, &edges);
         let conc = concurrent(n, &edges);
-        let lock = locked_components(n, &edges);
         prop_assert!(same_partition(&conc, &seq), "concurrent vs sequential");
-        prop_assert!(same_partition(&lock, &seq), "locked vs sequential");
     }
 
     /// Component-count agreement on sparse graphs (many components
@@ -98,6 +91,5 @@ proptest! {
         };
         let seq = sequential(n, &edges);
         prop_assert_eq!(count(&concurrent(n, &edges)), count(&seq));
-        prop_assert_eq!(count(&locked_components(n, &edges)), count(&seq));
     }
 }

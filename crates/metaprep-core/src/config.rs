@@ -50,7 +50,11 @@ pub struct PipelineConfig {
     /// tuple is materialized or shipped. `None` disables the presolve
     /// tier. The estimate never under-counts, so every k-mer truly above
     /// the threshold is dropped; rare sketch collisions can only drop
-    /// extra high-side k-mers, never resurrect one.
+    /// extra high-side k-mers, never resurrect one. The drops, and so the
+    /// partition, depend on `tasks × threads`: each IndexCreate worker
+    /// fills its own conservative sketch and the merge forgoes the
+    /// conservative updates across workers, so compare presolve runs only
+    /// at equal `tasks` and `threads`.
     pub presolve_threshold: Option<u32>,
     /// Shape and seed of the presolve count-min sketch built during
     /// IndexCreate (used only when `presolve_threshold` is set).
@@ -80,8 +84,8 @@ pub struct PipelineConfig {
     /// needs to span a few FASTQ records.
     pub index_window: usize,
     /// Radix digit width in bits for the fused LocalSort (`1..=16`; the
-    /// paper uses 8 — 256 bucket counters stay L1-resident; the ablation
-    /// benches sweep 8/11/16). Identical final output at any width.
+    /// paper uses 8 — 256 bucket counters stay L1-resident; no experiment
+    /// sweeps the width). Identical final output at any width.
     pub sort_digit_bits: u32,
     /// Deterministic fault-injection plan applied to every cluster
     /// message and to the chosen crash boundaries (`None` = fault-free).

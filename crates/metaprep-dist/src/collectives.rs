@@ -4,8 +4,8 @@
 //! in stage `i` task `p` sends its buffer for task `(p + i) mod P` and
 //! receives from `(p - i) mod P` ([`stage_peers`]). Stage 0 is the local
 //! "self-send" (no message). The staged schedule avoids the many-to-one
-//! hot spot of a naive simultaneous exchange — `bench_alltoall` measures
-//! the difference.
+//! hot spot of a simultaneous exchange, where every task fires all its
+//! sends at once.
 //!
 //! [`broadcast`] is CC-I/O's label fan-out. MergeCC's pairwise tree is not
 //! a collective here: the pipeline sends and receives it directly.
@@ -57,34 +57,6 @@ pub fn alltoall<M: Payload>(ctx: &TaskCtx<'_, M>, outgoing: Vec<M>) -> Vec<M> {
     incoming
         .into_iter()
         // EXPECT: the stage loop received from every peer exactly once and the own-rank slot was moved directly.
-        .map(|o| o.expect("missing incoming buffer"))
-        .collect()
-}
-
-/// Naive all-to-all: every task fires all its sends immediately, then
-/// drains its inbox. Kept as the ablation baseline for the staged schedule
-/// (all `P-1` messages per task land at once instead of one per stage).
-pub fn alltoall_naive<M: Payload>(ctx: &TaskCtx<'_, M>, outgoing: Vec<M>) -> Vec<M> {
-    let p = ctx.size();
-    assert_eq!(outgoing.len(), p, "alltoall requires one buffer per task");
-    let rank = ctx.rank();
-    let mut out: Vec<Option<M>> = outgoing.into_iter().map(Some).collect();
-    let mut incoming: Vec<Option<M>> = (0..p).map(|_| None).collect();
-    incoming[rank] = out[rank].take();
-    for (to, buf) in out.iter_mut().enumerate() {
-        if to != rank {
-            // EXPECT: the loop visits each destination slot exactly once.
-            ctx.send(to, buf.take().expect("buffer already sent"));
-        }
-    }
-    for (from, slot) in incoming.iter_mut().enumerate() {
-        if from != rank {
-            *slot = Some(ctx.recv_from(from));
-        }
-    }
-    incoming
-        .into_iter()
-        // EXPECT: the receive loop filled every peer slot and the own-rank slot was moved directly.
         .map(|o| o.expect("missing incoming buffer"))
         .collect()
 }
@@ -146,26 +118,6 @@ mod tests {
         // Each task sends exactly one remote buffer of 80 bytes.
         assert_eq!(r.stats[0].bytes_sent, 80);
         assert_eq!(r.stats[0].messages_sent, 1);
-    }
-
-    #[test]
-    fn alltoall_naive_matches_staged() {
-        for p in [2usize, 4, 7] {
-            let run = |staged: bool| {
-                run_cluster::<Vec<u32>, _, _>(ClusterConfig::new(p, 1), move |ctx| {
-                    let outgoing: Vec<Vec<u32>> = (0..ctx.size())
-                        .map(|q| vec![(ctx.rank() * 31 + q) as u32])
-                        .collect();
-                    if staged {
-                        alltoall(ctx, outgoing)
-                    } else {
-                        alltoall_naive(ctx, outgoing)
-                    }
-                })
-                .results
-            };
-            assert_eq!(run(true), run(false), "p={p}");
-        }
     }
 
     /// A staged all-to-all of 8-word buffers inside a `KmerGen-Comm`

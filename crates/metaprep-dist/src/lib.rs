@@ -25,13 +25,12 @@
 //! its peers. Each rank's `TaskObs` lives in its [`TaskCtx`], so `send`,
 //! `recv_from`, [`alltoall`] and [`broadcast`] take no observer or stage
 //! argument. The collectives are the two the pipeline runs (the staged
-//! all-to-all and the label broadcast) plus the naive all-to-all it is
-//! measured against; MergeCC is the caller's own pairwise `send` /
-//! `recv_from` tree, and there is no barrier — phases synchronize through
-//! their messages. Each rank counts its own fault tallies; the run's
-//! [`FaultStats`] is their sum once the ranks have joined. Under
-//! `--cfg loom` only [`sync`], [`stage_peers`] and [`DedupState`] are
-//! built — what `tests/loom.rs` models.
+//! all-to-all and the label broadcast); MergeCC is the caller's own
+//! pairwise `send` / `recv_from` tree, and there is no barrier — phases
+//! synchronize through their messages. Each rank counts its own fault
+//! tallies; the run's [`FaultStats`] is their sum once the ranks have
+//! joined. Under `--cfg loom` only [`sync`], [`stage_peers`] and
+//! [`DedupState`] are built — what `tests/loom.rs` models.
 
 #[cfg(not(loom))]
 pub mod cluster;
@@ -48,7 +47,7 @@ pub use cluster::{
     explore_schedules, run_cluster, ClusterConfig, ClusterResult, FaultStats, TaskCtx,
 };
 #[cfg(not(loom))]
-pub use collectives::{alltoall, alltoall_naive, broadcast};
+pub use collectives::{alltoall, broadcast};
 pub use delivery::{DedupState, DeliveryPolicy, Offer};
 pub use faults::{
     Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, SendDecision,

@@ -7,9 +7,8 @@
 
 use crate::fastqpart::{ChunkRecord, FastqPart};
 use crate::merhist::MerHist;
-use bytes::{Buf, BufMut};
 use metaprep_io::ChunkSpec;
-use metaprep_kmer::MmerSpace;
+use metaprep_kmer::{Kmer, Kmer128, MmerSpace};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -51,34 +50,72 @@ fn check(cond: bool, what: &'static str) -> Result<(), IndexFormatError> {
     }
 }
 
+/// The `(k, m)` of a header, if it names a space [`MmerSpace::new`] accepts
+/// with a k a tuple can hold.
+fn header_space(k: u32, m: u32) -> Result<MmerSpace, IndexFormatError> {
+    let (k, m) = (k as usize, m as usize);
+    check((1..=Kmer128::MAX_K).contains(&k), "k out of range")?;
+    check((1..=16).contains(&m) && m <= k, "invalid (k, m)")?;
+    Ok(MmerSpace::new(k, m))
+}
+
+/// Little-endian integers read off the front of a byte slice; running out
+/// of bytes is a corrupt file, never a panic.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], IndexFormatError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .ok_or(IndexFormatError::Corrupt("truncated"))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32, IndexFormatError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, IndexFormatError> {
+        self.take().map(u64::from_le_bytes)
+    }
+}
+
 /// Serialize a [`MerHist`] into bytes.
 pub fn merhist_to_bytes(h: &MerHist) -> Vec<u8> {
     let sp = h.space();
     let mut buf = Vec::with_capacity(24 + 4 * h.counts().len());
-    buf.put_u32_le(MERHIST_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(sp.k() as u32);
-    buf.put_u32_le(sp.m() as u32);
-    buf.put_u64_le(h.counts().len() as u64);
+    buf.extend_from_slice(&MERHIST_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(sp.k() as u32).to_le_bytes());
+    buf.extend_from_slice(&(sp.m() as u32).to_le_bytes());
+    buf.extend_from_slice(&(h.counts().len() as u64).to_le_bytes());
     for &c in h.counts() {
-        buf.put_u32_le(c);
+        buf.extend_from_slice(&c.to_le_bytes());
     }
     buf
 }
 
 /// Deserialize a [`MerHist`] from bytes.
-pub fn merhist_from_bytes(mut buf: &[u8]) -> Result<MerHist, IndexFormatError> {
+pub fn merhist_from_bytes(buf: &[u8]) -> Result<MerHist, IndexFormatError> {
+    let mut buf = Cursor(buf);
     check(buf.remaining() >= 24, "merHist header truncated")?;
-    check(buf.get_u32_le() == MERHIST_MAGIC, "bad merHist magic")?;
-    check(buf.get_u32_le() == VERSION, "unsupported merHist version")?;
-    let k = buf.get_u32_le() as usize;
-    let m = buf.get_u32_le() as usize;
-    check((1..=16).contains(&m) && m <= k, "invalid (k, m)")?;
-    let n = buf.get_u64_le() as usize;
-    let space = MmerSpace::new(k, m);
-    check(n == space.bins(), "bin count mismatch")?;
-    check(buf.remaining() == 4 * n, "merHist payload size mismatch")?;
-    let counts = (0..n).map(|_| buf.get_u32_le()).collect();
+    check(buf.u32()? == MERHIST_MAGIC, "bad merHist magic")?;
+    check(buf.u32()? == VERSION, "unsupported merHist version")?;
+    let (k, m) = (buf.u32()?, buf.u32()?);
+    let space = header_space(k, m)?;
+    let n = buf.u64()?;
+    check(n == space.bins() as u64, "bin count mismatch")?;
+    check(
+        buf.remaining() as u64 == 4 * n,
+        "merHist payload size mismatch",
+    )?;
+    let counts = (0..n).map(|_| buf.u32()).collect::<Result<_, _>>()?;
     Ok(MerHist::from_parts(space, counts))
 }
 
@@ -87,47 +124,47 @@ pub fn fastqpart_to_bytes(fp: &FastqPart) -> Vec<u8> {
     let sp = fp.space();
     let bins = sp.bins();
     let mut buf = Vec::with_capacity(28 + fp.len() * (24 + 4 * bins));
-    buf.put_u32_le(FASTQPART_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(sp.k() as u32);
-    buf.put_u32_le(sp.m() as u32);
-    buf.put_u64_le(fp.len() as u64);
+    buf.extend_from_slice(&FASTQPART_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(sp.k() as u32).to_le_bytes());
+    buf.extend_from_slice(&(sp.m() as u32).to_le_bytes());
+    buf.extend_from_slice(&(fp.len() as u64).to_le_bytes());
     for rec in fp.chunks() {
-        buf.put_u64_le(rec.spec.offset);
-        buf.put_u64_le(rec.spec.bytes);
-        buf.put_u32_le(rec.spec.first_seq);
-        buf.put_u32_le(rec.spec.seqs);
+        buf.extend_from_slice(&rec.spec.offset.to_le_bytes());
+        buf.extend_from_slice(&rec.spec.bytes.to_le_bytes());
+        buf.extend_from_slice(&rec.spec.first_seq.to_le_bytes());
+        buf.extend_from_slice(&rec.spec.seqs.to_le_bytes());
         for &c in &rec.hist {
-            buf.put_u32_le(c);
+            buf.extend_from_slice(&c.to_le_bytes());
         }
     }
     buf
 }
 
 /// Deserialize a [`FastqPart`] from bytes.
-pub fn fastqpart_from_bytes(mut buf: &[u8]) -> Result<FastqPart, IndexFormatError> {
+pub fn fastqpart_from_bytes(buf: &[u8]) -> Result<FastqPart, IndexFormatError> {
+    let mut buf = Cursor(buf);
     check(buf.remaining() >= 24, "FASTQPart header truncated")?;
-    check(buf.get_u32_le() == FASTQPART_MAGIC, "bad FASTQPart magic")?;
-    check(buf.get_u32_le() == VERSION, "unsupported FASTQPart version")?;
-    let k = buf.get_u32_le() as usize;
-    let m = buf.get_u32_le() as usize;
-    check((1..=16).contains(&m) && m <= k, "invalid (k, m)")?;
-    let space = MmerSpace::new(k, m);
+    check(buf.u32()? == FASTQPART_MAGIC, "bad FASTQPart magic")?;
+    check(buf.u32()? == VERSION, "unsupported FASTQPart version")?;
+    let (k, m) = (buf.u32()?, buf.u32()?);
+    let space = header_space(k, m)?;
     let bins = space.bins();
-    let n = buf.get_u64_le() as usize;
+    let n = buf.u64()?;
+    let payload = n.checked_mul(24 + 4 * bins as u64);
     check(
-        buf.remaining() == n * (24 + 4 * bins),
+        payload == Some(buf.remaining() as u64),
         "FASTQPart payload size mismatch",
     )?;
-    let mut chunks = Vec::with_capacity(n);
+    let mut chunks = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let spec = ChunkSpec {
-            offset: buf.get_u64_le(),
-            bytes: buf.get_u64_le(),
-            first_seq: buf.get_u32_le(),
-            seqs: buf.get_u32_le(),
+            offset: buf.u64()?,
+            bytes: buf.u64()?,
+            first_seq: buf.u32()?,
+            seqs: buf.u32()?,
         };
-        let hist = (0..bins).map(|_| buf.get_u32_le()).collect();
+        let hist = (0..bins).map(|_| buf.u32()).collect::<Result<_, _>>()?;
         chunks.push(ChunkRecord { spec, hist });
     }
     Ok(FastqPart::from_parts(space, chunks))
@@ -236,6 +273,41 @@ mod tests {
         assert_eq!(read_merhist(dir.join("mh.bin")).unwrap(), h);
         assert_eq!(read_fastqpart(dir.join("fp.bin")).unwrap(), fp);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A FASTQPart header: magic, version, k, m, chunk count.
+    fn fastqpart_header(k: u32, m: u32, n: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for word in [FASTQPART_MAGIC, VERSION, k, m] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        // n * (24 + 4 * bins) overflows u64.
+        let huge = fastqpart_header(27, 8, 1 << 61);
+        assert!(matches!(
+            fastqpart_from_bytes(&huge),
+            Err(IndexFormatError::Corrupt(_))
+        ));
+        // k beyond what a tuple holds, in either table.
+        assert!(fastqpart_from_bytes(&fastqpart_header(100, 8, 0)).is_err());
+        let mut mh = merhist_to_bytes(&MerHist::build(&sample_store(), 8, 3));
+        mh[8..12].copy_from_slice(&100u32.to_le_bytes());
+        assert!(merhist_from_bytes(&mh).is_err());
+        assert!(fastqpart_from_bytes(&fastqpart_header(0, 0, 0)).is_err());
+        // Every truncation of a valid encoding.
+        let fp = fastqpart_to_bytes(&FastqPart::build(&sample_store(), 3, 8, 3));
+        for cut in 0..fp.len() {
+            assert!(fastqpart_from_bytes(&fp[..cut]).is_err(), "cut={cut}");
+        }
+        let mh = merhist_to_bytes(&MerHist::build(&sample_store(), 8, 3));
+        for cut in 0..mh.len() {
+            assert!(merhist_from_bytes(&mh[..cut]).is_err(), "cut={cut}");
+        }
     }
 
     #[test]

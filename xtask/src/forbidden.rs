@@ -66,6 +66,18 @@ const FORBIDDEN: &[Forbidden] = &[
         dirs: &["crates", "src", "tests", "examples"],
         names: &["for_each_canonical_kmer_x4"],
     },
+    Forbidden {
+        why: "the exp_* bins and benchmark/ are the one measurement stack: no criterion \
+              benches, no baselines only they ran, no parking_lot or bytes shim",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &[
+            "criterion",
+            "parking_lot",
+            "alltoall_naive",
+            "locked_components",
+            "use bytes::",
+        ],
+    },
 ];
 
 /// Check the tree under `root`; print every hit as `file:line: ...` and

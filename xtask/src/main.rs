@@ -596,7 +596,7 @@ const BENCH_METRICS: &[BenchMetric] = &[
 /// per-metric delta table, and fail when a current value trips the same
 /// absolute gate `bench-smoke` enforces. Deltas themselves are
 /// informational — shared-runner noise makes them a trend signal, not a
-/// pass/fail criterion.
+/// pass/fail test.
 fn run_bench_diff(flags: &[&str]) -> ExitCode {
     let root = workspace_root();
     let mut baseline_dir: Option<PathBuf> = None;
@@ -801,12 +801,9 @@ fn is_pipeline_src(rel: &str) -> bool {
 }
 
 /// True for files where `.unwrap()` is acceptable wholesale: tests,
-/// benches, examples, and non-pipeline crates.
+/// examples, and non-pipeline crates.
 fn unwrap_exempt_file(rel: &str) -> bool {
-    !is_pipeline_src(rel)
-        || rel.contains("/tests/")
-        || rel.contains("/benches/")
-        || rel.contains("/examples/")
+    !is_pipeline_src(rel) || rel.contains("/tests/") || rel.contains("/examples/")
 }
 
 fn lint_file(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
