@@ -160,28 +160,7 @@ impl ConcurrentDisjointSet {
     /// the paper notes the first iteration dominates the running time).
     #[cfg(not(loom))]
     pub fn process_edges_parallel(&self, edges: &[(u32, u32)]) -> usize {
-        if edges.is_empty() {
-            return 0;
-        }
-        let mut iterations = 1usize;
-        let mut pending: Vec<(u32, u32)> = edges
-            .par_iter()
-            .copied()
-            .filter(|&(u, v)| self.process_edge(u, v))
-            .collect();
-        // Termination: an edge survives a pass only if it observed distinct
-        // roots; once its link (or a competing one) lands, the next pass
-        // sees equal roots and drops it. Component count strictly decreases
-        // while any edge survives, so the loop is finite.
-        while !pending.is_empty() {
-            iterations += 1;
-            pending = pending
-                .par_iter()
-                .copied()
-                .filter(|&(u, v)| self.process_edge(u, v))
-                .collect();
-        }
-        iterations
+        self.process_edges_parallel_tracked(edges, &mut UfOpStats::default())
     }
 
     /// [`ConcurrentDisjointSet::process_edges_parallel`] with operation
@@ -200,10 +179,13 @@ impl ConcurrentDisjointSet {
         }
         let mut iterations = 1usize;
         let mut pending = self.tracked_pass(edges, ops);
+        // Termination: an edge survives a pass only if it observed distinct
+        // roots; once its link (or a competing one) lands, the next pass
+        // sees equal roots and drops it. Component count strictly decreases
+        // while any edge survives, so the loop is finite.
         while !pending.is_empty() {
             iterations += 1;
-            let next = self.tracked_pass(&pending, ops);
-            pending = next;
+            pending = self.tracked_pass(&pending, ops);
         }
         iterations
     }

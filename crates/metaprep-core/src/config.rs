@@ -69,10 +69,6 @@ pub struct PipelineConfig {
     /// `lo..=hi` generate read-graph edges (paper §4.4; `KF < 30` is
     /// `(1, 29)`, `10 <= KF < 30` is `(10, 29)`).
     pub kf_filter: Option<(u32, u32)>,
-    /// LocalCC-Opt (§3.5.1): on passes after the first, enumerate
-    /// `(k-mer, component id)` instead of `(k-mer, read id)` to improve
-    /// locality in the component array.
-    pub cc_opt: bool,
     /// Send component arrays in sparse `(vertex, root)` form during the
     /// MergeCC rounds — the communication-contraction direction the paper's
     /// §5 cites (Iverson et al.). Reduces Merge-Comm bytes when tasks touch
@@ -115,7 +111,6 @@ impl Default for PipelineConfig {
             threads: 1,
             chunks: 0,
             kf_filter: None,
-            cc_opt: true,
             merge_sparse: false,
             index_window: 0,
             sort_digit_bits: 8,
@@ -285,12 +280,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Enable/disable LocalCC-Opt.
-    pub fn cc_opt(mut self, on: bool) -> Self {
-        self.cfg.cc_opt = on;
-        self
-    }
-
     /// Enable/disable sparse Merge-Comm payloads.
     pub fn merge_sparse(mut self, on: bool) -> Self {
         self.cfg.merge_sparse = on;
@@ -352,7 +341,6 @@ mod tests {
             .threads(3)
             .chunks(96)
             .kf_filter(10, 29)
-            .cc_opt(false)
             .index_window(1 << 20)
             .sort_digit_bits(11)
             .build();
@@ -363,7 +351,6 @@ mod tests {
         assert_eq!(c.threads, 3);
         assert_eq!(c.chunks, 96);
         assert_eq!(c.kf_filter, Some((10, 29)));
-        assert!(!c.cc_opt);
         assert_eq!(c.index_window, 1 << 20);
         assert_eq!(c.sort_digit_bits, 11);
         assert!(c.validate().is_ok());

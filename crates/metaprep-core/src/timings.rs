@@ -83,7 +83,7 @@ impl TaskTimings {
     pub fn from_spans(spans: &[SpanEvent]) -> TaskTimings {
         let mut t = TaskTimings::default();
         for span in spans {
-            if let Some(step) = Step::from_name(span.name) {
+            if let Some(step) = Step::from_name(&span.name) {
                 t.add(step, Duration::from_nanos(span.dur_ns()));
             }
         }
@@ -173,9 +173,9 @@ mod tests {
 
     #[test]
     fn from_spans_accumulates_matching_names_only() {
-        let mk = |name, start_ns, end_ns| SpanEvent {
+        let mk = |name: &'static str, start_ns, end_ns| SpanEvent {
             task: 0,
-            name,
+            name: name.into(),
             pass: Some(0),
             detail: None,
             start_ns,

@@ -85,7 +85,7 @@ mod tests {
     use super::*;
     use crate::cluster::{run_cluster, ClusterConfig, ClusterResult};
     use crate::faults::FaultPlan;
-    use metaprep_obs::{EdgeDir, Event, MemRecorder};
+    use metaprep_obs::{EdgeDir, EdgeEvent, Event, MemRecorder, SpanEvent};
 
     #[test]
     fn alltoall_exchanges_correctly() {
@@ -147,7 +147,7 @@ mod tests {
         let stage_spans = events
             .iter()
             .filter(
-                |e| matches!(e, Event::Span { name, pass: Some(0), .. } if name == ALLTOALL_STAGE),
+                |e| matches!(e, Event::Span(SpanEvent { name, pass: Some(0), .. }) if name == ALLTOALL_STAGE),
             )
             .count();
         assert_eq!(stage_spans, p * (p - 1));
@@ -182,7 +182,7 @@ mod tests {
         let mut sends: BTreeMap<(u32, u32, u64), (u64, u64)> = BTreeMap::new();
         let mut recvs: BTreeMap<(u32, u32, u64), (u64, u64)> = BTreeMap::new();
         for e in rec.into_events() {
-            if let Event::Edge {
+            if let Event::Edge(EdgeEvent {
                 dir,
                 src,
                 dst,
@@ -192,7 +192,7 @@ mod tests {
                 seq,
                 lamport,
                 ..
-            } = e
+            }) = e
             {
                 assert_eq!(stage, "KmerGen-Comm");
                 assert_eq!(round, Some(1));
@@ -247,14 +247,14 @@ mod tests {
             .into_events()
             .into_iter()
             .filter_map(|e| match e {
-                Event::Edge {
+                Event::Edge(EdgeEvent {
                     dir: EdgeDir::Send,
                     src: 0,
                     seq,
                     stage,
                     round,
                     ..
-                } => Some((seq, stage, round)),
+                }) => Some((seq, stage.into_owned(), round)),
                 _ => None,
             })
             .collect();
@@ -293,8 +293,8 @@ mod tests {
                 .into_events()
                 .into_iter()
                 .filter_map(|mut e| match &mut e {
-                    Event::Edge { at_ns, .. } => {
-                        *at_ns = 0;
+                    Event::Edge(edge) => {
+                        edge.at_ns = 0;
                         Some(e)
                     }
                     _ => None,
@@ -331,7 +331,7 @@ mod tests {
         let count = |want: EdgeDir| {
             events
                 .iter()
-                .filter(|e| matches!(e, Event::Edge { dir, src: 0, .. } if *dir == want))
+                .filter(|e| matches!(e, Event::Edge(EdgeEvent { dir, src: 0, .. }) if *dir == want))
                 .count()
         };
         assert_eq!(count(EdgeDir::Send), p - 1);

@@ -81,22 +81,6 @@ impl FaultKind {
     }
 }
 
-/// Which messages a rule applies to. `None` fields match everything.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultScope {
-    /// Restrict to one sending rank.
-    pub src: Option<u32>,
-    /// Restrict to one receiving rank.
-    pub dst: Option<u32>,
-}
-
-impl FaultScope {
-    /// Does `(src, dst)` fall inside this scope?
-    pub fn matches(&self, src: usize, dst: usize) -> bool {
-        self.src.is_none_or(|s| s as usize == src) && self.dst.is_none_or(|d| d as usize == dst)
-    }
-}
-
 /// One declarative injection rule.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FaultRule {
@@ -104,8 +88,6 @@ pub struct FaultRule {
     pub kind: FaultKind,
     /// Probability in parts-per-million (see [`PPM`]).
     pub prob_ppm: u32,
-    /// Which `(src, dst)` pairs the rule covers.
-    pub scope: FaultScope,
 }
 
 /// A safe restart point in the pipeline: the rank has neither sent nor
@@ -228,11 +210,7 @@ impl FaultPlan {
 
     /// Add a rule covering all `(src, dst)` pairs.
     pub fn with_rule(mut self, kind: FaultKind, prob_ppm: u32) -> Self {
-        self.rules.push(FaultRule {
-            kind,
-            prob_ppm,
-            scope: FaultScope::default(),
-        });
+        self.rules.push(FaultRule { kind, prob_ppm });
         self
     }
 
@@ -253,7 +231,7 @@ impl FaultPlan {
         let mut delay_us = 0u64;
         let mut duplicate = false;
         for rule in &self.rules {
-            if rule.prob_ppm == 0 || !rule.scope.matches(src, dst) {
+            if rule.prob_ppm == 0 {
                 continue;
             }
             let h = decision_hash(self.seed, rule.kind.salt(), src, dst, seq, attempt as u64);
@@ -284,7 +262,6 @@ impl FaultPlan {
         self.rules.iter().any(|rule| {
             rule.kind == FaultKind::Reorder
                 && rule.prob_ppm > 0
-                && rule.scope.matches(src, dst)
                 && decision_hash(self.seed, rule.kind.salt(), src, dst, seq, 0) % (PPM as u64)
                     < rule.prob_ppm as u64
         })
@@ -454,21 +431,6 @@ mod tests {
             }
         }
         assert!(some_retry_passed);
-    }
-
-    #[test]
-    fn scope_restricts_rules() {
-        let mut plan = FaultPlan::new(5);
-        plan.rules.push(FaultRule {
-            kind: FaultKind::Drop,
-            prob_ppm: PPM,
-            scope: FaultScope {
-                src: Some(1),
-                dst: None,
-            },
-        });
-        assert_eq!(plan.decide_send(1, 0, 0, 0), SendDecision::Drop);
-        assert_ne!(plan.decide_send(0, 1, 0, 0), SendDecision::Drop);
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub use cluster::{
 #[cfg(not(loom))]
 pub use collectives::{alltoall, broadcast};
 pub use delivery::{DedupState, DeliveryPolicy, Offer};
-pub use faults::{
-    Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, FaultScope, SendDecision,
-};
+pub use faults::{Boundary, CrashSpec, FaultKind, FaultPlan, FaultReport, FaultRule, SendDecision};
 pub use netmodel::NetworkModel;
 pub use stats::{check_conservation, CommStats};
 

@@ -5,12 +5,10 @@
 //! of `(seed, kind, src, dst, seq, attempt)`, so the property is exact
 //! equality, not statistical agreement.
 
-use metaprep_dist::{
-    run_cluster, ClusterConfig, FaultKind, FaultPlan, FaultRule, FaultScope, SendDecision,
-};
+use metaprep_dist::{run_cluster, ClusterConfig, FaultKind, FaultPlan, FaultRule, SendDecision};
 use proptest::prelude::*;
 
-/// Strategy: an arbitrary rule over any kind/probability/scope.
+/// Strategy: an arbitrary rule over any kind and probability.
 fn rule_strategy() -> impl Strategy<Value = FaultRule> {
     (
         proptest::sample::select(vec![
@@ -20,19 +18,8 @@ fn rule_strategy() -> impl Strategy<Value = FaultRule> {
             FaultKind::Reorder,
         ]),
         0u32..=1_000_000,
-        (any::<bool>(), 0u32..4),
-        (any::<bool>(), 0u32..4),
     )
-        .prop_map(
-            |(kind, prob_ppm, (scope_src, src), (scope_dst, dst))| FaultRule {
-                kind,
-                prob_ppm,
-                scope: FaultScope {
-                    src: scope_src.then_some(src),
-                    dst: scope_dst.then_some(dst),
-                },
-            },
-        )
+        .prop_map(|(kind, prob_ppm)| FaultRule { kind, prob_ppm })
 }
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {

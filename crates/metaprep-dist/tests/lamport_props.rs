@@ -73,15 +73,15 @@ proptest! {
         let mut per_rank: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
         for e in &events {
             match e {
-                Event::Edge { dir, src, dst, lamport, at_ns, .. } => {
-                    let rank = match dir {
-                        EdgeDir::Send => *src,
-                        EdgeDir::Recv => *dst,
+                Event::Edge(e) => {
+                    let rank = match e.dir {
+                        EdgeDir::Send => e.src,
+                        EdgeDir::Recv => e.dst,
                     };
-                    per_rank[rank as usize].push((*at_ns, *lamport));
+                    per_rank[rank as usize].push((e.at_ns, e.lamport));
                 }
-                Event::Span { task, end_ns, lamport, .. } if *lamport > 0 => {
-                    per_rank[*task as usize].push((*end_ns, *lamport));
+                Event::Span(s) if s.lamport > 0 => {
+                    per_rank[s.task as usize].push((s.end_ns, s.lamport));
                 }
                 _ => {}
             }
@@ -123,7 +123,7 @@ proptest! {
         // orders recv after send.
         let sends = events
             .iter()
-            .filter(|e| matches!(e, Event::Edge { dir: EdgeDir::Send, .. }))
+            .filter(|e| matches!(e, Event::Edge(e) if e.dir == EdgeDir::Send))
             .count();
         prop_assert_eq!(a.pairs().len(), sends);
         for pair in a.pairs() {

@@ -24,7 +24,7 @@
 //!   [`TraceAnalysis::render_report`], the one text rendering of all of
 //!   the above (`metaprep analyze`), prints as the paper's tables.
 
-use crate::event::{CounterKind, EdgeDir, Event, INDEX_CREATE, STEP_NAMES};
+use crate::event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent, INDEX_CREATE, STEP_NAMES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -40,27 +40,6 @@ pub fn five_number(xs: &[f64]) -> [f64; 5] {
     xs.sort_by(f64::total_cmp);
     let q = |f: f64| xs[((xs.len() - 1) as f64 * f).round() as usize];
     [q(0.0), q(0.25), q(0.5), q(0.75), q(1.0)]
-}
-
-/// One recorded span, owned form, retained for analysis.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SpanRec {
-    task: u32,
-    name: String,
-    pass: Option<u32>,
-    start_ns: u64,
-    end_ns: u64,
-    lamport: u64,
-    /// Whether the span is a paper step or IndexCreate (sub-spans such
-    /// as all-to-all stages are nested inside these and excluded from
-    /// the critical-path tiling so attribution stays in step terms).
-    top_level: bool,
-}
-
-impl SpanRec {
-    fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
 }
 
 /// A matched send/recv pair: one causal edge of the happens-before DAG.
@@ -228,85 +207,36 @@ pub struct TraceAnalysis {
     /// Simulated task count: the meta header's, or one more than the
     /// highest task any span, edge or counter names, whichever is larger.
     pub tasks: u32,
-    spans: Vec<SpanRec>,
+    spans: Vec<SpanEvent>,
     pairs: Vec<MessagePair>,
     unmatched_sends: usize,
     unmatched_recvs: usize,
     counters: BTreeMap<(u32, CounterKind), u64>,
 }
 
-/// Sender-side half of an edge, keyed by `(src, dst, seq)`:
-/// `(stage, round, bytes, lamport, at_ns)`.
-type SendHalf = (String, Option<u32>, u64, u64, u64);
-
-/// Receiver-side half of an edge:
-/// `(src, dst, seq, stage, round, bytes, lamport, at_ns)`.
-type RecvHalf = (u32, u32, u64, String, Option<u32>, u64, u64, u64);
-
 impl TraceAnalysis {
     /// Reconstruct the happens-before structure from an event stream.
     pub fn from_events(events: &[Event]) -> TraceAnalysis {
         let mut tasks = 0u32;
-        let mut spans: Vec<SpanRec> = Vec::new();
-        let mut sends: BTreeMap<(u32, u32, u64), SendHalf> = BTreeMap::new();
-        let mut pairs: Vec<MessagePair> = Vec::new();
-        let mut recvs: Vec<RecvHalf> = Vec::new();
+        let mut spans: Vec<SpanEvent> = Vec::new();
+        let mut sends: BTreeMap<(u32, u32, u64), &EdgeEvent> = BTreeMap::new();
+        let mut recvs: Vec<&EdgeEvent> = Vec::new();
         let mut counters: BTreeMap<(u32, CounterKind), u64> = BTreeMap::new();
 
         for ev in events {
             match ev {
                 Event::Meta { tasks: n } => tasks = tasks.max(*n),
-                Event::Span {
-                    task,
-                    name,
-                    pass,
-                    start_ns,
-                    end_ns,
-                    lamport,
-                    ..
-                } => {
-                    tasks = tasks.max(task + 1);
-                    let top_level =
-                        STEP_NAMES.contains(&name.as_str()) || name.as_str() == INDEX_CREATE;
-                    spans.push(SpanRec {
-                        task: *task,
-                        name: name.clone(),
-                        pass: *pass,
-                        start_ns: *start_ns,
-                        end_ns: *end_ns,
-                        lamport: *lamport,
-                        top_level,
-                    });
+                Event::Span(s) => {
+                    tasks = tasks.max(s.task + 1);
+                    spans.push(s.clone());
                 }
-                Event::Edge {
-                    dir,
-                    src,
-                    dst,
-                    stage,
-                    round,
-                    bytes,
-                    seq,
-                    lamport,
-                    at_ns,
-                } => {
-                    tasks = tasks.max(src.max(dst) + 1);
-                    match dir {
+                Event::Edge(e) => {
+                    tasks = tasks.max(e.src.max(e.dst) + 1);
+                    match e.dir {
                         EdgeDir::Send => {
-                            sends.insert(
-                                (*src, *dst, *seq),
-                                (stage.clone(), *round, *bytes, *lamport, *at_ns),
-                            );
+                            sends.insert((e.src, e.dst, e.seq), e);
                         }
-                        EdgeDir::Recv => recvs.push((
-                            *src,
-                            *dst,
-                            *seq,
-                            stage.clone(),
-                            *round,
-                            *bytes,
-                            *lamport,
-                            *at_ns,
-                        )),
+                        EdgeDir::Recv => recvs.push(e),
                     }
                 }
                 Event::Counter { task, kind, value } => {
@@ -316,26 +246,24 @@ impl TraceAnalysis {
             }
         }
 
+        let mut pairs: Vec<MessagePair> = Vec::new();
         let mut unmatched_recvs = 0usize;
-        for (src, dst, seq, stage, round, bytes, lamport, at_ns) in recvs {
-            match sends.remove(&(src, dst, seq)) {
-                Some((s_stage, s_round, s_bytes, s_lamport, s_at)) => {
-                    // Prefer the sender's view of stage/round/bytes; the
-                    // receiver's copy is checked by `check_conservation`.
-                    let _ = (stage, round);
-                    pairs.push(MessagePair {
-                        src,
-                        dst,
-                        stage: s_stage,
-                        round: s_round,
-                        bytes: s_bytes.max(bytes),
-                        seq,
-                        send_lamport: s_lamport,
-                        recv_lamport: lamport,
-                        send_ns: s_at,
-                        recv_ns: at_ns,
-                    });
-                }
+        for r in recvs {
+            match sends.remove(&(r.src, r.dst, r.seq)) {
+                // Prefer the sender's view of stage/round; the receiver's
+                // copy is checked by `check_conservation`.
+                Some(s) => pairs.push(MessagePair {
+                    src: r.src,
+                    dst: r.dst,
+                    stage: s.stage.to_string(),
+                    round: s.round,
+                    bytes: s.bytes.max(r.bytes),
+                    seq: r.seq,
+                    send_lamport: s.lamport,
+                    recv_lamport: r.lamport,
+                    send_ns: s.at_ns,
+                    recv_ns: r.at_ns,
+                }),
                 None => unmatched_recvs += 1,
             }
         }
@@ -402,7 +330,7 @@ impl TraceAnalysis {
         let mut ps: Vec<u32> = self
             .spans
             .iter()
-            .filter(|s| STEP_NAMES.contains(&s.name.as_str()))
+            .filter(|s| STEP_NAMES.contains(&&*s.name))
             .filter_map(|s| s.pass)
             .collect();
         ps.sort_unstable();
@@ -413,15 +341,15 @@ impl TraceAnalysis {
     /// Total nanoseconds of the sequential IndexCreate phase.
     pub fn index_create_ns(&self) -> u64 {
         let spans = self.spans.iter().filter(|s| s.name == INDEX_CREATE);
-        spans.map(SpanRec::dur_ns).sum()
+        spans.map(SpanEvent::dur_ns).sum()
     }
 
     /// Summed nanoseconds of the spans that are neither paper steps nor
     /// IndexCreate (all-to-all stages, streaming sub-phases, …), by name.
     pub(crate) fn other_phase_ns(&self) -> BTreeMap<&str, u64> {
         let mut out = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| !s.top_level) {
-            *out.entry(s.name.as_str()).or_insert(0) += s.dur_ns();
+        for s in self.spans.iter().filter(|s| !s.is_top_level()) {
+            *out.entry(&*s.name).or_insert(0) += s.dur_ns();
         }
         out
     }
@@ -503,8 +431,8 @@ impl TraceAnalysis {
     /// Spans eligible for the critical-path tiling: paper steps and
     /// IndexCreate when present, every span otherwise (so synthetic /
     /// partial traces still analyze).
-    fn cp_spans(&self) -> Vec<&SpanRec> {
-        let top: Vec<&SpanRec> = self.spans.iter().filter(|s| s.top_level).collect();
+    fn cp_spans(&self) -> Vec<&SpanEvent> {
+        let top: Vec<&SpanEvent> = self.spans.iter().filter(|s| s.is_top_level()).collect();
         if top.is_empty() {
             self.spans.iter().collect()
         } else {
@@ -561,7 +489,7 @@ impl TraceAnalysis {
             .unwrap_or(0);
 
         // Per-task span and arrival lookups.
-        let mut by_task: Vec<Vec<&SpanRec>> = vec![Vec::new(); self.tasks as usize];
+        let mut by_task: Vec<Vec<&SpanEvent>> = vec![Vec::new(); self.tasks as usize];
         for s in &spans {
             if (s.task as usize) < by_task.len() {
                 by_task[s.task as usize].push(s);
@@ -654,7 +582,7 @@ impl TraceAnalysis {
                             start_ns: p.recv_ns,
                             end_ns: frontier,
                             kind: SegmentKind::Span {
-                                name: carrier.name.clone(),
+                                name: carrier.name.to_string(),
                                 pass: carrier.pass,
                             },
                         });
@@ -679,7 +607,7 @@ impl TraceAnalysis {
                         start_ns: seg_start,
                         end_ns: frontier,
                         kind: SegmentKind::Span {
-                            name: carrier.name.clone(),
+                            name: carrier.name.to_string(),
                             pass: carrier.pass,
                         },
                     });
@@ -756,7 +684,11 @@ impl TraceAnalysis {
         let mut rows = Vec::with_capacity(self.tasks as usize);
         for t in 0..self.tasks {
             let mut occupancy: Vec<BTreeMap<&str, u64>> = vec![BTreeMap::new(); width];
-            for s in self.spans.iter().filter(|s| s.task == t && s.top_level) {
+            for s in self
+                .spans
+                .iter()
+                .filter(|s| s.task == t && s.is_top_level())
+            {
                 let lo = s.start_ns.max(start);
                 let hi = s.end_ns.min(end);
                 if hi <= lo {
@@ -775,7 +707,7 @@ impl TraceAnalysis {
                     let bucket_hi = start + ((b as u64 + 1) * span_total) / width as u64;
                     let overlap = hi.min(bucket_hi).saturating_sub(lo.max(bucket_lo));
                     if overlap > 0 {
-                        *bucket.entry(s.name.as_str()).or_insert(0) += overlap;
+                        *bucket.entry(&*s.name).or_insert(0) += overlap;
                     }
                 }
             }
@@ -828,16 +760,16 @@ impl TraceAnalysis {
     /// nested under the smallest top-level span containing them.
     pub fn folded_stacks(&self) -> String {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        let (top, subs): (Vec<&SpanEvent>, Vec<&SpanEvent>) =
+            self.spans.iter().partition(|s| s.is_top_level());
+        let within = |sub: &SpanEvent, s: &SpanEvent| {
+            sub.task == s.task && sub.start_ns >= s.start_ns && sub.end_ns <= s.end_ns
+        };
         // Self time of top-level spans (duration minus nested sub-spans)
         // plus one nested level for the sub-spans themselves.
-        for s in &self.spans {
-            if !s.top_level {
-                continue;
-            }
+        for s in &top {
             let mut self_ns = s.dur_ns();
-            for sub in self.spans.iter().filter(|x| {
-                !x.top_level && x.task == s.task && x.start_ns >= s.start_ns && x.end_ns <= s.end_ns
-            }) {
+            for sub in subs.iter().filter(|x| within(x, s)) {
                 let d = sub.dur_ns();
                 self_ns = self_ns.saturating_sub(d);
                 *totals
@@ -849,18 +781,10 @@ impl TraceAnalysis {
                 .or_insert(0) += self_ns;
         }
         // Sub-spans not contained in any top-level span still show up.
-        for sub in self.spans.iter().filter(|s| !s.top_level) {
-            let contained = self.spans.iter().any(|s| {
-                s.top_level
-                    && s.task == sub.task
-                    && sub.start_ns >= s.start_ns
-                    && sub.end_ns <= s.end_ns
-            });
-            if !contained {
-                *totals
-                    .entry(format!("task {};{}", sub.task, sub.name))
-                    .or_insert(0) += sub.dur_ns();
-            }
+        for sub in subs.iter().filter(|x| !top.iter().any(|s| within(x, s))) {
+            *totals
+                .entry(format!("task {};{}", sub.task, sub.name))
+                .or_insert(0) += sub.dur_ns();
         }
         let mut out = String::new();
         for (stack, ns) in totals {
@@ -1127,43 +1051,34 @@ impl TraceAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EdgeEvent, SpanEvent};
 
-    fn span(task: u32, name: &str, start: u64, end: u64) -> Event {
-        Event::Span {
+    fn pass_span(task: u32, name: &str, pass: Option<u32>, start: u64, end: u64) -> Event {
+        Event::Span(SpanEvent {
             task,
-            name: name.to_string(),
-            pass: None,
+            name: name.to_string().into(),
+            pass,
             detail: None,
             start_ns: start,
             end_ns: end,
             lamport: 0,
-        }
+        })
+    }
+
+    fn span(task: u32, name: &str, start: u64, end: u64) -> Event {
+        pass_span(task, name, None, start, end)
     }
 
     fn edge(dir: EdgeDir, src: u32, dst: u32, seq: u64, lamport: u64, at: u64) -> Event {
-        Event::from(EdgeEvent {
+        Event::Edge(EdgeEvent {
             dir,
             src,
             dst,
-            stage: "KmerGen-Comm",
+            stage: "KmerGen-Comm".into(),
             round: None,
             bytes: 100,
             seq,
             lamport,
             at_ns: at,
-        })
-    }
-
-    fn pass_span(task: u32, name: &'static str, pass: u32, start: u64, end: u64) -> Event {
-        Event::from(SpanEvent {
-            task,
-            name,
-            pass: Some(pass),
-            detail: None,
-            start_ns: start,
-            end_ns: end,
-            lamport: 0,
         })
     }
 
@@ -1358,7 +1273,7 @@ mod tests {
         // The rendered warning names the task that dropped events.
         let events = vec![
             Event::Meta { tasks: 2 },
-            pass_span(0, "KmerGen", 0, 0, 100),
+            pass_span(0, "KmerGen", Some(0), 0, 100),
             Event::Counter {
                 task: 1,
                 kind: CounterKind::EventsDropped,
@@ -1536,10 +1451,10 @@ mod tests {
     fn summary_accumulates_passes_and_is_exact() {
         let events = vec![
             Event::Meta { tasks: 2 },
-            pass_span(0, "KmerGen", 0, 0, 100),
-            pass_span(0, "KmerGen", 1, 200, 350),
-            pass_span(1, "KmerGen", 0, 0, 90),
-            pass_span(1, "LocalSort", 0, 90, 100),
+            pass_span(0, "KmerGen", Some(0), 0, 100),
+            pass_span(0, "KmerGen", Some(1), 200, 350),
+            pass_span(1, "KmerGen", Some(0), 0, 90),
+            pass_span(1, "LocalSort", Some(0), 90, 100),
             Event::Counter {
                 task: 0,
                 kind: CounterKind::TuplesEmitted,
@@ -1570,26 +1485,16 @@ mod tests {
 
     #[test]
     fn index_create_and_other_spans_kept_separate() {
-        let events = vec![
-            Event::Span {
-                task: 0,
-                name: "IndexCreate".to_string(),
-                pass: None,
-                detail: None,
-                start_ns: 0,
-                end_ns: 1_000,
-                lamport: 0,
-            },
-            Event::Span {
-                task: 0,
-                name: "alltoall-stage".to_string(),
-                pass: Some(0),
-                detail: Some(2),
-                start_ns: 0,
-                end_ns: 10,
-                lamport: 0,
-            },
-        ];
+        let stage = SpanEvent {
+            task: 0,
+            name: "alltoall-stage".into(),
+            pass: Some(0),
+            detail: Some(2),
+            start_ns: 0,
+            end_ns: 10,
+            lamport: 0,
+        };
+        let events = vec![span(0, "IndexCreate", 0, 1_000), Event::Span(stage)];
         let s = TraceAnalysis::from_events(&events);
         assert_eq!(s.index_create_ns(), 1_000);
         assert_eq!(s.pipeline_task_ns(), vec![0]);

@@ -7,7 +7,12 @@
 //! into that raw material:
 //!
 //! * [`SpanEvent`] — one `step × task × pass` interval with start/end
-//!   timestamps against a run-relative monotonic clock ([`RunClock`]);
+//!   timestamps against a run-relative monotonic clock ([`RunClock`]),
+//!   and [`EdgeEvent`] — one send or receive endpoint of a message. They
+//!   are the only span and edge types: the recorder buffers them,
+//!   [`Event::Span`] / [`Event::Edge`] wrap them for the exporters and the
+//!   parser, and the analysis reads them back. A recorded name borrows a
+//!   constant, a parsed one owns its string (`Cow<'static, str>`);
 //! * [`CounterKind`] — tuple, sort, union-find, communication and memory
 //!   counters, batched per task;
 //! * [`MemRecorder`] — the one sink: a lock-free in-memory collector with

@@ -8,6 +8,7 @@
 //! (counters are batched per pass/range) costs nothing.
 
 use crate::event::{CounterKind, EdgeDir, EdgeEvent, Event, SpanEvent};
+use std::borrow::Cow;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -103,9 +104,9 @@ impl MemRecorder {
     /// on task 0's timeline: no pass, no detail, and Lamport 0, because
     /// it lies outside every task's causal timeline.
     pub fn record_driver_span(&self, name: &'static str, start_ns: u64, end_ns: u64) {
-        self.push_run_event(Event::from(SpanEvent {
+        self.push_run_event(Event::Span(SpanEvent {
             task: 0,
-            name,
+            name: Cow::Borrowed(name),
             pass: None,
             detail: None,
             start_ns,
@@ -160,15 +161,15 @@ impl MemRecorder {
     /// by timestamp, then counters aggregated per `(task, kind)`.
     pub fn into_events(self) -> Vec<Event> {
         let ntasks = self.tasks.len() as u32;
-        let mut spans: Vec<Event> = Vec::new();
-        let mut edges: Vec<Event> = Vec::new();
+        let mut spans: Vec<SpanEvent> = Vec::new();
+        let mut edges: Vec<EdgeEvent> = Vec::new();
         let mut totals: std::collections::BTreeMap<(u32, CounterKind), u64> =
             std::collections::BTreeMap::new();
 
         for (task, slot) in self.tasks.into_iter().enumerate() {
             if let Some(trace) = slot.into_inner() {
-                spans.extend(trace.spans.into_iter().map(Event::from));
-                edges.extend(trace.edges.into_iter().map(Event::from));
+                spans.extend(trace.spans);
+                edges.extend(trace.edges);
                 for (kind, value) in trace.counters {
                     *totals.entry((task as u32, kind)).or_insert(0) += value;
                 }
@@ -183,31 +184,19 @@ impl MemRecorder {
                 Event::Counter { task, kind, value } => {
                     *totals.entry((task, kind)).or_insert(0) += value;
                 }
-                edge @ Event::Edge { .. } => edges.push(edge),
-                other => spans.push(other),
+                Event::Span(span) => spans.push(span),
+                Event::Edge(edge) => edges.push(edge),
+                Event::Meta { .. } => {}
             }
         }
 
-        spans.sort_by_key(|e| match e {
-            Event::Span { start_ns, task, .. } => (*start_ns, *task),
-            _ => (0, 0),
-        });
-        edges.sort_by_key(|e| match e {
-            Event::Edge {
-                at_ns,
-                dir,
-                src,
-                dst,
-                seq,
-                ..
-            } => (*at_ns, *dir, *src, *dst, *seq),
-            _ => (0, EdgeDir::Send, 0, 0, 0),
-        });
+        spans.sort_by_key(|s| (s.start_ns, s.task));
+        edges.sort_by_key(|e| (e.at_ns, e.dir, e.src, e.dst, e.seq));
 
         let mut out = Vec::with_capacity(1 + spans.len() + edges.len() + totals.len());
         out.push(Event::Meta { tasks: ntasks });
-        out.extend(spans);
-        out.extend(edges);
+        out.extend(spans.into_iter().map(Event::Span));
+        out.extend(edges.into_iter().map(Event::Edge));
         out.extend(
             totals
                 .into_iter()
@@ -285,7 +274,7 @@ impl<'r> TaskObs<'r> {
         self.lamport += 1;
         self.spans.push(SpanEvent {
             task: self.task,
-            name,
+            name: Cow::Borrowed(name),
             pass,
             detail,
             start_ns: open.start_ns,
@@ -320,7 +309,7 @@ impl<'r> TaskObs<'r> {
             self.lamport += 1;
             self.spans.push(SpanEvent {
                 task: self.task,
-                name,
+                name: Cow::Borrowed(name),
                 pass,
                 detail: None,
                 start_ns,
@@ -352,7 +341,7 @@ impl<'r> TaskObs<'r> {
                 dir: EdgeDir::Send,
                 src: self.task,
                 dst,
-                stage,
+                stage: Cow::Borrowed(stage),
                 round,
                 bytes,
                 seq,
@@ -383,7 +372,7 @@ impl<'r> TaskObs<'r> {
                 dir: EdgeDir::Recv,
                 src,
                 dst: self.task,
-                stage,
+                stage: Cow::Borrowed(stage),
                 round,
                 bytes,
                 seq,
@@ -466,7 +455,7 @@ mod tests {
         assert_eq!(events[0], Event::Meta { tasks: 2 });
         assert!(matches!(
             &events[1],
-            Event::Span { task: 1, name, .. } if name == "KmerGen"
+            Event::Span(SpanEvent { task: 1, name, .. }) if name == "KmerGen"
         ));
         assert!(events.contains(&Event::Counter {
             task: 1,
@@ -522,7 +511,7 @@ mod tests {
         let starts: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {
-                Event::Span { start_ns, .. } => Some(*start_ns),
+                Event::Span(s) => Some(s.start_ns),
                 _ => None,
             })
             .collect();
@@ -550,7 +539,7 @@ mod tests {
         let n_edges = rec
             .into_events()
             .iter()
-            .filter(|e| matches!(e, Event::Edge { .. }))
+            .filter(|e| matches!(e, Event::Edge(_)))
             .count();
         assert_eq!(n_edges, 3);
     }
@@ -566,14 +555,14 @@ mod tests {
         let events = rec.into_events();
         assert!(events.iter().any(|e| matches!(
             e,
-            Event::Edge {
+            Event::Edge(EdgeEvent {
                 dir: EdgeDir::Send,
                 src: 0,
                 dst: 1,
                 round: Some(2),
                 bytes: 64,
                 ..
-            }
+            })
         )));
     }
 
@@ -590,14 +579,19 @@ mod tests {
         // (1 span + 1 counter) dropped.
         let span = SpanEvent {
             task: 0,
-            name: "KmerGen",
+            name: "KmerGen".into(),
             pass: None,
             detail: None,
             start_ns: 0,
             end_ns: 1,
             lamport: 1,
         };
-        rec.flush_task(0, vec![span], vec![(CounterKind::TuplesEmitted, 1)], vec![]);
+        rec.flush_task(
+            0,
+            vec![span.clone()],
+            vec![(CounterKind::TuplesEmitted, 1)],
+            vec![],
+        );
         // Out-of-range task: 1 span dropped, attributed to that task id.
         rec.flush_task(9, vec![span], vec![], vec![]);
         let events = rec.into_events();

@@ -14,7 +14,7 @@
 
 use metaprep::core::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineResult};
 use metaprep::dist::FaultPlan;
-use metaprep::obs::{CounterKind, EdgeDir, Event, MemRecorder};
+use metaprep::obs::{CounterKind, EdgeDir, EdgeEvent, Event, MemRecorder, SpanEvent};
 use metaprep::synth::{simulate_community, CommunityProfile};
 use std::fmt::Write;
 use std::path::Path;
@@ -79,15 +79,15 @@ fn snapshot(res: &PipelineResult, events: &[Event], ckpt_dir: &Path) -> String {
         let mut spans: Vec<(u64, String)> = events
             .iter()
             .filter_map(|e| match e {
-                Event::Span {
+                Event::Span(SpanEvent {
                     task: t,
                     name,
                     pass,
                     detail,
                     lamport,
                     ..
-                } if *t == task => {
-                    let mut sig = name.clone();
+                }) if *t == task => {
+                    let mut sig = name.to_string();
                     if let Some(p) = pass {
                         write!(sig, "@{p}").unwrap();
                     }
@@ -106,7 +106,7 @@ fn snapshot(res: &PipelineResult, events: &[Event], ckpt_dir: &Path) -> String {
         let mut edges: Vec<(u64, String)> = events
             .iter()
             .filter_map(|e| match e {
-                Event::Edge {
+                Event::Edge(EdgeEvent {
                     dir,
                     src,
                     dst,
@@ -116,7 +116,7 @@ fn snapshot(res: &PipelineResult, events: &[Event], ckpt_dir: &Path) -> String {
                     seq,
                     lamport,
                     ..
-                } => {
+                }) => {
                     let (mine, arrow) = match dir {
                         EdgeDir::Send => (*src, "->"),
                         EdgeDir::Recv => (*dst, "<-"),

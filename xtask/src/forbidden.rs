@@ -78,6 +78,12 @@ const FORBIDDEN: &[Forbidden] = &[
             "use bytes::",
         ],
     },
+    Forbidden {
+        why: "SpanEvent and EdgeEvent are the one span and one edge type; a fault rule \
+              covers every (src, dst) pair; LocalCC-Opt runs on every pass after the first",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &[r"SpanRec\b", "SendHalf", "RecvHalf", "FaultScope", "cc_opt"],
+    },
 ];
 
 /// Check the tree under `root`; print every hit as `file:line: ...` and
