@@ -1,4 +1,4 @@
-//! Extension experiment: sparse vs dense Merge-Comm payloads.
+//! Extension experiment: component messages (dense or non-root pairs) vs dense arrays.
 
 fn main() {
     let scale = metaprep_bench::scale_from_env();

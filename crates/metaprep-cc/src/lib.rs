@@ -12,7 +12,9 @@
 //! * [`sv::shiloach_vishkin`] — iterative Shiloach–Vishkin CC with iteration
 //!   counting, standing in for the AP_LB comparator (paper Table 4: the
 //!   O(log M)-iteration algorithm METAPREP's log P merge beats);
-//! * [`merge`] — MergeCC: absorbing another task's parent array as edges;
+//! * [`merge`] — MergeCC: absorbing another task's components as edges,
+//!   sent as a [`merge::ComponentMsg`] (dense array or non-root pairs,
+//!   whichever is fewer bytes);
 //! * [`stats::ComponentStats`] — component counts/sizes/largest fraction,
 //!   the numbers behind paper Table 7.
 //!
@@ -30,7 +32,7 @@ pub mod sync;
 
 pub use adaptive::{adaptive_components, AdaptiveResult};
 pub use concurrent::{ConcurrentDisjointSet, UfOpStats};
-pub use merge::{absorb_parent_array, absorb_sparse_pairs, sparse_pairs};
+pub use merge::{absorb_parent_array, ComponentMsg};
 pub use seq::DisjointSet;
 pub use stats::ComponentStats;
 pub use sv::{shiloach_vishkin, SvResult};

@@ -110,11 +110,11 @@ mod tests {
 
     #[test]
     fn parses_command_options_and_flags() {
-        let a = parse(&["partition", "--k", "27", "--sparse", "--input", "x.fastq"]);
+        let a = parse(&["partition", "--k", "27", "--unpaired", "--input", "x.fastq"]);
         assert_eq!(a.command, "partition");
         assert_eq!(a.req("input").unwrap(), "x.fastq");
         assert_eq!(a.get_or("k", 0usize).unwrap(), 27);
-        assert!(a.flag("sparse"));
+        assert!(a.flag("unpaired"));
         assert!(!a.flag("paired"));
     }
 
@@ -138,11 +138,11 @@ mod tests {
 
     #[test]
     fn only_rejects_unknown_options_and_switches() {
-        let a = parse(&["partition", "--k", "27", "--sparse"]);
-        assert!(a.only("k sparse").is_ok());
+        let a = parse(&["partition", "--k", "27", "--unpaired"]);
+        assert!(a.only("k unpaired").is_ok());
         let err = a.only("k").unwrap_err().to_string();
-        assert_eq!(err, "unknown option --sparse for partition");
-        let err = a.only("sparse kf").unwrap_err().to_string();
+        assert_eq!(err, "unknown option --unpaired for partition");
+        let err = a.only("unpaired kf").unwrap_err().to_string();
         assert_eq!(err, "unknown option --k for partition");
     }
 

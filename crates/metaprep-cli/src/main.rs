@@ -7,7 +7,7 @@
 //! metaprep partition --input reads.fastq --k 27 --tasks 4 --threads 2
 //!                    [--passes 2] [--memory-budget 512M] [--presolve 50]
 //!                    [--sketch-width 262144] [--sketch-depth 4]
-//!                    [--kf 10:29] [--top 4] [--sparse] --outdir parts/
+//!                    [--kf 10:29] [--top 4] --outdir parts/
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
 //!                    [--checkpoint-dir ckpt/] [--watchdog-timeout 5000]
 //! metaprep analyze   --trace trace.jsonl [--top 5] [--folded stacks.txt] [--strict]
@@ -93,7 +93,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "partition" => (
             cmd_partition,
             "input unpaired outdir trace-out trace-format k m tasks threads passes \
-             memory-budget presolve sketch-width sketch-depth kf top min-size sparse \
+             memory-budget presolve sketch-width sketch-depth kf top min-size \
              fault-plan checkpoint-dir watchdog-timeout stream",
         ),
         "analyze" => (cmd_analyze, "trace top folded strict"),
@@ -316,8 +316,7 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .k(args.get_or("k", 27usize)?)
         .m(args.get_or("m", 8usize)?)
         .tasks(args.get_or("tasks", 1usize)?)
-        .threads(args.get_or("threads", 1usize)?)
-        .merge_sparse(args.flag("sparse"));
+        .threads(args.get_or("threads", 1usize)?);
     if args.opt("passes").is_some() {
         b = b.passes(args.get_or("passes", 1usize)?);
     }

@@ -126,15 +126,17 @@ fn out_of_range_index_and_simulate_options_are_one_error_line() {
 #[test]
 fn an_unknown_option_is_one_error_line_and_writes_nothing() {
     // A misspelled option used to be ignored (`--task 4` ran one task);
-    // `--simd` is gone in favour of `METAPREP_SIMD`.
+    // `--simd` is gone in favour of `METAPREP_SIMD`, and `--sparse` because
+    // Merge-Comm picks the smaller component encoding itself.
     let dir = tmpdir("unknown_option");
     let reads = dir.join("reads.fastq");
     std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
     let out_path = dir.join("out");
     let (input, outp) = (reads.to_str().unwrap(), out_path.to_str().unwrap());
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 5] = [
         ("partition", &["--task", "4"], "--task for partition"),
         ("partition", &["--simd", "scalar"], "--simd for partition"),
+        ("partition", &["--sparse"], "--sparse for partition"),
         ("index", &["--chunk", "8"], "--chunk for index"),
         ("index", &["--tasks", "2"], "--tasks for index"),
     ];

@@ -69,11 +69,6 @@ pub struct PipelineConfig {
     /// `lo..=hi` generate read-graph edges (paper §4.4; `KF < 30` is
     /// `(1, 29)`, `10 <= KF < 30` is `(10, 29)`).
     pub kf_filter: Option<(u32, u32)>,
-    /// Send component arrays in sparse `(vertex, root)` form during the
-    /// MergeCC rounds — the communication-contraction direction the paper's
-    /// §5 cites (Iverson et al.). Reduces Merge-Comm bytes when tasks touch
-    /// only a slice of the read set; identical final components.
-    pub merge_sparse: bool,
     /// Probe window in bytes for the streaming file IndexCreate's chunk cuts
     /// (0 = auto, `metaprep_io::DEFAULT_INDEX_WINDOW`). Indexing memory per
     /// thread is O(window + `metaprep_io::WALK_WINDOW`); the window only
@@ -111,7 +106,6 @@ impl Default for PipelineConfig {
             threads: 1,
             chunks: 0,
             kf_filter: None,
-            merge_sparse: false,
             index_window: 0,
             sort_digit_bits: 8,
             fault_plan: None,
@@ -277,12 +271,6 @@ impl PipelineConfigBuilder {
     /// Restrict read-graph edges to k-mers with frequency in `lo..=hi`.
     pub fn kf_filter(mut self, lo: u32, hi: u32) -> Self {
         self.cfg.kf_filter = Some((lo, hi));
-        self
-    }
-
-    /// Enable/disable sparse Merge-Comm payloads.
-    pub fn merge_sparse(mut self, on: bool) -> Self {
-        self.cfg.merge_sparse = on;
         self
     }
 

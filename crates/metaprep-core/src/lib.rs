@@ -21,8 +21,9 @@
 //! file that is re-read, never held. Each indexes its input, builds the
 //! chunk source the passes load from, and runs; telemetry goes to the
 //! recorder given with [`Pipeline::with_recorder`]. Configuration:
-//! [`PipelineConfig`] (k, m, passes, tasks, threads, k-mer frequency
-//! filter, LocalCC-Opt), validated when a run starts.
+//! [`PipelineConfig`] (k, m, passes or a memory budget, presolve, tasks,
+//! threads, k-mer frequency filter, fault plan, checkpoints), validated
+//! when a run starts.
 //! Results carry component labels, per-task per-step timings,
 //! communication volumes and both modeled and measured memory.
 

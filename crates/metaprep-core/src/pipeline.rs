@@ -17,10 +17,7 @@ use crate::memmodel::MemoryReport;
 use crate::planner::{plan_passes, PlanInputs};
 use crate::source::ChunkSource;
 use crate::timings::{Step, StepTimings, TaskTimings};
-use metaprep_cc::{
-    absorb_parent_array, absorb_sparse_pairs, sparse_pairs, ComponentStats, ConcurrentDisjointSet,
-    DisjointSet,
-};
+use metaprep_cc::{ComponentMsg, ComponentStats, ConcurrentDisjointSet, DisjointSet};
 use metaprep_dist::collectives::{alltoall, broadcast};
 use metaprep_dist::{run_cluster, Boundary, ClusterConfig, CommStats, Payload, TaskCtx};
 use metaprep_index::{index_store, BucketPlan, FastqPart, MerHist, RangePlan};
@@ -34,25 +31,23 @@ use std::path::Path;
 use std::time::Duration;
 
 /// Message type moved between simulated tasks. One enum for all phases:
-/// a channel matrix per phase would cost more than the `unreachable!`
-/// arms below, which guard a case `drive` cannot produce.
+/// a `TaskCtx` carries one payload type, and `benchmark/` binds
+/// `run_cluster`'s `M`, so a typed channel per phase would change the
+/// cluster API. The `unreachable!` arms below guard a case `drive` cannot
+/// produce.
 #[derive(Clone)]
 enum Msg<T> {
     /// k-mer tuples (KmerGen-Comm).
     Tuples(Vec<T>),
-    /// Component arrays (Merge-Comm and the final broadcast).
-    Parents(Vec<u32>),
-    /// Sparse `(vertex, root)` component pairs (Merge-Comm with the
-    /// `merge_sparse` option).
-    SparseParents(Vec<(u32, u32)>),
+    /// A task's components (Merge-Comm and the CC-I/O broadcast).
+    Components(ComponentMsg),
 }
 
 impl<T: Send + 'static> Payload for Msg<T> {
     fn size_bytes(&self) -> usize {
         match self {
-            Msg::Tuples(v) => v.len() * std::mem::size_of::<T>(),
-            Msg::Parents(v) => v.len() * std::mem::size_of::<u32>(),
-            Msg::SparseParents(v) => v.len() * std::mem::size_of::<(u32, u32)>(),
+            Msg::Tuples(v) => v.size_bytes(),
+            Msg::Components(c) => c.size_bytes(),
         }
     }
 }
@@ -639,7 +634,7 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
                 .into_iter()
                 .map(|msg| match msg {
                     Msg::Tuples(v) => v,
-                    _ => unreachable!("no parent arrays during KmerGen-Comm"),
+                    Msg::Components(_) => unreachable!("no components during KmerGen-Comm"),
                 })
                 .collect();
             let received = tuple_count(&parts);
@@ -743,13 +738,8 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         let (ctx, rank, stride) = (self.ctx, self.ctx.rank(), 1usize << round);
         let (comm, merge, at) = (Step::MergeComm.name(), Step::MergeCc.name(), Some(round));
         if retirement_round(rank) == Some(round) {
-            let sparse = self.run.cfg.merge_sparse;
             ctx.span(comm, None, at, || {
-                let msg = if sparse {
-                    Msg::SparseParents(sparse_pairs(local))
-                } else {
-                    Msg::Parents(local.component_array().to_vec())
-                };
+                let msg = Msg::Components(ComponentMsg::of(local));
                 ctx.obs()
                     .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
                 ctx.send(rank - stride, msg);
@@ -760,8 +750,7 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
             ctx.obs()
                 .add(CounterKind::MergeBytes, msg.size_bytes() as u64);
             ctx.span(merge, None, at, || match msg {
-                Msg::Parents(arr) => absorb_parent_array(local, &arr),
-                Msg::SparseParents(pairs) => absorb_sparse_pairs(local, &pairs),
+                Msg::Components(c) => c.absorb_into(local),
                 Msg::Tuples(_) => unreachable!("no tuples during MergeCC"),
             });
             true
@@ -770,19 +759,18 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         }
     }
 
-    /// CC-I/O: broadcast the final labels from rank 0. Returns them on
-    /// rank 0. The files are written after the run, from these labels:
-    /// `output::write_partitions_streamed` walks the input file once more,
-    /// `output::write_partitions` splits a resident store — outside the
-    /// timed region, as in the paper's harness.
+    /// CC-I/O: broadcast the final components from rank 0. Returns the
+    /// labels on rank 0, from its own forest. The files are written after
+    /// the run, from these labels: `output::write_partitions_streamed`
+    /// walks the input file once more, `output::write_partitions` splits a
+    /// resident store — outside the timed region, as in the paper's harness.
     fn cc_io(&self, mut local: DisjointSet) -> Option<Vec<u32>> {
         let ctx = self.ctx;
         ctx.span(Step::CcIo.name(), None, None, || {
-            let root = (ctx.rank() == 0).then(|| Msg::Parents(local.component_array().to_vec()));
-            let Msg::Parents(labels) = broadcast(ctx, 0, root) else {
-                unreachable!("the broadcast carries a parent array")
-            };
-            (ctx.rank() == 0).then_some(labels)
+            let root = ctx.rank() == 0;
+            let msg = root.then(|| Msg::Components(ComponentMsg::of(&mut local)));
+            broadcast(ctx, 0, msg);
+            root.then(|| local.into_component_array())
         })
     }
 }
@@ -985,39 +973,52 @@ mod tests {
     }
 
     #[test]
-    fn sparse_merge_same_partition_fewer_bytes() {
-        // Sparse Merge-Comm pays off when each task's local forest touches
-        // a minority of the reads: short reads (few k-mers each) spread
-        // over many tasks. Build such a store explicitly.
-        let mut reads = ReadStore::new();
+    fn merge_comm_goes_sparse_when_forests_touch_few_reads() {
+        use metaprep_obs::{Event, MemRecorder};
+        // Short reads (few k-mers each) at 2x coverage of one genome, spread
+        // over many tasks: many small components, and each task's local
+        // forest touches a minority of the reads, so the non-root pairs are
+        // fewer bytes than the dense component array.
         let mut x = 5u64;
-        for _ in 0..3000 {
-            let seq: Vec<u8> = (0..26)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(7);
-                    b"ACGT"[(x >> 61) as usize & 3]
-                })
-                .collect();
-            reads.push_single(&seq);
-        }
-        let mk = |sparse: bool| {
-            let cfg = PipelineConfig::builder()
-                .k(21)
-                .m(6)
-                .tasks(16)
-                .merge_sparse(sparse)
-                .build();
-            Pipeline::new(cfg).run_reads(&reads).unwrap()
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(7);
+            x
         };
-        let dense = mk(false);
-        let sparse = mk(true);
-        assert!(same_partition(&dense.labels, &sparse.labels));
-        let bytes = |r: &PipelineResult| r.comm.iter().map(|s| s.bytes_sent).sum::<u64>();
+        let genome: Vec<u8> = (0..39_000)
+            .map(|_| b"ACGT"[(next() >> 62) as usize])
+            .collect();
+        let mut reads = ReadStore::new();
+        for _ in 0..3000 {
+            let at = (next() >> 33) as usize % (genome.len() - 26);
+            reads.push_single(&genome[at..at + 26]);
+        }
+        let tasks = 16;
+        let cfg = PipelineConfig::builder().k(21).m(6).tasks(tasks).build();
+        let rec = MemRecorder::new(tasks);
+        let res = Pipeline::new(cfg)
+            .with_recorder(&rec)
+            .run_reads(&reads)
+            .unwrap();
+        assert_eq!(res.labels, reference_labels(&reads, 21, None));
+        assert!((2..3000).contains(&res.components.components));
+        let merge_bytes: u64 = rec
+            .into_events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Counter {
+                    kind: CounterKind::MergeBytes,
+                    value,
+                    ..
+                } => Some(*value),
+                _ => None,
+            })
+            .sum();
+        // Each of the `tasks - 1` Merge-Comm messages is counted by its
+        // sender and its receiver; dense, each would be 4 bytes a read.
+        let dense = 2 * (tasks as u64 - 1) * 4 * reads.num_fragments() as u64;
         assert!(
-            bytes(&sparse) < bytes(&dense),
-            "sparse {} >= dense {}",
-            bytes(&sparse),
-            bytes(&dense)
+            merge_bytes < dense,
+            "merge bytes {merge_bytes} >= dense {dense}"
         );
     }
 

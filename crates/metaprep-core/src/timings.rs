@@ -13,15 +13,18 @@ pub enum Step {
     KmerGen = 1,
     /// The P-stage all-to-all (KmerGen-Comm).
     KmerGenComm = 2,
-    /// Range partition + per-thread serial radix sort.
+    /// Bucketed sort of the received tuples: each sender's runs copied into
+    /// this task's sort buckets, each bucket radix-sorted while
+    /// cache-resident (`metaprep_sort::bucketed_local_sort`).
     LocalSort = 3,
     /// Concurrent union-find over the implicit edges (LocalCC / -Opt).
     LocalCc = 4,
-    /// Sending/receiving component arrays in the merge rounds (Merge-Comm).
+    /// Sending/receiving components in the merge rounds (Merge-Comm).
     MergeComm = 5,
-    /// Absorbing received component arrays (MergeCC).
+    /// Absorbing received components (MergeCC).
     MergeCc = 6,
-    /// Broadcasting final labels and partitioning output reads (CC-I/O).
+    /// Broadcasting the final components from rank 0 (CC-I/O). The
+    /// partitioned reads are written after the run, outside the steps.
     CcIo = 7,
 }
 

@@ -751,7 +751,8 @@ where
         inbox_depth,
         epoch: std::time::Instant::now(),
         last_progress: counters(),
-        stall_after_ns: config.watchdog_timeout.as_nanos() as u64,
+        // Saturate: a timeout past u64 nanoseconds (~584 years) means never.
+        stall_after_ns: u64::try_from(config.watchdog_timeout.as_nanos()).unwrap_or(u64::MAX),
     });
 
     let rec = config.recorder;
@@ -1211,6 +1212,24 @@ mod tests {
         let r = run_cluster::<Vec<u8>, _, _>(config, |ctx| {
             if ctx.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(60));
+                ctx.send(1, vec![7]);
+                0u8
+            } else {
+                ctx.recv_from(0)[0]
+            }
+        });
+        assert_eq!(r.results, vec![0, 7]);
+    }
+
+    #[test]
+    fn a_timeout_past_u64_nanoseconds_never_stalls() {
+        // 2^64 ns and more must saturate, not wrap to a threshold shorter
+        // than a peer's pause: rank 0 sleeps past several watchdog polls.
+        let never = std::time::Duration::from_millis(18_446_744_073_710);
+        let config = ClusterConfig::new(2, 1).with_watchdog_timeout(never);
+        let r = run_cluster::<Vec<u8>, _, _>(config, |ctx| {
+            if ctx.rank() == 0 {
+                std::thread::sleep(WATCHDOG_POLL * 3);
                 ctx.send(1, vec![7]);
                 0u8
             } else {

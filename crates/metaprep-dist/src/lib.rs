@@ -76,9 +76,3 @@ impl<T: Send + 'static> Payload for Vec<T> {
         self.len() * std::mem::size_of::<T>()
     }
 }
-
-impl Payload for () {
-    fn size_bytes(&self) -> usize {
-        0
-    }
-}

@@ -84,6 +84,12 @@ const FORBIDDEN: &[Forbidden] = &[
         dirs: &["crates", "src", "tests", "examples", "xtask"],
         names: &[r"SpanRec\b", "SendHalf", "RecvHalf", "FaultScope", "cc_opt"],
     },
+    Forbidden {
+        why: "Merge-Comm and CC-I/O send one ComponentMsg, which picks the smaller \
+              encoding itself: no sparse knob, no third message variant",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &["merge_sparse", "SparseParents", "absorb_sparse_pairs"],
+    },
 ];
 
 /// Check the tree under `root`; print every hit as `file:line: ...` and
