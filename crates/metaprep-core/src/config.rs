@@ -74,7 +74,7 @@ pub struct PipelineConfig {
     /// thread is O(window + `metaprep_io::WALK_WINDOW`); the window only
     /// needs to span a few FASTQ records.
     pub index_window: usize,
-    /// Radix digit width in bits for the fused LocalSort (`1..=16`; the
+    /// Radix digit width in bits for LocalSort (`1..=16`; the
     /// paper uses 8 — 256 bucket counters stay L1-resident; no experiment
     /// sweeps the width). Identical final output at any width.
     pub sort_digit_bits: u32,
@@ -280,7 +280,7 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Set the fused LocalSort radix digit width in bits (`1..=16`).
+    /// Set the LocalSort radix digit width in bits (`1..=16`).
     pub fn sort_digit_bits(mut self, bits: u32) -> Self {
         self.cfg.sort_digit_bits = bits;
         self

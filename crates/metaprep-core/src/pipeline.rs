@@ -862,8 +862,8 @@ mod tests {
 
     #[test]
     fn sort_digit_bits_do_not_change_labels() {
-        // The fused LocalSort's output is the unique stable sorted order,
-        // so the digit width must not change anything downstream — not
+        // LocalSort's output is the unique stable sorted order, so the
+        // digit width must not change anything downstream — not
         // just the partition, the exact label array.
         let reads = small_reads();
         let mk = |bits: u32| {

@@ -1,336 +1,42 @@
-//! Receive-side LocalSort over cache-sized buckets: two entries, one
-//! per-bucket back half (`sort_buckets`, `sort_bucket`).
+//! Receive-side LocalSort over cache-sized buckets.
 //!
-//! * [`bucketed_local_sort`] — the pipeline's entry — takes parts KmerGen
-//!   emitted bucket-major. It counts and scatters nothing: a bucket's run
-//!   in a part is found by binary search for its lower-bound key, the
-//!   task's own part is adopted as the destination (its runs moved apart
-//!   to their final offsets), and the other senders' runs are copied in
-//!   as the worker reaches the bucket.
-//! * [`fused_local_sort`] takes parts in any order and pays one histogram
-//!   and one scatter pass ([`scatter_from_parts`]) into buckets made of the
-//!   thread boundaries refined by fixed cuts on the top key digit. The
-//!   benchmark's sort probe and `exp_sort_throughput` bind to it; the rest
-//!   of this header is about its scatter.
+//! [`bucketed_local_sort`] takes parts KmerGen emitted bucket-major. It
+//! counts and scatters nothing: a bucket's run in a part is found by binary
+//! search for its lower-bound key, the task's own part is adopted as the
+//! destination (its runs moved apart to their final offsets), and the other
+//! senders' runs are copied in as the worker reaches the bucket, which then
+//! sorts it while it is cache-resident (`sort_buckets`, `sort_bucket`).
+//! [`fused_local_sort`] is a thin adapter for parts in any order: it splits
+//! them by thread sub-range and hands the result to the bucketed sort.
 //!
-//! Riding on the same pass over the data:
-//!
-//! * a tuple's range is its cut digit plus a [`BoundaryTable`] lookup among
-//!   the thread boundaries — no per-tuple binary search;
-//! * each tuple's range index is recorded in a pooled id buffer during the
-//!   histogram pass, so the scatter pass classifies nothing: it streams
-//!   tuples and ids and only performs the write (measured ~2.5x faster
-//!   than recomputing the range per tuple);
-//! * the histogram accumulates a per-bucket *varying-bits mask*
-//!   (`OR(keys) ^ AND(keys)` — set exactly where two keys disagree), which
-//!   the in-bucket sort uses to skip identity digit passes, and which tells
-//!   a bucket that came out too big where its next split digit is.
-//!
-//! **Stability / byte-identity.** Work units are ordered part-major
-//! (sender 0's tuples first, in order, then sender 1's, …) — exactly the
-//! order the old concat visited tuples — and the per-(unit, range) write
-//! cursors preserve that order within every bucket. Buckets are key
-//! intervals in key order, so the scatter is a stable MSD split; a stable
-//! split followed by a stable sort of each piece is *the* stable order of
-//! the whole, which is what the reference concat → partition → full-radix
-//! path produces. The result is byte-identical to it whatever the cuts.
-//! LocalCC's union anchor (first tuple of each equal-k-mer group) depends
-//! on this and a proptest pins it.
+//! **Stability / byte-identity.** Inside a bucket the destination holds
+//! sender 0's run, then sender 1's, … — the order in which concatenating
+//! the parts visits that key interval. Buckets are key intervals in key
+//! order, so this is a stable split; a stable split followed by a stable
+//! sort of each piece is *the* stable order of the whole, which is what
+//! concat → [`crate::lsb_radix_sort`] produces. LocalCC's union anchor
+//! (first tuple of each equal-k-mer group) depends on this and proptests
+//! pin it.
 
-use crate::partition::{ScatterTracker, SharedSlice};
 use crate::radix::{radix_pass, Keyed, RadixStats, SortKey};
 use crate::rank::{rank_sort, RankScratch};
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
 
-/// Max table index width; 2^11 u32 entries = 8 KiB, comfortably L1-resident.
-const TABLE_BITS: u32 = 11;
-
-/// Below this boundary count the table is skipped entirely and `range_of`
-/// is a branchless sum of comparisons over all boundaries. Measured on the
-/// skewed receive-side workload (8 sub-ranges, single thread): branchless
-/// sum ~318 Mt/s vs `partition_point` ~231 Mt/s vs prefix table with a
-/// data-dependent advance loop ~83 Mt/s — the advance loop's unpredictable
-/// branches dominate whenever mass-balanced boundaries cluster inside a
-/// few table buckets, which is exactly what abundance-skewed k-mer data
-/// produces.
-const BRANCHLESS_MAX_BOUNDARIES: usize = 16;
-
-/// Precomputed range classifier replacing the per-tuple `partition_point`
-/// binary search over sub-range boundaries.
-///
-/// For sorted exclusive-upper `boundaries` (range `r` holds keys
-/// `< boundaries[r]`), the range index of `key` is the number of
-/// boundaries `<= key`. Two exact strategies, both with branch-free
-/// per-boundary work (a comparison summed as 0/1 — no data-dependent
-/// branches for the predictor to miss on skewed keys):
-///
-/// * **few boundaries** (`<= 16`, the common `T - 1` case): sum
-///   `boundary <= key` over all boundaries — one or two unrolled SIMD-able
-///   compare rows;
-/// * **many boundaries**: a prefix-indexed table narrows first. `lo[d]`
-///   counts the boundaries whose top `TABLE_BITS`-of-`key_bits` prefix is
-///   `< d`; every such boundary is `<= key` for a key with prefix `d`, and
-///   every boundary with prefix `> d` is `> key`, so only the window
-///   `lo[d]..lo[d + 1]` of same-prefix boundaries needs the comparison
-///   sum.
-///
-/// Precondition (same as the radix sort's): every key and boundary is
-/// `< 2^key_bits`.
-pub struct BoundaryTable<'b, K: SortKey> {
-    boundaries: &'b [K],
-    shift: u32,
-    mask: u64,
-    /// Prefix-count table; empty when the branchless small path is active.
-    lo: Vec<u32>,
-}
-
-impl<'b, K: SortKey> BoundaryTable<'b, K> {
-    /// Build the table for `boundaries` over keys of `key_bits` bits.
-    pub fn new(boundaries: &'b [K], key_bits: u32) -> Self {
-        assert!(
-            (1..=K::BITS).contains(&key_bits),
-            "key_bits {key_bits} not in 1..={}",
-            K::BITS
-        );
-        assert!(
-            u32::try_from(boundaries.len()).is_ok(),
-            "boundary count overflows the table's u32 entries"
-        );
-        if boundaries.len() <= BRANCHLESS_MAX_BOUNDARIES {
-            return Self {
-                boundaries,
-                shift: 0,
-                mask: 0,
-                lo: Vec::new(),
-            };
-        }
-        let tb = TABLE_BITS.min(key_bits);
-        let shift = key_bits - tb;
-        let size = 1usize << tb;
-        let mask = (size - 1) as u64;
-        let mut lo = vec![0u32; size + 1];
-        for b in boundaries {
-            lo[b.digit(shift, mask) + 1] += 1;
-        }
-        for d in 0..size {
-            lo[d + 1] += lo[d];
-        }
-        Self {
-            boundaries,
-            shift,
-            mask,
-            lo,
-        }
-    }
-
-    /// Index of the range `key` falls into (boundaries are exclusive
-    /// uppers; `boundaries.len() + 1` ranges).
-    #[inline(always)]
-    pub fn range_of(&self, key: K) -> usize {
-        let (base, window) = if self.lo.is_empty() {
-            (0, self.boundaries)
-        } else {
-            let d = key.digit(self.shift, self.mask);
-            let (s, e) = (self.lo[d] as usize, self.lo[d + 1] as usize);
-            (s, &self.boundaries[s..e])
-        };
-        let mut r = base;
-        for b in window {
-            r += usize::from(*b <= key);
-        }
-        r
-    }
-}
-
-/// Most fixed cuts the scatter refines with: up to `2^11` write streams the
-/// scatter pass measures flat (DESIGN.md §7.2), and the range ids still fit
-/// the `u16` id buffer with room for any thread count.
-const MAX_CUT_BITS: u32 = 11;
-
-/// `(shift, mask)` of the top `cut_bits`-bit digit of a `key_bits`-bit key;
-/// with no cuts the mask is zero, so the digit is 0 for every key.
-fn cut_digit(cut_bits: u32, key_bits: u32) -> (u32, u64) {
-    ((key_bits - cut_bits).min(key_bits - 1), (1 << cut_bits) - 1)
-}
-
-/// What [`scatter_from_parts`] learned while scattering.
-pub struct ScatterResult<K> {
-    /// The `ranges + 1` range offsets within the destination buffer; the
-    /// offsets LocalCC's per-thread walk needs are a subset of them, so the
-    /// pipeline skips its post-sort binary-search derivation.
-    pub offsets: Vec<usize>,
-    /// Per-range varying-bits mask: bit `i` is set iff two keys in the
-    /// range differ in bit `i`. Feed to
-    /// [`lsb_radix_sort_pruned`](crate::lsb_radix_sort_pruned).
-    pub varying: Vec<K>,
-}
-
-/// Scatter the per-sender message buffers straight into `dst`, grouped by
-/// key range — the fused replacement for concat + [`crate::partition_by_ranges`].
-///
-/// The ranges are those of `boundaries` refined by `2^cut_bits - 1` fixed
-/// cuts on the top `cut_bits` of the `key_bits` key bits (the keys
-/// `i << (key_bits - cut_bits)`). A cut needs no table: the number of cuts
-/// at or below a key is its top digit, so a tuple's range index is that
-/// digit plus its [`BoundaryTable`] index among `boundaries` — the position
-/// it would have in the merged sorted list of cuts and boundaries.
-///
-/// `dst.len()` must equal the total part length. Tuple order within each
-/// range is part-major input order (sender 0 first), i.e. exactly the
-/// order the concat-then-partition path produces. Returns the range
-/// offsets and per-range varying-bits masks accumulated during the
-/// histogram pass.
-///
-/// `ids` is pooled per-tuple scratch (one `u16` range index each,
-/// recorded by the histogram pass and consumed by the scatter pass so the
-/// range classification runs once per tuple, not twice); pass the same
-/// `Vec` every call to recycle its allocation, or an empty one for a
-/// one-off. At most `u16::MAX + 1` ranges are supported — far above the
-/// cut count plus the per-task thread counts that set it in the pipeline.
-pub fn scatter_from_parts<T: Keyed>(
-    parts: &[Vec<T>],
-    dst: &mut [T],
-    boundaries: &[T::Key],
-    cut_bits: u32,
-    key_bits: u32,
-    tracker: &mut ScatterTracker,
-    ids: &mut Vec<u16>,
-) -> ScatterResult<T::Key> {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    assert_eq!(total, dst.len(), "dst must hold every part tuple");
-    assert!(
-        boundaries.windows(2).all(|w| w[0] <= w[1]),
-        "boundaries must be sorted"
-    );
-    assert!(cut_bits <= MAX_CUT_BITS.min(key_bits), "too many cuts");
-    let ranges = boundaries.len() + (1 << cut_bits);
-    assert!(ranges <= usize::from(u16::MAX) + 1, "too many sub-ranges");
-    let table = BoundaryTable::new(boundaries, key_bits);
-    let (cut_shift, cut_mask) = cut_digit(cut_bits, key_bits);
-
-    // Work units: each part sub-chunked so threads stay busy even when
-    // sender volumes are skewed. Units are ordered part-major (and
-    // offset-minor within a part) — the order the old concat visited
-    // tuples — which is what makes the stable scatter byte-identical to
-    // concat + partition_by_ranges.
-    let chunk_size = total.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    let chunks: Vec<&[T]> = parts.iter().flat_map(|p| p.chunks(chunk_size)).collect();
-
-    // Carve the pooled id buffer into per-chunk windows (same flat order
-    // as `chunks`). Every id slot is written by the histogram pass before
-    // the scatter pass reads it, so recycled contents never leak through.
-    if ids.len() < total {
-        ids.resize(total, 0);
-    }
-    let mut id_windows: Vec<&mut [u16]> = Vec::with_capacity(chunks.len());
-    let mut rem_ids: &mut [u16] = &mut ids[..total];
-    for chunk in &chunks {
-        let (w, rest) = rem_ids.split_at_mut(chunk.len());
-        id_windows.push(w);
-        rem_ids = rest;
-    }
-
-    // Histogram pass: per-chunk range counts, each tuple's range id, and
-    // the varying-bits accumulators — OR and AND of the range's keys; a
-    // bit varies iff it is 1 in some key (OR) but not in all (AND), so
-    // `or ^ and` is exactly the varying mask, and both fold across chunks
-    // bit-parallel and branch-free.
-    type ChunkStat<K> = (Vec<usize>, Vec<K>, Vec<K>);
-    let stats: Vec<ChunkStat<T::Key>> = chunks
-        .par_iter()
-        .zip(id_windows.into_par_iter())
-        .map(|(chunk, id_window)| {
-            let mut hist = vec![0usize; ranges];
-            let mut or_acc = vec![T::Key::ZERO; ranges];
-            let mut and_acc = vec![T::Key::ONES; ranges];
-            for (t, id) in chunk.iter().zip(id_window.iter_mut()) {
-                let k = t.key();
-                let r = table.range_of(k) + k.digit(cut_shift, cut_mask);
-                *id = r as u16;
-                hist[r] += 1;
-                or_acc[r] = or_acc[r] | k;
-                and_acc[r] = and_acc[r] & k;
-            }
-            (hist, or_acc, and_acc)
-        })
-        .collect();
-
-    // Range totals -> offsets; fold the per-chunk OR/AND accumulators.
-    let mut offsets = vec![0usize; ranges + 1];
-    for r in 0..ranges {
-        let t: usize = stats.iter().map(|(h, _, _)| h[r]).sum();
-        offsets[r + 1] = offsets[r] + t;
-    }
-    let mut varying = vec![T::Key::ZERO; ranges];
-    for (r, v) in varying.iter_mut().enumerate() {
-        if offsets[r + 1] == offsets[r] {
-            continue; // empty range: keep the mask all-zero
-        }
-        let mut or_acc = T::Key::ZERO;
-        let mut and_acc = T::Key::ONES;
-        for (h, o, a) in &stats {
-            if h[r] > 0 {
-                or_acc = or_acc | o[r];
-                and_acc = and_acc & a[r];
-            }
-        }
-        *v = or_acc ^ and_acc;
-    }
-
-    // Per-(chunk, range) write cursors, chunk-major prefix sums.
-    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
-    let mut running = offsets[..ranges].to_vec();
-    for (h, _, _) in &stats {
-        cursors.push(running.clone());
-        for r in 0..ranges {
-            running[r] += h[r];
-        }
-    }
-
-    // Scatter pass: stream tuples and their recorded range ids — no
-    // classification work left, just the permuting writes.
-    let mut read_windows: Vec<&[u16]> = Vec::with_capacity(chunks.len());
-    let mut rem_ids: &[u16] = &ids[..total];
-    for chunk in &chunks {
-        let (w, rest) = rem_ids.split_at(chunk.len());
-        read_windows.push(w);
-        rem_ids = rest;
-    }
-    let shared = SharedSlice::new(dst, tracker);
-    chunks
-        .par_iter()
-        .zip(read_windows.into_par_iter())
-        .zip(cursors.into_par_iter())
-        .for_each(|((chunk, id_window), mut cur)| {
-            for (t, &id) in chunk.iter().zip(id_window.iter()) {
-                let r = usize::from(id);
-                // SAFETY: cursor windows are disjoint by construction.
-                unsafe { shared.write(cur[r], *t) };
-                cur[r] += 1;
-            }
-        });
-
-    ScatterResult { offsets, varying }
-}
-
 /// Pooled per-task LocalSort buffers, recycled across passes: the sorted
 /// tuples, and per worker a bucket scratch window and the in-bucket sort's
 /// workspace (key table, per-tuple ids, distinct-key pairs: cache-sized
-/// like the window); for [`fused_local_sort`] also its per-tuple range ids
-/// and the debug-build scatter tracker. On a cold pool, first-touch page
-/// faults cost as much as a scatter pass; recycling avoids them.
+/// like the window). On a cold pool, first-touch page faults cost as much
+/// as a pass over the tuples; recycling avoids them.
 ///
 /// [`bucketed_local_sort`] leaves the adopted part here as the sorted
 /// tuples; [`PassBuffers::take_sorted`] hands that buffer on, so the next
 /// pass can build its self-addressed part in it and a task owns one tuple
-/// buffer from pass to pass. [`fused_local_sort`] scatters into the pooled
-/// buffer instead, which then stays.
+/// buffer from pass to pass.
 ///
-/// Reuse without re-zeroing is sound because the gather or scatter writes
-/// every destination slot before anything reads it, the in-bucket sort
-/// writes every scratch and workspace slot it later reads, and the
-/// histogram pass writes every range id the scatter reads.
+/// Reuse without re-zeroing is sound because the gather writes every
+/// destination slot before anything reads it, and the in-bucket sort
+/// writes every scratch and workspace slot it later reads.
 pub struct PassBuffers<T: Keyed> {
     dst: Vec<T>,
     /// One window per thread sub-range, each as long as that sub-range's
@@ -338,8 +44,6 @@ pub struct PassBuffers<T: Keyed> {
     scratch: Vec<T>,
     /// One in-bucket sort workspace per thread sub-range.
     rank: Vec<RankScratch<T::Key>>,
-    ids: Vec<u16>,
-    tracker: ScatterTracker,
 }
 
 impl<T: Keyed> Default for PassBuffers<T> {
@@ -348,8 +52,6 @@ impl<T: Keyed> Default for PassBuffers<T> {
             dst: Vec::new(),
             scratch: Vec::new(),
             rank: Vec::new(),
-            ids: Vec::new(),
-            tracker: ScatterTracker::default(),
         }
     }
 }
@@ -360,8 +62,8 @@ impl<T: Keyed + Default> PassBuffers<T> {
         Self::default()
     }
 
-    /// The sorted tuples after [`fused_local_sort`] or
-    /// [`bucketed_local_sort`] (valid until the next call mutates the pool).
+    /// The sorted tuples after [`bucketed_local_sort`] or
+    /// [`fused_local_sort`] (valid until the next call mutates the pool).
     pub fn sorted(&self) -> &[T] {
         &self.dst
     }
@@ -374,7 +76,7 @@ impl<T: Keyed + Default> PassBuffers<T> {
     }
 }
 
-/// What [`fused_local_sort`] did.
+/// What a LocalSort did.
 pub struct FusedSortResult {
     /// Thread sub-range offsets within [`PassBuffers::sorted`].
     pub offsets: Vec<usize>,
@@ -391,14 +93,20 @@ pub struct FusedSortResult {
 /// buckets to it, LocalSort splits a bucket that came out over twice it.
 pub const BUCKET_BYTES: usize = 256 << 10;
 
-/// The fused LocalSort: scatter the per-sender buffers straight into the
-/// pooled destination *in cache-sized buckets*, then sort each bucket while
-/// it is cache-resident. Consumes `parts` so the received message buffers
-/// are freed as soon as the scatter lands.
+/// LocalSort for parts in any order, split by the sorted thread
+/// `boundaries` (sub-range `j` holds the keys below `boundaries[j]` and
+/// from `boundaries[j - 1]` up). Each sub-range becomes one bucket: the
+/// parts are split into them in sender-major order and
+/// [`bucketed_local_sort`] sorts the result as one adopted part, splitting
+/// a bucket over twice [`BUCKET_BYTES`] once more on its top varying digit.
 ///
-/// The sorted tuples land in `bufs.sorted()[..total]`; the result is
-/// byte-identical to concat → [`crate::partition_by_ranges`] → per-range
-/// [`crate::lsb_radix_sort`] (see the module docs for the argument).
+/// The sorted tuples land in `bufs.sorted()`: those of concat →
+/// [`crate::lsb_radix_sort`] (a stable split followed by a stable sort is
+/// the unique stable order), with `offsets` where the boundaries fall.
+///
+/// # Panics
+///
+/// If `boundaries` is not sorted.
 pub fn fused_local_sort<T: Keyed + Default>(
     parts: Vec<Vec<T>>,
     bufs: &mut PassBuffers<T>,
@@ -406,84 +114,38 @@ pub fn fused_local_sort<T: Keyed + Default>(
     bits: u32,
     key_bits: u32,
 ) -> FusedSortResult {
-    let budget = (BUCKET_BYTES / std::mem::size_of::<T>()).max(1);
-    fused_local_sort_budgeted(parts, bufs, boundaries, bits, key_bits, budget)
+    assert!(
+        boundaries.windows(2).all(|w| w[0] <= w[1]),
+        "boundaries must be sorted"
+    );
+    let mut lower = vec![T::Key::ZERO];
+    lower.extend_from_slice(boundaries);
+    lower.dedup();
+    let mut first = vec![0];
+    first.extend(boundaries.iter().map(|b| lower.partition_point(|l| l < b)));
+    first.push(lower.len());
+    let mut buckets = vec![Vec::new(); lower.len()];
+    for t in parts.into_iter().flatten() {
+        buckets[lower.partition_point(|l| *l <= t.key()) - 1].push(t);
+    }
+    let part = buckets.concat();
+    bucketed_local_sort(vec![part], 0, bufs, &lower, &first, bits, key_bits)
 }
 
-/// [`fused_local_sort`] with the bucket budget (in tuples) as a parameter,
-/// so tests can force deep refinement and second-level splits on small
-/// inputs.
-pub(crate) fn fused_local_sort_budgeted<T: Keyed + Default>(
-    parts: Vec<Vec<T>>,
-    bufs: &mut PassBuffers<T>,
-    boundaries: &[T::Key],
-    bits: u32,
-    key_bits: u32,
-    budget: usize,
-) -> FusedSortResult {
-    let total: usize = parts.iter().map(Vec::len).sum();
-    bufs.dst.resize(total, T::default());
-
-    // Refine the thread boundaries with fixed cuts on the top key digit —
-    // enough that a bucket averages at most `budget` tuples. The one
-    // histogram + scatter pass then lands tuples in buckets the radix
-    // passes never leave cache for.
-    let cut_bits = (total.div_ceil(budget).min(1 << MAX_CUT_BITS))
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(key_bits);
-    let sc = scatter_from_parts(
-        &parts,
-        &mut bufs.dst,
-        boundaries,
-        cut_bits,
-        key_bits,
-        &mut bufs.tracker,
-        &mut bufs.ids,
-    );
-    drop(parts);
-
-    // Thread sub-range `j` is the run of buckets `first[j]..first[j + 1]`.
-    // A key below thread boundary `b` (the `j`-th) has at most `b`'s cut
-    // digit and at most `j` boundaries at or below it; a key from `b` up
-    // has at least that digit and at least `j + 1`: bucket `digit + j + 1`
-    // is the first of the next sub-range.
-    let (cut_shift, cut_mask) = cut_digit(cut_bits, key_bits);
-    let mut first = vec![0usize];
-    first.extend(
-        boundaries
-            .iter()
-            .enumerate()
-            .map(|(j, b)| b.digit(cut_shift, cut_mask) + j + 1),
-    );
-    first.push(boundaries.len() + (1 << cut_bits));
-    let PassBuffers {
-        dst, scratch, rank, ..
-    } = bufs;
-    sort_buckets(
-        dst,
-        (scratch, rank),
-        &sc.offsets,
-        &first,
-        (bits, key_bits, budget),
-        |r, bucket| (bucket, sc.varying[r]),
-    )
-}
-
-/// The back half both LocalSort entries share: sort every bucket of `dst`
-/// while it is cache-resident, against the pool's scratch windows and
-/// workspaces. Bucket `b` is `dst[bucket_offsets[b]..bucket_offsets[b + 1]]`;
-/// thread sub-range `j` is the run of buckets `first[j]..first[j + 1]` and
-/// gets one worker, which walks its buckets in order. `bring_in(b, slots)`
-/// runs first on each bucket's slots — it may fill them — and returns them
-/// as tuples, with the bucket's varying-bits mask.
-fn sort_buckets<T: Keyed + Default, D: Send>(
-    dst: &mut [D],
+/// Sort every bucket of `dst` while it is cache-resident, against the
+/// pool's scratch windows and workspaces. Bucket `b` is
+/// `dst[bucket_offsets[b]..bucket_offsets[b + 1]]`; thread sub-range `j` is
+/// the run of buckets `first[j]..first[j + 1]` and gets one worker, which
+/// walks its buckets in order. `bring_in(b, slots)` runs first on each
+/// bucket's slots, fills them, and returns them as tuples, with the
+/// bucket's varying-bits mask.
+fn sort_buckets<T: Keyed + Default>(
+    dst: &mut [MaybeUninit<T>],
     (scratch, rank): (&mut Vec<T>, &mut Vec<RankScratch<T::Key>>),
     bucket_offsets: &[usize],
     first: &[usize],
     (bits, key_bits, budget): (u32, u32, usize),
-    bring_in: impl for<'a> Fn(usize, &'a mut [D]) -> (&'a mut [T], T::Key) + Sync,
+    bring_in: impl for<'a> Fn(usize, &'a mut [MaybeUninit<T>]) -> (&'a mut [T], T::Key) + Sync,
 ) -> FusedSortResult {
     let offsets: Vec<usize> = first.iter().map(|&r| bucket_offsets[r]).collect();
 
@@ -501,7 +163,7 @@ fn sort_buckets<T: Keyed + Default, D: Send>(
 
     // Disjoint (slots, scratch window, workspace, bucket run) work items
     // for rayon: each worker walks its own sub-range's buckets in order.
-    let mut rem_d: &mut [D] = dst;
+    let mut rem_d: &mut [MaybeUninit<T>] = dst;
     let mut rem_s: &mut [T] = scratch;
     let mut work = Vec::with_capacity(windows.len());
     for ((w, &window), ws) in first.windows(2).zip(&windows).zip(rank.iter_mut()) {
@@ -546,9 +208,9 @@ fn sort_buckets<T: Keyed + Default, D: Send>(
 /// `bufs` held as the sorted tuples is dropped.
 ///
 /// `first` holds the `T + 1` bucket indices at which the thread sub-ranges
-/// begin. The result is byte-identical to [`fused_local_sort`] over the
-/// same parts with the thread boundaries `lower[first[1..T]]`, whichever
-/// part is adopted.
+/// begin. Whichever part is adopted, the sorted tuples are those of
+/// concat → [`crate::lsb_radix_sort`] over the same parts, and the offsets
+/// are where the thread boundaries `lower[first[1..T]]` fall in them.
 ///
 /// # Panics
 ///
@@ -681,10 +343,11 @@ fn bucket_mask<T: Keyed>(bucket: &[T], lo: T::Key, hi: Option<&T::Key>) -> T::Ke
     or_acc ^ and_acc
 }
 
-/// Sort one scattered bucket against (the front of) its worker's scratch
+/// Sort one gathered bucket against (the front of) its worker's scratch
 /// window and workspace. A bucket up to twice the average `budget` goes
-/// straight to the in-bucket sort, [`rank_sort`]. A larger one (keys
-/// denser than the fixed cuts assume) first takes a stable MSD split into
+/// straight to the in-bucket sort, [`rank_sort`]. A larger one (a bin
+/// heavier than the plan's budget, or a whole thread sub-range from
+/// [`fused_local_sort`]) first takes a stable MSD split into
 /// `scratch` on the `bits` bits that end at its highest varying bit, and
 /// each sub-bucket is then sorted the same way over the bits below — a
 /// stable split followed by a stable sort of the remaining bits is the
@@ -737,7 +400,6 @@ fn sort_bucket<T: Keyed>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_by_ranges;
     use crate::radix::lsb_radix_sort;
     use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
     use proptest::prelude::*;
@@ -745,136 +407,76 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// The production bucket budget for `KmerReadTuple`, and small ones that
-    /// force deep refinement and second-level splits on test-sized inputs.
+    /// force second-level splits on test-sized inputs.
     const PRODUCTION: usize = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple>();
     const BUDGETS: [usize; 4] = [1, 8, 64, PRODUCTION];
 
-    /// The unfused pipeline path: concat -> partition_by_ranges -> full
-    /// per-range lsb_radix_sort. Returns the sorted tuples.
-    fn reference_path<T: Keyed + Default>(
+    /// The one reference: the parts concatenated sender-major and sorted by
+    /// the serial LSB radix, with the thread offsets where `boundaries`
+    /// fall in the result.
+    fn reference<T: Keyed + Default>(
         parts: &[Vec<T>],
         boundaries: &[T::Key],
         bits: u32,
         key_bits: u32,
     ) -> (Vec<usize>, Vec<T>) {
-        let mut tuples: Vec<T> = Vec::new();
-        for p in parts {
-            tuples.extend_from_slice(p);
-        }
-        let mut dst = vec![T::default(); tuples.len()];
-        let offsets = partition_by_ranges(&tuples, &mut dst, boundaries);
-        for w in offsets.windows(2) {
-            let (d, s) = (&mut dst[w[0]..w[1]], &mut tuples[w[0]..w[1]]);
-            lsb_radix_sort(d, s, bits, key_bits);
-        }
-        (offsets, dst)
-    }
-
-    /// What the pipeline's `thread_offsets_of` derives from the sorted
-    /// tuples: where each thread boundary falls.
-    fn thread_offsets_of<T: Keyed>(sorted: &[T], boundaries: &[T::Key]) -> Vec<usize> {
-        let mut offs = vec![0];
-        offs.extend(
+        let mut sorted = parts.concat();
+        let mut scratch = vec![T::default(); sorted.len()];
+        lsb_radix_sort(&mut sorted, &mut scratch, bits, key_bits);
+        let mut offsets = vec![0];
+        offsets.extend(
             boundaries
                 .iter()
                 .map(|b| sorted.partition_point(|t| t.key() < *b)),
         );
-        offs.push(sorted.len());
-        offs
+        offsets.push(sorted.len());
+        (offsets, sorted)
     }
 
-    /// Run the fused sort at `budget` and hold it to the reference path:
-    /// same bytes, same thread offsets, and offsets that are where the
-    /// boundaries fall in the output.
+    /// `tuples` split into parts at `cuts` (clamped and sorted; a repeated
+    /// cut makes an empty part).
+    fn split_into_parts<T: Copy>(tuples: &[T], cuts: Vec<usize>) -> Vec<Vec<T>> {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
+        cuts.push(tuples.len());
+        cuts.sort_unstable();
+        let mut prev = 0;
+        let part = |c: usize| {
+            let part = tuples[prev..c].to_vec();
+            prev = c;
+            part
+        };
+        cuts.into_iter().map(part).collect()
+    }
+
+    /// Run the [`fused_local_sort`] adapter and hold it to the reference:
+    /// same bytes, same thread offsets.
     fn check<T: Keyed + Default + PartialEq + std::fmt::Debug>(
         parts: &[Vec<T>],
         boundaries: &[T::Key],
         bits: u32,
         key_bits: u32,
-        budget: usize,
     ) -> (FusedSortResult, Vec<T>) {
         let mut bufs = PassBuffers::new();
-        let res = fused_local_sort_budgeted(
-            parts.to_vec(),
-            &mut bufs,
-            boundaries,
-            bits,
-            key_bits,
-            budget,
-        );
-        let sorted = bufs.sorted().to_vec();
-        let (ref_offs, ref_sorted) = reference_path(parts, boundaries, bits, key_bits);
-        assert_eq!(sorted, ref_sorted, "budget {budget}");
-        assert_eq!(res.offsets, ref_offs, "budget {budget}");
-        assert_eq!(res.offsets, thread_offsets_of(&sorted, boundaries));
+        let res = fused_local_sort(parts.to_vec(), &mut bufs, boundaries, bits, key_bits);
+        let (offsets, sorted) = reference(parts, boundaries, bits, key_bits);
+        assert_eq!(bufs.sorted(), &sorted[..]);
+        assert_eq!(res.offsets, offsets);
         (res, sorted)
     }
 
     #[test]
-    fn boundary_table_matches_partition_point() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        // 7 boundaries exercise the branchless small path, 17 the
-        // prefix-table path (see BRANCHLESS_MAX_BOUNDARIES).
-        for nb in [7usize, 17] {
-            for key_bits in [8u32, 16, 54, 64] {
-                let cap = |x: u64| {
-                    if key_bits >= 64 {
-                        x
-                    } else {
-                        x & ((1u64 << key_bits) - 1)
-                    }
-                };
-                let mut boundaries: Vec<u64> = (0..nb).map(|_| cap(rng.gen())).collect();
-                boundaries.sort_unstable();
-                // Include duplicates.
-                boundaries[3] = boundaries[4];
-                boundaries.sort_unstable();
-                let table = BoundaryTable::new(&boundaries, key_bits);
-                for _ in 0..5_000 {
-                    let k = cap(rng.gen());
-                    assert_eq!(
-                        table.range_of(k),
-                        boundaries.partition_point(|b| *b <= k),
-                        "key {k:#x} key_bits {key_bits} nb {nb}"
-                    );
-                }
-                // Boundary keys themselves and the extremes.
-                for &b in &boundaries {
-                    for k in [b, b.wrapping_sub(1) & cap(u64::MAX), cap(u64::MAX), 0] {
-                        assert_eq!(table.range_of(k), boundaries.partition_point(|b| *b <= k));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_varying_masks_are_exact() {
-        let parts: Vec<Vec<u64>> = vec![vec![0b1010, 0b1000, 30], vec![0b1110, 40, 50]];
-        let boundaries = [16u64];
-        let mut dst = vec![0u64; 6];
-        let mut tracker = ScatterTracker::new();
-        let mut ids = Vec::new();
-        let sc = scatter_from_parts(&parts, &mut dst, &boundaries, 0, 64, &mut tracker, &mut ids);
-        assert_eq!(sc.offsets, vec![0, 3, 6]);
-        // Range 0: {1010, 1000, 1110} -> bits 1 and 2 vary.
-        assert_eq!(sc.varying[0], 0b0110);
-        // Range 1: {30, 40, 50} = {11110, 101000, 110010}.
-        assert_eq!(sc.varying[1], (30 ^ 40) | (30 ^ 50));
-        // Part-major stable order within ranges.
-        assert_eq!(dst, vec![0b1010, 0b1000, 0b1110, 30, 40, 50]);
-    }
-
-    #[test]
-    fn scatter_cuts_refine_the_boundaries() {
-        // 6-bit keys, 2 cut bits (cuts at 16, 32, 48) and one boundary at
-        // 20: ranges [0,16) [16,20) [20,32) [32,48) [48,64).
-        let parts: Vec<Vec<u64>> = vec![vec![63, 19, 0, 20], vec![31, 16, 47, 48, 15]];
-        let mut dst = vec![0u64; 9];
-        let (mut tracker, mut ids) = (ScatterTracker::new(), Vec::new());
-        let sc = scatter_from_parts(&parts, &mut dst, &[20], 2, 6, &mut tracker, &mut ids);
-        assert_eq!(sc.offsets, vec![0, 2, 4, 6, 7, 9]);
-        assert_eq!(dst, vec![0, 15, 19, 16, 20, 31, 47, 63, 48]);
+    fn bucket_masks_are_exact() {
+        // {1010, 1000, 1110}: bits 1 and 2 vary.
+        assert_eq!(
+            bucket_mask(&[0b1010u64, 0b1000, 0b1110], 0, Some(&16)),
+            0b0110
+        );
+        // {11110, 101000, 110010}, unbounded above.
+        assert_eq!(
+            bucket_mask(&[30u64, 40, 50], 16, None),
+            (30 ^ 40) | (30 ^ 50)
+        );
+        assert_eq!(bucket_mask::<u64>(&[], 0, None), 0);
     }
 
     #[test]
@@ -891,7 +493,7 @@ mod tests {
             })
             .collect();
         let boundaries = [base + 0x400, base + 0x800, base + 0xC00];
-        let (res, sorted) = check(&parts, &boundaries, 8, 54, PRODUCTION);
+        let (res, sorted) = check(&parts, &boundaries, 8, 54);
         assert!(crate::is_sorted_by_key(&sorted));
         assert_eq!(res.stats.passes_run, 4 * 2);
         assert_eq!(res.stats.passes_pruned, 4 * 5);
@@ -906,18 +508,14 @@ mod tests {
                 (0..1000).map(|i| i * 7 + round).collect(),
                 (0..500).map(|i| (i * 13 + round) << 30).collect(),
             ];
-            let (_, want) = reference_path(&parts, &boundaries, 8, 64);
-            // Alternate budgets so the pooled scratch both grows and is
-            // reused larger than needed.
-            let budget = if round % 2 == 0 { 16 } else { PRODUCTION };
-            fused_local_sort_budgeted(parts, &mut bufs, &boundaries, 8, 64, budget);
+            let (_, want) = reference(&parts, &boundaries, 8, 64);
+            fused_local_sort(parts, &mut bufs, &boundaries, 8, 64);
             assert_eq!(bufs.sorted(), &want[..], "round {round}");
         }
     }
 
-    /// Senders holding equal k-mers in a fixed pattern; `spread` k-mers
-    /// share one first-level bucket so a small budget forces the
-    /// second-level split.
+    /// Senders holding equal k-mers in a fixed pattern: three copies of
+    /// each k-mer per sender, 12 in all, read ids in sender-major order.
     fn equal_kmer_parts(kmers: &[u64]) -> Vec<Vec<KmerReadTuple>> {
         let mut read = 0;
         (0..4)
@@ -943,21 +541,22 @@ mod tests {
             vec![],
             vec![KmerReadTuple::new(3, 4), KmerReadTuple::new(7, 5)],
         ];
-        for budget in BUDGETS {
-            let (_, sorted) = check(&parts, &[5u64], 8, 54, budget);
-            let order: Vec<(u64, u32)> = sorted.iter().map(|t| (t.kmer, t.read)).collect();
-            assert_eq!(order, vec![(3, 1), (3, 4), (7, 0), (7, 2), (7, 3), (7, 5)]);
-        }
+        let (_, sorted) = check(&parts, &[5u64], 8, 54);
+        let order: Vec<(u64, u32)> = sorted.iter().map(|t| (t.kmer, t.read)).collect();
+        assert_eq!(order, vec![(3, 1), (3, 4), (7, 0), (7, 2), (7, 3), (7, 5)]);
     }
 
     #[test]
     fn equal_kmer_tuples_keep_sender_order_across_a_second_level_split() {
-        // 40 distinct k-mers below 2^20 share every first-level bucket cut
-        // from a 54-bit key space, 12 tuples each: at budget 1 the bucket
-        // is far over budget and takes the MSD split.
-        let kmers: Vec<u64> = (0..40u64).map(|i| (i * 0x6_5432 + 9) & 0xF_FFFF).collect();
+        // 4 000 distinct k-mers below 2^20, 12 tuples each, and no thread
+        // boundary: the one bucket is over twice the production budget and
+        // takes the MSD split.
+        let kmers: Vec<u64> = (0..4_000u64)
+            .map(|i| (i * 0x6_5432 + 9) & 0xF_FFFF)
+            .collect();
         let parts = equal_kmer_parts(&kmers);
-        let (res, sorted) = check(&parts, &[], 8, 54, 1);
+        assert!(parts.iter().map(Vec::len).sum::<usize>() > 2 * PRODUCTION);
+        let (res, sorted) = check(&parts, &[], 8, 54);
         // Unsplit, the one bucket would account for exactly 7 digit windows.
         let windows = res.stats.passes_run + res.stats.passes_pruned;
         assert!(windows > 7, "the bucket must have been split");
@@ -969,19 +568,18 @@ mod tests {
 
     #[test]
     fn empty_parts_and_empty_input() {
-        let (res, sorted) = check::<u64>(&[vec![], vec![], vec![]], &[10u64], 8, 64, PRODUCTION);
+        let (res, sorted) = check::<u64>(&[vec![], vec![], vec![]], &[10u64], 8, 64);
         assert!(sorted.is_empty());
         assert_eq!(res.offsets, vec![0, 0, 0]);
         assert_eq!(res.stats, RadixStats::default());
-        let (res, sorted) = check::<u64>(&[], &[], 8, 64, 1);
+        let (res, sorted) = check::<u64>(&[], &[], 8, 64);
         assert!(sorted.is_empty());
         assert_eq!(res.offsets, vec![0, 0]);
         assert_eq!(res.stats, RadixStats::default());
     }
 
     #[test]
-    fn thread_boundaries_on_cuts_duplicated_and_all_equal() {
-        // 4096 tuples at budget 8 take 9 cut bits: cuts at i << 45.
+    fn duplicated_zero_and_all_equal_thread_boundaries() {
         let mut rng = SmallRng::seed_from_u64(21);
         let parts: Vec<Vec<KmerReadTuple>> = (0..4)
             .map(|p| {
@@ -990,36 +588,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        let cut = |i: u64| i << 45;
+        let at = |i: u64| i << 45;
         let cases: [&[u64]; 5] = [
-            &[cut(3)],
-            &[cut(3), cut(3), cut(7) + 5],
-            &[cut(100) - 1, cut(100), cut(100) + 1],
-            &[cut(9) + 77; 5],
+            &[at(3)],
+            &[at(3), at(3), at(7) + 5],
+            &[at(100) - 1, at(100), at(100) + 1],
+            &[at(9) + 77; 5],
             &[0, 0, (1 << 54) - 1],
         ];
         for boundaries in cases {
-            for budget in [1, 8, PRODUCTION] {
-                check(&parts, boundaries, 8, 54, budget);
-            }
+            check(&parts, boundaries, 8, 54);
         }
     }
 
     #[test]
-    fn all_equal_bucket_over_budget_runs_no_pass() {
-        let parts: Vec<Vec<KmerReadTuple>> = (0..3)
-            .map(|p| {
-                (0..500)
-                    .map(|i| KmerReadTuple::new(0xABCDE, p * 500 + i))
-                    .collect()
-            })
-            .collect();
-        let (res, sorted) = check(&parts, &[], 8, 54, 8);
-        assert_eq!(
-            res.stats.passes_run, 0,
-            "no varying bit: nothing to run or split"
-        );
-        assert!(sorted.iter().map(|t| t.read).eq(0..1500));
+    #[should_panic(expected = "boundaries must be sorted")]
+    fn unsorted_boundaries_are_rejected() {
+        fused_local_sort(vec![vec![1u64]], &mut PassBuffers::new(), &[20, 10], 8, 64);
     }
 
     #[test]
@@ -1040,10 +625,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        for budget in BUDGETS {
-            check(&parts, &[hot, hot + 1], 8, 54, budget);
-            check(&parts, &[], 11, 54, budget);
-        }
+        check(&parts, &[hot, hot + 1], 8, 54);
+        check(&parts, &[], 11, 54);
     }
 
     #[test]
@@ -1051,7 +634,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(63);
         let key =
             |rng: &mut SmallRng| ((rng.gen::<u64>() as u128) << 64 | rng.gen::<u64>() as u128) >> 2;
-        // Half the tuples in a 2^70 window so some buckets stay over budget.
+        // Half the tuples in a 2^70 window, one thread sub-range of its own.
         let window = key(&mut rng) & !((1u128 << 70) - 1);
         let parts: Vec<Vec<KmerReadTuple128>> = (0..3)
             .map(|p| {
@@ -1071,11 +654,8 @@ mod tests {
         let mut boundaries: Vec<u128> = (0..3).map(|_| key(&mut rng)).collect();
         boundaries.push(window);
         boundaries.sort_unstable();
-        let production = BUCKET_BYTES / std::mem::size_of::<KmerReadTuple128>();
-        for budget in [1, 8, 64, production] {
-            for bits in [8, 11, 16] {
-                check(&parts, &boundaries, bits, 126, budget);
-            }
+        for bits in [8, 11, 16] {
+            check(&parts, &boundaries, bits, 126);
         }
     }
 
@@ -1097,9 +677,8 @@ mod tests {
     }
 
     /// Group every part by bucket, run the bucketed entry at `budget`
-    /// adopting each part in turn, and hold it to the reference path over
-    /// the ungrouped parts: same bytes, same thread offsets, offsets where
-    /// the boundaries fall.
+    /// adopting each part in turn, and hold it to the reference over the
+    /// ungrouped parts: same bytes, same thread offsets.
     fn check_bucketed<T: Keyed + Default + PartialEq + std::fmt::Debug>(
         parts: &[Vec<T>],
         lower: &[T::Key],
@@ -1107,7 +686,7 @@ mod tests {
         (bits, key_bits, budget): (u32, u32, usize),
     ) -> FusedSortResult {
         let boundaries = boundaries_of(lower, first);
-        let (ref_offs, ref_sorted) = reference_path(parts, &boundaries, bits, key_bits);
+        let (ref_offs, ref_sorted) = reference(parts, &boundaries, bits, key_bits);
         let mut last = None;
         for own in 0..parts.len().max(1) {
             let mut bufs = PassBuffers::new();
@@ -1123,7 +702,6 @@ mod tests {
             let what = format!("budget {budget}, own {own}");
             assert_eq!(bufs.sorted(), &ref_sorted[..], "{what}");
             assert_eq!(res.offsets, ref_offs, "{what}");
-            assert_eq!(res.offsets, thread_offsets_of(bufs.sorted(), &boundaries));
             last = Some(res);
         }
         last.unwrap()
@@ -1188,7 +766,7 @@ mod tests {
         own.extend_from_slice(&parts[1]);
         let at = own.as_ptr();
         let boundaries = boundaries_of(&lower, &[0, 9, 16]);
-        let (_, want) = reference_path(&parts, &boundaries, 8, 54);
+        let (_, want) = reference(&parts, &boundaries, 8, 54);
         let mut bufs = PassBuffers::new();
         let parts = vec![parts[0].clone(), own, parts[2].clone()];
         bucketed_local_sort(parts, 1, &mut bufs, &lower, &[0, 9, 16], 8, 54);
@@ -1292,7 +870,7 @@ mod tests {
         for budget in [1, 8] {
             check_bucketed(&parts, &lower, &[0, 4, 10], (8, 126, budget));
         }
-        let (_, want) = reference_path(&parts, &[lower[4]], 8, 126);
+        let (_, want) = reference(&parts, &[lower[4]], 8, 126);
         let mut bufs = PassBuffers::new();
         bucketed_local_sort(parts, 2, &mut bufs, &lower, &[0, 4, 10], 8, 126);
         assert_eq!(bufs.sorted(), &want[..]);
@@ -1364,57 +942,57 @@ mod tests {
     }
 
     proptest! {
-        /// The tentpole invariant: fused scatter + in-cache radix is
-        /// byte-identical to the reference path over random tuple sets,
-        /// random part splits, boundary counts (including empty sub-ranges
-        /// and duplicate boundaries), digit widths 8/11/16 and bucket
-        /// budgets from 1 tuple to the production constant.
+        /// The adapter over parts in any order is the reference, offsets and
+        /// all: 1–6 parts (a repeated cut makes an empty one), boundaries
+        /// that repeat or are 0, keys drawn from eight values when `few` (so
+        /// several senders hold equal keys), 64-bit keys at 54 bits or, when
+        /// `wide`, the same keys moved to the top of 126-bit ones, and digit
+        /// widths 8/11/16.
         #[test]
-        fn prop_fused_byte_identical_to_reference(
+        fn prop_fused_adapter_matches_reference(
             keys in proptest::collection::vec(0u64..(1 << 54), 0..1500),
             cuts in proptest::collection::vec(0usize..1500, 0..6),
             mut bvals in proptest::collection::vec(0u64..(1 << 54), 0..7),
+            few in any::<bool>(),
             dup in any::<bool>(),
-            narrow in any::<bool>(),
+            zero in any::<bool>(),
+            wide in any::<bool>(),
             bits_idx in 0usize..3,
         ) {
             let bits = [8u32, 11, 16][bits_idx];
-            // Tuples tagged with their global index so stability differences
-            // are visible as value differences. `narrow` squeezes the keys
-            // into a 2^20 window, so first-level buckets overflow.
-            let tuples: Vec<KmerReadTuple> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| KmerReadTuple::new(if narrow { k >> 34 } else { k }, i as u32))
-                .collect();
-            // Split into parts at the (sorted, clamped) cut points.
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
-            cuts.sort_unstable();
-            let mut parts: Vec<Vec<KmerReadTuple>> = Vec::new();
-            let mut prev = 0;
-            for c in cuts {
-                parts.push(tuples[prev..c].to_vec());
-                prev = c;
-            }
-            parts.push(tuples[prev..].to_vec());
-            // Sorted boundaries, optionally with a forced duplicate
-            // (an empty sub-range).
-            if narrow {
-                bvals.iter_mut().for_each(|b| *b >>= 34);
-            }
+            let key = |k: u64| if few { (k % 8) << 40 } else { k };
+            bvals.iter_mut().for_each(|b| *b = key(*b));
             bvals.sort_unstable();
             if dup && bvals.len() >= 2 {
                 bvals[0] = bvals[1];
             }
-            for budget in BUDGETS {
-                check(&parts, &bvals, bits, 54, budget);
+            if zero && !bvals.is_empty() {
+                bvals[0] = 0;
+            }
+            // Tuples tagged with their global index, so a stability
+            // difference is a value difference.
+            let keys = keys.iter().map(|&k| key(k)).enumerate();
+            if wide {
+                // Order-preserving, with varying low bits.
+                let widen = |k: u64| {
+                    let k = u128::from(k);
+                    k << 72 | (k * 0x9E37_79B9_7F4A_7C15) & ((1 << 72) - 1)
+                };
+                let tuples: Vec<KmerReadTuple128> =
+                    keys.map(|(i, k)| KmerReadTuple128::new(widen(k), i as u32)).collect();
+                let boundaries: Vec<u128> = bvals.iter().map(|&b| widen(b)).collect();
+                check(&split_into_parts(&tuples, cuts), &boundaries, bits, 126);
+            } else {
+                let tuples: Vec<KmerReadTuple> =
+                    keys.map(|(i, k)| KmerReadTuple::new(k, i as u32)).collect();
+                check(&split_into_parts(&tuples, cuts), &bvals, bits, 54);
             }
         }
 
         /// The bucketed entry over bucket-major parts is byte-identical to
-        /// the reference path over the same tuples, for random buckets
-        /// (some empty), thread groupings (some without a bucket), 1–4
-        /// parts (some empty), digit widths and split thresholds.
+        /// the reference over the same tuples, for random buckets (some
+        /// empty), thread groupings (some without a bucket), 1–4 parts (some
+        /// empty), digit widths and split thresholds.
         #[test]
         fn prop_bucketed_byte_identical_to_reference(
             keys in proptest::collection::vec(0u64..(1 << 54), 0..1500),
@@ -1425,21 +1003,15 @@ mod tests {
             bits_idx in 0usize..3,
         ) {
             let bits = [8u32, 11, 16][bits_idx];
+            // `narrow` squeezes the keys into a 2^20 window, so buckets
+            // overflow the small budgets.
             let squeeze = |k: u64| if narrow { k >> 34 } else { k };
             let tuples: Vec<KmerReadTuple> = keys
                 .iter()
                 .enumerate()
                 .map(|(i, &k)| KmerReadTuple::new(squeeze(k), i as u32))
                 .collect();
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
-            cuts.push(tuples.len());
-            cuts.sort_unstable();
-            let mut parts: Vec<Vec<KmerReadTuple>> = Vec::new();
-            let mut prev = 0;
-            for c in cuts {
-                parts.push(tuples[prev..c].to_vec());
-                prev = c;
-            }
+            let parts = split_into_parts(&tuples, cuts);
             lower.iter_mut().for_each(|l| *l = squeeze(*l));
             lower.push(0);
             lower.sort_unstable();
@@ -1461,7 +1033,7 @@ mod tests {
         /// capacity is exactly the total, more (both sorted in the part's
         /// own allocation) or its own length (grown first), over buckets
         /// and thread sub-ranges that may be empty: the bytes and offsets
-        /// are the fused entry's over the same tuples.
+        /// are the reference's over the same tuples.
         #[test]
         fn bucketed_adopts_any_part_at_any_capacity(
             keys in proptest::collection::vec(0u64..(1 << 20), 0..160),
@@ -1476,22 +1048,13 @@ mod tests {
                 .enumerate()
                 .map(|(i, &k)| KmerReadTuple::new(k, i as u32))
                 .collect();
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(tuples.len())).collect();
-            cuts.push(tuples.len());
-            cuts.sort_unstable();
-            let mut parts: Vec<Vec<KmerReadTuple>> = Vec::new();
-            let mut prev = 0;
-            for c in cuts {
-                parts.push(tuples[prev..c].to_vec());
-                prev = c;
-            }
+            let parts = split_into_parts(&tuples, cuts);
             lower.push(0);
             lower.sort_unstable();
             lower.dedup();
             let first = [0, thread_cut.min(lower.len()), lower.len()];
-            let mut fused_bufs = PassBuffers::new();
             let boundaries = boundaries_of(&lower, &first);
-            let want = fused_local_sort(parts.clone(), &mut fused_bufs, &boundaries, 8, 20);
+            let (want_offsets, want) = reference(&parts, &boundaries, 8, 20);
 
             let own = own % parts.len();
             let mut parts = grouped(&parts, &lower);
@@ -1503,8 +1066,8 @@ mod tests {
             let mut bufs = PassBuffers::new();
             let sort = (8, 20, 4);
             let got = bucketed_local_sort_budgeted(parts, own, &mut bufs, &lower, &first, sort);
-            assert_eq!(bufs.sorted(), fused_bufs.sorted());
-            assert_eq!(got.offsets, want.offsets);
+            assert_eq!(bufs.sorted(), &want[..]);
+            assert_eq!(got.offsets, want_offsets);
             if capacity >= tuples.len() {
                 assert_eq!(bufs.sorted().as_ptr(), at, "adopted in place");
             }

@@ -1,74 +1,9 @@
-//! Parallel sorts: LocalSort (partition + per-range serial radix) and the
-//! fully parallel LSB radix baseline.
+//! The fully parallel LSB radix sort: the comparator LocalSort is measured
+//! against (paper §4.2.2).
 
-use crate::partition::{
-    equal_boundaries_by_sample, partition_by_ranges, ScatterTracker, SharedSlice,
-};
-use crate::radix::{lsb_radix_sort, Keyed, SortKey};
+use crate::partition::{ScatterTracker, SharedSlice};
+use crate::radix::{Keyed, SortKey};
 use rayon::prelude::*;
-
-/// METAPREP's LocalSort (paper §3.4): range-partition `data` into
-/// `ranges` disjoint key sub-ranges, then sort each concurrently with a
-/// serial out-of-place LSB radix sort (`bits` per pass, `key_bits`
-/// meaningful key bits).
-///
-/// The result is in `data`; `scratch` must have the same length. Stable.
-pub fn local_sort<T: Keyed + Default>(
-    data: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-    ranges: usize,
-    bits: u32,
-    key_bits: u32,
-) {
-    assert_eq!(data.len(), scratch.len());
-    assert!(ranges >= 1);
-    if data.len() <= 1 {
-        return;
-    }
-    let boundaries = equal_boundaries_by_sample(&*data, ranges, 64 * ranges);
-    local_sort_with_boundaries(data, scratch, &boundaries, bits, key_bits);
-}
-
-/// LocalSort with caller-provided range boundaries (the pipeline derives
-/// them from the m-mer histogram rather than sampling).
-pub fn local_sort_with_boundaries<T: Keyed + Default>(
-    data: &mut Vec<T>,
-    scratch: &mut Vec<T>,
-    boundaries: &[T::Key],
-    bits: u32,
-    key_bits: u32,
-) {
-    assert_eq!(data.len(), scratch.len());
-    if data.len() <= 1 {
-        return;
-    }
-    // Stage 1: scatter data -> scratch grouped by range.
-    let offsets = partition_by_ranges(&*data, scratch, boundaries);
-
-    // Stage 2: sort each range of `scratch`, using the matching window of
-    // `data` as per-range scratch space. Ranges are disjoint slices, so
-    // rayon can hand each (range, scratch-window) pair to a thread safely.
-    let mut rem_dst: &mut [T] = scratch;
-    let mut rem_scr: &mut [T] = data;
-    let mut pairs = Vec::with_capacity(offsets.len() - 1);
-    let mut consumed = 0usize;
-    for w in offsets.windows(2) {
-        let len = w[1] - w[0];
-        debug_assert_eq!(w[0], consumed);
-        let (d, rd) = rem_dst.split_at_mut(len);
-        let (s, rs) = rem_scr.split_at_mut(len);
-        rem_dst = rd;
-        rem_scr = rs;
-        pairs.push((d, s));
-        consumed += len;
-    }
-    pairs
-        .into_par_iter()
-        .for_each(|(d, s)| lsb_radix_sort(d, s, bits, key_bits));
-
-    // Result currently lives in `scratch`; swap so callers see it in `data`.
-    std::mem::swap(data, scratch);
-}
 
 /// Fully parallel, stable, out-of-place LSB radix sort — the stand-in for
 /// the NUMA-aware sort of Polychroniou & Ross used as the paper's
@@ -166,7 +101,6 @@ pub fn parallel_lsb_sort<T: Keyed + Default>(
 mod tests {
     use super::*;
     use metaprep_kmer::KmerReadTuple;
-    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -182,42 +116,6 @@ mod tests {
                 KmerReadTuple::new(k, i as u32)
             })
             .collect()
-    }
-
-    #[test]
-    fn local_sort_sorts_tuples() {
-        let v = random_tuples(50_000, 1, 54);
-        for ranges in [1, 2, 4, 8] {
-            let mut a = v.clone();
-            let mut s = vec![KmerReadTuple::default(); a.len()];
-            local_sort(&mut a, &mut s, ranges, 8, 54);
-            let mut want = v.clone();
-            want.sort_by_key(|t| (t.kmer, t.read));
-            assert_eq!(a, want, "ranges={ranges}");
-        }
-    }
-
-    #[test]
-    fn local_sort_empty_and_single() {
-        let mut a: Vec<u64> = vec![];
-        let mut s: Vec<u64> = vec![];
-        local_sort(&mut a, &mut s, 4, 8, 64);
-        assert!(a.is_empty());
-        let mut a = vec![9u64];
-        let mut s = vec![0u64];
-        local_sort(&mut a, &mut s, 4, 8, 64);
-        assert_eq!(a, vec![9]);
-    }
-
-    #[test]
-    fn local_sort_with_explicit_boundaries() {
-        let v = random_tuples(10_000, 2, 64);
-        let mut a = v.clone();
-        let mut s = vec![KmerReadTuple::default(); a.len()];
-        local_sort_with_boundaries(&mut a, &mut s, &[1u64 << 62, 1 << 63], 8, 64);
-        let mut want = v;
-        want.sort_by_key(|t| (t.kmer, t.read));
-        assert_eq!(a, want);
     }
 
     #[test]
@@ -257,26 +155,6 @@ mod tests {
             let mut s = vec![KmerReadTuple::default(); a.len()];
             parallel_lsb_sort(&mut a, &mut s, bits, 54);
             assert_eq!(a, want, "bits={bits}");
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn prop_local_sort_matches_std(
-            keys in proptest::collection::vec(any::<u64>(), 0..3000),
-            ranges in 1usize..6,
-        ) {
-            let v: Vec<KmerReadTuple> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| KmerReadTuple::new(k, i as u32))
-                .collect();
-            let mut a = v.clone();
-            let mut s = vec![KmerReadTuple::default(); a.len()];
-            local_sort(&mut a, &mut s, ranges, 8, 64);
-            let mut want = v;
-            want.sort_by_key(|t| (t.kmer, t.read));
-            prop_assert_eq!(a, want);
         }
     }
 }

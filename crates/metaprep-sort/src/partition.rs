@@ -1,25 +1,18 @@
-//! Parallel range partitioning (stage 1 of LocalSort, paper §3.4).
-//!
-//! Tuples are scattered into `T` disjoint, contiguous key sub-ranges of an
-//! output buffer so that stage 2 can sort each sub-range concurrently. The
-//! scatter is synchronization-free: per-(chunk, range) write offsets are
-//! precomputed from per-chunk histograms, exactly as METAPREP precomputes
+//! Synchronization-free scatter into one shared buffer: every writer owns a
+//! precomputed, disjoint window of it, exactly as METAPREP precomputes
 //! offsets from the `FASTQPart` table instead of locking a shared cursor.
+//! KmerGen's emit and [`crate::parallel_lsb_sort`] write through it.
 
-use crate::radix::Keyed;
-use rayon::prelude::*;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 
 /// Recyclable home of the debug-build scatter "written" flags.
 ///
 /// [`SharedSlice`] asserts its disjoint-writers contract in debug builds
-/// with one `AtomicBool` per destination slot. Allocating those flags per
-/// scatter made debug-build proptests over the fused path quadratic in
-/// allocations, so the flags live here and are *reset* (not reallocated)
-/// between scatters — a [`crate::fused::PassBuffers`] pool keeps one
-/// tracker alive for a whole run. In release builds this is a zero-sized
-/// no-op.
+/// with one `AtomicBool` per destination slot. The flags live here so that
+/// a caller scattering more than once can *reset* them instead of
+/// reallocating them — [`crate::parallel_lsb_sort`] keeps one tracker for
+/// all its passes. In release builds this is a zero-sized no-op.
 #[derive(Default)]
 pub struct ScatterTracker {
     #[cfg(debug_assertions)]
@@ -52,8 +45,9 @@ impl ScatterTracker {
 /// A shareable mutable slice for disjoint concurrent writes.
 ///
 /// Safety contract: every index is written by at most one thread. The
-/// partitioning code guarantees this by construction — each (chunk, range)
-/// pair owns a precomputed, non-overlapping destination window.
+/// callers guarantee this by construction — each writer (a KmerGen chunk's
+/// slot, a radix pass's chunk and digit) owns a precomputed,
+/// non-overlapping destination window.
 ///
 /// The slice may be uninitialised ([`SharedSlice::uninit`], over a `Vec`'s
 /// `spare_capacity_mut()`): nothing is ever read through the wrapper, so a
@@ -162,122 +156,9 @@ impl<'a, T: Copy> SharedSlice<'a, T> {
     }
 }
 
-/// Index of the range that `key` falls into, given sorted exclusive upper
-/// `boundaries` (range `r` holds keys `< boundaries[r]`, the last range is
-/// unbounded). `boundaries.len() + 1` ranges.
-#[inline]
-fn range_of<K: Ord>(key: &K, boundaries: &[K]) -> usize {
-    boundaries.partition_point(|b| b <= key)
-}
-
-/// Scatter `src` into `dst` grouped by key range.
-///
-/// `boundaries` are `T-1` sorted keys splitting the key space into `T`
-/// ranges. Returns the `T + 1` offsets of the ranges within `dst`. Order
-/// *within* a range preserves `src` order (the scatter is stable), which
-/// stage 2's stable sort then preserves through to LocalCC.
-pub fn partition_by_ranges<T: Keyed>(
-    src: &[T],
-    dst: &mut [T],
-    boundaries: &[T::Key],
-) -> Vec<usize> {
-    assert_eq!(src.len(), dst.len());
-    assert!(
-        boundaries.windows(2).all(|w| w[0] <= w[1]),
-        "boundaries must be sorted"
-    );
-    let ranges = boundaries.len() + 1;
-    let chunk_size = src
-        .len()
-        .div_ceil(rayon::current_num_threads().max(1))
-        .max(1);
-    let chunks: Vec<&[T]> = src.chunks(chunk_size).collect();
-
-    // Per-chunk histograms.
-    let hists: Vec<Vec<usize>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut h = vec![0usize; ranges];
-            for t in chunk.iter() {
-                h[range_of(&t.key(), boundaries)] += 1;
-            }
-            h
-        })
-        .collect();
-
-    // Range totals and exclusive prefix sum -> range offsets.
-    let mut range_offsets = vec![0usize; ranges + 1];
-    for r in 0..ranges {
-        let total: usize = hists.iter().map(|h| h[r]).sum();
-        range_offsets[r + 1] = range_offsets[r] + total;
-    }
-
-    // Per-(chunk, range) write cursors: chunk c writes range r at
-    // range_offsets[r] + sum of hists[c'][r] for c' < c.
-    let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
-    let mut running = range_offsets[..ranges].to_vec();
-    for h in &hists {
-        cursors.push(running.clone());
-        for r in 0..ranges {
-            running[r] += h[r];
-        }
-    }
-
-    let mut tracker = ScatterTracker::new();
-    let shared = SharedSlice::new(dst, &mut tracker);
-    chunks
-        .par_iter()
-        .zip(cursors.into_par_iter())
-        .for_each(|(chunk, mut cur)| {
-            for t in chunk.iter() {
-                let r = range_of(&t.key(), boundaries);
-                // SAFETY: cursor windows are disjoint by construction.
-                unsafe { shared.write(cur[r], *t) };
-                cur[r] += 1;
-            }
-        });
-
-    range_offsets
-}
-
-/// Pick `ranges - 1` boundaries that split `data` into roughly equal-count
-/// key ranges, from a sample of at most `sample_cap` keys.
-///
-/// The real pipeline derives boundaries from the m-mer histogram (the
-/// `merHist` index); this sampling fallback serves standalone sorting.
-pub fn equal_boundaries_by_sample<T: Keyed>(
-    data: &[T],
-    ranges: usize,
-    sample_cap: usize,
-) -> Vec<T::Key> {
-    assert!(ranges >= 1);
-    if ranges == 1 || data.is_empty() {
-        return Vec::new();
-    }
-    let step = (data.len() / sample_cap.max(1)).max(1);
-    let mut sample: Vec<T::Key> = data.iter().step_by(step).map(|t| t.key()).collect();
-    sample.sort_unstable();
-    (1..ranges)
-        .map(|r| sample[(r * sample.len()) / ranges])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn range_of_boundaries() {
-        let b = vec![10u64, 20, 30];
-        assert_eq!(range_of(&5u64, &b), 0);
-        assert_eq!(range_of(&10u64, &b), 1); // boundaries are exclusive uppers
-        assert_eq!(range_of(&19u64, &b), 1);
-        assert_eq!(range_of(&30u64, &b), 3);
-        assert_eq!(range_of(&u64::MAX, &b), 3);
-    }
 
     #[test]
     fn uninit_scatter_claims_exactly_what_it_wrote() {
@@ -306,104 +187,5 @@ mod tests {
         // SAFETY: single thread, one slot.
         unsafe { shared.write(0, 1) };
         shared.assert_prefix_written(0..2, 2);
-    }
-
-    #[test]
-    fn partition_groups_and_preserves_order() {
-        let src: Vec<u64> = vec![15, 3, 25, 7, 18, 40, 1];
-        let mut dst = vec![0u64; src.len()];
-        let offs = partition_by_ranges(&src, &mut dst, &[10, 20]);
-        assert_eq!(offs, vec![0, 3, 5, 7]);
-        assert_eq!(&dst[0..3], &[3, 7, 1]); // stable within range
-        assert_eq!(&dst[3..5], &[15, 18]);
-        assert_eq!(&dst[5..7], &[25, 40]);
-    }
-
-    #[test]
-    fn empty_boundaries_is_identity_copy() {
-        let src: Vec<u64> = vec![5, 4, 3];
-        let mut dst = vec![0u64; 3];
-        let offs = partition_by_ranges(&src, &mut dst, &[]);
-        assert_eq!(offs, vec![0, 3]);
-        assert_eq!(dst, src);
-    }
-
-    #[test]
-    fn empty_input() {
-        let src: Vec<u64> = vec![];
-        let mut dst: Vec<u64> = vec![];
-        let offs = partition_by_ranges(&src, &mut dst, &[10]);
-        assert_eq!(offs, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn large_random_partition_is_a_permutation() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let src: Vec<u64> = (0..100_000).map(|_| rng.gen()).collect();
-        let mut dst = vec![0u64; src.len()];
-        let boundaries = equal_boundaries_by_sample(&src, 8, 1024);
-        let offs = partition_by_ranges(&src, &mut dst, &boundaries);
-        // Every element lands in its range.
-        for r in 0..8 {
-            for &x in &dst[offs[r]..offs[r + 1]] {
-                assert_eq!(range_of(&x, &boundaries), r);
-            }
-        }
-        // Multiset preserved.
-        let mut a = src.clone();
-        let mut b = dst.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn equal_boundaries_balance_counts() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let src: Vec<u64> = (0..50_000).map(|_| rng.gen()).collect();
-        let boundaries = equal_boundaries_by_sample(&src, 4, 4096);
-        let mut counts = [0usize; 4];
-        for x in &src {
-            counts[range_of(x, &boundaries)] += 1;
-        }
-        for &c in &counts {
-            let frac = c as f64 / src.len() as f64;
-            assert!((frac - 0.25).abs() < 0.05, "counts={counts:?}");
-        }
-    }
-
-    #[test]
-    fn boundaries_for_single_range_are_empty() {
-        let src: Vec<u64> = vec![1, 2, 3];
-        assert!(equal_boundaries_by_sample(&src, 1, 10).is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn unsorted_boundaries_rejected() {
-        let src: Vec<u64> = vec![1];
-        let mut dst = vec![0u64];
-        partition_by_ranges(&src, &mut dst, &[20, 10]);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_partition_then_concat_sorted_ranges_equals_sort(
-            src in proptest::collection::vec(any::<u64>(), 0..2000),
-            nb in 0usize..6,
-        ) {
-            let boundaries = equal_boundaries_by_sample(&src, nb + 1, 256);
-            let mut dst = vec![0u64; src.len()];
-            let offs = partition_by_ranges(&src, &mut dst, &boundaries);
-            let mut rebuilt = Vec::new();
-            for r in 0..offs.len() - 1 {
-                let mut part = dst[offs[r]..offs[r + 1]].to_vec();
-                part.sort_unstable();
-                rebuilt.extend(part);
-            }
-            let mut want = src;
-            want.sort_unstable();
-            prop_assert_eq!(rebuilt, want);
-        }
     }
 }

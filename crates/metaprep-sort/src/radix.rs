@@ -4,7 +4,7 @@ use metaprep_kmer::{KmerReadTuple, KmerReadTuple128};
 
 /// Unsigned key types the radix sort can digest.
 ///
-/// The bitwise bounds let the fused scatter accumulate a per-sub-range
+/// The bitwise bounds let LocalSort's bucket sweep accumulate a per-bucket
 /// *varying-bits mask* (`OR(keys) ^ AND(keys)`: a bit is set iff it is 1
 /// in some key and 0 in another) that the pruned radix sort consults to
 /// skip identity passes without a counting scan.
@@ -223,8 +223,8 @@ pub(crate) fn radix_pass<T: Keyed>(
 /// by a precomputed *varying-bits mask*.
 ///
 /// `varying` must have a bit set wherever any two keys in `data` differ —
-/// the fused scatter accumulates it as `OR(keys) ^ AND(keys)` while it
-/// histograms, so it arrives here for free. A digit window with no varying
+/// LocalSort's bucket sweep accumulates it as `OR(keys) ^ AND(keys)` while
+/// it brings the bucket into cache, so it arrives here for free. A digit window with no varying
 /// bits means every key shares that digit, the pass permutation would be
 /// the identity, and the pass is skipped without even the counting read.
 /// LocalSort's in-bucket sort calls this once per cache-sized bucket — on

@@ -1,6 +1,7 @@
-//! Loom model tests for the scatter single-writer contract: the fused
-//! receive-side scatter ([`metaprep_sort::fused`]) and KmerGen's emit into
-//! an uninitialised send buffer (`metaprep_core::kmergen`).
+//! Loom model tests for the scatter single-writer contract that KmerGen's
+//! emit into an uninitialised send buffer (`metaprep_core::kmergen`) and
+//! the parallel radix comparator's passes
+//! ([`metaprep_sort::parallel_lsb_sort`]) rest on.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -8,7 +9,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p metaprep-sort --test loom
 //! ```
 //!
-//! The production scatter runs on rayon, whose pool threads the model
+//! The production scatters run on rayon, whose pool threads the model
 //! cannot schedule; what IS modeled is the concurrency primitive the
 //! scatter's safety rests on: [`SharedSlice`]'s "each slot has at most
 //! one writer" contract and the [`ScatterTracker`] that *asserts* it in
@@ -60,8 +61,8 @@ fn with_leaked_slice<R>(
     (data, out)
 }
 
-/// Two writers on disjoint windows — the shape `scatter_from_parts`
-/// produces by construction. Every pair of their operations touches
+/// Two writers on disjoint windows — the shape every caller's precomputed
+/// cursors produce by construction. Every pair of their operations touches
 /// distinct tracker flags, so all operations are independent and DPOR
 /// must need exactly ONE schedule to cover every outcome (brute force
 /// explores the full interleaving product of the four writes).
@@ -153,7 +154,7 @@ fn overlapping_writers_trip_the_tracker_in_every_interleaving() {
     );
 }
 
-/// Tracker recycling across passes — the `PassBuffers` pool pattern:
+/// Tracker recycling across passes — the `parallel_lsb_sort` pattern:
 /// one tracker serves scatter after scatter, with `prepare` resetting
 /// (not reallocating) the flags. A second pass writing the same slots
 /// as the first must NOT trip, in any interleaving of its writers.

@@ -90,6 +90,31 @@ const FORBIDDEN: &[Forbidden] = &[
         dirs: &["crates", "src", "tests", "examples", "xtask"],
         names: &["merge_sparse", "SparseParents", "absorb_sparse_pairs"],
     },
+    Forbidden {
+        why: "bucketed_local_sort is the one LocalSort and concat -> lsb_radix_sort its one \
+              reference: no scatter entry, no two-stage partition-then-sort path",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &[
+            "scatter_from_parts",
+            "ScatterResult",
+            "BoundaryTable",
+            "cut_digit",
+            "MAX_CUT_BITS",
+            r"const TABLE_BITS\b",
+            "BRANCHLESS_MAX_BOUNDARIES",
+            "fused_local_sort_budgeted",
+            "ids: Vec<u16>",
+            "tracker: ScatterTracker",
+            r"metaprep_sort::local_sort\b",
+            r"{local_sort\b",
+            r", local_sort\b",
+            " local_sort,",
+            "local_sort_with_boundaries",
+            "partition_by_ranges",
+            "equal_boundaries_by_sample",
+            r"fn range_of\b",
+        ],
+    },
 ];
 
 /// Check the tree under `root`; print every hit as `file:line: ...` and
@@ -197,6 +222,53 @@ mod tests {
         assert!(!found(name, "pub fn run_recorded2()"));
         assert!(!found(name, "pub fn Run_recorded()"));
         assert!(!found(name, "fn run_reads_recorded()"));
+    }
+
+    #[test]
+    fn local_sort_is_forbidden_only_as_the_sort_crate_s_name() {
+        let rule = FORBIDDEN.last().expect("the LocalSort rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit("use metaprep_sort::local_sort;"));
+        assert!(hit(
+            "    metaprep_sort::local_sort(&mut v, &mut s, 4, 8, 54);"
+        ));
+        assert!(hit("use metaprep_sort::{local_sort, parallel_lsb_sort};"));
+        assert!(hit("    bucketed_local_sort, local_sort, lsb_radix_sort,"));
+        assert!(hit("    local_sort, lsb_radix_sort,"));
+        assert!(hit("use metaprep_sort::{lsb_radix_sort, local_sort};"));
+        assert!(!hit(
+            "        let offsets = self.local_sort(parts, &mut st.sort_bufs, pass);"
+        ));
+        assert!(!hit("    fn local_sort("));
+        assert!(!hit(
+            "use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};"
+        ));
+        assert!(!hit(
+            "    bucketed_local_sort, fused_local_sort, lsb_radix_sort_pruned,"
+        ));
+    }
+
+    #[test]
+    fn deleted_sort_names_match_but_their_neighbours_do_not() {
+        let rule = FORBIDDEN.last().expect("the LocalSort rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit("const TABLE_BITS: u32 = 11;"));
+        assert!(!hit("const MIN_TABLE_BITS: u32 = 8;"));
+        assert!(hit(
+            "fn range_of<K: Ord>(key: &K, boundaries: &[K]) -> usize {"
+        ));
+        assert!(!hit("    fn multi_range_offsets_respect_boundaries() {"));
+        assert!(hit("    ids: Vec<u16>,"));
+        assert!(hit("    tracker: ScatterTracker,"));
+        assert!(!hit(
+            "    let mut trackers: Vec<ScatterTracker> = Vec::new();"
+        ));
+        assert!(hit(
+            "let sc = scatter_from_parts(&parts, &mut dst, &b, 0, 64, &mut t, &mut ids);"
+        ));
+        assert!(hit(
+            "    let table = BoundaryTable::new(boundaries, key_bits);"
+        ));
     }
 
     #[test]

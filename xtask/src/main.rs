@@ -222,10 +222,7 @@ const SMOKE_RUNS: &[SmokeRun] = &[
         artifact: "BENCH_sort.json",
         needles: &[
             "\"sort_throughput\"",
-            "\"fused\"",
             "\"radix_passes_pruned\"",
-            "\"large_fused\"",
-            "\"bucketed_1_part\"",
             "\"in_bucket_dup\"",
             "\"in_bucket_distinct\"",
         ],
@@ -433,43 +430,12 @@ const BENCH_METRICS: &[BenchMetric] = &[
         gate_waiver: None,
         must_equal: None,
     },
-    // Fused LocalSort vs the reference path. The acceptance target is
-    // >= 1.3x; the gate allows 1.1x of slack for shared-runner noise
-    // (observed smoke ratios: 1.4-1.9x).
+    // The digit windows LocalSort's bucket sweep let the in-bucket sorts
+    // skip (the bucketed side of the in-bucket probes: every bucket's keys
+    // share their top digit, so at least one window per bucket).
     BenchMetric {
         artifact: "BENCH_sort.json",
-        key: "\"fused_over_reference\"",
-        higher_is_better: true,
-        gate: 1.1,
-        gate_waiver: None,
-        must_equal: None,
-    },
-    BenchMetric {
-        artifact: "BENCH_sort.json",
-        key: "\"radix_passes_pruned\"",
-        higher_is_better: true,
-        gate: 1.0,
-        gate_waiver: None,
-        must_equal: None,
-    },
-    // The same pair out of cache (one sender, one range, 4 M tuples at any
-    // scale): the reference streams the range through DRAM once per digit,
-    // the fused path sorts cache-sized buckets (observed 3.3-4.0x).
-    BenchMetric {
-        artifact: "BENCH_sort.json",
-        key: "\"large_fused_over_reference\"",
-        higher_is_better: true,
-        gate: 1.5,
-        gate_waiver: None,
-        must_equal: None,
-    },
-    // The pipeline's LocalSort over bucket-major parts vs the fused entry
-    // over the same tuples ungrouped (one part and four, 4 M tuples at any
-    // scale, one thread each): with the counting and scattering done by
-    // KmerGen it must never be the slower one (observed 1.6-1.8x).
-    BenchMetric {
-        artifact: "BENCH_sort.json",
-        key: "\"bucketed_over_fused\"",
+        key: "\"bucketed_radix_passes_pruned\"",
         higher_is_better: true,
         gate: 1.0,
         gate_waiver: None,
