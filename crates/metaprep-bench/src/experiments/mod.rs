@@ -1,6 +1,5 @@
 //! One module per paper table/figure. Each exposes `run(scale)`.
 
-pub mod faults;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
@@ -20,4 +19,3 @@ pub mod table5;
 pub mod table6;
 pub mod table7;
 pub mod table8_9;
-pub mod trace_smoke;

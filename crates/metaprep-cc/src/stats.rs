@@ -49,11 +49,6 @@ impl ComponentStats {
             self.largest as f64 / self.vertices as f64
         }
     }
-
-    /// Number of singleton components.
-    pub fn singletons(&self) -> usize {
-        self.sizes_desc.iter().filter(|&&s| s == 1).count()
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +69,7 @@ mod tests {
         let s = stats_of(4, &[]);
         assert_eq!(s.components, 4);
         assert_eq!(s.largest, 1);
-        assert_eq!(s.singletons(), 4);
+        assert_eq!(s.sizes_desc, vec![1; 4]);
         assert!((s.largest_fraction() - 0.25).abs() < 1e-12);
     }
 
@@ -94,7 +89,6 @@ mod tests {
         assert_eq!(s.components, 4); // {0,1,2},{3,4},{5},{6}
         assert_eq!(s.largest, 3);
         assert_eq!(s.sizes_desc, vec![3, 2, 1, 1]);
-        assert_eq!(s.singletons(), 2);
     }
 
     #[test]

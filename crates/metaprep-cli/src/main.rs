@@ -6,7 +6,6 @@
 //!                    [--threads 4]
 //! metaprep partition --input reads.fastq --k 27 --tasks 4 --threads 2
 //!                    [--passes 2] [--memory-budget 512M] [--presolve 50]
-//!                    [--sketch-width 262144] [--sketch-depth 4]
 //!                    [--kf 10:29] [--top 4] --outdir parts/
 //!                    [--fault-plan "seed=7,drop=0.05,crash=rank1@pass1"]
 //!                    [--checkpoint-dir ckpt/] [--watchdog-timeout 5000]
@@ -93,7 +92,7 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "partition" => (
             cmd_partition,
             "input unpaired outdir trace-out trace-format k m tasks threads passes \
-             memory-budget presolve sketch-width sketch-depth kf top min-size \
+             memory-budget presolve kf top min-size \
              fault-plan checkpoint-dir watchdog-timeout stream",
         ),
         "analyze" => (cmd_analyze, "trace top folded strict"),
@@ -334,14 +333,6 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             .parse()
             .map_err(|_| ArgError(format!("--presolve: bad threshold {t:?}")))?;
         b = b.presolve_threshold(t);
-    }
-    if args.opt("sketch-width").is_some() || args.opt("sketch-depth").is_some() {
-        let d = metaprep_norm::SketchParams::default();
-        b = b.sketch(metaprep_norm::SketchParams {
-            width: args.get_or("sketch-width", d.width)?,
-            depth: args.get_or("sketch-depth", d.depth)?,
-            ..d
-        });
     }
     if let Some(spec) = args.opt("kf") {
         let (lo, hi) = parse_kf(&spec)?;

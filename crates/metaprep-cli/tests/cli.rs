@@ -1,7 +1,10 @@
 //! End-to-end tests of the `metaprep` binary: exit codes, error
-//! plumbing, the chaos quick-start flow (simulate → partition with a
-//! fault plan + checkpoints + trace → analyze --strict), and `analyze`
-//! over a recorded `partition` and `index` trace.
+//! plumbing, the chaos flows over [`CHAOS_SEEDS`] (simulate → partition
+//! with a fault plan + checkpoints + trace → `diff` against the fault-free
+//! outdir → analyze --strict; the partition at every pass / task
+//! geometry; a planned, presolved run with a crash and a reused checkpoint
+//! directory), and `analyze` over a recorded `partition` and `index`
+//! trace.
 
 use metaprep_core::{
     partition_reads, partition_top_n, write_multi_partition, write_partitions, Pipeline,
@@ -126,17 +129,28 @@ fn out_of_range_index_and_simulate_options_are_one_error_line() {
 #[test]
 fn an_unknown_option_is_one_error_line_and_writes_nothing() {
     // A misspelled option used to be ignored (`--task 4` ran one task);
-    // `--simd` is gone in favour of `METAPREP_SIMD`, and `--sparse` because
-    // Merge-Comm picks the smaller component encoding itself.
+    // `--simd` is gone in favour of `METAPREP_SIMD`, `--sparse` because
+    // Merge-Comm picks the smaller component encoding itself, and the
+    // sketch shape flags because the presolve sketch keeps its default.
     let dir = tmpdir("unknown_option");
     let reads = dir.join("reads.fastq");
     std::fs::write(&reads, fastq_of(&good_records(40))).unwrap();
     let out_path = dir.join("out");
     let (input, outp) = (reads.to_str().unwrap(), out_path.to_str().unwrap());
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 7] = [
         ("partition", &["--task", "4"], "--task for partition"),
         ("partition", &["--simd", "scalar"], "--simd for partition"),
         ("partition", &["--sparse"], "--sparse for partition"),
+        (
+            "partition",
+            &["--sketch-width", "16"],
+            "--sketch-width for partition",
+        ),
+        (
+            "partition",
+            &["--sketch-depth", "2"],
+            "--sketch-depth for partition",
+        ),
         ("index", &["--chunk", "8"], "--chunk for index"),
         ("index", &["--tasks", "2"], "--tasks for index"),
     ];
@@ -195,62 +209,156 @@ fn bad_fault_plan_spec_is_an_arg_error() {
     assert!(err.contains("usage: metaprep"), "{err}");
 }
 
+/// The fault-plan seeds the chaos tests loop over.
+const CHAOS_SEEDS: [u64; 3] = [7, 1234, 31337];
+
+/// `metaprep simulate --dataset hg --scale 0.05 --seed <seed>` into `dir`.
+fn simulate_hg(dir: &Path, seed: u64) -> PathBuf {
+    let reads = dir.join(format!("reads{seed}.fastq"));
+    let seed = seed.to_string();
+    let mut args = vec!["simulate", "--dataset", "hg", "--scale", "0.05"];
+    args.extend(["--seed", &seed, "--output", reads.to_str().unwrap()]);
+    let out = metaprep(&args);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    reads
+}
+
+/// `metaprep partition --k 21 --m 6` of `reads` into `outdir` with `extra`
+/// options; asserts it succeeds and returns its stdout.
+fn partition_k21(reads: &Path, outdir: &Path, extra: &[&str]) -> String {
+    let mut args = vec!["partition", "--k", "21", "--m", "6"];
+    args.extend(["--input", reads.to_str().unwrap()]);
+    args.extend(["--outdir", outdir.to_str().unwrap()]);
+    args.extend(extra);
+    let out = metaprep(&args);
+    assert!(out.status.success(), "{extra:?}: {}", stderr_of(&out));
+    stdout_of(&out)
+}
+
+/// `metaprep analyze --strict` of `trace`; asserts it succeeds and returns
+/// the report.
+fn analyze_strict(trace: &Path) -> String {
+    let out = metaprep(&["analyze", "--strict", "--trace", trace.to_str().unwrap()]);
+    assert!(out.status.success(), "--strict: {}", stderr_of(&out));
+    stdout_of(&out)
+}
+
 #[test]
-fn chaos_quickstart_partitions_and_analyzes_a_faulted_trace() {
-    let dir = tmpdir("chaos");
-    let reads = dir.join("reads.fastq");
-    let trace = dir.join("trace.jsonl");
-    let ckpt = dir.join("ckpt");
-    let parts = dir.join("parts");
-
-    let out = metaprep(&[
-        "simulate",
-        "--dataset",
-        "hg",
-        "--scale",
-        "0.01",
-        "--seed",
-        "1",
-        "--output",
-        reads.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-
-    let out = metaprep(&[
-        "partition",
-        "--input",
-        reads.to_str().unwrap(),
-        "--k",
-        "21",
-        "--m",
-        "6",
-        "--tasks",
-        "4",
-        "--passes",
-        "2",
-        "--fault-plan",
-        "seed=7,drop=0.05,dup=0.05,reorder=0.05,crash=rank1@pass1",
-        "--checkpoint-dir",
-        ckpt.to_str().unwrap(),
-        "--watchdog-timeout",
-        "20000",
+fn chaos_faulted_and_crashed_runs_write_the_fault_free_partition() {
+    // Drops, delays, duplicates, reorders and a crash of rank 1 replayed
+    // from its checkpoint change no output byte (threads 1 makes the run a
+    // pure function of the input), and the faulted trace passes `analyze
+    // --strict` with the recovery in its report. The fault-free run's
+    // Chrome trace passes the schema validator and draws the messages.
+    let dir = tmpdir("chaos_faulted");
+    let reads = simulate_hg(&dir, 1);
+    let geometry = ["--tasks", "4", "--threads", "1", "--passes", "2"];
+    let (reference, chrome) = (dir.join("reference"), dir.join("reference.json"));
+    let as_chrome = [
         "--trace-out",
-        trace.to_str().unwrap(),
-        "--outdir",
-        parts.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert!(ckpt.join("rank1.ckpt").exists(), "no checkpoint written");
+        chrome.to_str().unwrap(),
+        "--trace-format",
+        "chrome",
+    ];
+    partition_k21(&reads, &reference, &[&geometry[..], &as_chrome].concat());
+    let chrome = std::fs::read_to_string(chrome).unwrap();
+    metaprep_obs::export::validate_chrome(&chrome).unwrap();
+    assert!(chrome.contains("\"ph\":\"s\"") && chrome.contains("\"ph\":\"f\""));
+    for seed in CHAOS_SEEDS {
+        let (parts, ckpt) = (
+            dir.join(format!("parts{seed}")),
+            dir.join(format!("ckpt{seed}")),
+        );
+        let trace = dir.join(format!("trace{seed}.jsonl"));
+        let plan =
+            format!("seed={seed},drop=0.05,delay=0.05,dup=0.05,reorder=0.05,crash=rank1@pass1");
+        let mut faulted = geometry.to_vec();
+        faulted.extend(["--fault-plan", &plan, "--watchdog-timeout", "30000"]);
+        faulted.extend(["--checkpoint-dir", ckpt.to_str().unwrap()]);
+        faulted.extend(["--trace-out", trace.to_str().unwrap()]);
+        partition_k21(&reads, &parts, &faulted);
+        assert!(
+            ckpt.join("rank1.ckpt").exists(),
+            "seed {seed}: no checkpoint"
+        );
+        assert!(dir_bytes(&reference) == dir_bytes(&parts), "seed {seed}");
+        let report = analyze_strict(&trace);
+        assert!(report.contains("fault injection & recovery"), "{report}");
+        assert!(report.contains("task 1 restarted"), "{report}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
-    let out = metaprep(&["analyze", "--trace", trace.to_str().unwrap(), "--strict"]);
-    assert!(
-        out.status.success(),
-        "--strict rejected the faulted trace: {}",
-        stderr_of(&out)
-    );
-    let report = stdout_of(&out);
-    assert!(report.contains("fault injection & recovery"), "{report}");
-    assert!(report.contains("task 1 restarted"), "{report}");
+#[test]
+fn chaos_pass_and_task_geometry_does_not_move_the_partition() {
+    // Each pass's KmerGen builds its self-addressed part in the buffer the
+    // previous pass sorted, and LocalSort adopts that part wherever its
+    // rank sits among the senders: three passes on one task recycle the
+    // buffer twice, and rank 1 of three tasks adopts a part in the middle.
+    // Here each seed simulates another community.
+    let dir = tmpdir("chaos_geometry");
+    let geometries: [&[&str]; 3] = [
+        &["--tasks", "1", "--passes", "1"],
+        &["--tasks", "1", "--passes", "3"],
+        &["--tasks", "3", "--threads", "2", "--passes", "2"],
+    ];
+    for seed in CHAOS_SEEDS {
+        let reads = simulate_hg(&dir, seed);
+        let outputs: Vec<_> = geometries
+            .iter()
+            .enumerate()
+            .map(|(i, geometry)| {
+                let outdir = dir.join(format!("parts{seed}_{i}"));
+                partition_k21(&reads, &outdir, geometry);
+                dir_bytes(&outdir)
+            })
+            .collect();
+        for (geometry, got) in geometries.iter().zip(&outputs).skip(1) {
+            assert!(*got == outputs[0], "seed {seed}: {geometry:?} moved it");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn chaos_a_planned_presolved_run_replays_a_crash_and_ignores_a_used_checkpoint_dir() {
+    // No --passes: the 800K budget makes the planner choose two passes
+    // (modeled: 1 pass ~1.0 MB/task, 2 passes ~0.7 MB/task here), and
+    // presolve drops frequent k-mers before tuples exist. The crash
+    // replays from checkpoints under the planned geometry. A second run
+    // into the same checkpoint directory crashes rank 1 before it has
+    // written anything: the rank starts fresh rather than restore what the
+    // first run left there.
+    let dir = tmpdir("chaos_adaptive");
+    let reads = simulate_hg(&dir, 1);
+    let adaptive = ["--tasks", "4", "--threads", "1", "--memory-budget", "800K"];
+    let adaptive = [&adaptive[..], &["--presolve", "3"]].concat();
+    let reference = dir.join("reference");
+    let stdout = partition_k21(&reads, &reference, &adaptive);
+    assert!(stdout.contains("2 passes planned"), "{stdout}");
+    for seed in CHAOS_SEEDS {
+        let ckpt = dir.join(format!("ckpt{seed}"));
+        let trace = dir.join(format!("trace{seed}.jsonl"));
+        let faulted = |crash: &str, outdir: &str, extra: &[&str]| {
+            let plan = format!("seed={seed},drop=0.05,dup=0.05,reorder=0.05,crash=rank1@{crash}");
+            let mut args = adaptive.clone();
+            args.extend(["--fault-plan", &plan, "--watchdog-timeout", "30000"]);
+            args.extend(["--checkpoint-dir", ckpt.to_str().unwrap()]);
+            args.extend(extra);
+            let outdir = dir.join(format!("{outdir}{seed}"));
+            let stdout = partition_k21(&reads, &outdir, &args);
+            let same = dir_bytes(&reference) == dir_bytes(&outdir);
+            assert!(same, "seed {seed}, crash at {crash}");
+            stdout
+        };
+        let stdout = faulted("pass1", "parts", &["--trace-out", trace.to_str().unwrap()]);
+        assert!(stdout.contains("2 passes planned"), "{stdout}");
+        faulted("pass0", "reuse", &[]);
+        assert!(!ckpt.join("plan.ckpt").exists());
+        let report = analyze_strict(&trace);
+        assert!(report.contains("presolve & pass planning"), "{report}");
+        assert!(report.contains("task 1 restarted"), "{report}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

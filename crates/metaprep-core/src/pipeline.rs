@@ -1095,6 +1095,7 @@ mod tests {
         // from the exported event stream must agree with the in-process
         // `StepTimings` to the nanosecond — both are derived from the
         // same spans, so any drift is a wiring bug.
+        use metaprep_obs::export::{parse_jsonl, write_jsonl};
         use metaprep_obs::{MemRecorder, TraceAnalysis};
         let reads = small_reads();
         let cfg = PipelineConfig::builder()
@@ -1109,7 +1110,8 @@ mod tests {
             .with_recorder(&rec)
             .run_reads(&reads)
             .unwrap();
-        let events = rec.into_events();
+        // Through the JSONL file `metaprep analyze` reads.
+        let events = parse_jsonl(&write_jsonl(&rec.into_events())).unwrap();
         let s = TraceAnalysis::from_events(&events);
 
         assert_eq!(s.tasks, 3);
@@ -1256,6 +1258,7 @@ mod tests {
         // Chrome export with flow arrows still validates.
         let chrome = write_chrome(&events);
         validate_chrome(&chrome).expect("flow events must pass the schema validator");
+        assert!(chrome.contains("\"ph\":\"s\"") && chrome.contains("\"ph\":\"f\""));
         let report = a.render_report(5);
         assert!(report.contains("critical path"));
     }
@@ -1345,7 +1348,7 @@ mod tests {
 
     #[test]
     fn faulted_runs_are_byte_identical_to_fault_free() {
-        // Differential gate over three generated plans combining all four
+        // Differential gate over four plans combining all four
         // message-fault kinds: drop (+ retry), delay, duplicate (+ dedup),
         // and reorder (+ stash). Delivery must stay exactly-once in-order,
         // so the labels must match the fault-free run BYTE for byte.
@@ -1354,15 +1357,17 @@ mod tests {
             .run_reads(&reads)
             .unwrap()
             .labels;
-        for seed in [7u64, 1234, 0xC0FFEE] {
-            let plan = metaprep_dist::FaultPlan::parse_spec(&format!(
-                "seed={seed},drop=0.05,delay=0.05,dup=0.05,reorder=0.05"
-            ))
-            .unwrap();
+        for spec in [
+            "seed=7,drop=0.05,delay=0.05,dup=0.05,reorder=0.05",
+            "seed=1234,drop=0.05,delay=0.05,dup=0.05,reorder=0.05",
+            "seed=1234,drop=0.08,delay=0.03,dup=0.08,reorder=0.05",
+            "seed=12648430,drop=0.05,delay=0.05,dup=0.05,reorder=0.05",
+        ] {
+            let plan = metaprep_dist::FaultPlan::parse_spec(spec).unwrap();
             let res = Pipeline::new(chaos_cfg().fault_plan(plan).build())
                 .run_reads(&reads)
                 .unwrap();
-            assert_eq!(res.labels, want, "seed {seed} changed the labels");
+            assert_eq!(res.labels, want, "{spec} changed the labels");
         }
     }
 
@@ -1396,6 +1401,7 @@ mod tests {
         // plus message faults on top. The restarts must replay
         // from the checkpoints to the exact same labels.
         use metaprep_dist::{Boundary, FaultPlan};
+        use metaprep_obs::{MemRecorder, TraceAnalysis};
         let reads = small_reads();
         let want = Pipeline::new(chaos_cfg().build())
             .run_reads(&reads)
@@ -1408,10 +1414,18 @@ mod tests {
             .with_crash(1, Boundary::Pass(1))
             .with_crash(2, Boundary::MergeRound(0))
             .with_crash(2, Boundary::MergeRound(1));
+        let rec = MemRecorder::new(4);
         let res = Pipeline::new(chaos_cfg().fault_plan(plan).checkpoint_dir(&dir).build())
+            .with_recorder(&rec)
             .run_reads(&reads)
             .unwrap();
         assert_eq!(res.labels, want, "restarted run changed the labels");
+        // Every planned crash fired and was recovered by one restart.
+        let a = TraceAnalysis::from_events(&rec.into_events());
+        for (rank, want) in [0u64, 1, 2, 0].into_iter().enumerate() {
+            let got = a.counter(rank as u32, CounterKind::TaskRestarts);
+            assert_eq!(got, want, "rank {rank} restarts");
+        }
         // Checkpoints were actually written for every rank.
         for rank in 0..4 {
             assert!(

@@ -304,7 +304,7 @@ mod tests {
             (r.results, r.stats, edges)
         };
         let plan = FaultPlan::new(99);
-        assert!(plan.is_inert());
+        assert!(plan.rules.is_empty() && plan.crashes.is_empty());
         assert_eq!(run(Some(&plan)), run(None));
     }
 

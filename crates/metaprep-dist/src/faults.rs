@@ -220,11 +220,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when no rule and no crash can ever fire.
-    pub fn is_inert(&self) -> bool {
-        self.crashes.is_empty() && self.rules.iter().all(|r| r.prob_ppm == 0)
-    }
-
     /// Decide the fate of delivery attempt `attempt` of message
     /// `(src, dst, seq)`. Pure: same inputs, same decision.
     pub fn decide_send(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> SendDecision {
@@ -394,7 +389,7 @@ mod tests {
         let plan = FaultPlan::new(3)
             .with_rule(FaultKind::Drop, 0)
             .with_rule(FaultKind::Reorder, 0);
-        assert!(plan.is_inert());
+        assert!(plan.crashes.is_empty() && plan.rules.iter().all(|r| r.prob_ppm == 0));
         for seq in 0..200 {
             assert_eq!(
                 plan.decide_send(0, 1, seq, 0),
@@ -502,7 +497,8 @@ mod tests {
         ] {
             assert!(FaultPlan::parse_spec(bad).is_err(), "accepted {bad:?}");
         }
-        assert!(FaultPlan::parse_spec("").unwrap().is_inert());
+        let empty = FaultPlan::parse_spec("").unwrap();
+        assert!(empty.rules.is_empty() && empty.crashes.is_empty());
     }
 
     #[test]

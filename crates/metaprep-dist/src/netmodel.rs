@@ -31,15 +31,6 @@ impl NetworkModel {
         }
     }
 
-    /// A commodity 10 GbE cluster for contrast: higher latency, lower
-    /// bandwidth.
-    pub fn ten_gbe() -> Self {
-        Self {
-            latency_s: 30e-6,
-            bandwidth_bps: 1.25e9,
-        }
-    }
-
     /// Modeled time to send `stats`'s traffic serially over one link.
     pub fn time_for(&self, stats: &CommStats) -> Duration {
         let secs = self.latency_s * stats.messages_sent as f64
@@ -82,7 +73,10 @@ mod tests {
 
     #[test]
     fn latency_term_dominates_many_small_messages() {
-        let m = NetworkModel::ten_gbe();
+        let m = NetworkModel {
+            latency_s: 30e-6,
+            bandwidth_bps: 1.25e9,
+        };
         let t = m.time_for(&CommStats {
             bytes_sent: 1000,
             messages_sent: 100_000, // 3 s at 30 us each
@@ -107,15 +101,5 @@ mod tests {
             },
         ];
         assert_eq!(m.critical_path(&stats), m.time_for(&stats[1]));
-    }
-
-    #[test]
-    fn edison_faster_than_ten_gbe() {
-        let s = CommStats {
-            bytes_sent: 1_000_000_000,
-            messages_sent: 100,
-            ..CommStats::default()
-        };
-        assert!(NetworkModel::edison().time_for(&s) < NetworkModel::ten_gbe().time_for(&s));
     }
 }

@@ -48,12 +48,6 @@ pub fn encode_base_checked(b: u8) -> Option<u8> {
     }
 }
 
-/// True if the byte is an unambiguous DNA base (`ACGT`, any case).
-#[inline(always)]
-pub fn is_valid_base(b: u8) -> bool {
-    ENCODE[b as usize] != INVALID_CODE
-}
-
 /// Encode an ASCII base into its 2-bit code, or [`INVALID_CODE`] for any
 /// byte outside `ACGTacgt` — the raw table lookup without the `Option`
 /// wrapper. This is the scalar reference for the vectorized
@@ -119,13 +113,6 @@ mod tests {
         assert_eq!(encode_base_checked(b'.'), None);
         assert_eq!(encode_base_checked(0), None);
         assert_eq!(encode_base_checked(b'U'), None);
-    }
-
-    #[test]
-    fn is_valid_base_matches_checked_encode() {
-        for b in 0..=255u8 {
-            assert_eq!(is_valid_base(b), encode_base_checked(b).is_some());
-        }
     }
 
     #[test]

@@ -133,82 +133,6 @@ pub fn for_each_canonical_kmer_scalar<K: Kmer>(
     }
 }
 
-/// Iterator form of [`for_each_canonical_kmer`], yielding
-/// `(canonical_value, offset)` pairs.
-///
-/// The closure form is faster in hot loops (no per-item state machine); the
-/// iterator form composes with adapter chains in tests and examples.
-pub struct CanonicalKmers<'a, K: Kmer> {
-    seq: &'a [u8],
-    k: usize,
-    /// Position of the next byte to consume.
-    pos: usize,
-    /// Number of consecutive valid bases currently inside the window.
-    filled: usize,
-    km: K,
-}
-
-impl<'a, K: Kmer> CanonicalKmers<'a, K> {
-    /// Create an enumerator over `seq` with k-mer length `k`.
-    pub fn new(seq: &'a [u8], k: usize) -> Self {
-        assert!(k >= 1 && k <= K::MAX_K);
-        Self {
-            seq,
-            k,
-            pos: 0,
-            filled: 0,
-            km: K::zero(k),
-        }
-    }
-}
-
-impl<'a, K: Kmer> Iterator for CanonicalKmers<'a, K> {
-    type Item = (K::Repr, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.seq.len() {
-            let b = self.seq[self.pos];
-            self.pos += 1;
-            match encode_base_checked(b) {
-                Some(c) => {
-                    self.km.roll(c);
-                    self.filled += 1;
-                    if self.filled >= self.k {
-                        return Some((self.km.canonical_value(), self.pos - self.k));
-                    }
-                }
-                None => {
-                    self.filled = 0;
-                }
-            }
-        }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.seq.len() - self.pos;
-        // At most one k-mer per remaining byte plus one for a full window.
-        (0, Some(remaining + usize::from(self.filled >= self.k)))
-    }
-}
-
-/// Count k-mers of `seq` that would be enumerated (i.e. valid windows).
-///
-/// # Panics
-/// Panics when `k` is 0 or exceeds [`Kmer128::MAX_K`](crate::Kmer128),
-/// like [`for_each_canonical_kmer`] does. (An earlier version silently
-/// clamped `k` to 63, returning the count for the wrong k-mer length.)
-pub fn count_valid_kmers(seq: &[u8], k: usize) -> usize {
-    assert!(
-        (1..=<crate::Kmer128 as Kmer>::MAX_K).contains(&k),
-        "k={k} out of range 1..={}",
-        <crate::Kmer128 as Kmer>::MAX_K
-    );
-    let mut n = 0usize;
-    for_each_canonical_kmer::<crate::Kmer128>(seq, k, |_, _| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,13 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn iterator_matches_closure_form() {
-        let seq = b"ACGTNNACGTACGTTGCA";
-        let it: Vec<_> = CanonicalKmers::<Kmer64>::new(seq, 5).collect();
-        assert_eq!(it, collect64(seq, 5));
-    }
-
-    #[test]
     fn offsets_are_window_starts() {
         let v = collect64(b"AAAAA", 3);
         assert_eq!(v.iter().map(|&(_, o)| o).collect::<Vec<_>>(), vec![0, 1, 2]);
@@ -293,31 +210,6 @@ mod tests {
         assert_eq!(v.len(), 80 - 63 + 1);
         // All windows of a period-4 sequence at offsets ≡ mod 4 are equal.
         assert_eq!(v[0].0, v[4].0);
-    }
-
-    #[test]
-    fn count_valid_kmers_counts_windows() {
-        assert_eq!(count_valid_kmers(b"ACGTACGT", 4), 5);
-        assert_eq!(count_valid_kmers(b"ACGNTACG", 3), 3);
-        assert_eq!(count_valid_kmers(b"NN", 1), 0);
-    }
-
-    #[test]
-    fn count_valid_kmers_honest_at_max_k_boundary() {
-        // Regression: `k` used to be clamped with `k.min(63)`, so k = 64+
-        // silently returned the k = 63 count. A 64-base read has exactly
-        // one 64-window but two 63-windows — the clamp was observable.
-        let seq: Vec<u8> = b"ACGT".iter().cycle().take(64).copied().collect();
-        assert_eq!(count_valid_kmers(&seq, 63), 2);
-        assert_eq!(count_valid_kmers(&seq, 62), 3);
-        let err = std::panic::catch_unwind(|| count_valid_kmers(&seq, 64));
-        assert!(err.is_err(), "k=64 must panic, not count 63-mers");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn count_valid_kmers_rejects_k_zero() {
-        count_valid_kmers(b"ACGT", 0);
     }
 
     #[test]

@@ -32,11 +32,9 @@ pub mod mmer;
 pub mod simd;
 pub mod tuple;
 
-pub use alphabet::{classify_base, complement_code, decode_base, encode_base, is_valid_base};
-pub use enumerate::{
-    for_each_canonical_kmer, for_each_canonical_kmer_scalar, valid_runs, CanonicalKmers,
-};
+pub use alphabet::{classify_base, complement_code, decode_base, encode_base};
+pub use enumerate::{for_each_canonical_kmer, for_each_canonical_kmer_scalar, valid_runs};
 pub use kmer::{fold_kmer_key, Kmer, Kmer128, Kmer64};
 pub use minimizer::{minimizer_of, superkmers, SuperKmer};
-pub use mmer::{mmer_bin, mmer_bin_count, MmerSpace};
+pub use mmer::MmerSpace;
 pub use tuple::{KmerReadTuple, KmerReadTuple128};

@@ -63,18 +63,6 @@ impl MmerSpace {
     }
 }
 
-/// Convenience: bin of `packed` under `(k, m)` without constructing a space.
-#[inline]
-pub fn mmer_bin(packed: u128, k: usize, m: usize) -> u32 {
-    MmerSpace::new(k, m).bin_of(packed)
-}
-
-/// Number of bins for prefix length `m`.
-#[inline]
-pub fn mmer_bin_count(m: usize) -> usize {
-    1usize << (2 * m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +73,7 @@ mod tests {
     fn bin_count() {
         assert_eq!(MmerSpace::new(27, 10).bins(), 1 << 20);
         assert_eq!(MmerSpace::new(8, 1).bins(), 4);
-        assert_eq!(mmer_bin_count(2), 16);
+        assert_eq!(MmerSpace::new(4, 2).bins(), 16);
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! the NEON lanes, and on anything else the suite still passes (scalar vs
 //! scalar) rather than silently skipping.
 
-use metaprep_kmer::enumerate::count_valid_kmers;
 use metaprep_kmer::simd;
 use metaprep_kmer::{
-    classify_base, for_each_canonical_kmer, for_each_canonical_kmer_scalar, CanonicalKmers, Kmer,
-    Kmer128, Kmer64,
+    classify_base, for_each_canonical_kmer, for_each_canonical_kmer_scalar, Kmer, Kmer128, Kmer64,
 };
 use proptest::prelude::*;
 
@@ -110,35 +108,6 @@ proptest! {
             enumerate_scalar::<Kmer128>(&seq, k)
         );
     }
-
-    /// The iterator form agrees with the dispatched closure form at the
-    /// k = 32 (`Kmer64`) representation boundary.
-    #[test]
-    fn prop_iterator_matches_closure_at_k32(seq in read()) {
-        let via_iter: Vec<_> = CanonicalKmers::<Kmer64>::new(&seq, 32).collect();
-        prop_assert_eq!(enumerate_dispatched::<Kmer64>(&seq, 32), via_iter);
-    }
-
-    /// ... and at the k = 63 (`Kmer128`) boundary.
-    #[test]
-    fn prop_iterator_matches_closure_at_k63(seq in read()) {
-        let via_iter: Vec<_> = CanonicalKmers::<Kmer128>::new(&seq, 63).collect();
-        prop_assert_eq!(enumerate_dispatched::<Kmer128>(&seq, 63), via_iter);
-    }
-
-    /// `count_valid_kmers` equals the enumeration length for in-range k —
-    /// the honest-count contract after removing the silent `k.min(63)`
-    /// clamp.
-    #[test]
-    fn prop_count_matches_enumeration(
-        seq in read(),
-        k in proptest::sample::select(vec![1usize, 15, 32, 33, 63]),
-    ) {
-        prop_assert_eq!(
-            count_valid_kmers(&seq, k),
-            enumerate_dispatched::<Kmer128>(&seq, k).len()
-        );
-    }
 }
 
 /// Bases of either case: what a valid run is encoded from.
@@ -217,23 +186,19 @@ proptest! {
 }
 
 /// k = 64 exceeds `Kmer128::MAX_K` and must panic at every entry point
-/// rather than silently clamp (the old `count_valid_kmers` bug).
+/// rather than silently clamp to 63.
 #[test]
 fn k64_panics_at_every_entry_point() {
     let seq = b"ACGT".repeat(32);
     assert_eq!(<Kmer128 as Kmer>::MAX_K, 63);
     for beyond in [64usize, 65] {
         assert!(
-            std::panic::catch_unwind(|| count_valid_kmers(&seq, beyond)).is_err(),
-            "count_valid_kmers accepted k={beyond}"
-        );
-        assert!(
             std::panic::catch_unwind(|| enumerate_dispatched::<Kmer128>(&seq, beyond)).is_err(),
             "for_each_canonical_kmer accepted k={beyond}"
         );
         assert!(
-            std::panic::catch_unwind(|| CanonicalKmers::<Kmer128>::new(&seq, beyond)).is_err(),
-            "CanonicalKmers::new accepted k={beyond}"
+            std::panic::catch_unwind(|| enumerate_scalar::<Kmer128>(&seq, beyond)).is_err(),
+            "for_each_canonical_kmer_scalar accepted k={beyond}"
         );
     }
 }

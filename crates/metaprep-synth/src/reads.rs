@@ -19,17 +19,6 @@ pub struct SimulatedData {
     pub abundance: Vec<f64>,
 }
 
-impl SimulatedData {
-    /// Number of species with at least one simulated fragment.
-    pub fn species_observed(&self) -> usize {
-        let mut seen = vec![false; self.genomes.len()];
-        for &s in &self.species_of_fragment {
-            seen[s as usize] = true;
-        }
-        seen.iter().filter(|&&b| b).count()
-    }
-}
-
 /// Log-normal-ish abundance weights: `exp(sigma * z)` with `z ~ N(0,1)`
 /// (Box-Muller on the provided RNG), normalized to sum to 1.
 fn abundances(n: usize, sigma: f64, rng: &mut SmallRng) -> Vec<f64> {
@@ -332,7 +321,6 @@ mod tests {
         let p = scaled_profile(DatasetId::Hg, 0.02);
         let d = simulate_community(&p, 8);
         assert_eq!(d.genomes.len(), p.species);
-        assert!(d.species_observed() >= 1);
     }
 
     #[test]

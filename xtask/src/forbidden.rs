@@ -91,6 +91,26 @@ const FORBIDDEN: &[Forbidden] = &[
         names: &["merge_sparse", "SparseParents", "absorb_sparse_pairs"],
     },
     Forbidden {
+        why: "fault recovery and trace fidelity are cargo test guarantees (metaprep-core's \
+              pipeline tests, the CLI's chaos tests), not experiment bins; public items only \
+              their own tests called stay deleted",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &[
+            "exp_faults",
+            "exp_trace_smoke",
+            r"mmer_bin\b",
+            "mmer_bin_count",
+            "is_valid_base",
+            "CanonicalKmers",
+            "count_valid_kmers",
+            r"fn singletons\b",
+            r".singletons()",
+            "is_inert",
+            "ten_gbe",
+            "species_observed",
+        ],
+    },
+    Forbidden {
         why: "bucketed_local_sort is the one LocalSort and concat -> lsb_radix_sort its one \
               reference: no scatter entry, no two-stage partition-then-sort path",
         dirs: &["crates", "src", "tests", "examples", "xtask"],
@@ -269,6 +289,23 @@ mod tests {
         assert!(hit(
             "    let table = BoundaryTable::new(boundaries, key_bits);"
         ));
+    }
+
+    #[test]
+    fn deleted_gate_bins_and_unused_items_match_but_their_neighbours_do_not() {
+        let rule = FORBIDDEN
+            .iter()
+            .find(|rule| rule.names.contains(&"exp_faults"))
+            .expect("the harness rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit("        bin: \"exp_trace_smoke\","));
+        assert!(hit("pub use mmer::{mmer_bin, MmerSpace};"));
+        assert!(hit("    mmer_bin_count(m)"));
+        assert!(!hit("    let bins = space.mmer_bins();"));
+        assert!(hit("    pub fn singletons(&self) -> usize {"));
+        assert!(hit("        assert_eq!(s.singletons(), 4);"));
+        assert!(!hit("    fn all_singletons() {"));
+        assert!(!hit("        // Star of 50 + chain of 3 + singletons."));
     }
 
     #[test]
