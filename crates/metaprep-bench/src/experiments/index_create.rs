@@ -6,11 +6,12 @@
 //! in `METAPREP_BENCH_OUT`) with the in-memory slurp baseline and the
 //! streaming indexer at 1/2/4 threads on a file at least 10× larger than
 //! the probe window, asserting along the way that every configuration
-//! produces identical index tables. It also times what the file path's
-//! record reader saves per scan: `view_scan_over_parse` is one
-//! `parse_fastq` → `ReadStore` (+ drop) of the file's bytes over one
-//! in-place `record_views` walk of the same bytes, both making the same
-//! checks (best of [`SCAN_REPS`] each).
+//! produces identical index tables. It also times what the file path saves
+//! per scan by never building a store: `view_scan_over_parse` is one
+//! `parse_fastq` → `ReadStore` (+ drop) of the file's bytes over one bare
+//! `record_views` walk of the same bytes (`parse_fastq` is that walk plus
+//! the store it fills, so both make the same checks; best of
+//! [`SCAN_REPS`] each).
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta around each
 //! region when the experiment binary installs [`crate::allocpeak::PeakAlloc`]

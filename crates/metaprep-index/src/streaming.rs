@@ -27,9 +27,10 @@
 //!      and qualities are checked and never copied, and the walk is the
 //!      chunk's record count.
 //!
-//!   Every count IndexCreate stores comes from a `record_views` walk, so the
-//!   file indexer accepts and rejects what `parse_fastq` does, paired or
-//!   not, and names a malformed record by its file-global number and byte.
+//!   Every count IndexCreate stores comes from a `record_views` walk, the
+//!   one FASTQ grammar, so the file indexer accepts and rejects what every
+//!   other reader does, paired or not, and names a malformed record by its
+//!   file-global number and byte.
 //!
 //!   Peak memory is O(threads × window + chunks × 4^m), never
 //!   O(file) — the bound the `index_create` bench (`BENCH_index.json`)
@@ -292,11 +293,7 @@ fn pair_chunks(
         total += walk.records;
     }
     if !total.is_multiple_of(2) {
-        return Err(FastqError::Malformed {
-            record: total as usize,
-            byte_offset: last,
-            what: "odd number of records in paired (interleaved) file".into(),
-        });
+        return Err(FastqError::odd_paired(total as usize, last));
     }
     let len = ranges.last().map_or(0, |r| r.1);
     bounds.push((total, len));
@@ -339,14 +336,14 @@ fn chunk_hist(
 /// Histogram every chunk on the pool (the KmerGen-style fan-out of
 /// IndexCreate), fused with the presolve frequency sketch when `params`
 /// asks for one; rows come back in chunk order. Chunks are dealt
-/// round-robin into shares, each scanned sequentially. Without a sketch
-/// every chunk is its own share and the pool balances them. With one there
-/// is one share per pool worker, each feeding its own sketch (conservative
-/// updates need exclusive counters and do not merge independently of
-/// order), and the worker sketches are folded into the first one. The share
-/// count comes from the pool's configured thread count, so for an
-/// explicitly-sized pool the merged sketch is a pure function of the input
-/// and the thread *setting*, not of scheduling.
+/// round-robin into one share per pool worker, and each worker scans its
+/// share sequentially (the vendored rayon gives each thread one contiguous
+/// part of a parallel call, here one share). With a sketch, each share
+/// feeds its own (conservative updates need exclusive counters and do not
+/// merge independently of order), and the worker sketches are folded into
+/// the first one. The share count comes from the pool's configured thread
+/// count, so for an explicitly-sized pool the merged sketch is a pure
+/// function of the input and the thread *setting*, not of scheduling.
 fn par_histogram(
     path: &Path,
     walker: &RecordWalker,
@@ -356,11 +353,7 @@ fn par_histogram(
     pool: &rayon::ThreadPool,
     params: Option<SketchParams>,
 ) -> (Vec<ChunkRow>, Option<CountMinSketch>) {
-    let n_shares = match params {
-        Some(_) => pool.current_num_threads(),
-        None => chunks.len(),
-    };
-    let n_shares = n_shares.clamp(1, chunks.len().max(1));
+    let n_shares = pool.current_num_threads().clamp(1, chunks.len().max(1));
     let shares: Vec<Vec<usize>> = (0..n_shares)
         .map(|w| (w..chunks.len()).step_by(n_shares).collect())
         .collect();

@@ -86,9 +86,9 @@ fn memchr_from(data: &[u8], from: usize, needle: u8) -> Option<usize> {
 /// mates). Fewer than `c` chunks come back when targets share a boundary.
 ///
 /// Records are counted and located by one [`record_views`] walk of the
-/// whole slice, so this fails where `parse_fastq` fails, with its error —
-/// an odd record count when `paired` included. The streaming indexer
-/// reaches the same table without holding the file.
+/// whole slice, so this fails where that walk fails, with its error; an
+/// odd record count when `paired` is [`FastqError::odd_paired`]. The
+/// streaming indexer reaches the same table without holding the file.
 pub fn chunk_fastq_bytes(
     data: &[u8],
     c: usize,
@@ -101,11 +101,7 @@ pub fn chunk_fastq_bytes(
     }
     let n = starts.len();
     if paired && !n.is_multiple_of(2) {
-        return Err(FastqError::Malformed {
-            record: n,
-            byte_offset: starts[n - 1] as u64,
-            what: "odd number of records in paired (interleaved) file".into(),
-        });
+        return Err(FastqError::odd_paired(n, starts[n - 1] as u64));
     }
 
     // Boundaries as record indices; the byte of index `i` is its start,

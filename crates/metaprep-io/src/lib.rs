@@ -7,12 +7,13 @@
 //! §3.2). Stores can be built in memory (synthetic data) or parsed from
 //! FASTQ files ([`parse`]), and written back out as FASTQ ([`write`]).
 //!
-//! [`view`] reads FASTQ records in place: a zero-copy walker over raw bytes
-//! with `parse`'s exact accept/reject rules and error positions (record
-//! number and header byte offset), which is how the file-based pipeline
-//! (`metaprep partition` / `index`) reads its input without ever building a
-//! store — and how it counts records: no other reading of the bytes decides
-//! what a record is. The crate reads, writes and chunks reads; it does not
+//! [`view`] reads FASTQ records in place: a zero-copy walker over raw bytes,
+//! the crate's one FASTQ grammar. It decides which records a file holds and
+//! names a malformed one by its record number and header byte offset, and
+//! it is how the file-based pipeline (`metaprep partition` / `index`) reads
+//! and counts its input without ever building a store; [`parse`] builds a
+//! store from its records. No other reading of the bytes decides what a
+//! record is. The crate reads, writes and chunks reads; it does not
 //! quality-control them.
 //!
 //! [`chunk`] implements the logical FASTQ chunking used by the `FASTQPart`

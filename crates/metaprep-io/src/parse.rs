@@ -1,18 +1,21 @@
-//! FASTQ parsing.
+//! FASTQ parsing into a [`ReadStore`].
 //!
-//! Byte-oriented (no UTF-8 validation on sequence/quality lines) and
-//! buffered, per the I/O guidance for hot loops. Only the 4-line FASTQ form
-//! is supported — the form emitted by sequencers and consumed by the paper's
-//! toolchain. Paired-end data is conventionally interleaved (mate 1 then
+//! Only the 4-line FASTQ form is supported — the form emitted by sequencers
+//! and consumed by the paper's toolchain. Records are read by the one
+//! record reader, [`record_views`] ([`RecordWalker`] for a file, one window
+//! at a time), so a store is built from exactly the records the file-based
+//! pipeline accepts, and a malformed file fails with the same record number
+//! and byte. Paired-end data is conventionally interleaved (mate 1 then
 //! mate 2); [`parse_fastq`] takes a flag saying whether to pair consecutive
 //! records under one fragment id.
 
 use crate::store::ReadStore;
-use std::fmt;
-use std::io::{self, BufRead, BufReader};
+use crate::stream::{RecordWalker, WALK_WINDOW};
+use crate::view::{record_views, RecordView};
 use std::path::Path;
+use std::{fmt, io};
 
-/// Errors produced by the FASTQ parser.
+/// Errors produced by the FASTQ readers.
 #[derive(Debug)]
 pub enum FastqError {
     /// Underlying I/O failure.
@@ -28,6 +31,18 @@ pub enum FastqError {
     /// 32-bit id or count space). No single record is at fault, so none is
     /// named.
     Limit(String),
+}
+
+impl FastqError {
+    /// A paired (interleaved) file whose record count is odd, named at its
+    /// last record: the `record`-th, whose header is at `byte_offset`.
+    pub fn odd_paired(record: usize, byte_offset: u64) -> Self {
+        FastqError::Malformed {
+            record,
+            byte_offset,
+            what: "odd number of records in paired (interleaved) file".into(),
+        }
+    }
 }
 
 impl fmt::Display for FastqError {
@@ -55,111 +70,60 @@ impl From<io::Error> for FastqError {
     }
 }
 
-/// Read one line into `buf` (excluding the terminator), advancing `pos` by
-/// the bytes consumed. Returns `false` at EOF with nothing read. Accepts both
-/// `\n` and `\r\n` endings.
-fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>, pos: &mut u64) -> io::Result<bool> {
-    buf.clear();
-    let n = r.read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(false);
-    }
-    *pos += n as u64;
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    Ok(true)
-}
-
-/// Parse FASTQ from a reader into a [`ReadStore`].
+/// Parse FASTQ bytes into a [`ReadStore`].
 ///
 /// When `paired` is true, consecutive records are treated as mates and share
 /// a fragment id; the record count must then be even.
-pub fn parse_fastq(reader: impl BufRead, paired: bool) -> Result<ReadStore, FastqError> {
-    let mut r = reader;
-    let mut store = ReadStore::new();
-    let mut header = Vec::new();
-    let mut seq = Vec::new();
-    let mut plus = Vec::new();
-    let mut qual = Vec::new();
-    let mut record = 0usize;
-    // Bytes consumed so far, and where the last record's header started.
-    let (mut pos, mut last_at) = (0u64, 0u64);
-    let mut pending_pair = false;
-
-    loop {
-        let at = pos;
-        if !read_line(&mut r, &mut header, &mut pos)? {
-            break;
-        }
-        if header.is_empty() {
-            // Tolerate blank lines between records (and before EOF).
-            continue;
-        }
-        record += 1;
-        let malformed = |what: String| FastqError::Malformed {
-            record,
-            byte_offset: at,
-            what,
-        };
-        if header[0] != b'@' {
-            let got = header[0] as char;
-            return Err(malformed(format!(
-                "header must start with '@', got {got:?}"
-            )));
-        }
-        if !read_line(&mut r, &mut seq, &mut pos)? {
-            return Err(malformed("EOF before sequence line".into()));
-        }
-        if !read_line(&mut r, &mut plus, &mut pos)? {
-            return Err(malformed("EOF before '+' line".into()));
-        }
-        if plus.first() != Some(&b'+') {
-            return Err(malformed("third line must start with '+'".into()));
-        }
-        if !read_line(&mut r, &mut qual, &mut pos)? {
-            return Err(malformed("EOF before quality line".into()));
-        }
-        if qual.len() != seq.len() {
-            return Err(malformed(format!(
-                "quality length {} != sequence length {}",
-                qual.len(),
-                seq.len()
-            )));
-        }
-
-        if paired && pending_pair {
-            // Second mate of the pair: reuse the previous fragment id.
-            let frag = store.num_fragments() - 1;
-            store.push_with_frag(&seq, frag);
-        } else {
-            store.push_single(&seq);
-        }
-        pending_pair = paired && !pending_pair;
-        let name = std::str::from_utf8(&header[1..])
-            .map_err(|_| malformed("header is not UTF-8".into()))?;
-        store.set_last_name(name);
-        store.set_last_qual(&qual);
-        last_at = at;
-    }
-
-    if paired && pending_pair {
-        return Err(FastqError::Malformed {
-            record,
-            byte_offset: last_at,
-            what: "odd number of records in paired (interleaved) file".into(),
-        });
-    }
-    Ok(store)
+pub fn parse_fastq(bytes: &[u8], paired: bool) -> Result<ReadStore, FastqError> {
+    collect(paired, |push| {
+        record_views(bytes, 0, 0).try_for_each(|view| view.map(|view| push(&view)))
+    })
 }
 
-/// Parse a FASTQ file from a path.
+/// Parse a FASTQ file from a path, as [`parse_fastq`] parses its bytes. The
+/// file is read one window of about [`WALK_WINDOW`] bytes at a time, never
+/// whole.
 pub fn parse_fastq_path(path: impl AsRef<Path>, paired: bool) -> Result<ReadStore, FastqError> {
-    let f = std::fs::File::open(path)?;
-    parse_fastq(BufReader::new(f), paired)
+    parse_fastq_windowed(path.as_ref(), paired, WALK_WINDOW)
+}
+
+/// [`parse_fastq_path`] with windows of about `window` bytes.
+fn parse_fastq_windowed(path: &Path, paired: bool, window: u64) -> Result<ReadStore, FastqError> {
+    let len = std::fs::metadata(path)?.len();
+    collect(paired, |push| {
+        RecordWalker::new(window)
+            .walk(path, (0, len), 0, |views| {
+                views.iter().for_each(&mut *push);
+                Ok(())
+            })
+            .map(drop)
+    })
+}
+
+/// Fill a store with the records `walk` hands to its argument, in file
+/// order. When `paired`, consecutive records are mates sharing a fragment
+/// id, and an odd count is an error named at the last record.
+fn collect(
+    paired: bool,
+    walk: impl FnOnce(&mut dyn FnMut(&RecordView<'_>)) -> Result<(), FastqError>,
+) -> Result<ReadStore, FastqError> {
+    let mut store = ReadStore::new();
+    let mut last = 0;
+    walk(&mut |view| {
+        if paired && store.len() % 2 == 1 {
+            // Second mate of the pair: reuse the previous fragment id.
+            store.push_with_frag(view.seq, store.num_fragments() - 1);
+        } else {
+            store.push_single(view.seq);
+        }
+        store.set_last_name(view.header);
+        store.set_last_qual(view.qual);
+        last = view.offset;
+    })?;
+    if paired && store.len() % 2 == 1 {
+        return Err(FastqError::odd_paired(store.len(), last));
+    }
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -242,6 +206,41 @@ mod tests {
     fn empty_input_is_empty_store() {
         let s = parse_fastq(&b""[..], false).unwrap();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_windowed_file_parse_is_the_parse_of_its_bytes() {
+        let dir = std::env::temp_dir().join("metaprep_io_parse_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let crlf = "@r0 a\r\nACGT\r\n+r0 a\r\n@III\r\n\r\n@r1\r\nGG\r\n+\r\nII\r\n";
+        let odd = [SAMPLE, "\n@r2 long name\nACGTACGTAC\n+\nIIIIIIIIII"].concat();
+        let bad = [SAMPLE, "@r2\nACGT\n-\nIIII\n", SAMPLE].concat();
+        // The whole store, or the error's message.
+        let show = |r: Result<ReadStore, FastqError>| {
+            r.map(|s| format!("{s:?}")).map_err(|e| e.to_string())
+        };
+        for (i, input) in [SAMPLE, crlf, &odd, &bad, ""].into_iter().enumerate() {
+            let path = dir.join(format!("in{i}.fastq"));
+            std::fs::write(&path, input).unwrap();
+            for paired in [false, true] {
+                let want = show(parse_fastq(input.as_bytes(), paired));
+                // Windows of a few bytes cut every record; 1 MiB holds
+                // the whole file.
+                for window in [1, 2, 3, 5, 8, 13, WALK_WINDOW] {
+                    let got = show(parse_fastq_windowed(&path, paired, window));
+                    assert_eq!(got, want, "input {i} paired {paired} window {window}");
+                }
+            }
+        }
+        // The odd paired file is named at its last record, the spoiled one
+        // where it is.
+        let err = |input: &str, paired| parse_fastq(input.as_bytes(), paired).unwrap_err();
+        assert!(err(&odd, true).to_string().contains("record 3 (byte 33)"));
+        assert!(err(&bad, false).to_string().contains("record 3 (byte 32)"));
+        assert_eq!(
+            parse_fastq(crlf.as_bytes(), true).unwrap().num_fragments(),
+            1
+        );
     }
 
     #[test]

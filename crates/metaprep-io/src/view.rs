@@ -2,19 +2,20 @@
 //!
 //! [`record_views`] walks a byte slice of 4-line FASTQ in place and yields
 //! one [`RecordView`] per record: three sub-slices of the input, nothing
-//! allocated, nothing copied. It is the record reader of the file path —
-//! IndexCreate's histogram scan, KmerGen's per-pass chunk load and the
-//! streamed partition writer all read records through it — so a file is
-//! accepted or rejected by one set of rules no matter which of them meets
-//! it first.
+//! allocated, nothing copied. It is the crate's one FASTQ grammar: the
+//! file path (IndexCreate's histogram scan, KmerGen's per-pass chunk load,
+//! the streamed partition writer) reads records through it, and
+//! [`parse_fastq`](crate::parse_fastq) builds a `ReadStore` from it, so a
+//! file is accepted or rejected by one set of rules no matter which of
+//! them meets it first.
 //!
-//! Those rules are [`parse_fastq`](crate::parse_fastq)'s, to the byte: `\n`
-//! and `\r\n` line endings, blank lines tolerated where a header is due, a
-//! last line without its newline, `+anything` third lines, a quality line
-//! as long as its sequence line, a UTF-8 header — and the same 1-based
-//! record number and header byte offset in [`FastqError::Malformed`]. The
-//! differential proptest in `tests/view_matches_parse.rs` holds the two
-//! together.
+//! The rules: `\n` and `\r\n` line endings, blank lines tolerated where a
+//! header is due, a last line without its newline, `+anything` third
+//! lines, a quality line as long as its sequence line, a UTF-8 header. A
+//! record that breaks one is named in [`FastqError::Malformed`] by its
+//! 1-based number and the byte offset of its header line;
+//! `tests/fastq_grammar.rs` holds both readers to generated records and
+//! faults.
 //!
 //! The walk is also how records are counted and located
 //! ([`RecordView::offset`]): every record count IndexCreate stores, and
@@ -80,7 +81,7 @@ impl<'a> RecordViews<'a> {
     }
 
     /// The three lines after `header`, which starts at file byte `offset`,
-    /// checked in `parse_fastq`'s order.
+    /// checked in file order.
     fn rest_of_record(
         &mut self,
         header: &'a [u8],

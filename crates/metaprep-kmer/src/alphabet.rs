@@ -73,20 +73,6 @@ pub fn decode_base(c: u8) -> u8 {
     b"ACGT"[(c & 3) as usize]
 }
 
-/// Reverse-complement an ASCII sequence into a fresh `Vec`.
-///
-/// Bytes outside `ACGTacgt` are mapped to `N`; this mirrors how sequencing
-/// toolchains treat ambiguity codes and keeps the operation total.
-pub fn reverse_complement_ascii(seq: &[u8]) -> Vec<u8> {
-    seq.iter()
-        .rev()
-        .map(|&b| match encode_base_checked(b) {
-            Some(c) => decode_base(complement_code(c)),
-            None => b'N',
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,21 +115,5 @@ mod tests {
         for b in [b'A', b'C', b'G', b'T'] {
             assert_eq!(decode_base(encode_base(b)), b);
         }
-    }
-
-    #[test]
-    fn reverse_complement_ascii_basic() {
-        assert_eq!(reverse_complement_ascii(b"ACGT"), b"ACGT".to_vec());
-        assert_eq!(reverse_complement_ascii(b"AACC"), b"GGTT".to_vec());
-        assert_eq!(reverse_complement_ascii(b"ANT"), b"ANT".to_vec());
-    }
-
-    #[test]
-    fn reverse_complement_ascii_is_involution_on_valid() {
-        let s = b"ACGTACGTTTGGCCAA";
-        assert_eq!(
-            reverse_complement_ascii(&reverse_complement_ascii(s)),
-            s.to_vec()
-        );
     }
 }

@@ -108,7 +108,13 @@ const FORBIDDEN: &[Forbidden] = &[
             "is_inert",
             "ten_gbe",
             "species_observed",
+            "reverse_complement_ascii",
         ],
+    },
+    Forbidden {
+        why: "record_views is metaprep-io's one FASTQ grammar: no line reader beside it",
+        dirs: &["crates/metaprep-io/src"],
+        names: &["BufRead", "read_until", r"fn read_line\b"],
     },
     Forbidden {
         why: "bucketed_local_sort is the one LocalSort and concat -> lsb_radix_sort its one \
@@ -306,6 +312,30 @@ mod tests {
         assert!(hit("        assert_eq!(s.singletons(), 4);"));
         assert!(!hit("    fn all_singletons() {"));
         assert!(!hit("        // Star of 50 + chain of 3 + singletons."));
+        assert!(hit(
+            "pub fn reverse_complement_ascii(seq: &[u8]) -> Vec<u8> {"
+        ));
+        assert!(!hit("    let rc = km.rc_value();"));
+    }
+
+    #[test]
+    fn a_second_fastq_line_reader_matches_but_the_walker_does_not() {
+        let rule = FORBIDDEN
+            .iter()
+            .find(|rule| rule.names.contains(&"read_until"))
+            .expect("the grammar rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit("use std::io::{self, BufRead, BufReader};"));
+        assert!(hit("    parse_fastq(BufReader::new(f), paired)"));
+        assert!(hit("    let n = r.read_until(b'\\n', buf)?;"));
+        assert!(hit(
+            "fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>) {"
+        ));
+        assert!(!hit("    fn line(&mut self) -> Option<&'a [u8]> {"));
+        assert!(!hit("use std::io::{self, Read, Seek, SeekFrom};"));
+        assert!(!hit(
+            "    RecordWalker::new(window).walk(path, (0, len), 0, |views| {"
+        ));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   accumulate per commit. Fault recovery and trace fidelity are `cargo
 //!   test` guarantees, not smoke gates.
 //! * `bench-diff` — compare the current `target/BENCH_*.json` against a
-//!   baseline (`--baseline <dir>` with the same files, or `--ref <git-ref>`
-//!   read via `git show`), print a per-metric delta table, and fail any
-//!   metric that trips the same absolute gate `bench-smoke` enforces.
+//!   baseline (`--baseline <dir>` holding the same files, e.g. a copy of
+//!   another checkout's `target/BENCH_*.json`), print a per-metric delta
+//!   table, and fail any metric that trips the same absolute gate
+//!   `bench-smoke` enforces.
 //!
 //! The custom pass is a line scanner (no rustc plumbing, no external
 //! deps) enforcing three policies on workspace sources:
@@ -95,7 +96,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask [check|lint|bench-smoke|bench-diff] \
                  [--miri] [--tsan] [--skip-clippy] [--skip-fmt] \
-                 [--baseline <dir>] [--ref <git-ref>]"
+                 [--baseline <dir>]"
             );
             ExitCode::SUCCESS
         }
@@ -423,9 +424,11 @@ impl BenchMetric {
 }
 
 const BENCH_METRICS: &[BenchMetric] = &[
-    // One `parse_fastq` -> `ReadStore` (+ drop) over one in-place
-    // `record_views` walk of the same bytes, same checks: what IndexCreate
-    // and every KmerGen-I/O pass stopped paying (observed 5-8x).
+    // One `parse_fastq` -> `ReadStore` (+ drop) over one bare `record_views`
+    // walk of the same bytes (the parse is that walk plus the store it
+    // fills): what IndexCreate and every KmerGen-I/O pass save by never
+    // building a store (2-core VM, ten runs each: 5.2-6.1x at smoke scale,
+    // 4.7-8.2x at scale 1; 6.7-7.8x while the parse had its own line reader).
     BenchMetric {
         artifact: "BENCH_index.json",
         key: "\"view_scan_over_parse\"",
@@ -530,23 +533,20 @@ const BENCH_METRICS: &[BenchMetric] = &[
     },
 ];
 
-/// `cargo xtask bench-diff [--baseline <dir>] [--ref <git-ref>]` —
-/// compare the current `target/BENCH_*.json` artifacts against a
-/// baseline copy (a directory of the same files, or a git ref that has
-/// them committed, read via `git show <ref>:target/<name>`), print a
-/// per-metric delta table, and fail when a current value trips the same
-/// absolute gate `bench-smoke` enforces. Deltas themselves are
+/// `cargo xtask bench-diff [--baseline <dir>]` — compare the current
+/// `target/BENCH_*.json` artifacts against a baseline copy (a directory of
+/// the same files; `target/` is not committed, so no git ref holds one),
+/// print a per-metric delta table, and fail when a current value trips
+/// the same absolute gate `bench-smoke` enforces. Deltas themselves are
 /// informational — shared-runner noise makes them a trend signal, not a
 /// pass/fail test.
 fn run_bench_diff(flags: &[&str]) -> ExitCode {
     let root = workspace_root();
     let mut baseline_dir: Option<PathBuf> = None;
-    let mut git_ref: Option<String> = None;
     let mut it = flags.iter();
     while let Some(f) = it.next() {
         match *f {
             "--baseline" => baseline_dir = it.next().map(PathBuf::from),
-            "--ref" => git_ref = it.next().map(|s| s.to_string()),
             other => {
                 eprintln!("xtask bench-diff: unknown flag `{other}`");
                 return ExitCode::FAILURE;
@@ -554,21 +554,9 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
         }
     }
 
-    let baseline_text = |artifact: &str| -> Option<String> {
-        if let Some(dir) = &baseline_dir {
-            return std::fs::read_to_string(dir.join(artifact)).ok();
-        }
-        if let Some(r) = &git_ref {
-            let out = Command::new("git")
-                .args(["show", &format!("{r}:target/{artifact}")])
-                .current_dir(&root)
-                .output()
-                .ok()?;
-            if out.status.success() {
-                return String::from_utf8(out.stdout).ok();
-            }
-        }
-        None
+    let baseline_text = |artifact: &str| {
+        let dir = baseline_dir.as_ref()?;
+        std::fs::read_to_string(dir.join(artifact)).ok()
     };
 
     let fmt_opt = |v: Option<f64>| match v {
@@ -612,8 +600,8 @@ fn run_bench_diff(flags: &[&str]) -> ExitCode {
             m.gate_str(),
         );
     }
-    if baseline_dir.is_none() && git_ref.is_none() {
-        eprintln!("xtask bench-diff: no --baseline/--ref given — gates checked, deltas skipped");
+    if baseline_dir.is_none() {
+        eprintln!("xtask bench-diff: no --baseline given — gates checked, deltas skipped");
     }
     if failed {
         eprintln!("xtask bench-diff: FAILED");
