@@ -25,8 +25,9 @@
 //!
 //! It also prices the sketch where it is built: `sketch_index_over_plain`
 //! is the wall time of the streaming IndexCreate at k = 63 with the default
-//! sketch over the same call without one, on the same FASTQ file (median
-//! of 9 each, alternating). `cargo xtask bench-smoke` gates it from above.
+//! sketch over the same call without one, on the same FASTQ file: the
+//! median of the per-pair ratios of 15 alternating pairs. `cargo xtask
+//! bench-smoke` gates it from above.
 
 use crate::{allocpeak, harness, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, PipelineConfigBuilder};
@@ -58,7 +59,8 @@ fn cfg() -> PipelineConfigBuilder {
 /// Largest threshold whose surviving occurrence volume (k-mers with
 /// exact count <= tau keep all their occurrences) stays at or under the
 /// target fraction; 1 if even dropping everything above count 1 cannot
-/// reach it.
+/// reach it. At most `COUNTER_MAX - 1`, the largest threshold the sketch's
+/// saturating counters decide.
 fn adaptive_threshold(counts: &HashMap<u64, u64>, target: f64) -> (u32, u64) {
     let total: u64 = counts.values().sum();
     // Occurrence volume per distinct count value, ascending.
@@ -74,26 +76,30 @@ fn adaptive_threshold(counts: &HashMap<u64, u64>, target: f64) -> (u32, u64) {
     let mut tau = 1u64;
     let mut surviving = 0u64;
     let mut at_tau = 0u64;
+    let cap = u64::from(metaprep_norm::countmin::COUNTER_MAX - 1);
     for (count, volume) in by_count {
-        if surviving + volume > budget {
+        if count > cap || surviving + volume > budget {
             break;
         }
         surviving += volume;
         tau = count;
         at_tau = surviving;
     }
-    (tau.clamp(1, u64::from(u32::MAX)) as u32, at_tau)
+    (tau as u32, at_tau)
 }
 
-/// Timed repetitions of each side of `sketch_index_over_plain`. At smoke
-/// scale one call takes 15–60 ms; with five, a burst of load on a shared
-/// host could carry the median (two reads in 33 above 3.2, up to 3.6).
-const INDEX_REPS: usize = 9;
+/// Alternating (plain, sketched) pairs behind `sketch_index_over_plain`.
+/// At smoke scale one call takes 15–60 ms. A ratio of two medians of nine
+/// read 3.92 once under machine load, where 2.4–3.0 was usual: a burst
+/// that lands on one side of the pairs moves both medians. A pair's two
+/// calls run back to back, so the ratio within a pair sees the same load.
+const INDEX_PAIRS: usize = 15;
 
-/// Median wall time of the streaming IndexCreate at k = 63 with the
-/// default presolve sketch, over the same call without a sketch, on the
-/// FASTQ file of `reads`: `(ratio, plain_s, sketched_s)`. One thread, so
-/// the ratio prices the sketch's probes, not the pool.
+/// The streaming IndexCreate at k = 63 with the default presolve sketch
+/// against the same call without a sketch, on the FASTQ file of `reads`:
+/// `(ratio, plain_s, sketched_s)`, the median of the per-pair ratios and
+/// each side's median time. One thread, so the ratio prices the sketch's
+/// updates, not the pool.
 fn sketch_index_over_plain(reads: &metaprep_io::ReadStore) -> (f64, f64, f64) {
     let dir = std::env::temp_dir().join(format!("metaprep_bench_presolve_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
@@ -121,7 +127,7 @@ fn sketch_index_over_plain(reads: &metaprep_io::ReadStore) -> (f64, f64, f64) {
     };
     index(Some(SketchParams::default())); // warm the page cache and allocator
     let (mut plain, mut sketched) = (Vec::new(), Vec::new());
-    for rep in 0..INDEX_REPS {
+    for rep in 0..INDEX_PAIRS {
         // Alternate which side runs first.
         if rep % 2 == 0 {
             plain.push(index(None));
@@ -132,12 +138,12 @@ fn sketch_index_over_plain(reads: &metaprep_io::ReadStore) -> (f64, f64, f64) {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-    let median = |xs: &mut Vec<f64>| {
+    let median = |mut xs: Vec<f64>| {
         xs.sort_by(f64::total_cmp);
         xs[xs.len() / 2]
     };
-    let (plain, sketched) = (median(&mut plain), median(&mut sketched));
-    (sketched / plain, plain, sketched)
+    let ratios = plain.iter().zip(&sketched).map(|(p, s)| s / p).collect();
+    (median(ratios), median(plain), median(sketched))
 }
 
 struct Run {

@@ -13,7 +13,12 @@
 //! ```
 //!
 //! All FASTQ inputs are treated as interleaved paired-end unless
-//! `--unpaired` is given.
+//! `--unpaired` is given. An input must be a regular file: every reader
+//! takes it by byte range, so a pipe is an error.
+//!
+//! `--presolve T` drops, inside KmerGen, every k-mer whose count-min
+//! estimate exceeds `T`, in `1..=254`: the sketch's 8-bit counters
+//! saturate at 255.
 //!
 //! `partition` never holds the input: IndexCreate, every pass's chunk
 //! loads and the partition writer each re-read the file and take its
@@ -331,7 +336,7 @@ fn cmd_partition(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(t) = args.opt("presolve") {
         let t: u32 = t
             .parse()
-            .map_err(|_| ArgError(format!("--presolve: bad threshold {t:?}")))?;
+            .map_err(|_| ArgError(format!("--presolve: bad threshold {t:?} (1 to 254)")))?;
         b = b.presolve_threshold(t);
     }
     if let Some(spec) = args.opt("kf") {

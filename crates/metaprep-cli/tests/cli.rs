@@ -11,8 +11,9 @@ use metaprep_core::{
     PipelineConfig, Step,
 };
 use metaprep_io::parse_fastq_path;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn metaprep(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_metaprep"))
@@ -192,6 +193,43 @@ fn io_errors_are_one_structured_line_without_usage_or_backtrace() {
     assert!(!err.contains("usage:"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
     assert!(!err.contains("RUST_BACKTRACE"), "{err}");
+}
+
+/// Every reader takes the input by byte range, below the length the file's
+/// metadata gives, so a pipe would read as an empty input and `partition`
+/// would write two empty files and succeed.
+#[cfg(unix)]
+#[test]
+fn a_piped_input_is_one_error_line_naming_the_path() {
+    let outdir = tmpdir("piped_input").join("out");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_metaprep"))
+        .args([
+            "partition",
+            "--input",
+            "/dev/stdin",
+            "--k",
+            "21",
+            "--outdir",
+        ])
+        .arg(&outdir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn metaprep");
+    // The binary may exit before it reads a byte; a failed write is that.
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let _ = stdin.write_all(&fastq_of(&good_records(8)));
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait for metaprep");
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    assert!(
+        err.starts_with("error:") && err.contains("/dev/stdin is not a regular file"),
+        "{err}"
+    );
+    assert!(!outdir.exists());
 }
 
 #[test]

@@ -48,8 +48,9 @@ pub struct PipelineConfig {
     /// Presolve drop threshold: k-mers whose sketch-estimated occurrence
     /// count *exceeds* this value are dropped inside KmerGen, before any
     /// tuple is materialized or shipped. `None` disables the presolve
-    /// tier. The estimate never under-counts, so every k-mer truly above
-    /// the threshold is dropped; rare sketch collisions can only drop
+    /// tier; the threshold must lie in `1..=254`, below the sketch's
+    /// saturating 8-bit counters. The estimate never under-counts, so
+    /// every k-mer truly above the threshold is dropped; rare sketch collisions can only drop
     /// extra high-side k-mers, never resurrect one. The drops, and so the
     /// partition, depend on `tasks × threads`: each IndexCreate worker
     /// fills its own conservative sketch and the merge forgoes the
@@ -186,6 +187,13 @@ impl PipelineConfig {
             return err(
                 "presolve_threshold must be >= 1 (a zero threshold drops every k-mer)".into(),
             );
+        }
+        let counter_max = metaprep_norm::countmin::COUNTER_MAX;
+        if let Some(t) = self.presolve_threshold.filter(|&t| t >= counter_max) {
+            return err(format!(
+                "presolve_threshold = {t} must be below {counter_max}, where the sketch's \
+                 counters saturate"
+            ));
         }
         let depths = 1..=metaprep_norm::countmin::MAX_DEPTH;
         if self.presolve_threshold.is_some()
@@ -495,6 +503,23 @@ mod tests {
             .build()
             .validate()
             .is_err());
+        // The sketch's counters saturate at 255: a threshold there or above
+        // would keep every k-mer.
+        assert!(PipelineConfig::builder()
+            .presolve_threshold(254)
+            .build()
+            .validate()
+            .is_ok());
+        for t in [255, u32::MAX] {
+            let saturated = PipelineConfig::builder()
+                .presolve_threshold(t)
+                .build()
+                .validate();
+            assert!(
+                matches!(&saturated, Err(PipelineError::InvalidConfig(m)) if m.contains("must be below 255")),
+                "{saturated:?}"
+            );
+        }
         assert!(PipelineConfig::builder()
             .presolve_threshold(5)
             .sketch(SketchParams {

@@ -10,7 +10,8 @@
 //! split).
 
 use metaprep_io::{
-    write_fastq_path, write_fastq_record, FastqError, ReadStore, RecordWalker, WALK_WINDOW,
+    input_len, write_fastq_path, write_fastq_record, FastqError, ReadStore, RecordWalker,
+    WALK_WINDOW,
 };
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -192,7 +193,7 @@ fn stream_split(
         byte_offset,
         what: format!("input changed since indexing: {what}"),
     };
-    let len = std::fs::metadata(input)?.len();
+    let len = input_len(input)?;
     std::fs::create_dir_all(dir)?;
     let mut outs = Vec::with_capacity(names.len());
     for name in names {

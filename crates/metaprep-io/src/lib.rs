@@ -34,6 +34,6 @@ pub mod write;
 pub use chunk::{chunk_fastq_bytes, chunk_store, find_record_start, ChunkSpec};
 pub use parse::{parse_fastq, parse_fastq_path, FastqError};
 pub use store::ReadStore;
-pub use stream::{RecordWalker, StreamChunker, DEFAULT_INDEX_WINDOW, WALK_WINDOW};
+pub use stream::{input_len, RecordWalker, StreamChunker, DEFAULT_INDEX_WINDOW, WALK_WINDOW};
 pub use view::{record_views, RecordView, RecordViews};
 pub use write::{write_fastq, write_fastq_path, write_fastq_record};

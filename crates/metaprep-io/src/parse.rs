@@ -10,7 +10,7 @@
 //! records under one fragment id.
 
 use crate::store::ReadStore;
-use crate::stream::{RecordWalker, WALK_WINDOW};
+use crate::stream::{input_len, RecordWalker, WALK_WINDOW};
 use crate::view::{record_views, RecordView};
 use std::path::Path;
 use std::{fmt, io};
@@ -82,14 +82,14 @@ pub fn parse_fastq(bytes: &[u8], paired: bool) -> Result<ReadStore, FastqError> 
 
 /// Parse a FASTQ file from a path, as [`parse_fastq`] parses its bytes. The
 /// file is read one window of about [`WALK_WINDOW`] bytes at a time, never
-/// whole.
+/// whole; it must be a regular file ([`input_len`]).
 pub fn parse_fastq_path(path: impl AsRef<Path>, paired: bool) -> Result<ReadStore, FastqError> {
     parse_fastq_windowed(path.as_ref(), paired, WALK_WINDOW)
 }
 
 /// [`parse_fastq_path`] with windows of about `window` bytes.
 fn parse_fastq_windowed(path: &Path, paired: bool, window: u64) -> Result<ReadStore, FastqError> {
-    let len = std::fs::metadata(path)?.len();
+    let len = input_len(path)?;
     collect(paired, |push| {
         RecordWalker::new(window)
             .walk(path, (0, len), 0, |views| {

@@ -43,6 +43,25 @@ pub const DEFAULT_INDEX_WINDOW: usize = 64 * 1024;
 /// loop just wastes syscalls.
 const MIN_WINDOW: usize = 16;
 
+/// The length of the FASTQ file at `path`, which must be a regular file.
+/// Every reader of an input file seeks to byte ranges below a length taken
+/// from its metadata, so a pipe or a device would read as an empty input;
+/// it is an error that names the path instead.
+pub fn input_len(path: &Path) -> io::Result<u64> {
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} is not a regular file (input is read by byte range; \
+                 write a pipe to a file first)",
+                path.display()
+            ),
+        ));
+    }
+    Ok(meta.len())
+}
+
 /// Windowed record-boundary finder over an open FASTQ file.
 pub struct StreamChunker {
     file: File,
@@ -58,9 +77,10 @@ pub struct StreamChunker {
 
 impl StreamChunker {
     /// Open `path` with the given probe window (`0` = [`DEFAULT_INDEX_WINDOW`]).
+    /// `path` must be a regular file ([`input_len`]).
     pub fn open(path: impl AsRef<Path>, window: usize) -> io::Result<Self> {
+        let len = input_len(path.as_ref())?;
         let file = File::open(path)?;
-        let len = file.metadata()?.len();
         let window = if window == 0 {
             DEFAULT_INDEX_WINDOW
         } else {
@@ -272,6 +292,22 @@ mod tests {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
         path
+    }
+
+    #[test]
+    fn only_a_regular_file_is_an_input() {
+        let bytes = sample_bytes(3);
+        let path = write_temp("regular.fastq", &bytes);
+        assert_eq!(input_len(&path).unwrap(), bytes.len() as u64);
+        let dir = path.parent().unwrap();
+        for not_a_file in [dir, Path::new("/dev/null")] {
+            let err = StreamChunker::open(not_a_file, 0)
+                .err()
+                .expect("not a regular file");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let named = format!("{} is not a regular file", not_a_file.display());
+            assert!(err.to_string().starts_with(&named), "{err}");
+        }
     }
 
     #[test]

@@ -48,10 +48,9 @@ pub trait Kmer: Copy + Clone + Eq + Ord + std::fmt::Debug + Send + Sync + 'stati
     /// Packed reverse-complement value.
     fn rc_value(&self) -> Self::Repr;
 
-    /// Packed canonical value: `min(value, rc_value)`.
-    fn canonical_value(&self) -> Self::Repr {
-        std::cmp::min(self.value(), self.rc_value())
-    }
+    /// Packed canonical value: `min(value, rc_value)`, chosen without a
+    /// branch, since which strand is smaller is a coin flip per k-mer.
+    fn canonical_value(&self) -> Self::Repr;
 
     /// Append base code `c` (0..4) on the right, dropping the leftmost base.
     /// Updates forward and reverse-complement strands in O(1).
@@ -85,6 +84,47 @@ pub trait Kmer: Copy + Clone + Eq + Ord + std::fmt::Debug + Send + Sync + 'stati
     }
 }
 
+/// `min(a, b)` as a conditional move: which strand of a k-mer is smaller
+/// is a coin flip, so a branch on it mispredicts every other k-mer.
+#[inline(always)]
+fn min_u64(a: u64, b: u64) -> u64 {
+    std::hint::select_unpredictable(a <= b, a, b)
+}
+
+/// [`min_u64`] for 128-bit values. LLVM lowers a 128-bit select to two
+/// 64-bit conditional moves and then, by a cost model that looks at the
+/// whole loop, may turn them into a branch whatever the hint says: the
+/// k = 63 IndexCreate scan ran a third slower whenever an unrelated edit
+/// near its loop tipped that choice. On x86-64 the moves are therefore
+/// written out.
+#[inline(always)]
+fn min_u128(a: u128, b: u128) -> u128 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let (mut lo, mut hi) = (a as u64, (a >> 64) as u64);
+        // SAFETY: register-only arithmetic on the operands named here; no memory or stack.
+        unsafe {
+            std::arch::asm!(
+                // Carry out of `a - b` is `a < b`; keep `a` then, else take `b`.
+                "cmp {lo}, {blo}",
+                "mov {t}, {hi}",
+                "sbb {t}, {bhi}",
+                "cmovae {lo}, {blo}",
+                "cmovae {hi}, {bhi}",
+                lo = inout(reg) lo,
+                hi = inout(reg) hi,
+                blo = in(reg) b as u64,
+                bhi = in(reg) (b >> 64) as u64,
+                t = out(reg) _,
+                options(pure, nomem, nostack),
+            )
+        };
+        u128::from(hi) << 64 | u128::from(lo)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    std::cmp::min(a, b)
+}
+
 /// k-mer packed into a `u64`; supports `k <= 32`.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct Kmer64 {
@@ -102,7 +142,7 @@ pub struct Kmer128 {
 }
 
 macro_rules! impl_kmer {
-    ($name:ident, $repr:ty, $max_k:expr) => {
+    ($name:ident, $repr:ty, $max_k:expr, $min:ident) => {
         impl $name {
             /// Mask selecting the low `2k` bits.
             #[inline(always)]
@@ -143,6 +183,11 @@ macro_rules! impl_kmer {
             #[inline(always)]
             fn rc_value(&self) -> $repr {
                 self.rc
+            }
+
+            #[inline(always)]
+            fn canonical_value(&self) -> $repr {
+                $min(self.fwd, self.rc)
             }
 
             #[inline(always)]
@@ -199,8 +244,8 @@ macro_rules! impl_kmer {
     };
 }
 
-impl_kmer!(Kmer64, u64, 32);
-impl_kmer!(Kmer128, u128, 63);
+impl_kmer!(Kmer64, u64, 32, min_u64);
+impl_kmer!(Kmer128, u128, 63, min_u128);
 
 /// Fold a packed k-mer value into the `u64` key space of the count-min
 /// presolve sketch.
@@ -278,6 +323,22 @@ mod tests {
         assert_eq!(ccc.canonical_value(), ccc.value());
         assert_eq!(ggg.canonical_value(), ggg.rc_value());
         assert_eq!(ccc.canonical_value(), ggg.canonical_value());
+    }
+
+    #[test]
+    fn min_u128_borrows_across_the_halves() {
+        let h = |hi: u64, lo: u64| u128::from(hi) << 64 | u128::from(lo);
+        let cases = [
+            (h(1, 0), h(0, u64::MAX)),
+            (h(0, 5), h(0, 7)),
+            (h(7, 1), h(7, 1)),
+            (h(3, u64::MAX), h(4, 0)),
+            (0, u128::MAX >> 2),
+        ];
+        for (a, b) in cases {
+            assert_eq!(min_u128(a, b), a.min(b), "{a:#x} {b:#x}");
+            assert_eq!(min_u128(b, a), a.min(b), "{b:#x} {a:#x}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The digital normalization pass.
 
-use crate::countmin::CountMinSketch;
+use crate::countmin::{CountMinSketch, COUNTER_MAX};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{for_each_canonical_kmer, Kmer64};
 
@@ -10,7 +10,9 @@ pub struct NormalizeConfig {
     /// k-mer length for abundance estimation (`<= 32`; khmer uses 20).
     pub k: usize,
     /// Target coverage: a fragment whose median k-mer abundance is already
-    /// `>= target` is dropped.
+    /// `>= target` is dropped. At most
+    /// [`COUNTER_MAX`](crate::countmin::COUNTER_MAX), where the sketch's
+    /// counters saturate; [`normalize`] panics above it.
     pub target: u64,
     /// Count-min sketch width (counters per row; rounded up to a power of
     /// two).
@@ -76,7 +78,11 @@ fn median(xs: &mut [u64]) -> u64 {
 /// earlier reads of a deep region are kept, later ones dropped.
 pub fn normalize(reads: &ReadStore, cfg: NormalizeConfig) -> NormalizeResult {
     assert!(cfg.k >= 1 && cfg.k <= 32);
-    assert!(cfg.target >= 1);
+    assert!(
+        (1..=u64::from(COUNTER_MAX)).contains(&cfg.target),
+        "normalize: target {} is outside 1..={COUNTER_MAX} (the sketch's counters saturate at {COUNTER_MAX})",
+        cfg.target
+    );
     let mut sketch = CountMinSketch::new(cfg.sketch_width, cfg.sketch_depth, cfg.seed);
     let sketch_bytes = sketch.memory_bytes();
 
@@ -119,9 +125,7 @@ pub fn normalize(reads: &ReadStore, cfg: NormalizeConfig) -> NormalizeResult {
                     kept_store.set_last_qual(q);
                 }
             }
-            for &v in &kmers {
-                sketch.add(v);
-            }
+            sketch.add_batch(&kmers);
             kept += 1;
         } else {
             dropped += 1;
@@ -150,6 +154,12 @@ mod tests {
             sketch_depth: 4,
             seed: 1,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "target 256 is outside 1..=255")]
+    fn rejects_a_target_past_the_counters() {
+        normalize(&ReadStore::new(), cfg(256));
     }
 
     #[test]
