@@ -16,11 +16,12 @@
 //!                -> output partitioned FASTQ
 //! ```
 //!
-//! Entry points: [`Pipeline::run_reads`] over reads in memory, or
-//! [`Pipeline::run_fastq_file`] + [`write_partitions_streamed`] over a FASTQ
-//! file that is re-read, never held. Each indexes its input, builds the
-//! chunk source the passes load from, and runs; telemetry goes to the
-//! recorder given with [`Pipeline::with_recorder`]. Configuration:
+//! A run has one input path: [`Pipeline::run_fastq_file`] indexes a FASTQ
+//! file with the streaming IndexCreate and every pass re-reads its chunks
+//! from it, never holding it ([`write_partitions_streamed`] writes the
+//! partition from the same file). [`Pipeline::run_reads`] writes reads
+//! held in memory to a temporary FASTQ file and runs that path; telemetry
+//! goes to the recorder given with [`Pipeline::with_recorder`]. Configuration:
 //! [`PipelineConfig`] (k, m, passes or a memory budget, presolve, tasks,
 //! threads, k-mer frequency filter, fault plan, checkpoints), validated
 //! when a run starts.

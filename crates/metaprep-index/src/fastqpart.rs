@@ -1,6 +1,6 @@
 //! The `FASTQPart` chunk table (paper §3.1.2, Figure 2).
 
-use crate::streaming::index_store;
+use crate::streaming::index_as_fastq;
 use metaprep_io::{ChunkSpec, ReadStore};
 use metaprep_kmer::MmerSpace;
 
@@ -22,12 +22,14 @@ pub struct FastqPart {
 }
 
 impl FastqPart {
-    /// Build by logically splitting `store` into `c` chunks and histogram-
-    /// ming each chunk's canonical k-mers: [`index_store`]'s chunk table.
+    /// Build by writing `store` as FASTQ, cutting the bytes into `c`
+    /// chunks (`metaprep_io::chunk_fastq_bytes`, the cut a pipeline run
+    /// over the same reads makes, with real byte offsets) and histogram-
+    /// ming each chunk's canonical k-mers: `index_fastq_bytes`' chunk
+    /// table. Panics on a store that mixes mate pairs with single reads
+    /// (`ReadStore::paired`), which no FASTQ file holds.
     pub fn build(store: &ReadStore, c: usize, k: usize, m: usize) -> Self {
-        // EXPECT: a store yields no malformed record; what is left is a bin past the u32 count space, which no plan can be built from.
-        let (_, fastqpart, _) = index_store(store, c, k, m, None).expect("m-mer bin overflow");
-        fastqpart
+        index_as_fastq(store, c, k, m).1
     }
 
     /// Construct from raw parts (deserialization, tests).

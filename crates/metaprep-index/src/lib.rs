@@ -12,10 +12,11 @@
 //!   which exact send/receive buffer sizes and per-thread write offsets are
 //!   computed before any tuple is generated.
 //!
-//! IndexCreate is one histogram kernel over three row sources — an
-//! in-memory store, a file's bytes, a file on disk ([`streaming`]); the
-//! global histogram is the sum of the chunk rows, so the two tables agree
-//! by construction.
+//! IndexCreate is one histogram kernel over FASTQ bytes — held whole (the
+//! oracle, and the tables of a store written as FASTQ) or walked from a
+//! file on disk, the path every run takes ([`streaming`]); the global
+//! histogram is the sum of the chunk rows, so the two tables agree by
+//! construction.
 //!
 //! Both tables serialize to a compact binary format ([`serial`]) so they
 //! can be built once per dataset and reused across runs — the paper's
@@ -32,5 +33,5 @@ pub use merhist::MerHist;
 pub use plan::{split_bins_by_weight, BucketPlan, RangePlan};
 pub use streaming::{
     index_fastq_bytes, index_fastq_file_streaming, index_fastq_file_streaming_sketched_recorded,
-    index_store, StreamingOptions,
+    StreamingOptions,
 };

@@ -1,6 +1,6 @@
 //! The global m-mer prefix histogram (`merHist`, paper §3.1.1).
 
-use crate::streaming::index_store;
+use crate::streaming::index_as_fastq;
 use metaprep_io::ReadStore;
 use metaprep_kmer::MmerSpace;
 
@@ -17,12 +17,11 @@ pub struct MerHist {
 
 impl MerHist {
     /// Build from every read in `store` with k-mer length `k` and prefix
-    /// length `m`: [`index_store`]'s merHist (one chunk — the sum of the
-    /// rows does not depend on how the store is chunked).
+    /// length `m`: the merHist `index_fastq_bytes` builds over the store
+    /// written as FASTQ (one chunk — the sum of the rows does not depend
+    /// on the cut). Panics where `FastqPart::build` does.
     pub fn build(store: &ReadStore, k: usize, m: usize) -> Self {
-        // EXPECT: a store yields no malformed record; what is left is a bin past the u32 count space, which no plan can be built from.
-        let (merhist, _, _) = index_store(store, 1, k, m, None).expect("m-mer bin overflow");
-        merhist
+        index_as_fastq(store, 1, k, m).0
     }
 
     /// Construct from raw parts (deserialization, tests).

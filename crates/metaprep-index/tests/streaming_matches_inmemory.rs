@@ -7,9 +7,7 @@
 //! window-doubling path. The same inputs, with one record spoiled, hold
 //! the windowed range walker to one walk of the whole range.
 
-use metaprep_index::{
-    index_fastq_bytes, index_fastq_file_streaming, index_store, StreamingOptions,
-};
+use metaprep_index::{index_fastq_bytes, index_fastq_file_streaming, StreamingOptions};
 use metaprep_io::{record_views, RecordView, RecordWalker, StreamChunker, WALK_WINDOW};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,26 +237,4 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The third row source: a store parsed from the same bytes is chunked
-    /// by modeled, not real, record sizes, so its chunk table differs — but
-    /// the rows sum to the same merHist, and to the table's own total.
-    #[test]
-    fn prop_store_rows_sum_to_the_file_merhist(
-        mut reads in proptest::collection::vec(
-            proptest::collection::vec(base(), 1..60), 0..40),
-        c in 1usize..10,
-        k in proptest::sample::select(vec![5usize, 21, 33]),
-        paired in proptest::bool::ANY,
-    ) {
-        if paired && reads.len() % 2 == 1 {
-            reads.pop();
-        }
-        let bytes = fastq_bytes(&reads, &[], 0, true);
-        let (want, ..) = index_fastq_bytes(&bytes, paired, c, k, 4)
-            .expect("in-memory reference indexing");
-        let store = metaprep_io::parse_fastq(&bytes[..], paired).expect("parse");
-        let (merhist, fastqpart, _) = index_store(&store, c, k, 4, None).expect("store indexing");
-        prop_assert_eq!(&merhist, &want);
-        prop_assert_eq!(fastqpart.total(), merhist.total());
-    }
 }

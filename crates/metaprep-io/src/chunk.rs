@@ -6,28 +6,22 @@
 //! which is what lets threads assign dense fragment ids without
 //! coordination.
 //!
-//! Two forms are provided:
-//!
-//! * [`chunk_fastq_bytes`] — operates on raw FASTQ bytes held whole,
-//!   counting and locating records with the one record reader
-//!   ([`record_views`]); the reference the streaming indexer is held to;
-//! * [`chunk_store`] — operates on an in-memory [`ReadStore`] using modeled
-//!   record sizes, producing the same `ChunkSpec` shape for the in-memory
-//!   pipeline.
+//! [`chunk_fastq_bytes`] cuts raw FASTQ bytes held whole, counting and
+//! locating records with the one record reader ([`record_views`]); it is
+//! the reference the streaming indexer (`crate::stream`) is held to.
 //!
 //! [`find_record_start`] is the one record-start heuristic: what the
 //! streaming chunker, which seeks into the middle of a file to cut it, uses
 //! to land on a record.
 
 use crate::parse::FastqError;
-use crate::store::ReadStore;
 use crate::view::record_views;
 
 /// One logical chunk of a FASTQ input (a row of the `FASTQPart` table minus
 /// its m-mer histogram, which lives in `metaprep-index`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ChunkSpec {
-    /// Byte offset of the chunk within the file (or modeled stream).
+    /// Byte offset of the chunk within the file.
     pub offset: u64,
     /// Size of the chunk in bytes.
     pub bytes: u64,
@@ -135,52 +129,10 @@ pub fn chunk_fastq_bytes(
         .collect())
 }
 
-/// Chunk an in-memory store into up to `c` chunks of roughly equal *modeled*
-/// byte size (using [`ReadStore::record_bytes`]). Mates of one fragment are
-/// never split across chunks, mirroring how the file-based chunker keeps
-/// whole records together and the paper keeps paired files aligned.
-pub fn chunk_store(store: &ReadStore, c: usize) -> Vec<ChunkSpec> {
-    assert!(c >= 1);
-    let n = store.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total: u64 = (0..n).map(|i| store.record_bytes(i) as u64).sum();
-    let target = (total / c as u64).max(1);
-
-    let mut specs = Vec::with_capacity(c);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    let mut offset = 0u64;
-    for i in 0..n {
-        acc += store.record_bytes(i) as u64;
-        let next_is_same_frag = i + 1 < n && store.frag_id(i + 1) == store.frag_id(i);
-        if acc >= target && !next_is_same_frag && specs.len() + 1 < c {
-            specs.push(ChunkSpec {
-                offset,
-                bytes: acc,
-                first_seq: start as u32,
-                seqs: (i + 1 - start) as u32,
-            });
-            offset += acc;
-            start = i + 1;
-            acc = 0;
-        }
-    }
-    if start < n {
-        specs.push(ChunkSpec {
-            offset,
-            bytes: acc,
-            first_seq: start as u32,
-            seqs: (n - start) as u32,
-        });
-    }
-    specs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ReadStore;
     use crate::write::write_fastq;
 
     fn sample_bytes(n: usize) -> Vec<u8> {
@@ -394,39 +346,5 @@ mod tests {
                 other => panic!("expected malformed error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn chunk_store_covers_everything() {
-        let mut s = ReadStore::new();
-        for _ in 0..10 {
-            s.push_pair(b"ACGTACGTACGT", b"TTGGCCAATTGG");
-        }
-        for c in [1, 2, 3, 5] {
-            let specs = chunk_store(&s, c);
-            let total: u32 = specs.iter().map(|x| x.seqs).sum();
-            assert_eq!(total, 20, "c={c}");
-            assert!(specs.len() <= c);
-        }
-    }
-
-    #[test]
-    fn chunk_store_never_splits_pairs() {
-        let mut s = ReadStore::new();
-        for _ in 0..50 {
-            s.push_pair(b"ACGTACGT", b"GGCCGGCC");
-        }
-        for c in [2, 3, 7] {
-            for spec in chunk_store(&s, c) {
-                // First sequence of a chunk must be mate 1 (even index here).
-                assert_eq!(spec.first_seq % 2, 0, "c={c}");
-                assert_eq!(spec.seqs % 2, 0, "c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_store_empty() {
-        assert!(chunk_store(&ReadStore::new(), 4).is_empty());
     }
 }

@@ -31,7 +31,7 @@ pub mod stream;
 pub mod view;
 pub mod write;
 
-pub use chunk::{chunk_fastq_bytes, chunk_store, find_record_start, ChunkSpec};
+pub use chunk::{chunk_fastq_bytes, find_record_start, ChunkSpec};
 pub use parse::{parse_fastq, parse_fastq_path, FastqError};
 pub use store::ReadStore;
 pub use stream::{input_len, RecordWalker, StreamChunker, DEFAULT_INDEX_WINDOW, WALK_WINDOW};

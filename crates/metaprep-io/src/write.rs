@@ -102,17 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn record_bytes_model_matches_output() {
-        let mut s = ReadStore::new();
-        s.push_single(b"ACGTACGT");
-        s.push_single(b"AC");
-        let mut buf = Vec::new();
-        write_fastq(&mut buf, &s).unwrap();
-        let modeled: usize = (0..s.len()).map(|i| s.record_bytes(i)).sum();
-        assert_eq!(buf.len(), modeled);
-    }
-
-    #[test]
     fn path_writer_creates_file() {
         let dir = std::env::temp_dir().join("metaprep_io_write_test");
         std::fs::create_dir_all(&dir).unwrap();

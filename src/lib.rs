@@ -17,7 +17,8 @@
 //! * [`sort`] — serial and parallel LSB radix sorts,
 //! * [`cc`] — union-find and label-propagation connected components,
 //! * [`dist`] — the simulated distributed-memory cluster,
-//! * [`core`] — the METAPREP pipeline itself,
+//! * [`core`] — the METAPREP pipeline itself, over one input path: a FASTQ
+//!   file (`run_fastq_file`), to which `run_reads` writes in-memory reads,
 //! * [`kmc`] — the KMC2-style k-mer counting baseline,
 //! * [`assembly`] — the compact de Bruijn graph unitig assembler,
 //! * [`norm`] — digital normalization (count-min sketch based),

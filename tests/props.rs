@@ -42,35 +42,31 @@ fn same_partition(a: &[u32], b: &[u32]) -> bool {
     true
 }
 
-/// Arbitrary read sets: a few dozen short reads over ACGTN, some paired.
+/// Arbitrary read sets: one to a few dozen short reads over ACGTN, each
+/// store either all mate pairs or all single reads (the two layouts a
+/// FASTQ file holds).
 fn read_store_strategy() -> impl Strategy<Value = ReadStore> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(
-                proptest::sample::select(vec![b'A', b'C', b'G', b'T', b'N']),
-                12..60,
-            ),
-            proptest::bool::ANY,
-        ),
-        1..40,
+    let seq = || {
+        proptest::collection::vec(
+            proptest::sample::select(vec![b'A', b'C', b'G', b'T', b'N']),
+            12..60,
+        )
+    };
+    (
+        proptest::collection::vec((seq(), seq()), 1..40),
+        proptest::bool::ANY,
     )
-    .prop_map(|reads| {
-        let mut store = ReadStore::new();
-        let mut pending: Option<Vec<u8>> = None;
-        for (seq, pair_flag) in reads {
-            if let Some(first) = pending.take() {
-                store.push_pair(&first, &seq);
-            } else if pair_flag {
-                pending = Some(seq);
-            } else {
-                store.push_single(&seq);
+        .prop_map(|(reads, paired)| {
+            let mut store = ReadStore::new();
+            for (mate1, mate2) in reads {
+                if paired {
+                    store.push_pair(&mate1, &mate2);
+                } else {
+                    store.push_single(&mate1);
+                }
             }
-        }
-        if let Some(first) = pending {
-            store.push_single(&first);
-        }
-        store
-    })
+            store
+        })
 }
 
 proptest! {

@@ -117,6 +117,17 @@ const FORBIDDEN: &[Forbidden] = &[
         names: &["BufRead", "read_until", r"fn read_line\b"],
     },
     Forbidden {
+        why: "a run reads one input, a FASTQ file: run_reads writes its store to one and \
+              runs the file path, with no store chunker, store IndexCreate or store source",
+        dirs: &["crates", "src", "tests", "examples", "xtask"],
+        names: &[
+            r"index_store\b",
+            r"chunk_store\b",
+            "ChunkSource::Store",
+            r"record_bytes\b",
+        ],
+    },
+    Forbidden {
         why: "bucketed_local_sort is the one LocalSort and concat -> lsb_radix_sort its one \
               reference: no scatter entry, no two-stage partition-then-sort path",
         dirs: &["crates", "src", "tests", "examples", "xtask"],
@@ -316,6 +327,39 @@ mod tests {
             "pub fn reverse_complement_ascii(seq: &[u8]) -> Vec<u8> {"
         ));
         assert!(!hit("    let rc = km.rc_value();"));
+    }
+
+    #[test]
+    fn the_store_input_path_matches_but_the_file_path_does_not() {
+        let rule = FORBIDDEN
+            .iter()
+            .find(|rule| rule.names.contains(&"ChunkSource::Store"))
+            .expect("the input-path rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit(
+            "use metaprep_index::{index_store, BucketPlan, FastqPart};"
+        ));
+        assert!(hit(
+            "        let (.., sketch) = index_store(&reads, 1, 21, 6, None).unwrap();"
+        ));
+        assert!(hit(
+            "pub use chunk::{chunk_fastq_bytes, chunk_store, ChunkSpec};"
+        ));
+        assert!(hit("    for spec in chunk_store(store, c) {"));
+        assert!(hit(
+            "            ChunkSource::Store(store) => store.num_fragments(),"
+        ));
+        assert!(hit("    pub fn record_bytes(&self, i: usize) -> usize {"));
+        assert!(hit("        acc += store.record_bytes(i) as u64;"));
+        assert!(!hit("    let (mh, fp) = index_as_fastq(store, c, k, m);"));
+        assert!(!hit(
+            "pub use chunk::{chunk_fastq_bytes, find_record_start, ChunkSpec};"
+        ));
+        assert!(!hit(
+            "    let source = ChunkSource::new(path, paired, total_seqs);"
+        ));
+        assert!(!hit("    let n = walker.walk(path, range, seq, |views| {"));
+        assert!(!hit("    fn chunk_record_bytes_sum() {"));
     }
 
     #[test]
