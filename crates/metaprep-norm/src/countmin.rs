@@ -106,6 +106,12 @@ impl SketchParams {
     pub fn build(&self) -> CountMinSketch {
         CountMinSketch::new(self.width, self.depth, self.seed)
     }
+
+    /// Bytes of counters a sketch of this shape holds: what
+    /// [`CountMinSketch::memory_bytes`] reports for [`Self::build`]'s.
+    pub fn memory_bytes(&self) -> usize {
+        self.depth * self.width.next_power_of_two()
+    }
 }
 
 impl Default for SketchParams {
@@ -454,6 +460,7 @@ mod tests {
         let mut a = p.build();
         let mut b = p.build();
         assert_eq!(a.width(), 128);
+        assert_eq!(p.memory_bytes(), a.memory_bytes());
         a.add(5);
         b.add(5);
         a.merge(&b); // same params -> same hash family -> merge is legal
