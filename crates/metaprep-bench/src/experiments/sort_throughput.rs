@@ -6,8 +6,9 @@
 //!
 //! 1. **In one bucket**: one [`BUCKET_TUPLES`]-tuple bucket, repeated in
 //!    [`BUCKET_COPIES`] key intervals, sorted [`BUCKET_ROUNDS`] times on one
-//!    thread by the pipeline's LocalSort
-//!    ([`metaprep_sort::bucketed_local_sort`]: adopt the part, then per
+//!    thread by the bucketed sort, the paper's LocalSort as a standalone
+//!    kernel (the pipeline only groups each bucket, with the table pass
+//!    alone; [`metaprep_sort::bucketed_local_sort`]: adopt the part, then per
 //!    bucket sweep and sort in cache) and by what it ran before (per bucket
 //!    the same sweep, then the pruned LSB radix of every tuple), rounds
 //!    alternating which goes first; the ratio is the median over rounds of

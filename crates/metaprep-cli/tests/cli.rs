@@ -329,10 +329,10 @@ fn chaos_faulted_and_crashed_runs_write_the_fault_free_partition() {
 
 #[test]
 fn chaos_pass_and_task_geometry_does_not_move_the_partition() {
-    // Each pass's KmerGen builds its self-addressed part in the buffer the
-    // previous pass sorted, and LocalSort adopts that part wherever its
-    // rank sits among the senders: three passes on one task recycle the
-    // buffer twice, and rank 1 of three tasks adopts a part in the middle.
+    // Each pass's KmerGen builds its self-addressed part in the buffer of
+    // the previous pass's, and LocalSort groups each bucket's runs across
+    // all senders in sender order: three passes on one task recycle the
+    // buffer twice, and three tasks spread groups over three senders.
     // Here each seed simulates another community.
     let dir = tmpdir("chaos_geometry");
     let geometries: [&[&str]; 3] = [

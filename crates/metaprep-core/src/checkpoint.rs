@@ -45,7 +45,6 @@
 use crate::localcc::LocalCcStats;
 use metaprep_cc::{ConcurrentDisjointSet, DisjointSet, UfOpStats};
 use metaprep_dist::Boundary;
-use metaprep_sort::{Keyed, PassBuffers};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -113,22 +112,21 @@ impl Forest {
 }
 
 /// What a task carries from one boundary to the next: exactly what a
-/// [`Checkpoint`] holds, plus the pooled LocalSort buffers (destination,
-/// bucket scratch and in-bucket sort workspaces are allocated on the first
-/// pass and recycled by every later one).
-pub(crate) struct TaskState<T: Keyed> {
+/// [`Checkpoint`] holds, plus the last pass's self-addressed part, whose
+/// buffer the next pass's KmerGen recycles.
+pub(crate) struct TaskState<T> {
     pub(crate) forest: Forest,
     pub(crate) progress: Progress,
-    pub(crate) sort_bufs: PassBuffers<T>,
+    pub(crate) own_part: Vec<T>,
 }
 
-impl<T: Keyed + Default> TaskState<T> {
+impl<T> TaskState<T> {
     /// The state of a task that has done nothing yet.
     pub(crate) fn fresh(fragments: usize) -> Self {
         Self {
             forest: Forest::Concurrent(ConcurrentDisjointSet::new(fragments)),
             progress: Progress::default(),
-            sort_bufs: PassBuffers::new(),
+            own_part: Vec::new(),
         }
     }
 
@@ -147,7 +145,7 @@ impl<T: Keyed + Default> TaskState<T> {
         let st = Self {
             forest,
             progress: ck.progress,
-            sort_bufs: PassBuffers::new(),
+            own_part: Vec::new(),
         };
         Ok((st, ck.resume_at))
     }

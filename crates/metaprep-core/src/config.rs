@@ -75,9 +75,10 @@ pub struct PipelineConfig {
     /// thread is O(window + `metaprep_io::WALK_WINDOW`); the window only
     /// needs to span a few FASTQ records.
     pub index_window: usize,
-    /// Radix digit width in bits for LocalSort (`1..=16`; the
-    /// paper uses 8 — 256 bucket counters stay L1-resident; no experiment
-    /// sweeps the width). Identical final output at any width.
+    /// Radix digit width in bits for the standalone LocalSort,
+    /// `metaprep_sort::fused_local_sort` (`1..=16`; the paper uses 8 — 256
+    /// bucket counters stay L1-resident). The pipeline sorts nothing and
+    /// does not read it; `benchmark/`'s sort probe does.
     pub sort_digit_bits: u32,
     /// Deterministic fault-injection plan applied to every cluster
     /// message and to the chosen crash boundaries (`None` = fault-free).
@@ -288,7 +289,7 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Set the LocalSort radix digit width in bits (`1..=16`).
+    /// Set the standalone LocalSort's radix digit width in bits (`1..=16`).
     pub fn sort_digit_bits(mut self, bits: u32) -> Self {
         self.cfg.sort_digit_bits = bits;
         self

@@ -6,12 +6,13 @@
 //! `kmergen_pass` carries that precomputation one level below the
 //! destination task, to the cache-sized buckets of `RangePlan::bucket_plan`:
 //! a send buffer is allocated once at its exact size (the self-addressed one
-//! is the previous pass's sort buffer, recycled), laid out bucket-major
-//! and chunk-minor, and every (chunk, bucket) pair owns a window of it. The
+//! is the previous pass's, recycled), laid out bucket-major and
+//! chunk-minor, and every (chunk, bucket) pair owns a window of it. The
 //! buffer is the message, and its grouping is what lets LocalSort on the
-//! receiving rank skip its counting and scatter passes. Order inside a
-//! bucket (chunk, then read order) is what per-chunk buffers + concat +
-//! stable scatter produced, so everything downstream is byte-identical.
+//! receiving rank group each bucket's k-mers where the parts lie, with no
+//! counting, scatter or copy. Order inside a bucket (chunk, then read
+//! order) is what per-chunk buffers + concat + stable scatter produced, so
+//! everything downstream is byte-identical.
 //!
 //! A pass that owns only some of the m-mer bins (`--passes` > 1) does not
 //! enumerate every k-mer and drop the rest one branch at a time: its reads
@@ -233,13 +234,10 @@ struct Window<'a, T> {
 /// window; where the presolve filter left a window unfilled (the histogram
 /// count is then an upper bound) one left-compaction closes the gaps.
 ///
-/// The other destinations' buffers are fresh, at exactly the size the
-/// histograms give them. The self-addressed one, `outgoing[rank]`, is the
-/// buffer LocalSort adopts as its destination, so it is built in `recycled`
-/// with room for everything the task receives this pass — the receive-count
-/// precomputation of §3.3, [`expected_incoming`] — and never grows there. A
-/// `recycled` too small for that is dropped before the new buffer is
-/// allocated, so a task never holds both.
+/// Every destination's buffer is sized at exactly what the histograms give
+/// it. The others' are fresh; the self-addressed one, `outgoing[rank]`, is
+/// built in `recycled`, and a `recycled` too small for it is dropped before
+/// the new buffer is allocated, so a task never holds both.
 pub(crate) fn kmergen_pass<K: PipelineKmer>(
     pool: &rayon::ThreadPool,
     run: &RunCtx<'_>,
@@ -305,12 +303,11 @@ pub(crate) fn kmergen_pass<K: PipelineKmer>(
             if q != rank {
                 return Vec::with_capacity(len);
             }
-            let need = len.max(expected_incoming(fastqpart, run.plan, pass, rank) as usize);
             let mut own = recycled.take().unwrap_or_default();
             own.clear();
-            if own.capacity() < need {
+            if own.capacity() < len {
                 drop(own); // before allocating: never both at once
-                own = Vec::with_capacity(need);
+                own = Vec::with_capacity(len);
             }
             own
         })

@@ -10,7 +10,7 @@
 //! IndexCreate -> for each pass s:                       (multi-pass, §3.1)
 //!                  KmerGen        (enumerate tuples,    §3.2)
 //!                  KmerGen-Comm   (P-stage all-to-all,  §3.3)
-//!                  LocalSort      (partition + radix,   §3.4)
+//!                  LocalSort      (group by k-mer,      §3.4)
 //!                  LocalCC        (concurrent UF,       §3.5)
 //!                -> MergeCC       (log P rounds,        §3.6)
 //!                -> output partitioned FASTQ

@@ -12,7 +12,7 @@
 use crate::checkpoint::{Forest, Progress, TaskState};
 use crate::config::{PipelineConfig, PipelineError};
 use crate::kmergen::{expected_incoming, kmergen_pass, KmerGenOutput, PipelineKmer};
-use crate::localcc::{localcc_pass, thread_offsets_of, LocalCcStats};
+use crate::localcc::{bucket_walk, LocalCcStats};
 use crate::memmodel::MemoryReport;
 use crate::planner::{plan_passes, PlanInputs};
 use crate::source::{ChunkSource, Spool};
@@ -26,7 +26,7 @@ use metaprep_kmer::{simd, Kmer128, Kmer64};
 use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
 use metaprep_obs::{CounterKind, MemRecorder};
-use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};
+use metaprep_sort::BUCKET_BYTES;
 use std::path::Path;
 use std::time::Duration;
 
@@ -253,7 +253,7 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) plan: &'a RangePlan,
     /// The sort buckets of every (pass, task), derived from the plan and
     /// the global histogram — the same on every rank, so KmerGen can emit
-    /// into the buckets LocalSort on the receiving rank will sort.
+    /// into the buckets LocalSort on the receiving rank will group.
     pub(crate) buckets: BucketPlan,
     pub(crate) filter: Option<&'a HighFreqFilter>,
     /// The backend of KmerGen's owned-k-mer kernel: [`simd::active`] in a
@@ -552,39 +552,38 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         restored.unwrap_or_else(|| self.fresh())
     }
 
-    /// One pass: the four stages in order, each handing its output to the
-    /// next, and the running totals a checkpoint will need. The task's
-    /// tuple buffer goes round with them: the previous pass's sorted tuples
-    /// (consumed by its LocalCC) become this pass's self-addressed part,
-    /// which the all-to-all moves back to this task and LocalSort adopts as
-    /// its destination. So a pass holds at most its received tuples plus
-    /// the ones other tasks sent, never a second pass-sized buffer.
+    /// One pass: the stages in order, each handing its output to the next,
+    /// and the running totals a checkpoint will need. The task's tuple
+    /// buffer goes round with them: the previous pass's self-addressed part
+    /// becomes this pass's, which the all-to-all moves back to this task;
+    /// LocalSort and LocalCC read every part where it lies, and the
+    /// self-addressed one is kept for the next pass. So a pass holds its
+    /// received tuples, never a second pass-sized buffer.
     fn run_pass(&self, st: &mut TaskState<K::Tuple>, pass: u32) {
         let forest = st.forest.concurrent();
-        let gen = self.kmergen(forest, pass, st.sort_bufs.take_sorted());
+        let gen = self.kmergen(forest, pass, std::mem::take(&mut st.own_part));
         let emitted = tuple_count(&gen.outgoing);
         st.progress.tuples_emitted += emitted;
         st.progress.presolve_dropped += gen.dropped;
 
-        let parts = self.exchange(gen.outgoing, pass);
+        let mut parts = self.exchange(gen.outgoing, pass);
         let received = tuple_count(&parts);
         // What a message-passing run of this pass would hold at its two
         // peaks: send buffers next to receive buffers during the all-to-all
-        // (out + in), and the received parts next to the destination they
-        // are gathered into during LocalSort (2 * in; the per-thread bucket
-        // scratch and in-bucket sort workspace are cache-sized and not
-        // counted). The in-process run holds less — the self-addressed part
-        // is moved, never copied, and is itself the sort destination, so
-        // LocalSort peaks at `in + (in - self)` — but the formula is
-        // serialized into the checkpoints and stays. Capacity the pooled
-        // buffers carry between passes is deliberately not modeled — the
-        // measured allocator peak covers it.
+        // (out + in), and the received parts next to a sorted copy of them
+        // during LocalSort (2 * in; the per-thread grouping workspaces are
+        // cache-sized and not counted). The in-process run holds less — the
+        // self-addressed part is moved, never copied, and LocalSort groups
+        // the parts where they lie, so the pass peaks at `in` — but the
+        // formula is serialized into the checkpoints and stays. Capacity
+        // the recycled buffer carries between passes is deliberately not
+        // modeled — the measured allocator peak covers it.
         let peak = (emitted + received).max(2 * received);
         st.progress.peak_tuples = st.progress.peak_tuples.max(peak);
 
-        let offsets = self.local_sort(parts, &mut st.sort_bufs, pass);
-        let stats = self.local_cc(forest, st.sort_bufs.sorted(), &offsets, pass);
+        let stats = self.local_sort_cc(forest, &parts, pass);
         st.progress.localcc.merge(stats);
+        st.own_part = std::mem::take(&mut parts[self.ctx.rank()]);
     }
 
     /// KmerGen (+ chunk I/O): enumerate this task's tuples for `pass`,
@@ -661,66 +660,41 @@ impl<'t, 'c, K: PipelineKmer> Task<'t, 'c, K> {
         parts
     }
 
-    /// LocalSort into `bufs`: the parts arrive grouped by this task's sort
-    /// buckets; the self-addressed part is adopted as the destination, the
-    /// other senders' runs are copied in bucket by bucket, and each bucket
-    /// is sorted while cache-resident. Returns the per-thread sub-range
-    /// offsets within `bufs.sorted()`.
-    fn local_sort(
-        &self,
-        parts: Vec<Vec<K::Tuple>>,
-        bufs: &mut PassBuffers<K::Tuple>,
-        pass: u32,
-    ) -> Vec<usize> {
-        let (ctx, cfg, run) = (self.ctx, self.run.cfg, self.run);
-        let received = tuple_count(&parts);
-        let res = ctx.span(Step::LocalSort.name(), Some(pass), None, || {
-            let (pass, rank) = (pass as usize, ctx.rank());
-            let slots = run.buckets.task_slots(pass, rank);
-            let lower: Vec<<K as metaprep_kmer::Kmer>::Repr> = slots
-                .clone()
-                .map(|s| K::repr_from_u128(run.buckets.slot_lower_bound(s)))
-                .collect();
-            let first: Vec<usize> = run
-                .buckets
-                .thread_slots(pass, rank)
-                .iter()
-                .map(|s| s - slots.start)
-                .collect();
-            let (bits, key_bits) = (cfg.sort_digit_bits, 2 * cfg.k as u32);
-            let sort = || bucketed_local_sort(parts, rank, bufs, &lower, &first, bits, key_bits);
-            let res = ctx.pool().install(sort);
-            // The thread sub-range offsets fall out of the bucket offsets;
-            // they must agree with the binary-search derivation.
-            debug_assert_eq!(res.offsets, {
-                let boundaries = run.plan.thread_boundaries(pass, rank);
-                let boundaries: Vec<_> = boundaries.into_iter().map(K::repr_from_u128).collect();
-                thread_offsets_of::<K>(bufs.sorted(), &boundaries)
-            });
-            res
-        });
-        let mut obs = ctx.obs();
-        obs.add(CounterKind::SortElements, received);
-        obs.add(CounterKind::RadixPassesRun, res.stats.passes_run);
-        obs.add(CounterKind::RadixPassesPruned, res.stats.passes_pruned);
-        let tuple_bytes = std::mem::size_of::<K::Tuple>() as u64;
-        obs.add(CounterKind::ScatterBytes, received * tuple_bytes);
-        res.offsets
-    }
-
-    /// LocalCC: fold the sorted tuples' implicit edges into the forest.
-    fn local_cc(
+    /// LocalSort + LocalCC: the parts arrive grouped by this task's sort
+    /// buckets, and each thread's worker groups its buckets' tuples by
+    /// k-mer and folds their implicit edges into the forest
+    /// ([`bucket_walk`]). The stage's wall interval is split between the
+    /// two steps' spans in proportion to the workers' summed time in each.
+    fn local_sort_cc(
         &self,
         forest: &ConcurrentDisjointSet,
-        tuples: &[K::Tuple],
-        offsets: &[usize],
+        parts: &[Vec<K::Tuple>],
         pass: u32,
     ) -> LocalCcStats {
-        let (ctx, kf_filter) = (self.ctx, self.run.cfg.kf_filter);
-        let stats = ctx.span(Step::LocalCc.name(), Some(pass), None, || {
-            localcc_pass::<K>(ctx.pool(), forest, tuples, offsets, kf_filter)
-        });
+        let (ctx, run) = (self.ctx, self.run);
+        let open = ctx.obs().open();
+        let rank = ctx.rank();
+        let slots = run.buckets.task_slots(pass as usize, rank);
+        let lower: Vec<<K as metaprep_kmer::Kmer>::Repr> = slots
+            .clone()
+            .map(|s| K::repr_from_u128(run.buckets.slot_lower_bound(s)))
+            .collect();
+        let first: Vec<usize> = run
+            .buckets
+            .thread_slots(pass as usize, rank)
+            .iter()
+            .map(|s| s - slots.start)
+            .collect();
+        let kf_filter = run.cfg.kf_filter;
+        let walk = bucket_walk::<K>(ctx.pool(), forest, parts, &lower, &first, kf_filter);
         let mut obs = ctx.obs();
+        let steps = [
+            (Step::LocalSort.name(), walk.group_nanos),
+            (Step::LocalCc.name(), walk.connect_nanos),
+        ];
+        obs.close_tiled(open, &steps, Some(pass));
+        let stats = walk.stats;
+        obs.add(CounterKind::SortElements, tuple_count(parts));
         obs.add(CounterKind::UfFinds, stats.uf.finds);
         obs.add(CounterKind::UfUnions, stats.uf.unions);
         obs.add(CounterKind::UfPathSplits, stats.uf.path_splits);
@@ -788,9 +762,21 @@ mod tests {
 
     /// Brute-force reference: hash k-mers to read lists, union.
     fn reference_labels(reads: &ReadStore, k: usize, kf: Option<(u32, u32)>) -> Vec<u32> {
-        let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
+        if k <= 32 {
+            reference_labels_of::<K64>(reads, k, kf)
+        } else {
+            reference_labels_of::<Kmer128>(reads, k, kf)
+        }
+    }
+
+    fn reference_labels_of<K: metaprep_kmer::Kmer>(
+        reads: &ReadStore,
+        k: usize,
+        kf: Option<(u32, u32)>,
+    ) -> Vec<u32> {
+        let mut groups: HashMap<K::Repr, Vec<u32>> = HashMap::new();
         for (seq, frag) in reads.iter() {
-            for_each_canonical_kmer::<K64>(seq, k, |v, _| {
+            for_each_canonical_kmer::<K>(seq, k, |v, _| {
                 groups.entry(v).or_default().push(frag);
             });
         }
@@ -838,44 +824,32 @@ mod tests {
 
     #[test]
     fn matches_reference_across_configs() {
+        // The label matrix: (tasks, threads) in {1, 2, 3}^2, one and three
+        // passes, both tuple widths, with and without the k-mer filter,
+        // each against the sequential oracle.
         let reads = small_reads();
-        let want = reference_labels(&reads, 21, None);
-        for (s, p, t) in [(1, 2, 2), (2, 1, 2), (2, 3, 1), (4, 2, 2), (1, 4, 1)] {
-            let cfg = PipelineConfig::builder()
-                .k(21)
-                .m(6)
-                .passes(s)
-                .tasks(p)
-                .threads(t)
-                .build();
-            let res = Pipeline::new(cfg).run_reads(&reads).unwrap();
-            assert!(
-                same_partition(&res.labels, &want),
-                "S={s} P={p} T={t} disagrees with reference"
-            );
-        }
-    }
-
-    #[test]
-    fn sort_digit_bits_do_not_change_labels() {
-        // LocalSort's output is the unique stable sorted order, so the
-        // digit width must not change anything downstream — not
-        // just the partition, the exact label array.
-        let reads = small_reads();
-        let mk = |bits: u32| {
-            let cfg = PipelineConfig::builder()
-                .k(21)
-                .m(6)
-                .passes(2)
-                .tasks(2)
-                .threads(2)
-                .sort_digit_bits(bits)
-                .build();
-            Pipeline::new(cfg).run_reads(&reads).unwrap().labels
-        };
-        let want = mk(8);
-        for bits in [11u32, 16] {
-            assert_eq!(mk(bits), want, "digit width {bits} changed the labels");
+        for k in [27, 63] {
+            for kf in [None, Some((2, 6))] {
+                let want = reference_labels(&reads, k, kf);
+                for (p, t, s) in
+                    (1..=3).flat_map(|p| (1..=3).flat_map(move |t| [1, 3].map(move |s| (p, t, s))))
+                {
+                    let mut cfg = PipelineConfig::builder()
+                        .k(k)
+                        .m(6)
+                        .passes(s)
+                        .tasks(p)
+                        .threads(t);
+                    if let Some((lo, hi)) = kf {
+                        cfg = cfg.kf_filter(lo, hi);
+                    }
+                    let res = Pipeline::new(cfg.build()).run_reads(&reads).unwrap();
+                    assert_eq!(
+                        res.labels, want,
+                        "k={k} kf={kf:?} S={s} P={p} T={t} disagrees with reference"
+                    );
+                }
+            }
         }
     }
 

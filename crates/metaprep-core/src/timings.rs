@@ -13,11 +13,15 @@ pub enum Step {
     KmerGen = 1,
     /// The P-stage all-to-all (KmerGen-Comm).
     KmerGenComm = 2,
-    /// Bucketed sort of the received tuples: each sender's runs copied into
-    /// this task's sort buckets, each bucket radix-sorted while
-    /// cache-resident (`metaprep_sort::bucketed_local_sort`).
+    /// Grouping the received tuples by k-mer: per cache-resident sort
+    /// bucket, the senders' runs, read where the all-to-all left them, go
+    /// through one hash-table pass that gives each tuple its k-mer's group
+    /// (`localcc::bucket_walk`; no tuple is sorted or moved). Its time is
+    /// the walk's share spent grouping.
     LocalSort = 3,
-    /// Concurrent union-find over the implicit edges (LocalCC / -Opt).
+    /// Concurrent union-find over the implicit edges of each group
+    /// (LocalCC / -Opt), with Algorithm 1's re-verification: the walk's
+    /// other share.
     LocalCc = 4,
     /// Sending/receiving components in the merge rounds (Merge-Comm).
     MergeComm = 5,

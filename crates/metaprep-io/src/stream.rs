@@ -234,6 +234,9 @@ impl RecordWalker {
         let mut buf = free().pop().unwrap_or_default();
         let mut file = File::open(path)?;
         let (mut start, mut end, mut records) = (lo, lo, first_record);
+        // One allocation holds every window's views: emptied after each
+        // window, it borrows nothing from the buffer the next one refills.
+        let mut spare = Vec::new();
         while start < hi {
             end = (end + self.window).min(hi);
             StreamChunker::read_range_into(&mut file, start, end, &mut buf)?;
@@ -244,10 +247,11 @@ impl RecordWalker {
             };
             let mut walk = record_views(&buf[..whole], records, start);
             // The records up to the first error, and the error.
-            let mut views = Vec::new();
+            let mut views = emptied(spare);
             let failed = walk.by_ref().find_map(|v| v.map(|v| views.push(v)).err());
             records += views.len();
             each(&views)?;
+            spare = emptied(views);
             match failed {
                 Some(FastqError::Malformed { byte_offset, .. }) if walk.ran_out && end < hi => {
                     start = byte_offset;
@@ -260,6 +264,14 @@ impl RecordWalker {
         free().push(buf);
         Ok((records - first_record) as u64)
     }
+}
+
+/// `views` emptied, as views of any buffer. An empty vector borrows
+/// nothing, and views of two buffers have one layout, so the collect reuses
+/// the allocation in place.
+fn emptied<'b>(mut views: Vec<RecordView<'_>>) -> Vec<RecordView<'b>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!("emptied")).collect()
 }
 
 #[cfg(test)]
@@ -292,6 +304,18 @@ mod tests {
         let path = dir.join(name);
         std::fs::write(&path, bytes).unwrap();
         path
+    }
+
+    #[test]
+    fn emptied_views_keep_their_allocation() {
+        let bytes = sample_bytes(40);
+        let views: Vec<RecordView<'_>> = record_views(&bytes, 0, 0).map(Result::unwrap).collect();
+        let (at, cap) = (views.as_ptr() as usize, views.capacity());
+        let other = bytes.clone();
+        let mut views = emptied(views);
+        views.extend(record_views(&other, 0, 0).map(Result::unwrap));
+        assert_eq!((views.as_ptr() as usize, views.capacity()), (at, cap));
+        assert_eq!(views.len(), 40);
     }
 
     #[test]

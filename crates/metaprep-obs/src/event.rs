@@ -177,9 +177,6 @@ counter_kinds! {
     MemModeledBytes => "mem_modeled_bytes",
     MemPeakTupleBytes => "mem_peak_tuple_bytes",
     VmHwmBytes => "vm_hwm_bytes",
-    RadixPassesRun => "radix_passes_run",
-    RadixPassesPruned => "radix_passes_pruned",
-    ScatterBytes => "scatter_bytes",
     EventsDropped => "events_dropped",
     FaultsInjected => "faults_injected",
     RetryAttempts => "retry_attempts",

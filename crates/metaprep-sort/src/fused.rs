@@ -30,9 +30,9 @@ use std::mem::MaybeUninit;
 /// as a pass over the tuples; recycling avoids them.
 ///
 /// [`bucketed_local_sort`] leaves the adopted part here as the sorted
-/// tuples; [`PassBuffers::take_sorted`] hands that buffer on, so the next
-/// pass can build its self-addressed part in it and a task owns one tuple
-/// buffer from pass to pass.
+/// tuples; [`PassBuffers::take_sorted`] hands that buffer on, so a caller
+/// can build the next call's own part in it and hold one tuple buffer from
+/// call to call.
 ///
 /// Reuse without re-zeroing is sound because the gather writes every
 /// destination slot before anything reads it, and the in-bucket sort

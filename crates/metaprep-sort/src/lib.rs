@@ -6,8 +6,16 @@
 //! the paper found faster than 16-bit digits ([`radix::lsb_radix_sort`];
 //! the digit width is a parameter).
 //!
-//! The pipeline has one LocalSort, [`fused::bucketed_local_sort`], and it
-//! sorts **cache-sized buckets** with no partitioning stage of its own:
+//! The pipeline calls none of these sorts. Its LocalSort only has to bring
+//! each k-mer's tuples together for LocalCC, so it groups each cache-sized
+//! bucket where the all-to-all left it, through the rank sort's table pass
+//! ([`RankScratch::group_runs`]; `metaprep_core::localcc`), and moves no
+//! tuple. The sorts here are the paper's LocalSort as a standalone kernel:
+//! `benchmark/` binds [`fused_local_sort`], [`PassBuffers`] and the
+//! pipeline config's digit width, and `exp_sort_throughput` measures them.
+//!
+//! [`fused::bucketed_local_sort`] sorts **cache-sized buckets** with no
+//! partitioning stage of its own:
 //! KmerGen writes every tuple into the sort bucket it belongs to (runs of
 //! m-mer bins nested in the `T` thread sub-ranges, about [`BUCKET_BYTES`]
 //! each), so the parts that come out of the all-to-all are already grouped.
@@ -50,3 +58,4 @@ pub use partition::{ScatterTracker, SharedSlice};
 pub use radix::{
     is_sorted_by_key, lsb_radix_sort, lsb_radix_sort_pruned, Keyed, RadixStats, SortKey,
 };
+pub use rank::{Groups, RankScratch};

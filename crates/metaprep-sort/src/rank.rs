@@ -20,6 +20,10 @@
 //! over the distinct keys exactly when it is constant over all the keys, so
 //! the pair sort runs and prunes the same digit windows.
 //!
+//! Step 1 alone is [`RankScratch::group_runs`]: the pipeline's LocalSort
+//! needs only each k-mer's group, not the key order, so it runs the table
+//! pass over a bucket's runs where they lie and stops there.
+//!
 //! Steps 1, 3 and 4 cost about [`RANK_PASSES`] digit passes over the
 //! tuples; the sort of `d` pairs saves `live · (n − d) / n` of them, where
 //! `live` is the number of digit windows the mask leaves to run. When that
@@ -102,13 +106,14 @@ fn rebuild<K: SortKey>(table: &mut Vec<u32>, pairs: &[Pair<K>], bits: u32) {
     }
 }
 
-/// One worker's workspace for [`rank_sort`], recycled bucket after bucket
-/// and pass after pass: the per-tuple ids grow to the largest bucket, the
-/// per-id buffers and the table to the most distinct keys a bucket held,
-/// and nothing is shrunk, so a steady-state pass allocates nothing. Each
-/// call writes every slot before reading it (the table's live prefix is
-/// freed first), so recycled contents never reach a result.
-pub(crate) struct RankScratch<K> {
+/// One worker's workspace for the in-bucket rank sort and
+/// [`RankScratch::group_runs`], recycled bucket after bucket and pass after
+/// pass: the per-tuple ids grow to the largest bucket, the per-id buffers
+/// and the table to the most distinct keys a bucket held, and nothing is
+/// shrunk, so a steady-state pass allocates nothing. Each call writes every
+/// slot before reading it (the table's live prefix is freed first), so
+/// recycled contents never reach a result.
+pub struct RankScratch<K> {
     /// Open-addressing slots (linear probing): a dense id, or [`EMPTY`].
     /// Kept at most a quarter full: a probe that runs on past an occupied
     /// slot is a mispredicted branch, and grouping a bucket at half full
@@ -142,7 +147,7 @@ impl<K> RankScratch<K> {
     /// short-lived worker threads, the buffers landed in arenas of their
     /// own and `hg_k63_budget`'s peak RSS rose from 66.7 to 69.4 MB in every
     /// run.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Self {
             table: Vec::with_capacity(1),
             table_bits: MIN_TABLE_BITS,
@@ -156,36 +161,79 @@ impl<K> RankScratch<K> {
     }
 }
 
-impl<K: SortKey> RankScratch<K> {
-    /// Step 1: give every tuple of `data` the dense id of its key, in
-    /// `ids`; returns the number `d` of distinct keys, with `pairs[..d]`
-    /// holding them and `cursor[..d]` their tuple counts. Gives up, with
-    /// `None`, as soon as more than `most` distinct keys turned up, and then
-    /// sends the next [`RADIX_AFTER_GIVE_UP`] buckets to the radix.
-    fn group<T: Keyed<Key = K>>(&mut self, data: &[T], most: usize) -> Option<usize> {
-        let n = data.len();
-        if self.ids.len() < n {
-            self.ids.resize(n, 0);
+impl<K> Default for RankScratch<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The equal-key groups [`RankScratch::group_runs`] found in a bucket.
+pub struct Groups<'a> {
+    /// Per tuple of the runs, in run order: the dense id of its key. Ids
+    /// are handed out in first-occurrence order, so the first tuple with an
+    /// id is its group's first in the runs' order.
+    pub ids: &'a [u32],
+    /// Per id: its tuple count. The caller may overwrite them; the next
+    /// call writes every one it hands out again.
+    pub counts: &'a mut [u32],
+}
+
+impl<K> RankScratch<K> {
+    /// Group the tuples of `runs`, read in order as one bucket, by key:
+    /// the table pass of the in-bucket rank sort run to the end, with
+    /// nothing sorted or moved. The ids cover every tuple of the runs.
+    ///
+    /// # Panics
+    ///
+    /// If the runs hold `u32::MAX` tuples or more.
+    pub fn group_runs<T: Keyed<Key = K>>(&mut self, runs: &[&[T]]) -> Groups<'_> {
+        let n: usize = runs.iter().map(|r| r.len()).sum();
+        assert!(
+            n < EMPTY as usize,
+            "a bucket of {n} tuples overflows the u32 ids"
+        );
+        // Under no limit the table pass never gives up.
+        let d = group(self, runs, usize::MAX).unwrap_or(0);
+        Groups {
+            ids: &self.ids[..n],
+            counts: &mut self.cursor[..d],
         }
-        let (ids, cursor, pairs) = (&mut self.ids[..n], &mut self.cursor, &mut self.pairs);
-        // Room for `n` distinct keys at load ≤ 1/4: the table never grows
-        // past four slots per tuple of the bucket.
-        let fit = (4 * n).next_power_of_two().trailing_zeros();
-        let mut bits = self
-            .table_bits
-            .clamp(MIN_TABLE_BITS, fit.max(MIN_TABLE_BITS));
-        let slots = &mut self.table;
-        rebuild::<K>(slots, &[], bits);
-        let mut table = &mut slots[..1 << bits];
-        let mut d = 0;
-        for (t, out) in data.iter().zip(ids) {
+    }
+}
+
+/// Step 1: give every tuple of `runs`, read in order as one bucket, the
+/// dense id of its key, in `ws.ids`; returns the number `d` of distinct
+/// keys, with `ws.pairs[..d]` holding them and `ws.cursor[..d]` their tuple
+/// counts. Gives up, with `None`, as soon as more than `most` distinct keys
+/// turned up, and then sends the next [`RADIX_AFTER_GIVE_UP`] buckets to
+/// the radix. A function of `T`, not a method of `RankScratch<K>`, so that
+/// `group_runs` needs no `K: SortKey` bound, which a caller that knows `K`
+/// only as its tuple's key type cannot prove.
+fn group<T: Keyed>(ws: &mut RankScratch<T::Key>, runs: &[&[T]], most: usize) -> Option<usize> {
+    let n: usize = runs.iter().map(|r| r.len()).sum();
+    if ws.ids.len() < n {
+        ws.ids.resize(n, 0);
+    }
+    let (ids, cursor, pairs) = (&mut ws.ids[..n], &mut ws.cursor, &mut ws.pairs);
+    // Room for `n` distinct keys at load ≤ 1/4: the table never grows
+    // past four slots per tuple of the bucket.
+    let fit = (4 * n).next_power_of_two().trailing_zeros();
+    let mut bits = ws.table_bits.clamp(MIN_TABLE_BITS, fit.max(MIN_TABLE_BITS));
+    let slots = &mut ws.table;
+    rebuild::<T::Key>(slots, &[], bits);
+    let mut table = &mut slots[..1 << bits];
+    let (mut d, mut at) = (0, 0);
+    for run in runs {
+        let outs = &mut ids[at..at + run.len()];
+        at += run.len();
+        for (t, out) in run.iter().zip(outs) {
             let key = t.key();
             let mut s = home(key, bits);
             *out = loop {
                 let e = table[s];
                 if e == EMPTY {
                     if d == most {
-                        (self.table_bits, self.radix_next) = (bits, RADIX_AFTER_GIVE_UP);
+                        (ws.table_bits, ws.radix_next) = (bits, RADIX_AFTER_GIVE_UP);
                         return None;
                     }
                     if d == pairs.len() {
@@ -211,9 +259,9 @@ impl<K: SortKey> RankScratch<K> {
                 s = (s + 1) & (table.len() - 1);
             };
         }
-        self.table_bits = bits;
-        Some(d)
     }
+    ws.table_bits = bits;
+    Some(d)
 }
 
 /// Sort `data` stably by key: the bytes and [`RadixStats`] of
@@ -262,7 +310,7 @@ pub(crate) fn rank_sort<T: Keyed>(
         ws.radix_next -= 1;
         None
     } else {
-        ws.group(data, n - RANK_PASSES * n / live - 1)
+        group(ws, &[&*data], n - RANK_PASSES * n / live - 1)
     };
     let Some(d) = group else {
         return lsb_radix_sort_pruned(data, scratch, bits, key_bits, varying, &mut ws.counts);
@@ -477,6 +525,25 @@ mod tests {
             check(&data, bits, 126, exact_mask(&data), &mut ws);
             check(&data, bits, 126, (1 << 126) - 1, &mut ws);
         }
+    }
+
+    #[test]
+    fn groups_span_runs_in_first_occurrence_order() {
+        let mut ws = RankScratch::new();
+        let (a, b) = (tagged(&[9, 4, 9]), tagged(&[4, 7, 9, 7]));
+        // A bucket rehashed past a quarter full keeps its ids.
+        let big: Vec<u64> = (0..300).map(|i| i * 0x9_8765_4321).collect();
+        for runs in [&[&a[..], &b[..]][..], &[&[], &a[..], &[], &b[..]][..]] {
+            let g = ws.group_runs(runs);
+            assert_eq!(g.ids, [0, 1, 0, 1, 2, 0, 2]);
+            assert_eq!(g.counts, [3, 2, 2]);
+            g.counts.fill(0);
+            let big = tagged(&big);
+            let g = ws.group_runs(&[&big[..]]);
+            assert!(g.ids.iter().copied().eq(0..300));
+            assert!(g.counts.iter().all(|&c| c == 1));
+        }
+        assert!(ws.group_runs::<KmerReadTuple>(&[]).ids.is_empty());
     }
 
     #[test]

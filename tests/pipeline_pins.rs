@@ -189,16 +189,16 @@ tuples_total=316727 presolve_dropped=0 planned_passes=2
 comm[0] sent=862996B/6 received=859516B/6
 comm[1] sent=852044B/5 received=853772B/5
 comm[2] sent=851564B/5 received=853316B/5
-rank0.ckpt len=8121 fnv=794453daca55b790
-rank1.ckpt len=8121 fnv=c7052dd7e6789839
-rank2.ckpt len=8121 fnv=0df63cce68d3c78c
+rank0.ckpt len=8121 fnv=72cab07c098f759c
+rank1.ckpt len=8121 fnv=e2a15b36d1156f15
+rank2.ckpt len=8121 fnv=eb8288753f305d63
 spans[0] IndexCreate:0 index-chunking:0 index-histogram:0 pass-plan:0 KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#0:27 MergeCC#0:28 checkpoint#0:29 Merge-Comm#1:31 MergeCC#1:32 checkpoint#1:33 CC-I/O:36
 edges[0] n=12 fnv=aba390982f0e26c2
 spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#0:26 CC-I/O:36
 edges[1] n=10 fnv=580070dcb06a8e1f
 spans[2] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:20 KmerGen-Comm@1:21 LocalSort@1:22 LocalCC-Opt@1:23 checkpoint#1:24 Merge-Comm#1:26 CC-I/O:37
 edges[2] n=10 fnv=263ab20f75b56a39
-counters 0:tuples_emitted=105950 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4168 0:merge_bytes=16000 0:chunk_records_streamed=4000 0:bytes_sent=862996 0:bytes_received=859516 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1269912 0:radix_passes_run=30 0:radix_passes_pruned=6 0:scatter_bytes=1267920 0:checkpoint_writes=4 0:planned_passes=2 1:tuples_emitted=105484 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3796 1:merge_bytes=8000 1:bytes_sent=852044 1:bytes_received=853772 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=31 1:radix_passes_pruned=5 1:scatter_bytes=1267536 1:checkpoint_writes=2 2:tuples_emitted=105293 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5161 2:merge_bytes=8000 2:bytes_sent=851564 2:bytes_received=853316 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=32 2:radix_passes_pruned=4 2:scatter_bytes=1265268 2:checkpoint_writes=2
+counters 0:tuples_emitted=105950 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=12313 0:merge_bytes=16000 0:chunk_records_streamed=4000 0:bytes_sent=862996 0:bytes_received=859516 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1269912 0:checkpoint_writes=4 0:planned_passes=2 1:tuples_emitted=105484 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=12806 1:merge_bytes=8000 1:bytes_sent=852044 1:bytes_received=853772 1:messages_sent=5 1:messages_received=5 1:checkpoint_writes=2 2:tuples_emitted=105293 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=12773 2:merge_bytes=8000 2:bytes_sent=851564 2:bytes_received=853316 2:messages_sent=5 2:messages_received=5 2:checkpoint_writes=2
 ";
 
 const TWO_CRASHES: &str = "\
@@ -207,16 +207,16 @@ tuples_total=316727 presolve_dropped=0 planned_passes=2
 comm[0] sent=862996B/6 received=859516B/6
 comm[1] sent=852044B/5 received=853772B/5
 comm[2] sent=851564B/5 received=853316B/5
-rank0.ckpt len=8121 fnv=794453daca55b790
-rank1.ckpt len=8121 fnv=c7052dd7e6789839
-rank2.ckpt len=8121 fnv=0df63cce68d3c78c
+rank0.ckpt len=8121 fnv=72cab07c098f759c
+rank1.ckpt len=8121 fnv=e2a15b36d1156f15
+rank2.ckpt len=8121 fnv=eb8288753f305d63
 spans[0] IndexCreate:0 index-chunking:0 index-histogram:0 pass-plan:0 KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:17 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#0:28 MergeCC#0:29 checkpoint#0:30 task-restart:31 Merge-Comm#1:33 MergeCC#1:34 checkpoint#1:35 CC-I/O:38
 edges[0] n=12 fnv=bdaf08db50ebc249
 spans[1] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 task-restart:13 KmerGen-I/O@1:14 KmerGen@1:15 alltoall-stage@1#1:18 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#0:27 CC-I/O:38
 edges[1] n=10 fnv=67de00b55d41eba3
 spans[2] KmerGen-I/O@0:1 KmerGen@0:2 alltoall-stage@0#1:5 alltoall-stage@0#2:8 KmerGen-Comm@0:9 LocalSort@0:10 LocalCC-Opt@0:11 checkpoint#0:12 KmerGen-I/O@1:13 KmerGen@1:14 alltoall-stage@1#1:18 alltoall-stage@1#2:21 KmerGen-Comm@1:22 LocalSort@1:23 LocalCC-Opt@1:24 checkpoint#1:25 Merge-Comm#1:27 CC-I/O:39
 edges[2] n=10 fnv=945f0abc3c9ea3ac
-counters 0:tuples_emitted=105950 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=4168 0:merge_bytes=16000 0:chunk_records_streamed=4000 0:bytes_sent=862996 0:bytes_received=859516 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1269912 0:radix_passes_run=30 0:radix_passes_pruned=6 0:scatter_bytes=1267920 0:faults_injected=1 0:checkpoint_writes=4 0:task_restarts=1 0:planned_passes=2 1:tuples_emitted=105484 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=3796 1:merge_bytes=8000 1:bytes_sent=852044 1:bytes_received=853772 1:messages_sent=5 1:messages_received=5 1:radix_passes_run=31 1:radix_passes_pruned=5 1:scatter_bytes=1267536 1:faults_injected=1 1:checkpoint_writes=2 1:task_restarts=1 2:tuples_emitted=105293 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=5161 2:merge_bytes=8000 2:bytes_sent=851564 2:bytes_received=853316 2:messages_sent=5 2:messages_received=5 2:radix_passes_run=32 2:radix_passes_pruned=4 2:scatter_bytes=1265268 2:checkpoint_writes=2
+counters 0:tuples_emitted=105950 0:tuples_received=105660 0:sort_elements=105660 0:uf_finds=87136 0:uf_unions=1995 0:uf_path_splits=12313 0:merge_bytes=16000 0:chunk_records_streamed=4000 0:bytes_sent=862996 0:bytes_received=859516 0:messages_sent=6 0:messages_received=6 0:mem_modeled_bytes=1566144 0:mem_peak_tuple_bytes=1269912 0:faults_injected=1 0:checkpoint_writes=4 0:task_restarts=1 0:planned_passes=2 1:tuples_emitted=105484 1:tuples_received=105628 1:sort_elements=105628 1:uf_finds=87126 1:uf_unions=1995 1:uf_path_splits=12806 1:merge_bytes=8000 1:bytes_sent=852044 1:bytes_received=853772 1:messages_sent=5 1:messages_received=5 1:faults_injected=1 1:checkpoint_writes=2 1:task_restarts=1 2:tuples_emitted=105293 2:tuples_received=105439 2:sort_elements=105439 2:uf_finds=87244 2:uf_unions=1995 2:uf_path_splits=12773 2:merge_bytes=8000 2:bytes_sent=851564 2:bytes_received=853316 2:messages_sent=5 2:messages_received=5 2:checkpoint_writes=2
 ";
 
 #[test]

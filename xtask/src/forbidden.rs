@@ -128,8 +128,16 @@ const FORBIDDEN: &[Forbidden] = &[
         ],
     },
     Forbidden {
-        why: "bucketed_local_sort is the one LocalSort and concat -> lsb_radix_sort its one \
-              reference: no scatter entry, no two-stage partition-then-sort path",
+        why: "the pipeline groups each bucket's k-mers where the all-to-all left the parts \
+              (localcc::bucket_walk): it moves no tuple, so it calls no bucket sort, pools no \
+              sort buffers and derives no sorted sub-range offsets",
+        dirs: &["crates/metaprep-core/src"],
+        names: &["bucketed_local_sort", "PassBuffers", "thread_offsets_of"],
+    },
+    Forbidden {
+        why: "bucketed_local_sort is metaprep-sort's one bucket sort and concat -> \
+              lsb_radix_sort its one reference: no scatter entry, no two-stage \
+              partition-then-sort path",
         dirs: &["crates", "src", "tests", "examples", "xtask"],
         names: &[
             "scatter_from_parts",
@@ -380,6 +388,31 @@ mod tests {
         assert!(!hit(
             "    RecordWalker::new(window).walk(path, (0, len), 0, |views| {"
         ));
+    }
+
+    #[test]
+    fn the_sorted_pipeline_path_matches_but_the_bucket_walk_does_not() {
+        let rule = FORBIDDEN
+            .iter()
+            .find(|rule| rule.names.contains(&"thread_offsets_of"))
+            .expect("the bucket-walk rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit(
+            "use metaprep_sort::{bucketed_local_sort, PassBuffers, BUCKET_BYTES};"
+        ));
+        assert!(hit("    pub(crate) sort_bufs: PassBuffers<T>,"));
+        assert!(hit(
+            "use crate::localcc::{localcc_pass, thread_offsets_of, LocalCcStats};"
+        ));
+        assert!(hit(
+            "            let sort = || bucketed_local_sort(parts, rank, bufs, &lower, &first, bits, key_bits);"
+        ));
+        assert!(!hit("use metaprep_sort::BUCKET_BYTES;"));
+        assert!(!hit("use metaprep_sort::{Groups, Keyed, RankScratch};"));
+        assert!(!hit(
+            "        let walk = bucket_walk::<K>(ctx.pool(), forest, parts, &lower, &first, kf_filter);"
+        ));
+        assert!(!hit("    pub(crate) own_part: Vec<T>,"));
     }
 
     #[test]
