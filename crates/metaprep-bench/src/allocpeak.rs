@@ -2,7 +2,7 @@
 //!
 //! [`PeakAlloc`] forwards every allocation to the system allocator while
 //! maintaining two process-wide counters: the current live byte count and
-//! the high-water mark. Experiment binaries install it with
+//! the high-water mark. The `exp` binary installs it with
 //!
 //! ```text
 //! #[global_allocator]

@@ -14,10 +14,10 @@
 //! [`SCAN_REPS`] each).
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta around each
-//! region when the experiment binary installs [`crate::allocpeak::PeakAlloc`]
-//! (`exp_index_create` does; `exp_all` does not, and the JSON then marks
-//! the allocator numbers absent). `VmHWM` from the kernel is recorded as
-//! a coarse, monotone cross-check.
+//! region (the `exp` binary installs [`crate::allocpeak::PeakAlloc`]; a
+//! process without it gets a JSON that marks the allocator numbers
+//! absent). `VmHWM` from the kernel is recorded as a coarse, monotone
+//! cross-check.
 
 use crate::allocpeak;
 use crate::harness::{dataset, fmt_dur, fmt_mb, print_table, write_artifact};
@@ -54,8 +54,8 @@ fn measure<T>(label: &str, f: impl FnOnce() -> T) -> (T, Measurement) {
     )
 }
 
-/// Run the experiment and write the JSON report; returns the report path.
-pub fn run(scale: f64) -> std::path::PathBuf {
+/// Run the experiment and write the JSON report.
+pub fn run(scale: f64) {
     let data = dataset(DatasetId::Hg, scale);
     let dir = std::env::temp_dir().join(format!("metaprep_bench_index_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
@@ -194,5 +194,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     }
     json.push_str("  ]\n}\n");
 
-    write_artifact("BENCH_index.json", json)
+    write_artifact("BENCH_index.json", json);
 }

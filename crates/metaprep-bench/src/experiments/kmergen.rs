@@ -273,8 +273,8 @@ fn owned_pair(
     (path(best[0]), path(best[1]), owned)
 }
 
-/// Run the experiment; writes `BENCH_kmergen.json` and returns its path.
-pub fn run(scale: f64) -> std::path::PathBuf {
+/// Run the experiment; writes `BENCH_kmergen.json`.
+pub fn run(scale: f64) {
     let backend = simd::active();
     let data = dataset(DatasetId::Hg, scale);
     let reads = &data.reads;
@@ -491,5 +491,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
         "  \"dispatched_over_scalar\": {kmergen_ratio:.3}\n}}\n"
     ));
 
-    write_artifact("BENCH_kmergen.json", json)
+    write_artifact("BENCH_kmergen.json", json);
 }

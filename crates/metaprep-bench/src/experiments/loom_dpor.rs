@@ -122,10 +122,10 @@ fn run_model(name: &'static str, p: usize, stages: usize, dpor: bool) -> ModelRu
     }
 }
 
-/// Run the experiment; writes `BENCH_loom.json` and returns its path.
+/// Run the experiment; writes `BENCH_loom.json`.
 /// `_scale` is accepted for harness uniformity — the models are
 /// exhaustive, their size is fixed by the schedule-space structure.
-pub fn run(_scale: f64) -> std::path::PathBuf {
+pub fn run(_scale: f64) {
     let runs = [
         run_model("alltoall2_dpor", 2, 1, true),
         run_model("alltoall2_full", 2, 1, false),
@@ -208,5 +208,5 @@ pub fn run(_scale: f64) -> std::path::PathBuf {
         "  \"alltoall3_reduction_vs_reference\": {a3_reduction:.1}\n}}\n"
     ));
 
-    crate::harness::write_artifact("BENCH_loom.json", json)
+    crate::harness::write_artifact("BENCH_loom.json", json);
 }

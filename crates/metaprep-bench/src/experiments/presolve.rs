@@ -31,9 +31,10 @@
 
 use crate::{allocpeak, harness, print_table};
 use metaprep_core::{Pipeline, PipelineConfig, PipelineConfigBuilder};
-use metaprep_index::{index_fastq_file_streaming_sketched_recorded, StreamingOptions};
+use metaprep_index::{
+    index_fastq_file_streaming_sketched_recorded, SketchParams, StreamingOptions,
+};
 use metaprep_kmer::{for_each_canonical_kmer, Kmer64};
-use metaprep_norm::SketchParams;
 use metaprep_obs::MemRecorder;
 use metaprep_synth::DatasetId;
 use std::collections::HashMap;
@@ -76,7 +77,7 @@ fn adaptive_threshold(counts: &HashMap<u64, u64>, target: f64) -> (u32, u64) {
     let mut tau = 1u64;
     let mut surviving = 0u64;
     let mut at_tau = 0u64;
-    let cap = u64::from(metaprep_norm::countmin::COUNTER_MAX - 1);
+    let cap = u64::from(metaprep_index::countmin::COUNTER_MAX - 1);
     for (count, volume) in by_count {
         if count > cap || surviving + volume > budget {
             break;
@@ -180,8 +181,8 @@ fn measure(name: &'static str, cfg: PipelineConfig, reads: &metaprep_io::ReadSto
     }
 }
 
-/// Run the experiment; writes `BENCH_presolve.json` and returns its path.
-pub fn run(scale: f64) -> std::path::PathBuf {
+/// Run the experiment; writes `BENCH_presolve.json`.
+pub fn run(scale: f64) {
     let data = harness::dataset(DatasetId::Is, scale);
 
     // Exact counts drive the threshold choice (and the conservation
@@ -198,9 +199,9 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     // row): with the default width this scale saturates the sketch and
     // the over-counts drop nearly everything — a false-positive artifact,
     // not the tier being measured.
-    let sketch = metaprep_norm::SketchParams {
+    let sketch = SketchParams {
         width: (counts.len() * 4).next_power_of_two(),
-        ..metaprep_norm::SketchParams::default()
+        ..SketchParams::default()
     };
     println!(
         "presolve: {} distinct / {} total k-mer occurrences; tau={} keeps {:.1}% exactly \
@@ -349,5 +350,5 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     json.push_str(&format!("  \"planner_budget_bytes\": {modeled},\n"));
     json.push_str(&format!("  \"planner_passes\": {}\n}}\n", planned.passes));
 
-    harness::write_artifact("BENCH_presolve.json", json)
+    harness::write_artifact("BENCH_presolve.json", json);
 }

@@ -23,9 +23,8 @@
 //!    vs `sort_unstable`, on keys with metagenome-like abundance skew.
 //!
 //! Peak memory is the [`crate::allocpeak`] high-water delta per timed
-//! region when the experiment binary installs the tracking allocator
-//! (`exp_sort_throughput` does; `exp_all` does not, and the JSON then
-//! marks allocator numbers absent).
+//! region (the `exp` binary installs the tracking allocator; a process
+//! without it gets a JSON that marks allocator numbers absent).
 
 use crate::allocpeak;
 use crate::harness::{print_table, write_artifact};
@@ -232,8 +231,8 @@ fn time_into(acc: &mut PathResult, sort: impl FnOnce() -> RadixStats) -> f64 {
     secs
 }
 
-/// Run the experiment; writes `BENCH_sort.json` and returns its path.
-pub fn run(scale: f64) -> std::path::PathBuf {
+/// Run the experiment; writes `BENCH_sort.json`.
+pub fn run(scale: f64) {
     let n = (((1usize << 22) as f64 * scale) as usize).max(1 << 10);
     let in_bucket = [("dup", MM_COPIES), ("distinct", 1)]
         .map(|(name, copies)| (name, rank_vs_radix(copies, 45)));
@@ -309,7 +308,7 @@ pub fn run(scale: f64) -> std::path::PathBuf {
     json.push_str(&ratios.join(",\n"));
     json.push_str("\n}\n");
 
-    write_artifact("BENCH_sort.json", json)
+    write_artifact("BENCH_sort.json", json);
 }
 
 /// Print a two-path table and the first path's throughput over the

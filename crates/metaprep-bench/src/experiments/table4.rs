@@ -8,7 +8,7 @@
 //! sorts edges every iteration).
 
 use crate::harness::{dataset, fmt_dur, print_table};
-use metaprep_cc::{adaptive_components, shiloach_vishkin, ComponentStats};
+use metaprep_cc::{shiloach_vishkin, ComponentStats};
 use metaprep_core::{Pipeline, PipelineConfig};
 use metaprep_kmer::{for_each_canonical_kmer, Kmer64};
 use metaprep_synth::DatasetId;
@@ -51,18 +51,10 @@ pub fn run(scale: f64) {
         let sv = shiloach_vishkin(data.reads.num_fragments() as usize, &edges);
         let sv_time = t0.elapsed();
 
-        // Adaptive BFS+UF baseline (Jain et al., paper reference [8]),
-        // timed over the CC labeling only (it reuses the edge list).
-        let t0 = Instant::now();
-        let adaptive = adaptive_components(data.reads.num_fragments() as usize, &edges);
-        let adaptive_time = t0.elapsed();
-
         // Both must find the same partition.
         let a = ComponentStats::from_component_array(&res.labels);
         let b = ComponentStats::from_component_array(&sv.labels);
-        let c = ComponentStats::from_component_array(&adaptive.labels);
         assert_eq!(a.components, b.components, "SV partition disagrees");
-        assert_eq!(a.components, c.components, "adaptive partition disagrees");
 
         rows.push(vec![
             id.name().to_string(),
@@ -71,11 +63,6 @@ pub fn run(scale: f64) {
             format!("{:.2}x", sv_time.as_secs_f64() / mp_time.as_secs_f64()),
             format!("{}", sv.iterations),
             format!("{}", (tasks as f64).log2().ceil() as usize),
-            fmt_dur(adaptive_time),
-            format!(
-                "{:.1}",
-                100.0 * adaptive.bfs_reached as f64 / data.reads.num_fragments() as f64
-            ),
         ]);
     }
     print_table(
@@ -87,8 +74,6 @@ pub fn run(scale: f64) {
             "Speedup",
             "SV iters",
             "Merge rounds",
-            "Adaptive CC (s)",
-            "BFS reached %",
         ],
         &rows,
     );

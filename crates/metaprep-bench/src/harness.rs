@@ -16,8 +16,8 @@ pub fn scale_from_env() -> f64 {
 
 /// Write an experiment's artifact to the path in `METAPREP_BENCH_OUT`, or
 /// to `default_name` (relative to the working directory) when it is unset,
-/// creating the parent directory first. Prints and returns the path.
-pub fn write_artifact(default_name: &str, contents: impl AsRef<[u8]>) -> PathBuf {
+/// creating the parent directory first. Prints the path.
+pub fn write_artifact(default_name: &str, contents: impl AsRef<[u8]>) {
     let out =
         std::env::var_os("METAPREP_BENCH_OUT").map_or_else(|| default_name.into(), PathBuf::from);
     if let Some(dir) = out.parent() {
@@ -25,7 +25,6 @@ pub fn write_artifact(default_name: &str, contents: impl AsRef<[u8]>) -> PathBuf
     }
     std::fs::write(&out, contents).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
     println!("wrote {}", out.display());
-    out
 }
 
 /// Generate (deterministically) the scaled stand-in for a paper dataset.

@@ -22,7 +22,6 @@
 //! higher-index root) is used everywhere, because — as the paper notes —
 //! it cannot introduce cycles when edges are processed concurrently.
 
-pub mod adaptive;
 pub mod concurrent;
 pub mod merge;
 pub mod seq;
@@ -30,7 +29,6 @@ pub mod stats;
 pub mod sv;
 pub mod sync;
 
-pub use adaptive::{adaptive_components, AdaptiveResult};
 pub use concurrent::{ConcurrentDisjointSet, UfOpStats};
 pub use merge::{absorb_parent_array, ComponentMsg};
 pub use seq::DisjointSet;

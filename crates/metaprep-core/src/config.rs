@@ -1,7 +1,7 @@
 //! Pipeline configuration.
 
 use metaprep_dist::FaultPlan;
-use metaprep_norm::SketchParams;
+use metaprep_index::SketchParams;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -189,14 +189,14 @@ impl PipelineConfig {
                 "presolve_threshold must be >= 1 (a zero threshold drops every k-mer)".into(),
             );
         }
-        let counter_max = metaprep_norm::countmin::COUNTER_MAX;
+        let counter_max = metaprep_index::countmin::COUNTER_MAX;
         if let Some(t) = self.presolve_threshold.filter(|&t| t >= counter_max) {
             return err(format!(
                 "presolve_threshold = {t} must be below {counter_max}, where the sketch's \
                  counters saturate"
             ));
         }
-        let depths = 1..=metaprep_norm::countmin::MAX_DEPTH;
+        let depths = 1..=metaprep_index::countmin::MAX_DEPTH;
         if self.presolve_threshold.is_some()
             && (self.sketch.width < 16 || !depths.contains(&self.sketch.depth))
         {
@@ -536,7 +536,7 @@ mod tests {
             .presolve_threshold(5)
             .sketch(SketchParams {
                 width: 1 << 10,
-                depth: metaprep_norm::countmin::MAX_DEPTH + 1,
+                depth: metaprep_index::countmin::MAX_DEPTH + 1,
                 seed: 0,
             })
             .build()

@@ -30,14 +30,13 @@
 //! the decision does not.
 
 use crate::pipeline::RunCtx;
-use metaprep_index::{FastqPart, RangePlan};
+use metaprep_index::{FastqPart, HighFreqFilter, RangePlan};
 use metaprep_io::RecordWalker;
 use metaprep_kmer::simd::{self, Backend, OwnedKmers};
 use metaprep_kmer::{
     fold_kmer_key, for_each_canonical_kmer, valid_runs, Kmer, Kmer128, Kmer64, KmerReadTuple,
     KmerReadTuple128,
 };
-use metaprep_norm::HighFreqFilter;
 use metaprep_sort::{Keyed, ScatterTracker, SharedSlice};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -483,9 +482,8 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::source::{ChunkSource, Spool};
-    use metaprep_index::{BucketPlan, MerHist};
+    use metaprep_index::{BucketPlan, HighFreqFilter, MerHist, SketchParams};
     use metaprep_io::ReadStore;
-    use metaprep_norm::{HighFreqFilter, SketchParams};
 
     /// Bucket budget of the tests, in tuples: small, so the few thousand
     /// test tuples spread over many buckets.

@@ -20,10 +20,9 @@ use crate::timings::{Step, StepTimings, TaskTimings};
 use metaprep_cc::{ComponentMsg, ComponentStats, ConcurrentDisjointSet, DisjointSet};
 use metaprep_dist::collectives::{alltoall, broadcast};
 use metaprep_dist::{run_cluster, Boundary, ClusterConfig, CommStats, Payload, TaskCtx};
-use metaprep_index::{BucketPlan, FastqPart, MerHist, RangePlan};
+use metaprep_index::{BucketPlan, CountMinSketch, FastqPart, HighFreqFilter, MerHist, RangePlan};
 use metaprep_io::ReadStore;
 use metaprep_kmer::{simd, Kmer128, Kmer64};
-use metaprep_norm::{CountMinSketch, HighFreqFilter};
 use metaprep_obs::event::{CHECKPOINT, INDEX_CREATE, PASS_PLAN, TASK_RESTART};
 use metaprep_obs::{CounterKind, MemRecorder};
 use metaprep_sort::BUCKET_BYTES;

@@ -19,7 +19,7 @@
 //!
 //! When the presolve tier is active the histogram total `M` counts
 //! *enumerated* k-mers, i.e. it upper-bounds the tuples that survive the
-//! [`metaprep_norm::HighFreqFilter`] — the plan is conservative (never
+//! [`metaprep_index::HighFreqFilter`] — the plan is conservative (never
 //! under-provisions passes) and exact when presolve is off.
 
 use crate::config::PipelineError;

@@ -1,10 +1,11 @@
-//! Count-min sketch over k-mer values.
+//! Count-min sketch over k-mer values, filled by IndexCreate's sketched
+//! scan ([`crate::streaming`]) for the probabilistic presolve.
 //!
 //! A `d x w` matrix of saturating `u8` counters with `d` pairwise
 //! independent multiply-shift hashes. Estimates never under-count
 //! (conservative update keeps over-counting small), which is the right
-//! bias for digital normalization: over-estimating abundance only makes
-//! the filter drop a redundant read slightly early.
+//! bias for the presolve filter: over-estimating abundance only makes it
+//! drop a high-frequency k-mer slightly early.
 //!
 //! The `d` rows lie back to back in one flat slice, so an item's `d` cells
 //! are independent loads the CPU can have in flight together; an update
@@ -28,8 +29,8 @@
 pub const MAX_DEPTH: usize = 8;
 
 /// The value a counter saturates at. A [`HighFreqFilter`] threshold must
-/// be below it and a normalization target at most it; past that a capped
-/// counter can no longer tell the counts apart.
+/// be below it; past that a capped counter can no longer tell the counts
+/// apart.
 pub const COUNTER_MAX: u32 = u8::MAX as u32;
 
 /// The multiply-shift family of one sketch shape: row `r` sends `item` to

@@ -18,16 +18,23 @@
 //! histogram is the sum of the chunk rows, so the two tables agree by
 //! construction.
 //!
-//! Both tables serialize to a compact binary format ([`serial`]) so they
-//! can be built once per dataset and reused across runs — the paper's
-//! Table 5 measures exactly this step.
+//! Both tables serialize to a compact binary format ([`serial`]):
+//! `metaprep index` is the IndexCreate timing probe and writes them, and
+//! the paper's Table 5 reports their sizes. Nothing reads them back;
+//! `partition` re-indexes its input.
+//!
+//! [`countmin`] is the count-min sketch that IndexCreate's sketched scan
+//! fills for the probabilistic presolve, and the frozen filter KmerGen
+//! probes.
 
+pub mod countmin;
 pub mod fastqpart;
 pub mod merhist;
 pub mod plan;
 pub mod serial;
 pub mod streaming;
 
+pub use countmin::{CountMinSketch, HighFreqFilter, SketchParams};
 pub use fastqpart::{ChunkRecord, FastqPart};
 pub use merhist::MerHist;
 pub use plan::{split_bins_by_weight, BucketPlan, RangePlan};

@@ -39,6 +39,7 @@
 //! The two entries produce identical tables (property-tested in
 //! `tests/streaming_matches_inmemory.rs`).
 
+use crate::countmin::{CountMinSketch, SketchParams};
 use crate::fastqpart::ChunkRecord;
 use crate::{FastqPart, MerHist};
 use metaprep_io::{
@@ -46,7 +47,6 @@ use metaprep_io::{
     WALK_WINDOW,
 };
 use metaprep_kmer::{fold_kmer_key, for_each_canonical_kmer, Kmer, Kmer128, Kmer64, MmerSpace};
-use metaprep_norm::{CountMinSketch, SketchParams};
 use metaprep_obs::{CounterKind, MemRecorder};
 use rayon::prelude::*;
 use std::path::Path;

@@ -12,7 +12,7 @@
 //! ([`RankScratch::group_runs`]; `metaprep_core::localcc`), and moves no
 //! tuple. The sorts here are the paper's LocalSort as a standalone kernel:
 //! `benchmark/` binds [`fused_local_sort`], [`PassBuffers`] and the
-//! pipeline config's digit width, and `exp_sort_throughput` measures them.
+//! pipeline config's digit width, and `exp sort_throughput` measures them.
 //!
 //! [`fused::bucketed_local_sort`] sorts **cache-sized buckets** with no
 //! partitioning stage of its own:

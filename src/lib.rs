@@ -13,7 +13,8 @@
 //! * [`kmer`] — canonical k-mer encoding and enumeration,
 //! * [`io`] — FASTQ parsing, writing and logical chunking,
 //! * [`synth`] — synthetic metagenome community / read simulation,
-//! * [`index`] — `merHist` / `FASTQPart` index tables and range planning,
+//! * [`index`] — `merHist` / `FASTQPart` index tables, range planning and
+//!   the presolve's count-min sketch,
 //! * [`sort`] — serial and parallel LSB radix sorts,
 //! * [`cc`] — union-find and label-propagation connected components,
 //! * [`dist`] — the simulated distributed-memory cluster,
@@ -21,7 +22,6 @@
 //!   file (`run_fastq_file`), to which `run_reads` writes in-memory reads,
 //! * [`kmc`] — the KMC2-style k-mer counting baseline,
 //! * [`assembly`] — the compact de Bruijn graph unitig assembler,
-//! * [`norm`] — digital normalization (count-min sketch based),
 //! * [`obs`] — run telemetry: spans, counters, trace export, run reports.
 //!
 //! ## Quickstart
@@ -46,7 +46,6 @@ pub use metaprep_index as index;
 pub use metaprep_io as io;
 pub use metaprep_kmc as kmc;
 pub use metaprep_kmer as kmer;
-pub use metaprep_norm as norm;
 pub use metaprep_obs as obs;
 pub use metaprep_sort as sort;
 pub use metaprep_synth as synth;

@@ -14,8 +14,8 @@
 //! `threads=1`: the labels are a function of the input alone there.
 
 use metaprep::core::{Pipeline, PipelineConfig};
+use metaprep::index::SketchParams;
 use metaprep::io::write_fastq_path;
-use metaprep::norm::SketchParams;
 use metaprep::obs::{CounterKind, Event, MemRecorder};
 use metaprep::synth::{simulate_community, CommunityProfile};
 

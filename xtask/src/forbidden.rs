@@ -67,7 +67,7 @@ const FORBIDDEN: &[Forbidden] = &[
         names: &["for_each_canonical_kmer_x4"],
     },
     Forbidden {
-        why: "the exp_* bins and benchmark/ are the one measurement stack: no criterion \
+        why: "the one exp binary and benchmark/ are the one measurement stack: no criterion \
               benches, no baselines only they ran, no parking_lot or bytes shim",
         dirs: &["crates", "src", "tests", "examples", "xtask"],
         names: &[
@@ -133,6 +133,26 @@ const FORBIDDEN: &[Forbidden] = &[
               sort buffers and derives no sorted sub-range offsets",
         dirs: &["crates/metaprep-core/src"],
         names: &["bucketed_local_sort", "PassBuffers", "thread_offsets_of"],
+    },
+    Forbidden {
+        why: "no program reads and no paper table needs them: the index tables are written, \
+              never read back; Table 4 compares with AP_LB only; the count-min sketch lives \
+              in metaprep-index for the presolve, with no digital normalization; Figure 6 \
+              reports the component messages' bytes; the rayon shim has no unused adapter",
+        dirs: &["crates", "src", "tests", "examples", "xtask", "vendor"],
+        names: &[
+            "adaptive_components",
+            r"fn normalize\b",
+            "NormalizeConfig",
+            "merhist_from_bytes",
+            "fastqpart_from_bytes",
+            "IndexFormatError",
+            "metaprep_norm",
+            "metaprep-norm",
+            "exp_sparse_merge",
+            "par_windows",
+            "flat_map_iter",
+        ],
     },
     Forbidden {
         why: "bucketed_local_sort is metaprep-sort's one bucket sort and concat -> \
@@ -335,6 +355,43 @@ mod tests {
             "pub fn reverse_complement_ascii(seq: &[u8]) -> Vec<u8> {"
         ));
         assert!(!hit("    let rc = km.rc_value();"));
+    }
+
+    #[test]
+    fn off_paper_surface_matches_but_what_stays_does_not() {
+        let rule = FORBIDDEN
+            .iter()
+            .find(|rule| rule.names.contains(&"adaptive_components"))
+            .expect("the off-paper rule");
+        let hit = |line: &str| rule.names.iter().any(|name| found(name, line));
+        assert!(hit(
+            "pub use adaptive::{adaptive_components, AdaptiveResult};"
+        ));
+        assert!(hit(
+            "pub fn normalize(reads: &ReadStore, cfg: NormalizeConfig) -> NormalizeResult {"
+        ));
+        assert!(hit("    let ncfg = NormalizeConfig {"));
+        assert!(hit(
+            "pub fn merhist_from_bytes(buf: &[u8]) -> Result<MerHist, IndexFormatError> {"
+        ));
+        assert!(hit(
+            "        let back = fastqpart_from_bytes(&bytes).unwrap();"
+        ));
+        assert!(hit("use metaprep_norm::{CountMinSketch, SketchParams};"));
+        assert!(hit("metaprep-norm.workspace = true"));
+        assert!(hit("        bin: \"exp_sparse_merge\","));
+        assert!(hit(
+            "    fn par_windows(&self, size: usize) -> WindowsPar<'_, T>;"
+        ));
+        assert!(hit("            .flat_map_iter(|&v| {"));
+        assert!(!hit("pub fn merhist_to_bytes(h: &MerHist) -> Vec<u8> {"));
+        assert!(!hit(
+            "use metaprep_index::{CountMinSketch, HighFreqFilter};"
+        ));
+        assert!(!hit("    fn normalized_weights(&self) -> Vec<f64> {"));
+        assert!(!hit("    let sv = shiloach_vishkin(n, &edges);"));
+        assert!(!hit("        for w in rs.windows(2) {"));
+        assert!(!hit("            .flat_map(|c| c.iter())"));
     }
 
     #[test]

@@ -79,7 +79,6 @@ const PIPELINE_CRATES: &[&str] = &[
     "metaprep-core",
     "metaprep-kmc",
     "metaprep-assembly",
-    "metaprep-norm",
     "metaprep-obs",
 ];
 
@@ -182,11 +181,12 @@ fn run_check(flags: &[&str]) -> ExitCode {
     }
 }
 
-/// One experiment binary `bench-smoke` runs and the artifact it must write.
+/// One experiment `bench-smoke` runs and the artifact it must write.
 struct SmokeRun {
-    /// `metaprep-bench` binary; the smoke section is named after it.
-    bin: &'static str,
-    /// `METAPREP_SCALE` for the run (`None`: the binary takes no scale).
+    /// The experiment's name, as `exp <name>` takes it; the smoke section
+    /// is named after it.
+    name: &'static str,
+    /// `METAPREP_SCALE` for the run (`None`: the experiment takes no scale).
     scale: Option<&'static str>,
     /// Artifact file name under `target/` (passed as `METAPREP_BENCH_OUT`);
     /// its gates are the [`BENCH_METRICS`] rows naming it.
@@ -198,10 +198,10 @@ struct SmokeRun {
 /// Every experiment asserts its own invariants before writing its
 /// artifact (byte-identical sort output, checksum-equal enumeration); the
 /// smoke re-checks shape and gates from the JSON so a regression fails
-/// even if a binary's assert is edited away.
+/// even if an experiment's assert is edited away.
 const SMOKE_RUNS: &[SmokeRun] = &[
     SmokeRun {
-        bin: "exp_index_create",
+        name: "index_create",
         scale: Some("0.05"),
         artifact: "BENCH_index.json",
         needles: &[
@@ -212,7 +212,7 @@ const SMOKE_RUNS: &[SmokeRun] = &[
         ],
     },
     SmokeRun {
-        bin: "exp_sort_throughput",
+        name: "sort_throughput",
         scale: Some("0.05"),
         artifact: "BENCH_sort.json",
         needles: &[
@@ -223,7 +223,7 @@ const SMOKE_RUNS: &[SmokeRun] = &[
         ],
     },
     SmokeRun {
-        bin: "exp_kmergen",
+        name: "kmergen",
         scale: Some("0.2"),
         artifact: "BENCH_kmergen.json",
         needles: &[
@@ -236,13 +236,13 @@ const SMOKE_RUNS: &[SmokeRun] = &[
         ],
     },
     SmokeRun {
-        bin: "exp_loom_dpor",
+        name: "loom_dpor",
         scale: None,
         artifact: "BENCH_loom.json",
         needles: &["\"loom_dpor\"", "\"models\"", "\"schedules_explored\""],
     },
     SmokeRun {
-        bin: "exp_presolve",
+        name: "presolve",
         scale: Some("0.05"),
         artifact: "BENCH_presolve.json",
         needles: &[
@@ -274,16 +274,24 @@ fn run_bench_smoke() -> ExitCode {
 fn smoke_run(target: &Path, run: &SmokeRun) -> Result<(), String> {
     let out = target.join(run.artifact);
     std::fs::remove_file(&out).ok();
-    let section = run.bin.trim_start_matches("exp_");
-    eprintln!("== xtask: bench smoke ({section}) ==");
+    eprintln!("== xtask: bench smoke ({}) ==", run.name);
     let mut cmd = Command::new("cargo");
-    cmd.args(["run", "--release", "-p", "metaprep-bench", "--bin", run.bin])
-        .env("METAPREP_BENCH_OUT", &out);
+    cmd.args([
+        "run",
+        "--release",
+        "-p",
+        "metaprep-bench",
+        "--bin",
+        "exp",
+        "--",
+    ])
+    .arg(run.name)
+    .env("METAPREP_BENCH_OUT", &out);
     if let Some(scale) = run.scale {
         cmd.env("METAPREP_SCALE", scale);
     }
     if !matches!(cmd.status(), Ok(s) if s.success()) {
-        return Err(format!("{} failed", run.bin));
+        return Err(format!("exp {} failed", run.name));
     }
     let Ok(json) = std::fs::read_to_string(&out) else {
         return Err(format!("{} was not written", out.display()));
@@ -1213,12 +1221,12 @@ mod tests {
 
     #[test]
     fn presolve_modules_covered_by_pipeline_lints() {
-        // The probabilistic presolve tier spans `metaprep-norm` (the
-        // count-min sketch), `metaprep-index` (the sketched streaming
-        // scan) and `metaprep-core` (the adaptive pass planner) — all
+        // The probabilistic presolve tier spans `metaprep-index` (the
+        // count-min sketch and the sketched streaming scan) and
+        // `metaprep-core` (the adaptive pass planner) — all
         // pipeline crates, so the ordering and unwrap/expect gates apply.
         for rel in [
-            "crates/metaprep-norm/src/countmin.rs",
+            "crates/metaprep-index/src/countmin.rs",
             "crates/metaprep-index/src/streaming.rs",
             "crates/metaprep-core/src/planner.rs",
         ] {
@@ -1234,7 +1242,7 @@ mod tests {
         // presolve/planner sources must stay clean under the custom lints.
         let root = workspace_root();
         for rel in [
-            "crates/metaprep-norm/src/countmin.rs",
+            "crates/metaprep-index/src/countmin.rs",
             "crates/metaprep-index/src/streaming.rs",
             "crates/metaprep-core/src/planner.rs",
         ] {
